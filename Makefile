@@ -36,12 +36,16 @@ soak-smoke: build
 
 # disk-torture is the storage-fault gate: the deterministic fault injector,
 # the full WAL suite (torn checkpoints, mid-rotation crashes, compaction
-# bounds, byte-identical checkpointed replay), and the runtime durability
-# policies (fail-stop within the f budget, degrade + re-arm), all under the
-# race detector.
+# bounds, byte-identical checkpointed replay), the runtime durability
+# policies (fail-stop within the f budget, degrade + re-arm), and the
+# lost-tail crash test of the output-commit barrier (every exit of a node
+# judged against a filesystem that keeps only what was synced: the kill-point
+# sweep in runtime, the held-ack contract in rlink, the sink and Open exits
+# in engine), all under the race detector.
 disk-torture: build
 	$(GO) test -race -timeout 10m ./internal/diskfault/ ./internal/wal/
-	$(GO) test -race -timeout 10m -run 'Durab|FailStop|Degrad|DiskFault|WALReplay' ./internal/runtime/
+	$(GO) test -race -timeout 10m -run 'Durab|FailStop|Degrad|DiskFault|WALReplay|LostTail|OutputCommit' ./internal/runtime/
+	$(GO) test -race -timeout 10m -run 'LostTail' ./internal/rlink/ ./internal/engine/
 
 # wire-torture is the adversarial-wire gate: the deterministic byte-stream
 # fault injector, the hardened frame codec (CRC, caps, resync), the bounded

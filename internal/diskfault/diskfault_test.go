@@ -3,6 +3,8 @@ package diskfault
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -272,5 +274,75 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Fatalf("ParsePlan(%q) accepted", bad)
 		}
+	}
+}
+
+// TestMemFSKeepsOnlyWhatWasSynced pins the crash model of the in-memory
+// filesystem: a write is visible at once, a crash image holds only what a
+// Sync covered, and a writer that closes without syncing takes its tail
+// along.
+func TestMemFSKeepsOnlyWhatWasSynced(t *testing.T) {
+	m := NewMemFS()
+	read := func(fs *MemFS, path string) string {
+		t.Helper()
+		f, err := fs.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = f.Close() }()
+		b, err := io.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	f, err := m.Create("/d/log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("durable.")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(m, "/d/log"); got != "durable.tail" {
+		t.Errorf("live view = %q", got)
+	}
+	img := m.CrashImage()
+	if got := read(img, "/d/log"); got != "durable." {
+		t.Errorf("crash image = %q, want only the synced prefix", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(m, "/d/log"); got != "durable." {
+		t.Errorf("after an unsynced close = %q, want the tail gone", got)
+	}
+	if names, _ := m.List("/d"); len(names) != 1 || names[0] != "log" {
+		t.Errorf("List = %v", names)
+	}
+	if _, err := m.Open("/d/none"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("open of a missing file = %v", err)
+	}
+	// The image is independent of the filesystem it was taken from.
+	g, err := m.OpenRW("/d/log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Seek(0, io.SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Write([]byte("more")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(img, "/d/log"); got != "durable." {
+		t.Errorf("crash image changed under a later write: %q", got)
 	}
 }

@@ -310,6 +310,10 @@ func (r *Resident) Open(spec InstanceSpec, sink InstanceSink) (int, error) {
 		_ = r.cluster.EnqueueControl(dist.ProcID(i), controlMsg(dist.ProcID(i), dist.KindOpenInstance, k))
 	}
 	r.mu.Unlock()
+	// The id is about to leave the engine (the service's 202): every live
+	// node's journal covers the open first. Outside r.mu, and the n commits
+	// run concurrently — one fsync of latency, not n under the lock.
+	r.cluster.CommitControls()
 	mResidentOpened.Inc()
 	mResidentActive.Add(1)
 	return k, nil
@@ -464,7 +468,9 @@ func (r *Resident) signal() {
 
 // retireLocked drops instance k's participants on every node by enqueuing
 // journaled close controls, and releases the registry row's heavyweight
-// state. The spec survives: a node relaunched later may replay the open.
+// state. The spec survives: a node relaunched later may replay the open. A
+// close externalises nothing, so nobody waits for its fsync: a node that
+// loses it in a crash gets it again from reconcile.
 // Callers hold r.mu — the critical section serializes retirement against
 // Open fan-outs and relaunch reconciliation, so a close can never overtake
 // its open on any node's delivery path.

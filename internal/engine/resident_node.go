@@ -40,6 +40,13 @@ type residentNode struct {
 
 var _ dist.Process = (*residentNode)(nil)
 
+// outputCommitter is implemented by the driver context of a journaling
+// runtime: CommitOutput blocks until the journal covers every delivery the
+// node has consumed, and fails when the incarnation fail-stopped instead. A
+// context without it (no WAL, or the capture context of a WAL replay, whose
+// deliveries come from the journal) has nothing to wait for.
+type outputCommitter interface{ CommitOutput() error }
+
 func newResidentNode(r *Resident, id dist.ProcID) *residentNode {
 	return &residentNode{
 		r:        r,
@@ -90,12 +97,16 @@ func (nd *residentNode) Deliver(ctx dist.Context, msg dist.Message) {
 // deliverSub hands one message to a participant and reports termination.
 func (nd *residentNode) deliverSub(ctx dist.Context, k int, sub dist.Process, msg dist.Message) {
 	sub.Deliver(&instanceContext{inner: ctx, instance: k}, msg)
-	nd.noteIfDecided(k, sub)
+	nd.noteIfDecided(ctx, k, sub)
 }
 
 // noteIfDecided forwards a participant's termination to the engine, once
-// per instance per incarnation (the engine dedups across incarnations).
-func (nd *residentNode) noteIfDecided(k int, sub dist.Process) {
+// per instance per incarnation (the engine dedups across incarnations). The
+// decision leaves the node here — the sink hands it to the tenant — so it
+// first waits for the journal to cover the deliveries it rests on; if that
+// commit fails the incarnation is dead and the decision is reported by the
+// relaunch that can reproduce it.
+func (nd *residentNode) noteIfDecided(ctx dist.Context, k int, sub dist.Process) {
 	if !sub.Done() {
 		return
 	}
@@ -106,6 +117,9 @@ func (nd *residentNode) noteIfDecided(k int, sub dist.Process) {
 	}
 	nd.reported[k] = true
 	nd.mu.Unlock()
+	if oc, ok := ctx.(outputCommitter); ok && oc.CommitOutput() != nil {
+		return
+	}
 	nd.r.noteDecided(k, nd.id, sub)
 }
 
@@ -153,7 +167,7 @@ func (nd *residentNode) applyOpen(ctx dist.Context, k int) {
 	delete(nd.future, k)
 	nd.mu.Unlock()
 	sub.Init(&instanceContext{inner: ctx, instance: k})
-	nd.noteIfDecided(k, sub)
+	nd.noteIfDecided(ctx, k, sub)
 	for _, m := range buf {
 		nd.deliverSub(ctx, k, sub, m)
 	}

@@ -63,6 +63,15 @@ type Config struct {
 	MaxReorder int
 }
 
+// AckHoldDelay is how long the owner of an endpoint that holds acks (HoldAcks)
+// may sit on a delivery before it should commit and release the ack: a
+// quarter of the first retransmission delay, so the held ack plus the fsync
+// that frees it still beat the sender's earliest retry (jittered down to half
+// of RetransmitInitial).
+func (c Config) AckHoldDelay() time.Duration {
+	return c.withDefaults().RetransmitInitial / 4
+}
+
 func (c Config) withDefaults() Config {
 	if c.RetransmitInitial <= 0 {
 		c.RetransmitInitial = 4 * time.Millisecond
@@ -105,6 +114,10 @@ type Endpoint struct {
 	sender  Sender
 	deliver func(dist.Message) error
 	epoch   uint64 // incarnation number, fixed at construction
+	// holdAcks withholds the cumulative ack of a delivery until the owner
+	// reports it durable (output commit); set once by HoldAcks before the
+	// endpoint receives frames.
+	holdAcks bool
 
 	out []*outLink
 	in  []*inLink
@@ -143,8 +156,13 @@ type outLink struct {
 
 // inLink is the receiver-side state of one directed link.
 type inLink struct {
-	mu       sync.Mutex
-	next     uint64 // next expected (lowest undelivered) sequence number
+	mu   sync.Mutex
+	next uint64 // next expected (lowest undelivered) sequence number
+	// durable is the watermark behind next that the link exports: acks and
+	// handshakes claim [0, durable) and nothing above. It equals next unless
+	// the endpoint holds acks (HoldAcks), in which case only AdvanceDurable
+	// moves it.
+	durable  uint64
 	buffered map[uint64]dist.Message
 }
 
@@ -156,7 +174,7 @@ type inLink struct {
 // deliver rejects the message: it stays buffered, the receive cursor — and
 // therefore the cumulative ack — does not advance past it, and the peer's
 // retransmission re-offers it later (the recovery runtime uses this to
-// refuse deliveries it could not journal durably).
+// refuse deliveries to an incarnation that has fail-stopped).
 func New(self dist.ProcID, n int, sender Sender, deliver func(dist.Message) error, cfg Config) *Endpoint {
 	e := newEndpoint(self, n, sender, deliver, cfg)
 	e.start()
@@ -182,6 +200,63 @@ func newEndpoint(self dist.ProcID, n int, sender Sender, deliver func(dist.Messa
 		e.in[i] = &inLink{buffered: make(map[uint64]dist.Message)}
 	}
 	return e
+}
+
+// HoldAcks makes the endpoint an output-commit receiver: accepting a
+// delivery no longer acknowledges it. The receive cursor still advances (FIFO
+// delivery is unchanged), but acks, handshakes and re-acks claim only what
+// the owner has reported durable through AdvanceDurable — the recovery
+// runtime journals deliveries without fsyncing them and releases the acks
+// after the fsync that covers them. Call it before the endpoint is handed
+// its first frame.
+func (e *Endpoint) HoldAcks() { e.holdAcks = true }
+
+// RecvCursors snapshots every link's receive cursor into dst (resized to the
+// peer count) — the deliveries accepted so far. The owner captures it
+// *before* starting the fsync that will cover those deliveries and hands it
+// to AdvanceDurable afterwards, so the watermark never claims a delivery
+// accepted while the fsync was already running.
+func (e *Endpoint) RecvCursors(dst []uint64) []uint64 {
+	dst = dst[:0]
+	for _, il := range e.in {
+		il.mu.Lock()
+		dst = append(dst, il.next)
+		il.mu.Unlock()
+	}
+	return dst
+}
+
+// AdvanceDurable raises each link's durable watermark to the given cursor
+// (as captured by RecvCursors) and acknowledges the newly covered frames. It
+// reports whether some link still has deliveries above its watermark, i.e.
+// whether the owner has another commit to run before every ack is out.
+func (e *Endpoint) AdvanceDurable(cursors []uint64) (lagging bool) {
+	if e.closed.Load() {
+		return false
+	}
+	for from, il := range e.in {
+		if from >= len(cursors) {
+			break
+		}
+		il.mu.Lock()
+		advanced := cursors[from] > il.durable
+		if advanced {
+			il.durable = cursors[from]
+		}
+		lagging = lagging || il.durable < il.next
+		il.mu.Unlock()
+		if advanced {
+			e.sendAck(dist.ProcID(from), cursors[from]-1)
+		}
+	}
+	return lagging
+}
+
+// sendAck emits one cumulative ack covering [0, seq].
+func (e *Endpoint) sendAck(to dist.ProcID, seq uint64) {
+	e.acksSent.Add(1)
+	mAcksSent.Inc()
+	_ = e.sender.SendFrame(to, wire.Frame{Type: wire.FrameAck, From: e.self, Seq: seq})
 }
 
 // start launches the retransmission loop.
@@ -286,13 +361,14 @@ func (e *Endpoint) OnFrame(f wire.Frame) {
 			// old and new connection readers overlap across a TCP reconnect),
 			// and two drained batches handed off outside the lock could
 			// interleave out of sequence order. deliver does bounded work (a
-			// mailbox push, plus a journal write in recovery mode), so holding
-			// the link lock is safe. A rejected delivery (journaling failure)
-			// stays buffered and ends the drain: the cursor — and with it the
-			// cumulative ack below — never covers a message that was not made
-			// durable, and the next retransmission retries the delivery (the
-			// drain runs even for a frame suppressed as an in-buffer
-			// duplicate, which is exactly what that retransmission is).
+			// mailbox push, plus a buffered journal append in recovery mode), so
+			// holding the link lock is safe. A rejected delivery (the owner
+			// fail-stopped) stays buffered and ends the drain: the cursor — and
+			// with it the cumulative ack below — never covers a message that
+			// was not accepted, and the next retransmission retries the
+			// delivery (the drain runs even for a frame suppressed as an
+			// in-buffer duplicate, which is exactly what that retransmission
+			// is).
 			for {
 				m, ok := il.buffered[il.next]
 				if !ok {
@@ -306,15 +382,19 @@ func (e *Endpoint) OnFrame(f wire.Frame) {
 				il.next++
 			}
 		}
-		ackable := il.next > 0
-		ackSeq := il.next - 1
-		il.mu.Unlock()
+		if !e.holdAcks {
+			il.durable = il.next
+		}
 		// Ack cumulatively, even for duplicates: the retransmission that
-		// produced the duplicate means a previous ack was lost.
+		// produced the duplicate means a previous ack was lost. A held
+		// endpoint acks from here only such duplicates — frames below the
+		// watermark; everything newer is acked by AdvanceDurable once the
+		// owner's fsync covers it.
+		ackable := il.durable > 0 && (!e.holdAcks || f.Seq < il.durable)
+		ackSeq := il.durable - 1
+		il.mu.Unlock()
 		if ackable {
-			e.acksSent.Add(1)
-			mAcksSent.Inc()
-			_ = e.sender.SendFrame(f.From, wire.Frame{Type: wire.FrameAck, From: e.self, Seq: ackSeq})
+			e.sendAck(f.From, ackSeq)
 		}
 	}
 }

@@ -242,6 +242,98 @@ func TestDeliverFailureWithholdsAck(t *testing.T) {
 	}
 }
 
+// TestLostTailHeldAcksClaimOnlyDurable pins the output-commit side of the
+// receive path. An endpoint that holds acks accepts deliveries (the cursor
+// moves, FIFO order is unchanged) but every place it exports that cursor as
+// a durability claim — the cumulative ack, the handshake's watermark, the
+// re-ack a peer's handshake provokes, a resumed endpoint's first hello —
+// stays at the durable watermark, which only AdvanceDurable moves, and only
+// up to cursors captured before the owner's fsync began. Were any of them to
+// export the cursor itself, a crash that loses the unsynced tail would leave
+// the peer having trimmed frames the node never durably received.
+func TestLostTailHeldAcksClaimOnlyDurable(t *testing.T) {
+	var acks collector
+	ackRec := senderFunc(func(to dist.ProcID, f wire.Frame) error {
+		if f.Type == wire.FrameAck {
+			_ = acks.deliver(dist.Message{To: to, Round: int(f.Seq)})
+		}
+		return nil
+	})
+	var got collector
+	b := New(1, 2, ackRec, got.deliver, fastConfig())
+	b.HoldAcks()
+	defer func() { _ = b.Close() }()
+
+	mk := func(seq uint64) wire.Frame {
+		return wire.Frame{Type: wire.FrameData, From: 0, Seq: seq,
+			Msg: dist.Message{From: 0, To: 1, Kind: "x", Round: int(seq)}}
+	}
+	ackSeqs := func() []int {
+		var out []int
+		for _, a := range acks.snapshot() {
+			out = append(out, a.Round)
+		}
+		return out
+	}
+	expectAcks := func(when string, want ...int) {
+		t.Helper()
+		if got := ackSeqs(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: acks sent = %v, want %v", when, got, want)
+		}
+	}
+
+	for seq := uint64(0); seq < 3; seq++ {
+		b.OnFrame(mk(seq))
+	}
+	if n := len(got.snapshot()); n != 3 {
+		t.Fatalf("delivered %d, want 3: holding acks must not hold deliveries", n)
+	}
+	expectAcks("after three undurable deliveries")
+	if hs := b.HelloFrame(0); hs.Ack != 0 {
+		t.Fatalf("handshake claims %d received with nothing durable", hs.Ack)
+	}
+	b.OnFrame(wire.Frame{Type: wire.FrameHandshake, From: 0, Epoch: 1})
+	expectAcks("after a peer handshake with nothing durable")
+	b.OnFrame(mk(1)) // the sender retries: delivered, not durable — still no ack
+	expectAcks("after a retransmission of an undurable frame")
+
+	// The owner commits: cursors first, then (while its fsync runs) another
+	// delivery arrives, then the advance. The late delivery is not claimed.
+	cursors := b.RecvCursors(nil)
+	b.OnFrame(mk(3))
+	if lagging := b.AdvanceDurable(cursors); !lagging {
+		t.Error("AdvanceDurable reported no lag with seq 3 still above the watermark")
+	}
+	expectAcks("after the commit", 2)
+	if hs := b.HelloFrame(0); hs.Ack != 3 {
+		t.Fatalf("handshake claims %d received, want the durable 3 (cursor is 4)", hs.Ack)
+	}
+	b.OnFrame(wire.Frame{Type: wire.FrameHandshake, From: 0, Epoch: 2})
+	expectAcks("after a peer handshake", 2, 2)
+	b.OnFrame(mk(0)) // a duplicate below the watermark means an ack was lost
+	expectAcks("after a duplicate of a durable frame", 2, 2, 2)
+	b.OnFrame(mk(3))
+	expectAcks("after a duplicate of the undurable frame", 2, 2, 2)
+	if lagging := b.AdvanceDurable(b.RecvCursors(nil)); lagging {
+		t.Error("AdvanceDurable reported lag with every delivery covered")
+	}
+	expectAcks("after the second commit", 2, 2, 2, 3)
+
+	// A resumed endpoint's journal is its durable watermark.
+	r, err := NewResumed(1, 2, ackRec, got.deliver, fastConfig(), ResumeState{
+		Epoch: 1, RecvNext: []uint64{7, 0}, Out: make([][]dist.Message, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.HoldAcks()
+	defer func() { _ = r.Close() }()
+	r.OnFrame(wire.Frame{Type: wire.FrameData, From: 0, Seq: 7, Msg: dist.Message{From: 0, To: 1, Kind: "x"}})
+	if hs := r.HelloFrame(0); hs.Ack != 7 {
+		t.Fatalf("resumed handshake claims %d received, want the journaled 7", hs.Ack)
+	}
+}
+
 // TestSendAfterClose verifies the endpoint refuses new work once closed.
 func TestSendAfterClose(t *testing.T) {
 	e := New(0, 2, senderFunc(func(dist.ProcID, wire.Frame) error { return nil }),

@@ -368,13 +368,22 @@ func (c *Cluster) installEndpoint(i int, s rlink.Sender) error {
 		c.deliver[i] = deliver
 	}
 	ep := rlink.New(dist.ProcID(i), len(c.procs), s, deliver, c.rlinkCfg)
+	if b := c.box[i]; b != nil {
+		b.attach(ep)
+	}
 	c.rel[i] = ep
 	c.trans[i] = &endpointTransport{ep: ep}
 	return nil
 }
 
-// closeWALs closes every open write-ahead log (constructor error paths).
+// closeWALs stops every committer and closes every open write-ahead log
+// (constructor error paths).
 func (c *Cluster) closeWALs() {
+	for _, b := range c.box {
+		if b != nil {
+			b.close()
+		}
+	}
 	for _, w := range c.wal {
 		if w != nil {
 			_ = w.Close()
@@ -630,9 +639,12 @@ func (c *Cluster) Shutdown() error {
 // EnqueueControl places an in-band control message (dist.KindOpenInstance /
 // dist.KindCloseInstance) on node id's delivery path. On a WAL-enabled
 // cluster the control goes through the node's journaling path, so it is a
-// durable record ordered exactly where the node will process it — replay
-// re-applies it at the same position. The message must be self-addressed
-// (From == To == id): controls are local lifecycle commands, not traffic.
+// journal record ordered exactly where the node will process it — replay
+// re-applies it at the same position. Like any delivery it is appended, not
+// fsynced: a caller about to externalise the control (an instance id it
+// returns) follows up with CommitControls; one that externalises nothing (a
+// close) does not wait. The message must be self-addressed (From == To ==
+// id): controls are local lifecycle commands, not traffic.
 func (c *Cluster) EnqueueControl(id dist.ProcID, msg dist.Message) error {
 	if id < 0 || int(id) >= len(c.inbox) {
 		return fmt.Errorf("runtime: control for unknown node %d", id)
@@ -660,6 +672,31 @@ func (c *Cluster) EnqueueControl(id dist.ProcID, msg dist.Message) error {
 	return nil
 }
 
+// CommitControls blocks until every live node's journal covers the controls
+// enqueued before the call — the n commits run concurrently, so the caller
+// pays about one fsync, not n. A node whose commit fails has fail-stopped
+// and one that is down has no journal to wait for; either way its relaunch
+// re-derives the controls it lost (RecoveryConfig.OnRelaunch), so there is
+// nothing for the caller to act on and no error is returned. Without a WAL
+// it returns at once.
+func (c *Cluster) CommitControls() {
+	c.stateMu.RLock()
+	boxes := append([]*durableBox(nil), c.box...)
+	c.stateMu.RUnlock()
+	var wg sync.WaitGroup
+	for _, b := range boxes {
+		if b == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(b *durableBox) {
+			defer wg.Done()
+			_ = b.barrier(waitControl) // a failed node is reconciled at relaunch
+		}(b)
+	}
+	wg.Wait()
+}
+
 // newRunState builds the settle bookkeeping with the given number of slots
 // and launches every initial incarnation.
 func (c *Cluster) newRunState(slots int64) *runState {
@@ -677,7 +714,7 @@ func (c *Cluster) newRunState(slots int64) *runState {
 	}
 	c.stateMu.RLock()
 	for i := range c.procs {
-		rs.launch(i, c.procs[i], c.inbox[i], c.crash[i], false)
+		rs.launch(i, c.procs[i], c.inbox[i], c.crash[i], c.box[i], false)
 	}
 	c.stateMu.RUnlock()
 	return rs
@@ -790,12 +827,13 @@ func (c *Cluster) consumeSendBudget(from dist.ProcID, crashed *atomic.Bool) bool
 	}
 }
 
-// nodeContext implements dist.Context for one node.
+// nodeContext implements dist.Context for one incarnation of one node.
 type nodeContext struct {
 	cluster *Cluster
 	id      dist.ProcID
 	n       int
 	crashed *atomic.Bool
+	box     *durableBox // the incarnation's output-commit barrier (nil without a WAL)
 }
 
 var (
@@ -827,15 +865,24 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 	}
 	if to == nc.id {
 		// No node has a network link to itself on any transport; in recovery
-		// mode the self-delivery is journaled like any other. A journaling
-		// failure here has no retransmitting peer to lean on, and ignoring it
-		// would silently desynchronize the process from its durable history —
-		// so it is treated as a crash of the node: the incarnation settles as
+		// mode the self-delivery is journaled like any other — a delivery, not
+		// an output, so it does not wait on the barrier. A journaling failure
+		// here has no retransmitting peer to lean on, and ignoring it would
+		// silently desynchronize the process from its durable history — so it
+		// is treated as a crash of the node: the incarnation settles as
 		// crashed, and a restart plan (if any) relaunches it from the
 		// journaled prefix, whose replay regenerates the failed self-send.
 		if err := nc.cluster.deliverToSelf(nc.id, msg); err != nil {
 			nc.crashed.Store(true)
 		}
+		return
+	}
+	// Output commit: the message may depend on any delivery this process has
+	// consumed, so the journal must cover them all before it leaves. A failed
+	// barrier has already fail-stopped the incarnation (or the node is
+	// shutting down); the message stays unsent, and a relaunch regenerates it
+	// from the journaled prefix.
+	if nc.box != nil && nc.box.barrier(waitSend) != nil {
 		return
 	}
 	nc.cluster.stateMu.RLock()
@@ -847,6 +894,16 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 		// it was handed to the network.
 		return
 	}
+}
+
+// CommitOutput is the output-commit barrier for what leaves the node other
+// than through Send — the resident engine calls it before handing a
+// participant's decision to its sink. It returns nil at once without a WAL.
+func (nc *nodeContext) CommitOutput() error {
+	if nc.box == nil {
+		return nil
+	}
+	return nc.box.barrier(waitDecide)
 }
 
 func (nc *nodeContext) Broadcast(kind string, round int, payload any) {

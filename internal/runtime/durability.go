@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"chc/internal/dist"
+	"chc/internal/rlink"
 	"chc/internal/telemetry"
 	"chc/internal/wal"
 )
@@ -55,22 +56,35 @@ type DurabilityStats struct {
 // for a potential relaunch.
 var errFailStopped = errors.New("runtime: node fail-stopped on durability failure")
 
+// errBoxClosed ends a barrier that raced the node's teardown: nothing more
+// will be committed, and nothing more may leave the node.
+var errBoxClosed = errors.New("runtime: node is shutting down")
+
 // durableBox owns the durability path of one incarnation: the WAL, the
-// mailbox, and the degradation state machine. It replaces the plain
-// journaling closure so a journaling failure can be handled by policy
-// instead of only being reported upstream.
+// mailbox, and the degradation state machine.
 //
-// The append+fsync+push sequence runs under one mutex for the same reason
-// journalingDeliver's did: journal order must equal mailbox (processing)
-// order, or a relaunched incarnation could attach different payloads to
-// already-transmitted (link, seq) pairs — equivocation across the restart
-// boundary.
+// The contract is output commit. A delivery is appended to the journal and
+// pushed to the mailbox under one mutex — journal order must equal mailbox
+// (processing) order, or a relaunched incarnation could attach different
+// payloads to already-transmitted (link, seq) pairs: equivocation across the
+// restart boundary — but it is not fsynced there. The fsync happens in
+// commit, at most one at a time per node, and everything that leaves the
+// node waits for the commit that covers every delivery accepted so far:
+// link acks (released here through the endpoint's durable watermark), sends,
+// decisions and admitted instance ids (through barrier). A crash therefore
+// loses only a journal tail that nothing outside the node has observed —
+// never acked, never acted on externally — and peers still hold its frames.
 type durableBox struct {
 	c                  *Cluster
 	i                  int
 	crashed            *atomic.Bool // the incarnation's crash flag (shared with runProc)
 	policy             DurabilityPolicy
 	rearmMin, rearmMax time.Duration
+	ackDelay           time.Duration // how long a delivery may wait for a send's commit to cover it
+
+	// ep is the reliable-link endpoint whose acks this box releases; nil
+	// while a relaunch is still journaling the cut-off self-sends.
+	ep atomic.Pointer[rlink.Endpoint]
 
 	mu       sync.Mutex
 	w        *wal.WAL
@@ -80,6 +94,24 @@ type durableBox struct {
 	pending  [][]byte // record bodies accrued while degraded, journal order
 	closed   bool
 	closedCh chan struct{}
+	// appended counts the records accepted into the journal (or, degraded,
+	// into pending); written under mu, read by barriers without it.
+	appended atomic.Uint64
+
+	// One commit (fsync) is in flight per node: committing, under commitMu,
+	// marks it, and commitDone wakes the callers waiting behind it — each
+	// re-checks whether that commit already covered its target before running
+	// one of its own. committed is the appended-count covered so far.
+	commitMu   sync.Mutex
+	commitDone *sync.Cond
+	committing bool
+	committed  atomic.Uint64
+	cursors    []uint64 // receive-cursor scratch of the commit in flight
+	ackCursors []uint64 // receive-cursor scratch of the committer goroutine
+
+	// wake tells the committer that uncommitted deliveries exist (capacity 1:
+	// a pending signal already covers every later delivery).
+	wake chan struct{}
 }
 
 func newDurableBox(c *Cluster, i int, w *wal.WAL, mbox *mailbox, crashed *atomic.Bool) *durableBox {
@@ -87,8 +119,11 @@ func newDurableBox(c *Cluster, i int, w *wal.WAL, mbox *mailbox, crashed *atomic
 		c: c, i: i, w: w, mbox: mbox, crashed: crashed,
 		policy:   FailStop,
 		rearmMin: time.Millisecond, rearmMax: 250 * time.Millisecond,
+		ackDelay: c.rlinkCfg.AckHoldDelay(),
 		closedCh: make(chan struct{}),
+		wake:     make(chan struct{}, 1),
 	}
+	b.commitDone = sync.NewCond(&b.commitMu)
 	if c.recovery != nil {
 		b.policy = c.recovery.Durability
 		if c.recovery.RearmMin > 0 {
@@ -98,12 +133,22 @@ func newDurableBox(c *Cluster, i int, w *wal.WAL, mbox *mailbox, crashed *atomic
 			b.rearmMax = c.recovery.RearmMax
 		}
 	}
+	c.bg.Add(1)
+	go b.commitLoop()
 	return b
 }
 
-// deliver is the rlink delivery callback: journal, fsync, then push. On a
-// durability failure it applies the policy; only fail-stop reports the
-// error upstream (withholding the link ack so the peer keeps the message).
+// attach hands the box the endpoint whose acks it releases, switching the
+// endpoint to held acks. Call before the endpoint can receive frames.
+func (b *durableBox) attach(ep *rlink.Endpoint) {
+	ep.HoldAcks()
+	b.ep.Store(ep)
+}
+
+// deliver is the rlink delivery callback (and the path of self-sends and
+// lifecycle controls): append to the journal, push to the mailbox, return —
+// no fsync. On an append failure it applies the policy; only fail-stop
+// reports the error upstream (so the link never advances past the message).
 func (b *durableBox) deliver(m dist.Message) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -113,18 +158,219 @@ func (b *durableBox) deliver(m dist.Message) error {
 		// without re-counting faults: FailStops counts nodes, not attempts.
 		return errFailStopped
 	}
+	if !b.degraded {
+		err := b.w.AppendDelivered(m)
+		if err == nil {
+			b.mbox.Push(m)
+			b.noteAppended()
+			return nil
+		}
+		// The buffered append itself failed (a flush of the full buffer hit
+		// the disk, or a failed rotation wedged the log).
+		b.noteFault(err)
+		if b.policy != Degrade {
+			b.failStop()
+			return err
+		}
+		b.enterDegraded()
+	}
+	// Degraded: accepted non-durably. The body is buffered for the next
+	// re-arm attempt and the message made visible to the process.
+	if body, err := wal.EncodeDelivered(m); err == nil {
+		b.pending = append(b.pending, body)
+	}
+	b.mbox.Push(m)
+	b.noteAppended()
+	return nil
+}
+
+// journalDecided journals a decision through the box so a degraded node's
+// decision lands in the pending buffer (and so in the re-arm snapshot). The
+// record is covered by the decide barrier that follows. An append failure is
+// tolerated: the decision is already reproducible from the journaled
+// deliveries.
+func (b *durableBox) journalDecided(round int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.degraded {
-		b.bufferDegraded(m)
+		b.pending = append(b.pending, wal.EncodeDecided(round))
+	} else if b.w.AppendDecided(round) != nil {
+		return
+	}
+	b.noteAppended()
+}
+
+// noteAppended counts one accepted record (under b.mu) and makes sure the
+// committer will cover it if no send does first.
+func (b *durableBox) noteAppended() {
+	b.appended.Add(1)
+	b.wakeCommitter()
+}
+
+// barrier blocks until every record accepted so far is covered by a commit.
+// It gates an exit of the node: a non-nil error means the incarnation
+// fail-stopped (or is shutting down) and the output must not happen.
+func (b *durableBox) barrier(wait *telemetry.Histogram) error {
+	target := b.appended.Load()
+	if b.committed.Load() >= target {
 		return nil
 	}
-	err := b.w.AppendDelivered(m)
-	if err == nil {
-		err = b.w.Sync()
+	var start time.Time
+	if telemetry.Enabled() {
+		start = time.Now()
 	}
-	if err == nil {
-		b.mbox.Push(m)
+	err := b.commit(target)
+	if !start.IsZero() {
+		wait.ObserveDuration(time.Since(start))
+	}
+	return err
+}
+
+// commit returns once a commit covers target: the one in flight if it
+// does, otherwise one it runs itself. Commits never overlap.
+func (b *durableBox) commit(target uint64) error {
+	b.commitMu.Lock()
+	for b.committing && b.committed.Load() < target {
+		b.commitDone.Wait()
+	}
+	if b.committed.Load() >= target {
+		b.commitMu.Unlock()
 		return nil
 	}
+	b.committing = true
+	b.commitMu.Unlock()
+	err := b.commitOnce()
+	b.commitMu.Lock()
+	b.committing = false
+	b.commitMu.Unlock()
+	b.commitDone.Broadcast()
+	return err
+}
+
+// commitOnce makes every record accepted so far durable with one fsync and
+// only then releases what it covers: the committed count barriers wait on,
+// and the link acks, from receive cursors captured before the fsync started
+// (a delivery accepted while the fsync runs is not claimed by it). Failure
+// policy, per commit: fail-stop kills the node — the unsynced tail was never
+// acked or acted on externally and peers still hold its frames, so nothing
+// is rejected retroactively; degrade moves the whole uncommitted tail into
+// pending and releases it non-durably. wal.ErrCheckpoint means the fsync
+// itself succeeded: the tail is already durable and nothing moves.
+func (b *durableBox) commitOnce() error {
+	ep := b.ep.Load()
+	if ep != nil {
+		b.cursors = ep.RecvCursors(b.cursors)
+	}
+	// all is read after the cursors: a delivery below them was accepted
+	// before they were captured, so it is within all.
+	b.mu.Lock()
+	stopped, closed, degraded, all := b.crashed.Load(), b.closed, b.degraded, b.appended.Load()
+	b.mu.Unlock()
+	switch {
+	case stopped:
+		return errFailStopped
+	case closed:
+		return errBoxClosed
+	}
+	// A degraded node has nothing to fsync — pending owns its tail.
+	if !degraded {
+		if err := b.w.Sync(); err != nil && !b.syncFailed(err) {
+			return err
+		}
+	}
+	covered := b.committed.Swap(all)
+	if telemetry.TraceOn() {
+		telemetry.Emit("runtime.durability", map[string]any{
+			"proc": b.i, "action": "commit", "records": all - covered,
+		})
+	}
+	if ep != nil && ep.AdvanceDurable(b.cursors) {
+		b.wakeCommitter()
+	}
+	return nil
+}
+
+// releaseAcks is the committer's pass: cover whatever no send's commit has
+// covered yet, then acknowledge the deliveries a commit made durable without
+// claiming them — those accepted between its cursor capture and its fsync.
+// Reading the cursors first and the appended count after them makes the
+// claim safe without a lock: every delivery below the cursors is within the
+// count, and the count is within committed.
+func (b *durableBox) releaseAcks() error {
+	if err := b.commit(b.appended.Load()); err != nil {
+		return err
+	}
+	if ep := b.ep.Load(); ep != nil {
+		b.ackCursors = ep.RecvCursors(b.ackCursors)
+		if b.committed.Load() >= b.appended.Load() && ep.AdvanceDurable(b.ackCursors) {
+			b.wakeCommitter()
+		}
+	}
+	return nil
+}
+
+// syncFailed applies the durability policy to a failed commit fsync and
+// reports whether the commit may still release what it covers (degrade:
+// yes, non-durably; fail-stop: no, the node dies).
+func (b *durableBox) syncFailed(err error) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed || errors.Is(err, wal.ErrClosed) {
+		return false // shutdown closed the log under the commit
+	}
+	b.noteFault(err)
+	if b.policy != Degrade {
+		b.failStop()
+		return false
+	}
+	if !b.degraded {
+		b.enterDegraded()
+	}
+	return true
+}
+
+// wakeCommitter tells the committer there is something to release: a fresh
+// record, or a delivery whose ack is still held after an advance.
+func (b *durableBox) wakeCommitter() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// commitLoop is the node's committer: it releases the acks of deliveries no
+// send is waiting on. After a wake-up it lets ackDelay pass — in a busy
+// round a send's own commit covers the deliveries first, and the committer
+// finds nothing left to fsync — then commits.
+func (b *durableBox) commitLoop() {
+	defer b.c.bg.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop() // armed per pass below; Reset wants a stopped, drained timer
+	defer timer.Stop()
+	for {
+		select {
+		case <-b.wake:
+		case <-b.closedCh:
+			return
+		}
+		var start time.Time
+		if telemetry.Enabled() {
+			start = time.Now()
+		}
+		timer.Reset(b.ackDelay)
+		select {
+		case <-timer.C:
+		case <-b.closedCh:
+			return
+		}
+		if b.releaseAcks() == nil && !start.IsZero() {
+			waitAck.ObserveDuration(time.Since(start))
+		}
+	}
+}
+
+// noteFault counts one WAL write/fsync failure (under b.mu).
+func (b *durableBox) noteFault(err error) {
 	b.c.durability.faults.Add(1)
 	mDurabilityFaults.Inc()
 	if telemetry.TraceOn() {
@@ -132,42 +378,6 @@ func (b *durableBox) deliver(m dist.Message) error {
 			"proc": b.i, "action": "fault", "err": err.Error(),
 		})
 	}
-	if b.policy == Degrade {
-		// A checkpoint failure (wal.ErrCheckpoint) means the fsync itself
-		// succeeded: the delivery is already durable and folded into the
-		// mirror, and only the snapshot rotation failed. Re-owning it in
-		// pending would double-journal it at the next re-arm.
-		b.enterDegraded(m, !errors.Is(err, wal.ErrCheckpoint))
-		return nil
-	}
-	b.failStop()
-	return err
-}
-
-// journalDecided journals a decision through the box so a degraded node's
-// decision lands in the pending buffer (and so in the re-arm snapshot).
-// Failures are tolerated like journalDecision's: the decision is already
-// reproducible from the journaled deliveries.
-func (b *durableBox) journalDecided(round int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.degraded {
-		b.pending = append(b.pending, wal.EncodeDecided(round))
-		return
-	}
-	if err := b.w.AppendDecided(round); err != nil {
-		return
-	}
-	_ = b.w.Sync()
-}
-
-// bufferDegraded acks a delivery non-durably: the body is buffered for the
-// next re-arm attempt and the message made visible to the process.
-func (b *durableBox) bufferDegraded(m dist.Message) {
-	if body, err := wal.EncodeDelivered(m); err == nil {
-		b.pending = append(b.pending, body)
-	}
-	b.mbox.Push(m)
 }
 
 // failStop crashes the incarnation (under b.mu). The teardown must be
@@ -184,21 +394,14 @@ func (b *durableBox) failStop() {
 }
 
 // enterDegraded quarantines the node into non-durable mode (under b.mu) and
-// starts the re-arm loop. With lost=true (fsync failure) the failed delivery
-// never reached stable storage: it becomes the first pending entry, and any
-// bodies the WAL had buffered-but-not-fsynced are dropped from its mirror
-// (they are exactly the failed delivery, which pending now owns). With
-// lost=false (post-fsync checkpoint failure) the delivery is already in the
-// durable history and the mirror; it is only made visible to the process —
-// adding it to pending too would journal it twice on re-arm.
-func (b *durableBox) enterDegraded(m dist.Message, lost bool) {
+// starts the re-arm loop. The whole uncommitted tail — every record appended
+// since the last successful fsync, already pushed to the mailbox — leaves the
+// log's mirror and becomes the head of pending, in journal order; the next
+// re-arm re-persists it. After a post-fsync checkpoint failure that tail is
+// empty (the records are in the durable history), so nothing is owned twice.
+func (b *durableBox) enterDegraded() {
 	b.degraded = true
-	b.w.DropUnsynced()
-	if lost {
-		b.bufferDegraded(m)
-	} else {
-		b.mbox.Push(m)
-	}
+	b.pending = append(b.pending, b.w.TakeUnsynced()...)
 	b.c.durability.degraded.Add(1)
 	mDegradations.Inc()
 	if telemetry.TraceOn() {
@@ -265,7 +468,7 @@ func (b *durableBox) isDegraded() bool {
 	return b.degraded
 }
 
-// close stops the re-arm loop, after one last synchronous restoration
+// close stops the committer and the re-arm loop, after one last synchronous restoration
 // attempt: if the disk has healed by shutdown, the degraded-window history
 // is persisted rather than abandoned (so post-run replay sees it). A disk
 // that is still failing fails the attempt immediately and the node's

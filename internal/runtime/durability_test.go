@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"chc/internal/diskfault"
 	"chc/internal/dist"
+	"chc/internal/rlink"
+	"chc/internal/telemetry"
 	"chc/internal/wal"
 )
 
@@ -85,10 +88,12 @@ func (ff *flakyFile) Sync() error {
 }
 
 // TestDurableBoxDegradeAndRearm drives one box through the full quarantine
-// cycle: durable deliveries, a failing-disk window acked non-durably, the
-// background re-arm restoring durability, then more durable deliveries —
-// and checks the final on-disk history holds every message in mailbox
-// order, including the degraded window.
+// cycle under output commit: deliveries committed durably, a failing-disk
+// window whose commit fails — the whole uncommitted tail moves to pending
+// and is released non-durably — more deliveries accepted while degraded, the
+// background re-arm restoring durability, then more durable deliveries — and
+// checks the final on-disk history holds every message in mailbox order,
+// including the degraded window.
 func TestDurableBoxDegradeAndRearm(t *testing.T) {
 	dir := t.TempDir()
 	path := WALPath(dir, 0)
@@ -116,19 +121,29 @@ func TestDurableBoxDegradeAndRearm(t *testing.T) {
 			next++
 		}
 	}
+	commit := func() {
+		t.Helper()
+		if err := box.barrier(waitSend); err != nil {
+			t.Fatalf("barrier under Degrade: %v", err)
+		}
+	}
 
 	send(3)
+	commit()
 	if box.isDegraded() {
 		t.Fatal("degraded on a healthy disk")
 	}
 	ffs.fail.Store(true)
-	send(4) // first one trips the quarantine; all acked non-durably
+	send(4)  // appended and queued; no fsync yet, so no failure yet
+	commit() // the commit's fsync fails: the four-record tail moves to pending
 	if !box.isDegraded() {
-		t.Fatal("not degraded after fsync failures")
+		t.Fatal("not degraded after the commit's fsync failed")
 	}
 	if got := c.durability.stats(); got.Degraded != 1 || got.Faults == 0 {
 		t.Fatalf("durability stats after degrade: %+v", got)
 	}
+	send(2) // accepted non-durably, straight into pending
+	commit()
 	ffs.fail.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
 	for box.isDegraded() {
@@ -141,11 +156,12 @@ func TestDurableBoxDegradeAndRearm(t *testing.T) {
 		t.Fatalf("rearms = %d, want 1", got.Rearms)
 	}
 	send(3)
+	commit()
 	box.close()
 	c.bg.Wait()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Abandon, not Close: everything above was committed, so nothing may
+	// depend on a shutdown flush.
+	w.Abandon()
 
 	// The re-armed log must replay the complete history — the degraded
 	// window included — in delivery order, from the published snapshot.
@@ -178,11 +194,12 @@ func TestDurableBoxDegradeAndRearm(t *testing.T) {
 }
 
 // TestDurableBoxCheckpointFailureNoDoubleJournal regresses the
-// post-fsync-failure case: the delivery's fsync succeeds (so the record is
+// post-fsync-failure case: the commit's fsync succeeds (so the record is
 // durable and folded into the mirror) but the checkpoint rotation that the
 // same Sync triggers fails. The Degrade policy must quarantine without
-// re-owning the delivery in pending — otherwise the re-arm snapshot holds it
-// twice and a recovered node replays a divergent (equivocating) history.
+// re-owning the delivery in pending — the uncommitted tail it takes over is
+// empty — otherwise the re-arm snapshot holds it twice and a recovered node
+// replays a divergent (equivocating) history.
 func TestDurableBoxCheckpointFailureNoDoubleJournal(t *testing.T) {
 	dir := t.TempDir()
 	path := WALPath(dir, 0)
@@ -208,6 +225,9 @@ func TestDurableBoxCheckpointFailureNoDoubleJournal(t *testing.T) {
 	m := dist.Message{From: 1, To: 0, Kind: "t", Round: 0}
 	if err := box.deliver(m); err != nil {
 		t.Fatalf("deliver under Degrade: %v", err)
+	}
+	if err := box.barrier(waitSend); err != nil {
+		t.Fatalf("barrier under Degrade: %v", err)
 	}
 	if !box.isDegraded() {
 		t.Fatal("not degraded after checkpoint failure")
@@ -269,6 +289,9 @@ func TestDegradedDeathRefusesRelaunch(t *testing.T) {
 	if err := c.box[1].deliver(dist.Message{From: 0, To: 1, Kind: "t"}); err != nil {
 		t.Fatalf("deliver under Degrade: %v", err)
 	}
+	if err := c.box[1].barrier(waitSend); err != nil {
+		t.Fatalf("barrier under Degrade: %v", err)
+	}
 	if !c.box[1].isDegraded() {
 		t.Fatal("node 1 not degraded")
 	}
@@ -284,32 +307,46 @@ func TestDegradedDeathRefusesRelaunch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "died degraded") {
 		t.Fatalf("relaunch of a degraded-dead node = %v, want refusal", err)
 	}
-	c.bg.Wait()
-	c.closeWALs()
+	if err := c.teardown(rs); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestDurableBoxFailStop checks the default policy: a durability failure
-// crashes the incarnation (flag set, error surfaced so the link withholds
-// its ack) and counts as a fail-stop.
+// TestDurableBoxFailStop checks the default policy under output commit. A
+// delivery on a sick disk is still accepted — it is only appended — but the
+// commit that would let anything out fails: the barrier reports it (the send
+// stays unsent, the ack withheld), the incarnation crashes and counts as one
+// fail-stop, later deliveries are refused, and — on a filesystem that keeps
+// only what was synced — the abandoned journal holds exactly the committed
+// prefix, so nothing is rejected retroactively and nothing uncommitted
+// survives to be replayed.
 func TestDurableBoxFailStop(t *testing.T) {
-	dir := t.TempDir()
-	ffs := &flakyFS{FS: wal.OSFS()}
+	dir := "/wal"
+	mem := diskfault.NewMemFS()
+	ffs := &flakyFS{FS: mem}
 	w, err := wal.CreateWith(WALPath(dir, 0), wal.Options{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = w.Close() }()
 	c := newTestClusterShell(t, 1)
 	mbox := newMailbox()
 	c.inbox[0] = mbox // killNode tears down the registered mailbox
+	c.wal[0] = w      // ... and abandons the registered log
 	crashed := &atomic.Bool{}
 	box := newDurableBox(c, 0, w, mbox, crashed)
+	c.box[0] = box
 	if err := box.deliver(dist.Message{From: 0, To: 0, Kind: "t"}); err != nil {
 		t.Fatalf("healthy deliver: %v", err)
 	}
+	if err := box.barrier(waitSend); err != nil {
+		t.Fatalf("healthy barrier: %v", err)
+	}
 	ffs.fail.Store(true)
-	if err := box.deliver(dist.Message{From: 0, To: 0, Kind: "t", Round: 1}); err == nil {
-		t.Fatal("fail-stop deliver returned nil (ack would be sent)")
+	if err := box.deliver(dist.Message{From: 0, To: 0, Kind: "t", Round: 1}); err != nil {
+		t.Fatalf("deliver is an append, it must not see the disk: %v", err)
+	}
+	if err := box.barrier(waitSend); err == nil {
+		t.Fatal("barrier returned nil over a failed fsync (the output would leave)")
 	}
 	if !crashed.Load() {
 		t.Fatal("crash flag not set")
@@ -317,14 +354,84 @@ func TestDurableBoxFailStop(t *testing.T) {
 	if got := c.durability.stats(); got.FailStops != 1 || got.Faults != 1 {
 		t.Fatalf("durability stats: %+v", got)
 	}
-	// The async teardown must close the mailbox (killNode path): the healthy
-	// delivery drains, then Pop unblocks with the closed error. The test
+	if err := box.deliver(dist.Message{From: 0, To: 0, Kind: "t", Round: 2}); err == nil {
+		t.Fatal("fail-stopped box accepted a delivery (ack would be sent)")
+	}
+	// The async teardown must close the mailbox (killNode path): what was
+	// accepted drains, then Pop unblocks with the closed error. The test
 	// timeout guards against the teardown never arriving.
-	if m, err := mbox.Pop(); err != nil || m.Round != 0 {
-		t.Fatalf("first Pop = %v, %v", m, err)
+	for want := 0; want < 2; want++ {
+		if m, err := mbox.Pop(); err != nil || m.Round != want {
+			t.Fatalf("Pop %d = %v, %v", want, m, err)
+		}
 	}
 	if _, err := mbox.Pop(); err == nil {
-		t.Fatal("mailbox yielded a message the failed journal never acked")
+		t.Fatal("mailbox yielded a delivery the fail-stopped box refused")
+	}
+	c.bg.Wait()
+	// killNode abandoned the log: the record the failed commit never covered
+	// is gone with the writer.
+	rep, err := wal.ReplayWith(mem, WALPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Delivered) != 1 || rep.Delivered[0].Round != 0 {
+		t.Fatalf("abandoned journal replays %d deliveries, want exactly the committed one", len(rep.Delivered))
+	}
+}
+
+// listenerProc never sends: it terminates after hearing want messages.
+type listenerProc struct {
+	heard atomic.Int32
+	want  int32
+}
+
+func (p *listenerProc) Init(dist.Context)                  {}
+func (p *listenerProc) Deliver(dist.Context, dist.Message) { p.heard.Add(1) }
+func (p *listenerProc) Done() bool                         { return p.heard.Load() >= p.want }
+
+// TestLostTailDecisionWaitsForCommit pins the run's own decision exit: a
+// node whose state machine terminates is not decided, as far as the run can
+// tell, until its journal covers the deliveries the decision rests on. Node
+// 1 only listens, its disk fails every fsync, and the committers are put to
+// sleep (acks held for a quarter of a one-minute retransmission delay), so
+// the decision is the first thing node 1 tries to commit: the commit fails,
+// the node fail-stops instead of deciding, and only the healthy nodes count
+// as done.
+func TestLostTailDecisionWaitsForCommit(t *testing.T) {
+	const n = 3
+	ffs := &flakyFS{FS: diskfault.NewMemFS(), match: "node-001"}
+	procs := []dist.Process{newGatherProc(n-1, nil), &listenerProc{want: n - 1}, newGatherProc(n-1, nil)}
+	c, err := NewChannelCluster(procs,
+		WithReliableLinks(rlink.Config{RetransmitInitial: time.Minute, RetransmitMax: time.Minute}),
+		WithRecovery(RecoveryConfig{
+			Dir:     "/journals",
+			Factory: func(i int) dist.Process { return newGatherProc(n, nil) },
+			FS:      ffs,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.fail.Store(true)
+	rs := c.newRunState(n)
+	select {
+	case <-rs.allSettled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not settle")
+	}
+	if !c.Processes()[1].Done() {
+		t.Fatal("node 1's state machine did not terminate: the test exercised nothing")
+	}
+	for i := 0; i < n; i++ {
+		if got, want := rs.done[i].Load(), i != 1; got != want {
+			t.Errorf("node %d counted as decided = %v, want %v", i, got, want)
+		}
+	}
+	if got := c.durability.stats(); got.FailStops != 1 {
+		t.Errorf("durability stats: %+v, want one fail-stop", got)
+	}
+	if err := c.teardown(rs); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -446,5 +553,67 @@ func TestClusterDegradedNodeDecides(t *testing.T) {
 func TestDurabilityPolicyString(t *testing.T) {
 	if got := fmt.Sprintf("%v/%v", FailStop, Degrade); got != "failstop/degrade" {
 		t.Fatalf("policy strings = %q", got)
+	}
+}
+
+// TestOutputCommitTelemetry runs a journaled cluster with telemetry and
+// tracing on and checks the three instruments of the commit path: the
+// records-per-fsync histogram, the per-exit barrier wait, and the commit
+// trace event with its record count.
+func TestOutputCommitTelemetry(t *testing.T) {
+	prevOn := telemetry.Enable(true)
+	defer telemetry.Enable(prevOn)
+	sink := telemetry.NewMemorySink()
+	defer telemetry.SetSink(telemetry.SetSink(sink))
+	const n = 4
+	procs := make([]dist.Process, n)
+	for i := range procs {
+		procs[i] = echoOnDeliverProc{newGatherProc(n, nil)}
+	}
+	c, err := NewChannelCluster(procs, WithRecovery(RecoveryConfig{
+		Dir:     "/journals",
+		Factory: func(i int) dist.Process { return echoOnDeliverProc{newGatherProc(n, nil)} },
+		FS:      diskfault.NewMemFS(),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	histCount := func(name, label, value string) uint64 {
+		t.Helper()
+		f := telemetry.Default().Snapshot().Find(name)
+		if f == nil {
+			t.Fatalf("metric family %s is not registered", name)
+		}
+		var count uint64
+		for _, s := range f.Samples {
+			if s.Histogram != nil && (label == "" || s.Labels[label] == value) {
+				count += s.Histogram.Count
+			}
+		}
+		return count
+	}
+	if histCount("chc_wal_commit_records", "", "") == 0 {
+		t.Error("chc_wal_commit_records observed no fsync")
+	}
+	// Every echo is a send behind fresh deliveries, every node decides.
+	for _, exit := range []string{"send", "decide"} {
+		if histCount("chc_runtime_barrier_wait_seconds", "exit", exit) == 0 {
+			t.Errorf("chc_runtime_barrier_wait_seconds{exit=%q} observed nothing", exit)
+		}
+	}
+	var commits, records int
+	for _, ev := range sink.Events() {
+		if ev.Name == "runtime.durability" && ev.Attrs["action"] == "commit" {
+			commits++
+			records += int(ev.Attrs["records"].(uint64))
+		}
+	}
+	// A record is covered by at most one commit event (the last deliveries of
+	// a run may see none: shutdown flushes them).
+	if st := c.Stats(); commits == 0 || records < commits || int64(records) > st.Net.WALAppends {
+		t.Errorf("%d commit events covering %d records, journal has %d appends", commits, records, st.Net.WALAppends)
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"chc/internal/dist"
+	"chc/internal/rlink"
 	"chc/internal/wal"
 )
 
@@ -18,3 +19,20 @@ func (c *Cluster) ReplayNodeForTest(i int) (dist.Process, *wal.Replayed, error) 
 
 // RecoveryDirForTest exposes the configured WAL directory.
 func (c *Cluster) RecoveryDirForTest() string { return c.recovery.Dir }
+
+// NewRecordedChannelCluster is NewChannelCluster's reliable-link path with
+// every node's frame sender passed through wrap first, so a test can observe
+// (and judge) each frame at the moment it leaves its node. The options must
+// enable the reliable-link layer (WithRecovery does).
+func NewRecordedChannelCluster(procs []dist.Process, wrap func(i int, s rlink.Sender) rlink.Sender, opts ...Option) (*Cluster, error) {
+	c, err := newCluster(procs, opts...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range procs {
+		if err := c.installEndpoint(i, wrap(i, &chanFrameSender{cluster: c})); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}

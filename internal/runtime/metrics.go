@@ -28,6 +28,8 @@ var (
 		"Nodes quarantined into non-durable (degraded) mode.")
 	mRearms = telemetry.Default().Counter("chc_runtime_rearms_total",
 		"Degraded nodes whose WAL durability was successfully restored.")
+	mBarrierWait = telemetry.Default().HistogramVec("chc_runtime_barrier_wait_seconds",
+		"Time an exit of a node (ack, send, decide, control) waited on the output-commit barrier.", nil, "exit")
 	mWireCorruptFrames = telemetry.Default().CounterVec("chc_wire_corrupt_frames_total",
 		"Frames rejected by the wire decoder, by directed link and fault class.", "link", "class")
 	mPeerQuarantines = telemetry.Default().Counter("chc_peer_quarantines_total",
@@ -44,7 +46,21 @@ var (
 		"Bytes written inside flate-compressed batch envelopes, by directed link.", "link")
 )
 
+// The exits of a node: everything that leaves it waits on the output-commit
+// barrier, timed under one of these labels. The children are resolved once so
+// an observation is a pointer dereference and the disabled path stays the
+// one atomic load inside Observe.
+var (
+	waitAck     = mBarrierWait.With("ack")     // the link ack of a delivery no send was waiting on
+	waitSend    = mBarrierWait.With("send")    // a protocol message to a peer
+	waitDecide  = mBarrierWait.With("decide")  // a decision handed to the run or the instance sink
+	waitControl = mBarrierWait.With("control") // an admitted instance id returned to the caller
+)
+
 func init() {
+	// Exactly the four exits above; anything else would be a bug, and lands
+	// in "other".
+	telemetry.SetLabelCardinality("chc_runtime_barrier_wait_seconds", 4)
 	// Link×class is unbounded in principle (links scale with n²); cap the
 	// families so a hostile wire cannot blow up the registry — the tail
 	// collapses into the all-"other" series.

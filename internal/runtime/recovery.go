@@ -76,8 +76,10 @@ type RecoveryConfig struct {
 }
 
 // WithRecovery enables WAL journaling and crash-recovery. It forces the
-// reliable-link layer: the durability contract (journal before ack) is
-// enforced inside the link delivery path.
+// reliable-link layer: the durability contract (journal before output — no
+// ack, send or decision leaves a node ahead of the fsync covering what it
+// depends on) is enforced between the link delivery path and the node's
+// exits.
 func WithRecovery(cfg RecoveryConfig) Option {
 	return recoveryOption{cfg: cfg}
 }
@@ -223,14 +225,14 @@ func (rs *runState) onSettled(i int, byCrash bool) {
 // launch starts the goroutine driving one incarnation of node i. The crash
 // flag is the incarnation's own (cluster-held, so the durability machinery
 // created at install time shares it).
-func (rs *runState) launch(i int, proc dist.Process, mbox *mailbox, crashed *atomic.Bool, alreadyInit bool) {
+func (rs *runState) launch(i int, proc dist.Process, mbox *mailbox, crashed *atomic.Bool, box *durableBox, alreadyInit bool) {
 	rs.wg.Add(1)
-	go rs.runProc(i, proc, mbox, crashed, alreadyInit)
+	go rs.runProc(i, proc, mbox, crashed, box, alreadyInit)
 }
 
 // runProc drives one incarnation: Init (unless resumed), then the delivery
 // loop, settling exactly once — on decide or on crash.
-func (rs *runState) runProc(i int, proc dist.Process, mbox *mailbox, crashed *atomic.Bool, alreadyInit bool) {
+func (rs *runState) runProc(i int, proc dist.Process, mbox *mailbox, crashed *atomic.Bool, box *durableBox, alreadyInit bool) {
 	defer rs.wg.Done()
 	c := rs.c
 	settled := false
@@ -243,7 +245,7 @@ func (rs *runState) runProc(i int, proc dist.Process, mbox *mailbox, crashed *at
 		rs.onSettled(i, byCrash)
 	}
 	id := dist.ProcID(i)
-	ctx := &nodeContext{cluster: c, id: id, n: rs.n, crashed: crashed}
+	ctx := &nodeContext{cluster: c, id: id, n: rs.n, crashed: crashed, box: box}
 	// A zero kill budget means "crash before doing anything" — enforced for
 	// first launches and relaunches alike, so a RestartPlan with
 	// KillAfterSends=0 fires the instant the node comes back up instead of
@@ -262,7 +264,9 @@ func (rs *runState) runProc(i int, proc dist.Process, mbox *mailbox, crashed *at
 			return
 		}
 		decided = true
-		c.journalDecision(i, proc)
+		if box != nil && !box.commitDecision(proc) {
+			return // fail-stopped on the way out: the crash check below settles
+		}
 		rs.done[i].Store(true)
 		settle(false)
 	}
@@ -301,23 +305,20 @@ func (rs *runState) runProc(i int, proc dist.Process, mbox *mailbox, crashed *at
 // round at which they terminated (core.Process reports t_end).
 type decidedRounder interface{ DecidedRound() int }
 
-// journalDecision makes a decision durable (recovery mode only): the decided
-// record closes the journal's account of the node, so replay and offline
-// audits can tell "decided" from "still running" without re-executing the
-// state machine. A journaling failure is tolerated — the decision itself is
-// already reproducible from the journaled delivery sequence.
-func (c *Cluster) journalDecision(i int, proc dist.Process) {
-	c.stateMu.RLock()
-	b := c.box[i]
-	c.stateMu.RUnlock()
-	if b == nil {
-		return
-	}
+// commitDecision makes a decision durable before the run acts on it
+// (recovery mode only): the decided record closes the journal's account of
+// the node, so replay and offline audits can tell "decided" from "still
+// running" without re-executing the state machine, and the barrier covers it
+// together with every delivery the decision rests on. It reports false when
+// the barrier failed — the incarnation fail-stopped and has not decided as
+// far as anyone outside the node can tell.
+func (b *durableBox) commitDecision(proc dist.Process) bool {
 	round := 0
 	if dr, ok := proc.(decidedRounder); ok {
 		round = dr.DecidedRound()
 	}
 	b.journalDecided(round)
+	return b.barrier(waitDecide) == nil
 }
 
 // supervise handles one crash-restart cycle of node i: tear the dead
@@ -359,7 +360,9 @@ func (rs *runState) supervise(i int, plan RestartPlan) {
 
 // killNode makes a crashed node actually dead: its endpoint is removed (so
 // frames addressed to it are dropped and no acks are emitted), its mailbox
-// is closed (terminating the incarnation goroutine), and its WAL is closed.
+// is closed (terminating the incarnation goroutine), and its WAL is
+// abandoned — closed without flushing, so the journal tail no commit covered
+// is lost the way a real crash loses it.
 // Counters from the dead incarnation are folded into the retired
 // accumulator so Stats() keeps seeing them. The chaos injector is shared by
 // all incarnations and stays armed.
@@ -405,7 +408,7 @@ func (c *Cluster) killNode(i int) {
 		r.WALAppends = s.Appends
 		r.WALSyncs = s.Syncs
 		r.WALCheckpoints = s.Checkpoints
-		_ = w.Close()
+		w.Abandon()
 	}
 	c.retiredMu.Lock()
 	c.retired.FramesSent += r.FramesSent
@@ -557,11 +560,11 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 	box := newDurableBox(c, i, w, mbox, crashed)
 	deliver := box.deliver
 	for _, m := range pendingSelf {
-		// The cut-off self-sends must be durable before the incarnation runs:
-		// under fail-stop, a log that cannot be written fails the relaunch
-		// (resuming would diverge from the durable history); under the
-		// degrade policy the box quarantines instead and the relaunch
-		// proceeds non-durably.
+		// The cut-off self-sends are deliveries like any other: journaled and
+		// queued now, covered by the incarnation's first commit. Under
+		// fail-stop, a log that cannot take them fails the relaunch (resuming
+		// would diverge from the durable history); under the degrade policy
+		// the box quarantines instead and the relaunch proceeds non-durably.
 		if err := deliver(m); err != nil {
 			box.close()
 			_ = w.Close()
@@ -578,9 +581,11 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 		Out:      cc.sends,
 	})
 	if err != nil {
+		box.close()
 		_ = w.Close()
 		return err
 	}
+	box.attach(ep)
 
 	// The gate covers publishing the new deliver func through the
 	// reconciliation hook: controls enqueued by other gate holders either
@@ -643,6 +648,6 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 	// Tell every peer the new epoch and watermarks so they trim and rewind;
 	// then resume the protocol.
 	ep.Announce()
-	rs.launch(i, proc, mbox, crashed, true)
+	rs.launch(i, proc, mbox, crashed, box, true)
 	return nil
 }

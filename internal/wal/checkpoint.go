@@ -274,7 +274,8 @@ func (w *WAL) Checkpoint() error {
 	if !w.mirror {
 		return errors.New("wal: Checkpoint requires mirror mode")
 	}
-	if err := w.syncLockedNoRotate(); err != nil {
+	// No threshold check: the rotation below is unconditional.
+	if err := w.flushAndFsync(); err != nil {
 		return err
 	}
 	if err := w.rotateLocked(); err != nil {
@@ -282,28 +283,6 @@ func (w *WAL) Checkpoint() error {
 		// snapshot cycle failed.
 		return fmt.Errorf("%w: %w", ErrCheckpoint, err)
 	}
-	return nil
-}
-
-// syncLockedNoRotate is syncLocked without the threshold check (used by the
-// explicit Checkpoint, which rotates unconditionally right after).
-func (w *WAL) syncLockedNoRotate() error {
-	if !w.dirty {
-		return nil
-	}
-	if w.f == nil {
-		return fmt.Errorf("wal: no live file (previous rotation failed)")
-	}
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.dirty = false
-	w.syncs++
-	w.foldUnsynced()
-	mSyncs.Inc()
 	return nil
 }
 
@@ -375,7 +354,7 @@ func (w *WAL) Rearm(pending [][]byte) error {
 	w.f = f
 	w.w = bufio.NewWriter(f)
 	w.liveBytes = 0
-	w.dirty = false
+	w.dirty = 0
 	return nil
 }
 

@@ -18,6 +18,9 @@ var (
 	// group-commit latencies far past the default latency range.
 	mFsyncSeconds = telemetry.Default().Histogram("chc_wal_fsync_seconds",
 		"Latency of one flush+fsync group commit.", telemetry.WideBuckets)
+	mCommitRecords = telemetry.Default().Histogram("chc_wal_commit_records",
+		"Records made durable by one fsync (the group-commit batch size).",
+		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	mReplayRecords = telemetry.Default().Counter("chc_wal_replay_records_total",
 		"Intact records decoded while replaying logs after a restart.")
 	mReplayTorn = telemetry.Default().Counter("chc_wal_replay_torn_tails_total",
@@ -30,11 +33,10 @@ var (
 		"Replays that found the current checkpoint torn and fell back to the previous one.")
 )
 
-// observeFsync records one group commit; the duration is measured by the
-// caller only when telemetry or tracing is live, so the disabled path never
-// calls time.Now.
+// observeFsync records the duration of one group commit; the caller measures
+// it only when telemetry or tracing is live, so the disabled path never calls
+// time.Now.
 func observeFsync(d time.Duration) {
-	mSyncs.Inc()
 	mFsyncSeconds.ObserveDuration(d)
 	if telemetry.TraceOn() {
 		telemetry.Emit("wal.fsync", map[string]any{"dur_ns": d.Nanoseconds()})

@@ -6,15 +6,15 @@
 // (Algorithm CC is a deterministic function of its input and delivered
 // message sequence, so the log of deliveries IS the state).
 //
-// Durability contract (mirroring the paper's stable-vector persistence
-// argument): a delivery record must be fsynced before any protocol send it
-// causes reaches the network, and before the link-layer ack for it is
-// emitted. Otherwise a restarted process could regenerate a *different*
-// message for an already-transmitted (link, seq) pair — equivocation across
-// the restart boundary — or a peer could trim a frame the restarted process
-// never durably received. The runtime enforces this by journaling inside the
-// reliable-link delivery callback, ahead of both the mailbox hand-off and
-// the cumulative ack.
+// Durability contract (output commit, mirroring the paper's stable-vector
+// persistence argument): a delivery record must be fsynced before anything
+// it could have caused leaves the node — a protocol send, the link-layer ack
+// for it, a decision, an admitted instance id. Otherwise a restarted process
+// could regenerate a *different* message for an already-transmitted
+// (link, seq) pair — equivocation across the restart boundary — or a peer
+// could trim a frame the restarted process never durably received. The
+// runtime appends inside the reliable-link delivery callback (journal order
+// == processing order) and fsyncs at the node's outputs, not per delivery.
 //
 // Record framing is defensive: u32 length, u32 CRC-32C of the body, then the
 // body (u8 record type + payload). Appends are buffered and flushed in
@@ -120,7 +120,7 @@ type WAL struct {
 	path   string
 	f      File
 	w      *bufio.Writer
-	dirty  bool // appended since the last fsync
+	dirty  int // records appended since the last fsync
 	closed bool
 
 	appends     int64
@@ -264,7 +264,9 @@ func removeSiblings(fs FS, path string) {
 	}
 }
 
-// append frames and buffers one record.
+// append frames and buffers one record. It takes ownership of body: in
+// mirror mode the slice itself becomes the mirror entry, so callers hand
+// over a freshly built body and do not touch it afterwards.
 func (w *WAL) append(body []byte) error {
 	if len(body) > maxRecordLen {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(body))
@@ -290,11 +292,11 @@ func (w *WAL) appendLocked(body []byte) error {
 	if _, err := w.w.Write(body); err != nil {
 		return err
 	}
-	w.dirty = true
+	w.dirty++
 	w.appends++
 	w.liveBytes += int64(8 + len(body))
 	if w.mirror {
-		w.unsynced = append(w.unsynced, append([]byte(nil), body...))
+		w.unsynced = append(w.unsynced, body)
 	}
 	mAppends.Inc()
 	return nil
@@ -326,8 +328,9 @@ func encodeInput(id dist.ProcID, input geom.Point) []byte {
 	return body
 }
 
-// AppendDelivered journals one delivered message. The caller must Sync
-// before acknowledging or acting on the delivery (see the package comment).
+// AppendDelivered journals one delivered message. The record is only
+// buffered: a Sync must cover it before the delivery is acknowledged or
+// anything it caused leaves the node (see the package comment).
 func (w *WAL) AppendDelivered(msg dist.Message) error {
 	body, err := encodeDelivered(msg)
 	if err != nil {
@@ -336,15 +339,15 @@ func (w *WAL) AppendDelivered(msg dist.Message) error {
 	return w.append(body)
 }
 
-// encodeDelivered builds the recDelivered body.
+// encodeDelivered builds the recDelivered body: the record type, then the
+// wire encoding of the message appended in place.
 func encodeDelivered(msg dist.Message) ([]byte, error) {
-	enc, err := wire.EncodeMessage(msg)
+	body := make([]byte, 1, 128)
+	body[0] = recDelivered
+	body, err := wire.AppendMessage(body, msg)
 	if err != nil {
 		return nil, fmt.Errorf("wal: encode delivered message: %w", err)
 	}
-	body := make([]byte, 0, 1+len(enc))
-	body = append(body, recDelivered)
-	body = append(body, enc...)
 	return body, nil
 }
 
@@ -385,31 +388,18 @@ func (w *WAL) syncLocked() error {
 	if w.closed {
 		return ErrClosed
 	}
-	if !w.dirty {
+	if w.dirty == 0 {
 		return nil
-	}
-	if w.f == nil {
-		return fmt.Errorf("wal: no live file (previous rotation failed)")
 	}
 	var start time.Time
 	if timed := telemetry.Enabled() || telemetry.TraceOn(); timed {
 		start = time.Now()
 	}
-	if err := w.w.Flush(); err != nil {
+	if err := w.flushAndFsync(); err != nil {
 		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.dirty = false
-	w.syncs++
-	if w.mirror {
-		w.foldUnsynced()
 	}
 	if !start.IsZero() {
 		observeFsync(time.Since(start))
-	} else {
-		mSyncs.Inc()
 	}
 	if w.ckpt.Enabled() && w.liveBytes >= w.ckpt.EveryBytes {
 		if err := w.rotateLocked(); err != nil {
@@ -418,6 +408,32 @@ func (w *WAL) syncLocked() error {
 			// policy avoid re-journaling what is already in the mirror.
 			return fmt.Errorf("%w: %w", ErrCheckpoint, err)
 		}
+	}
+	return nil
+}
+
+// flushAndFsync is one group commit (under w.mu): the buffered records reach
+// stable storage and, in mirror mode, move into the durable history. With
+// nothing buffered it is a no-op.
+func (w *WAL) flushAndFsync() error {
+	if w.dirty == 0 {
+		return nil
+	}
+	if w.f == nil {
+		return fmt.Errorf("wal: no live file (previous rotation failed)")
+	}
+	if err := w.w.Flush(); err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	mSyncs.Inc()
+	mCommitRecords.Observe(float64(w.dirty))
+	w.dirty = 0
+	w.syncs++
+	if w.mirror {
+		w.foldUnsynced()
 	}
 	return nil
 }
@@ -434,17 +450,21 @@ func (w *WAL) foldUnsynced() {
 	w.unsynced = nil
 }
 
-// DropUnsynced discards buffered-but-not-durable mirror entries. The
-// degraded-mode delivery path calls it after a journaling failure: the
-// affected records are tracked by the caller (as pending non-durable
-// deliveries) until a Rearm re-persists them, so keeping them in the mirror
-// would double-count them.
-func (w *WAL) DropUnsynced() {
+// TakeUnsynced removes and returns the bodies appended since the last
+// successful Sync (mirror mode; nil otherwise), in append order. The
+// degraded-mode runtime calls it after a journaling failure: the uncommitted
+// tail becomes the caller's pending non-durable deliveries until a Rearm
+// re-persists them, so keeping them in the mirror too would double-count
+// them. After a checkpoint failure (ErrCheckpoint) the tail is empty — the
+// records were fsynced and folded before the rotation failed.
+func (w *WAL) TakeUnsynced() [][]byte {
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	tail := w.unsynced
 	w.unsynced = nil
 	w.w = bufio.NewWriter(w.f) // abandon any partially buffered frame
-	w.dirty = false
-	w.mu.Unlock()
+	w.dirty = 0
+	return tail
 }
 
 // Stats returns a snapshot of the log's I/O counters.
@@ -452,6 +472,22 @@ func (w *WAL) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return Stats{Appends: w.appends, Syncs: w.syncs, Checkpoints: w.checkpoints}
+}
+
+// Abandon closes the log the way a crash does: the file handle is released
+// but nothing buffered since the last Sync is flushed, so the unsynced tail
+// is lost exactly as if the process had died. The runtime kills nodes with
+// it; an orderly shutdown uses Close.
+func (w *WAL) Abandon() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return
+	}
+	w.closed = true
+	if w.f != nil {
+		_ = w.f.Close() // the handle of a dead node: no error can matter
+	}
 }
 
 // Close flushes, fsyncs and closes the log file.

@@ -168,3 +168,76 @@ func TestWALEmptyFileHasNoEpoch(t *testing.T) {
 		t.Errorf("replay of empty file = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestAbandonLosesUnsyncedTail: Abandon is the crash-shaped close. Records a
+// Sync covered survive; the tail buffered after it is gone, where an orderly
+// Close would have flushed it; and in mirror mode TakeUnsynced hands over
+// exactly that tail, in append order.
+func TestAbandonLosesUnsyncedTail(t *testing.T) {
+	msgs := sampleMessages()
+	for _, orderly := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "node-0.wal")
+		w, err := CreateWith(path, Options{Mirror: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendDelivered(msgs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs[1:] {
+			if err := w.AppendDelivered(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := 1
+		if orderly {
+			want = len(msgs)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			w.Abandon()
+			w.Abandon() // idempotent
+		}
+		if err := w.AppendDecided(1); !errors.Is(err, ErrClosed) {
+			t.Errorf("append after close = %v, want ErrClosed", err)
+		}
+		rep, err := Replay(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Delivered) != want {
+			t.Errorf("orderly=%v: replayed %d deliveries, want %d", orderly, len(rep.Delivered), want)
+		}
+	}
+
+	w, err := CreateWith(filepath.Join(t.TempDir(), "node-0.wal"), Options{Mirror: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abandon()
+	for _, m := range msgs {
+		if err := w.AppendDelivered(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := w.TakeUnsynced()
+	if len(tail) != len(msgs) {
+		t.Fatalf("TakeUnsynced returned %d bodies, want %d", len(tail), len(msgs))
+	}
+	for i, m := range msgs {
+		want, err := EncodeDelivered(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(tail[i]) != string(want) {
+			t.Errorf("tail body %d is not the record appended %d-th", i, i)
+		}
+	}
+	if again := w.TakeUnsynced(); len(again) != 0 {
+		t.Errorf("second TakeUnsynced returned %d bodies", len(again))
+	}
+}
