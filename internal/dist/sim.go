@@ -55,6 +55,17 @@ type InstanceSender interface {
 	SendInstance(instance int, to ProcID, kind string, round int, payload any)
 }
 
+// OutputCommitter is implemented by the Contexts of a runtime that can
+// journal deliveries (internal/runtime): CommitOutput blocks until the
+// journal covers every delivery the node has consumed, and fails when the
+// incarnation fail-stopped instead. A process that hands results to the
+// outside world other than through Send (the resident engine's decision
+// sink) must call it first, so a Context wrapped around such a runtime's
+// has to forward it. Without a journal it returns nil at once.
+type OutputCommitter interface {
+	CommitOutput() error
+}
+
 // Process is an event-driven protocol state machine. Implementations are
 // driven by a single goroutine at a time and need no internal locking.
 type Process interface {

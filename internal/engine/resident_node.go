@@ -40,13 +40,6 @@ type residentNode struct {
 
 var _ dist.Process = (*residentNode)(nil)
 
-// outputCommitter is implemented by the driver context of a journaling
-// runtime: CommitOutput blocks until the journal covers every delivery the
-// node has consumed, and fails when the incarnation fail-stopped instead. A
-// context without it (no WAL, or the capture context of a WAL replay, whose
-// deliveries come from the journal) has nothing to wait for.
-type outputCommitter interface{ CommitOutput() error }
-
 func newResidentNode(r *Resident, id dist.ProcID) *residentNode {
 	return &residentNode{
 		r:        r,
@@ -105,7 +98,10 @@ func (nd *residentNode) deliverSub(ctx dist.Context, k int, sub dist.Process, ms
 // decision leaves the node here — the sink hands it to the tenant — so it
 // first waits for the journal to cover the deliveries it rests on; if that
 // commit fails the incarnation is dead and the decision is reported by the
-// relaunch that can reproduce it.
+// relaunch that can reproduce it. The gate is not optional: every context the
+// runtime drives a resident node with is a dist.OutputCommitter, and one that
+// is not (a wrapper that forgot to forward it) would silently void the
+// durability contract, so it is a bug and panics.
 func (nd *residentNode) noteIfDecided(ctx dist.Context, k int, sub dist.Process) {
 	if !sub.Done() {
 		return
@@ -117,7 +113,11 @@ func (nd *residentNode) noteIfDecided(ctx dist.Context, k int, sub dist.Process)
 	}
 	nd.reported[k] = true
 	nd.mu.Unlock()
-	if oc, ok := ctx.(outputCommitter); ok && oc.CommitOutput() != nil {
+	oc, ok := ctx.(dist.OutputCommitter)
+	if !ok {
+		panic(fmt.Sprintf("engine: resident node %d driven by a %T, which cannot commit output", nd.id, ctx))
+	}
+	if oc.CommitOutput() != nil {
 		return
 	}
 	nd.r.noteDecided(k, nd.id, sub)

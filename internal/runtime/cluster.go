@@ -837,8 +837,9 @@ type nodeContext struct {
 }
 
 var (
-	_ dist.Context        = (*nodeContext)(nil)
-	_ dist.InstanceSender = (*nodeContext)(nil)
+	_ dist.Context         = (*nodeContext)(nil)
+	_ dist.InstanceSender  = (*nodeContext)(nil)
+	_ dist.OutputCommitter = (*nodeContext)(nil)
 )
 
 func (nc *nodeContext) ID() dist.ProcID { return nc.id }

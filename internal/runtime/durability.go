@@ -95,7 +95,9 @@ type durableBox struct {
 	closed   bool
 	closedCh chan struct{}
 	// appended counts the records accepted into the journal (or, degraded,
-	// into pending); written under mu, read by barriers without it.
+	// into pending); written under mu, read by barriers without it. A record
+	// is counted before its message becomes visible in the mailbox, so a
+	// barrier run by whoever consumed the message always includes it.
 	appended atomic.Uint64
 
 	// One commit (fsync) is in flight per node: committing, under commitMu,
@@ -107,7 +109,6 @@ type durableBox struct {
 	committing bool
 	committed  atomic.Uint64
 	cursors    []uint64 // receive-cursor scratch of the commit in flight
-	ackCursors []uint64 // receive-cursor scratch of the committer goroutine
 
 	// wake tells the committer that uncommitted deliveries exist (capacity 1:
 	// a pending signal already covers every later delivery).
@@ -161,8 +162,7 @@ func (b *durableBox) deliver(m dist.Message) error {
 	if !b.degraded {
 		err := b.w.AppendDelivered(m)
 		if err == nil {
-			b.mbox.Push(m)
-			b.noteAppended()
+			b.accept(m)
 			return nil
 		}
 		// The buffered append itself failed (a flush of the full buffer hit
@@ -179,9 +179,18 @@ func (b *durableBox) deliver(m dist.Message) error {
 	if body, err := wal.EncodeDelivered(m); err == nil {
 		b.pending = append(b.pending, body)
 	}
-	b.mbox.Push(m)
-	b.noteAppended()
+	b.accept(m)
 	return nil
+}
+
+// accept counts m's record and only then makes m visible to the process
+// (under b.mu). The order is the barrier's safety: the process can pop m and
+// reach an exit at once, and the lock-free read of appended there must
+// already include m, or a quiet node (committed == appended) would let the
+// output leave ahead of the fsync covering a delivery it depends on.
+func (b *durableBox) accept(m dist.Message) {
+	b.noteAppended()
+	b.mbox.Push(m)
 }
 
 // journalDecided journals a decision through the box so a degraded node's
@@ -226,6 +235,10 @@ func (b *durableBox) barrier(wait *telemetry.Histogram) error {
 	return err
 }
 
+// commitPass is the target no commit ever covers: commit(commitPass) waits
+// out the commit in flight and then always runs one of its own.
+const commitPass = ^uint64(0)
+
 // commit returns once a commit covers target: the one in flight if it
 // does, otherwise one it runs itself. Commits never overlap.
 func (b *durableBox) commit(target uint64) error {
@@ -255,7 +268,10 @@ func (b *durableBox) commit(target uint64) error {
 // acked or acted on externally and peers still hold its frames, so nothing
 // is rejected retroactively; degrade moves the whole uncommitted tail into
 // pending and releases it non-durably. wal.ErrCheckpoint means the fsync
-// itself succeeded: the tail is already durable and nothing moves.
+// itself succeeded: the tail is already durable and nothing moves. With
+// nothing left to fsync (wal.Sync is then a no-op) the pass still releases
+// acks: those of deliveries an earlier commit made durable without claiming
+// them, accepted between its cursor capture and its fsync.
 func (b *durableBox) commitOnce() error {
 	ep := b.ep.Load()
 	if ep != nil {
@@ -279,32 +295,13 @@ func (b *durableBox) commitOnce() error {
 		}
 	}
 	covered := b.committed.Swap(all)
-	if telemetry.TraceOn() {
+	if all > covered && telemetry.TraceOn() {
 		telemetry.Emit("runtime.durability", map[string]any{
 			"proc": b.i, "action": "commit", "records": all - covered,
 		})
 	}
 	if ep != nil && ep.AdvanceDurable(b.cursors) {
 		b.wakeCommitter()
-	}
-	return nil
-}
-
-// releaseAcks is the committer's pass: cover whatever no send's commit has
-// covered yet, then acknowledge the deliveries a commit made durable without
-// claiming them — those accepted between its cursor capture and its fsync.
-// Reading the cursors first and the appended count after them makes the
-// claim safe without a lock: every delivery below the cursors is within the
-// count, and the count is within committed.
-func (b *durableBox) releaseAcks() error {
-	if err := b.commit(b.appended.Load()); err != nil {
-		return err
-	}
-	if ep := b.ep.Load(); ep != nil {
-		b.ackCursors = ep.RecvCursors(b.ackCursors)
-		if b.committed.Load() >= b.appended.Load() && ep.AdvanceDurable(b.ackCursors) {
-			b.wakeCommitter()
-		}
 	}
 	return nil
 }
@@ -341,7 +338,7 @@ func (b *durableBox) wakeCommitter() {
 // commitLoop is the node's committer: it releases the acks of deliveries no
 // send is waiting on. After a wake-up it lets ackDelay pass — in a busy
 // round a send's own commit covers the deliveries first, and the committer
-// finds nothing left to fsync — then commits.
+// finds nothing left to fsync — then runs one commit pass.
 func (b *durableBox) commitLoop() {
 	defer b.c.bg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -363,7 +360,7 @@ func (b *durableBox) commitLoop() {
 		case <-b.closedCh:
 			return
 		}
-		if b.releaseAcks() == nil && !start.IsZero() {
+		if b.commit(commitPass) == nil && !start.IsZero() {
 			waitAck.ObserveDuration(time.Since(start))
 		}
 	}

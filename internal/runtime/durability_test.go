@@ -435,6 +435,57 @@ func TestLostTailDecisionWaitsForCommit(t *testing.T) {
 	}
 }
 
+// TestLostTailBarrierCoversVisibleDelivery pins the order inside deliver: a
+// record is counted before its message becomes visible, so the process that
+// pops the message and reaches an exit at once runs a barrier that includes
+// it. The test holds the mailbox's own lock, which parks deliver inside Push:
+// the count must already be there. With the order reversed the count never
+// arrives while Push is parked (the test fails), and in production a quiet
+// node's barrier would take the committed == appended fast path and let an
+// output leave ahead of the fsync covering a delivery it depends on.
+func TestLostTailBarrierCoversVisibleDelivery(t *testing.T) {
+	w, err := wal.Create(WALPath(t.TempDir(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbox := newMailbox()
+	c := &Cluster{rlinkCfg: rlink.Config{RetransmitInitial: time.Hour}} // committer asleep
+	box := newDurableBox(c, 0, w, mbox, &atomic.Bool{})
+	base := w.Stats().Syncs
+
+	mbox.mu.Lock()
+	delivered := make(chan error, 1)
+	go func() { delivered <- box.deliver(dist.Message{From: 1, To: 0, Kind: "t"}) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for box.appended.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	counted := box.appended.Load()
+	mbox.mu.Unlock()
+	if counted != 1 {
+		t.Fatalf("appended = %d while the message was still on its way into the mailbox, want 1", counted)
+	}
+	if err := <-delivered; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mbox.Pop(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs := w.Stats().Syncs - base; syncs != 0 {
+		t.Fatalf("%d fsyncs before any exit: the delivery path is fsyncing", syncs)
+	}
+	// The consumer's exit: the barrier must fsync, not return on the fast path.
+	if err := box.barrier(waitSend); err != nil {
+		t.Fatal(err)
+	}
+	if syncs, committed := w.Stats().Syncs-base, box.committed.Load(); syncs != 1 || committed != 1 {
+		t.Fatalf("after the barrier: %d fsyncs, committed = %d, want 1 and 1", syncs, committed)
+	}
+	box.close()
+	c.bg.Wait()
+	w.Abandon()
+}
+
 // newTestClusterShell builds a minimal cluster skeleton (slices sized, no
 // transports) so killNode has something coherent to tear down.
 func newTestClusterShell(t *testing.T, n int) *Cluster {

@@ -442,8 +442,9 @@ type captureContext struct {
 }
 
 var (
-	_ dist.Context        = (*captureContext)(nil)
-	_ dist.InstanceSender = (*captureContext)(nil)
+	_ dist.Context         = (*captureContext)(nil)
+	_ dist.InstanceSender  = (*captureContext)(nil)
+	_ dist.OutputCommitter = (*captureContext)(nil)
 )
 
 func (cc *captureContext) ID() dist.ProcID { return cc.id }
@@ -468,6 +469,10 @@ func (cc *captureContext) SendInstance(instance int, to dist.ProcID, kind string
 	}
 	cc.sends[to] = append(cc.sends[to], msg)
 }
+
+// CommitOutput has nothing to wait for: a replay's deliveries come from the
+// journal, so whatever rests on them is already covered.
+func (cc *captureContext) CommitOutput() error { return nil }
 
 func (cc *captureContext) Broadcast(kind string, round int, payload any) {
 	for to := dist.ProcID(0); int(to) < cc.n; to++ {
