@@ -10,11 +10,12 @@ test: build
 
 # check is the tier-1 gate plus static analysis and the race detector over
 # the concurrency-heavy packages (networked runtime, reliable links, chaos
-# injection, simulator, wire codec, telemetry registry).
+# injection, simulator, wire codec, telemetry registry) and the packages the
+# simulator's per-message path runs through (stable vector, WAN scheduler).
 check: build
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/...
+	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/...
 
 race:
 	$(GO) test -race ./...

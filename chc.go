@@ -86,6 +86,11 @@ type (
 	CrashPlan = dist.CrashPlan
 
 	// Scheduler chooses message delivery order (the asynchrony adversary).
+	// Pick is shown every non-empty channel in ascending (From, To) order.
+	// That slice belongs to the simulator, which patches it in place between
+	// deliveries: it is valid only for the duration of Pick and must be
+	// neither mutated nor retained. One scheduler value drives one run at a
+	// time.
 	Scheduler = dist.Scheduler
 
 	// Stats aggregates message counts of a run.

@@ -13,9 +13,14 @@ type ChannelState struct {
 
 // Scheduler chooses which channel delivers next. It models the asynchronous
 // adversary: any choice is admissible because channels stay FIFO and every
-// message is eventually deliverable (Pick is called until queues drain).
+// message is eventually deliverable (Pick is called until queues drain). A
+// scheduler value drives one simulation at a time: implementations may keep
+// state between picks.
 type Scheduler interface {
-	// Pick returns an index into channels (all entries are non-empty).
+	// Pick returns an index into channels: every non-empty channel, in
+	// ascending (From, To) order. The slice is the simulator's own working
+	// view, patched in place between deliveries — it is valid only for the
+	// duration of the call and must be neither mutated nor retained.
 	Pick(channels []ChannelState, rng *rand.Rand) int
 }
 
@@ -54,6 +59,7 @@ func (s *RoundRobinScheduler) Pick(channels []ChannelState, _ *rand.Rand) int {
 // Theorem 3).
 type DelayScheduler struct {
 	slow map[ProcID]bool
+	fast []int // scratch, reused across picks
 }
 
 // NewDelayScheduler returns a DelayScheduler that starves the given
@@ -68,12 +74,13 @@ func NewDelayScheduler(slow ...ProcID) *DelayScheduler {
 
 // Pick implements Scheduler.
 func (s *DelayScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
-	fast := make([]int, 0, len(channels))
+	fast := s.fast[:0]
 	for i, c := range channels {
 		if !s.slow[c.From] && !s.slow[c.To] {
 			fast = append(fast, i)
 		}
 	}
+	s.fast = fast
 	if len(fast) == 0 {
 		return rng.Intn(len(channels))
 	}
@@ -86,6 +93,7 @@ func (s *DelayScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
 // impossibility argument.
 type SplitScheduler struct {
 	groupA map[ProcID]bool
+	intra  []int // scratch, reused across picks
 }
 
 // NewSplitScheduler returns a SplitScheduler whose first group is the given
@@ -100,12 +108,13 @@ func NewSplitScheduler(groupA ...ProcID) *SplitScheduler {
 
 // Pick implements Scheduler.
 func (s *SplitScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
-	intra := make([]int, 0, len(channels))
+	intra := s.intra[:0]
 	for i, c := range channels {
 		if s.groupA[c.From] == s.groupA[c.To] {
 			intra = append(intra, i)
 		}
 	}
+	s.intra = intra
 	if len(intra) == 0 {
 		return rng.Intn(len(channels))
 	}
@@ -119,8 +128,9 @@ func (s *SplitScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
 // (nested) stable vector results and start the averaging rounds from
 // different polytopes — while the later rounds still mix freely.
 type SplitRound0Scheduler struct {
-	kind   string
-	groupA map[ProcID]bool
+	kind         string
+	groupA       map[ProcID]bool
+	intra, other []int // scratch, reused across picks
 }
 
 // NewSplitRound0Scheduler builds the scheduler; kind is the message kind to
@@ -135,7 +145,7 @@ func NewSplitRound0Scheduler(kind string, groupA ...ProcID) *SplitRound0Schedule
 
 // Pick implements Scheduler.
 func (s *SplitRound0Scheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
-	var intra, other []int
+	intra, other := s.intra[:0], s.other[:0]
 	for i, c := range channels {
 		switch {
 		case c.Kind != s.kind:
@@ -144,6 +154,7 @@ func (s *SplitRound0Scheduler) Pick(channels []ChannelState, rng *rand.Rand) int
 			intra = append(intra, i)
 		}
 	}
+	s.intra, s.other = intra, other
 	if len(intra) > 0 {
 		return intra[rng.Intn(len(intra))]
 	}

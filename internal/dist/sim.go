@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -156,20 +157,56 @@ var ErrLivelock = errors.New("dist: delivery limit exceeded (livelock?)")
 const defaultMaxDeliveries = 5_000_000
 
 // Sim is a deterministic single-threaded simulation of one protocol run.
+//
+// The n*n directed channels live in a dense table indexed from*N+to, so
+// ascending table index is ascending (from, to). view holds one entry per
+// non-empty channel in that order and is what the scheduler sees; it
+// persists across deliveries and is patched in place — a pop refreshes one
+// entry, and only a channel flipping between empty and non-empty shifts the
+// tail — so the steady-state delivery path allocates nothing.
 type Sim struct {
-	cfg    Config
-	procs  []Process
-	rng    *rand.Rand
-	queues map[chanKey][]Message
-	keys   []chanKey // sorted keys of non-empty queues (rebuilt lazily)
-	dirty  bool
+	cfg   Config
+	procs []Process
+	ctxs  []simContext // one per process, handed to every Init/Deliver
+	rng   *rand.Rand
+
+	chans []fifo
+	view  []ChannelState
 
 	crashed    []bool
 	sendBudget []int // remaining sends before crash; -1 = never crashes
 	stats      Stats
 }
 
-type chanKey struct{ from, to ProcID }
+// fifo is one channel's queue. Popping advances head instead of re-slicing,
+// so the backing array is reused once the queue drains (or compacts).
+type fifo struct {
+	buf  []Message
+	head int
+}
+
+func (q *fifo) len() int { return len(q.buf) - q.head }
+
+func (q *fifo) push(m Message) {
+	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
+		// Full with a mostly consumed prefix: slide the live tail down
+		// rather than let append grow the array.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, m)
+}
+
+func (q *fifo) pop() Message {
+	m := q.buf[q.head]
+	q.buf[q.head] = Message{} // drop the payload reference
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return m
+}
 
 // NewSim validates the configuration and builds a simulator. The processes
 // slice must have exactly cfg.N entries.
@@ -203,15 +240,20 @@ func NewSim(cfg Config, procs []Process) (*Sim, error) {
 		sched = NewRandomScheduler()
 	}
 	cfg.Scheduler = sched
-	return &Sim{
+	s := &Sim{
 		cfg:        cfg,
 		procs:      procs,
+		ctxs:       make([]simContext, cfg.N),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		queues:     make(map[chanKey][]Message),
+		chans:      make([]fifo, cfg.N*cfg.N),
 		crashed:    make([]bool, cfg.N),
 		sendBudget: budget,
 		stats:      Stats{KindCounts: make(map[string]int)},
-	}, nil
+	}
+	for i := range s.ctxs {
+		s.ctxs[i] = simContext{sim: s, id: ProcID(i)}
+	}
+	return s, nil
 }
 
 // Run executes the protocol to completion: it initialises every process and
@@ -224,43 +266,53 @@ func (s *Sim) Run() (*Stats, error) {
 		maxDeliveries = defaultMaxDeliveries
 	}
 	for i, p := range s.procs {
-		id := ProcID(i)
 		if s.sendBudget[i] == 0 {
 			// Crashes before sending anything, including its Init sends.
 			s.crashed[i] = true
 			continue
 		}
-		p.Init(&simContext{sim: s, id: id})
+		p.Init(&s.ctxs[i])
 	}
 	for s.stats.Deliveries < maxDeliveries {
 		if s.allLiveDone() {
 			return &s.stats, nil
 		}
-		key, ok := s.pickChannel()
-		if !ok {
-			if s.allLiveDone() {
-				return &s.stats, nil
-			}
+		if !s.deliverNext() {
 			return &s.stats, s.deadlockError()
 		}
-		q := s.queues[key]
-		msg := q[0]
-		if len(q) == 1 {
-			delete(s.queues, key)
-		} else {
-			s.queues[key] = q[1:]
-		}
-		s.dirty = true
-		if s.crashed[msg.To] {
-			s.stats.DroppedCrash++
-			mSimDroppedCrash.Inc()
-			continue
-		}
-		s.stats.Deliveries++
-		mSimDeliveries.Inc()
-		s.procs[msg.To].Deliver(&simContext{sim: s, id: msg.To}, msg)
 	}
 	return &s.stats, ErrLivelock
+}
+
+// deliverNext lets the scheduler choose among the non-empty channels and
+// delivers the head of its choice (or discards it, if the addressee has
+// crashed). It reports false when nothing is in flight.
+func (s *Sim) deliverNext() bool {
+	if len(s.view) == 0 {
+		return false
+	}
+	idx := s.cfg.Scheduler.Pick(s.view, s.rng)
+	if idx < 0 || idx >= len(s.view) {
+		idx = 0 // defensive: a misbehaving scheduler falls back to FIFO
+	}
+	v := &s.view[idx]
+	q := &s.chans[s.chanIndex(v.From, v.To)]
+	msg := q.pop()
+	if q.len() == 0 {
+		s.view = slices.Delete(s.view, idx, idx+1)
+	} else {
+		head := &q.buf[q.head]
+		v.Pending, v.Kind, v.Round = q.len(), head.Kind, head.Round
+	}
+	if s.crashed[msg.To] {
+		s.stats.DroppedCrash++
+		mSimDroppedCrash.Inc()
+		return true
+	}
+	s.stats.Deliveries++
+	mSimDeliveries.Inc()
+	s.procs[msg.To].Deliver(&s.ctxs[msg.To], msg)
+	return true
 }
 
 // Crashed reports whether process id crashed during the run.
@@ -286,41 +338,8 @@ func (s *Sim) deadlockError() error {
 	return fmt.Errorf("%w: stuck processes %v", ErrDeadlock, stuck)
 }
 
-// pickChannel asks the scheduler to choose among non-empty channels.
-func (s *Sim) pickChannel() (chanKey, bool) {
-	if s.dirty || s.keys == nil {
-		s.keys = s.keys[:0]
-		for k := range s.queues {
-			s.keys = append(s.keys, k)
-		}
-		sort.Slice(s.keys, func(i, j int) bool {
-			if s.keys[i].from != s.keys[j].from {
-				return s.keys[i].from < s.keys[j].from
-			}
-			return s.keys[i].to < s.keys[j].to
-		})
-		s.dirty = false
-	}
-	if len(s.keys) == 0 {
-		return chanKey{}, false
-	}
-	states := make([]ChannelState, len(s.keys))
-	for i, k := range s.keys {
-		q := s.queues[k]
-		states[i] = ChannelState{
-			From:    k.from,
-			To:      k.to,
-			Pending: len(q),
-			Kind:    q[0].Kind,
-			Round:   q[0].Round,
-		}
-	}
-	idx := s.cfg.Scheduler.Pick(states, s.rng)
-	if idx < 0 || idx >= len(s.keys) {
-		idx = 0 // defensive: a misbehaving scheduler falls back to FIFO
-	}
-	return s.keys[idx], true
-}
+// chanIndex is the position of channel from->to in the dense table.
+func (s *Sim) chanIndex(from, to ProcID) int { return int(from)*s.cfg.N + int(to) }
 
 // send enqueues a message, enforcing the sender's crash budget.
 func (s *Sim) send(from, to ProcID, kind string, round, instance int, payload any) {
@@ -342,11 +361,18 @@ func (s *Sim) send(from, to ProcID, kind string, round, instance int, payload an
 		s.sendBudget[from]--
 	}
 	msg := Message{From: from, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
-	key := chanKey{from: from, to: to}
-	if _, existed := s.queues[key]; !existed {
-		s.dirty = true
+	ch := s.chanIndex(from, to)
+	q := &s.chans[ch]
+	q.push(msg)
+	// The channel's slot in the view, by binary search on the table index.
+	at := sort.Search(len(s.view), func(i int) bool {
+		return s.chanIndex(s.view[i].From, s.view[i].To) >= ch
+	})
+	if q.len() > 1 {
+		s.view[at].Pending++
+	} else {
+		s.view = slices.Insert(s.view, at, ChannelState{From: from, To: to, Pending: 1, Kind: kind, Round: round})
 	}
-	s.queues[key] = append(s.queues[key], msg)
 	s.stats.Sends++
 	mSimSends.Inc()
 	s.stats.KindCounts[kind]++

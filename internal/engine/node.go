@@ -14,6 +14,7 @@ import (
 type Node struct {
 	id   dist.ProcID
 	subs []dist.Process
+	ctxs []instanceContext // ctxs[k] is the context subs[k] is driven through
 }
 
 var _ dist.Process = (*Node)(nil)
@@ -21,7 +22,11 @@ var _ dist.Process = (*Node)(nil)
 // buildNode constructs process id's participants for every instance of the
 // spec, in instance order.
 func buildNode(spec Spec, id dist.ProcID) (*Node, error) {
-	nd := &Node{id: id, subs: make([]dist.Process, len(spec.Instances))}
+	nd := &Node{
+		id:   id,
+		subs: make([]dist.Process, len(spec.Instances)),
+		ctxs: make([]instanceContext, len(spec.Instances)),
+	}
 	for k, ins := range spec.Instances {
 		if ins.New == nil {
 			return nil, fmt.Errorf("engine: instance %d has no constructor", k)
@@ -36,6 +41,7 @@ func buildNode(spec Spec, id dist.ProcID) (*Node, error) {
 			ti.SetTraceInstance(k)
 		}
 		nd.subs[k] = sub
+		nd.ctxs[k].instance = k
 	}
 	return nd, nil
 }
@@ -45,7 +51,7 @@ func buildNode(spec Spec, id dist.ProcID) (*Node, error) {
 // the same prefix on every executor and on WAL replay).
 func (nd *Node) Init(ctx dist.Context) {
 	for k, sub := range nd.subs {
-		sub.Init(&instanceContext{inner: ctx, instance: k})
+		sub.Init(nd.ctxs[k].over(ctx))
 	}
 }
 
@@ -59,7 +65,7 @@ func (nd *Node) Deliver(ctx dist.Context, msg dist.Message) {
 	if k < 0 || k >= len(nd.subs) {
 		return
 	}
-	nd.subs[k].Deliver(&instanceContext{inner: ctx, instance: k}, msg)
+	nd.subs[k].Deliver(nd.ctxs[k].over(ctx), msg)
 }
 
 // Done reports whether every hosted participant has terminated.
@@ -98,13 +104,22 @@ func (nd *Node) DecidedRound() int {
 // instanceContext adapts the driver's context for one hosted participant:
 // plain Sends and Broadcasts are stamped with the participant's instance
 // index through the driver's InstanceSender hook. Kinds pass through
-// untouched.
+// untouched. A node keeps one per hosted instance for the instance's whole
+// life and re-points it at the driver's context on every entry — a node is
+// driven by one goroutine at a time, and a relaunched incarnation hands in
+// a new context.
 type instanceContext struct {
 	inner    dist.Context
 	instance int
 }
 
 var _ dist.Context = (*instanceContext)(nil)
+
+// over points ic at the context of the Init or Deliver call in progress.
+func (ic *instanceContext) over(inner dist.Context) *instanceContext {
+	ic.inner = inner
+	return ic
+}
 
 func (ic *instanceContext) ID() dist.ProcID { return ic.inner.ID() }
 func (ic *instanceContext) N() int          { return ic.inner.N() }

@@ -23,7 +23,7 @@ type residentNode struct {
 	mu sync.Mutex
 	// subs holds the live participants. Retired instances are deleted — the
 	// bounded-memory contract of the resident engine.
-	subs map[int]dist.Process
+	subs map[int]*hosted
 	// highest is the largest instance id a control has been applied for
 	// (-1 before the first). Messages above it belong to instances this
 	// node has not opened yet and are buffered; messages at or below it
@@ -38,13 +38,19 @@ type residentNode struct {
 	reported map[int]bool
 }
 
+// hosted is one live participant and the context it is driven through.
+type hosted struct {
+	sub dist.Process
+	ctx instanceContext
+}
+
 var _ dist.Process = (*residentNode)(nil)
 
 func newResidentNode(r *Resident, id dist.ProcID) *residentNode {
 	return &residentNode{
 		r:        r,
 		id:       id,
-		subs:     make(map[int]dist.Process),
+		subs:     make(map[int]*hosted),
 		highest:  -1,
 		future:   make(map[int][]dist.Message),
 		reported: make(map[int]bool),
@@ -73,7 +79,7 @@ func (nd *residentNode) Deliver(ctx dist.Context, msg dist.Message) {
 	}
 	k := msg.Instance
 	nd.mu.Lock()
-	sub, ok := nd.subs[k]
+	h, ok := nd.subs[k]
 	if !ok {
 		if k > nd.highest {
 			nd.future[k] = append(nd.future[k], msg)
@@ -84,13 +90,13 @@ func (nd *residentNode) Deliver(ctx dist.Context, msg dist.Message) {
 		return
 	}
 	nd.mu.Unlock()
-	nd.deliverSub(ctx, k, sub, msg)
+	nd.deliverSub(ctx, h, msg)
 }
 
 // deliverSub hands one message to a participant and reports termination.
-func (nd *residentNode) deliverSub(ctx dist.Context, k int, sub dist.Process, msg dist.Message) {
-	sub.Deliver(&instanceContext{inner: ctx, instance: k}, msg)
-	nd.noteIfDecided(ctx, k, sub)
+func (nd *residentNode) deliverSub(ctx dist.Context, h *hosted, msg dist.Message) {
+	h.sub.Deliver(h.ctx.over(ctx), msg)
+	nd.noteIfDecided(ctx, h.ctx.instance, h.sub)
 }
 
 // noteIfDecided forwards a participant's termination to the engine, once
@@ -161,15 +167,16 @@ func (nd *residentNode) applyOpen(ctx dist.Context, k int) {
 	if ti, ok := sub.(interface{ SetTraceInstance(int) }); ok {
 		ti.SetTraceInstance(k)
 	}
+	h := &hosted{sub: sub, ctx: instanceContext{instance: k}}
 	nd.mu.Lock()
-	nd.subs[k] = sub
+	nd.subs[k] = h
 	buf := nd.future[k]
 	delete(nd.future, k)
 	nd.mu.Unlock()
-	sub.Init(&instanceContext{inner: ctx, instance: k})
+	sub.Init(h.ctx.over(ctx))
 	nd.noteIfDecided(ctx, k, sub)
 	for _, m := range buf {
-		nd.deliverSub(ctx, k, sub, m)
+		nd.deliverSub(ctx, h, m)
 	}
 }
 

@@ -94,7 +94,7 @@ func E6VsVectorConsensus(opt Options) (*Table, error) {
 // vector phase is O(n³) messages worst case, the averaging phase exactly
 // n·(n-1)·t_end state messages.
 func E9MessageCost(opt Options) (*Table, error) {
-	ns := []int{5, 7, 10, 13}
+	ns := []int{5, 7, 10, 13, 16, 24}
 	if opt.Quick {
 		ns = []int{5, 7}
 	}
@@ -122,6 +122,9 @@ func E9MessageCost(opt Options) (*Table, error) {
 		tEnd := cfg.Params.TEnd()
 		svMsgs := result.Stats.KindCounts[stablevector.KindReport]
 		stMsgs := result.Stats.KindCounts[core.KindState]
+		if want := n * (n - 1) * tEnd; stMsgs != want {
+			return nil, fmt.Errorf("E9: n=%d: %d state messages, want n(n-1)·t_end = %d", n, stMsgs, want)
+		}
 		perRound := 0
 		if tEnd > 0 {
 			perRound = stMsgs / tEnd

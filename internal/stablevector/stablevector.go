@@ -76,9 +76,10 @@ func New(id dist.ProcID, n, f int, x geom.Point) (*SV, error) {
 
 // Start broadcasts the initial report {(id, x)}. Call exactly once.
 func (s *SV) Start(ctx dist.Context) {
-	s.recordReport(s.id, s.snapshot())
-	ctx.Broadcast(KindReport, 0, wire.EntriesPayload{Entries: s.snapshot()})
-	s.checkStable()
+	snap := s.snapshot()
+	own := s.recordReport(s.id, snap)
+	ctx.Broadcast(KindReport, 0, wire.EntriesPayload{Entries: snap})
+	s.checkStable(own)
 }
 
 // Handle processes one KindReport message. It returns true when this
@@ -91,7 +92,7 @@ func (s *SV) Handle(ctx dist.Context, msg dist.Message) bool {
 	if !ok {
 		return false // ignore malformed payloads (defensive; crash model)
 	}
-	s.recordReport(msg.From, payload.Entries)
+	touched := append(make([]string, 0, 2), s.recordReport(msg.From, payload.Entries))
 	changed := false
 	for _, e := range payload.Entries {
 		if _, seen := s.known[e.Proc]; !seen {
@@ -101,13 +102,13 @@ func (s *SV) Handle(ctx dist.Context, msg dist.Message) bool {
 	}
 	if changed {
 		snap := s.snapshot()
-		s.recordReport(s.id, snap)
+		touched = append(touched, s.recordReport(s.id, snap))
 		ctx.Broadcast(KindReport, 0, wire.EntriesPayload{Entries: snap})
 	}
 	if s.done {
 		return false
 	}
-	s.checkStable()
+	s.checkStable(touched...)
 	return s.done
 }
 
@@ -134,8 +135,9 @@ func (s *SV) snapshot() []wire.Entry {
 	return out
 }
 
-// recordReport notes that process j reported exactly the set `entries`.
-func (s *SV) recordReport(j dist.ProcID, entries []wire.Entry) {
+// recordReport notes that process j reported exactly the set `entries` and
+// returns the set's key.
+func (s *SV) recordReport(j dist.ProcID, entries []wire.Entry) string {
 	key := canonicalKey(entries)
 	if _, ok := s.sets[key]; !ok {
 		cp := make([]wire.Entry, len(entries))
@@ -149,21 +151,23 @@ func (s *SV) recordReport(j dist.ProcID, entries []wire.Entry) {
 		s.reporters[key] = m
 	}
 	m[j] = true
+	return key
 }
 
-// checkStable scans for a stable set. When several sets become stable in
-// the same delivery, the largest (then lexicographically smallest key) is
-// chosen — a deterministic rule; containment holds for any choice.
-func (s *SV) checkStable() {
+// checkStable looks for a stable set among the sets whose reporters this
+// delivery added to. Those are the only candidates: the check runs after
+// every delivery until one succeeds, so no set was stable before this one,
+// and a set becomes stable only by gaining a reporter. When both the
+// sender's set and the own new snapshot become stable in the same delivery,
+// the largest (then lexicographically smallest key) is chosen — a
+// deterministic rule; containment holds for any choice.
+func (s *SV) checkStable(touched ...string) {
 	quorum := s.n - s.f
 	bestKey := ""
 	bestLen := -1
-	for key, reps := range s.reporters {
-		if len(reps) < quorum {
-			continue
-		}
+	for _, key := range touched {
 		set := s.sets[key]
-		if len(set) < quorum {
+		if len(s.reporters[key]) < quorum || len(set) < quorum {
 			continue
 		}
 		if len(set) > bestLen || (len(set) == bestLen && key < bestKey) {

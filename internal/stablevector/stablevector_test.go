@@ -289,3 +289,93 @@ func TestPropertiesUnderRandomFaults(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fullScan is the reference for checkStable: it looks at every set ever
+// reported, not only those the last delivery touched, and applies the same
+// largest-then-smallest-key rule. It returns the key of the stable set.
+func fullScan(s *SV) (string, bool) {
+	quorum := s.n - s.f
+	bestKey, bestLen := "", -1
+	for key, reps := range s.reporters {
+		set := s.sets[key]
+		if len(reps) < quorum || len(set) < quorum {
+			continue
+		}
+		if len(set) > bestLen || (len(set) == bestLen && key < bestKey) {
+			bestKey, bestLen = key, len(set)
+		}
+	}
+	return bestKey, bestLen >= 0
+}
+
+// scanHost drives an SV and, after every step taken while the primitive was
+// still undecided, compares its verdict with the full scan's.
+type scanHost struct {
+	t  *testing.T
+	sv *SV
+}
+
+func (h *scanHost) step(do func()) {
+	wasDone := h.sv.Done()
+	do()
+	if wasDone {
+		return
+	}
+	key, stable := fullScan(h.sv)
+	if stable != h.sv.Done() {
+		h.t.Fatalf("process %d: incremental check done=%v, full scan stable=%v", h.sv.id, h.sv.Done(), stable)
+	}
+	if stable && canonicalKey(h.sv.result) != key {
+		h.t.Fatalf("process %d: incremental check and full scan chose different sets", h.sv.id)
+	}
+}
+
+func (h *scanHost) Init(ctx dist.Context) { h.step(func() { h.sv.Start(ctx) }) }
+
+func (h *scanHost) Deliver(ctx dist.Context, msg dist.Message) {
+	h.step(func() { h.sv.Handle(ctx, msg) })
+}
+
+func (h *scanHost) Done() bool { return h.sv.Done() }
+
+// TestIncrementalCheckMatchesFullScan: testing only the sets a delivery
+// touched finds the same stable set, at the same delivery, as scanning all
+// of them — under benign, starving and round-0-splitting schedules, with
+// and without a crash.
+func TestIncrementalCheckMatchesFullScan(t *testing.T) {
+	for _, n := range []int{5, 9, 16} {
+		f := (n - 1) / 3
+		groupA := make([]dist.ProcID, n-f)
+		for i := range groupA {
+			groupA[i] = dist.ProcID(i)
+		}
+		scheds := map[string]func() dist.Scheduler{
+			"random":      func() dist.Scheduler { return dist.NewRandomScheduler() },
+			"delay":       func() dist.Scheduler { return dist.NewDelayScheduler(dist.ProcID(n - 1)) },
+			"splitround0": func() dist.Scheduler { return dist.NewSplitRound0Scheduler(KindReport, groupA...) },
+		}
+		for name, mk := range scheds {
+			for seed := int64(1); seed <= 4; seed++ {
+				var crashes []dist.CrashPlan
+				if seed%2 == 0 {
+					crashes = []dist.CrashPlan{{Proc: 1, AfterSends: n + int(seed)}}
+				}
+				procs := make([]dist.Process, n)
+				for i := range procs {
+					sv, err := New(dist.ProcID(i), n, f, geom.NewPoint(float64(i), float64(i*i)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					procs[i] = &scanHost{t: t, sv: sv}
+				}
+				sim, err := dist.NewSim(dist.Config{N: n, Seed: seed, Scheduler: mk(), Crashes: crashes}, procs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sim.Run(); err != nil {
+					t.Fatalf("n=%d %s seed=%d: %v", n, name, seed, err)
+				}
+			}
+		}
+	}
+}

@@ -22,7 +22,7 @@ import (
 type SimScheduler struct {
 	m         *Model
 	now       time.Duration // virtual clock
-	links     map[uint64]*simLink
+	links     []*simLink    // dense, from*N+to; built on first use
 	delivered int64
 	held      int64
 }
@@ -50,7 +50,7 @@ func NewSimScheduler(plan Plan, n int, seed int64) (*SimScheduler, error) {
 
 // NewSimSchedulerModel wraps an already-resolved model.
 func NewSimSchedulerModel(m *Model) *SimScheduler {
-	return &SimScheduler{m: m, links: make(map[uint64]*simLink)}
+	return &SimScheduler{m: m, links: make([]*simLink, m.N()*m.N())}
 }
 
 // Pick implements dist.Scheduler. channels lists the non-empty queues in
@@ -105,9 +105,9 @@ func (s *SimScheduler) Pick(channels []dist.ChannelState, _ *rand.Rand) int {
 }
 
 func (s *SimScheduler) link(from, to dist.ProcID) *simLink {
-	k := linkKey(from, to)
-	l, ok := s.links[k]
-	if !ok {
+	k := int(from)*s.m.N() + int(to)
+	l := s.links[k]
+	if l == nil {
 		l = &simLink{}
 		s.links[k] = l
 	}

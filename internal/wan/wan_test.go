@@ -1,7 +1,10 @@
 package wan
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"net"
 	"reflect"
 	"sync"
@@ -490,4 +493,109 @@ func TestLinkMetricOverflow(t *testing.T) {
 		return
 	}
 	t.Fatalf("chc_wan_link_bytes_total missing from snapshot")
+}
+
+// goldenProc is the golden-schedule protocol (the twin of dist's roundEcho):
+// a round-0 broadcast, then five rounds that each wait for n-f-1 peers, with
+// one self-addressed tick per round. Every delivery is folded into h.
+type goldenProc struct {
+	n, f  int
+	cur   int
+	heard [6]int
+	h     hash.Hash64
+}
+
+func hashInts(h hash.Hash64, vs ...int) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+}
+
+func (p *goldenProc) Init(ctx dist.Context) { ctx.Broadcast("sv.report", 0, nil) }
+
+func (p *goldenProc) Deliver(ctx dist.Context, msg dist.Message) {
+	hashInts(p.h, int(msg.From), int(msg.To), msg.Round)
+	p.h.Write([]byte(msg.Kind))
+	p.h.Write([]byte{0})
+	if msg.Kind == "tick" || msg.Round >= len(p.heard) {
+		return
+	}
+	p.heard[msg.Round]++
+	for p.cur < 5 && p.heard[p.cur] >= p.n-p.f-1 {
+		p.cur++
+		ctx.Send(ctx.ID(), "tick", p.cur, nil)
+		ctx.Broadcast("round", p.cur, nil)
+	}
+}
+
+func (p *goldenProc) Done() bool { return p.cur >= 5 }
+
+// goldenSimSchedules maps n/crash-shape to an FNV-64a over the delivered
+// (from, to, kind, round) sequence, the recorded picks and the send/delivery
+// counts of goldenProc under SimScheduler("3-regions"), WAN seeds 1..3.
+var goldenSimSchedules = map[string]uint64{
+	"n4/none":    0x0c4179dcba0a70db,
+	"n4/after0":  0x038cf28c85c204a9,
+	"n4/mid":     0x86cdcd2895a02b2a,
+	"n7/none":    0x34aab75993f77fcd,
+	"n7/after0":  0xe0cf2a9d3570109f,
+	"n7/mid":     0xc807c0ed59b09b57,
+	"n16/none":   0xf3ce181d603997bb,
+	"n16/after0": 0x54f83d8997ddb666,
+	"n16/mid":    0x135b84c9c55413dc,
+}
+
+// TestSimSchedulerGoldenSchedules pins SimScheduler's virtual-time schedule
+// on the simulator bit for bit: the hashes were generated at the commit
+// before the simulator's channel index became incremental and before this
+// scheduler's links were indexed densely.
+func TestSimSchedulerGoldenSchedules(t *testing.T) {
+	plan, err := ParsePlan("3-regions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashes := []struct {
+		name string
+		plan func(n int) []dist.CrashPlan
+	}{
+		{"none", func(int) []dist.CrashPlan { return nil }},
+		{"after0", func(int) []dist.CrashPlan { return []dist.CrashPlan{{Proc: 0, AfterSends: 0}} }},
+		{"mid", func(n int) []dist.CrashPlan { return []dist.CrashPlan{{Proc: 1, AfterSends: n - 1 + n/2}} }},
+	}
+	for _, n := range []int{4, 7, 16} {
+		f := 1
+		if n >= 7 {
+			f = 2
+		}
+		for _, cr := range crashes {
+			h := fnv.New64a()
+			for seed := int64(1); seed <= 3; seed++ {
+				sched, err := NewSimScheduler(plan, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				procs := make([]dist.Process, n)
+				for i := range procs {
+					procs[i] = &goldenProc{n: n, f: f, h: h}
+				}
+				rec := dist.NewRecordingScheduler(sched)
+				sim, err := dist.NewSim(dist.Config{N: n, Seed: seed, Scheduler: rec, Crashes: cr.plan(n)}, procs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, err := sim.Run()
+				if err != nil {
+					t.Fatalf("n=%d %s seed=%d: %v", n, cr.name, seed, err)
+				}
+				hashInts(h, rec.Picks...)
+				hashInts(h, stats.Sends, stats.Deliveries, stats.DroppedCrash, int(sched.Elapsed()))
+			}
+			name := fmt.Sprintf("n%d/%s", n, cr.name)
+			if got, want := h.Sum64(), goldenSimSchedules[name]; got != want {
+				t.Errorf("%q: %#016x, // want %#016x", name, got, want)
+			}
+		}
+	}
 }

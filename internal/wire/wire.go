@@ -302,13 +302,21 @@ func DecodeMessage(frame []byte) (dist.Message, error) {
 	return m, nil
 }
 
-// MessageSize returns the encoded size of m in bytes (0 if unencodable).
+// MessageSize returns the encoded size of m in bytes (0 if unencodable). It
+// is the Sizer of every executor and so runs once per send: the message is
+// encoded into a pooled scratch buffer, taken by pointer because PutBuf
+// boxes a slice header per call, so nothing is allocated.
 func MessageSize(m dist.Message) int {
-	b, err := EncodeMessage(m)
-	if err != nil {
-		return 0
+	bp := bufPool.Get().(*[]byte)
+	n := 0
+	if b, err := AppendMessage((*bp)[:0], m); err == nil {
+		n = len(b)
+		if cap(b) <= maxPooledBuf {
+			*bp = b[:0] // keep what the encode grew
+		}
 	}
-	return len(b)
+	bufPool.Put(bp)
+	return n
 }
 
 // WriteMessage writes one frame to w.

@@ -170,14 +170,31 @@ func TestReadTooLarge(t *testing.T) {
 	}
 }
 
+// TestMessageSize: the size is the length of the encoding for every payload
+// type, 0 for what cannot be encoded, and costs no allocation — it is the
+// default Sizer, so it runs on every send of every executor.
 func TestMessageSize(t *testing.T) {
-	m := dist.Message{Kind: "k", Payload: PointPayload{Value: geom.NewPoint(1, 2, 3)}}
-	b, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
+	pt := geom.NewPoint(1, 2, 3)
+	msgs := []dist.Message{
+		{From: 1, To: 2, Kind: "nil", Round: 3, Instance: 4},
+		{Kind: "point", Payload: PointPayload{Value: pt}},
+		{Kind: "entries", Payload: EntriesPayload{Entries: []Entry{{Proc: 0, Value: pt}, {Proc: 5, Value: pt}}}},
+		{Kind: "polytope", Payload: PolytopePayload{Verts: []geom.Point{pt, pt, pt}}},
+		{Kind: "int", Payload: IntPayload{Value: -7}},
+		{Kind: "senders", Payload: SendersPayload{Round: 2, Senders: []dist.ProcID{0, 3, 4}}},
+		{Kind: "rbc", Payload: RBCPayload{Origin: 1, Seq: 9, Inner: PointPayload{Value: pt}}},
 	}
-	if got := MessageSize(m); got != len(b) {
-		t.Errorf("MessageSize = %d, want %d", got, len(b))
+	for _, m := range msgs {
+		b, err := AppendMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := MessageSize(m); got != len(b) {
+			t.Errorf("%s: MessageSize = %d, want %d", m.Kind, got, len(b))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { MessageSize(m) }); allocs != 0 {
+			t.Errorf("%s: MessageSize allocates %v objects/op, want 0", m.Kind, allocs)
+		}
 	}
 	if got := MessageSize(dist.Message{Kind: "k", Payload: struct{}{}}); got != 0 {
 		t.Errorf("unencodable MessageSize = %d, want 0", got)
