@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race soak soak-smoke disk-torture wire-torture fuzz-smoke serve-smoke bench bench-json bench-check bench-telemetry bench-transport bench-wan experiments
+.PHONY: build test check loc race soak soak-smoke disk-torture wire-torture fuzz-smoke serve-smoke bench bench-json bench-check bench-telemetry bench-transport bench-wan experiments
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ check: build
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/...
+
+# loc is the size the simplicity aim is judged by: lines of tracked non-test
+# Go source outside the benchmark harness and its build cache.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '^\.bench_build/' | xargs wc -l | tail -1
 
 race:
 	$(GO) test -race ./...

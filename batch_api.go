@@ -18,6 +18,14 @@ type (
 	// BatchConfig describes a batch execution.
 	BatchConfig = multiplex.BatchConfig
 
+	// Env is the cluster environment BatchConfig and ServiceConfig embed:
+	// chaos, wire faults and tuning, the WAN model, write-ahead logging,
+	// checkpointing, durability and restarts. Its fields are promoted
+	// (cfg.WALDir = dir); a keyed literal names it once,
+	// BatchConfig{N: 5, Env: Env{WALDir: dir}}. Which transport accepts
+	// which field is validated in one place when the cluster starts.
+	Env = engine.Env
+
 	// BatchResult aggregates per-instance outputs (instance index ->
 	// process -> decision), decided rounds, and run statistics.
 	BatchResult = multiplex.BatchResult

@@ -76,18 +76,29 @@ func run(args []string, w io.Writer, ready chan<- string) error {
 		return err
 	}
 
+	prof, err := chc.ParseChaosProfile(*chaosSpec)
+	if err != nil {
+		return fmt.Errorf("-chaos: %w", err)
+	}
+	wanPlan, err := chc.ParseWANPlan(*wanSpec)
+	if err != nil {
+		return fmt.Errorf("-wan: %w", err)
+	}
 	cfg := service.Config{
 		N:                *n,
 		MaxActive:        *maxActive,
 		MaxQueue:         *maxQueue,
 		Retention:        *retention,
 		DrainTimeout:     *drainTimeout,
-		WALDir:           *walDir,
-		ChaosSeed:        *chaosSeed,
 		InstanceDeadline: *deadline,
-	}
-	if *walDir != "" {
-		cfg.WALRetire = *walRetire
+		Env: engine.Env{
+			WALDir:     *walDir,
+			Chaos:      &prof,
+			ChaosSeed:  *chaosSeed,
+			WAN:        &wanPlan,
+			WANSeed:    *wanSeed,
+			Checkpoint: chc.WALCheckpointPolicy{EveryBytes: *walCkpt},
+		},
 	}
 	switch *transport {
 	case "inproc":
@@ -97,28 +108,8 @@ func run(args []string, w io.Writer, ready chan<- string) error {
 	default:
 		return fmt.Errorf("-transport: unknown transport %q (inproc|tcp)", *transport)
 	}
-	prof, err := chc.ParseChaosProfile(*chaosSpec)
-	if err != nil {
-		return fmt.Errorf("-chaos: %w", err)
-	}
-	if prof.Enabled() {
-		cfg.Chaos = &prof
-	}
-	wanPlan, err := chc.ParseWANPlan(*wanSpec)
-	if err != nil {
-		return fmt.Errorf("-wan: %w", err)
-	}
-	if wanPlan.Enabled() {
-		cfg.WAN = &wanPlan
-		cfg.WANSeed = *wanSeed
-	}
-	if *walCkpt > 0 {
-		if *walDir == "" {
-			return fmt.Errorf("-wal-checkpoint requires -wal-dir")
-		}
-		cfg.Checkpoint = chc.WALCheckpointPolicy{EveryBytes: *walCkpt}
-	}
 	if *walDir != "" {
+		cfg.WALRetire = *walRetire
 		// A daemon owns its state directory: create it rather than
 		// demanding the operator pre-provision it.
 		if err := os.MkdirAll(*walDir, 0o700); err != nil {

@@ -78,6 +78,17 @@ func run(args []string, w io.Writer) (err error) {
 		return err
 	}
 
+	var bt chc.BatchTransport
+	switch *transport {
+	case "sim":
+		bt = chc.BatchSim
+	case "inproc":
+		bt = chc.BatchInProcess
+	case "tcp":
+		bt = chc.BatchTCP
+	default:
+		return fmt.Errorf("unknown transport %q", *transport)
+	}
 	chaosProfile, err := chc.ParseChaosProfile(*chaosSpec)
 	if err != nil {
 		return fmt.Errorf("-chaos: %w", err)
@@ -85,20 +96,6 @@ func run(args []string, w io.Writer) (err error) {
 	wanPlan, err := chc.ParseWANPlan(*wanSpec)
 	if err != nil {
 		return fmt.Errorf("-wan: %w", err)
-	}
-	if chaosProfile.Enabled() && *transport == "sim" {
-		return fmt.Errorf("-chaos requires a networked transport (-transport inproc or tcp); the simulator has no link layer")
-	}
-	if *walDir != "" && *transport == "sim" {
-		return fmt.Errorf("-wal-dir requires a networked transport (-transport inproc or tcp); the simulator has no crash-recovery runtime")
-	}
-	if *recoverWAL {
-		if *walDir == "" {
-			return fmt.Errorf("-recover requires -wal-dir")
-		}
-		if *crash == "" {
-			return fmt.Errorf("-recover needs -crash plans to convert into kill-and-restart faults")
-		}
 	}
 	diskPlan, err := chc.ParseDiskFaultPlan(*diskFaults)
 	if err != nil {
@@ -110,30 +107,17 @@ func run(args []string, w io.Writer) (err error) {
 		return fmt.Errorf("-net-faults: %w", err)
 	}
 	netPlan.Seed = *netSeed
-	if netPlan.Enabled() && *transport != "tcp" {
-		return fmt.Errorf("-net-faults requires -transport tcp (only TCP links carry byte streams)")
-	}
-	var wireCfg *chc.WireConfig
-	{
-		var wc chc.WireConfig
-		switch *wireCoalesce {
-		case "on":
-		case "off":
-			wc.SingleFrame = true
-		default:
-			dl, derr := time.ParseDuration(*wireCoalesce)
-			if derr != nil || dl < 0 {
-				return fmt.Errorf("-wire-coalesce: want on, off or a flush-deadline duration, got %q", *wireCoalesce)
-			}
-			wc.FlushDeadline = dl
+	wireCfg := chc.WireConfig{Compress: *wireCompress}
+	switch *wireCoalesce {
+	case "on":
+	case "off":
+		wireCfg.SingleFrame = true
+	default:
+		dl, derr := time.ParseDuration(*wireCoalesce)
+		if derr != nil || dl < 0 {
+			return fmt.Errorf("-wire-coalesce: want on, off or a flush-deadline duration, got %q", *wireCoalesce)
 		}
-		wc.Compress = *wireCompress
-		if wc != (chc.WireConfig{}) {
-			wireCfg = &wc
-		}
-	}
-	if wireCfg != nil && *transport != "tcp" {
-		return fmt.Errorf("-wire-coalesce/-wire-compress require -transport tcp (only TCP links have a framed write path)")
+		wireCfg.FlushDeadline = dl
 	}
 	var durabilityPolicy chc.DurabilityPolicy
 	switch *durability {
@@ -144,14 +128,36 @@ func run(args []string, w io.Writer) (err error) {
 	default:
 		return fmt.Errorf("-durability: unknown policy %q (failstop|degrade)", *durability)
 	}
-	if *walDir == "" {
-		switch {
-		case diskPlan.Enabled():
-			return fmt.Errorf("-disk-faults requires -wal-dir")
-		case *walCheckpoint > 0:
-			return fmt.Errorf("-wal-checkpoint requires -wal-dir")
-		case durabilityPolicy != chc.FailStop:
-			return fmt.Errorf("-durability requires -wal-dir")
+	// One environment for every mode; which transport accepts which part of
+	// it is the engine's rule, not restated per flag here.
+	env := chc.Env{
+		Chaos:      &chaosProfile,
+		ChaosSeed:  *chaosSeed,
+		NetFaults:  &netPlan,
+		Wire:       &wireCfg,
+		WAN:        &wanPlan,
+		WANSeed:    *wanSeed,
+		WALDir:     *walDir,
+		Checkpoint: chc.WALCheckpointPolicy{EveryBytes: *walCheckpoint},
+		Durability: durabilityPolicy,
+	}
+	if diskPlan.Enabled() {
+		env.WALFS = chc.DiskFaultFS(diskPlan)
+	}
+	if err := env.Validate(bt); err != nil {
+		return err
+	}
+	if *recoverWAL {
+		if *walDir == "" {
+			return fmt.Errorf("-recover requires -wal-dir")
+		}
+		if *crash == "" {
+			return fmt.Errorf("-recover needs -crash plans to convert into kill-and-restart faults")
+		}
+	}
+	if *walDir != "" {
+		if err := os.MkdirAll(*walDir, 0o755); err != nil {
+			return fmt.Errorf("-wal-dir: %w", err)
 		}
 	}
 
@@ -239,7 +245,7 @@ func run(args []string, w io.Writer) (err error) {
 	default:
 		return fmt.Errorf("unknown scheduler %q", *sched)
 	}
-	if wanPlan.Enabled() && *transport == "sim" {
+	if wanPlan.Enabled() && bt == chc.BatchSim {
 		if *sched != "random" {
 			return fmt.Errorf("-wan drives the simulator's delivery order itself; drop -sched %s", *sched)
 		}
@@ -262,18 +268,14 @@ func run(args []string, w io.Writer) (err error) {
 			k = 1
 		}
 		bm := batchMode{
-			params: params, protocol: *protocol, k: k, transport: *transport,
+			params: params, protocol: *protocol, k: k, transportName: *transport, transport: bt,
 			seed: *seed, rng: rng, faulty: cfg.Faulty, crashes: cfg.Crashes,
-			scheduler: cfg.Scheduler, chaos: chaosProfile, chaosSeed: *chaosSeed,
-			walDir: *walDir, recoverWAL: *recoverWAL, downtime: *downtime,
-			diskPlan: diskPlan, netPlan: netPlan, netSeed: *netSeed,
-			checkpoint: *walCheckpoint, durability: durabilityPolicy,
-			wire: wireCfg, wan: wanPlan, wanSeed: *wanSeed,
+			env: env, recoverWAL: *recoverWAL, downtime: *downtime,
 		}
-		if bm.wan.Enabled() && *transport == "sim" {
-			// The engine builds the virtual-time scheduler itself in batch
-			// mode; the one built above was the single-instance path's.
-			bm.scheduler = nil
+		if bt == chc.BatchSim && !wanPlan.Enabled() {
+			// With -wan the engine builds the virtual-time scheduler itself;
+			// the one built above was the single-instance path's.
+			bm.scheduler = cfg.Scheduler
 		}
 		return runBatchMode(w, bm)
 	}
@@ -282,48 +284,29 @@ func run(args []string, w io.Writer) (err error) {
 		return runByzantine(w, params, inputs, cfg.Faulty, *byz, *seed)
 	}
 
-	var netOpts []chc.NetworkOption
-	if chaosProfile.Enabled() {
-		netOpts = append(netOpts, chc.WithNetworkChaos(chaosProfile, *chaosSeed))
-	}
-	if *walDir != "" {
-		if err := os.MkdirAll(*walDir, 0o755); err != nil {
-			return fmt.Errorf("-wal-dir: %w", err)
-		}
-		netOpts = append(netOpts, chc.WithWAL(*walDir))
+	// Disabled plans are absent to the engine, so every option is passed.
+	netOpts := []chc.NetworkOption{
+		chc.WithNetworkChaos(chaosProfile, *chaosSeed),
+		chc.WithWAL(*walDir),
+		chc.WithDiskFaults(diskPlan),
+		chc.WithNetFaults(netPlan),
+		chc.WithWire(wireCfg),
+		chc.WithWALCheckpoint(*walCheckpoint),
+		chc.WithDurability(durabilityPolicy),
+		chc.WithWAN(wanPlan, *wanSeed),
 	}
 	if *recoverWAL {
 		netOpts = append(netOpts, chc.WithCrashRecovery(*downtime))
 	}
-	if diskPlan.Enabled() {
-		netOpts = append(netOpts, chc.WithDiskFaults(diskPlan))
-	}
-	if netPlan.Enabled() {
-		netOpts = append(netOpts, chc.WithNetFaults(netPlan))
-	}
-	if wireCfg != nil {
-		netOpts = append(netOpts, chc.WithWire(*wireCfg))
-	}
-	if *walCheckpoint > 0 {
-		netOpts = append(netOpts, chc.WithWALCheckpoint(*walCheckpoint))
-	}
-	if durabilityPolicy != chc.FailStop {
-		netOpts = append(netOpts, chc.WithDurability(durabilityPolicy))
-	}
-	if wanPlan.Enabled() && *transport != "sim" {
-		netOpts = append(netOpts, chc.WithWAN(wanPlan, *wanSeed))
-	}
 	var result *chc.RunResult
 	start := time.Now()
-	switch *transport {
-	case "sim":
+	switch bt {
+	case chc.BatchSim:
 		result, err = chc.Run(cfg)
-	case "inproc":
+	case chc.BatchInProcess:
 		result, err = chc.RunNetworked(cfg, chc.InProcess, 5*time.Minute, netOpts...)
-	case "tcp":
+	case chc.BatchTCP:
 		result, err = chc.RunNetworked(cfg, chc.TCP, 5*time.Minute, netOpts...)
-	default:
-		return fmt.Errorf("unknown transport %q", *transport)
 	}
 	if err != nil {
 		return err
@@ -371,32 +354,9 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	if result.Stats != nil {
 		fmt.Fprintf(w, "messages    : %d sends, %d bytes\n", result.Stats.Sends, result.Stats.Bytes)
-		if net := result.Stats.Net; net != nil && (chaosProfile.Enabled() || net.FramesSent > 0) {
-			fmt.Fprintf(w, "network     : %d frames, %d retransmits, %d dup-suppressed, %d reconnects\n",
-				net.FramesSent, net.Retransmits, net.DupSuppressed, net.Reconnects)
-			if chaosProfile.Enabled() {
-				fmt.Fprintf(w, "chaos       : %s seed=%d: %d drops, %d dups, %d delays, %d partition drops injected\n",
-					chaosProfile.String(), *chaosSeed, net.InjectedDrops, net.InjectedDups, net.InjectedDelays, net.PartitionDrops)
-			}
-			if *walDir != "" {
-				fmt.Fprintf(w, "recovery    : %d wal appends in %d fsync batches, %d link resumes\n",
-					net.WALAppends, net.WALSyncs, net.Resumes)
-			}
-			if diskPlan.Enabled() || *walCheckpoint > 0 {
-				fmt.Fprintf(w, "storage     : %d durability faults, %d fail-stops, %d degradations, %d re-arms, %d checkpoints\n",
-					net.DurabilityFaults, net.FailStops, net.Degradations, net.Rearms, net.WALCheckpoints)
-			}
-			if netPlan.Enabled() {
-				fmt.Fprintf(w, "wire        : %s seed=%d: %d faults injected, %d corrupt frames rejected, %d quarantines, %d readmits\n",
-					netPlan.String(), *netSeed, net.InjectedWire, net.CorruptFrames, net.PeerQuarantines, net.PeerReadmits)
-			}
-			if wanPlan.Enabled() {
-				fmt.Fprintf(w, "wan         : %s seed=%d: %d frames delayed, %d writes shaped, %d cut-held\n",
-					wanPlan.String(), *wanSeed, net.WANDelayedFrames, net.WANShapedWrites, net.WANCutHeld)
-			}
-		}
+		reportNetwork(w, result.Stats.Net, env)
 	}
-	if wanPlan.Enabled() && *transport == "sim" {
+	if wanPlan.Enabled() && bt == chc.BatchSim {
 		if ws, ok := cfg.Scheduler.(interface {
 			Delivered() int64
 			Held() int64
@@ -429,28 +389,49 @@ func run(args []string, w io.Writer) (err error) {
 
 // batchMode carries the flag values of a batch run.
 type batchMode struct {
-	params     chc.Params
-	protocol   string
-	k          int
-	transport  string
-	seed       int64
-	rng        *rand.Rand
-	faulty     []chc.ProcID
-	crashes    []chc.CrashPlan
-	scheduler  chc.Scheduler
-	chaos      chc.ChaosProfile
-	chaosSeed  int64
-	walDir     string
-	recoverWAL bool
-	downtime   time.Duration
-	diskPlan   chc.DiskFaultPlan
-	netPlan    chc.NetFaultPlan
-	netSeed    int64
-	checkpoint int64
-	durability chc.DurabilityPolicy
-	wire       *chc.WireConfig
-	wan        chc.WANPlan
-	wanSeed    int64
+	params        chc.Params
+	protocol      string
+	k             int
+	transportName string
+	transport     chc.BatchTransport
+	seed          int64
+	rng           *rand.Rand
+	faulty        []chc.ProcID
+	crashes       []chc.CrashPlan
+	scheduler     chc.Scheduler
+	env           chc.Env
+	recoverWAL    bool
+	downtime      time.Duration
+}
+
+// reportNetwork prints the link-layer summary of a networked run: one line
+// per layer of the environment that was active.
+func reportNetwork(w io.Writer, net *chc.NetStats, env chc.Env) {
+	if net == nil || !(env.Chaos.Enabled() || net.FramesSent > 0) {
+		return
+	}
+	fmt.Fprintf(w, "network     : %d frames, %d retransmits, %d dup-suppressed, %d reconnects\n",
+		net.FramesSent, net.Retransmits, net.DupSuppressed, net.Reconnects)
+	if env.Chaos.Enabled() {
+		fmt.Fprintf(w, "chaos       : %s seed=%d: %d drops, %d dups, %d delays, %d partition drops injected\n",
+			env.Chaos.String(), env.ChaosSeed, net.InjectedDrops, net.InjectedDups, net.InjectedDelays, net.PartitionDrops)
+	}
+	if env.WALDir != "" {
+		fmt.Fprintf(w, "recovery    : %d wal appends in %d fsync batches, %d link resumes\n",
+			net.WALAppends, net.WALSyncs, net.Resumes)
+	}
+	if env.WALFS != nil || env.Checkpoint.Enabled() {
+		fmt.Fprintf(w, "storage     : %d durability faults, %d fail-stops, %d degradations, %d re-arms, %d checkpoints\n",
+			net.DurabilityFaults, net.FailStops, net.Degradations, net.Rearms, net.WALCheckpoints)
+	}
+	if env.NetFaults.Enabled() {
+		fmt.Fprintf(w, "wire        : %s seed=%d: %d faults injected, %d corrupt frames rejected, %d quarantines, %d readmits\n",
+			env.NetFaults.String(), env.NetFaults.Seed, net.InjectedWire, net.CorruptFrames, net.PeerQuarantines, net.PeerReadmits)
+	}
+	if env.WAN.Enabled() {
+		fmt.Fprintf(w, "wan         : %s seed=%d: %d frames delayed, %d writes shaped, %d cut-held\n",
+			env.WAN.String(), env.WANSeed, net.WANDelayedFrames, net.WANShapedWrites, net.WANCutHeld)
+	}
 }
 
 // runBatchMode executes -batch instances of -protocol as one batch
@@ -468,18 +449,6 @@ func runBatchMode(w io.Writer, m batchMode) error {
 	default:
 		return fmt.Errorf("unknown protocol %q (want cc, vector or byzantine)", m.protocol)
 	}
-	var bt chc.BatchTransport
-	switch m.transport {
-	case "sim":
-		bt = chc.BatchSim
-	case "inproc":
-		bt = chc.BatchInProcess
-	case "tcp":
-		bt = chc.BatchTCP
-	default:
-		return fmt.Errorf("unknown transport %q", m.transport)
-	}
-
 	instances := make([]chc.BatchInstance, m.k)
 	for i := range instances {
 		inputs := make([]chc.Point, m.params.N)
@@ -506,50 +475,19 @@ func runBatchMode(w io.Writer, m batchMode) error {
 	}
 
 	cfg := chc.BatchConfig{
-		N:         m.params.N,
-		Instances: instances,
-		Crashes:   m.crashes,
-		Seed:      m.seed,
-		Transport: bt,
-		Timeout:   5 * time.Minute,
-		ChaosSeed: m.chaosSeed,
+		N:               m.params.N,
+		Instances:       instances,
+		Crashes:         m.crashes,
+		Seed:            m.seed,
+		Scheduler:       m.scheduler,
+		Transport:       m.transport,
+		Timeout:         5 * time.Minute,
+		Env:             m.env,
+		Recover:         m.recoverWAL,
+		RecoverDowntime: m.downtime,
 	}
 	if proto != chc.BatchByzantine {
 		cfg.Faulty = m.faulty
-	}
-	if bt == chc.BatchSim {
-		cfg.Scheduler = m.scheduler
-	}
-	if m.chaos.Enabled() {
-		profile := m.chaos
-		cfg.Chaos = &profile
-	}
-	if m.walDir != "" {
-		if err := os.MkdirAll(m.walDir, 0o755); err != nil {
-			return fmt.Errorf("-wal-dir: %w", err)
-		}
-		cfg.WALDir = m.walDir
-	}
-	if m.recoverWAL {
-		cfg.Recover = true
-		cfg.RecoverDowntime = m.downtime
-	}
-	if m.diskPlan.Enabled() {
-		cfg.WALFS = chc.DiskFaultFS(m.diskPlan)
-	}
-	if m.netPlan.Enabled() {
-		p := m.netPlan
-		cfg.NetFaults = &p
-	}
-	cfg.Wire = m.wire
-	if m.checkpoint > 0 {
-		cfg.Checkpoint = chc.WALCheckpointPolicy{EveryBytes: m.checkpoint}
-	}
-	cfg.Durability = m.durability
-	if m.wan.Enabled() {
-		p := m.wan
-		cfg.WAN = &p
-		cfg.WANSeed = m.wanSeed
 	}
 
 	start := time.Now()
@@ -560,7 +498,7 @@ func runBatchMode(w io.Writer, m batchMode) error {
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(w, "batch consensus: %d × %s over %s: n=%d f=%d d=%d ε=%g seed=%d (%v)\n",
-		m.k, m.protocol, m.transport, m.params.N, m.params.F, m.params.D, m.params.Epsilon,
+		m.k, m.protocol, m.transportName, m.params.N, m.params.F, m.params.D, m.params.Epsilon,
 		m.seed, elapsed.Round(time.Millisecond))
 	correct := m.params.N
 	if proto == chc.BatchByzantine {
@@ -599,30 +537,7 @@ func runBatchMode(w io.Writer, m batchMode) error {
 	if result.Stats != nil {
 		fmt.Fprintf(w, "messages    : %d sends, %d bytes across %d instances\n",
 			result.Stats.Sends, result.Stats.Bytes, m.k)
-		if net := result.Stats.Net; net != nil && net.FramesSent > 0 {
-			fmt.Fprintf(w, "network     : %d frames, %d retransmits, %d dup-suppressed, %d reconnects\n",
-				net.FramesSent, net.Retransmits, net.DupSuppressed, net.Reconnects)
-			if m.chaos.Enabled() {
-				fmt.Fprintf(w, "chaos       : %s seed=%d: %d drops, %d dups, %d delays, %d partition drops injected\n",
-					m.chaos.String(), m.chaosSeed, net.InjectedDrops, net.InjectedDups, net.InjectedDelays, net.PartitionDrops)
-			}
-			if m.walDir != "" {
-				fmt.Fprintf(w, "recovery    : %d wal appends in %d fsync batches, %d link resumes\n",
-					net.WALAppends, net.WALSyncs, net.Resumes)
-			}
-			if m.diskPlan.Enabled() || m.checkpoint > 0 {
-				fmt.Fprintf(w, "storage     : %d durability faults, %d fail-stops, %d degradations, %d re-arms, %d checkpoints\n",
-					net.DurabilityFaults, net.FailStops, net.Degradations, net.Rearms, net.WALCheckpoints)
-			}
-			if m.netPlan.Enabled() {
-				fmt.Fprintf(w, "wire        : %s seed=%d: %d faults injected, %d corrupt frames rejected, %d quarantines, %d readmits\n",
-					m.netPlan.String(), m.netSeed, net.InjectedWire, net.CorruptFrames, net.PeerQuarantines, net.PeerReadmits)
-			}
-			if m.wan.Enabled() {
-				fmt.Fprintf(w, "wan         : %s seed=%d: %d frames delayed, %d writes shaped, %d cut-held\n",
-					m.wan.String(), m.wanSeed, net.WANDelayedFrames, net.WANShapedWrites, net.WANCutHeld)
-			}
-		}
+		reportNetwork(w, result.Stats.Net, m.env)
 	}
 	return nil
 }

@@ -109,7 +109,7 @@ func run(args []string, w io.Writer) error {
 		cfg := chc.ServiceConfig{
 			N:                *n,
 			InstanceDeadline: *deadline,
-			WALDir:           *walDir,
+			Env:              chc.Env{WALDir: *walDir},
 			Retention:        -1, // every record must survive to the post-drain audit
 		}
 		switch *transport {

@@ -50,6 +50,7 @@ func run() error {
 		}
 		return pts
 	}
+	chaos := chc.LightChaos()
 	cfg := chc.BatchConfig{
 		N: n,
 		Instances: []chc.BatchInstance{
@@ -60,10 +61,8 @@ func run() error {
 		Transport: chc.BatchTCP,
 		Timeout:   2 * time.Minute,
 		Seed:      11,
-		ChaosSeed: 11,
+		Env:       chc.Env{Chaos: &chaos, ChaosSeed: 11},
 	}
-	chaos := chc.LightChaos()
-	cfg.Chaos = &chaos
 
 	result, err := chc.RunBatch(cfg)
 	if err != nil {

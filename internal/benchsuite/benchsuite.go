@@ -497,10 +497,9 @@ func benchWANRegionalDecide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := service.New(service.Config{
-		N: n, Retention: 50 * time.Millisecond,
-		WAN: &plan, WANSeed: 1,
-	})
+	cfg := service.Config{N: n, Retention: 50 * time.Millisecond}
+	cfg.WAN, cfg.WANSeed = &plan, 1
+	srv, err := service.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

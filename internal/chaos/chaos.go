@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"chc/internal/dist"
+	"chc/internal/plan"
 	"chc/internal/wire"
 )
 
@@ -152,8 +153,8 @@ func NewWithClock(self dist.ProcID, n int, profile Profile, seed int64, next Sen
 	for to := range inj.links {
 		// Decorrelate links with a splitmix-style seed derivation.
 		s := uint64(seed)
-		s = s*0x9e3779b97f4a7c15 + uint64(self) + 1
-		s = s*0x9e3779b97f4a7c15 + uint64(to) + 1
+		s = s*plan.Golden + uint64(self) + 1
+		s = s*plan.Golden + uint64(to) + 1
 		inj.links[to] = &linkDice{rng: rand.New(rand.NewSource(int64(s)))}
 	}
 	return inj
@@ -280,7 +281,7 @@ func (inj *Injector) Close() error {
 // ParseProfile builds a profile from a compact CLI spec. Accepted forms:
 //
 //	off                      — zero profile
-//	light | heavy            — the presets above
+//	light | heavy            — the presets above; refinable ("heavy,drop=0.3")
 //	key=value[,key=value...] — custom profile with keys:
 //	    drop=0.2             frame drop probability
 //	    dup=0.1              duplication probability
@@ -291,25 +292,25 @@ func (inj *Injector) Close() error {
 //	                         per seed): frames 5..59 of each affected link
 func ParseProfile(spec string) (Profile, error) {
 	var p Profile
-	switch strings.ToLower(strings.TrimSpace(spec)) {
-	case "", "off", "none":
-		return Profile{}, nil
-	case "light":
-		return Light(), nil
-	case "heavy":
-		return Heavy(), nil
+	preset, settings, err := plan.Split(spec, func(s string) bool { return s == "light" || s == "heavy" })
+	if err != nil {
+		return p, fmt.Errorf("chaos: %w", err)
 	}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return p, fmt.Errorf("chaos: bad profile element %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(kv[0]), kv[1]
+	switch preset {
+	case "off":
+		return p, nil
+	case "light":
+		p = Light()
+	case "heavy":
+		p = Heavy()
+	}
+	for _, kv := range settings {
+		key, val := kv.Key, kv.Val
 		switch key {
 		case "drop", "dup":
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil || x < 0 || x >= 1 {
-				return p, fmt.Errorf("chaos: bad %s probability %q", key, val)
+			x, err := plan.Prob(val)
+			if err != nil {
+				return p, fmt.Errorf("chaos: %s: %w", key, err)
 			}
 			if key == "drop" {
 				p.Drop = x
@@ -317,7 +318,7 @@ func ParseProfile(spec string) (Profile, error) {
 				p.Dup = x
 			}
 		case "delay":
-			lo, hi, err := parseDurationRange(val)
+			lo, hi, err := plan.DurationRange(val)
 			if err != nil {
 				return p, fmt.Errorf("chaos: bad delay %q: %w", val, err)
 			}
@@ -334,7 +335,7 @@ func ParseProfile(spec string) (Profile, error) {
 				}
 				win.StartFrame, win.EndFrame = flo, fhi
 			} else {
-				lo, hi, err := parseDurationRange(bits[0])
+				lo, hi, err := plan.DurationRange(bits[0])
 				if err != nil {
 					return p, fmt.Errorf("chaos: bad partition window %q: %w", bits[0], err)
 				}
@@ -384,31 +385,6 @@ func parseFrameRange(s string) (lo, hi int64, ok bool, err error) {
 		return 0, 0, true, fmt.Errorf("invalid frame range %q", s)
 	}
 	return lo, hi, true, nil
-}
-
-// parseDurationRange parses "lo-hi" or a single "hi" duration.
-func parseDurationRange(s string) (lo, hi time.Duration, err error) {
-	// time.Duration strings never contain '-' except as a (disallowed here)
-	// sign, so splitting on the first '-' is unambiguous.
-	if i := strings.Index(s, "-"); i >= 0 {
-		lo, err = time.ParseDuration(strings.TrimSpace(s[:i]))
-		if err != nil {
-			return 0, 0, err
-		}
-		hi, err = time.ParseDuration(strings.TrimSpace(s[i+1:]))
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		hi, err = time.ParseDuration(strings.TrimSpace(s))
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	if lo < 0 || hi < lo {
-		return 0, 0, fmt.Errorf("invalid range %q", s)
-	}
-	return lo, hi, nil
 }
 
 // String renders the profile compactly for logs and tables.

@@ -281,6 +281,8 @@ func TestParseProfile(t *testing.T) {
 		{"part=5ms:0", true}, // single duration = window [0, 5ms)
 		{"part=9ms-5ms:0", false},
 		{"delay", false},
+		{"heavy,drop=0.3", true}, // presets refine like the other plan grammars
+		{"off,drop=0.3", false},
 	}
 	for _, c := range cases {
 		p, err := ParseProfile(c.spec)
@@ -317,5 +319,9 @@ func TestParseProfile(t *testing.T) {
 	}
 	if Light().Enabled() != true || (Profile{}).Enabled() != false {
 		t.Error("Enabled() misclassifies profiles")
+	}
+	refined, err := ParseProfile("heavy,drop=0.3")
+	if want := Heavy(); err != nil || refined.Drop != 0.3 || refined.Dup != want.Dup || len(refined.Partitions) != len(want.Partitions) {
+		t.Errorf("heavy,drop=0.3 = %+v, %v; want Heavy with Drop 0.3", refined, err)
 	}
 }

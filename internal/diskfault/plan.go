@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"chc/internal/plan"
 )
 
 // Plan is a declarative storage-fault schedule. Probabilities apply per
@@ -112,19 +114,15 @@ const (
 )
 
 // dice derives the deterministic roll for the k-th operation of one kind on
-// one path: a splitmix64 finalizer over (seed, file-name hash, kind, k).
-// The high 53 bits become a uniform float in [0,1); the raw word seeds any
-// secondary draw (torn fraction, delay point). Only the base name is
-// hashed, so the schedule is invariant to where the log directory lives.
+// one path: plan.Mix64 over (seed, file-name hash, kind, k). The roll is a
+// uniform float in [0,1); the raw word seeds any secondary draw (torn
+// fraction, delay point). Only the base name is hashed, so the schedule is
+// invariant to where the log directory lives.
 func (p Plan) dice(path string, kind int, k int64) (roll float64, raw uint64) {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(filepath.Base(path)))
-	x := uint64(p.Seed) ^ h.Sum64() ^ uint64(kind)*0x9e3779b97f4a7c15 ^ uint64(k)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53), x
+	raw = plan.Mix64(uint64(p.Seed) ^ h.Sum64() ^ uint64(kind)*plan.Golden ^ uint64(k))
+	return plan.Unit(raw), raw
 }
 
 // writeFate decides the k-th write on path. For a torn write, frac is the
@@ -180,31 +178,25 @@ func (p Plan) syncFate(path string, k int64) (fateKind, time.Duration) {
 // is supplied separately (it pairs with the run seed, like chaos).
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	parts := strings.Split(spec, ",")
-	switch strings.ToLower(strings.TrimSpace(parts[0])) {
-	case "", "off", "none":
-		if len(parts) > 1 {
-			return p, fmt.Errorf("diskfault: %q cannot be refined", parts[0])
-		}
-		return Plan{}, nil
+	preset, settings, err := plan.Split(spec, func(s string) bool { return s == "flaky" || s == "sick" })
+	if err != nil {
+		return p, fmt.Errorf("diskfault: %w", err)
+	}
+	switch preset {
+	case "off":
+		return p, nil
 	case "flaky":
 		p = Flaky()
-		parts = parts[1:]
 	case "sick":
 		p = Sick()
-		parts = parts[1:]
 	}
-	for _, part := range parts {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return p, fmt.Errorf("diskfault: bad plan element %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(kv[0]), kv[1]
+	for _, kv := range settings {
+		key, val := kv.Key, kv.Val
 		switch key {
 		case "werr", "nospc", "torn", "syncerr":
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil || x < 0 || x >= 1 {
-				return p, fmt.Errorf("diskfault: bad %s probability %q", key, val)
+			x, err := plan.Prob(val)
+			if err != nil {
+				return p, fmt.Errorf("diskfault: %s: %w", key, err)
 			}
 			switch key {
 			case "werr":
@@ -217,18 +209,14 @@ func ParsePlan(spec string) (Plan, error) {
 				p.SyncErrProb = x
 			}
 		case "slow":
-			bits := strings.SplitN(val, ":", 2)
-			x, err := strconv.ParseFloat(bits[0], 64)
-			if err != nil || x < 0 || x >= 1 {
-				return p, fmt.Errorf("diskfault: bad slow probability %q", val)
+			prob, window, ranged := strings.Cut(val, ":")
+			if p.SyncDelayProb, err = plan.Prob(prob); err != nil {
+				return p, fmt.Errorf("diskfault: slow: %w", err)
 			}
-			p.SyncDelayProb = x
-			if len(bits) == 2 {
-				lo, hi, err := parseDurationRange(bits[1])
-				if err != nil {
-					return p, fmt.Errorf("diskfault: bad slow range %q: %w", bits[1], err)
+			if ranged {
+				if p.SyncDelayMin, p.SyncDelayMax, err = plan.DurationRange(window); err != nil {
+					return p, fmt.Errorf("diskfault: bad slow range %q: %w", window, err)
 				}
-				p.SyncDelayMin, p.SyncDelayMax = lo, hi
 			} else if p.SyncDelayMax == 0 {
 				p.SyncDelayMax = time.Millisecond
 			}
@@ -251,29 +239,6 @@ func ParsePlan(spec string) (Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// parseDurationRange parses "lo-hi" or a single "hi" duration.
-func parseDurationRange(s string) (lo, hi time.Duration, err error) {
-	if i := strings.Index(s, "-"); i >= 0 {
-		lo, err = time.ParseDuration(strings.TrimSpace(s[:i]))
-		if err != nil {
-			return 0, 0, err
-		}
-		hi, err = time.ParseDuration(strings.TrimSpace(s[i+1:]))
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		hi, err = time.ParseDuration(strings.TrimSpace(s))
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	if lo < 0 || hi < lo {
-		return 0, 0, fmt.Errorf("invalid range %q", s)
-	}
-	return lo, hi, nil
 }
 
 // String renders the plan compactly for logs and tables (inverse of

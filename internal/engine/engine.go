@@ -20,13 +20,10 @@ import (
 	"fmt"
 	"time"
 
-	"chc/internal/chaos"
 	"chc/internal/dist"
 	"chc/internal/geom"
-	"chc/internal/netfault"
 	"chc/internal/runtime"
 	"chc/internal/telemetry"
-	"chc/internal/wal"
 	"chc/internal/wan"
 	"chc/internal/wire"
 )
@@ -95,8 +92,8 @@ func (t Transport) String() string {
 }
 
 // Options configures a run. Sim-only fields are rejected on networked
-// transports and vice versa, so a configuration cannot silently lose
-// meaning when the transport changes.
+// transports and vice versa (Env.Validate), so a configuration cannot
+// silently lose meaning when the transport changes.
 type Options struct {
 	Transport Transport
 
@@ -116,55 +113,13 @@ type Options struct {
 	// Timeout bounds networked runs (default 5 minutes).
 	Timeout time.Duration
 
-	// Chaos injects seeded link faults below the reliable-link layer
-	// (networked transports only).
-	Chaos     *chaos.Profile
-	ChaosSeed int64
-
-	// NetFaults corrupts the raw byte streams under the wire codec: bit
-	// flips, garbage, length-prefix mutation, truncation, mid-frame resets
-	// and stalls, deterministic per (seed, link, byte window). TCP only —
-	// the other transports exchange structured messages, not bytes.
-	NetFaults *netfault.Plan
-
-	// Wire tunes the TCP transport's write path: frame coalescing (the
-	// default), the flush-deadline batching window, and optional per-batch
-	// compression. TCP only; nil keeps the defaults.
-	Wire *runtime.WireConfig
-
-	// WAN shapes every link through a wide-area model (geo-topology delay
-	// matrix, jitter and heavy tails, bandwidth-derived queueing delay,
-	// one-way partition windows). All transports: the simulator runs it as a
-	// virtual-time scheduler (bitwise-deterministic per WANSeed, exclusive
-	// with Scheduler), the networked runtimes shape frames/connections on
-	// the wall clock. Delay-only — it never drops, so it composes with every
-	// fault option without consuming crash budget.
-	WAN     *wan.Plan
-	WANSeed int64
-
-	// WALDir enables write-ahead logging: every node journals its delivered
-	// messages (each carrying its instance field) before acknowledging them,
-	// so any node can be reconstructed mid-protocol. Networked only.
-	WALDir string
-	// Inputs, when non-nil, are journaled per process for audit.
+	// Inputs, when non-nil, are journaled per process for audit (WALDir).
 	Inputs []geom.Point
-	// Restarts schedules crash-recovery faults: kill after a send budget,
-	// relaunch from the WAL. Requires WALDir. Networked only.
-	Restarts []runtime.RestartPlan
 
-	// WALFS is the filesystem the journals write through (nil = host).
-	// Wrapping it with a diskfault.FS injects storage faults under the
-	// logs. Requires WALDir.
-	WALFS wal.FS
-	// Checkpoint enables periodic WAL snapshot + segment rotation, so
-	// recovery replays snapshot + tail instead of the whole history and
-	// compaction bounds the on-disk size. Requires WALDir.
-	Checkpoint wal.CheckpointPolicy
-	// Durability decides what a node does when its journal stops accepting
-	// writes: fail-stop (default, the node becomes a crash fault) or
-	// degrade (quarantine into non-durable mode with background re-arm).
-	// Requires WALDir.
-	Durability runtime.DurabilityPolicy
+	// Env is the cluster environment: link faults, wire tuning, the WAN
+	// model, write-ahead logging and restarts. On the simulator only WAN is
+	// accepted, and it is exclusive with Scheduler.
+	Env
 }
 
 // Result is the outcome of a run. Participants are reached through Sub (or
@@ -244,35 +199,16 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	if opts.Sizer == nil {
 		opts.Sizer = wire.MessageSize
 	}
-	switch opts.Transport {
-	case TransportSim:
-		if opts.Chaos != nil || opts.WALDir != "" || len(opts.Restarts) > 0 {
-			return nil, errors.New("engine: chaos, WAL and restarts need a networked transport (the simulator has no link layer)")
-		}
-		if opts.WAN != nil && opts.WAN.Enabled() && opts.Scheduler != nil {
-			return nil, errors.New("engine: WAN and Scheduler both drive simulator delivery order; set one")
-		}
-		if opts.WALFS != nil || opts.Checkpoint.Enabled() || opts.Durability != runtime.FailStop {
-			return nil, errors.New("engine: WAL filesystem, checkpointing and durability policy need a networked transport with WALDir")
-		}
-		if opts.NetFaults != nil {
-			return nil, errors.New("engine: byte-stream fault injection needs the TCP transport (the simulator has no byte streams)")
-		}
-		if opts.Wire != nil {
-			return nil, errors.New("engine: wire write-path tuning needs the TCP transport (the simulator has no wire)")
-		}
-	case TransportChannel, TransportTCP:
-		if opts.Scheduler != nil {
+	if err := opts.Env.Validate(opts.Transport); err != nil {
+		return nil, err
+	}
+	if opts.Scheduler != nil {
+		if opts.Transport != TransportSim {
 			return nil, errors.New("engine: schedulers only drive the simulator; networked delivery order is real concurrency")
 		}
-		if opts.NetFaults != nil && opts.Transport != TransportTCP {
-			return nil, errors.New("engine: byte-stream fault injection needs the TCP transport (channel clusters have no byte streams)")
+		if opts.hasWAN() {
+			return nil, errors.New("engine: WAN and Scheduler both drive simulator delivery order; set one")
 		}
-		if opts.Wire != nil && opts.Transport != TransportTCP {
-			return nil, errors.New("engine: wire write-path tuning needs the TCP transport (channel clusters have no wire)")
-		}
-	default:
-		return nil, fmt.Errorf("engine: unknown transport %d", int(opts.Transport))
 	}
 
 	// The run is tracked only past this point, so configuration errors never
@@ -338,7 +274,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 
 // runSim drives the nodes with the deterministic simulator.
 func runSim(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Result, error) {
-	if opts.WAN != nil && opts.WAN.Enabled() {
+	if opts.hasWAN() {
 		sched, err := wan.NewSimScheduler(*opts.WAN, spec.N, opts.WANSeed)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
@@ -375,59 +311,22 @@ func runSim(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Resu
 // runCluster drives the nodes with the goroutine runtime over channels or
 // TCP, layering on the requested fault stack.
 func runCluster(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Result, error) {
-	runOpts := []runtime.Option{runtime.WithSizer(opts.Sizer)}
-	if opts.WALDir != "" {
-		runOpts = append(runOpts, runtime.WithRecovery(runtime.RecoveryConfig{
-			Dir: opts.WALDir,
-			// The factory rebuilds the whole multiplexing node: replay then
-			// drives the journaled deliveries — each stamped with its
-			// instance — through it, reconstructing every hosted instance.
-			// Specs were validated by the eager construction above, so a
-			// failure here is replay-level corruption, which the recovery
-			// machinery reports by catching this panic.
-			Factory: func(i int) dist.Process {
-				nd, err := buildNode(spec, dist.ProcID(i))
-				if err != nil {
-					panic(err)
-				}
-				return nd
-			},
-			Inputs:     opts.Inputs,
-			FS:         opts.WALFS,
-			Checkpoint: opts.Checkpoint,
-			Durability: opts.Durability,
-		}))
-	} else if opts.WALFS != nil || opts.Checkpoint.Enabled() || opts.Durability != runtime.FailStop {
-		return nil, errors.New("engine: WAL filesystem, checkpointing and durability policy require WALDir")
-	}
-	if len(opts.Restarts) > 0 {
-		runOpts = append(runOpts, runtime.WithRestarts(opts.Restarts...))
-	}
-	if len(opts.Crashes) > 0 {
-		runOpts = append(runOpts, runtime.WithCrashes(opts.Crashes...))
-	}
-	if opts.Chaos != nil {
-		runOpts = append(runOpts, runtime.WithChaos(*opts.Chaos, opts.ChaosSeed))
-	}
-	if opts.NetFaults != nil {
-		runOpts = append(runOpts, runtime.WithNetFaults(*opts.NetFaults))
-	}
-	if opts.Wire != nil {
-		runOpts = append(runOpts, runtime.WithWire(*opts.Wire))
-	}
-	if opts.WAN != nil && opts.WAN.Enabled() {
-		runOpts = append(runOpts, runtime.WithWAN(*opts.WAN, opts.WANSeed))
-	}
-	var (
-		cluster *runtime.Cluster
-		err     error
-	)
-	switch opts.Transport {
-	case TransportChannel:
-		cluster, err = runtime.NewChannelCluster(procs, runOpts...)
-	case TransportTCP:
-		cluster, err = runtime.NewTCPCluster(procs, runOpts...)
-	}
+	cluster, err := newCluster(opts.Transport, procs, opts.options(opts.Sizer, opts.Crashes, runtime.RecoveryConfig{
+		// The factory rebuilds the whole multiplexing node: replay then
+		// drives the journaled deliveries — each stamped with its
+		// instance — through it, reconstructing every hosted instance.
+		// Specs were validated by the eager construction above, so a
+		// failure here is replay-level corruption, which the recovery
+		// machinery reports by catching this panic.
+		Factory: func(i int) dist.Process {
+			nd, err := buildNode(spec, dist.ProcID(i))
+			if err != nil {
+				panic(err)
+			}
+			return nd
+		},
+		Inputs: opts.Inputs,
+	}))
 	if err != nil {
 		return nil, err
 	}

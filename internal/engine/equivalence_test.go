@@ -449,10 +449,12 @@ func TestNetworkedRecoveryVectorByzantine(t *testing.T) {
 		}},
 		engine.Options{
 			Transport: engine.TransportChannel,
-			Chaos:     &light, ChaosSeed: 3,
-			WALDir:   t.TempDir(),
-			Restarts: []runtime.RestartPlan{{Proc: 1, KillAfterSends: 10, Downtime: 5 * time.Millisecond}},
-			Timeout:  120 * time.Second,
+			Env: engine.Env{
+				Chaos: &light, ChaosSeed: 3,
+				WALDir:   t.TempDir(),
+				Restarts: []runtime.RestartPlan{{Proc: 1, KillAfterSends: 10, Downtime: 5 * time.Millisecond}},
+			},
+			Timeout: 120 * time.Second,
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -133,9 +133,11 @@ func TestLostTailResidentExits(t *testing.T) {
 	}}
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportChannel,
-		WALDir:    dir,
-		WALFS:     fs,
-		Restarts:  []runtime.RestartPlan{{Proc: 2, KillAfterSends: 200, Downtime: 3 * time.Millisecond}},
+		Env: engine.Env{
+			WALDir:   dir,
+			WALFS:    fs,
+			Restarts: []runtime.RestartPlan{{Proc: 2, KillAfterSends: 200, Downtime: 3 * time.Millisecond}},
+		},
 	})
 	if err != nil {
 		t.Fatalf("StartResident: %v", err)
@@ -247,11 +249,13 @@ func TestLostTailControlLostBeforeCommit(t *testing.T) {
 	}}
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportChannel,
-		WALDir:    dir,
-		WALFS:     fs,
-		// Never killed by budget: the plan only lets the supervisor relaunch
-		// the node after its fail-stop.
-		Restarts: []runtime.RestartPlan{{Proc: 2, KillAfterSends: 1 << 30, Downtime: 50 * time.Millisecond}},
+		Env: engine.Env{
+			WALDir: dir,
+			WALFS:  fs,
+			// Never killed by budget: the plan only lets the supervisor relaunch
+			// the node after its fail-stop.
+			Restarts: []runtime.RestartPlan{{Proc: 2, KillAfterSends: 1 << 30, Downtime: 50 * time.Millisecond}},
+		},
 	})
 	if err != nil {
 		t.Fatalf("StartResident: %v", err)

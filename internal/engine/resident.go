@@ -6,12 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"chc/internal/chaos"
 	"chc/internal/dist"
-	"chc/internal/netfault"
 	"chc/internal/runtime"
-	"chc/internal/wal"
-	"chc/internal/wan"
 	"chc/internal/wire"
 )
 
@@ -23,9 +19,8 @@ var ErrEngineClosed = errors.New("engine: resident engine is closed to new insta
 // the deadline.
 var ErrDrainTimeout = errors.New("engine: drain timed out")
 
-// ResidentOptions configures a resident engine. The fault stack mirrors
-// Options, minus the simulator-only fields: a resident engine is a live
-// cluster, so it only runs on the networked transports.
+// ResidentOptions configures a resident engine: Options minus the
+// simulator-only fields, since a resident engine is a live cluster.
 type ResidentOptions struct {
 	// Transport selects the executor: TransportChannel or TransportTCP.
 	// The simulator cannot host a resident cluster (it has no notion of
@@ -35,46 +30,18 @@ type ResidentOptions struct {
 	// Sizer estimates per-message bytes for Stats (default wire.MessageSize).
 	Sizer func(dist.Message) int
 
-	// Chaos injects seeded link faults below the reliable-link layer.
-	Chaos     *chaos.Profile
-	ChaosSeed int64
-
-	// NetFaults corrupts the raw byte streams under the wire codec (TCP only).
-	NetFaults *netfault.Plan
-
-	// Wire tunes the TCP transport's write path (TCP only).
-	Wire *runtime.WireConfig
-
-	// WAN shapes every link through a wide-area model (geo-topology delay
-	// matrix, jitter/tails, bandwidth queueing, one-way partition windows).
-	// Delay-only, so it composes with the whole fault stack. When set, the
-	// engine also attributes each instance's open-to-decide latency to the
-	// deciding process's region (chc_wan_region_decide_seconds).
-	WAN     *wan.Plan
-	WANSeed int64
-
 	// Crashes schedules crash-stop faults against the resident cluster:
 	// each process stops sending after its budget, without the relaunch a
 	// RestartPlan would provide. Service tests use this to create instances
 	// that can never decide.
 	Crashes []dist.CrashPlan
 
-	// WALDir enables write-ahead logging. Instance lifecycle (opens and
-	// closes) is journaled in-band, so a relaunched node recovers not just
-	// its protocol state but which instances it was hosting.
-	WALDir string
-	// WALFS is the filesystem the journals write through (nil = host).
-	WALFS wal.FS
-	// Checkpoint enables WAL snapshot + segment rotation (requires WALDir).
-	Checkpoint wal.CheckpointPolicy
-	// Durability selects the policy applied when a node's journal fails
-	// (requires WALDir; default fail-stop).
-	Durability runtime.DurabilityPolicy
-
-	// Restarts schedules crash-recovery faults against the resident
-	// cluster: kill after a send budget, relaunch from the WAL mid-stream.
-	// Requires WALDir.
-	Restarts []runtime.RestartPlan
+	// Env is the cluster environment. With WALDir, instance lifecycle (opens
+	// and closes) is journaled in-band, so a relaunched node recovers not
+	// just its protocol state but which instances it was hosting; with WAN,
+	// each instance's open-to-decide latency is attributed to the deciding
+	// process's region (chc_wan_region_decide_seconds).
+	Env
 
 	// RetireEvery is the WAL retention horizon: after every RetireEvery
 	// retired instances, the engine checkpoints and compacts every node's
@@ -180,29 +147,14 @@ func StartResident(n int, opts ResidentOptions) (*Resident, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: N = %d", n)
 	}
-	switch opts.Transport {
-	case TransportChannel, TransportTCP:
-	case TransportSim:
+	if opts.Transport == TransportSim {
 		return nil, errors.New("engine: a resident engine needs a networked transport (the simulator cannot host a live cluster)")
-	default:
-		return nil, fmt.Errorf("engine: unknown transport %d", int(opts.Transport))
 	}
-	if opts.NetFaults != nil && opts.Transport != TransportTCP {
-		return nil, errors.New("engine: byte-stream fault injection needs the TCP transport (channel clusters have no byte streams)")
+	if err := opts.Env.Validate(opts.Transport); err != nil {
+		return nil, err
 	}
-	if opts.Wire != nil && opts.Transport != TransportTCP {
-		return nil, errors.New("engine: wire write-path tuning needs the TCP transport (channel clusters have no wire)")
-	}
-	if opts.WALDir == "" {
-		if len(opts.Restarts) > 0 {
-			return nil, errors.New("engine: restarts require WALDir")
-		}
-		if opts.WALFS != nil || opts.Checkpoint.Enabled() || opts.Durability != runtime.FailStop {
-			return nil, errors.New("engine: WAL filesystem, checkpointing and durability policy require WALDir")
-		}
-		if opts.RetireEvery > 0 {
-			return nil, errors.New("engine: the WAL retention horizon (RetireEvery) requires WALDir")
-		}
+	if opts.RetireEvery > 0 && opts.WALDir == "" {
+		return nil, errors.New("engine: the WAL retention horizon (RetireEvery) requires WALDir")
 	}
 	if opts.Sizer == nil {
 		opts.Sizer = wire.MessageSize
@@ -212,58 +164,23 @@ func StartResident(n int, opts ResidentOptions) (*Resident, error) {
 	for i := range procs {
 		procs[i] = newResidentNode(r, dist.ProcID(i))
 	}
-	runOpts := []runtime.Option{runtime.WithSizer(opts.Sizer)}
-	if opts.WALDir != "" {
-		runOpts = append(runOpts, runtime.WithRecovery(runtime.RecoveryConfig{
-			Dir: opts.WALDir,
-			// A fresh lifecycle node over the same registry: replaying the
-			// journaled controls and deliveries rebuilds every instance the
-			// node hosted, in the original order.
-			Factory: func(i int) dist.Process {
-				return newResidentNode(r, dist.ProcID(i))
-			},
-			FS:         opts.WALFS,
-			Checkpoint: opts.Checkpoint,
-			Durability: opts.Durability,
-			// The retention horizon compacts on demand, which needs the
-			// in-memory state mirror even without a periodic policy.
-			Mirror:     opts.RetireEvery > 0,
-			OnRelaunch: r.reconcile,
-			// The engine's own mutex gates the relaunch swap: Open and
-			// retirement fan-outs hold it around their control enqueues, so a
-			// relaunched incarnation becomes reachable and is reconciled in
-			// one critical section — no enqueue can slip between the two.
-			RelaunchGate: &r.mu,
-		}))
-	}
-	if len(opts.Restarts) > 0 {
-		runOpts = append(runOpts, runtime.WithRestarts(opts.Restarts...))
-	}
-	if len(opts.Crashes) > 0 {
-		runOpts = append(runOpts, runtime.WithCrashes(opts.Crashes...))
-	}
-	if opts.Chaos != nil {
-		runOpts = append(runOpts, runtime.WithChaos(*opts.Chaos, opts.ChaosSeed))
-	}
-	if opts.NetFaults != nil {
-		runOpts = append(runOpts, runtime.WithNetFaults(*opts.NetFaults))
-	}
-	if opts.Wire != nil {
-		runOpts = append(runOpts, runtime.WithWire(*opts.Wire))
-	}
-	if opts.WAN != nil && opts.WAN.Enabled() {
-		runOpts = append(runOpts, runtime.WithWAN(*opts.WAN, opts.WANSeed))
-	}
-	var (
-		cluster *runtime.Cluster
-		err     error
-	)
-	switch opts.Transport {
-	case TransportChannel:
-		cluster, err = runtime.NewChannelCluster(procs, runOpts...)
-	case TransportTCP:
-		cluster, err = runtime.NewTCPCluster(procs, runOpts...)
-	}
+	cluster, err := newCluster(opts.Transport, procs, opts.options(opts.Sizer, opts.Crashes, runtime.RecoveryConfig{
+		// A fresh lifecycle node over the same registry: replaying the
+		// journaled controls and deliveries rebuilds every instance the
+		// node hosted, in the original order.
+		Factory: func(i int) dist.Process {
+			return newResidentNode(r, dist.ProcID(i))
+		},
+		// The retention horizon compacts on demand, which needs the
+		// in-memory state mirror even without a periodic policy.
+		Mirror:     opts.RetireEvery > 0,
+		OnRelaunch: r.reconcile,
+		// The engine's own mutex gates the relaunch swap: Open and
+		// retirement fan-outs hold it around their control enqueues, so a
+		// relaunched incarnation becomes reachable and is reconciled in
+		// one critical section — no enqueue can slip between the two.
+		RelaunchGate: &r.mu,
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -281,11 +281,13 @@ func TestResidentRestartFromWALMidStream(t *testing.T) {
 	prof := chaos.Profile{Drop: 0.05, Dup: 0.02, DelayMax: 2 * time.Millisecond}
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportTCP,
-		WALDir:    dir,
-		Chaos:     &prof,
-		ChaosSeed: 7,
-		Restarts: []runtime.RestartPlan{
-			{Proc: 2, KillAfterSends: 120, Downtime: 30 * time.Millisecond},
+		Env: engine.Env{
+			WALDir:    dir,
+			Chaos:     &prof,
+			ChaosSeed: 7,
+			Restarts: []runtime.RestartPlan{
+				{Proc: 2, KillAfterSends: 120, Downtime: 30 * time.Millisecond},
+			},
 		},
 	})
 	if err != nil {
@@ -360,9 +362,11 @@ func TestResidentConcurrentOpensAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportTCP,
-		WALDir:    dir,
-		Restarts: []runtime.RestartPlan{
-			{Proc: 1, KillAfterSends: 60, Downtime: 40 * time.Millisecond},
+		Env: engine.Env{
+			WALDir: dir,
+			Restarts: []runtime.RestartPlan{
+				{Proc: 1, KillAfterSends: 60, Downtime: 40 * time.Millisecond},
+			},
 		},
 	})
 	if err != nil {

@@ -120,8 +120,7 @@ func runBatchCell(n, f, d int, eps float64, profile *chaos.Profile, crashes []di
 		},
 		Transport: engine.TransportTCP,
 		Seed:      seed,
-		Chaos:     profile,
-		ChaosSeed: seed,
+		Env:       engine.Env{Chaos: profile, ChaosSeed: seed},
 		Timeout:   120 * time.Second,
 	}
 	if recovery {

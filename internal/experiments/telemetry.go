@@ -154,8 +154,7 @@ func runTelemetryCell(params core.Params, profile *chaos.Profile, crashes []dist
 		},
 		Transport: engine.TransportTCP,
 		Seed:      seed,
-		Chaos:     profile,
-		ChaosSeed: seed,
+		Env:       engine.Env{Chaos: profile, ChaosSeed: seed},
 		Timeout:   120 * time.Second,
 	}
 	if recovery {

@@ -153,10 +153,7 @@ func runWANCell(params core.Params, plan wan.Plan, spec string, profile *chaos.P
 		},
 		Transport: engine.TransportTCP,
 		Seed:      seed,
-		Chaos:     profile,
-		ChaosSeed: seed,
-		WAN:       &plan,
-		WANSeed:   seed,
+		Env:       engine.Env{Chaos: profile, ChaosSeed: seed, WAN: &plan, WANSeed: seed},
 		Timeout:   120 * time.Second,
 	}
 	if recovery {

@@ -18,18 +18,14 @@ import (
 	"time"
 
 	"chc/internal/byzantine"
-	"chc/internal/chaos"
 	"chc/internal/core"
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/geom"
-	"chc/internal/netfault"
 	"chc/internal/polytope"
 	"chc/internal/runtime"
 	"chc/internal/telemetry"
 	"chc/internal/vectorconsensus"
-	"chc/internal/wal"
-	"chc/internal/wan"
 )
 
 // ProtocolKind selects the state machine an instance runs.
@@ -101,37 +97,10 @@ type BatchConfig struct {
 	// Timeout bounds networked runs (default: the engine's 5 minutes).
 	Timeout time.Duration
 
-	// Chaos injects seeded link faults (networked transports only).
-	Chaos     *chaos.Profile
-	ChaosSeed int64
-
-	// NetFaults corrupts the raw byte streams under the wire codec (TCP
-	// transport only).
-	NetFaults *netfault.Plan
-
-	// Wire tunes the TCP transport's write path (coalescing, flush
-	// deadline, compression); nil keeps the defaults. TCP transport only.
-	Wire *runtime.WireConfig
-
-	// WAN shapes every link through a wide-area model (all transports: a
-	// virtual-time scheduler on the simulator, wall-clock shaping on the
-	// networked transports). Delay-only, so it composes with Chaos and
-	// NetFaults without consuming crash budgets.
-	WAN     *wan.Plan
-	WANSeed int64
-
-	// WALDir enables write-ahead logging; every journaled delivery carries
-	// its instance, so a restarted node replays the whole batch it hosts.
-	WALDir string
-
-	// WALFS is the filesystem the journals write through (nil = host);
-	// storage fault injection (package diskfault) hooks in here.
-	WALFS wal.FS
-	// Checkpoint enables WAL snapshot + segment rotation (requires WALDir).
-	Checkpoint wal.CheckpointPolicy
-	// Durability selects the policy applied when a node's journal fails
-	// (requires WALDir; default fail-stop).
-	Durability runtime.DurabilityPolicy
+	// Env is the cluster environment (link faults, wire tuning, WAN model,
+	// write-ahead logging). Every journaled delivery carries its instance,
+	// so a restarted node replays the whole batch it hosts.
+	engine.Env
 
 	// Recover converts Crashes from crash-stop faults into crash-recovery
 	// faults: each planned crash kills the node mid-protocol, keeps it down
@@ -241,45 +210,25 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	if cfg.Recover && cfg.WALDir == "" {
 		return nil, errors.New("multiplex: Recover requires WALDir")
 	}
-	if cfg.WALDir == "" && (cfg.WALFS != nil || cfg.Checkpoint.Enabled() || cfg.Durability != runtime.FailStop) {
-		return nil, errors.New("multiplex: WALFS, Checkpoint and Durability require WALDir")
-	}
 	if cfg.TelemetryAddr != "" {
 		if _, err := telemetry.EnsureServer(cfg.TelemetryAddr); err != nil {
 			return nil, err
 		}
 	}
 	opts := engine.Options{
-		Transport:  cfg.Transport,
-		Seed:       cfg.Seed,
-		Scheduler:  cfg.Scheduler,
-		Crashes:    cfg.Crashes,
-		Timeout:    cfg.Timeout,
-		Chaos:      cfg.Chaos,
-		ChaosSeed:  cfg.ChaosSeed,
-		NetFaults:  cfg.NetFaults,
-		Wire:       cfg.Wire,
-		WAN:        cfg.WAN,
-		WANSeed:    cfg.WANSeed,
-		WALDir:     cfg.WALDir,
-		WALFS:      cfg.WALFS,
-		Checkpoint: cfg.Checkpoint,
-		Durability: cfg.Durability,
+		Transport: cfg.Transport,
+		Seed:      cfg.Seed,
+		Scheduler: cfg.Scheduler,
+		Crashes:   cfg.Crashes,
+		Timeout:   cfg.Timeout,
+		Env:       cfg.Env,
 	}
 	if cfg.Recover {
 		// Crash-recovery kills are not crash-stop faults: the node comes back
 		// and must complete every hosted instance, so the crash plans become
 		// restart plans instead.
 		opts.Crashes = nil
-		plans := make([]runtime.RestartPlan, 0, len(cfg.Crashes))
-		for _, cp := range cfg.Crashes {
-			plans = append(plans, runtime.RestartPlan{
-				Proc:           cp.Proc,
-				KillAfterSends: cp.AfterSends,
-				Downtime:       cfg.RecoverDowntime,
-			})
-		}
-		opts.Restarts = plans
+		opts.Restarts = engine.RestartPlans(cfg.Crashes, cfg.RecoverDowntime)
 	}
 	res, runErr := engine.Run(spec, opts)
 	if res == nil {

@@ -7,17 +7,13 @@ import (
 	"time"
 
 	"chc/internal/byzantine"
-	"chc/internal/chaos"
 	"chc/internal/core"
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/geom"
-	"chc/internal/netfault"
 	"chc/internal/polytope"
 	"chc/internal/runtime"
 	"chc/internal/vectorconsensus"
-	"chc/internal/wal"
-	"chc/internal/wan"
 )
 
 // SessionConfig describes a resident session: one warm cluster over which
@@ -30,40 +26,16 @@ type SessionConfig struct {
 	// simulator cannot host one; the zero value means TransportChannel.
 	Transport engine.Transport
 
-	// Chaos injects seeded link faults (all session transports).
-	Chaos     *chaos.Profile
-	ChaosSeed int64
-
-	// NetFaults corrupts the raw byte streams under the wire codec (TCP only).
-	NetFaults *netfault.Plan
-
-	// Wire tunes the TCP transport's write path (TCP only).
-	Wire *runtime.WireConfig
-
-	// WAN shapes every link through a wide-area model (delay-only; composes
-	// with the whole fault stack). Decide latencies are attributed to the
-	// deciding process's region.
-	WAN     *wan.Plan
-	WANSeed int64
-
 	// Crashes schedules crash-stop faults against the session's cluster:
 	// the process stops mid-protocol and never returns, so instances that
 	// depend on it can only finish via an abort or deadline.
 	Crashes []dist.CrashPlan
 
-	// WALDir enables write-ahead logging; the dynamic instance lifecycle is
-	// journaled in-band, so restarted nodes recover mid-stream.
-	WALDir string
-	// WALFS is the filesystem the journals write through (nil = host).
-	WALFS wal.FS
-	// Checkpoint enables WAL snapshot + segment rotation (requires WALDir).
-	Checkpoint wal.CheckpointPolicy
-	// Durability selects the journal-failure policy (requires WALDir).
-	Durability runtime.DurabilityPolicy
-
-	// Restarts schedules crash-recovery faults against the session's
-	// cluster (requires WALDir).
-	Restarts []runtime.RestartPlan
+	// Env is the cluster environment. With WALDir the dynamic instance
+	// lifecycle is journaled in-band, so restarted nodes recover mid-stream;
+	// with WAN, decide latencies are attributed to the deciding process's
+	// region.
+	engine.Env
 
 	// RetireCheckpoint is the WAL retention horizon: checkpoint + compact
 	// every journal after this many retired instances, bounding replay work
@@ -217,18 +189,8 @@ func OpenSession(cfg SessionConfig) (*Session, error) {
 	}
 	eng, err := engine.StartResident(cfg.N, engine.ResidentOptions{
 		Transport:   tr,
-		Chaos:       cfg.Chaos,
-		ChaosSeed:   cfg.ChaosSeed,
-		NetFaults:   cfg.NetFaults,
-		Wire:        cfg.Wire,
-		WALDir:      cfg.WALDir,
-		WALFS:       cfg.WALFS,
-		Checkpoint:  cfg.Checkpoint,
-		Durability:  cfg.Durability,
-		Restarts:    cfg.Restarts,
-		WAN:         cfg.WAN,
-		WANSeed:     cfg.WANSeed,
 		Crashes:     cfg.Crashes,
+		Env:         cfg.Env,
 		RetireEvery: cfg.RetireCheckpoint,
 	})
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"chc/internal/plan"
 )
 
 // Plan is a declarative byte-stream fault schedule. Probabilities apply per
@@ -132,18 +134,14 @@ func (f fateKind) String() string {
 }
 
 // dice derives the deterministic roll for the k-th byte window of one link:
-// a splitmix64 finalizer over (seed, link hash, k), mirroring diskfault.
-// The high 53 bits become a uniform float in [0,1); the raw word seeds any
-// secondary draw (bit position, garbage run, stall point).
+// plan.Mix64 over (seed, link hash, k), mirroring diskfault. The roll is a
+// uniform float in [0,1); the raw word seeds any secondary draw (bit
+// position, garbage run, stall point).
 func (p Plan) dice(link string, k int64) (roll float64, raw uint64) {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(link))
-	x := uint64(p.Seed) ^ h.Sum64() ^ uint64(k)*0x9e3779b97f4a7c15
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53), x
+	raw = plan.Mix64(uint64(p.Seed) ^ h.Sum64() ^ uint64(k)*plan.Golden)
+	return plan.Unit(raw), raw
 }
 
 // fate decides window k of a link stream: one roll cascaded over the fault
@@ -214,31 +212,25 @@ func (p Plan) withDefaults() Plan {
 // diskfault).
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	parts := strings.Split(spec, ",")
-	switch strings.ToLower(strings.TrimSpace(parts[0])) {
-	case "", "off", "none":
-		if len(parts) > 1 {
-			return p, fmt.Errorf("netfault: %q cannot be refined", parts[0])
-		}
-		return Plan{}, nil
+	preset, settings, err := plan.Split(spec, func(s string) bool { return s == "flaky" || s == "hostile" })
+	if err != nil {
+		return p, fmt.Errorf("netfault: %w", err)
+	}
+	switch preset {
+	case "off":
+		return p, nil
 	case "flaky":
 		p = Flaky()
-		parts = parts[1:]
 	case "hostile":
 		p = Hostile()
-		parts = parts[1:]
 	}
-	for _, part := range parts {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return p, fmt.Errorf("netfault: bad plan element %q (want key=value)", part)
-		}
-		key, val := strings.ToLower(kv[0]), kv[1]
+	for _, kv := range settings {
+		key, val := kv.Key, kv.Val
 		switch key {
 		case "flip", "garbage", "lenmut", "trunc", "reset":
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil || x < 0 || x >= 1 {
-				return p, fmt.Errorf("netfault: bad %s probability %q", key, val)
+			x, err := plan.Prob(val)
+			if err != nil {
+				return p, fmt.Errorf("netfault: %s: %w", key, err)
 			}
 			switch key {
 			case "flip":
@@ -253,18 +245,14 @@ func ParsePlan(spec string) (Plan, error) {
 				p.ResetProb = x
 			}
 		case "stall":
-			bits := strings.SplitN(val, ":", 2)
-			x, err := strconv.ParseFloat(bits[0], 64)
-			if err != nil || x < 0 || x >= 1 {
-				return p, fmt.Errorf("netfault: bad stall probability %q", val)
+			prob, window, ranged := strings.Cut(val, ":")
+			if p.StallProb, err = plan.Prob(prob); err != nil {
+				return p, fmt.Errorf("netfault: stall: %w", err)
 			}
-			p.StallProb = x
-			if len(bits) == 2 {
-				lo, hi, err := parseDurationRange(bits[1])
-				if err != nil {
-					return p, fmt.Errorf("netfault: bad stall range %q: %w", bits[1], err)
+			if ranged {
+				if p.StallMin, p.StallMax, err = plan.DurationRange(window); err != nil {
+					return p, fmt.Errorf("netfault: bad stall range %q: %w", window, err)
 				}
-				p.StallMin, p.StallMax = lo, hi
 			} else if p.StallMax == 0 {
 				p.StallMax = time.Millisecond
 			}
@@ -287,29 +275,6 @@ func ParsePlan(spec string) (Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// parseDurationRange parses "lo-hi" or a single "hi" duration.
-func parseDurationRange(s string) (lo, hi time.Duration, err error) {
-	if i := strings.Index(s, "-"); i >= 0 {
-		lo, err = time.ParseDuration(strings.TrimSpace(s[:i]))
-		if err != nil {
-			return 0, 0, err
-		}
-		hi, err = time.ParseDuration(strings.TrimSpace(s[i+1:]))
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		hi, err = time.ParseDuration(strings.TrimSpace(s))
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	if lo < 0 || hi < lo {
-		return 0, 0, fmt.Errorf("invalid range %q", s)
-	}
-	return lo, hi, nil
 }
 
 // String renders the plan compactly for logs and tables (inverse of

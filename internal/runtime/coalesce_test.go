@@ -53,7 +53,7 @@ func coalesceTestFrames(t *testing.T) [][]byte {
 			Type: wire.FrameData, From: 0, Seq: uint64(i),
 			Msg: dist.Message{From: 0, To: 1, Kind: "state", Round: i, Payload: wire.PolytopePayload{Verts: verts}},
 		}
-		b, err := wire.EncodeFrame(f)
+		b, err := wire.AppendFrame(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}

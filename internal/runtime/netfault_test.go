@@ -111,7 +111,7 @@ func TestCorruptHandshakeDoesNotResume(t *testing.T) {
 	// flipped in flight. If the transport trusted it, node 1 would count a
 	// resume and trim its send queue to the bogus ack.
 	hs := wire.Frame{Type: wire.FrameHandshake, From: 0, Seq: 99, Epoch: 7, Ack: 98}
-	b, err := wire.EncodeFrame(hs)
+	b, err := wire.AppendFrame(nil, hs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,9 @@ import (
 	"sync"
 	"time"
 
-	"chc/internal/chaos"
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/multiplex"
-	"chc/internal/netfault"
-	"chc/internal/runtime"
-	"chc/internal/wal"
-	"chc/internal/wan"
 )
 
 // Admission errors. The HTTP layer maps ErrOverloaded to 429 and
@@ -49,22 +44,12 @@ type Config struct {
 	// daemon deployment uses engine.TransportTCP).
 	Transport engine.Transport
 
-	// Fault stack, forwarded to the resident session.
-	Chaos      *chaos.Profile
-	ChaosSeed  int64
-	NetFaults  *netfault.Plan
-	Wire       *runtime.WireConfig
-	WALDir     string
-	WALFS      wal.FS
-	Checkpoint wal.CheckpointPolicy
-	Durability runtime.DurabilityPolicy
-	Restarts   []runtime.RestartPlan
-	Crashes    []dist.CrashPlan
+	// Crashes schedules crash-stop faults against the cluster's processes.
+	Crashes []dist.CrashPlan
 
-	// WAN shapes the cluster's links through a wide-area model (geo
-	// topology, jitter, bandwidth, one-way partition windows). Delay-only.
-	WAN     *wan.Plan
-	WANSeed int64
+	// Env is the cluster environment, forwarded whole to the resident
+	// session.
+	engine.Env
 
 	// WALRetire is the WAL retention horizon: after every WALRetire retired
 	// instances the engine checkpoints and compacts each node's journal, so
@@ -188,18 +173,8 @@ func New(cfg Config) (*Server, error) {
 	session, err := multiplex.OpenSession(multiplex.SessionConfig{
 		N:                cfg.N,
 		Transport:        cfg.Transport,
-		Chaos:            cfg.Chaos,
-		ChaosSeed:        cfg.ChaosSeed,
-		NetFaults:        cfg.NetFaults,
-		Wire:             cfg.Wire,
-		WAN:              cfg.WAN,
-		WANSeed:          cfg.WANSeed,
-		WALDir:           cfg.WALDir,
-		WALFS:            cfg.WALFS,
-		Checkpoint:       cfg.Checkpoint,
-		Durability:       cfg.Durability,
-		Restarts:         cfg.Restarts,
 		Crashes:          cfg.Crashes,
+		Env:              cfg.Env,
 		RetireCheckpoint: cfg.WALRetire,
 	})
 	if err != nil {

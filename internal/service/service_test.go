@@ -101,8 +101,10 @@ func slowService(t *testing.T, n, maxActive, maxQueue int, minDelay time.Duratio
 		N:         n,
 		MaxActive: maxActive,
 		MaxQueue:  maxQueue,
-		Chaos:     &chaos.Profile{DelayMin: minDelay, DelayMax: minDelay + 50*time.Millisecond},
-		ChaosSeed: 11,
+		Env: engine.Env{
+			Chaos:     &chaos.Profile{DelayMin: minDelay, DelayMax: minDelay + 50*time.Millisecond},
+			ChaosSeed: 11,
+		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

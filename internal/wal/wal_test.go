@@ -77,8 +77,8 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d deliveries, want %d", len(rep.Delivered), len(want))
 	}
 	for i, m := range rep.Delivered {
-		wb, _ := wire.EncodeMessage(want[i])
-		gb, err := wire.EncodeMessage(m)
+		wb, _ := wire.AppendMessage(nil, want[i])
+		gb, err := wire.AppendMessage(nil, m)
 		if err != nil || string(wb) != string(gb) {
 			t.Errorf("delivery %d: replayed %+v, want %+v", i, m, want[i])
 		}

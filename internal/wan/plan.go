@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"chc/internal/plan"
 )
 
 // ParsePlan builds a Plan from a compact spec, mirroring the
@@ -33,29 +35,16 @@ import (
 // "off" cannot be refined. String is the inverse of ParsePlan.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
+	preset, settings, err := plan.Split(spec, func(s string) bool { _, ok := topologies[s]; return ok })
+	if err != nil {
+		return Plan{}, fmt.Errorf("wan: %w", err)
+	}
+	if preset == "off" {
 		return p, nil
 	}
-	parts := strings.Split(spec, ",")
-	start := 0
-	if _, ok := topologies[parts[0]]; ok {
-		p.Topology = parts[0]
-		start = 1
-	}
-	for _, part := range parts[start:] {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if part == "off" {
-			return Plan{}, fmt.Errorf("wan: off cannot be refined with other settings")
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("wan: bad setting %q (want key=value)", part)
-		}
-		var err error
+	p.Topology = preset
+	for _, kv := range settings {
+		key, val := kv.Key, kv.Val
 		switch key {
 		case "topo":
 			if _, ok := topologies[val]; !ok {

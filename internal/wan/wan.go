@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"chc/internal/dist"
+	"chc/internal/plan"
 )
 
 // Nominal per-message bytes used for bandwidth accounting where the real
@@ -482,21 +483,12 @@ func (c resolvedCut) matches(m *Model, from, to dist.ProcID) bool {
 }
 
 // dice derives two uniform [0,1) variates for the seq-th transmission of a
-// link, via the splitmix64 finalizer over (seed, from, to, seq) — the same
-// idiom the netfault and chaos injectors use, so an execution's delay
-// schedule is a pure function of the WAN seed.
+// link: two consecutive splitmix64 steps from a state keyed on (seed, from,
+// to, seq) — the same idiom the netfault and chaos injectors use, so an
+// execution's delay schedule is a pure function of the WAN seed.
 func (m *Model) dice(from, to dist.ProcID, seq int64) (float64, float64) {
-	x := uint64(m.seed)*0x9e3779b97f4a7c15 + uint64(uint32(from)) + 1
-	x = x*0x9e3779b97f4a7c15 + uint64(uint32(to)) + 1
-	x = x*0x9e3779b97f4a7c15 + uint64(seq) + 1
-	return splitmix(&x), splitmix(&x)
-}
-
-func splitmix(s *uint64) float64 {
-	*s += 0x9e3779b97f4a7c15
-	x := *s
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	x := uint64(m.seed)*plan.Golden + uint64(uint32(from)) + 1
+	x = x*plan.Golden + uint64(uint32(to)) + 1
+	x = x*plan.Golden + uint64(seq) + 1
+	return plan.Unit(plan.Mix64(x)), plan.Unit(plan.Mix64(x + plan.Golden))
 }

@@ -62,7 +62,7 @@ func TestBatchNotNegotiatedIsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := EncodeFrame(Frame{Type: FrameAck, From: 3, Seq: 99})
+	tail, err := AppendFrame(nil, Frame{Type: FrameAck, From: 3, Seq: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestBatchCorruptionResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	env[len(env)/2] ^= 0x41
-	tail, err := EncodeFrame(Frame{Type: FrameAck, From: 1, Seq: 7})
+	tail, err := AppendFrame(nil, Frame{Type: FrameAck, From: 1, Seq: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

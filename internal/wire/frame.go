@@ -135,13 +135,6 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeFrame serialises a frame into a fresh slice. It is the
-// compatibility shim over AppendFrame; hot paths should append into a
-// reused buffer instead.
-func EncodeFrame(f Frame) ([]byte, error) {
-	return AppendFrame(nil, f)
-}
-
 // checkHeader validates the fixed header fields (magic, version, length cap)
 // without touching the body. It returns the body length on success.
 func checkHeader(hdr []byte) (int, error) {
@@ -204,7 +197,7 @@ func decodeBody(body []byte) (Frame, error) {
 	return f, nil
 }
 
-// DecodeFrame parses a frame produced by EncodeFrame: header validation,
+// DecodeFrame parses a frame produced by AppendFrame: header validation,
 // CRC check, then body decode. Failures are classified — see Classify.
 func DecodeFrame(frame []byte) (Frame, error) {
 	n, err := checkHeader(frame)
@@ -223,7 +216,7 @@ func DecodeFrame(frame []byte) (Frame, error) {
 
 // FrameSize returns the encoded size of f in bytes (0 if unencodable).
 func FrameSize(f Frame) int {
-	b, err := EncodeFrame(f)
+	b, err := AppendFrame(nil, f)
 	if err != nil {
 		return 0
 	}

@@ -25,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameHandshake, From: 3, Seq: 17, Epoch: 2, Ack: 9},
 	}
 	for _, f := range frames {
-		b, err := EncodeFrame(f)
+		b, err := AppendFrame(nil, f)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", f, err)
 		}
@@ -78,7 +78,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 }
 
 func TestFrameTruncationIsNotEOF(t *testing.T) {
-	b, err := EncodeFrame(Frame{Type: FrameAck, From: 0, Seq: 9})
+	b, err := AppendFrame(nil, Frame{Type: FrameAck, From: 0, Seq: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func reframe(body []byte) []byte {
 }
 
 func TestFrameCorruption(t *testing.T) {
-	ack, _ := EncodeFrame(Frame{Type: FrameAck, From: 0, Seq: 1})
-	hs, _ := EncodeFrame(Frame{Type: FrameHandshake, From: 2, Seq: 5, Epoch: 1, Ack: 3})
+	ack, _ := AppendFrame(nil, Frame{Type: FrameAck, From: 0, Seq: 1})
+	hs, _ := AppendFrame(nil, Frame{Type: FrameHandshake, From: 2, Seq: 5, Epoch: 1, Ack: 3})
 	cases := []struct {
 		name  string
 		frame []byte
@@ -184,7 +184,7 @@ func TestFrameCRCDetectsEveryByte(t *testing.T) {
 		From: 1, To: 2, Kind: "val", Round: 1,
 		Payload: PointPayload{Value: geom.NewPoint(3.5, -1.25)},
 	}}
-	b, err := EncodeFrame(f)
+	b, err := AppendFrame(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	// Valid frames as corpus seeds.
 	for _, m := range sampleMessages() {
-		if b, err := EncodeMessage(m); err == nil {
+		if b, err := AppendMessage(nil, m); err == nil {
 			seeds = append(seeds, b)
 		}
 	}
@@ -32,7 +32,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		re, err := EncodeMessage(m)
+		re, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v", err)
 		}
@@ -59,7 +59,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		corpus = append(corpus, Frame{Type: FrameData, From: m.From, Seq: 5, Msg: m})
 	}
 	for _, fr := range corpus {
-		if b, err := EncodeFrame(fr); err == nil {
+		if b, err := AppendFrame(nil, fr); err == nil {
 			f.Add(b)
 		}
 	}
@@ -70,7 +70,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		re, err := EncodeFrame(fr)
+		re, err := AppendFrame(nil, fr)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
@@ -93,7 +93,7 @@ func FuzzDecodeFrame(f *testing.F) {
 func FuzzStreamDecoder(f *testing.F) {
 	var clean []byte
 	for _, fr := range streamFrames() {
-		b, err := EncodeFrame(fr)
+		b, err := AppendFrame(nil, fr)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func FuzzStreamDecoder(f *testing.F) {
 			if err != nil {
 				return // any terminal error is acceptable; panics are not
 			}
-			re, err := EncodeFrame(fr)
+			re, err := AppendFrame(nil, fr)
 			if err != nil {
 				t.Fatalf("stream yielded an unencodable frame: %+v: %v", fr, err)
 			}

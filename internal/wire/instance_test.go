@@ -36,7 +36,7 @@ func TestInstanceRoundTrip(t *testing.T) {
 				Instance: inst,
 				Payload:  PointPayload{Value: geom.NewPoint(1.5, -2.25)},
 			}
-			b, err := EncodeMessage(m)
+			b, err := AppendMessage(nil, m)
 			if err != nil {
 				t.Fatalf("encode kind=%q instance=%d: %v", kind, inst, err)
 			}

@@ -54,7 +54,7 @@ func TestStreamDecoderResync(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0x00, 0x13, 0xc2}) // leading garbage, no magic
 	for i, f := range want {
-		b, err := EncodeFrame(f)
+		b, err := AppendFrame(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestStreamDecoderRandomCorruption(t *testing.T) {
 			Payload: PointPayload{Value: geom.NewPoint(float64(i), float64(-i))},
 		}}
 		valid[f.Seq] = f
-		b, err := EncodeFrame(f)
+		b, err := AppendFrame(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -183,13 +183,6 @@ func AppendMessage(dst []byte, m dist.Message) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeMessage serialises a message into a fresh slice. It is the
-// compatibility shim over AppendMessage; hot paths should append into a
-// reused buffer instead.
-func EncodeMessage(m dist.Message) ([]byte, error) {
-	return AppendMessage(nil, m)
-}
-
 func appendPayload(b []byte, payload any) ([]byte, error) {
 	switch p := payload.(type) {
 	case nil:
@@ -255,7 +248,7 @@ func appendPoint(b []byte, p geom.Point) []byte {
 	return b
 }
 
-// DecodeMessage parses a frame produced by EncodeMessage.
+// DecodeMessage parses a frame produced by AppendMessage.
 func DecodeMessage(frame []byte) (dist.Message, error) {
 	var m dist.Message
 	r := &reader{buf: frame}
@@ -321,7 +314,7 @@ func MessageSize(m dist.Message) int {
 
 // WriteMessage writes one frame to w.
 func WriteMessage(w io.Writer, m dist.Message) error {
-	b, err := EncodeMessage(m)
+	b, err := AppendMessage(nil, m)
 	if err != nil {
 		return err
 	}

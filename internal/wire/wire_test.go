@@ -17,7 +17,7 @@ import (
 
 func roundTrip(t *testing.T, m dist.Message) dist.Message {
 	t.Helper()
-	b, err := EncodeMessage(m)
+	b, err := AppendMessage(nil, m)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -96,16 +96,16 @@ func TestRoundTripEmptyCollections(t *testing.T) {
 }
 
 func TestEncodeErrors(t *testing.T) {
-	if _, err := EncodeMessage(dist.Message{Kind: strings.Repeat("x", 300)}); err == nil {
+	if _, err := AppendMessage(nil, dist.Message{Kind: strings.Repeat("x", 300)}); err == nil {
 		t.Error("overlong kind should error")
 	}
-	if _, err := EncodeMessage(dist.Message{Kind: "k", Payload: struct{}{}}); err == nil {
+	if _, err := AppendMessage(nil, dist.Message{Kind: "k", Payload: struct{}{}}); err == nil {
 		t.Error("unknown payload type should error")
 	}
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	good, err := EncodeMessage(dist.Message{Kind: "k", Payload: PointPayload{Value: geom.NewPoint(1, 2)}})
+	good, err := AppendMessage(nil, dist.Message{Kind: "k", Payload: PointPayload{Value: geom.NewPoint(1, 2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Kind:    []string{"input", "report", "state", "ctl"}[rng.Intn(4)],
 			Payload: payload,
 		}
-		b, err := EncodeMessage(m)
+		b, err := AppendMessage(nil, m)
 		if err != nil {
 			return false
 		}
@@ -306,7 +306,7 @@ func TestNestedRBCRejected(t *testing.T) {
 		Origin: 1, Seq: 0,
 		Inner: RBCPayload{Origin: 2, Seq: 1, Inner: IntPayload{Value: 1}},
 	}}
-	if _, err := EncodeMessage(m); err == nil {
+	if _, err := AppendMessage(nil, m); err == nil {
 		t.Error("nested RBC payload should fail to encode")
 	}
 }

@@ -63,25 +63,19 @@ func LightChaos() ChaosProfile { return chaos.Light() }
 func HeavyChaos() ChaosProfile { return chaos.Heavy() }
 
 // ParseChaosProfile parses "off", "light", "heavy", or a custom
-// "drop=0.2,dup=0.1,delay=100us-2ms,part=5ms-25ms:0+1" specification.
+// "drop=0.2,dup=0.1,delay=100us-2ms,part=5ms-25ms:0+1" specification
+// (presets are refinable: "heavy,drop=0.3").
 func ParseChaosProfile(spec string) (ChaosProfile, error) { return chaos.ParseProfile(spec) }
 
 // NetworkOption tunes RunNetworked beyond the RunConfig.
 type NetworkOption func(*networkOptions)
 
+// networkOptions is the environment the options assemble (validated by the
+// engine), plus the crash-recovery conversion RunNetworked applies itself.
 type networkOptions struct {
-	chaos       *ChaosProfile
-	chaosSeed   int64
-	walDir      string
+	env         engine.Env
 	recover     bool
 	recoverWait time.Duration
-	diskPlan    *DiskFaultPlan
-	netPlan     *NetFaultPlan
-	checkpoint  int64
-	durability  DurabilityPolicy
-	wire        *WireConfig
-	wan         *WANPlan
-	wanSeed     int64
 }
 
 // WireConfig tunes the TCP transport's write path: frame coalescing (on by
@@ -96,21 +90,14 @@ type WireConfig = runtime.WireConfig
 // Requires the TCP transport — the other transports exchange structured
 // messages, not framed bytes.
 func WithWire(cfg WireConfig) NetworkOption {
-	return func(o *networkOptions) {
-		c := cfg
-		o.wire = &c
-	}
+	return func(o *networkOptions) { o.env.Wire = &cfg }
 }
 
 // WithNetworkChaos injects seeded network faults below the reliable-link
 // layer (which is enabled automatically). The fault plan of every link is a
 // deterministic function of the seed, so a failing run can be replayed.
 func WithNetworkChaos(profile ChaosProfile, seed int64) NetworkOption {
-	return func(o *networkOptions) {
-		p := profile
-		o.chaos = &p
-		o.chaosSeed = seed
-	}
+	return func(o *networkOptions) { o.env.Chaos, o.env.ChaosSeed = &profile, seed }
 }
 
 // WithWAL journals every process's protocol-relevant state — input,
@@ -119,7 +106,7 @@ func WithNetworkChaos(profile ChaosProfile, seed int64) NetworkOption {
 // the reliable-link layer: a delivery is fsynced before it is acknowledged,
 // so a node killed at any instant can be reconstructed from its log.
 func WithWAL(dir string) NetworkOption {
-	return func(o *networkOptions) { o.walDir = dir }
+	return func(o *networkOptions) { o.env.WALDir = dir }
 }
 
 // WithCrashRecovery converts the RunConfig's crash plans from crash-stop
@@ -200,10 +187,7 @@ func ParseNetFaultPlan(spec string) (NetFaultPlan, error) { return netfault.Pars
 // and WithDiskFaults: wire, link and storage fault schedules are independent
 // deterministic functions of their seeds.
 func WithNetFaults(plan NetFaultPlan) NetworkOption {
-	return func(o *networkOptions) {
-		p := plan
-		o.netPlan = &p
-	}
+	return func(o *networkOptions) { o.env.NetFaults = &plan }
 }
 
 // WithDiskFaults injects seeded storage faults into every WAL write path.
@@ -211,8 +195,9 @@ func WithNetFaults(plan NetFaultPlan) NetworkOption {
 // fault schedules are independent deterministic functions of their seeds.
 func WithDiskFaults(plan DiskFaultPlan) NetworkOption {
 	return func(o *networkOptions) {
-		p := plan
-		o.diskPlan = &p
+		if plan.Enabled() {
+			o.env.WALFS = diskfault.New(wal.OSFS(), plan)
+		}
 	}
 }
 
@@ -223,14 +208,14 @@ func WithDiskFaults(plan DiskFaultPlan) NetworkOption {
 // tail, falling back to the previous snapshot if the current one is torn.
 // Requires WithWAL.
 func WithWALCheckpoint(everyBytes int64) NetworkOption {
-	return func(o *networkOptions) { o.checkpoint = everyBytes }
+	return func(o *networkOptions) { o.env.Checkpoint = wal.CheckpointPolicy{EveryBytes: everyBytes} }
 }
 
 // WithDurability selects the degradation policy applied when a node's
 // journal fails mid-run (default FailStop). Requires WithWAL. Nodes still
 // quarantined when the run ends are listed in RunResult.Degraded.
 func WithDurability(policy DurabilityPolicy) NetworkOption {
-	return func(o *networkOptions) { o.durability = policy }
+	return func(o *networkOptions) { o.env.Durability = policy }
 }
 
 // RunNetworked executes a convex hull consensus instance under real
@@ -249,24 +234,8 @@ func RunNetworked(cfg RunConfig, transport TransportKind, timeout time.Duration,
 	for _, o := range opts {
 		o(&netOpts)
 	}
-	if netOpts.recover && netOpts.walDir == "" {
+	if netOpts.recover && netOpts.env.WALDir == "" {
 		return nil, fmt.Errorf("chc: WithCrashRecovery requires WithWAL")
-	}
-	if netOpts.netPlan != nil && transport != TCP {
-		return nil, fmt.Errorf("chc: WithNetFaults requires the TCP transport")
-	}
-	if netOpts.wire != nil && transport != TCP {
-		return nil, fmt.Errorf("chc: WithWire requires the TCP transport")
-	}
-	if netOpts.walDir == "" {
-		switch {
-		case netOpts.diskPlan != nil:
-			return nil, fmt.Errorf("chc: WithDiskFaults requires WithWAL")
-		case netOpts.checkpoint > 0:
-			return nil, fmt.Errorf("chc: WithWALCheckpoint requires WithWAL")
-		case netOpts.durability != FailStop:
-			return nil, fmt.Errorf("chc: WithDurability requires WithWAL")
-		}
 	}
 	engTransport, err := transport.engineTransport()
 	if err != nil {
@@ -296,32 +265,11 @@ func RunNetworked(cfg RunConfig, transport TransportKind, timeout time.Duration,
 		Transport: engTransport,
 		Crashes:   cfg.Crashes,
 		Timeout:   timeout,
-		Chaos:     netOpts.chaos,
-		ChaosSeed: netOpts.chaosSeed,
-		WALDir:    netOpts.walDir,
 		Inputs:    cfg.Inputs,
+		Env:       netOpts.env,
 	}
-	if netOpts.diskPlan != nil {
-		engOpts.WALFS = diskfault.New(wal.OSFS(), *netOpts.diskPlan)
-	}
-	engOpts.NetFaults = netOpts.netPlan
-	engOpts.Wire = netOpts.wire
-	engOpts.WAN = netOpts.wan
-	engOpts.WANSeed = netOpts.wanSeed
-	if netOpts.checkpoint > 0 {
-		engOpts.Checkpoint = wal.CheckpointPolicy{EveryBytes: netOpts.checkpoint}
-	}
-	engOpts.Durability = netOpts.durability
 	if netOpts.recover {
-		plans := make([]runtime.RestartPlan, 0, len(restartCrashes))
-		for _, cp := range restartCrashes {
-			plans = append(plans, runtime.RestartPlan{
-				Proc:           cp.Proc,
-				KillAfterSends: cp.AfterSends,
-				Downtime:       netOpts.recoverWait,
-			})
-		}
-		engOpts.Restarts = plans
+		engOpts.Restarts = engine.RestartPlans(restartCrashes, netOpts.recoverWait)
 	}
 	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{cfg.Spec()}}, engOpts)
 	if res == nil {

@@ -49,9 +49,5 @@ func NewWANScheduler(plan WANPlan, n int, seed int64) (Scheduler, error) {
 // WithNetFaults — shaped links never consume crash budgets, never corrupt
 // bytes, and never trip peer quarantine.
 func WithWAN(plan WANPlan, seed int64) NetworkOption {
-	return func(o *networkOptions) {
-		p := plan
-		o.wan = &p
-		o.wanSeed = seed
-	}
+	return func(o *networkOptions) { o.env.WAN, o.env.WANSeed = &plan, seed }
 }
