@@ -43,14 +43,15 @@ soak-smoke: build
 # disk-torture is the storage-fault gate: the deterministic fault injector,
 # the full WAL suite (torn checkpoints, mid-rotation crashes, compaction
 # bounds, byte-identical checkpointed replay), the runtime durability
-# policies (fail-stop within the f budget, degrade + re-arm), and the
+# policies (fail-stop within the f budget, degrade + re-arm), the monotone
+# Stats() poll across WAL relaunches, and the
 # lost-tail crash test of the output-commit barrier (every exit of a node
 # judged against a filesystem that keeps only what was synced: the kill-point
 # sweep in runtime, the held-ack contract in rlink, the sink and Open exits
 # in engine), all under the race detector.
 disk-torture: build
 	$(GO) test -race -timeout 10m ./internal/diskfault/ ./internal/wal/
-	$(GO) test -race -timeout 10m -run 'Durab|FailStop|Degrad|DiskFault|WALReplay|LostTail|OutputCommit' ./internal/runtime/
+	$(GO) test -race -timeout 10m -run 'Durab|FailStop|Degrad|DiskFault|WALReplay|LostTail|OutputCommit|StatsMonotone' ./internal/runtime/
 	$(GO) test -race -timeout 10m -run 'LostTail' ./internal/rlink/ ./internal/engine/
 
 # wire-torture is the adversarial-wire gate: the deterministic byte-stream
@@ -117,16 +118,15 @@ bench-telemetry: build
 
 # Allowed msgs/sec regression of the saturated-link transport cases. Loopback
 # TCP throughput is noisier than in-process microbenchmarks, so the bound is
-# coarse; the structural claim (coalesced >> single-frame) is asserted by the
-# committed BENCH_*.json trajectory.
+# coarse.
 TRANSPORT_MAX_REGRESS ?= 0.25
 
-# bench-transport is the wire throughput gate: the three saturated-link cases
-# (coalesced default, legacy single-frame, compressed batches) must hold
-# their msgs/sec against the committed baseline.
+# bench-transport is the wire throughput gate: the two saturated-link cases
+# (coalesced default, compressed batches) must hold their msgs/sec against
+# the committed baseline.
 bench-transport: build
 	$(GO) run ./cmd/chcbench -benchjson /tmp/chc-bench-transport.json \
-		-bench TransportSaturatedLink,TransportSaturatedLinkSingleFrame,TransportSaturatedLinkCompressed \
+		-bench TransportSaturatedLink,TransportSaturatedLinkCompressed \
 		-baseline $(BENCH_BASELINE) -max-regress $(TRANSPORT_MAX_REGRESS)
 
 # Allowed instances/sec regression of the WAN/soak service cases. These go

@@ -67,7 +67,7 @@ func run(args []string, w io.Writer) (err error) {
 		diskSeed      = fs.Int64("disk-seed", 1, "seed for the deterministic storage fault schedule")
 		netFaults     = fs.String("net-faults", "off", "byte-stream corruption against the TCP links: off|flaky|hostile or flip=P,garbage=P,lenmut=P,trunc=P,reset=P,stall=P:LO-HI,window=N,link=SUBSTR,after=K (requires -transport tcp)")
 		netSeed       = fs.Int64("net-seed", 1, "seed for the deterministic wire fault schedule")
-		wireCoalesce  = fs.String("wire-coalesce", "on", "TCP frame coalescing: on (flush immediately per writer wakeup) | off (write+flush per frame) | a flush-deadline duration like 200us that lets batches accumulate (requires -transport tcp when not \"on\")")
+		wireCoalesce  = fs.String("wire-coalesce", "on", "TCP frame coalescing: on (flush immediately per writer wakeup) | a flush-deadline duration like 200us that lets batches accumulate (requires -transport tcp when not \"on\")")
 		wireCompress  = fs.Bool("wire-compress", false, "negotiate flate compression of coalesced frame batches on the TCP links (requires -transport tcp)")
 		walCheckpoint = fs.Int64("wal-checkpoint", 0, "rotate each WAL into segments and publish a full-history snapshot whenever its live file exceeds this many bytes; 0 disables (requires -wal-dir)")
 		durability    = fs.String("durability", "failstop", "policy when a WAL stops accepting writes: failstop (node becomes a crash fault) | degrade (node quarantines non-durably and re-arms with backoff)")
@@ -108,14 +108,10 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	netPlan.Seed = *netSeed
 	wireCfg := chc.WireConfig{Compress: *wireCompress}
-	switch *wireCoalesce {
-	case "on":
-	case "off":
-		wireCfg.SingleFrame = true
-	default:
+	if *wireCoalesce != "on" {
 		dl, derr := time.ParseDuration(*wireCoalesce)
 		if derr != nil || dl < 0 {
-			return fmt.Errorf("-wire-coalesce: want on, off or a flush-deadline duration, got %q", *wireCoalesce)
+			return fmt.Errorf("-wire-coalesce: want on or a flush-deadline duration, got %q", *wireCoalesce)
 		}
 		wireCfg.FlushDeadline = dl
 	}

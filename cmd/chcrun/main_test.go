@@ -381,6 +381,24 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunWireCoalesceFlag pins the accepted values of -wire-coalesce: "on"
+// and a flush-deadline duration run; "off" named the removed
+// write+flush-per-frame path and is rejected like any other unknown value.
+func TestRunWireCoalesceFlag(t *testing.T) {
+	base := []string{"-n", "4", "-f", "0", "-d", "1", "-eps", "0.5", "-transport", "tcp", "-wire-coalesce"}
+	for _, v := range []string{"on", "200us"} {
+		var buf bytes.Buffer
+		if err := run(append(base, v), &buf); err != nil {
+			t.Errorf("-wire-coalesce %s: %v", v, err)
+		}
+	}
+	var buf bytes.Buffer
+	err := run(append(base, "off"), &buf)
+	if err == nil || !strings.Contains(err.Error(), "want on or a flush-deadline duration") {
+		t.Errorf("-wire-coalesce off = %v, want the usage error", err)
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	ids, err := parseIDs("1, 2,3")
 	if err != nil || len(ids) != 3 || ids[2] != 3 {

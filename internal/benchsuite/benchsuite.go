@@ -76,7 +76,6 @@ func Cases() []Case {
 		{"Average3D", benchAverage3D},
 		{"Hausdorff3DWolfe", benchHausdorff3D},
 		{"TransportSaturatedLink", benchTransportSaturatedLink},
-		{"TransportSaturatedLinkSingleFrame", benchTransportSaturatedLinkSingleFrame},
 		{"TransportSaturatedLinkCompressed", benchTransportSaturatedLinkCompressed},
 		{"WANRegionalDecide", benchWANRegionalDecide},
 		{"SoakSteadyState", benchSoakSteadyState},
@@ -439,18 +438,9 @@ func benchAverage3D(b *testing.B) {
 // TCP pair through the full production stack (rlink, coalescing writer, wire
 // codec, loopback TCP, stream decoder). One op = one message delivered
 // exactly-once FIFO, so ns/op is the per-message cost and the reported
-// msgs/sec is the link's sustained throughput. The SingleFrame twin below
-// runs the identical workload over the pre-coalescing write+flush-per-frame
-// path, keeping the coalescing win (and any regression of it) visible in
-// every BENCH_*.json.
+// msgs/sec is the link's sustained throughput.
 func benchTransportSaturatedLink(b *testing.B) {
 	chcruntime.BenchSaturatedLink(b, chcruntime.LinkBenchConfig{})
-}
-
-func benchTransportSaturatedLinkSingleFrame(b *testing.B) {
-	chcruntime.BenchSaturatedLink(b, chcruntime.LinkBenchConfig{
-		Wire: chcruntime.WireConfig{SingleFrame: true},
-	})
 }
 
 // benchTransportSaturatedLinkCompressed negotiates FlagCompress, so batches

@@ -58,7 +58,7 @@ func TestEnvValidate(t *testing.T) {
 		{name: "Durability", env: withWAL(engine.Env{Durability: runtime.Degrade}), sim: networked},
 		{name: "Restarts", env: withWAL(engine.Env{Restarts: restarts}), sim: networked},
 		{name: "everything", env: engine.Env{
-			Chaos: &light, NetFaults: &flaky, Wire: &runtime.WireConfig{SingleFrame: true}, WAN: &regions,
+			Chaos: &light, NetFaults: &flaky, Wire: &runtime.WireConfig{Compress: true}, WAN: &regions,
 			WALDir: "/wal", WALFS: wal.OSFS(), Checkpoint: wal.CheckpointPolicy{EveryBytes: 1},
 			Durability: runtime.Degrade, Restarts: restarts,
 		}, sim: tcpOnly, ch: tcpOnly},

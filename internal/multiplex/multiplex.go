@@ -246,9 +246,7 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 		result.Telemetry = telemetry.Default().Snapshot()
 	}
 	for k := range cfg.Instances {
-		result.Outputs[k] = make(map[dist.ProcID]*polytope.Polytope)
-		result.Points[k] = make(map[dist.ProcID]geom.Point)
-		result.Rounds[k] = make(map[dist.ProcID]int)
+		inst := newInstanceResult()
 		byzFaulty := make(map[dist.ProcID]bool)
 		for _, fault := range cfg.Instances[k].Faults {
 			byzFaulty[fault.Proc] = true
@@ -260,27 +258,9 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 				// carries no correctness obligations, so it is not reported.
 				continue
 			}
-			switch sub := res.Sub(k, id).(type) {
-			case *core.Process:
-				if out, oerr := sub.Output(); oerr == nil {
-					result.Outputs[k][id] = out
-				}
-			case *vectorconsensus.Process:
-				if pt, oerr := sub.Output(); oerr == nil {
-					result.Points[k][id] = pt
-				}
-			case *byzantine.Process:
-				if out, oerr := sub.Output(); oerr == nil {
-					result.Outputs[k][id] = out
-				}
-			default:
-				// A Byzantine adversary: nothing to collect.
-				continue
-			}
-			if r := res.DecidedRound(k, id); r > 0 {
-				result.Rounds[k][id] = r
-			}
+			inst.collect(id, res.Sub(k, id))
 		}
+		result.Outputs[k], result.Points[k], result.Rounds[k] = inst.Outputs, inst.Points, inst.Rounds
 	}
 	if runErr != nil {
 		return result, fmt.Errorf("multiplex: %w", runErr)

@@ -53,6 +53,41 @@ type InstanceResult struct {
 	Rounds  map[dist.ProcID]int
 }
 
+func newInstanceResult() InstanceResult {
+	return InstanceResult{
+		Outputs: make(map[dist.ProcID]*polytope.Polytope),
+		Points:  make(map[dist.ProcID]geom.Point),
+		Rounds:  make(map[dist.ProcID]int),
+	}
+}
+
+// collect records the typed decision process id's participant reached, and
+// the round it decided at. A participant that has not decided, or of any
+// other type (a Byzantine adversary), leaves nothing.
+func (r *InstanceResult) collect(id dist.ProcID, sub dist.Process) {
+	switch v := sub.(type) {
+	case *core.Process:
+		if out, err := v.Output(); err == nil {
+			r.Outputs[id] = out
+		}
+	case *vectorconsensus.Process:
+		if pt, err := v.Output(); err == nil {
+			r.Points[id] = pt
+		}
+	case *byzantine.Process:
+		if out, err := v.Output(); err == nil {
+			r.Outputs[id] = out
+		}
+	default:
+		return
+	}
+	if dr, ok := sub.(interface{ DecidedRound() int }); ok {
+		if round := dr.DecidedRound(); round > 0 {
+			r.Rounds[id] = round
+		}
+	}
+}
+
 // Ticket tracks one submitted instance. Done is closed when every process
 // has terminated the instance (or it failed); Result is valid after that.
 type Ticket struct {
@@ -125,25 +160,7 @@ func (t *Ticket) procDecided(id dist.ProcID, sub dist.Process) {
 		return
 	}
 	if !t.byz[id] {
-		switch v := sub.(type) {
-		case *core.Process:
-			if out, err := v.Output(); err == nil {
-				t.res.Outputs[id] = out
-			}
-		case *vectorconsensus.Process:
-			if pt, err := v.Output(); err == nil {
-				t.res.Points[id] = pt
-			}
-		case *byzantine.Process:
-			if out, err := v.Output(); err == nil {
-				t.res.Outputs[id] = out
-			}
-		}
-		if dr, ok := sub.(interface{ DecidedRound() int }); ok {
-			if r := dr.DecidedRound(); r > 0 {
-				t.res.Rounds[id] = r
-			}
-		}
+		t.res.collect(id, sub)
 	}
 	t.count++
 	fire := t.count == t.n
@@ -219,11 +236,7 @@ func (s *Session) Submit(inst Instance) (*Ticket, error) {
 		n:    s.n,
 		byz:  byz,
 		done: make(chan struct{}),
-		res: InstanceResult{
-			Outputs: make(map[dist.ProcID]*polytope.Polytope),
-			Points:  make(map[dist.ProcID]geom.Point),
-			Rounds:  make(map[dist.ProcID]int),
-		},
+		res:  newInstanceResult(),
 	}
 	id, err := s.eng.Open(spec, engine.InstanceSink{
 		OnProcDecided: t.procDecided,

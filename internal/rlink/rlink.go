@@ -106,6 +106,18 @@ type Stats struct {
 	ReorderDrops   int64 // received frames dropped beyond the reorder bound (re-offered later)
 }
 
+// Add accumulates o into s (totals over several endpoints or incarnations).
+func (s *Stats) Add(o Stats) {
+	s.FramesSent += o.FramesSent
+	s.Retransmits += o.Retransmits
+	s.DupSuppressed += o.DupSuppressed
+	s.OutOfOrder += o.OutOfOrder
+	s.AcksSent += o.AcksSent
+	s.Resumes += o.Resumes
+	s.WindowWithheld += o.WindowWithheld
+	s.ReorderDrops += o.ReorderDrops
+}
+
 // Endpoint provides reliable exactly-once FIFO links from one node to all
 // its peers, over any Sender.
 type Endpoint struct {

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"net"
 	"sort"
 	"sync/atomic"
@@ -17,7 +16,7 @@ import (
 // LinkBenchConfig parameterises BenchSaturatedLink.
 type LinkBenchConfig struct {
 	// Wire is the transport write-path configuration under test (zero value
-	// = coalescing on; SingleFrame selects the legacy write+flush path).
+	// = flush on wakeup, no compression).
 	Wire WireConfig
 	// PayloadPoints is the vertex count of the polytope payload each message
 	// carries (default 8, three-dimensional — a realistic round-state size).
@@ -32,8 +31,7 @@ type LinkBenchConfig struct {
 }
 
 // BenchSaturatedLink drives one directed link of a real two-node TCP pair —
-// the full production stack: rlink endpoint, coalescing (or single-frame)
-// writer, wire codec, loopback TCP, stream decoder — at saturation and
+// the full production stack: rlink endpoint, coalescing writer, wire codec, loopback TCP, stream decoder — at saturation and
 // reports msgs/sec, bytes/sec and p99 end-to-end delivery latency. One
 // benchmark op is one message delivered exactly-once in FIFO order, so the
 // suite's ns/op gate is a per-message throughput gate.
@@ -133,27 +131,7 @@ func newLinkBenchPair(cfg LinkBenchConfig, deliver func(dist.Message) error) (*l
 		addrs[i] = ln.Addr().String()
 	}
 	for i := range pair.trans {
-		t := &tcpTransport{
-			self:   dist.ProcID(i),
-			ln:     lns[i],
-			addrs:  addrs[:],
-			peers:  make([]*tcpPeer, 2),
-			health: make([]*peerHealth, 2),
-			cfg:    cfg.Wire,
-			stop:   make(chan struct{}),
-		}
-		for j := range t.peers {
-			link := fmt.Sprintf("bench:%d->%d", i, j)
-			t.peers[j] = &tcpPeer{
-				to:          dist.ProcID(j),
-				wake:        make(chan struct{}, 1),
-				batchFrames: mWireBatchFrames.With(link),
-				batchBytes:  mWireBatchBytes.With(link),
-				compBytes:   mWireCompressedBytes.With(link),
-			}
-			t.health[j] = &peerHealth{}
-		}
-		pair.trans[i] = t
+		pair.trans[i] = newTCPTransport(dist.ProcID(i), lns[i], addrs[:], cfg.Wire, nil, nil, "bench:")
 	}
 	discard := func(dist.Message) error { return nil }
 	pair.src = rlink.New(0, 2, pair.trans[0], discard, cfg.Rlink)
@@ -161,8 +139,7 @@ func newLinkBenchPair(cfg LinkBenchConfig, deliver func(dist.Message) error) (*l
 	pair.trans[0].ep.Store(pair.src)
 	pair.trans[1].ep.Store(pair.dst)
 	for _, t := range pair.trans {
-		t.startAccepting()
-		t.startWriters()
+		t.start()
 	}
 	for i, t := range pair.trans {
 		if err := t.dial(dist.ProcID(1 - i)); err != nil {

@@ -29,15 +29,80 @@ var ErrStopped = errors.New("runtime: cluster is shutting down")
 // re-derives and re-enqueues whatever the node missed.
 var ErrNodeDown = errors.New("runtime: node is down")
 
-// transport moves protocol messages between nodes. In the plain channel
-// cluster it must itself preserve per-sender FIFO order and exactly-once
-// delivery; in reliable-link mode those guarantees come from the rlink
-// endpoint above an unreliable frame transport.
-type transport interface {
-	// Send hands a message to the network; it must not block indefinitely.
-	Send(msg dist.Message) error
-	// Close releases network resources.
-	Close() error
+// node is one process slot of the cluster: what survives a crash of the
+// process. Everything a crash takes with it is the node's incarnation.
+type node struct {
+	id     dist.ProcID
+	budget atomic.Int64    // remaining sends before simulated crash; -1 = unlimited
+	sender rlink.Sender    // frame sender under every incarnation's endpoint, incl. WAN shaping and chaos (nil: plain channel cluster)
+	inj    *chaos.Injector // chaos injector (nil when disabled)
+	shaper *wan.Shaper     // WAN frame shaper (channel clusters; nil when disabled)
+	tcp    *tcpTransport   // TCP transport (nil for channel clusters)
+
+	// The fields below are guarded by Cluster.stateMu.
+
+	// inc is the node's latest incarnation. killNode marks it down and
+	// relaunch replaces it; in between it stays here, so Processes still
+	// reports a crashed node's state machine.
+	inc *incarnation
+	// dying holds killed incarnations whose teardown is still running: their
+	// counters can still move, so Stats keeps summing them until killNode
+	// folds the final values into dead under the same lock.
+	dying    []*incarnation
+	deadLink rlink.Stats // link counters of dead incarnations
+	deadLog  wal.Stats   // journal counters of dead incarnations
+	diedDeg  bool        // node died degraded: journal incomplete, relaunch forbidden
+}
+
+// live returns the node's incarnation if it is up (under stateMu).
+func (n *node) live() *incarnation {
+	if n.inc == nil || n.inc.down {
+		return nil
+	}
+	return n.inc
+}
+
+// incarnation is one life of a node — what a crash takes with it. First
+// launch and relaunch build one through newIncarnation; it is immutable once
+// published except for down.
+type incarnation struct {
+	proc    dist.Process
+	mbox    *mailbox
+	crashed atomic.Bool // set when the send budget runs out or the journal fail-stops
+	// send is the hop a protocol message takes off the node: the reliable-link
+	// endpoint, or straight into the peer's mailbox on a plain channel cluster
+	// (whose mailboxes already are reliable FIFO channels).
+	send func(dist.Message) error
+	ep   *rlink.Endpoint // reliable-link endpoint (nil on a plain channel cluster)
+	wal  *wal.WAL        // write-ahead log (recovery mode only)
+	box  *durableBox     // durability state machine and output-commit barrier (recovery mode only)
+
+	down bool // killed and not yet replaced (under Cluster.stateMu)
+}
+
+// deliver hands a message to the incarnation's own mailbox — a self-send or
+// a lifecycle control. In recovery mode it goes through the journal first:
+// these are deliveries like any other and must be replayable.
+func (inc *incarnation) deliver(msg dist.Message) error {
+	if inc.box != nil {
+		return inc.box.deliver(msg)
+	}
+	inc.mbox.Push(msg)
+	return nil
+}
+
+// close releases an incarnation that never ran (a failed or abandoned
+// construction). A running one is torn down by killNode or teardown.
+func (inc *incarnation) close() {
+	if inc.ep != nil {
+		_ = inc.ep.Close()
+	}
+	if inc.box != nil {
+		inc.box.close()
+	}
+	if inc.wal != nil {
+		_ = inc.wal.Close()
+	}
 }
 
 // Cluster runs n protocol state machines concurrently, one goroutine per
@@ -57,27 +122,15 @@ type transport interface {
 // bitwise-deterministic so WAL replay on a recovering host reproduces the
 // exact payloads of the original run.
 type Cluster struct {
-	// stateMu guards the per-node slices that the restart supervisor swaps
-	// when it relaunches an incarnation (procs, inbox, trans, rel, wal,
-	// deliver) plus the stopping flag. Steady-state paths take the read lock;
-	// only kill/relaunch/shutdown take the write lock.
+	// stateMu guards what the restart supervisor changes while the cluster
+	// runs — which incarnation each node points at and whether it is down, the
+	// dying/dead counter bookkeeping, the died-degraded marks — plus the
+	// stopping flag. Steady-state paths take the read lock; only
+	// kill/relaunch/shutdown take the write lock.
 	stateMu  sync.RWMutex
 	stopping bool
 
-	procs  []dist.Process
-	inbox  []*mailbox
-	trans  []transport
-	budget []int64 // remaining sends before simulated crash; -1 = unlimited
-
-	rel     []*rlink.Endpoint          // reliable-link endpoints (nil entries when disabled)
-	inj     []*chaos.Injector          // chaos injectors (nil entries when disabled)
-	tcp     []*tcpTransport            // TCP transports (nil entries for channel clusters)
-	wal     []*wal.WAL                 // write-ahead logs (recovery mode only)
-	box     []*durableBox              // durability state machines (recovery mode only)
-	diedDeg []bool                     // node died degraded: journal incomplete, relaunch forbidden
-	crash   []*atomic.Bool             // per-incarnation crash flags (fresh on relaunch)
-	deliver []func(dist.Message) error // per-incarnation mailbox delivery (recovery mode only)
-	sender  []rlink.Sender             // frame sender under each endpoint (incl. chaos), for rebuilds
+	nodes []*node
 
 	chaosProfile *chaos.Profile
 	chaosSeed    int64
@@ -87,8 +140,7 @@ type Cluster struct {
 	wanPlan  *wan.Plan     // WAN link model (nil when disabled)
 	wanSeed  int64         // seed of the WAN delay/jitter stream
 	wanModel *wan.Model    // plan resolved against n (nil when disabled)
-	wanShape []*wan.Shaper // per-node frame shapers (channel clusters)
-	wanInj   *wan.Injector // shared conn shaper (TCP clusters)
+	wanInj   *wan.Injector // shared conn shaper (TCP clusters; channel clusters shape per node)
 
 	netPlan *netfault.Plan     // wire-fault plan (TCP clusters only)
 	nfault  *netfault.Injector // shared byte-stream fault injector
@@ -102,9 +154,6 @@ type Cluster struct {
 	resident     *runState
 	residentDone bool
 	residentErr  error
-
-	retiredMu sync.Mutex
-	retired   dist.NetStats // counters from endpoints/logs of killed incarnations
 
 	durability durabilityCounters
 	bg         sync.WaitGroup // background re-arm loops
@@ -127,41 +176,25 @@ type Option interface {
 	apply(*Cluster)
 }
 
-type crashOption struct{ plans []dist.CrashPlan }
+type optionFunc func(*Cluster)
 
-func (o crashOption) apply(c *Cluster) {
-	for _, p := range o.plans {
-		if p.Proc >= 0 && int(p.Proc) < len(c.budget) {
-			c.budget[p.Proc] = int64(p.AfterSends)
-		}
-	}
-}
+func (f optionFunc) apply(c *Cluster) { f(c) }
 
 // WithCrashes injects crash faults: each process stops after its AfterSends
 // budget, mid-broadcast if the budget lands there.
 func WithCrashes(plans ...dist.CrashPlan) Option {
-	return crashOption{plans: plans}
+	return optionFunc(func(c *Cluster) {
+		for _, p := range plans {
+			if p.Proc >= 0 && int(p.Proc) < len(c.nodes) {
+				c.nodes[p.Proc].budget.Store(int64(p.AfterSends))
+			}
+		}
+	})
 }
-
-type sizerOption struct{ fn func(dist.Message) int }
-
-func (o sizerOption) apply(c *Cluster) { c.sizer = o.fn }
 
 // WithSizer installs a payload size estimator for byte accounting.
 func WithSizer(fn func(dist.Message) int) Option {
-	return sizerOption{fn: fn}
-}
-
-type chaosOption struct {
-	profile chaos.Profile
-	seed    int64
-}
-
-func (o chaosOption) apply(c *Cluster) {
-	p := o.profile
-	c.chaosProfile = &p
-	c.chaosSeed = o.seed
-	c.reliable = true // an unreliable link needs the reliability layer
+	return optionFunc(func(c *Cluster) { c.sizer = fn })
 }
 
 // WithChaos injects seeded network faults (drops, duplication, delays,
@@ -169,19 +202,11 @@ func (o chaosOption) apply(c *Cluster) {
 // automatically. Composable with WithCrashes: chaos attacks the links,
 // crash plans attack the processes.
 func WithChaos(profile chaos.Profile, seed int64) Option {
-	return chaosOption{profile: profile, seed: seed}
-}
-
-type wanOption struct {
-	plan wan.Plan
-	seed int64
-}
-
-func (o wanOption) apply(c *Cluster) {
-	p := o.plan
-	c.wanPlan = &p
-	c.wanSeed = o.seed
-	c.reliable = true // shaping lives at the frame layer, under rlink
+	return optionFunc(func(c *Cluster) {
+		c.chaosProfile = &profile
+		c.chaosSeed = seed
+		c.reliable = true // an unreliable link needs the reliability layer
+	})
 }
 
 // WithWAN shapes every link through a wide-area model: per-edge propagation
@@ -194,28 +219,21 @@ func (o wanOption) apply(c *Cluster) {
 // decides a frame's fate first; survivors ride the shaped link) and
 // WithNetFaults.
 func WithWAN(plan wan.Plan, seed int64) Option {
-	return wanOption{plan: plan, seed: seed}
-}
-
-type reliableOption struct{ cfg rlink.Config }
-
-func (o reliableOption) apply(c *Cluster) {
-	c.reliable = true
-	c.rlinkCfg = o.cfg
+	return optionFunc(func(c *Cluster) {
+		c.wanPlan = &plan
+		c.wanSeed = seed
+		c.reliable = true // shaping lives at the frame layer, under rlink
+	})
 }
 
 // WithReliableLinks forces the sequence/ack/retransmit layer even on
 // transports that are already reliable (useful for exercising the layer
 // itself). TCP clusters always run it; see NewTCPCluster.
 func WithReliableLinks(cfg rlink.Config) Option {
-	return reliableOption{cfg: cfg}
-}
-
-type netFaultOption struct{ plan netfault.Plan }
-
-func (o netFaultOption) apply(c *Cluster) {
-	p := o.plan
-	c.netPlan = &p
+	return optionFunc(func(c *Cluster) {
+		c.reliable = true
+		c.rlinkCfg = cfg
+	})
 }
 
 // WithNetFaults injects seeded byte-stream faults (bit flips, garbage runs,
@@ -224,19 +242,14 @@ func (o netFaultOption) apply(c *Cluster) {
 // channel clusters have no byte streams to corrupt and reject the option.
 // Composable with WithChaos (frame-level faults) and WithCrashes.
 func WithNetFaults(plan netfault.Plan) Option {
-	return netFaultOption{plan: plan}
+	return optionFunc(func(c *Cluster) { c.netPlan = &plan })
 }
 
-type wireOption struct{ cfg WireConfig }
-
-func (o wireOption) apply(c *Cluster) { c.wireCfg = o.cfg }
-
-// WithWire tunes the TCP transport's write path: frame coalescing (on by
-// default; WireConfig.SingleFrame restores the write+flush-per-frame
-// behavior), the flush-deadline batching window, and optional per-batch
-// compression. Channel clusters have no wire and ignore the option.
+// WithWire tunes the TCP transport's write path: the flush-deadline batching
+// window of its frame coalescing and optional per-batch compression. Channel
+// clusters have no wire and ignore the option.
 func WithWire(cfg WireConfig) Option {
-	return wireOption{cfg: cfg}
+	return optionFunc(func(c *Cluster) { c.wireCfg = cfg })
 }
 
 // NewChannelCluster builds a cluster connected by in-process mailboxes.
@@ -251,25 +264,15 @@ func NewChannelCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
 	if c.netPlan != nil {
 		return nil, errors.New("runtime: WithNetFaults requires a TCP cluster (channel clusters have no byte streams)")
 	}
-	if c.reliable {
-		for i := range procs {
-			var s rlink.Sender = &chanFrameSender{cluster: c}
-			s = c.maybeInjectWAN(i, s)
-			s = c.maybeInjectChaos(i, s)
-			if err := c.installEndpoint(i, s); err != nil {
-				for _, ep := range c.rel {
-					if ep != nil {
-						_ = ep.Close()
-					}
-				}
-				c.closeWALs()
-				return nil, err
-			}
+	for i, proc := range procs {
+		var s rlink.Sender
+		if c.reliable {
+			s = c.maybeInjectChaos(i, c.maybeInjectWAN(i, &chanFrameSender{cluster: c}))
 		}
-		return c, nil
-	}
-	for i := range procs {
-		c.trans[i] = &channelTransport{cluster: c, from: dist.ProcID(i)}
+		if err := c.install(i, proc, s); err != nil {
+			c.abort()
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -278,25 +281,10 @@ func newCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
 	if len(procs) == 0 {
 		return nil, errors.New("runtime: no processes")
 	}
-	c := &Cluster{
-		procs:   procs,
-		inbox:   make([]*mailbox, len(procs)),
-		trans:   make([]transport, len(procs)),
-		budget:  make([]int64, len(procs)),
-		rel:     make([]*rlink.Endpoint, len(procs)),
-		inj:     make([]*chaos.Injector, len(procs)),
-		tcp:     make([]*tcpTransport, len(procs)),
-		wal:     make([]*wal.WAL, len(procs)),
-		box:     make([]*durableBox, len(procs)),
-		diedDeg: make([]bool, len(procs)),
-		crash:   make([]*atomic.Bool, len(procs)),
-		deliver: make([]func(dist.Message) error, len(procs)),
-		sender:  make([]rlink.Sender, len(procs)),
-	}
-	for i := range procs {
-		c.inbox[i] = newMailbox()
-		c.budget[i] = -1
-		c.crash[i] = &atomic.Bool{}
+	c := &Cluster{nodes: make([]*node, len(procs))}
+	for i := range c.nodes {
+		c.nodes[i] = &node{id: dist.ProcID(i)}
+		c.nodes[i].budget.Store(-1)
 	}
 	for _, o := range opts {
 		o.apply(c)
@@ -311,6 +299,9 @@ func newCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
 	if err := c.validateRecovery(); err != nil {
 		return nil, err
 	}
+	if c.recovery != nil {
+		reserveSyncProcs(len(procs))
+	}
 	return c, nil
 }
 
@@ -322,9 +313,8 @@ func (c *Cluster) maybeInjectWAN(i int, s rlink.Sender) rlink.Sender {
 	if c.wanModel == nil {
 		return s
 	}
-	sh := wan.NewShaper(dist.ProcID(i), c.wanModel, s)
-	c.wanShape = append(c.wanShape, sh)
-	return sh
+	c.nodes[i].shaper = wan.NewShaper(dist.ProcID(i), c.wanModel, s)
+	return c.nodes[i].shaper
 }
 
 // WANModel exposes the resolved WAN model (nil when WithWAN is absent); the
@@ -336,24 +326,25 @@ func (c *Cluster) maybeInjectChaos(i int, s rlink.Sender) rlink.Sender {
 	if c.chaosProfile == nil || !c.chaosProfile.Enabled() {
 		return s
 	}
-	inj := chaos.New(dist.ProcID(i), len(c.procs), *c.chaosProfile, c.chaosSeed, s)
-	c.inj[i] = inj
-	return inj
+	c.nodes[i].inj = chaos.New(dist.ProcID(i), len(c.nodes), *c.chaosProfile, c.chaosSeed, s)
+	return c.nodes[i].inj
 }
 
-// installEndpoint places a reliable-link endpoint over the frame sender and
-// routes its deliveries into the local mailboxes. In recovery mode it also
-// creates the node's write-ahead log and threads deliveries through it.
-func (c *Cluster) installEndpoint(i int, s rlink.Sender) error {
-	c.sender[i] = s
-	deliver := c.deliverLocal
+// install gives node i its first incarnation over frame sender s (nil on a
+// plain channel cluster). In recovery mode it first creates the node's
+// write-ahead log, which the incarnation threads its deliveries through.
+func (c *Cluster) install(i int, proc dist.Process, s rlink.Sender) error {
+	n := c.nodes[i]
+	n.sender = s
+	var w *wal.WAL
 	if c.recovery != nil {
-		w, err := wal.CreateWith(WALPath(c.recovery.Dir, dist.ProcID(i)), c.walOptions())
+		var err error
+		w, err = wal.CreateWith(WALPath(c.recovery.Dir, n.id), c.walOptions())
 		if err != nil {
 			return fmt.Errorf("runtime: create WAL for node %d: %w", i, err)
 		}
 		if c.recovery.Inputs != nil {
-			if err := w.AppendInput(dist.ProcID(i), c.recovery.Inputs[i]); err == nil {
+			if err := w.AppendInput(n.id, c.recovery.Inputs[i]); err == nil {
 				err = w.Sync()
 			}
 			if err != nil {
@@ -361,34 +352,77 @@ func (c *Cluster) installEndpoint(i int, s rlink.Sender) error {
 				return fmt.Errorf("runtime: journal input for node %d: %w", i, err)
 			}
 		}
-		c.wal[i] = w
-		box := newDurableBox(c, i, w, c.inbox[i], c.crash[i])
-		c.box[i] = box
-		deliver = box.deliver
-		c.deliver[i] = deliver
 	}
-	ep := rlink.New(dist.ProcID(i), len(c.procs), s, deliver, c.rlinkCfg)
-	if b := c.box[i]; b != nil {
-		b.attach(ep)
+	inc, err := c.newIncarnation(n, proc, w, nil, nil)
+	if err != nil {
+		return err
 	}
-	c.rel[i] = ep
-	c.trans[i] = &endpointTransport{ep: ep}
+	n.inc = inc
+	if n.tcp != nil {
+		// Before any reader goroutine exists; see tcpTransport.ep.
+		n.tcp.ep.Store(inc.ep)
+	}
 	return nil
 }
 
-// closeWALs stops every committer and closes every open write-ahead log
-// (constructor error paths).
-func (c *Cluster) closeWALs() {
-	for _, b := range c.box {
-		if b != nil {
-			b.close()
+// newIncarnation builds a life of node n around proc: a fresh mailbox and
+// crash flag, in recovery mode the durable box over the (already opened) log
+// w, and the reliable-link endpoint over the node's frame sender — new for a
+// first launch; for a relaunch resumed from the replayed journal's link state,
+// after the self-sends the crash cut off. The log is the incarnation's from
+// here on: a failed construction closes it.
+func (c *Cluster) newIncarnation(n *node, proc dist.Process, w *wal.WAL, pendingSelf []dist.Message, resume *rlink.ResumeState) (*incarnation, error) {
+	inc := &incarnation{proc: proc, mbox: newMailbox(), wal: w}
+	if n.sender == nil {
+		inc.send = c.deliverLocal
+		return inc, nil
+	}
+	deliver := c.deliverLocal
+	if w != nil {
+		inc.box = newDurableBox(c, int(n.id), w, inc.mbox, &inc.crashed)
+		deliver = inc.box.deliver
+	}
+	if resume == nil {
+		inc.ep = rlink.New(n.id, len(c.nodes), n.sender, deliver, c.rlinkCfg)
+	} else {
+		for _, m := range pendingSelf {
+			// The cut-off self-sends are deliveries like any other: journaled and
+			// queued now, covered by the incarnation's first commit. Under
+			// fail-stop, a log that cannot take them fails the relaunch (resuming
+			// would diverge from the durable history); under the degrade policy
+			// the box quarantines instead and the relaunch proceeds non-durably.
+			if err := deliver(m); err != nil {
+				inc.close()
+				return nil, fmt.Errorf("journal pending self-send: %w", err)
+			}
+		}
+		var err error
+		if inc.ep, err = rlink.NewResumed(n.id, len(c.nodes), n.sender, deliver, c.rlinkCfg, *resume); err != nil {
+			inc.close()
+			return nil, err
 		}
 	}
-	for _, w := range c.wal {
-		if w != nil {
-			_ = w.Close()
-		}
+	if inc.box != nil {
+		inc.box.attach(inc.ep)
 	}
+	inc.send = inc.ep.Send
+	return inc, nil
+}
+
+// abort releases whatever a failed constructor had built so far: it is
+// teardown with no run to wait for.
+func (c *Cluster) abort() { _ = c.teardown(&runState{}) }
+
+// live snapshots every node's incarnation (nil for a node that is down), so
+// callers act on them outside stateMu.
+func (c *Cluster) live() []*incarnation {
+	c.stateMu.RLock()
+	defer c.stateMu.RUnlock()
+	incs := make([]*incarnation, len(c.nodes))
+	for i, n := range c.nodes {
+		incs[i] = n.live()
+	}
+	return incs
 }
 
 // walOptions builds the log options from the recovery configuration: the
@@ -413,15 +447,12 @@ func (c *Cluster) walOptions() wal.Options {
 // (or the Degrade policy, which mirrors anyway). Nodes that are down between
 // kill and relaunch are skipped; the first real error is returned.
 func (c *Cluster) CheckpointWALs() error {
-	c.stateMu.RLock()
-	wals := append([]*wal.WAL(nil), c.wal...)
-	c.stateMu.RUnlock()
 	var first error
-	for _, w := range wals {
-		if w == nil {
+	for _, inc := range c.live() {
+		if inc == nil || inc.wal == nil {
 			continue
 		}
-		if err := w.Checkpoint(); err != nil && !errors.Is(err, wal.ErrClosed) && first == nil {
+		if err := inc.wal.Checkpoint(); err != nil && !errors.Is(err, wal.ErrClosed) && first == nil {
 			first = err
 		}
 	}
@@ -430,10 +461,10 @@ func (c *Cluster) CheckpointWALs() error {
 
 // routeFrame delivers a frame to the target node's reliable-link endpoint
 // (the in-process analogue of the TCP receive path). A node that is down
-// between kill and relaunch has no endpoint, and its frames are dropped —
-// exactly what a dead TCP listener would do.
+// between kill and relaunch has no live incarnation, and its frames are
+// dropped — exactly what a dead TCP listener would do.
 func (c *Cluster) routeFrame(to dist.ProcID, f wire.Frame) error {
-	if to < 0 || int(to) >= len(c.rel) {
+	if to < 0 || int(to) >= len(c.nodes) {
 		return fmt.Errorf("runtime: frame to unknown node %d", to)
 	}
 	// Snapshot under the read lock but call outside it: OnFrame's ack reply
@@ -441,108 +472,107 @@ func (c *Cluster) routeFrame(to dist.ProcID, f wire.Frame) error {
 	// waiting writer (the restart supervisor). A just-killed endpoint is
 	// safe to call — Close makes OnFrame a no-op.
 	c.stateMu.RLock()
-	ep := c.rel[to]
+	inc := c.nodes[to].live()
 	c.stateMu.RUnlock()
-	if ep == nil {
+	if inc == nil || inc.ep == nil {
 		return errors.New("runtime: target has no reliable-link endpoint")
 	}
-	ep.OnFrame(f)
+	inc.ep.OnFrame(f)
 	return nil
 }
 
 // Stats reports aggregate protocol and link-layer counters after (or
-// during) a run.
+// during) a run. The link and journal counters are summed over every
+// incarnation exactly once — folded into its node's dead counters, or read
+// here — and the partition is taken under the lock killNode folds under, so
+// no counter ever reads lower than it did before.
 func (c *Cluster) Stats() ClusterStats {
 	st := ClusterStats{Sends: c.sends.Load(), Bytes: c.bytes.Load()}
+	var link rlink.Stats
+	var log wal.Stats
+	var wals []*wal.WAL
+	// Endpoint counters are atomics, read under the lock so the read is
+	// ordered against the fold. A log's counters sit behind the mutex it holds
+	// across an fsync, and waiting that out under stateMu would stall a
+	// pending kill and every frame queued behind it — they are read outside:
+	// a dying log's counters stop moving (Abandon) before they are folded, so
+	// the late read is still exact.
+	count := func(inc *incarnation) {
+		if inc.ep != nil {
+			link.Add(inc.ep.Stats())
+		}
+		if inc.wal != nil {
+			wals = append(wals, inc.wal)
+		}
+	}
 	c.stateMu.RLock()
-	rel := append([]*rlink.Endpoint(nil), c.rel...)
-	wals := append([]*wal.WAL(nil), c.wal...)
+	for _, n := range c.nodes {
+		link.Add(n.deadLink)
+		log.Add(n.deadLog)
+		for _, inc := range n.dying {
+			count(inc)
+		}
+		if inc := n.live(); inc != nil {
+			count(inc)
+		}
+	}
 	c.stateMu.RUnlock()
-	for _, ep := range rel {
-		if ep == nil {
-			continue
-		}
-		s := ep.Stats()
-		st.Net.FramesSent += s.FramesSent
-		st.Net.Retransmits += s.Retransmits
-		st.Net.DupSuppressed += s.DupSuppressed
-		st.Net.OutOfOrder += s.OutOfOrder
-		st.Net.AcksSent += s.AcksSent
-		st.Net.Resumes += s.Resumes
-		st.Net.WindowWithheld += s.WindowWithheld
-		st.Net.ReorderDrops += s.ReorderDrops
-	}
 	for _, w := range wals {
-		if w == nil {
-			continue
-		}
-		s := w.Stats()
-		st.Net.WALAppends += s.Appends
-		st.Net.WALSyncs += s.Syncs
-		st.Net.WALCheckpoints += s.Checkpoints
+		log.Add(w.Stats())
 	}
-	for _, inj := range c.inj {
-		if inj == nil {
-			continue
-		}
-		s := inj.Stats()
-		st.Net.InjectedDrops += s.Drops
-		st.Net.InjectedDups += s.Dups
-		st.Net.InjectedDelays += s.Delays
-		st.Net.PartitionDrops += s.PartitionDrops
+	st.Net = dist.NetStats{
+		FramesSent:     link.FramesSent,
+		Retransmits:    link.Retransmits,
+		DupSuppressed:  link.DupSuppressed,
+		OutOfOrder:     link.OutOfOrder,
+		AcksSent:       link.AcksSent,
+		Resumes:        link.Resumes,
+		WindowWithheld: link.WindowWithheld,
+		ReorderDrops:   link.ReorderDrops,
+		WALAppends:     log.Appends,
+		WALSyncs:       log.Syncs,
+		WALCheckpoints: log.Checkpoints,
 	}
-	for _, t := range c.tcp {
-		if t == nil {
-			continue
+	for _, n := range c.nodes {
+		if n.inj != nil {
+			s := n.inj.Stats()
+			st.Net.InjectedDrops += s.Drops
+			st.Net.InjectedDups += s.Dups
+			st.Net.InjectedDelays += s.Delays
+			st.Net.PartitionDrops += s.PartitionDrops
 		}
-		st.Net.Reconnects += t.reconnects.Load()
-		st.Net.LinkFaults += t.linkFaults.Load()
-		st.Net.CorruptFrames += t.corruptFrames.Load()
-		st.Net.PeerQuarantines += t.quarantines.Load()
-		st.Net.PeerReadmits += t.readmits.Load()
+		if t := n.tcp; t != nil {
+			st.Net.Reconnects += t.reconnects.Load()
+			st.Net.LinkFaults += t.linkFaults.Load()
+			st.Net.CorruptFrames += t.corruptFrames.Load()
+			st.Net.PeerQuarantines += t.quarantines.Load()
+			st.Net.PeerReadmits += t.readmits.Load()
+		}
+		if n.shaper != nil {
+			st.Net.WANDelayedFrames += n.shaper.Delayed()
+			st.Net.WANCutHeld += n.shaper.Held()
+		}
 	}
 	if c.nfault != nil {
 		st.Net.InjectedWire = int64(c.nfault.Stats().Total())
-	}
-	for _, sh := range c.wanShape {
-		st.Net.WANDelayedFrames += sh.Delayed()
-		st.Net.WANCutHeld += sh.Held()
 	}
 	if c.wanInj != nil {
 		st.Net.WANShapedWrites += c.wanInj.Delayed()
 		st.Net.WANCutHeld += c.wanInj.Held()
 	}
-	c.retiredMu.Lock()
-	r := c.retired
-	c.retiredMu.Unlock()
-	st.Net.FramesSent += r.FramesSent
-	st.Net.Retransmits += r.Retransmits
-	st.Net.DupSuppressed += r.DupSuppressed
-	st.Net.OutOfOrder += r.OutOfOrder
-	st.Net.AcksSent += r.AcksSent
-	st.Net.Resumes += r.Resumes
-	st.Net.WindowWithheld += r.WindowWithheld
-	st.Net.ReorderDrops += r.ReorderDrops
-	st.Net.WALAppends += r.WALAppends
-	st.Net.WALSyncs += r.WALSyncs
-	st.Net.WALCheckpoints += r.WALCheckpoints
-	d := c.durability.stats()
-	st.Net.DurabilityFaults = d.Faults
-	st.Net.FailStops = d.FailStops
-	st.Net.Degradations = d.Degraded
-	st.Net.Rearms = d.Rearms
+	st.Net.DurabilityFaults = c.durability.faults.Load()
+	st.Net.FailStops = c.durability.failStops.Load()
+	st.Net.Degradations = c.durability.degraded.Load()
+	st.Net.Rearms = c.durability.rearms.Load()
 	return st
 }
 
 // Degraded lists the nodes currently running in non-durable (degraded)
 // mode: quarantined by the Degrade policy and not yet re-armed.
 func (c *Cluster) Degraded() []dist.ProcID {
-	c.stateMu.RLock()
-	boxes := append([]*durableBox(nil), c.box...)
-	c.stateMu.RUnlock()
 	var out []dist.ProcID
-	for i, b := range boxes {
-		if b != nil && b.isDegraded() {
+	for i, inc := range c.live() {
+		if inc != nil && inc.box != nil && inc.box.isDegraded() {
 			out = append(out, dist.ProcID(i))
 		}
 	}
@@ -551,11 +581,16 @@ func (c *Cluster) Degraded() []dist.ProcID {
 
 // Processes returns the cluster's current state machines — after a run with
 // restarts these are the relaunched incarnations, so decision inspection
-// sees the recovered state.
+// sees the recovered state; a node that is down reports the state machine it
+// crashed with.
 func (c *Cluster) Processes() []dist.Process {
 	c.stateMu.RLock()
 	defer c.stateMu.RUnlock()
-	return append([]dist.Process(nil), c.procs...)
+	procs := make([]dist.Process, len(c.nodes))
+	for i, n := range c.nodes {
+		procs[i] = n.inc.proc
+	}
+	return procs
 }
 
 // Run initialises every process and pumps messages until all live processes
@@ -576,7 +611,7 @@ func (c *Cluster) Run(timeout time.Duration) error {
 		return errors.New("runtime: cluster is resident (started with Start); use Shutdown")
 	}
 	// One settle slot per initial incarnation plus one per planned restart.
-	rs := c.newRunState(int64(len(c.procs) + len(c.restarts)))
+	rs := c.newRunState(int64(len(c.nodes) + len(c.restarts)))
 
 	var runErr error
 	timer := time.NewTimer(timeout)
@@ -646,7 +681,7 @@ func (c *Cluster) Shutdown() error {
 // close) does not wait. The message must be self-addressed (From == To ==
 // id): controls are local lifecycle commands, not traffic.
 func (c *Cluster) EnqueueControl(id dist.ProcID, msg dist.Message) error {
-	if id < 0 || int(id) >= len(c.inbox) {
+	if id < 0 || int(id) >= len(c.nodes) {
 		return fmt.Errorf("runtime: control for unknown node %d", id)
 	}
 	if msg.From != id || msg.To != id {
@@ -654,22 +689,15 @@ func (c *Cluster) EnqueueControl(id dist.ProcID, msg dist.Message) error {
 	}
 	c.stateMu.RLock()
 	stopping := c.stopping
-	d := c.deliver[id]
-	mbox := c.inbox[id]
+	inc := c.nodes[id].live()
 	c.stateMu.RUnlock()
 	if stopping {
 		return ErrStopped
 	}
-	if d != nil {
-		return d(msg)
-	}
-	if c.recovery != nil {
-		// Recovery mode always installs a journaling deliver func; its
-		// absence means the node is dead between kill and relaunch.
+	if inc == nil {
 		return ErrNodeDown
 	}
-	mbox.Push(msg)
-	return nil
+	return inc.deliver(msg)
 }
 
 // CommitControls blocks until every live node's journal covers the controls
@@ -680,19 +708,16 @@ func (c *Cluster) EnqueueControl(id dist.ProcID, msg dist.Message) error {
 // nothing for the caller to act on and no error is returned. Without a WAL
 // it returns at once.
 func (c *Cluster) CommitControls() {
-	c.stateMu.RLock()
-	boxes := append([]*durableBox(nil), c.box...)
-	c.stateMu.RUnlock()
 	var wg sync.WaitGroup
-	for _, b := range boxes {
-		if b == nil {
+	for _, inc := range c.live() {
+		if inc == nil || inc.box == nil {
 			continue
 		}
 		wg.Add(1)
 		go func(b *durableBox) {
 			defer wg.Done()
 			_ = b.barrier(waitControl) // a failed node is reconciled at relaunch
-		}(b)
+		}(inc.box)
 	}
 	wg.Wait()
 }
@@ -700,7 +725,7 @@ func (c *Cluster) CommitControls() {
 // newRunState builds the settle bookkeeping with the given number of slots
 // and launches every initial incarnation.
 func (c *Cluster) newRunState(slots int64) *runState {
-	n := len(c.procs)
+	n := len(c.nodes)
 	rs := &runState{
 		c:          c,
 		n:          n,
@@ -712,65 +737,56 @@ func (c *Cluster) newRunState(slots int64) *runState {
 	for _, rp := range c.restarts {
 		rs.queues[rp.Proc] = append(rs.queues[rp.Proc], rp)
 	}
-	c.stateMu.RLock()
-	for i := range c.procs {
-		rs.launch(i, c.procs[i], c.inbox[i], c.crash[i], c.box[i], false)
+	for i, inc := range c.live() {
+		rs.launch(c.nodes[i], inc, false)
 	}
-	c.stateMu.RUnlock()
 	return rs
 }
 
 // teardown shuts the cluster down. Order: block further relaunches, wake
 // the process goroutines, stop retransmissions, disarm chaos, then tear the
-// transports down.
+// transports down. Incarnations that are down were torn down by killNode.
 func (c *Cluster) teardown(rs *runState) error {
 	c.stateMu.Lock()
 	c.stopping = true
-	inboxes := append([]*mailbox(nil), c.inbox...)
-	rel := append([]*rlink.Endpoint(nil), c.rel...)
-	wals := append([]*wal.WAL(nil), c.wal...)
-	boxes := append([]*durableBox(nil), c.box...)
-	trans := append([]transport(nil), c.trans...)
 	c.stateMu.Unlock()
-	for _, b := range boxes {
-		if b != nil {
-			b.close()
+	incs := c.live()
+	for _, inc := range incs {
+		if inc != nil && inc.box != nil {
+			inc.box.close()
 		}
 	}
-	for _, mbox := range inboxes {
-		mbox.Close()
-	}
-	for _, ep := range rel {
-		if ep != nil {
-			_ = ep.Close()
+	for _, inc := range incs {
+		if inc != nil {
+			inc.mbox.Close()
 		}
 	}
-	for _, inj := range c.inj {
-		if inj != nil {
-			_ = inj.Close()
+	for _, inc := range incs {
+		if inc != nil && inc.ep != nil {
+			_ = inc.ep.Close()
 		}
 	}
-	for _, sh := range c.wanShape {
-		sh.Close()
+	for _, n := range c.nodes {
+		if n.inj != nil {
+			_ = n.inj.Close()
+		}
+		if n.shaper != nil {
+			n.shaper.Close()
+		}
 	}
 	// Disarm wire corruption and WAN shaping before tearing transports down,
 	// so shutdown traffic (final acks, closes) is not re-broken or parked
 	// behind modeled delays mid-teardown.
 	c.nfault.Disarm()
 	c.wanInj.Disarm()
-	for _, tr := range trans {
-		if tr != nil {
-			_ = tr.Close()
+	for _, n := range c.nodes {
+		if n.tcp != nil {
+			_ = n.tcp.Close()
 		}
 	}
-	for _, t := range c.tcp {
-		if t != nil {
-			_ = t.Close()
-		}
-	}
-	for _, w := range wals {
-		if w != nil {
-			_ = w.Close()
+	for _, inc := range incs {
+		if inc != nil && inc.wal != nil {
+			_ = inc.wal.Close()
 		}
 	}
 	rs.wg.Wait()
@@ -778,42 +794,29 @@ func (c *Cluster) teardown(rs *runState) error {
 	return rs.recoveryErr()
 }
 
-// deliverLocal routes a message into the target's mailbox (channel transport
-// and reliable-link receive path both end up here). The error return exists
-// only to satisfy the rlink deliver signature; a plain mailbox push cannot
-// fail.
+// deliverLocal routes a message into the target's mailbox (the plain channel
+// cluster's send hop and the reliable-link receive path of a cluster without
+// a WAL both end up here). The error return exists only to satisfy the rlink
+// deliver signature; a plain mailbox push cannot fail.
 func (c *Cluster) deliverLocal(msg dist.Message) error {
-	if msg.To < 0 || int(msg.To) >= len(c.inbox) {
+	if msg.To < 0 || int(msg.To) >= len(c.nodes) {
 		return nil
 	}
 	c.stateMu.RLock()
-	mbox := c.inbox[msg.To]
+	inc := c.nodes[msg.To].inc
 	c.stateMu.RUnlock()
-	mbox.Push(msg)
+	inc.mbox.Push(msg)
 	return nil
-}
-
-// deliverToSelf hands a self-addressed message to the node's own mailbox. In
-// recovery mode it goes through the incarnation's journaling path first —
-// self-sends are deliveries like any other and must be replayable.
-func (c *Cluster) deliverToSelf(id dist.ProcID, msg dist.Message) error {
-	c.stateMu.RLock()
-	d := c.deliver[id]
-	c.stateMu.RUnlock()
-	if d != nil {
-		return d(msg)
-	}
-	return c.deliverLocal(msg)
 }
 
 // consumeSendBudget enforces crash plans; it returns false when the sender
 // has crashed and the message must be dropped.
-func (c *Cluster) consumeSendBudget(from dist.ProcID, crashed *atomic.Bool) bool {
+func (n *node) consumeSendBudget(crashed *atomic.Bool) bool {
 	if crashed.Load() {
 		return false
 	}
 	for {
-		cur := atomic.LoadInt64(&c.budget[from])
+		cur := n.budget.Load()
 		if cur < 0 {
 			return true // unlimited
 		}
@@ -821,19 +824,19 @@ func (c *Cluster) consumeSendBudget(from dist.ProcID, crashed *atomic.Bool) bool
 			crashed.Store(true)
 			return false
 		}
-		if atomic.CompareAndSwapInt64(&c.budget[from], cur, cur-1) {
+		if n.budget.CompareAndSwap(cur, cur-1) {
 			return true
 		}
 	}
 }
 
-// nodeContext implements dist.Context for one incarnation of one node.
+// nodeContext implements dist.Context for one incarnation of one node. It
+// holds the incarnation, so sending looks nothing up in the cluster.
 type nodeContext struct {
 	cluster *Cluster
-	id      dist.ProcID
+	node    *node
+	inc     *incarnation
 	n       int
-	crashed *atomic.Bool
-	box     *durableBox // the incarnation's output-commit barrier (nil without a WAL)
 }
 
 var (
@@ -842,7 +845,7 @@ var (
 	_ dist.OutputCommitter = (*nodeContext)(nil)
 )
 
-func (nc *nodeContext) ID() dist.ProcID { return nc.id }
+func (nc *nodeContext) ID() dist.ProcID { return nc.node.id }
 func (nc *nodeContext) N() int          { return nc.n }
 
 func (nc *nodeContext) Send(to dist.ProcID, kind string, round int, payload any) {
@@ -855,16 +858,17 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 	if to < 0 || int(to) >= nc.n {
 		return
 	}
-	if !nc.cluster.consumeSendBudget(nc.id, nc.crashed) {
+	if !nc.node.consumeSendBudget(&nc.inc.crashed) {
 		return
 	}
-	msg := dist.Message{From: nc.id, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
+	id := nc.node.id
+	msg := dist.Message{From: id, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
 	nc.cluster.sends.Add(1)
 	mSends.Inc()
 	if nc.cluster.sizer != nil {
 		nc.cluster.bytes.Add(int64(nc.cluster.sizer(msg)))
 	}
-	if to == nc.id {
+	if to == id {
 		// No node has a network link to itself on any transport; in recovery
 		// mode the self-delivery is journaled like any other — a delivery, not
 		// an output, so it does not wait on the barrier. A journaling failure
@@ -873,8 +877,8 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 		// is treated as a crash of the node: the incarnation settles as
 		// crashed, and a restart plan (if any) relaunches it from the
 		// journaled prefix, whose replay regenerates the failed self-send.
-		if err := nc.cluster.deliverToSelf(nc.id, msg); err != nil {
-			nc.crashed.Store(true)
+		if err := nc.inc.deliver(msg); err != nil {
+			nc.inc.crashed.Store(true)
 		}
 		return
 	}
@@ -883,52 +887,33 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 	// barrier has already fail-stopped the incarnation (or the node is
 	// shutting down); the message stays unsent, and a relaunch regenerates it
 	// from the journaled prefix.
-	if nc.box != nil && nc.box.barrier(waitSend) != nil {
+	if box := nc.inc.box; box != nil && box.barrier(waitSend) != nil {
 		return
 	}
-	nc.cluster.stateMu.RLock()
-	tr := nc.cluster.trans[nc.id]
-	nc.cluster.stateMu.RUnlock()
-	if err := tr.Send(msg); err != nil {
-		// Transport failure after shutdown; the message is lost, which the
-		// crash-fault model already accounts for. The send still counted:
-		// it was handed to the network.
-		return
-	}
+	// An error is a transport failure after shutdown; the message is lost,
+	// which the crash-fault model already accounts for. The send still
+	// counted: it was handed to the network.
+	_ = nc.inc.send(msg)
 }
 
 // CommitOutput is the output-commit barrier for what leaves the node other
 // than through Send — the resident engine calls it before handing a
 // participant's decision to its sink. It returns nil at once without a WAL.
 func (nc *nodeContext) CommitOutput() error {
-	if nc.box == nil {
+	if nc.inc.box == nil {
 		return nil
 	}
-	return nc.box.barrier(waitDecide)
+	return nc.inc.box.barrier(waitDecide)
 }
 
 func (nc *nodeContext) Broadcast(kind string, round int, payload any) {
 	for to := dist.ProcID(0); int(to) < nc.n; to++ {
-		if to == nc.id {
+		if to == nc.node.id {
 			continue
 		}
 		nc.Send(to, kind, round, payload)
 	}
 }
-
-// channelTransport delivers directly into the peer mailboxes.
-type channelTransport struct {
-	cluster *Cluster
-	from    dist.ProcID
-}
-
-var _ transport = (*channelTransport)(nil)
-
-func (t *channelTransport) Send(msg dist.Message) error {
-	return t.cluster.deliverLocal(msg)
-}
-
-func (t *channelTransport) Close() error { return nil }
 
 // chanFrameSender carries frames between in-process nodes (the unreliable
 // hop under the rlink/chaos stack of a channel cluster).
@@ -942,19 +927,8 @@ func (s *chanFrameSender) SendFrame(to dist.ProcID, f wire.Frame) error {
 	return s.cluster.routeFrame(to, f)
 }
 
-// endpointTransport adapts a reliable-link endpoint to the transport
-// interface. Closing is handled by the cluster shutdown sequence.
-type endpointTransport struct {
-	ep *rlink.Endpoint
-}
-
-var _ transport = (*endpointTransport)(nil)
-
-func (t *endpointTransport) Send(msg dist.Message) error { return t.ep.Send(msg) }
-func (t *endpointTransport) Close() error                { return nil }
-
 // String implements fmt.Stringer for diagnostics.
 func (c *Cluster) String() string {
 	st := c.Stats()
-	return fmt.Sprintf("Cluster(n=%d, sends=%d, bytes=%d)", len(c.procs), st.Sends, st.Bytes)
+	return fmt.Sprintf("Cluster(n=%d, sends=%d, bytes=%d)", len(c.nodes), st.Sends, st.Bytes)
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,14 +42,6 @@ func (p DurabilityPolicy) String() string {
 		return "degrade"
 	}
 	return "failstop"
-}
-
-// DurabilityStats counts storage-failure handling for one cluster.
-type DurabilityStats struct {
-	Faults    int64 // WAL write/fsync failures observed
-	FailStops int64 // nodes fail-stopped
-	Degraded  int64 // nodes that entered degraded mode
-	Rearms    int64 // successful durability restorations
 }
 
 // errFailStopped refuses deliveries to an incarnation that has already
@@ -138,6 +131,26 @@ func newDurableBox(c *Cluster, i int, w *wal.WAL, mbox *mailbox, crashed *atomic
 	go b.commitLoop()
 	return b
 }
+
+// reserveSyncProcs keeps the journals of an n-node cluster from starving the
+// scheduler on a host with fewer CPUs than nodes. A commit's fsync is a
+// blocking call of well under a millisecond, and the Go runtime keeps the P of
+// a thread in such a call until its monitor thread takes it away — which it
+// stops doing once it has backed off to its 10 ms poll, and then every fsync
+// holds its P for its whole length. With GOMAXPROCS 2 and six journals the
+// monitor's state set the durable service's decide latency: 95 or 150 ms for
+// the same work, flipping between runs (DESIGN.md, "One P per journal").
+// Commits never overlap per node, so n Ps is the most the journals hold at a
+// time; GOMAXPROCS is raised to that and never lowered — it is process-wide.
+func reserveSyncProcs(n int) {
+	syncProcsMu.Lock()
+	defer syncProcsMu.Unlock()
+	if goruntime.GOMAXPROCS(0) < n {
+		goruntime.GOMAXPROCS(n)
+	}
+}
+
+var syncProcsMu sync.Mutex // orders concurrent cluster constructors
 
 // attach hands the box the endpoint whose acks it releases, switching the
 // endpoint to held acks. Call before the endpoint can receive frames.
@@ -490,17 +503,8 @@ func (b *durableBox) close() (endedDegraded bool) {
 // durabilityCounters aggregates storage-failure handling across a cluster's
 // incarnations (atomics: bumped from link callbacks and re-arm loops).
 type durabilityCounters struct {
-	faults    atomic.Int64
-	failStops atomic.Int64
-	degraded  atomic.Int64
-	rearms    atomic.Int64
-}
-
-func (d *durabilityCounters) stats() DurabilityStats {
-	return DurabilityStats{
-		Faults:    d.faults.Load(),
-		FailStops: d.failStops.Load(),
-		Degraded:  d.degraded.Load(),
-		Rearms:    d.rearms.Load(),
-	}
+	faults    atomic.Int64 // WAL write/fsync failures observed
+	failStops atomic.Int64 // nodes fail-stopped
+	degraded  atomic.Int64 // nodes that entered degraded mode
+	rearms    atomic.Int64 // successful durability restorations
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,7 +140,7 @@ func TestDurableBoxDegradeAndRearm(t *testing.T) {
 	if !box.isDegraded() {
 		t.Fatal("not degraded after the commit's fsync failed")
 	}
-	if got := c.durability.stats(); got.Degraded != 1 || got.Faults == 0 {
+	if got := c.Stats().Net; got.Degradations != 1 || got.DurabilityFaults == 0 {
 		t.Fatalf("durability stats after degrade: %+v", got)
 	}
 	send(2) // accepted non-durably, straight into pending
@@ -152,7 +153,7 @@ func TestDurableBoxDegradeAndRearm(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := c.durability.stats(); got.Rearms != 1 {
+	if got := c.Stats().Net; got.Rearms != 1 {
 		t.Fatalf("rearms = %d, want 1", got.Rearms)
 	}
 	send(3)
@@ -262,6 +263,40 @@ func TestDurableBoxCheckpointFailureNoDoubleJournal(t *testing.T) {
 	}
 }
 
+// TestRecoveryClusterReservesSyncProcs: a journaling cluster leaves the
+// scheduler one P per node (see reserveSyncProcs); a cluster without a
+// journal leaves GOMAXPROCS alone.
+func TestRecoveryClusterReservesSyncProcs(t *testing.T) {
+	const n = 3
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	procs := func() []dist.Process {
+		ps := make([]dist.Process, n)
+		for i := range ps {
+			ps[i] = newGatherProc(n, nil)
+		}
+		return ps
+	}
+	plain, err := NewChannelCluster(procs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.abort()
+	if got := goruntime.GOMAXPROCS(0); got != 1 {
+		t.Fatalf("GOMAXPROCS after a cluster without a journal = %d, want 1", got)
+	}
+	c, err := NewChannelCluster(procs(), WithRecovery(RecoveryConfig{
+		Dir:     t.TempDir(),
+		Factory: func(int) dist.Process { return newGatherProc(n, nil) },
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.abort()
+	if got := goruntime.GOMAXPROCS(0); got < n {
+		t.Fatalf("GOMAXPROCS after a journaling %d-node cluster = %d", n, got)
+	}
+}
+
 // TestDegradedDeathRefusesRelaunch pins the Degrade contract's enforcement:
 // a node killed while degraded (its last-chance re-arm failing on the still
 // sick disk) has a journal missing acked deliveries, so the supervisor must
@@ -286,18 +321,18 @@ func TestDegradedDeathRefusesRelaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs.fail.Store(true)
-	if err := c.box[1].deliver(dist.Message{From: 0, To: 1, Kind: "t"}); err != nil {
+	if err := c.nodes[1].inc.box.deliver(dist.Message{From: 0, To: 1, Kind: "t"}); err != nil {
 		t.Fatalf("deliver under Degrade: %v", err)
 	}
-	if err := c.box[1].barrier(waitSend); err != nil {
+	if err := c.nodes[1].inc.box.barrier(waitSend); err != nil {
 		t.Fatalf("barrier under Degrade: %v", err)
 	}
-	if !c.box[1].isDegraded() {
+	if !c.nodes[1].inc.box.isDegraded() {
 		t.Fatal("node 1 not degraded")
 	}
 	c.killNode(1)
 	c.stateMu.RLock()
-	died := c.diedDeg[1]
+	died := c.nodes[1].diedDeg
 	c.stateMu.RUnlock()
 	if !died {
 		t.Fatal("degraded death not recorded")
@@ -329,12 +364,13 @@ func TestDurableBoxFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newTestClusterShell(t, 1)
-	mbox := newMailbox()
-	c.inbox[0] = mbox // killNode tears down the registered mailbox
-	c.wal[0] = w      // ... and abandons the registered log
-	crashed := &atomic.Bool{}
+	// killNode tears down the registered incarnation: closes its mailbox and
+	// abandons its log.
+	inc := &incarnation{mbox: newMailbox(), wal: w}
+	mbox, crashed := inc.mbox, &inc.crashed
 	box := newDurableBox(c, 0, w, mbox, crashed)
-	c.box[0] = box
+	inc.box = box
+	c.nodes[0].inc = inc
 	if err := box.deliver(dist.Message{From: 0, To: 0, Kind: "t"}); err != nil {
 		t.Fatalf("healthy deliver: %v", err)
 	}
@@ -351,7 +387,7 @@ func TestDurableBoxFailStop(t *testing.T) {
 	if !crashed.Load() {
 		t.Fatal("crash flag not set")
 	}
-	if got := c.durability.stats(); got.FailStops != 1 || got.Faults != 1 {
+	if got := c.Stats().Net; got.FailStops != 1 || got.DurabilityFaults != 1 {
 		t.Fatalf("durability stats: %+v", got)
 	}
 	if err := box.deliver(dist.Message{From: 0, To: 0, Kind: "t", Round: 2}); err == nil {
@@ -427,7 +463,7 @@ func TestLostTailDecisionWaitsForCommit(t *testing.T) {
 			t.Errorf("node %d counted as decided = %v, want %v", i, got, want)
 		}
 	}
-	if got := c.durability.stats(); got.FailStops != 1 {
+	if got := c.Stats().Net; got.FailStops != 1 {
 		t.Errorf("durability stats: %+v, want one fail-stop", got)
 	}
 	if err := c.teardown(rs); err != nil {
@@ -486,8 +522,8 @@ func TestLostTailBarrierCoversVisibleDelivery(t *testing.T) {
 	w.Abandon()
 }
 
-// newTestClusterShell builds a minimal cluster skeleton (slices sized, no
-// transports) so killNode has something coherent to tear down.
+// newTestClusterShell builds a minimal cluster skeleton (nodes, no
+// incarnations or transports) so killNode has something coherent to tear down.
 func newTestClusterShell(t *testing.T, n int) *Cluster {
 	t.Helper()
 	procs := make([]dist.Process, n)

@@ -30,7 +30,8 @@ func NewRecordedChannelCluster(procs []dist.Process, wrap func(i int, s rlink.Se
 		return nil, err
 	}
 	for i := range procs {
-		if err := c.installEndpoint(i, wrap(i, &chanFrameSender{cluster: c})); err != nil {
+		if err := c.install(i, procs[i], wrap(i, &chanFrameSender{cluster: c})); err != nil {
+			c.abort()
 			return nil, err
 		}
 	}

@@ -103,8 +103,8 @@ func TestCorruptHandshakeDoesNotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := c.tcp[1]
-	resumesBefore := c.rel[1].Stats().Resumes
+	target := c.nodes[1].tcp
+	resumesBefore := c.nodes[1].inc.ep.Stats().Resumes
 	faultsBefore := target.linkFaults.Load()
 
 	// A handshake claiming epoch 7 and wild watermarks, with one body byte
@@ -132,7 +132,7 @@ func TestCorruptHandshakeDoesNotResume(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := c.rel[1].Stats().Resumes; got != resumesBefore {
+	if got := c.nodes[1].inc.ep.Stats().Resumes; got != resumesBefore {
 		t.Fatalf("corrupted handshake processed as a resume (resumes %d -> %d)", resumesBefore, got)
 	}
 

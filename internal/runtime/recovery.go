@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,15 +82,10 @@ type RecoveryConfig struct {
 // depends on) is enforced between the link delivery path and the node's
 // exits.
 func WithRecovery(cfg RecoveryConfig) Option {
-	return recoveryOption{cfg: cfg}
-}
-
-type recoveryOption struct{ cfg RecoveryConfig }
-
-func (o recoveryOption) apply(c *Cluster) {
-	cfg := o.cfg
-	c.recovery = &cfg
-	c.reliable = true
+	return optionFunc(func(c *Cluster) {
+		c.recovery = &cfg
+		c.reliable = true
+	})
 }
 
 // RestartPlan schedules a crash-and-recover fault: the node is killed after
@@ -106,13 +102,7 @@ type RestartPlan struct {
 // Composable with WithChaos: chaos attacks the links while restarts attack
 // the nodes.
 func WithRestarts(plans ...RestartPlan) Option {
-	return restartOption{plans: plans}
-}
-
-type restartOption struct{ plans []RestartPlan }
-
-func (o restartOption) apply(c *Cluster) {
-	c.restarts = append(c.restarts, o.plans...)
+	return optionFunc(func(c *Cluster) { c.restarts = append(c.restarts, plans...) })
 }
 
 // validateRecovery checks the recovery/restart configuration once all
@@ -123,9 +113,9 @@ func (c *Cluster) validateRecovery() error {
 		if c.recovery.Dir == "" || c.recovery.Factory == nil {
 			return errors.New("runtime: recovery needs a WAL directory and a process factory")
 		}
-		if c.recovery.Inputs != nil && len(c.recovery.Inputs) != len(c.procs) {
+		if c.recovery.Inputs != nil && len(c.recovery.Inputs) != len(c.nodes) {
 			return fmt.Errorf("runtime: %d recovery inputs for %d processes",
-				len(c.recovery.Inputs), len(c.procs))
+				len(c.recovery.Inputs), len(c.nodes))
 		}
 	}
 	if len(c.restarts) == 0 {
@@ -136,7 +126,7 @@ func (c *Cluster) validateRecovery() error {
 	}
 	armed := make(map[dist.ProcID]bool)
 	for _, rp := range c.restarts {
-		if rp.Proc < 0 || int(rp.Proc) >= len(c.procs) {
+		if rp.Proc < 0 || int(rp.Proc) >= len(c.nodes) {
 			return fmt.Errorf("runtime: restart plan for unknown process %d", rp.Proc)
 		}
 		if rp.KillAfterSends < 0 {
@@ -144,7 +134,7 @@ func (c *Cluster) validateRecovery() error {
 		}
 		if !armed[rp.Proc] {
 			armed[rp.Proc] = true
-			c.budget[rp.Proc] = int64(rp.KillAfterSends)
+			c.nodes[rp.Proc].budget.Store(int64(rp.KillAfterSends))
 		}
 	}
 	return nil
@@ -222,19 +212,18 @@ func (rs *runState) onSettled(i int, byCrash bool) {
 	}
 }
 
-// launch starts the goroutine driving one incarnation of node i. The crash
-// flag is the incarnation's own (cluster-held, so the durability machinery
-// created at install time shares it).
-func (rs *runState) launch(i int, proc dist.Process, mbox *mailbox, crashed *atomic.Bool, box *durableBox, alreadyInit bool) {
+// launch starts the goroutine driving one incarnation of node n.
+func (rs *runState) launch(n *node, inc *incarnation, alreadyInit bool) {
 	rs.wg.Add(1)
-	go rs.runProc(i, proc, mbox, crashed, box, alreadyInit)
+	go rs.runProc(n, inc, alreadyInit)
 }
 
 // runProc drives one incarnation: Init (unless resumed), then the delivery
 // loop, settling exactly once — on decide or on crash.
-func (rs *runState) runProc(i int, proc dist.Process, mbox *mailbox, crashed *atomic.Bool, box *durableBox, alreadyInit bool) {
+func (rs *runState) runProc(n *node, inc *incarnation, alreadyInit bool) {
 	defer rs.wg.Done()
-	c := rs.c
+	i := int(n.id)
+	proc, mbox, crashed, box := inc.proc, inc.mbox, &inc.crashed, inc.box
 	settled := false
 	settle := func(byCrash bool) {
 		if settled {
@@ -244,13 +233,12 @@ func (rs *runState) runProc(i int, proc dist.Process, mbox *mailbox, crashed *at
 		rs.settleSlot()
 		rs.onSettled(i, byCrash)
 	}
-	id := dist.ProcID(i)
-	ctx := &nodeContext{cluster: c, id: id, n: rs.n, crashed: crashed, box: box}
+	ctx := &nodeContext{cluster: rs.c, node: n, inc: inc, n: rs.n}
 	// A zero kill budget means "crash before doing anything" — enforced for
 	// first launches and relaunches alike, so a RestartPlan with
 	// KillAfterSends=0 fires the instant the node comes back up instead of
 	// waiting for a send attempt that may never happen.
-	if atomic.LoadInt64(&c.budget[i]) == 0 {
+	if n.budget.Load() == 0 {
 		crashed.Store(true)
 		settle(true)
 		return
@@ -358,75 +346,55 @@ func (rs *runState) supervise(i int, plan RestartPlan) {
 	}
 }
 
-// killNode makes a crashed node actually dead: its endpoint is removed (so
-// frames addressed to it are dropped and no acks are emitted), its mailbox
-// is closed (terminating the incarnation goroutine), and its WAL is
+// killNode makes a crashed node actually dead: its incarnation is marked
+// down (so frames addressed to it are dropped and no acks are emitted), its
+// mailbox is closed (terminating the incarnation goroutine), and its WAL is
 // abandoned — closed without flushing, so the journal tail no commit covered
-// is lost the way a real crash loses it.
-// Counters from the dead incarnation are folded into the retired
-// accumulator so Stats() keeps seeing them. The chaos injector is shared by
-// all incarnations and stays armed.
+// is lost the way a real crash loses it. The incarnation stays on the node's
+// dying list, summed by Stats, until its final counters are folded into the
+// node's dead counters. The chaos injector is shared by all incarnations and
+// stays armed.
 func (c *Cluster) killNode(i int) {
+	n := c.nodes[i]
 	c.stateMu.Lock()
-	ep := c.rel[i]
-	c.rel[i] = nil
-	w := c.wal[i]
-	c.wal[i] = nil
-	b := c.box[i]
-	c.box[i] = nil
-	c.deliver[i] = nil
-	mbox := c.inbox[i]
+	inc := n.live()
+	if inc == nil {
+		c.stateMu.Unlock()
+		return // already dead: the kill that got here first finishes the job
+	}
+	inc.down = true
+	n.dying = append(n.dying, inc)
 	c.stateMu.Unlock()
 
-	if ep != nil {
-		_ = ep.Close()
+	if inc.ep != nil {
+		_ = inc.ep.Close()
 	}
-	if b != nil && b.close() {
+	if inc.box != nil && inc.box.close() {
 		// The box died degraded: the last-chance re-arm failed, so the WAL is
 		// missing deliveries this incarnation already acked (peers may have
 		// trimmed them). Mark the node so relaunch refuses to resume from the
 		// incomplete journal.
 		c.stateMu.Lock()
-		c.diedDeg[i] = true
+		n.diedDeg = true
 		c.stateMu.Unlock()
 	}
-	mbox.Close()
-	var r dist.NetStats
-	if ep != nil {
-		s := ep.Stats()
-		r.FramesSent = s.FramesSent
-		r.Retransmits = s.Retransmits
-		r.DupSuppressed = s.DupSuppressed
-		r.OutOfOrder = s.OutOfOrder
-		r.AcksSent = s.AcksSent
-		r.Resumes = s.Resumes
-		r.WindowWithheld = s.WindowWithheld
-		r.ReorderDrops = s.ReorderDrops
+	inc.mbox.Close()
+	if inc.wal != nil {
+		inc.wal.Abandon()
 	}
-	if w != nil {
-		s := w.Stats()
-		r.WALAppends = s.Appends
-		r.WALSyncs = s.Syncs
-		r.WALCheckpoints = s.Checkpoints
-		w.Abandon()
+	c.stateMu.Lock()
+	if inc.ep != nil {
+		n.deadLink.Add(inc.ep.Stats())
 	}
-	c.retiredMu.Lock()
-	c.retired.FramesSent += r.FramesSent
-	c.retired.Retransmits += r.Retransmits
-	c.retired.DupSuppressed += r.DupSuppressed
-	c.retired.OutOfOrder += r.OutOfOrder
-	c.retired.AcksSent += r.AcksSent
-	c.retired.Resumes += r.Resumes
-	c.retired.WindowWithheld += r.WindowWithheld
-	c.retired.ReorderDrops += r.ReorderDrops
-	c.retired.WALAppends += r.WALAppends
-	c.retired.WALSyncs += r.WALSyncs
-	c.retired.WALCheckpoints += r.WALCheckpoints
-	c.retiredMu.Unlock()
-	if t := c.tcp[i]; t != nil {
+	if inc.wal != nil {
+		n.deadLog.Add(inc.wal.Stats())
+	}
+	n.dying = slices.DeleteFunc(n.dying, func(d *incarnation) bool { return d == inc })
+	c.stateMu.Unlock()
+	if n.tcp != nil {
 		// Sever the dead node's live connections: peers must observe the
 		// outage and bridge it with redials and retransmission.
-		t.breakLinks()
+		n.tcp.breakLinks()
 	}
 }
 
@@ -499,7 +467,7 @@ func (c *Cluster) replayNode(i int) (proc dist.Process, cc *captureContext, rep 
 		return nil, nil, nil, err
 	}
 	proc = c.recovery.Factory(i)
-	cc = &captureContext{id: dist.ProcID(i), n: len(c.procs), sends: make([][]dist.Message, len(c.procs))}
+	cc = &captureContext{id: dist.ProcID(i), n: len(c.nodes), sends: make([][]dist.Message, len(c.nodes))}
 	proc.Init(cc)
 	for _, m := range rep.Delivered {
 		proc.Deliver(cc, m)
@@ -516,8 +484,9 @@ func (c *Cluster) replayNode(i int) (proc dist.Process, cc *captureContext, rep 
 // the cluster: replayed process, new epoch in the log, resumed reliable-link
 // endpoint, fresh mailbox, and the pending self-sends the crash cut off.
 func (c *Cluster) relaunch(rs *runState, i int) error {
+	n := c.nodes[i]
 	c.stateMu.RLock()
-	diedDegraded := c.diedDeg[i]
+	diedDegraded := n.diedDeg
 	c.stateMu.RUnlock()
 	if diedDegraded {
 		// The Degrade policy's contract: a node that dies while degraded is a
@@ -530,8 +499,7 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 	if err != nil {
 		return err
 	}
-	id := dist.ProcID(i)
-	n := len(c.procs)
+	id := n.id
 	// Self-sends are journaled when pushed, in generation order, so the
 	// journaled ones are a prefix of the regenerated ones; anything beyond
 	// the prefix was generated but never pushed durably and must be pushed
@@ -550,7 +518,10 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 		return fmt.Errorf("nondeterministic replay: journal has %d self-deliveries, replay regenerated %d",
 			loggedSelf, len(cc.self))
 	}
-	pendingSelf := cc.self[loggedSelf:]
+	recvNext := make([]uint64, len(c.nodes))
+	for j := range recvNext {
+		recvNext[j] = rep.DeliveredFrom(dist.ProcID(j))
+	}
 
 	w, err := wal.OpenWith(WALPath(c.recovery.Dir, id), c.walOptions())
 	if err != nil {
@@ -560,39 +531,13 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 		_ = w.Close()
 		return err
 	}
-	mbox := newMailbox()
-	crashed := &atomic.Bool{}
-	box := newDurableBox(c, i, w, mbox, crashed)
-	deliver := box.deliver
-	for _, m := range pendingSelf {
-		// The cut-off self-sends are deliveries like any other: journaled and
-		// queued now, covered by the incarnation's first commit. Under
-		// fail-stop, a log that cannot take them fails the relaunch (resuming
-		// would diverge from the durable history); under the degrade policy
-		// the box quarantines instead and the relaunch proceeds non-durably.
-		if err := deliver(m); err != nil {
-			box.close()
-			_ = w.Close()
-			return fmt.Errorf("journal pending self-send: %w", err)
-		}
-	}
-	recvNext := make([]uint64, n)
-	for j := range recvNext {
-		recvNext[j] = rep.DeliveredFrom(dist.ProcID(j))
-	}
-	ep, err := rlink.NewResumed(id, n, c.sender[i], deliver, c.rlinkCfg, rlink.ResumeState{
-		Epoch:    rep.Epoch + 1,
-		RecvNext: recvNext,
-		Out:      cc.sends,
-	})
+	inc, err := c.newIncarnation(n, proc, w, cc.self[loggedSelf:],
+		&rlink.ResumeState{Epoch: rep.Epoch + 1, RecvNext: recvNext, Out: cc.sends})
 	if err != nil {
-		box.close()
-		_ = w.Close()
 		return err
 	}
-	box.attach(ep)
 
-	// The gate covers publishing the new deliver func through the
+	// The gate covers publishing the new incarnation through the
 	// reconciliation hook: controls enqueued by other gate holders either
 	// ran before the swap (rejected with ErrNodeDown, so the hook sees them
 	// as missed and re-enqueues them) or run after the hook (landing behind
@@ -610,22 +555,13 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 		if gate != nil {
 			gate.Unlock()
 		}
-		_ = ep.Close()
-		box.close()
-		_ = w.Close()
+		inc.close()
 		return errRunStopped
 	}
-	c.procs[i] = proc
-	c.inbox[i] = mbox
-	c.rel[i] = ep
-	c.wal[i] = w
-	c.box[i] = box
-	c.crash[i] = crashed
-	c.deliver[i] = deliver
-	c.trans[i] = &endpointTransport{ep: ep}
+	n.inc = inc
 	c.stateMu.Unlock()
-	if t := c.tcp[i]; t != nil {
-		t.ep.Store(ep)
+	if n.tcp != nil {
+		n.tcp.ep.Store(inc.ep)
 	}
 	if c.recovery.OnRelaunch != nil {
 		// Before the delivery loop starts: the hook's control enqueues are
@@ -648,11 +584,11 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 		next = int64(rs.queues[i][0].KillAfterSends)
 	}
 	rs.mu.Unlock()
-	atomic.StoreInt64(&c.budget[i], next)
+	n.budget.Store(next)
 
 	// Tell every peer the new epoch and watermarks so they trim and rewind;
 	// then resume the protocol.
-	ep.Announce()
-	rs.launch(i, proc, mbox, crashed, box, true)
+	inc.ep.Announce()
+	rs.launch(n, inc, true)
 	return nil
 }

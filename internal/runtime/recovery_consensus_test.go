@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
@@ -319,5 +320,68 @@ func TestReplayIsRepeatable(t *testing.T) {
 	if rep1.Records != rep2.Records || len(rep1.Delivered) != len(rep2.Delivered) {
 		t.Errorf("replay not repeatable: %d/%d records, %d/%d deliveries",
 			rep1.Records, rep2.Records, len(rep1.Delivered), len(rep2.Delivered))
+	}
+}
+
+// TestStatsMonotoneAcrossRelaunch polls Stats while restart plans kill and
+// relaunch nodes of a WAL-backed cluster. Every counter only ever counts up,
+// so no read may show a field lower than the read before it: an incarnation's
+// counters must be visible exactly once at every instant of its kill —
+// neither missing between leaving the live set and being folded into the
+// dead counters, nor counted in both.
+func TestStatsMonotoneAcrossRelaunch(t *testing.T) {
+	fx := newCCFixture(t, 5, 1)
+	var plans []runtime.RestartPlan
+	for proc := 0; proc < 3; proc++ {
+		for k := 0; k < 3; k++ {
+			plans = append(plans, runtime.RestartPlan{Proc: dist.ProcID(proc), KillAfterSends: 3 + 2*proc + k})
+		}
+	}
+	c, err := runtime.NewChannelCluster(fx.procs(t),
+		runtime.WithRecovery(runtime.RecoveryConfig{Dir: t.TempDir(), Factory: fx.factory(t), Inputs: fx.inputs}),
+		runtime.WithRestarts(plans...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// counters flattens a Stats read into its int64 fields.
+	counters := func(st runtime.ClusterStats) map[string]int64 {
+		out := map[string]int64{"Sends": st.Sends, "Bytes": st.Bytes}
+		v := reflect.ValueOf(st.Net)
+		for i := 0; i < v.NumField(); i++ {
+			out["Net."+v.Type().Field(i).Name] = v.Field(i).Int()
+		}
+		return out
+	}
+	prev := counters(c.Stats())
+	check := func() {
+		cur := counters(c.Stats())
+		for name, was := range prev {
+			if cur[name] < was {
+				t.Errorf("%s read %d after %d", name, cur[name], was)
+			}
+		}
+		prev = cur
+	}
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				check()
+			}
+		}
+	}()
+	err = c.Run(60 * time.Second)
+	close(stop)
+	<-polled
+	if err != nil {
+		t.Fatal(err)
+	}
+	check() // the final totals are no lower than any intermediate read
+	if prev["Net.Resumes"] == 0 || prev["Net.WALAppends"] == 0 {
+		t.Errorf("no relaunch observed: %v", prev)
 	}
 }

@@ -28,14 +28,10 @@ var errLinkDown = errors.New("runtime: tcp link down, reconnecting")
 // retransmission re-offers it once the writer drains.
 var errSendQueueFull = errors.New("runtime: tcp send queue full, frame dropped")
 
-// WireConfig tunes the TCP transport's write path. The zero value is the
-// default: frame coalescing on, flush immediately on wakeup, compression off.
+// WireConfig tunes the TCP transport's write path, which always coalesces
+// frames per link. The zero value is the default: flush immediately on
+// wakeup, compression off.
 type WireConfig struct {
-	// SingleFrame disables coalescing: every frame is encoded, written and
-	// flushed individually on the sender's goroutine — the pre-coalescing
-	// write path, kept both as an escape hatch and as the measurable
-	// baseline for the TransportSaturatedLink benchmark twin.
-	SingleFrame bool
 	// FlushDeadline is how long the peer writer lingers after a wakeup for
 	// more frames to accumulate before flushing the batch. Zero flushes
 	// immediately: under light load a lone frame still goes out in one
@@ -95,28 +91,22 @@ const (
 // what actually uphold the exactly-once FIFO contract (and they absorb any
 // chaos faults injected with WithChaos).
 func NewTCPCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
-	c, err := newCluster(procs, opts...)
+	c, err := listenTCP(procs, opts...)
 	if err != nil {
 		return nil, err
 	}
-	n := len(procs)
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	cleanup := func() {
-		for _, ln := range listeners {
-			if ln != nil {
-				_ = ln.Close()
-			}
-		}
+	if err := c.connectMesh(); err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("runtime: listen for node %d: %w", i, err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	return c, nil
+}
+
+// listenTCP builds a TCP cluster up to the point where every node listens
+// and accepts but none has dialed.
+func listenTCP(procs []dist.Process, opts ...Option) (*Cluster, error) {
+	c, err := newCluster(procs, opts...)
+	if err != nil {
+		return nil, err
 	}
 	// One shared fault injector serves the whole mesh, so per-link byte
 	// offsets survive reconnects and the corruption schedule is a pure
@@ -130,92 +120,60 @@ func NewTCPCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
 	if c.wanModel != nil {
 		c.wanInj = wan.NewInjector(c.wanModel)
 	}
-	transports := make([]*tcpTransport, n)
-	for i := 0; i < n; i++ {
-		t := &tcpTransport{
-			self:   dist.ProcID(i),
-			ln:     listeners[i],
-			addrs:  addrs,
-			peers:  make([]*tcpPeer, n),
-			health: make([]*peerHealth, n),
-			nfault: c.nfault,
-			wan:    c.wanInj,
-			cfg:    c.wireCfg,
-			stop:   make(chan struct{}),
+	addrs := make([]string, len(procs)) // shared by every transport; filled as the listeners come up
+	for i, n := range c.nodes {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			c.abort()
+			return nil, fmt.Errorf("runtime: listen for node %d: %w", i, err)
 		}
-		for j := range t.peers {
-			link := fmt.Sprintf("%d->%d", i, j)
-			t.peers[j] = &tcpPeer{
-				to:          dist.ProcID(j),
-				wake:        make(chan struct{}, 1),
-				batchFrames: mWireBatchFrames.With(link),
-				batchBytes:  mWireBatchBytes.With(link),
-				compBytes:   mWireCompressedBytes.With(link),
-			}
-			t.health[j] = &peerHealth{}
-		}
-		transports[i] = t
+		addrs[i] = ln.Addr().String()
+		n.tcp = newTCPTransport(n.id, ln, addrs, c.wireCfg, c.nfault, c.wanInj, "")
 	}
-	// Install the rlink/chaos stack before any reader goroutine exists. The
-	// endpoint pointer is atomic because the restart supervisor swaps in a
-	// resumed endpoint while reader goroutines are live.
-	for i := 0; i < n; i++ {
-		c.tcp[i] = transports[i]
-		var s rlink.Sender = transports[i]
-		s = c.maybeInjectChaos(i, s)
-		if err := c.installEndpoint(i, s); err != nil {
-			cleanup()
-			for _, ep := range c.rel {
-				if ep != nil {
-					_ = ep.Close()
-				}
-			}
-			c.closeWALs()
+	// Install the rlink/chaos stack before any reader goroutine exists.
+	for i, proc := range procs {
+		if err := c.install(i, proc, c.maybeInjectChaos(i, c.nodes[i].tcp)); err != nil {
+			c.abort()
 			return nil, err
 		}
-		transports[i].ep.Store(c.rel[i])
 	}
-	for i := 0; i < n; i++ {
-		transports[i].startAccepting()
-		transports[i].startWriters()
+	for _, n := range c.nodes {
+		n.tcp.start()
 	}
-	// Dial the full mesh up front; later failures are repaired by redial.
-	// The n·(n-1) dials are independent network operations, so each node
-	// dials its peers on its own goroutine; on failure the lowest-numbered
-	// (dialer, target) pair is reported, keeping the error deterministic.
-	dialErrs := make([]error, n)
+	return c, nil
+}
+
+// connectMesh dials the full mesh up front; later failures are repaired by
+// redial. The n·(n-1) dials are independent network operations, so each node
+// dials its peers on its own goroutine; on failure the lowest-numbered
+// (dialer, target) pair is reported, keeping the error deterministic, and
+// the cluster is aborted.
+func (c *Cluster) connectMesh() error {
+	dialErrs := make([]error, len(c.nodes))
 	var dialWG sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, n := range c.nodes {
 		dialWG.Add(1)
-		go func(i int) {
+		go func(i int, t *tcpTransport) {
 			defer dialWG.Done()
-			for j := 0; j < n; j++ {
+			for j := range c.nodes {
 				if i == j {
 					continue
 				}
-				if err := transports[i].dial(dist.ProcID(j)); err != nil {
+				if err := t.dial(dist.ProcID(j)); err != nil {
 					dialErrs[i] = fmt.Errorf("runtime: dial %d -> %d: %w", i, j, err)
 					return
 				}
 			}
-		}(i)
+		}(i, n.tcp)
 	}
 	dialWG.Wait()
 	for _, err := range dialErrs {
-		if err == nil {
-			continue
+		if err != nil {
+			c.abort()
+			return err
 		}
-		for _, ep := range c.rel {
-			if ep != nil {
-				_ = ep.Close()
-			}
-		}
-		for _, tr := range transports {
-			_ = tr.Close()
-		}
-		return nil, err
 	}
-	return c, nil
+	return nil
 }
 
 // tcpTransport is one node's view of the TCP mesh: a listener for incoming
@@ -225,8 +183,8 @@ type tcpTransport struct {
 	self  dist.ProcID
 	ln    net.Listener
 	addrs []string
-	// ep is the receive path (the node's rlink endpoint). It is written in
-	// NewTCPCluster before any reader goroutine starts, and swapped by the
+	// ep is the receive path (the node's rlink endpoint). It is written at
+	// install time before any reader goroutine starts, and swapped by the
 	// restart supervisor when the node is relaunched with a resumed
 	// endpoint; reader goroutines load it per frame. A nil load (mid-kill)
 	// drops the frame — the peer's retransmission queue re-offers it.
@@ -265,18 +223,16 @@ type tcpTransport struct {
 	wg      sync.WaitGroup
 }
 
-// tcpPeer is the outgoing half of one link. In the default coalescing mode
-// senders append encoded frames to pend under mu and nudge the peer's writer
-// goroutine, which swaps the batch out and hands it to the kernel in a single
-// vectored write — so a burst of frames costs one syscall, not one per frame,
-// and frames arriving during the in-flight write group-commit into the next
-// batch.
+// tcpPeer is the outgoing half of one link. Senders append encoded frames to
+// pend under mu and nudge the peer's writer goroutine, which swaps the batch
+// out and hands it to the kernel in a single vectored write — so a burst of
+// frames costs one syscall, not one per frame, and frames arriving during
+// the in-flight write group-commit into the next batch.
 type tcpPeer struct {
 	to dist.ProcID
 
 	mu      sync.Mutex
 	conn    net.Conn
-	w       *bufio.Writer
 	dialing bool
 
 	pend    []byte // encoded frames awaiting the writer (pooled; nil when empty)
@@ -383,6 +339,35 @@ func (h *peerHealth) goodFrame() {
 
 var _ rlink.Sender = (*tcpTransport)(nil)
 
+// newTCPTransport builds node self's transport over an open listener. addrs
+// are the mesh's listen addresses; linkPrefix namespaces the per-link
+// telemetry series (the link benchmark keeps its own).
+func newTCPTransport(self dist.ProcID, ln net.Listener, addrs []string, cfg WireConfig, nfault *netfault.Injector, wanInj *wan.Injector, linkPrefix string) *tcpTransport {
+	t := &tcpTransport{
+		self:   self,
+		ln:     ln,
+		addrs:  addrs,
+		peers:  make([]*tcpPeer, len(addrs)),
+		health: make([]*peerHealth, len(addrs)),
+		nfault: nfault,
+		wan:    wanInj,
+		cfg:    cfg,
+		stop:   make(chan struct{}),
+	}
+	for j := range t.peers {
+		link := fmt.Sprintf("%s%d->%d", linkPrefix, self, j)
+		t.peers[j] = &tcpPeer{
+			to:          dist.ProcID(j),
+			wake:        make(chan struct{}, 1),
+			batchFrames: mWireBatchFrames.With(link),
+			batchBytes:  mWireBatchBytes.With(link),
+			compBytes:   mWireCompressedBytes.With(link),
+		}
+		t.health[j] = &peerHealth{}
+	}
+	return t
+}
+
 // dial (re)establishes the outgoing connection to peer to and sends the
 // identifying handshake frame. When the node's endpoint is installed, the
 // handshake carries its incarnation epoch and link watermarks, so a redial
@@ -428,17 +413,14 @@ func (t *tcpTransport) dial(to dist.ProcID) error {
 		_ = p.conn.Close()
 	}
 	p.conn = conn
-	p.w = w
 	p.mu.Unlock()
 	return nil
 }
 
-// SendFrame hands one frame to the link's writer. In the default coalescing
-// mode the frame is encoded into the peer's pending batch and the writer
-// goroutine is nudged; a full batch buffer drops the frame (retransmission
-// re-offers it). In SingleFrame mode the frame is written and flushed inline,
-// the pre-coalescing behavior. Either way a link fault marks the link down,
-// kicks off an asynchronous redial with capped backoff, and reports the
+// SendFrame hands one frame to the link's writer: the frame is encoded into
+// the peer's pending batch and the writer goroutine is nudged; a full batch
+// buffer drops the frame (retransmission re-offers it). A link that is down
+// kicks off an asynchronous redial with capped backoff and reports the
 // error — the caller's retransmission queue owns recovery, so no frame is
 // silently dropped.
 func (t *tcpTransport) SendFrame(to dist.ProcID, f wire.Frame) error {
@@ -449,73 +431,31 @@ func (t *tcpTransport) SendFrame(to dist.ProcID, f wire.Frame) error {
 		return fmt.Errorf("runtime: send to unknown node %d", to)
 	}
 	p := t.peers[to]
-	if !t.cfg.SingleFrame {
-		p.mu.Lock()
-		if p.conn == nil && !p.dialing {
-			p.mu.Unlock()
-			t.ensureRedial(to)
-			return errLinkDown
-		}
-		if len(p.pend) >= maxPendBytes {
-			p.mu.Unlock()
-			return errSendQueueFull
-		}
-		if p.pend == nil {
-			p.pend = wire.GetBuf()
-		}
-		var err error
-		if p.pend, err = wire.AppendFrame(p.pend, f); err != nil {
-			p.mu.Unlock()
-			return err
-		}
-		p.nframes++
-		p.mu.Unlock()
-		select {
-		case p.wake <- struct{}{}:
-		default: // writer already signalled
-		}
-		return nil
-	}
 	p.mu.Lock()
-	if p.conn == nil {
+	if p.conn == nil && !p.dialing {
 		p.mu.Unlock()
 		t.ensureRedial(to)
 		return errLinkDown
 	}
-	err := wire.WriteFrame(p.w, f)
-	if err == nil {
-		err = p.w.Flush()
-	}
-	if err != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-		p.w = nil
+	if len(p.pend) >= maxPendBytes {
 		p.mu.Unlock()
-		if !t.closed.Load() {
-			t.linkFaults.Add(1)
-			mLinkFaults.Inc()
-			t.ensureRedial(to)
-		}
+		return errSendQueueFull
+	}
+	if p.pend == nil {
+		p.pend = wire.GetBuf()
+	}
+	var err error
+	if p.pend, err = wire.AppendFrame(p.pend, f); err != nil {
+		p.mu.Unlock()
 		return err
 	}
+	p.nframes++
 	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default: // writer already signalled
+	}
 	return nil
-}
-
-// startWriters launches one writer goroutine per outgoing link (coalescing
-// mode only). Writers idle on their wake channel, so links that never carry
-// traffic cost one parked goroutine each.
-func (t *tcpTransport) startWriters() {
-	if t.cfg.SingleFrame {
-		return
-	}
-	for j, p := range t.peers {
-		if dist.ProcID(j) == t.self {
-			continue
-		}
-		t.wg.Add(1)
-		go t.writeLoop(p)
-	}
 }
 
 // writeLoop drains one peer's pending batch: it sleeps until a sender nudges
@@ -597,7 +537,6 @@ func (t *tcpTransport) flushPeer(p *tcpPeer) {
 	if p.conn == conn {
 		_ = conn.Close()
 		p.conn = nil
-		p.w = nil
 	}
 	p.mu.Unlock()
 	if !t.closed.Load() {
@@ -652,10 +591,18 @@ func (t *tcpTransport) ensureRedial(to dist.ProcID) {
 	}()
 }
 
-// startAccepting launches the accept loop; each accepted connection must
-// open with a handshake frame, after which a reader goroutine decodes
-// frames into the node's reliable-link endpoint.
-func (t *tcpTransport) startAccepting() {
+// start launches one writer goroutine per outgoing link — writers idle on
+// their wake channel, so links that never carry traffic cost one parked
+// goroutine each — and the accept loop; each accepted connection must open
+// with a handshake frame, after which a reader goroutine decodes frames into
+// the node's reliable-link endpoint.
+func (t *tcpTransport) start() {
+	for j, p := range t.peers {
+		if dist.ProcID(j) != t.self {
+			t.wg.Add(1)
+			go t.writeLoop(p)
+		}
+	}
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -769,7 +716,6 @@ func (t *tcpTransport) breakLinks() {
 		if p.conn != nil {
 			_ = p.conn.Close()
 			p.conn = nil
-			p.w = nil
 		}
 		p.mu.Unlock()
 	}
@@ -793,25 +739,9 @@ func (t *tcpTransport) Close() error {
 	}
 	close(t.stop) // parks every per-peer writer
 	_ = t.ln.Close()
-	for _, p := range t.peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			_ = p.conn.Close()
-			p.conn = nil
-			p.w = nil
-		}
-		p.mu.Unlock()
-	}
-	// Close accepted connections too: their reader goroutines would
-	// otherwise block until the remote side shuts down, deadlocking the
-	// wg.Wait below.
-	t.mu.Lock()
-	accepted := t.accepted
-	t.accepted = nil
-	t.mu.Unlock()
-	for _, conn := range accepted {
-		_ = conn.Close()
-	}
+	// Accepted connections too: their reader goroutines would otherwise block
+	// until the remote side shuts down, deadlocking the wg.Wait below.
+	t.breakLinks()
 	t.wg.Wait()
 	return nil
 }

@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"chc/internal/chaos"
 	"chc/internal/dist"
+	"chc/internal/wal"
 )
 
 // roundProc advances through R lockstep rounds: it broadcasts round r+1
@@ -90,7 +93,7 @@ func TestTCPClusterRecoversFromKilledConnections(t *testing.T) {
 	if impl[0].currentRound() < 5 {
 		t.Fatal("protocol made no progress before the link kill")
 	}
-	c.tcp[1].breakLinks()
+	c.nodes[1].tcp.breakLinks()
 
 	if err := <-runDone; err != nil {
 		t.Fatalf("cluster did not recover from killed connections: %v", err)
@@ -134,5 +137,32 @@ func TestTCPClusterChaos(t *testing.T) {
 	}
 	if st := c.Stats(); st.Net.InjectedDrops == 0 {
 		t.Error("chaos injected nothing over TCP")
+	}
+}
+
+// TestTCPClusterDialFailureReleasesEverything fails the constructor's mesh
+// dial (one listener is closed between listen and connect) on a WAL-backed
+// cluster: the dial error must come back, and nothing the constructor built
+// may outlive it — every journal is closed (and with it the committer
+// goroutine that abort waits for).
+func TestTCPClusterDialFailureReleasesEverything(t *testing.T) {
+	const n = 3
+	procs, _ := newGatherProcs(n)
+	c, err := listenTCP(procs, WithRecovery(RecoveryConfig{
+		Dir:     t.TempDir(),
+		Factory: func(int) dist.Process { return newGatherProc(n, nil) },
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = c.nodes[1].tcp.ln.Close()
+	err = c.connectMesh()
+	if err == nil || !strings.Contains(err.Error(), "runtime: dial 0 -> 1") {
+		t.Fatalf("connectMesh = %v, want the 0 -> 1 dial error", err)
+	}
+	for i, node := range c.nodes {
+		if err := node.inc.wal.AppendDecided(0); !errors.Is(err, wal.ErrClosed) {
+			t.Errorf("node %d: journal still open after the failed constructor (append = %v)", i, err)
+		}
 	}
 }

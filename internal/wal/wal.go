@@ -150,6 +150,13 @@ type Stats struct {
 	Checkpoints int64 // snapshots published (rotations + re-arms)
 }
 
+// Add accumulates o into s (totals over several logs or incarnations).
+func (s *Stats) Add(o Stats) {
+	s.Appends += o.Appends
+	s.Syncs += o.Syncs
+	s.Checkpoints += o.Checkpoints
+}
+
 // Create truncates (or creates) the log at path and starts epoch 0.
 func Create(path string) (*WAL, error) { return CreateWith(path, Options{}) }
 

@@ -78,10 +78,9 @@ type networkOptions struct {
 	recoverWait time.Duration
 }
 
-// WireConfig tunes the TCP transport's write path: frame coalescing (on by
-// default; SingleFrame restores the write+flush-per-frame path), the
-// flush-deadline batching window, and optional per-batch flate compression
-// negotiated in the connection handshake. The zero value is the default
+// WireConfig tunes the TCP transport's write path: the flush-deadline
+// batching window of its per-link frame coalescing, and optional per-batch
+// flate compression negotiated in the connection handshake. The zero value is the default
 // production configuration. Usable both with WithWire and as
 // BatchConfig.Wire.
 type WireConfig = runtime.WireConfig
