@@ -10,12 +10,15 @@ test: build
 
 # check is the tier-1 gate plus static analysis and the race detector over
 # the concurrency-heavy packages (networked runtime, reliable links, chaos
-# injection, simulator, wire codec, telemetry registry) and the packages the
-# simulator's per-message path runs through (stable vector, WAN scheduler).
+# injection, simulator, wire codec, telemetry registry), the packages the
+# simulator's per-message path runs through (stable vector, WAN scheduler)
+# and the geometry kernels, whose determinism tests DESIGN.md §7 promises
+# under -race and whose pooled scratch (LP workspaces, the extreme-point
+# filter's frame) is shared across the worker pool's goroutines.
 check: build
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/...
+	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/... ./internal/hull/... ./internal/lp/... ./internal/polytope/...
 
 # loc is the size the simplicity aim is judged by: lines of tracked non-test
 # Go source outside the benchmark harness and its build cache.

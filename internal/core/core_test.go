@@ -10,6 +10,7 @@ import (
 	"chc/internal/dist"
 	"chc/internal/geom"
 	"chc/internal/polytope"
+	"chc/internal/telemetry"
 )
 
 func pt(coords ...float64) geom.Point { return geom.NewPoint(coords...) }
@@ -257,6 +258,41 @@ func TestRun3D(t *testing.T) {
 	}
 	if err := CheckValidity(result, &cfg); err != nil {
 		t.Errorf("validity: %v", err)
+	}
+}
+
+// TestRun3DLPColumns guards the size of the LP work behind a d = 3 instance.
+// hull's frame filter solves about as many LPs as the LP-per-point loop it
+// replaced but over the frame's columns only, so chc_lp_solves_total cannot
+// show that gain eroding; chc_lp_columns_total does. The instance is pinned
+// and, memo off, bitwise deterministic.
+func TestRun3DLPColumns(t *testing.T) {
+	// What this instance cost under the LP-per-point loop, every hull call
+	// the same: measured at the parent of the frame filter with this counter
+	// patched in (21 330 solves; the frame filter needs 21 648).
+	const lpPerPointColumns = 577404
+
+	defer polytope.SetHullCaching(polytope.SetHullCaching(false))
+	reg := telemetry.Default()
+	defer reg.SetEnabled(reg.SetEnabled(true))
+	columns := func() float64 { return reg.Snapshot().Find("chc_lp_columns_total").Total() }
+
+	rng := rand.New(rand.NewSource(16))
+	inputs := make([]geom.Point, 6)
+	for i := range inputs {
+		inputs[i] = pt(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
+	}
+	before := columns()
+	runConsensus(t, RunConfig{
+		Params: Params{N: 6, F: 1, D: 3, Epsilon: 2, InputUpper: 10},
+		Inputs: inputs,
+		Faulty: []dist.ProcID{5},
+		Seed:   16,
+	})
+	got := columns() - before
+	t.Logf("%.0f LP columns, %.3f of the LP-per-point loop's", got, got/lpPerPointColumns)
+	if got > lpPerPointColumns/4 {
+		t.Errorf("instance solved %.0f LP columns, want at most a quarter of the LP-per-point loop's %d", got, lpPerPointColumns)
 	}
 }
 

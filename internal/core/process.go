@@ -295,6 +295,12 @@ func (p *Process) advance(ctx dist.Context) {
 
 		polys := make([]*polytope.Polytope, 0, len(senders))
 		for _, id := range senders {
+			if id == p.id {
+				// The own entry of MSG_i[t] is the polytope this process
+				// already holds; only received vertex lists need hulling.
+				polys = append(polys, p.state)
+				continue
+			}
 			poly, err := polytope.New(perRound[id], p.params.GeomEps)
 			if err != nil {
 				p.failure = fmt.Errorf("core: process %d round %d: state from %d: %w", p.id, p.round, id, err)

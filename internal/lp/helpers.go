@@ -139,15 +139,57 @@ func ConvexWeights(verts [][]float64, q []float64, eps float64) ([]float64, erro
 // ConvexWeightsWith is ConvexWeights drawing all scratch from the caller's
 // workspace. The returned weights are freshly allocated.
 func ConvexWeightsWith(ws *Workspace, verts [][]float64, q []float64, eps float64) ([]float64, error) {
+	if ws == nil {
+		ws = getWS()
+		defer putWS(ws)
+	}
+	p, err := membershipProblem(ws, verts, q)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := p.SolveWith(ws, eps)
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status != Optimal {
+		return nil, ErrInfeasible
+	}
+	return sol.X, nil
+}
+
+// SeparateWith decides the membership of ConvexWeightsWith — same tableau,
+// same tolerance — and reports inside, or else a direction u with
+// u·q > max_v u·v: the phase-1 duals of the coordinate rows, which certify
+// the infeasibility. u is freshly allocated.
+func SeparateWith(ws *Workspace, verts [][]float64, q []float64, eps float64) (u []float64, inside bool, err error) {
+	if ws == nil {
+		ws = getWS()
+		defer putWS(ws)
+	}
+	p, err := membershipProblem(ws, verts, q)
+	if err != nil {
+		return nil, false, err
+	}
+	dual := make([]float64, len(q)+1)
+	sol, err := p.solve(ws, eps, dual)
+	if err != nil {
+		return nil, false, err
+	}
+	if sol.Status == Optimal {
+		return nil, true, nil
+	}
+	return dual[:len(q)], false, nil
+}
+
+// membershipProblem builds, in the workspace, the feasibility LP "q is a
+// convex combination of verts": one equality row per coordinate plus the
+// weights summing to one.
+func membershipProblem(ws *Workspace, verts [][]float64, q []float64) (*Problem, error) {
 	if len(verts) == 0 {
 		return nil, fmt.Errorf("%w: no vertices", ErrBadProblem)
 	}
 	d := len(q)
 	k := len(verts)
-	if ws == nil {
-		ws = getWS()
-		defer putWS(ws)
-	}
 	cons := ws.constraints(d + 1)
 	for coord := 0; coord < d; coord++ {
 		row := ws.arena.Floats(k)
@@ -164,13 +206,5 @@ func ConvexWeightsWith(ws *Workspace, verts [][]float64, q []float64, eps float6
 		ones[i] = 1
 	}
 	cons[d] = Constraint{Coeffs: ones, Op: EQ, RHS: 1}
-	p := &Problem{NumVars: k, Objective: ws.arena.Floats(k), Minimize: true, Constraints: cons}
-	sol, err := p.SolveWith(ws, eps)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != Optimal {
-		return nil, ErrInfeasible
-	}
-	return sol.X, nil
+	return &Problem{NumVars: k, Objective: ws.arena.Floats(k), Minimize: true, Constraints: cons}, nil
 }

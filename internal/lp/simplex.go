@@ -134,7 +134,17 @@ func (p *Problem) Solve(eps float64) (*Solution, error) {
 // before SolveWith returns, so any memory previously drawn from it is
 // recycled; Solution.X is always freshly allocated and safe to retain.
 func (p *Problem) SolveWith(ws *Workspace, eps float64) (*Solution, error) {
+	return p.solve(ws, eps, nil)
+}
+
+// solve is SolveWith with an optional Farkas certificate: when the problem
+// is infeasible and dual is non-nil (one entry per constraint), dual receives
+// the phase-1 multipliers y of the constraints as the caller wrote them, so
+// that y·RHS > 0 while the y-combination of the rows is <= eps on every
+// structural column.
+func (p *Problem) solve(ws *Workspace, eps float64, dual []float64) (*Solution, error) {
 	mSolves.Inc()
+	mColumns.Add(int64(p.NumVars))
 	if p.NumVars <= 0 {
 		return nil, fmt.Errorf("%w: NumVars = %d", ErrBadProblem, p.NumVars)
 	}
@@ -199,7 +209,7 @@ func (p *Problem) SolveWith(ws *Workspace, eps float64) (*Solution, error) {
 		}
 	}
 
-	xInternal, val, status, err := solveStandardized(a, obj, rows, p.Constraints, eps)
+	xInternal, val, status, err := solveStandardized(a, obj, rows, p.Constraints, eps, dual)
 	if err != nil {
 		return nil, err
 	}
@@ -222,8 +232,8 @@ func (p *Problem) SolveWith(ws *Workspace, eps float64) (*Solution, error) {
 // solveStandardized minimises obj·x subject to rows[i]·x (cons[i].Op)
 // cons[i].RHS, x >= 0, using a two-phase dense tableau. All scratch
 // (including the returned x) is drawn from the arena; the caller copies out
-// what it needs before rewinding.
-func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Constraint, eps float64) ([]float64, float64, Status, error) {
+// what it needs before rewinding. dual is the certificate of Problem.solve.
+func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Constraint, eps float64, dual []float64) ([]float64, float64, Status, error) {
 	m := len(rows)
 	n := len(obj)
 
@@ -283,6 +293,11 @@ func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Co
 
 	// Phase 1: minimise sum of artificials (only if any were added).
 	if nArt > 0 {
+		var basis0 []int
+		if dual != nil {
+			basis0 = a.Ints(m)
+			copy(basis0, basis)
+		}
 		cost := a.Floats(width)
 		for i := 0; i < m; i++ {
 			if basis[i] >= n+nSlack {
@@ -308,6 +323,19 @@ func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Co
 		}
 		if cost[width-1] < -eps*float64(m+1) {
 			// Residual artificial infeasibility (cost row holds -objective).
+			// Row i started with a unit column of phase-1 cost c (1 for
+			// an artificial, 0 for a slack) whose reduced cost is now
+			// c - y_i; rows negated for a negative RHS get the sign back.
+			for i := range dual {
+				y := -cost[basis0[i]]
+				if basis0[i] >= n+nSlack {
+					y++
+				}
+				if cons[i].RHS < 0 {
+					y = -y
+				}
+				dual[i] = y
+			}
 			return nil, 0, Infeasible, nil
 		}
 		// Drive any remaining artificials out of the basis.

@@ -261,6 +261,70 @@ func TestConvexWeights(t *testing.T) {
 	}
 }
 
+// TestSeparateWith: the membership verdict is ConvexWeightsWith's, and an
+// "outside" comes with a direction that strictly separates q from every
+// vertex — also when q has negative coordinates, whose rows the tableau
+// negates and whose duals must get the sign back.
+func TestSeparateWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	ws := NewWorkspace()
+	dot := func(u, v []float64) float64 {
+		var s float64
+		for i := range u {
+			s += u[i] * v[i]
+		}
+		return s
+	}
+	insides, outsides, negative := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
+		d := 2 + trial%4
+		verts := make([][]float64, d+1+rng.Intn(8))
+		for i := range verts {
+			verts[i] = make([]float64, d)
+			for c := range verts[i] {
+				verts[i][c] = rng.Float64()*4 - 2
+			}
+		}
+		q := make([]float64, d)
+		for c := range q {
+			q[c] = rng.Float64()*4 - 2
+		}
+		_, werr := ConvexWeightsWith(ws, verts, q, testEps)
+		u, inside, err := SeparateWith(ws, verts, q, testEps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inside != (werr == nil) {
+			t.Fatalf("trial %d: inside = %v but ConvexWeightsWith err = %v", trial, inside, werr)
+		}
+		if inside {
+			insides++
+			if u != nil {
+				t.Fatalf("trial %d: inside with direction %v", trial, u)
+			}
+			continue
+		}
+		outsides++
+		if len(u) != d {
+			t.Fatalf("trial %d: direction %v has %d coordinates, want %d", trial, u, len(u), d)
+		}
+		for _, c := range q {
+			if c < 0 {
+				negative++
+				break
+			}
+		}
+		for i, v := range verts {
+			if dot(u, v) >= dot(u, q) {
+				t.Fatalf("trial %d: u·v[%d] = %v >= u·q = %v", trial, i, dot(u, v), dot(u, q))
+			}
+		}
+	}
+	if insides == 0 || outsides == 0 || negative == 0 {
+		t.Fatalf("cases not covered: %d inside, %d outside, %d outside with a negative coordinate", insides, outsides, negative)
+	}
+}
+
 func TestStatusString(t *testing.T) {
 	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" ||
 		Unbounded.String() != "unbounded" || Status(42).String() != "Status(42)" {
