@@ -67,7 +67,8 @@ func run(args []string, stdout io.Writer) error {
 		for _, id := range strings.Split(*runIDs, ",") {
 			e, ok := experiments.ByID(strings.TrimSpace(id))
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (have E1..E11)", id)
+				all := experiments.All()
+				return fmt.Errorf("unknown experiment %q (have %s..%s)", id, all[0].ID, all[len(all)-1].ID)
 			}
 			selected = append(selected, e)
 		}

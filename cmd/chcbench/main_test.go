@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"chc/internal/experiments"
 )
 
 func TestRunSelected(t *testing.T) {
@@ -33,8 +35,10 @@ func TestRunMultiple(t *testing.T) {
 
 func TestRunUnknownID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-run", "E99"}, &buf); err == nil {
-		t.Error("unknown experiment should error")
+	all := experiments.All()
+	err := run([]string{"-run", "E99"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "(have E1.."+all[len(all)-1].ID+")") {
+		t.Errorf("unknown experiment should error naming the registered range, got %v", err)
 	}
 }
 

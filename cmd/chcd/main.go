@@ -32,8 +32,8 @@ import (
 	"syscall"
 	"time"
 
-	"chc"
 	"chc/internal/engine"
+	"chc/internal/envflag"
 	"chc/internal/service"
 	"chc/internal/telemetry"
 )
@@ -61,29 +61,15 @@ func run(args []string, w io.Writer, ready chan<- string) error {
 		maxQueue     = fs.Int("max-queue", 256, "maximum queued instances; submissions beyond active+queued get 429")
 		retention    = fs.Duration("retention", 10*time.Minute, "how long finished results stay queryable before eviction")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after SIGTERM")
-		walDir       = fs.String("wal-dir", "", "journal protocol state to per-process write-ahead logs in this directory")
-		walCkpt      = fs.Int64("wal-checkpoint", 0, "rotate each WAL and snapshot whenever its live file exceeds this many bytes; 0 disables (requires -wal-dir)")
-		walRetire    = fs.Int("wal-retire", 64, "WAL retention horizon: checkpoint and compact every journal after this many retired instances; 0 disables (requires -wal-dir)")
-		chaosSpec    = fs.String("chaos", "off", "network fault profile: off|light|heavy or drop=P,dup=P,delay=LO-HI (testing)")
-		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the deterministic chaos fault plan")
-		wanSpec      = fs.String("wan", "off", "wide-area link model: off, a topology (3-regions|us-eu-ap|star|clos), or topo,regions=R,delay=S,jitter=J,bw=RATE,cut=us->eu@LO-HI")
-		wanSeed      = fs.Int64("wan-seed", 1, "seed for the deterministic WAN delay schedule")
 		deadline     = fs.Duration("instance-deadline", 0, "abort instances still undecided after this long (outcome \"deadline\"); 0 disables")
 		metricsAddr  = fs.String("metrics-addr", "", "enable telemetry and serve /metrics, /runs, /debug/pprof on this address")
 		metricsToken = fs.String("metrics-token", "", "bearer token for the telemetry server (defaults to -token)")
 	)
+	bindEnv := envflag.Bind(fs, envflag.Chaos|envflag.Checkpoint|envflag.Retire)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	prof, err := chc.ParseChaosProfile(*chaosSpec)
-	if err != nil {
-		return fmt.Errorf("-chaos: %w", err)
-	}
-	wanPlan, err := chc.ParseWANPlan(*wanSpec)
-	if err != nil {
-		return fmt.Errorf("-wan: %w", err)
-	}
 	cfg := service.Config{
 		N:                *n,
 		MaxActive:        *maxActive,
@@ -91,14 +77,6 @@ func run(args []string, w io.Writer, ready chan<- string) error {
 		Retention:        *retention,
 		DrainTimeout:     *drainTimeout,
 		InstanceDeadline: *deadline,
-		Env: engine.Env{
-			WALDir:     *walDir,
-			Chaos:      &prof,
-			ChaosSeed:  *chaosSeed,
-			WAN:        &wanPlan,
-			WANSeed:    *wanSeed,
-			Checkpoint: chc.WALCheckpointPolicy{EveryBytes: *walCkpt},
-		},
 	}
 	switch *transport {
 	case "inproc":
@@ -108,14 +86,11 @@ func run(args []string, w io.Writer, ready chan<- string) error {
 	default:
 		return fmt.Errorf("-transport: unknown transport %q (inproc|tcp)", *transport)
 	}
-	if *walDir != "" {
-		cfg.WALRetire = *walRetire
-		// A daemon owns its state directory: create it rather than
-		// demanding the operator pre-provision it.
-		if err := os.MkdirAll(*walDir, 0o700); err != nil {
-			return fmt.Errorf("-wal-dir: %w", err)
-		}
+	bound, err := bindEnv(cfg.Transport)
+	if err != nil {
+		return err
 	}
+	cfg.Env, cfg.WALRetire = bound.Env, bound.WALRetire
 
 	if *metricsAddr != "" {
 		mtok := *metricsToken
@@ -146,8 +121,8 @@ func run(args []string, w io.Writer, ready chan<- string) error {
 	defer api.Close()
 
 	fmt.Fprintf(w, "chcd: n=%d transport=%s serving on %s\n", *n, *transport, api.URL())
-	if wanPlan.Enabled() {
-		fmt.Fprintf(w, "chcd: wan model %s seed=%d\n", wanPlan.String(), *wanSeed)
+	if cfg.WAN.Enabled() {
+		fmt.Fprintf(w, "chcd: wan model %s seed=%d\n", cfg.WAN.String(), cfg.WANSeed)
 	}
 	if ready != nil {
 		ready <- api.Addr()

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"chc"
+	"chc/internal/envflag"
 )
 
 func main() {
@@ -56,24 +57,12 @@ func run(args []string, w io.Writer) (err error) {
 		protocol      = fs.String("protocol", "cc", "protocol for batch instances: cc|vector|byzantine (implies batch mode when not cc)")
 		byz           = fs.String("byz", "", "run the Byzantine transformation with this adversary at the first faulty process: silent|incorrect|equivocator|garbler")
 		traceFile     = fs.String("tracefile", "", "write the full execution trace (per-round states) as JSON to this file")
-		wanSpec       = fs.String("wan", "off", "wide-area link model: off, a topology (3-regions|us-eu-ap|star|clos), or topo,regions=R,delay=S,jitter=J,tail=P,bw=RATE,cut=us->eu@LO-HI (sim: deterministic virtual-time schedule; inproc/tcp: wall-clock shaping)")
-		wanSeed       = fs.Int64("wan-seed", 1, "seed for the deterministic WAN delay schedule")
-		chaosSpec     = fs.String("chaos", "off", "network fault profile: off|light|heavy or drop=P,dup=P,delay=LO-HI,part=LO-HI:ID+ID (inproc/tcp only)")
-		chaosSeed     = fs.Int64("chaos-seed", 1, "seed for the deterministic chaos fault plan")
-		walDir        = fs.String("wal-dir", "", "journal protocol state to per-process write-ahead logs in this directory (inproc/tcp only)")
 		recoverWAL    = fs.Bool("recover", false, "treat -crash plans as kill-and-restart faults: relaunch killed processes from their WALs (requires -wal-dir)")
 		downtime      = fs.Duration("recover-downtime", 10*time.Millisecond, "how long a killed process stays down before its WAL relaunch")
-		diskFaults    = fs.String("disk-faults", "off", "storage fault plan against the WALs: off|flaky|sick or werr=P,nospc=P,torn=P,syncerr=P,slow=P:LO-HI,cut=N,path=SUBSTR,after=K (requires -wal-dir)")
-		diskSeed      = fs.Int64("disk-seed", 1, "seed for the deterministic storage fault schedule")
-		netFaults     = fs.String("net-faults", "off", "byte-stream corruption against the TCP links: off|flaky|hostile or flip=P,garbage=P,lenmut=P,trunc=P,reset=P,stall=P:LO-HI,window=N,link=SUBSTR,after=K (requires -transport tcp)")
-		netSeed       = fs.Int64("net-seed", 1, "seed for the deterministic wire fault schedule")
-		wireCoalesce  = fs.String("wire-coalesce", "on", "TCP frame coalescing: on (flush immediately per writer wakeup) | a flush-deadline duration like 200us that lets batches accumulate (requires -transport tcp when not \"on\")")
-		wireCompress  = fs.Bool("wire-compress", false, "negotiate flate compression of coalesced frame batches on the TCP links (requires -transport tcp)")
-		walCheckpoint = fs.Int64("wal-checkpoint", 0, "rotate each WAL into segments and publish a full-history snapshot whenever its live file exceeds this many bytes; 0 disables (requires -wal-dir)")
-		durability    = fs.String("durability", "failstop", "policy when a WAL stops accepting writes: failstop (node becomes a crash fault) | degrade (node quarantines non-durably and re-arms with backoff)")
 		metricsAddr   = fs.String("metrics-addr", "", "enable telemetry and serve /metrics, /runs and /debug/pprof on this address (host:port; port 0 picks a free port)")
 		telemetryJSON = fs.String("telemetry-json", "", "enable telemetry and write the final registry snapshot as JSON to this file (written on error and timeout exits too)")
 	)
+	bindEnv := envflag.Bind(fs, envflag.Chaos|envflag.Checkpoint|envflag.Faults)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,71 +78,19 @@ func run(args []string, w io.Writer) (err error) {
 	default:
 		return fmt.Errorf("unknown transport %q", *transport)
 	}
-	chaosProfile, err := chc.ParseChaosProfile(*chaosSpec)
-	if err != nil {
-		return fmt.Errorf("-chaos: %w", err)
-	}
-	wanPlan, err := chc.ParseWANPlan(*wanSpec)
-	if err != nil {
-		return fmt.Errorf("-wan: %w", err)
-	}
-	diskPlan, err := chc.ParseDiskFaultPlan(*diskFaults)
-	if err != nil {
-		return fmt.Errorf("-disk-faults: %w", err)
-	}
-	diskPlan.Seed = *diskSeed
-	netPlan, err := chc.ParseNetFaultPlan(*netFaults)
-	if err != nil {
-		return fmt.Errorf("-net-faults: %w", err)
-	}
-	netPlan.Seed = *netSeed
-	wireCfg := chc.WireConfig{Compress: *wireCompress}
-	if *wireCoalesce != "on" {
-		dl, derr := time.ParseDuration(*wireCoalesce)
-		if derr != nil || dl < 0 {
-			return fmt.Errorf("-wire-coalesce: want on or a flush-deadline duration, got %q", *wireCoalesce)
-		}
-		wireCfg.FlushDeadline = dl
-	}
-	var durabilityPolicy chc.DurabilityPolicy
-	switch *durability {
-	case "failstop":
-		durabilityPolicy = chc.FailStop
-	case "degrade":
-		durabilityPolicy = chc.Degrade
-	default:
-		return fmt.Errorf("-durability: unknown policy %q (failstop|degrade)", *durability)
-	}
 	// One environment for every mode; which transport accepts which part of
 	// it is the engine's rule, not restated per flag here.
-	env := chc.Env{
-		Chaos:      &chaosProfile,
-		ChaosSeed:  *chaosSeed,
-		NetFaults:  &netPlan,
-		Wire:       &wireCfg,
-		WAN:        &wanPlan,
-		WANSeed:    *wanSeed,
-		WALDir:     *walDir,
-		Checkpoint: chc.WALCheckpointPolicy{EveryBytes: *walCheckpoint},
-		Durability: durabilityPolicy,
-	}
-	if diskPlan.Enabled() {
-		env.WALFS = chc.DiskFaultFS(diskPlan)
-	}
-	if err := env.Validate(bt); err != nil {
+	bound, err := bindEnv(bt)
+	if err != nil {
 		return err
 	}
+	env, wanPlan := bound.Env, *bound.Env.WAN
 	if *recoverWAL {
-		if *walDir == "" {
+		if env.WALDir == "" {
 			return fmt.Errorf("-recover requires -wal-dir")
 		}
 		if *crash == "" {
 			return fmt.Errorf("-recover needs -crash plans to convert into kill-and-restart faults")
-		}
-	}
-	if *walDir != "" {
-		if err := os.MkdirAll(*walDir, 0o755); err != nil {
-			return fmt.Errorf("-wal-dir: %w", err)
 		}
 	}
 
@@ -245,7 +182,7 @@ func run(args []string, w io.Writer) (err error) {
 		if *sched != "random" {
 			return fmt.Errorf("-wan drives the simulator's delivery order itself; drop -sched %s", *sched)
 		}
-		ws, werr := chc.NewWANScheduler(wanPlan, *n, *wanSeed)
+		ws, werr := chc.NewWANScheduler(wanPlan, *n, env.WANSeed)
 		if werr != nil {
 			return fmt.Errorf("-wan: %w", werr)
 		}
@@ -282,14 +219,14 @@ func run(args []string, w io.Writer) (err error) {
 
 	// Disabled plans are absent to the engine, so every option is passed.
 	netOpts := []chc.NetworkOption{
-		chc.WithNetworkChaos(chaosProfile, *chaosSeed),
-		chc.WithWAL(*walDir),
-		chc.WithDiskFaults(diskPlan),
-		chc.WithNetFaults(netPlan),
-		chc.WithWire(wireCfg),
-		chc.WithWALCheckpoint(*walCheckpoint),
-		chc.WithDurability(durabilityPolicy),
-		chc.WithWAN(wanPlan, *wanSeed),
+		chc.WithNetworkChaos(*env.Chaos, env.ChaosSeed),
+		chc.WithWAL(env.WALDir),
+		chc.WithDiskFaults(bound.Disk),
+		chc.WithNetFaults(*env.NetFaults),
+		chc.WithWire(*env.Wire),
+		chc.WithWALCheckpoint(env.Checkpoint.EveryBytes),
+		chc.WithDurability(env.Durability),
+		chc.WithWAN(wanPlan, env.WANSeed),
 	}
 	if *recoverWAL {
 		netOpts = append(netOpts, chc.WithCrashRecovery(*downtime))
@@ -359,7 +296,7 @@ func run(args []string, w io.Writer) (err error) {
 			Elapsed() time.Duration
 		}); ok {
 			fmt.Fprintf(w, "wan         : %s seed=%d: %d delivered in %v virtual time, %d cut-held\n",
-				wanPlan.String(), *wanSeed, ws.Delivered(), ws.Elapsed().Round(time.Microsecond), ws.Held())
+				wanPlan.String(), env.WANSeed, ws.Delivered(), ws.Elapsed().Round(time.Microsecond), ws.Held())
 		}
 	}
 	if len(result.Degraded) > 0 {

@@ -30,6 +30,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,7 +38,9 @@ import (
 	"time"
 
 	"chc"
+	"chc/internal/core"
 	"chc/internal/dist"
+	"chc/internal/envflag"
 	"chc/internal/telemetry"
 	"chc/internal/wan"
 )
@@ -57,11 +60,7 @@ func run(args []string, w io.Writer) error {
 		self      = fs.Bool("self", false, "start an in-process daemon and soak it (no external chcd needed)")
 		n         = fs.Int("n", 6, "process count of the -self daemon's cluster")
 		transport = fs.String("transport", "inproc", "-self cluster transport: inproc|tcp")
-		wanSpec   = fs.String("wan", "off", "WAN model for the -self daemon and the -mesh gate: off, a topology (3-regions|us-eu-ap|star|clos), or a full plan spec")
-		wanSeed   = fs.Int64("wan-seed", 1, "seed for the deterministic WAN delay schedule")
 		deadline  = fs.Duration("instance-deadline", 2*time.Minute, "per-instance deadline of the -self daemon (0 disables)")
-		walDir    = fs.String("wal-dir", "", "journal the -self daemon's cluster to WALs in this directory")
-		walRetire = fs.Int("wal-retire", 64, "WAL retention horizon of the -self daemon (requires -wal-dir)")
 		duration  = fs.Duration("duration", 10*time.Second, "submission window of the soak (0 skips the soak; useful with -mesh)")
 		rate      = fs.Float64("rate", 8, "target submissions per second")
 		conc      = fs.Int("concurrency", 16, "maximum in-flight instances the harness holds open")
@@ -75,17 +74,34 @@ func run(args []string, w io.Writer) error {
 		watchMax  = fs.Duration("watch-timeout", 2*time.Minute, "bound on waiting for any one instance to reach a terminal state")
 		metrics   = fs.String("metrics-url", "", "scrape this Prometheus /metrics endpoint after the soak for per-region decide latency (self mode reads the in-process registry instead)")
 	)
+	bindEnv := envflag.Bind(fs, envflag.Retire)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	wanPlan, err := chc.ParseWANPlan(*wanSpec)
-	if err != nil {
-		return fmt.Errorf("-wan: %w", err)
+	// The environment is the -self daemon's; the -mesh gate borrows its WAN
+	// plan.
+	cfg := chc.ServiceConfig{
+		N:                *n,
+		InstanceDeadline: *deadline,
+		Retention:        -1, // every record must survive to the post-drain audit
 	}
+	switch *transport {
+	case "inproc":
+		cfg.Transport = chc.BatchInProcess
+	case "tcp":
+		cfg.Transport = chc.BatchTCP
+	default:
+		return fmt.Errorf("-transport: unknown transport %q (inproc|tcp)", *transport)
+	}
+	bound, err := bindEnv(cfg.Transport)
+	if err != nil {
+		return err
+	}
+	cfg.Env, cfg.WALRetire = bound.Env, bound.WALRetire
 
 	if *mesh > 0 {
-		if err := meshGate(w, *mesh, *meshRound, wanPlan, *wanSeed); err != nil {
+		if err := meshGate(w, *mesh, *meshRound, *cfg.WAN, cfg.WANSeed); err != nil {
 			return err
 		}
 	}
@@ -106,30 +122,6 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("-self and -addr are mutually exclusive")
 		}
 		chc.EnableTelemetry(true)
-		cfg := chc.ServiceConfig{
-			N:                *n,
-			InstanceDeadline: *deadline,
-			Env:              chc.Env{WALDir: *walDir},
-			Retention:        -1, // every record must survive to the post-drain audit
-		}
-		switch *transport {
-		case "inproc":
-			cfg.Transport = chc.BatchInProcess
-		case "tcp":
-			cfg.Transport = chc.BatchTCP
-		default:
-			return fmt.Errorf("-transport: unknown transport %q (inproc|tcp)", *transport)
-		}
-		if wanPlan.Enabled() {
-			cfg.WAN = &wanPlan
-			cfg.WANSeed = *wanSeed
-		}
-		if *walDir != "" {
-			if err := os.MkdirAll(*walDir, 0o700); err != nil {
-				return fmt.Errorf("-wal-dir: %w", err)
-			}
-			cfg.WALRetire = *walRetire
-		}
 		srv, err = chc.Serve(cfg)
 		if err != nil {
 			return err
@@ -142,8 +134,8 @@ func run(args []string, w io.Writer) error {
 		defer api.Close()
 		base = api.URL()
 		fmt.Fprintf(w, "soak target : in-process daemon n=%d transport=%s on %s\n", *n, *transport, base)
-		if wanPlan.Enabled() {
-			fmt.Fprintf(w, "wan         : %s seed=%d\n", wanPlan.String(), *wanSeed)
+		if cfg.WAN.Enabled() {
+			fmt.Fprintf(w, "wan         : %s seed=%d\n", cfg.WAN.String(), cfg.WANSeed)
 		}
 	}
 	if base == "" {
@@ -552,17 +544,14 @@ func (s *soakState) observe(cl *client, id int, sub submitReq) {
 	}
 }
 
-// auditInstance re-checks the paper's guarantees client-side: every decided
-// value lies in the hull of the correct inputs (Theorem 2 validity) and the
-// decisions pairwise agree within ε.
+// auditInstance re-checks the paper's guarantees client-side with the audit
+// the library itself uses (core.AuditOutputs): every decided value lies in
+// the hull of the correct inputs (Theorem 2 validity) and the decisions
+// pairwise agree within ε.
 func auditInstance(sub submitReq, st statusResp, eps float64) error {
-	byzFaulty := make(map[int]bool, len(sub.Faults))
-	for _, flt := range sub.Faults {
-		byzFaulty[flt.Proc] = true
-	}
 	correct := make([]chc.Point, 0, len(sub.Inputs))
 	for i, in := range sub.Inputs {
-		if !byzFaulty[i] {
+		if !slices.ContainsFunc(sub.Faults, func(f faultReq) bool { return f.Proc == i }) {
 			correct = append(correct, chc.Point(in))
 		}
 	}
@@ -570,57 +559,30 @@ func auditInstance(sub submitReq, st statusResp, eps float64) error {
 	if err != nil {
 		return fmt.Errorf("input hull: %w", err)
 	}
-	const slack = 1e-7
-	if len(st.Outputs) > 0 {
-		polys := make([]*chc.Polytope, 0, len(st.Outputs))
-		for proc, verts := range st.Outputs {
-			pts := make([]chc.Point, len(verts))
-			for i, v := range verts {
-				pts[i] = chc.Point(v)
-				inside, cerr := hull.Contains(chc.Point(v), slack)
-				if cerr != nil {
-					return cerr
-				}
-				if !inside {
-					return fmt.Errorf("validity: p%s vertex %v outside the correct-input hull", proc, v)
-				}
-			}
-			poly, perr := chc.NewPolytope(pts, chc.DefaultEps)
-			if perr != nil {
-				return fmt.Errorf("p%s output: %w", proc, perr)
-			}
-			polys = append(polys, poly)
+	outs := make([]*chc.Polytope, 0, len(st.Outputs)+len(st.Points))
+	for proc, verts := range st.Outputs {
+		pts := make([]chc.Point, len(verts))
+		for i, v := range verts {
+			pts[i] = chc.Point(v)
 		}
-		dH, herr := chc.MaxPairwiseHausdorff(polys, chc.DefaultEps)
-		if herr != nil {
-			return herr
+		poly, perr := chc.NewPolytope(pts, chc.DefaultEps)
+		if perr != nil {
+			return fmt.Errorf("p%s output: %w", proc, perr)
 		}
-		if dH > eps+1e-9 {
-			return fmt.Errorf("ε-agreement: max d_H = %g > ε = %g", dH, eps)
-		}
+		outs = append(outs, poly)
 	}
-	if len(st.Points) > 0 {
-		var ref []float64
-		for proc, pt := range st.Points {
-			inside, cerr := hull.Contains(chc.Point(pt), slack)
-			if cerr != nil {
-				return cerr
-			}
-			if !inside {
-				return fmt.Errorf("validity: p%s point %v outside the correct-input hull", proc, pt)
-			}
-			if ref == nil {
-				ref = pt
-				continue
-			}
-			var sum float64
-			for i := range ref {
-				sum += (ref[i] - pt[i]) * (ref[i] - pt[i])
-			}
-			if math.Sqrt(sum) > eps+1e-9 {
-				return fmt.Errorf("ε-agreement: points %v and %v differ by > ε", ref, pt)
-			}
-		}
+	for _, pt := range st.Points {
+		outs = append(outs, chc.PointPolytope(chc.Point(pt)))
+	}
+	audit, err := core.AuditOutputs(hull, outs, eps)
+	if err != nil {
+		return err
+	}
+	if !audit.Valid {
+		return fmt.Errorf("validity: a decision lies outside the correct-input hull")
+	}
+	if !audit.Agree {
+		return fmt.Errorf("ε-agreement: max d_H = %g > ε = %g", audit.MaxHausdorff, eps)
 	}
 	return nil
 }

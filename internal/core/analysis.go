@@ -84,6 +84,44 @@ func sortedProcIDs(m map[dist.ProcID]geom.Point) []dist.ProcID {
 	return ids
 }
 
+// OutputAudit is the verdict of AuditOutputs.
+type OutputAudit struct {
+	// Valid: every vertex of every output lies within the check tolerance of
+	// the reference hull (vacuously true without a reference).
+	Valid bool
+	// MaxHausdorff is the largest Hausdorff distance over all pairs of
+	// outputs; Agree reports MaxHausdorff <= eps.
+	MaxHausdorff float64
+	Agree        bool
+}
+
+// AuditOutputs is the per-instance predicate of Theorem 2 over decided
+// outputs, the single audit behind CheckValidity, CheckAgreement, the
+// experiment matrices and the soak harness: validity — every output vertex
+// within checkTol of ref, the hull of the correct inputs — and ε-agreement —
+// the max PAIRWISE Hausdorff distance at most eps (comparing every output
+// with one reference output instead would accept outputs up to 2·eps apart).
+// A point decision is polytope.FromPoint(p), between which Hausdorff is the
+// point distance. A nil ref audits agreement only.
+func AuditOutputs(ref *polytope.Polytope, outs []*polytope.Polytope, eps float64) (OutputAudit, error) {
+	audit := OutputAudit{Valid: true}
+	for _, out := range outs {
+		if ref == nil || !audit.Valid {
+			break
+		}
+		var err error
+		if audit.Valid, err = containsWithTol(ref, out, checkTol); err != nil {
+			return audit, err
+		}
+	}
+	d, err := polytope.MaxPairwiseHausdorff(outs, geom.DefaultEps)
+	if err != nil {
+		return audit, err
+	}
+	audit.MaxHausdorff, audit.Agree = d, d <= eps
+	return audit, nil
+}
+
 // AgreementReport is the outcome of the ε-agreement check.
 type AgreementReport struct {
 	MaxHausdorff float64
@@ -105,14 +143,14 @@ func CheckAgreement(result *RunResult) (*AgreementReport, error) {
 	if len(outs) == 0 {
 		return nil, ErrNoOutputs
 	}
-	d, err := polytope.MaxPairwiseHausdorff(outs, result.Params.GeomEps)
+	audit, err := AuditOutputs(nil, outs, result.Params.Epsilon)
 	if err != nil {
 		return nil, err
 	}
 	return &AgreementReport{
-		MaxHausdorff: d,
+		MaxHausdorff: audit.MaxHausdorff,
 		Epsilon:      result.Params.Epsilon,
-		Holds:        d <= result.Params.Epsilon,
+		Holds:        audit.Agree,
 	}, nil
 }
 
@@ -124,11 +162,12 @@ func CheckValidity(result *RunResult, cfg *RunConfig) error {
 		return err
 	}
 	for id, out := range result.Outputs {
-		ok, err := containsWithTol(ref, out, checkTol)
+		// One output at a time, so the error names the process.
+		audit, err := AuditOutputs(ref, []*polytope.Polytope{out}, 0)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if !audit.Valid {
 			return fmt.Errorf("core: validity violated at process %d: output %v not in correct-input hull %v", id, out, ref)
 		}
 	}

@@ -163,9 +163,25 @@ func (cfg *RunConfig) Spec() engine.InstanceSpec {
 	}}
 }
 
-// Run executes one consensus instance under the deterministic simulator (via
-// the unified engine) and returns outputs, traces and statistics.
+// Run executes one consensus instance under the deterministic simulator and
+// returns outputs, traces and statistics.
 func Run(cfg RunConfig) (*RunResult, error) {
+	return RunOn(cfg, engine.Options{Seed: cfg.Seed, Scheduler: cfg.Scheduler, MaxDeliveries: cfg.MaxDeliveries})
+}
+
+// RunOn executes one Algorithm CC instance over the unified engine in the
+// environment opts describes — any transport, any fault stack — and is the
+// one place a live run becomes a RunResult. cfg owns the instance and its
+// crash-stop faults: cfg.Crashes and cfg.Inputs overwrite opts.Crashes and
+// opts.Inputs, so the schedule that is validated against Faulty is the one
+// that runs. cfg.Seed, Scheduler and MaxDeliveries drive the simulator only
+// and are Run's to fold into opts.
+//
+// When the execution fails (deadlock, timeout, recovery failure) or a process
+// ends in failure rather than a decision (e.g. an empty round-0 intersection),
+// the partial result is returned beside the error: a failed process is not a
+// crashed one, on any transport. Configuration errors return a nil result.
+func RunOn(cfg RunConfig, opts engine.Options) (*RunResult, error) {
 	cfg.Params = cfg.Params.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -176,22 +192,19 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 	}
 	params := cfg.Params
-	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{cfg.Spec()}}, engine.Options{
-		Seed:          cfg.Seed,
-		Scheduler:     cfg.Scheduler,
-		Crashes:       cfg.Crashes,
-		MaxDeliveries: cfg.MaxDeliveries,
-	})
+	opts.Crashes, opts.Inputs = cfg.Crashes, cfg.Inputs
+	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{cfg.Spec()}}, opts)
 	if res == nil {
 		return nil, err
 	}
 	result := &RunResult{
-		Params:  params,
-		Outputs: make(map[dist.ProcID]*polytope.Polytope),
-		Crashed: res.Crashed,
-		Faulty:  make(map[dist.ProcID]bool),
-		Traces:  make(map[dist.ProcID]Trace),
-		Stats:   res.Stats,
+		Params:   params,
+		Outputs:  make(map[dist.ProcID]*polytope.Polytope),
+		Crashed:  res.Crashed,
+		Degraded: res.Degraded,
+		Faulty:   make(map[dist.ProcID]bool),
+		Traces:   make(map[dist.ProcID]Trace),
+		Stats:    res.Stats,
 	}
 	if telemetry.Enabled() {
 		result.Telemetry = telemetry.Default().Snapshot()
@@ -199,6 +212,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	for _, id := range cfg.Faulty {
 		result.Faulty[id] = true
 	}
+	// After restarts res.Sub is the relaunched incarnation, so the recovered
+	// state is the one read.
 	for i := 0; i < params.N; i++ {
 		id := dist.ProcID(i)
 		proc := res.Sub(0, id).(*Process)

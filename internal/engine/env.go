@@ -71,8 +71,8 @@ func (e Env) hasWAN() bool       { return e.WAN != nil && e.WAN.Enabled() }
 
 // Validate is the single home of the transport and cross-field rules of an
 // environment; Run and StartResident call it, so only a caller with no engine
-// entry point to hand the Env to (chcrun's single-instance simulator path)
-// calls it itself. Configuration is outside input, so every rule rejects
+// entry point to hand the Env to (envflag, for chcrun's single-instance
+// simulator path) calls it itself. Configuration is outside input, so every rule rejects
 // with an error naming the field.
 func (e Env) Validate(t Transport) error {
 	if t != TransportSim && t != TransportChannel && t != TransportTCP {

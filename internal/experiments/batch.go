@@ -11,7 +11,7 @@ import (
 	"chc/internal/engine"
 	"chc/internal/geom"
 	"chc/internal/multiplex"
-	"chc/internal/polytope"
+	"chc/internal/runtime"
 )
 
 // E18BatchMatrix exercises the unified engine end to end: a heterogeneous
@@ -36,12 +36,11 @@ func E18BatchMatrix(opt Options) (*Table, error) {
 		{"light", &light},
 	}
 	faultCases := []struct {
-		name    string
-		crashes []dist.CrashPlan
-		recover bool
+		name     string
+		restarts []runtime.RestartPlan
 	}{
-		{"none", nil, false},
-		{"restart p0", []dist.CrashPlan{{Proc: 0, AfterSends: 20}}, true},
+		{"none", nil},
+		{"restart p0", restartP0},
 	}
 	t := &Table{
 		ID:     "E18",
@@ -56,7 +55,7 @@ func E18BatchMatrix(opt Options) (*Table, error) {
 			runs, ccValid, vecValid, byzValid, agree, term := 0, 0, 0, 0, 0, 0
 			for s := 0; s < seeds; s++ {
 				seed := int64(s*71 + 13)
-				cell, err := runBatchCell(n, f, d, eps, cc.profile, fc.crashes, fc.recover, seed)
+				cell, err := runBatchCell(n, f, d, eps, cc.profile, fc.restarts, seed)
 				if err != nil {
 					return nil, fmt.Errorf("E18 chaos=%s faults=%s seed %d: %w", cc.name, fc.name, seed, err)
 				}
@@ -95,21 +94,18 @@ type batchCell struct {
 	ccValid, vecValid, byzValid, agree, terminated bool
 }
 
-// runBatchCell runs one heterogeneous batch over TCP and checks every
+// runBatchCell runs one heterogeneous batch over TCP and audits every
 // instance's outputs against its own validity reference.
-func runBatchCell(n, f, d int, eps float64, profile *chaos.Profile, crashes []dist.CrashPlan, recovery bool, seed int64) (batchCell, error) {
+func runBatchCell(n, f, d int, eps float64, profile *chaos.Profile, restarts []runtime.RestartPlan, seed int64) (batchCell, error) {
 	params := baseParams(n, f, d, eps)
-	ccInputs := randInputs(n, d, 0, 10, seed)
-	vecInputs := randInputs(n, d, 0, 10, seed+1000)
-	byzInputs := randInputs(n, d, 0, 10, seed+2000)
 	adversary := dist.ProcID(n - 1)
 	cfg := multiplex.BatchConfig{
 		N: n,
 		Instances: []multiplex.Instance{
-			{Params: params, Inputs: ccInputs},
-			{Params: params, Inputs: vecInputs, Protocol: multiplex.ProtocolVector},
+			{Params: params, Inputs: randInputs(n, d, 0, 10, seed)},
+			{Params: params, Inputs: randInputs(n, d, 0, 10, seed+1000), Protocol: multiplex.ProtocolVector},
 			{
-				Params: params, Inputs: byzInputs,
+				Params: params, Inputs: randInputs(n, d, 0, 10, seed+2000),
 				Protocol: multiplex.ProtocolByzantine,
 				Faults: []byzantine.Fault{{
 					Proc:     adversary,
@@ -119,115 +115,41 @@ func runBatchCell(n, f, d int, eps float64, profile *chaos.Profile, crashes []di
 			},
 		},
 		Transport: engine.TransportTCP,
-		Seed:      seed,
-		Env:       engine.Env{Chaos: profile, ChaosSeed: seed},
+		Env:       engine.Env{Chaos: profile, ChaosSeed: seed, Restarts: restarts},
 		Timeout:   120 * time.Second,
 	}
-	if recovery {
+	if len(restarts) > 0 {
 		walDir, err := os.MkdirTemp("", "chc-e18-*")
 		if err != nil {
 			return batchCell{}, err
 		}
 		defer func() { _ = os.RemoveAll(walDir) }()
-		cfg.Crashes = crashes
 		cfg.WALDir = walDir
-		cfg.Recover = true
-		cfg.RecoverDowntime = 5 * time.Millisecond
-		return runBatchCellWith(cfg, n, eps, adversary, ccInputs, vecInputs, byzInputs)
 	}
-	cfg.Crashes = crashes
-	return runBatchCellWith(cfg, n, eps, adversary, ccInputs, vecInputs, byzInputs)
-}
-
-func runBatchCellWith(cfg multiplex.BatchConfig, n int, eps float64, adversary dist.ProcID, ccInputs, vecInputs, byzInputs []geom.Point) (batchCell, error) {
 	result, err := multiplex.RunBatch(cfg)
 	if err != nil {
 		return batchCell{}, err
 	}
-	var cell batchCell
 
 	// Termination: every process completes every instance — restarted nodes
 	// are correct processes and must finish the whole batch; the Byzantine
 	// adversary participates only in its own instance.
-	cell.terminated = len(result.Outputs[0]) == n &&
-		len(result.Points[1]) == n &&
-		len(result.Outputs[2]) == n-1
-
-	// CC validity: decisions inside the hull of all inputs (no incorrect
-	// inputs in this instance).
-	ccHull, err := polytope.New(ccInputs, geom.DefaultEps)
-	if err != nil {
-		return batchCell{}, err
+	cell := batchCell{
+		terminated: len(result.Outputs[0]) == n && len(result.Points[1]) == n && len(result.Outputs[2]) == n-1,
+		agree:      true,
 	}
-	cell.ccValid = polysInside(result.Outputs[0], ccHull)
-
-	// Vector validity: every decided point inside the input hull.
-	vecHull, err := polytope.New(vecInputs, geom.DefaultEps)
-	if err != nil {
-		return batchCell{}, err
-	}
-	cell.vecValid = true
-	for _, pt := range result.Points[1] {
-		dv, derr := vecHull.Distance(pt, geom.DefaultEps)
-		if derr != nil || dv > 1e-6 {
-			cell.vecValid = false
+	// Validity per instance against its own correct inputs — the adversary's
+	// broadcast input must not displace the Byzantine instance's decisions —
+	// and ε-agreement across all three.
+	var valid [3]bool
+	for k, inst := range cfg.Instances {
+		audit, err := auditInstance(inst, result.Outputs[k], result.Points[k])
+		if err != nil {
+			return batchCell{}, err
 		}
+		valid[k] = audit.Valid
+		cell.agree = cell.agree && audit.Agree
 	}
-
-	// Byzantine validity: correct decisions inside the hull of the CORRECT
-	// inputs — the adversary's broadcast input must not displace them.
-	var correctPts []geom.Point
-	for i, x := range byzInputs {
-		if dist.ProcID(i) != adversary {
-			correctPts = append(correctPts, x)
-		}
-	}
-	byzHull, err := polytope.New(correctPts, geom.DefaultEps)
-	if err != nil {
-		return batchCell{}, err
-	}
-	cell.byzValid = polysInside(result.Outputs[2], byzHull)
-
-	// ε-agreement, per instance.
-	cell.agree = true
-	for _, k := range []int{0, 2} {
-		var polys []*polytope.Polytope
-		for _, p := range result.Outputs[k] {
-			polys = append(polys, p)
-		}
-		dH, derr := polytope.MaxPairwiseHausdorff(polys, geom.DefaultEps)
-		if derr != nil || dH > eps {
-			cell.agree = false
-		}
-	}
-	var worst float64
-	pts := make([]geom.Point, 0, len(result.Points[1]))
-	for _, pt := range result.Points[1] {
-		pts = append(pts, pt)
-	}
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if dd := geom.Dist(pts[i], pts[j]); dd > worst {
-				worst = dd
-			}
-		}
-	}
-	if worst > eps {
-		cell.agree = false
-	}
+	cell.ccValid, cell.vecValid, cell.byzValid = valid[0], valid[1], valid[2]
 	return cell, nil
-}
-
-// polysInside reports whether every vertex of every polytope lies inside the
-// reference hull (within tolerance).
-func polysInside(outs map[dist.ProcID]*polytope.Polytope, ref *polytope.Polytope) bool {
-	for _, out := range outs {
-		for _, v := range out.Vertices() {
-			d, err := ref.Distance(v, geom.DefaultEps)
-			if err != nil || d > 1e-6 {
-				return false
-			}
-		}
-	}
-	return true
 }

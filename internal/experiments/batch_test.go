@@ -10,10 +10,7 @@ import (
 // all hold when a heterogeneous batch (CC + vector + Byzantine) shares one
 // TCP network — including the cells that kill and WAL-recover a node.
 func TestE18AllPass(t *testing.T) {
-	table, err := E18BatchMatrix(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := quickTable(t, "E18")
 	if len(table.Rows) != 4 {
 		t.Fatalf("E18 has %d rows, want 4 (chaos {off,light} × faults {none,restart})", len(table.Rows))
 	}

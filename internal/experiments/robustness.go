@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"os"
-
 	"chc/internal/chaos"
 	"chc/internal/core"
 	"chc/internal/dist"
+	"chc/internal/engine"
 	"chc/internal/geom"
-	"chc/internal/polytope"
 	"chc/internal/runtime"
-	"chc/internal/wire"
 )
 
 // E3Validity stress-tests Theorem 2 (validity + ε-agreement + termination)
@@ -258,277 +255,86 @@ func E5OutputVolume(opt Options) (*Table, error) {
 // profile and asserts termination of every fault-free process plus validity
 // of every output.
 func E16ChaosMatrix(opt Options) (*Table, error) {
-	seeds := opt.trials(2, 6)
-	type profCase struct {
-		name    string
-		profile chaos.Profile
+	jitter := chaos.Profile{
+		Drop: 0.20, Dup: 0.10,
+		DelayMin: 50 * time.Microsecond, DelayMax: time.Millisecond,
 	}
-	profiles := []profCase{
-		{"drop 25%", chaos.Profile{Drop: 0.25}},
-		{"drop+dup+jitter", chaos.Profile{
-			Drop: 0.20, Dup: 0.10,
-			DelayMin: 50 * time.Microsecond, DelayMax: time.Millisecond,
-		}},
-		{"heavy (+partition)", chaos.Heavy()},
-	}
-	crashSets := []struct {
-		name    string
-		crashes []dist.CrashPlan
-	}{
-		{"none", nil},
-		{"f mid-bcast", []dist.CrashPlan{{Proc: 4, AfterSends: 15}}},
-	}
-	t := &Table{
-		ID:     "E16",
-		Title:  "Chaos matrix: Algorithm CC over unreliable links via the rlink layer (n=5, f=1, d=2)",
-		Header: []string{"profile", "crashes", "runs", "terminated", "validity", "retransmits", "dup-suppressed", "part-drops"},
-		Notes: []string{
+	heavy := chaos.Heavy()
+	m := matrix{
+		id:     "E16",
+		title:  "Chaos matrix: Algorithm CC over unreliable links via the rlink layer (n=5, f=1, d=2)",
+		labels: []string{"profile", "crashes"},
+		notes: []string{
 			"Each run injects the seeded fault plan below the reliable-link layer; termination counts runs where every fault-free process decided, validity counts runs where every output lies in the hull of non-faulty inputs (Theorem 2 over recovered channels).",
 		},
+		transport: engine.TransportChannel,
+		params:    baseParams(5, 1, 2, 0.05),
+		seeds:     opt.trials(2, 6),
+		seed:      func(s int) int64 { return int64(s*37 + 5) },
+		verdicts:  []verdict{vTerminated, vValidity},
+		counters: []counter{
+			netCounter("retransmits", func(n *dist.NetStats) int64 { return n.Retransmits }),
+			netCounter("dup-suppressed", func(n *dist.NetStats) int64 { return n.DupSuppressed }),
+			netCounter("part-drops", func(n *dist.NetStats) int64 { return n.PartitionDrops }),
+		},
 	}
-	for _, pc := range profiles {
-		for _, cs := range crashSets {
-			runs, term, valid := 0, 0, 0
-			var retrans, dupSupp, partDrops int64
-			for s := 0; s < seeds; s++ {
-				seed := int64(s*37 + 5)
-				st, result, cfg, err := runChaosCell(pc.profile, cs.crashes, seed)
-				if err != nil {
-					return nil, fmt.Errorf("E16 %s/%s seed %d: %w", pc.name, cs.name, seed, err)
-				}
-				runs++
-				allDecided := true
-				for _, id := range result.FaultFree() {
-					if _, ok := result.Outputs[id]; !ok {
-						allDecided = false
-					}
-				}
-				if allDecided {
-					term++
-				}
-				if core.CheckValidity(result, cfg) == nil {
-					valid++
-				}
-				retrans += st.Net.Retransmits
-				dupSupp += st.Net.DupSuppressed
-				partDrops += st.Net.PartitionDrops
-			}
-			t.Rows = append(t.Rows, []string{
-				pc.name, cs.name, fmtI(runs),
-				fmt.Sprintf("%d/%d", term, runs),
-				fmt.Sprintf("%d/%d", valid, runs),
-				fmt.Sprintf("%d", retrans),
-				fmt.Sprintf("%d", dupSupp),
-				fmt.Sprintf("%d", partDrops),
-			})
-		}
+	for _, pc := range []struct {
+		name    string
+		profile *chaos.Profile
+	}{
+		{"drop 25%", &chaos.Profile{Drop: 0.25}},
+		{"drop+dup+jitter", &jitter},
+		{"heavy (+partition)", &heavy},
+	} {
+		m.cells = append(m.cells,
+			cell{labels: []string{pc.name, "none"}, env: engine.Env{Chaos: pc.profile}},
+			cell{labels: []string{pc.name, "f mid-bcast"}, env: engine.Env{Chaos: pc.profile},
+				crashes: []dist.CrashPlan{{Proc: 4, AfterSends: 15}}},
+		)
 	}
-	return t, nil
+	return m.table()
 }
 
 // E17CrashRecovery exercises the crash-recovery runtime: nodes are killed
 // mid-protocol — possibly mid-broadcast — and relaunched from their
 // write-ahead logs with a new incarnation epoch. Every seed×schedule cell
 // must terminate with ALL processes decided (restarted nodes recover and
-// finish; they are correct processes, not crash-stop casualties), and the
-// outputs must satisfy validity, ε-agreement and I_Z containment exactly as
-// in a fault-free run. One row composes restarts with a lossy chaos profile.
+// finish; they are correct processes, not crash-stop casualties, so no cell
+// declares anyone faulty), and the outputs must satisfy validity, ε-agreement
+// and I_Z containment exactly as in a fault-free run. One row composes
+// restarts with a lossy chaos profile.
 func E17CrashRecovery(opt Options) (*Table, error) {
-	seeds := opt.trials(5, 12)
-	type schedCase struct {
-		name  string
-		plans []runtime.RestartPlan
-		chaos *chaos.Profile
-	}
+	const ms = time.Millisecond
 	lossy := chaos.Profile{Drop: 0.15, Dup: 0.05}
-	schedules := []schedCase{
-		{"kill p1 early", []runtime.RestartPlan{
-			{Proc: 1, KillAfterSends: 4, Downtime: 5 * time.Millisecond}}, nil},
-		{"kill p2 mid-round", []runtime.RestartPlan{
-			{Proc: 2, KillAfterSends: 15, Downtime: 10 * time.Millisecond}}, nil},
-		{"two staggered", []runtime.RestartPlan{
-			{Proc: 1, KillAfterSends: 8, Downtime: 5 * time.Millisecond},
-			{Proc: 3, KillAfterSends: 20, Downtime: 10 * time.Millisecond}}, nil},
-		{"p2 twice", []runtime.RestartPlan{
-			{Proc: 2, KillAfterSends: 6, Downtime: 5 * time.Millisecond},
-			{Proc: 2, KillAfterSends: 5, Downtime: 5 * time.Millisecond}}, nil},
-		{"restart + lossy links", []runtime.RestartPlan{
-			{Proc: 4, KillAfterSends: 10, Downtime: 10 * time.Millisecond}}, &lossy},
-	}
-	t := &Table{
-		ID:     "E17",
-		Title:  "Crash-recovery matrix: WAL replay + epoch link resumption under kill-and-restart faults (n=5, f=1, d=2)",
-		Header: []string{"schedule", "runs", "terminated", "validity", "ε-agreement", "optimality", "resumes", "wal appends"},
-		Notes: []string{
+	return matrix{
+		id:     "E17",
+		title:  "Crash-recovery matrix: WAL replay + epoch link resumption under kill-and-restart faults (n=5, f=1, d=2)",
+		labels: []string{"schedule"},
+		notes: []string{
 			"Every process must decide, including the killed ones: the restart supervisor relaunches them from the WAL and the epoch handshake resumes their links without duplicate or lost delivery, so the paper's guarantees hold as if the node had merely been slow.",
 		},
-	}
-	for _, sc := range schedules {
-		runs, term, valid, agree, optimal := 0, 0, 0, 0, 0
-		var resumes, walAppends int64
-		for s := 0; s < seeds; s++ {
-			seed := int64(s*59 + 11)
-			st, result, cfg, err := runRecoveryCell(sc.plans, sc.chaos, seed)
-			if err != nil {
-				return nil, fmt.Errorf("E17 %s seed %d: %w", sc.name, seed, err)
-			}
-			runs++
-			if len(result.Outputs) == cfg.Params.N {
-				term++
-			}
-			if core.CheckValidity(result, cfg) == nil {
-				valid++
-			}
-			if rep, err := core.CheckAgreement(result); err == nil && rep.Holds {
-				agree++
-			}
-			if core.CheckOptimality(result) == nil {
-				optimal++
-			}
-			resumes += st.Net.Resumes
-			walAppends += st.Net.WALAppends
-		}
-		t.Rows = append(t.Rows, []string{
-			sc.name, fmtI(runs),
-			fmt.Sprintf("%d/%d", term, runs),
-			fmt.Sprintf("%d/%d", valid, runs),
-			fmt.Sprintf("%d/%d", agree, runs),
-			fmt.Sprintf("%d/%d", optimal, runs),
-			fmt.Sprintf("%d", resumes),
-			fmt.Sprintf("%d", walAppends),
-		})
-	}
-	return t, nil
-}
-
-// runRecoveryCell runs one consensus instance with kill-and-restart faults
-// over the crash-recovery runtime. No process is marked faulty: restarted
-// nodes recover their state from the WAL and must satisfy every property a
-// correct process does.
-func runRecoveryCell(plans []runtime.RestartPlan, profile *chaos.Profile, seed int64) (runtime.ClusterStats, *core.RunResult, *core.RunConfig, error) {
-	const n, f = 5, 1
-	params := baseParams(n, f, 2, 0.05).WithDefaults()
-	inputs := randInputs(n, 2, 0, 10, seed)
-	cfg := &core.RunConfig{Params: params, Inputs: inputs, Seed: seed}
-
-	walDir, err := os.MkdirTemp("", "chc-e17-*")
-	if err != nil {
-		return runtime.ClusterStats{}, nil, nil, err
-	}
-	defer func() { _ = os.RemoveAll(walDir) }()
-
-	factory := func(i int) dist.Process {
-		p, perr := core.NewProcess(params, dist.ProcID(i), inputs[i])
-		if perr != nil {
-			panic(perr) // params and inputs were already validated below
-		}
-		return p
-	}
-	procs := make([]dist.Process, n)
-	for i := 0; i < n; i++ {
-		proc, err := core.NewProcess(params, dist.ProcID(i), inputs[i])
-		if err != nil {
-			return runtime.ClusterStats{}, nil, nil, err
-		}
-		procs[i] = proc
-	}
-	opts := []runtime.Option{
-		runtime.WithSizer(wire.MessageSize),
-		runtime.WithRecovery(runtime.RecoveryConfig{Dir: walDir, Factory: factory, Inputs: inputs}),
-		runtime.WithRestarts(plans...),
-	}
-	if profile != nil {
-		opts = append(opts, runtime.WithChaos(*profile, seed))
-	}
-	c, err := runtime.NewChannelCluster(procs, opts...)
-	if err != nil {
-		return runtime.ClusterStats{}, nil, nil, err
-	}
-	if err := c.Run(120 * time.Second); err != nil {
-		return runtime.ClusterStats{}, nil, nil, err
-	}
-
-	result := &core.RunResult{
-		Params:  params,
-		Outputs: make(map[dist.ProcID]*polytope.Polytope),
-		Crashed: make(map[dist.ProcID]bool),
-		Faulty:  make(map[dist.ProcID]bool),
-		Traces:  make(map[dist.ProcID]core.Trace),
-	}
-	// Read the post-run incarnations: with restarts, the relaunched
-	// processes replace the originals inside the cluster.
-	for i, proc := range c.Processes() {
-		id := dist.ProcID(i)
-		cp, ok := proc.(*core.Process)
-		if !ok {
-			return runtime.ClusterStats{}, nil, nil, fmt.Errorf("node %d: unexpected process type %T", i, proc)
-		}
-		result.Traces[id] = cp.TraceData()
-		out, oerr := cp.Output()
-		if oerr != nil {
-			result.Crashed[id] = true
-			continue
-		}
-		result.Outputs[id] = out
-	}
-	return c.Stats(), result, cfg, nil
-}
-
-// runChaosCell runs one consensus instance over runtime.NewChannelCluster
-// with the given chaos profile and crash plans, returning the cluster's
-// network stats and a RunResult suitable for the core checkers.
-func runChaosCell(profile chaos.Profile, crashes []dist.CrashPlan, seed int64) (runtime.ClusterStats, *core.RunResult, *core.RunConfig, error) {
-	const n, f = 5, 1
-	params := baseParams(n, f, 2, 0.05).WithDefaults()
-	inputs := randInputs(n, 2, 0, 10, seed)
-	cfg := &core.RunConfig{Params: params, Inputs: inputs, Seed: seed, Crashes: crashes}
-	for _, c := range crashes {
-		cfg.Faulty = append(cfg.Faulty, c.Proc)
-	}
-
-	procs := make([]dist.Process, n)
-	impls := make([]*core.Process, n)
-	for i := 0; i < n; i++ {
-		proc, err := core.NewProcess(params, dist.ProcID(i), inputs[i])
-		if err != nil {
-			return runtime.ClusterStats{}, nil, nil, err
-		}
-		impls[i] = proc
-		procs[i] = proc
-	}
-	opts := []runtime.Option{
-		runtime.WithSizer(wire.MessageSize),
-		runtime.WithChaos(profile, seed),
-	}
-	if len(crashes) > 0 {
-		opts = append(opts, runtime.WithCrashes(crashes...))
-	}
-	c, err := runtime.NewChannelCluster(procs, opts...)
-	if err != nil {
-		return runtime.ClusterStats{}, nil, nil, err
-	}
-	if err := c.Run(60 * time.Second); err != nil {
-		return runtime.ClusterStats{}, nil, nil, err
-	}
-
-	result := &core.RunResult{
-		Params:  params,
-		Outputs: make(map[dist.ProcID]*polytope.Polytope),
-		Crashed: make(map[dist.ProcID]bool),
-		Faulty:  make(map[dist.ProcID]bool),
-		Traces:  make(map[dist.ProcID]core.Trace),
-	}
-	for _, id := range cfg.Faulty {
-		result.Faulty[id] = true
-	}
-	for i, proc := range impls {
-		id := dist.ProcID(i)
-		out, oerr := proc.Output()
-		if oerr != nil {
-			result.Crashed[id] = true
-			continue
-		}
-		result.Outputs[id] = out
-	}
-	return c.Stats(), result, cfg, nil
+		transport: engine.TransportChannel,
+		params:    baseParams(5, 1, 2, 0.05),
+		seeds:     opt.trials(5, 12),
+		seed:      func(s int) int64 { return int64(s*59 + 11) },
+		verdicts:  []verdict{vTerminated, vValidity, vAgreement, vOptimality},
+		counters: []counter{
+			netCounter("resumes", func(n *dist.NetStats) int64 { return n.Resumes }),
+			netCounter("wal appends", func(n *dist.NetStats) int64 { return n.WALAppends }),
+		},
+		cells: []cell{
+			{labels: []string{"kill p1 early"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+				{Proc: 1, KillAfterSends: 4, Downtime: 5 * ms}}}},
+			{labels: []string{"kill p2 mid-round"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+				{Proc: 2, KillAfterSends: 15, Downtime: 10 * ms}}}},
+			{labels: []string{"two staggered"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+				{Proc: 1, KillAfterSends: 8, Downtime: 5 * ms},
+				{Proc: 3, KillAfterSends: 20, Downtime: 10 * ms}}}},
+			{labels: []string{"p2 twice"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+				{Proc: 2, KillAfterSends: 6, Downtime: 5 * ms},
+				{Proc: 2, KillAfterSends: 5, Downtime: 5 * ms}}}},
+			{labels: []string{"restart + lossy links"}, env: engine.Env{Chaos: &lossy, Restarts: []runtime.RestartPlan{
+				{Proc: 4, KillAfterSends: 10, Downtime: 10 * ms}}}},
+		},
+	}.table()
 }

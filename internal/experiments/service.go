@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"chc/internal/byzantine"
 	"chc/internal/chaos"
+	"chc/internal/core"
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/geom"
@@ -179,14 +181,14 @@ func runServiceCell(name string, n, f int, eps float64, stream int, cc serviceCe
 			continue
 		}
 		decided++
-		ok, err := checkServiceInstance(sub.inst, st, eps)
+		audit, err := auditInstance(sub.inst, st.Result.Outputs, st.Result.Points)
 		if err != nil {
 			return nil, fmt.Errorf("E22 %s instance %d: %w", name, sub.id, err)
 		}
-		if ok.valid {
+		if audit.Valid {
 			valid++
 		}
-		if ok.agree {
+		if audit.Agree {
 			agree++
 		}
 	}
@@ -233,74 +235,27 @@ func serviceInstance(n, f int, eps float64, k int) multiplex.Instance {
 	return inst
 }
 
-// instanceChecks reports the per-instance Theorem 2 audit.
-type instanceChecks struct {
-	valid bool
-	agree bool
-}
-
-// checkServiceInstance verifies validity (decisions inside the hull of
-// correct inputs) and ε-agreement (pairwise Hausdorff / point distance
-// within ε) for one decided instance.
-func checkServiceInstance(inst multiplex.Instance, st service.Status, eps float64) (instanceChecks, error) {
-	byzFaulty := make(map[dist.ProcID]bool)
-	for _, flt := range inst.Faults {
-		byzFaulty[flt.Proc] = true
-	}
-	correctInputs := make([]geom.Point, 0, len(inst.Inputs))
+// auditInstance applies the shared Theorem 2 audit (core.AuditOutputs) to the
+// decisions of one instance of a heterogeneous batch or stream: the reference
+// is the hull of the inputs at non-Byzantine processes, and a vector decision
+// is a one-point polytope.
+func auditInstance(inst multiplex.Instance, outputs map[dist.ProcID]*polytope.Polytope, points map[dist.ProcID]geom.Point) (core.OutputAudit, error) {
+	var correct []geom.Point
 	for i, in := range inst.Inputs {
-		if !byzFaulty[dist.ProcID(i)] {
-			correctInputs = append(correctInputs, in)
+		if !slices.ContainsFunc(inst.Faults, func(f byzantine.Fault) bool { return f.Proc == dist.ProcID(i) }) {
+			correct = append(correct, in)
 		}
 	}
-	hull, err := polytope.New(correctInputs, 0)
+	ref, err := polytope.New(correct, geom.DefaultEps)
 	if err != nil {
-		return instanceChecks{}, err
+		return core.OutputAudit{}, err
 	}
-	checks := instanceChecks{valid: true, agree: true}
-	switch inst.Protocol {
-	case multiplex.ProtocolCC, multiplex.ProtocolByzantine:
-		var ref *polytope.Polytope
-		for _, out := range st.Result.Outputs {
-			for _, v := range out.Vertices() {
-				inside, cerr := hull.Contains(v, 1e-7)
-				if cerr != nil {
-					return instanceChecks{}, cerr
-				}
-				if !inside {
-					checks.valid = false
-				}
-			}
-			if ref == nil {
-				ref = out
-				continue
-			}
-			dH, herr := polytope.Hausdorff(ref, out, 0)
-			if herr != nil {
-				return instanceChecks{}, herr
-			}
-			if dH > eps+1e-9 {
-				checks.agree = false
-			}
-		}
-	case multiplex.ProtocolVector:
-		var ref geom.Point
-		for _, pt := range st.Result.Points {
-			inside, cerr := hull.Contains(pt, 1e-7)
-			if cerr != nil {
-				return instanceChecks{}, cerr
-			}
-			if !inside {
-				checks.valid = false
-			}
-			if ref == nil {
-				ref = pt
-				continue
-			}
-			if geom.Dist(ref, pt) > eps+1e-9 {
-				checks.agree = false
-			}
-		}
+	outs := make([]*polytope.Polytope, 0, len(outputs)+len(points))
+	for _, out := range outputs {
+		outs = append(outs, out)
 	}
-	return checks, nil
+	for _, pt := range points {
+		outs = append(outs, polytope.FromPoint(pt))
+	}
+	return core.AuditOutputs(ref, outs, inst.Params.Epsilon)
 }

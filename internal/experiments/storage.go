@@ -2,17 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"chc/internal/chaos"
-	"chc/internal/core"
 	"chc/internal/diskfault"
 	"chc/internal/dist"
-	"chc/internal/polytope"
+	"chc/internal/engine"
 	"chc/internal/runtime"
 	"chc/internal/wal"
-	"chc/internal/wire"
 )
 
 // E20StorageFaults exercises the storage-fault stack: seeded disk faults
@@ -26,205 +23,82 @@ import (
 // compaction bound the on-disk footprint: at most two segments survive per
 // node no matter how many rotations the run performs.
 func E20StorageFaults(opt Options) (*Table, error) {
-	seeds := opt.trials(3, 8)
 	lossy := chaos.Profile{Drop: 0.10, Dup: 0.05}
 	sickAtP1 := diskfault.Sick()
 	sickAtP1.PathSubstr = "node-001"
-	type cellCase struct {
-		name       string
-		plan       diskfault.Plan
-		durability runtime.DurabilityPolicy
-		checkpoint int64
-		chaos      *chaos.Profile
-		restarts   []runtime.RestartPlan
-		// failBudget bounds fail-stops per run (the f of the fault model);
-		// undecided processes beyond the fail-stopped ones are errors.
-		failBudget int
+	compact := wal.CheckpointPolicy{EveryBytes: 2048}
+	// budget bounds fail-stops per run (the f of the fault model); undecided
+	// processes beyond the fail-stopped ones are errors.
+	storageCheck := func(budget int64) func(*cellRun) error {
+		return func(r *cellRun) error {
+			if r.net.FailStops > budget {
+				return fmt.Errorf("%d fail-stops exceed the f=%d budget", r.net.FailStops, budget)
+			}
+			if undecided := r.res.Params.N - len(r.res.Outputs); int64(undecided) > r.net.FailStops {
+				return fmt.Errorf("%d undecided but only %d fail-stopped", undecided, r.net.FailStops)
+			}
+			if !r.env.Checkpoint.Enabled() {
+				return nil
+			}
+			if r.net.WALCheckpoints == 0 {
+				return fmt.Errorf("checkpointing enabled but no snapshot published")
+			}
+			if segs := maxSegments(r); segs > 2 {
+				return fmt.Errorf("%d segments survived compaction (want <= 2)", segs)
+			}
+			return nil
+		}
 	}
-	cells := []cellCase{
-		{name: "sick disk at p1, fail-stop", plan: sickAtP1,
-			durability: runtime.FailStop, failBudget: 1},
-		{name: "flaky disks, degrade", plan: diskfault.Flaky(),
-			durability: runtime.Degrade},
-		{name: "sick disks, degrade", plan: diskfault.Sick(),
-			durability: runtime.Degrade},
-		{name: "flaky disks + lossy links, degrade", plan: diskfault.Flaky(),
-			durability: runtime.Degrade, chaos: &lossy},
-		{name: "restart from snapshot + tail", checkpoint: 2048,
-			restarts: []runtime.RestartPlan{{Proc: 2, KillAfterSends: 15, Downtime: 10 * time.Millisecond}}},
-		{name: "flaky disks + compaction, degrade", plan: diskfault.Flaky(),
-			durability: runtime.Degrade, checkpoint: 2048},
-	}
-	t := &Table{
-		ID:     "E20",
-		Title:  "Storage-fault matrix: disk faults × durability policy × checkpointing × chaos × restarts (n=5, f=1, d=2)",
-		Header: []string{"cell", "runs", "terminated", "validity", "ε-agreement", "dur-faults", "fail-stops", "degradations", "re-arms", "checkpoints", "max segs"},
-		Notes: []string{
+	return matrix{
+		id:     "E20",
+		title:  "Storage-fault matrix: disk faults × durability policy × checkpointing × chaos × restarts (n=5, f=1, d=2)",
+		labels: []string{"cell"},
+		notes: []string{
 			"Terminated counts runs where every surviving (non-fail-stopped) process decided. Fail-stop cells must stay within the f crash budget: only fail-stopped nodes may miss a decision. Degrade cells require ALL processes to decide — a quarantined node keeps participating non-durably until a background re-arm restores its log. Checkpointed cells assert compaction bounds the footprint (≤ 2 segments per node) regardless of rotation count.",
 		},
-	}
-	for _, cc := range cells {
-		runs, term, valid, agree := 0, 0, 0, 0
-		var faults, failStops, degradations, rearms, checkpoints int64
-		maxSegs := 0
-		for s := 0; s < seeds; s++ {
-			seed := int64(s*73 + 13)
-			plan := cc.plan
-			plan.Seed = seed
-			st, segs, result, cfg, err := runStorageCell(plan, cc.durability, cc.checkpoint, cc.chaos, cc.restarts, seed)
-			if err != nil {
-				return nil, fmt.Errorf("E20 %s seed %d: %w", cc.name, seed, err)
-			}
-			runs++
-			if st.Net.FailStops > int64(cc.failBudget) {
-				return nil, fmt.Errorf("E20 %s seed %d: %d fail-stops exceed the f=%d budget", cc.name, seed, st.Net.FailStops, cc.failBudget)
-			}
-			if undecided := cfg.Params.N - len(result.Outputs); int64(undecided) > st.Net.FailStops {
-				return nil, fmt.Errorf("E20 %s seed %d: %d undecided but only %d fail-stopped", cc.name, seed, undecided, st.Net.FailStops)
-			}
-			if len(result.Outputs) == cfg.Params.N-int(st.Net.FailStops) {
-				term++
-			}
-			if core.CheckValidity(result, cfg) == nil {
-				valid++
-			}
-			if rep, aerr := core.CheckAgreement(result); aerr == nil && rep.Holds {
-				agree++
-			}
-			if cc.checkpoint > 0 {
-				if st.Net.WALCheckpoints == 0 {
-					return nil, fmt.Errorf("E20 %s seed %d: checkpointing enabled but no snapshot published", cc.name, seed)
-				}
-				if segs > 2 {
-					return nil, fmt.Errorf("E20 %s seed %d: %d segments survived compaction (want <= 2)", cc.name, seed, segs)
-				}
-			}
-			faults += st.Net.DurabilityFaults
-			failStops += st.Net.FailStops
-			degradations += st.Net.Degradations
-			rearms += st.Net.Rearms
-			checkpoints += st.Net.WALCheckpoints
-			if segs > maxSegs {
-				maxSegs = segs
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			cc.name, fmtI(runs),
-			fmt.Sprintf("%d/%d", term, runs),
-			fmt.Sprintf("%d/%d", valid, runs),
-			fmt.Sprintf("%d/%d", agree, runs),
-			fmt.Sprintf("%d", faults),
-			fmt.Sprintf("%d", failStops),
-			fmt.Sprintf("%d", degradations),
-			fmt.Sprintf("%d", rearms),
-			fmt.Sprintf("%d", checkpoints),
-			fmtI(maxSegs),
-		})
-	}
-	return t, nil
+		transport: engine.TransportChannel,
+		params:    baseParams(5, 1, 2, 0.05),
+		seeds:     opt.trials(3, 8),
+		seed:      func(s int) int64 { return int64(s*73 + 13) },
+		verdicts:  []verdict{vTerminated, vValidity, vAgreement},
+		counters: []counter{
+			netCounter("dur-faults", func(n *dist.NetStats) int64 { return n.DurabilityFaults }),
+			netCounter("fail-stops", func(n *dist.NetStats) int64 { return n.FailStops }),
+			netCounter("degradations", func(n *dist.NetStats) int64 { return n.Degradations }),
+			netCounter("re-arms", func(n *dist.NetStats) int64 { return n.Rearms }),
+			netCounter("checkpoints", func(n *dist.NetStats) int64 { return n.WALCheckpoints }),
+			{name: "max segs", of: maxSegments, max: true},
+		},
+		cells: []cell{
+			// No cell declares a faulty process: a fail-stopped node is charged
+			// to the f budget by the check, a degraded one must behave as correct.
+			{labels: []string{"sick disk at p1, fail-stop"}, disk: sickAtP1, check: storageCheck(1)},
+			{labels: []string{"flaky disks, degrade"}, disk: diskfault.Flaky(),
+				env: engine.Env{Durability: runtime.Degrade}, check: storageCheck(0)},
+			{labels: []string{"sick disks, degrade"}, disk: diskfault.Sick(),
+				env: engine.Env{Durability: runtime.Degrade}, check: storageCheck(0)},
+			{labels: []string{"flaky disks + lossy links, degrade"}, disk: diskfault.Flaky(),
+				env: engine.Env{Durability: runtime.Degrade, Chaos: &lossy}, check: storageCheck(0)},
+			{labels: []string{"restart from snapshot + tail"},
+				env: engine.Env{Checkpoint: compact, Restarts: []runtime.RestartPlan{
+					{Proc: 2, KillAfterSends: 15, Downtime: 10 * time.Millisecond}}}, check: storageCheck(0)},
+			{labels: []string{"flaky disks + compaction, degrade"}, disk: diskfault.Flaky(),
+				env: engine.Env{Durability: runtime.Degrade, Checkpoint: compact}, check: storageCheck(0)},
+		},
+	}.table()
 }
 
-// runStorageCell runs one consensus instance over the networked runtime with
-// the given storage-fault plan, durability policy, checkpoint threshold,
-// chaos profile and restart schedule. It returns the cluster stats, the
-// maximum per-node surviving segment count, and a RunResult for the core
-// checkers. No process is marked faulty in the config: fail-stopped nodes
-// are accounted against the f budget by the caller, and degraded nodes must
-// behave as correct processes.
-func runStorageCell(plan diskfault.Plan, durability runtime.DurabilityPolicy, checkpoint int64, profile *chaos.Profile, restarts []runtime.RestartPlan, seed int64) (runtime.ClusterStats, int, *core.RunResult, *core.RunConfig, error) {
-	const n, f = 5, 1
-	params := baseParams(n, f, 2, 0.05).WithDefaults()
-	inputs := randInputs(n, 2, 0, 10, seed)
-	cfg := &core.RunConfig{Params: params, Inputs: inputs, Seed: seed}
-
-	walDir, err := os.MkdirTemp("", "chc-e20-*")
-	if err != nil {
-		return runtime.ClusterStats{}, 0, nil, nil, err
+// maxSegments is the largest per-node count of WAL segments the run left on
+// disk: compaction must have deleted every segment the previous snapshot
+// already covers.
+func maxSegments(r *cellRun) int64 {
+	fs := r.env.WALFS
+	if fs == nil {
+		fs = wal.OSFS()
 	}
-	defer func() { _ = os.RemoveAll(walDir) }()
-
-	var fs wal.FS = wal.OSFS()
-	if plan.Enabled() {
-		fs = diskfault.New(wal.OSFS(), plan)
+	segs := 0
+	for i := 0; i < r.res.Params.N; i++ {
+		segs = max(segs, wal.SegmentCount(fs, runtime.WALPath(r.env.WALDir, dist.ProcID(i))))
 	}
-	factory := func(i int) dist.Process {
-		p, perr := core.NewProcess(params, dist.ProcID(i), inputs[i])
-		if perr != nil {
-			panic(perr) // params and inputs were already validated below
-		}
-		return p
-	}
-	procs := make([]dist.Process, n)
-	for i := 0; i < n; i++ {
-		proc, err := core.NewProcess(params, dist.ProcID(i), inputs[i])
-		if err != nil {
-			return runtime.ClusterStats{}, 0, nil, nil, err
-		}
-		procs[i] = proc
-	}
-	rec := runtime.RecoveryConfig{
-		Dir: walDir, Factory: factory, Inputs: inputs,
-		FS:         fs,
-		Durability: durability,
-	}
-	if checkpoint > 0 {
-		rec.Checkpoint = wal.CheckpointPolicy{EveryBytes: checkpoint}
-	}
-	opts := []runtime.Option{
-		runtime.WithSizer(wire.MessageSize),
-		runtime.WithRecovery(rec),
-	}
-	if profile != nil {
-		opts = append(opts, runtime.WithChaos(*profile, seed))
-	}
-	if len(restarts) > 0 {
-		opts = append(opts, runtime.WithRestarts(restarts...))
-	}
-	c, err := runtime.NewChannelCluster(procs, opts...)
-	if err != nil {
-		return runtime.ClusterStats{}, 0, nil, nil, err
-	}
-	if err := c.Run(120 * time.Second); err != nil {
-		return runtime.ClusterStats{}, 0, nil, nil, err
-	}
-
-	// Measure the surviving on-disk layout before the temp dir is removed;
-	// compaction must have deleted every segment the previous snapshot
-	// already covers.
-	maxSegs := 0
-	for i := 0; i < n; i++ {
-		if s := wal.SegmentCount(fs, runtime.WALPath(walDir, dist.ProcID(i))); s > maxSegs {
-			maxSegs = s
-		}
-	}
-
-	result := &core.RunResult{
-		Params:   params,
-		Outputs:  make(map[dist.ProcID]*polytope.Polytope),
-		Crashed:  make(map[dist.ProcID]bool),
-		Faulty:   make(map[dist.ProcID]bool),
-		Traces:   make(map[dist.ProcID]core.Trace),
-		Degraded: c.Degraded(),
-	}
-	// Read the post-run incarnations: with restarts, the relaunched
-	// processes replace the originals inside the cluster.
-	for i, proc := range c.Processes() {
-		id := dist.ProcID(i)
-		cp, ok := proc.(*core.Process)
-		if !ok {
-			return runtime.ClusterStats{}, 0, nil, nil, fmt.Errorf("node %d: unexpected process type %T", i, proc)
-		}
-		result.Traces[id] = cp.TraceData()
-		out, oerr := cp.Output()
-		if oerr != nil {
-			// Undecided means fail-stopped here (no crash plans are in play):
-			// the node consumed one of the f crash faults of the model, so the
-			// checkers must treat it as faulty, not as a silent fault-free peer.
-			result.Crashed[id] = true
-			result.Faulty[id] = true
-			continue
-		}
-		result.Outputs[id] = out
-	}
-	return c.Stats(), maxSegs, result, cfg, nil
+	return int64(segs)
 }

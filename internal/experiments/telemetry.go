@@ -3,15 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"os"
-	"time"
 
 	"chc/internal/chaos"
 	"chc/internal/core"
-	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/geom"
-	"chc/internal/multiplex"
 	"chc/internal/polytope"
 	"chc/internal/telemetry"
 )
@@ -37,14 +33,8 @@ import (
 // does) deduplicate by (proc, round); the duplicate count is reported as
 // evidence the replay path ran.
 func E19TelemetryAudit(opt Options) (*Table, error) {
-	seeds := opt.trials(1, 3)
-	const n, f, d = 5, 1, 2
-	const eps = 0.1
-	params := baseParams(n, f, d, eps)
+	params := baseParams(5, 1, 2, 0.1)
 	tEnd := params.TEnd()
-	// Ω of equation (18): the worst-case initial disagreement over the
-	// domain, sqrt(d)·n·U (the same envelope E2 checks from traces).
-	omega := math.Sqrt(float64(d)) * float64(n) * params.InputUpper
 
 	prevEnabled := telemetry.Enable(true)
 	defer telemetry.Enable(prevEnabled)
@@ -58,62 +48,38 @@ func E19TelemetryAudit(opt Options) (*Table, error) {
 	}
 
 	light := chaos.Light()
-	chaosCases := []struct {
-		name    string
-		profile *chaos.Profile
-	}{
-		{"off", nil},
-		{"light", &light},
+	replayed := func(r *cellRun) error {
+		if r.audit.replayed == 0 {
+			return fmt.Errorf("restart cell saw no replayed events — recovery path did not run")
+		}
+		return nil
 	}
-	faultCases := []struct {
-		name    string
-		crashes []dist.CrashPlan
-		recover bool
-	}{
-		{"none", nil, false},
-		{"restart p0", []dist.CrashPlan{{Proc: 0, AfterSends: 20}}, true},
-	}
-	t := &Table{
-		ID:     "E19",
-		Title:  "Telemetry audit: eq. (19) round bound and Lemma 3 contraction measured from trace events (n=5, f=1, d=2, TCP)",
-		Header: []string{"chaos", "faults", "runs", "decided ≤ t_end", "d_H ≤ Ω·(1-1/n)^t", "final d_H ≤ ε", "replayed events"},
-		Notes: []string{
-			fmt.Sprintf("Every quantity is computed from the telemetry stream, not the result object: cc.decided events give rounds-to-decide (bound: t_end = %d), cc.round events carry the vertices of h_i[t] from which the per-round max pairwise Hausdorff distance is measured against the equation (18) envelope Ω·(1-1/n)^t with Ω = √d·n·U = %s.", tEnd, fmtF(omega)),
+	t, err := matrix{
+		id:     "E19",
+		title:  "Telemetry audit: eq. (19) round bound and Lemma 3 contraction measured from trace events (n=5, f=1, d=2, TCP)",
+		labels: []string{"chaos", "faults"},
+		notes: []string{
+			fmt.Sprintf("Every quantity is computed from the telemetry stream, not the result object: cc.decided events give rounds-to-decide (bound: t_end = %d), cc.round events carry the vertices of h_i[t] from which the per-round max pairwise Hausdorff distance is measured against the equation (18) envelope Ω·(1-1/n)^t with Ω = √d·n·U = %s.", tEnd, fmtF(omega(params))),
 			"WAL replay re-executes deliveries, so restart cells re-emit identical events for already-completed rounds; the audit deduplicates by (proc, round) and reports the duplicate count — a nonzero count is positive evidence the recovery path actually replayed.",
 		},
-	}
-	for _, cc := range chaosCases {
-		for _, fc := range faultCases {
-			runs, boundOK, envOK, agreeOK, replayed := 0, 0, 0, 0, 0
-			for s := 0; s < seeds; s++ {
-				seed := int64(s*53 + 29)
-				cell, err := runTelemetryCell(params, cc.profile, fc.crashes, fc.recover, seed, omega, tEnd)
-				if err != nil {
-					return nil, fmt.Errorf("E19 chaos=%s faults=%s seed %d: %w", cc.name, fc.name, seed, err)
-				}
-				runs++
-				if cell.boundOK {
-					boundOK++
-				}
-				if cell.envelopeOK {
-					envOK++
-				}
-				if cell.agreeOK {
-					agreeOK++
-				}
-				replayed += cell.replayed
-			}
-			if fc.recover && replayed == 0 {
-				return nil, fmt.Errorf("E19 chaos=%s faults=%s: restart cell saw no replayed events — recovery path did not run", cc.name, fc.name)
-			}
-			t.Rows = append(t.Rows, []string{
-				cc.name, fc.name, fmtI(runs),
-				fmt.Sprintf("%d/%d", boundOK, runs),
-				fmt.Sprintf("%d/%d", envOK, runs),
-				fmt.Sprintf("%d/%d", agreeOK, runs),
-				fmtI(replayed),
-			})
-		}
+		transport: engine.TransportTCP,
+		params:    params,
+		seeds:     opt.trials(1, 3),
+		seed:      func(s int) int64 { return int64(s*53 + 29) },
+		traced:    true,
+		verdicts:  tracedVerdicts,
+		counters: []counter{
+			{name: "replayed events", of: func(r *cellRun) int64 { return int64(r.audit.replayed) }},
+		},
+		cells: []cell{
+			{labels: []string{"off", "none"}},
+			{labels: []string{"off", "restart p0"}, env: engine.Env{Restarts: restartP0}, check: replayed},
+			{labels: []string{"light", "none"}, env: engine.Env{Chaos: &light}},
+			{labels: []string{"light", "restart p0"}, env: engine.Env{Chaos: &light, Restarts: restartP0}, check: replayed},
+		},
+	}.table()
+	if err != nil {
+		return nil, err
 	}
 
 	// Cross-check the registry's cumulative decided-round histogram: the grid
@@ -132,48 +98,12 @@ func E19TelemetryAudit(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// telemetryCell is the per-run verdict of one E19 cell.
+// telemetryCell is the per-run verdict of a traced matrix cell.
 type telemetryCell struct {
 	boundOK    bool // all n processes decided at rounds ≤ t_end (eq. 19)
 	envelopeOK bool // d_H(t) ≤ Ω·(1-1/n)^t at every complete round (eq. 18)
 	agreeOK    bool // d_H at the final complete round ≤ ε (Theorem 2)
 	replayed   int  // duplicate (proc, round) events — WAL replay re-emission
-}
-
-// runTelemetryCell runs one networked CC instance with a fresh memory trace
-// sink and audits the paper's bounds purely from the captured events.
-func runTelemetryCell(params core.Params, profile *chaos.Profile, crashes []dist.CrashPlan, recovery bool, seed int64, omega float64, tEnd int) (telemetryCell, error) {
-	sink := telemetry.NewMemorySink()
-	prev := telemetry.SetSink(sink)
-	defer telemetry.SetSink(prev)
-
-	cfg := multiplex.BatchConfig{
-		N: params.N,
-		Instances: []multiplex.Instance{
-			{Params: params, Inputs: randInputs(params.N, params.D, 0, 10, seed)},
-		},
-		Transport: engine.TransportTCP,
-		Seed:      seed,
-		Env:       engine.Env{Chaos: profile, ChaosSeed: seed},
-		Timeout:   120 * time.Second,
-	}
-	if recovery {
-		walDir, err := os.MkdirTemp("", "chc-e19-*")
-		if err != nil {
-			return telemetryCell{}, err
-		}
-		defer func() { _ = os.RemoveAll(walDir) }()
-		cfg.Crashes = crashes
-		cfg.WALDir = walDir
-		cfg.Recover = true
-		cfg.RecoverDowntime = 5 * time.Millisecond
-	} else {
-		cfg.Crashes = crashes
-	}
-	if _, err := multiplex.RunBatch(cfg); err != nil {
-		return telemetryCell{}, err
-	}
-	return auditTelemetryEvents(sink, params, omega, tEnd)
 }
 
 // auditTelemetryEvents checks the paper's bounds purely from a captured

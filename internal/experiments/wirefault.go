@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"chc/internal/chaos"
-	"chc/internal/core"
 	"chc/internal/dist"
+	"chc/internal/engine"
 	"chc/internal/netfault"
-	"chc/internal/polytope"
 	"chc/internal/runtime"
-	"chc/internal/wire"
 )
 
 // E21WireFaults exercises the adversarial-wire stack: seeded byte-stream
@@ -25,160 +22,55 @@ import (
 // decide with full Theorem 2 properties — corruption consumes bandwidth,
 // never a unit of the f crash budget.
 func E21WireFaults(opt Options) (*Table, error) {
-	seeds := opt.trials(3, 6)
 	lossy := chaos.Profile{Drop: 0.10, Dup: 0.05}
+	flaky := netfault.Flaky()
 	// Hostile cells assert injection actually happened, so they get no grace
 	// prefix: even a terse run must meet the adversary from byte zero.
 	hostile := netfault.Hostile()
 	hostile.AfterBytes = 0
 	hostileOneLink := hostile
 	hostileOneLink.LinkSubstr = "0->1"
-	type cellCase struct {
-		name string
-		plan netfault.Plan
-		// wantInjected requires the plan to actually fire (heavy plans on a
-		// chatty mesh); mild plans may stay below their grace prefix.
-		wantInjected bool
-		chaos        *chaos.Profile
-		restarts     []runtime.RestartPlan
+	// wantInjected requires the plan to actually fire (heavy plans on a
+	// chatty mesh); mild plans may stay below their grace prefix.
+	wireCheck := func(wantInjected bool) func(*cellRun) error {
+		return func(r *cellRun) error {
+			if undecided := r.res.Params.N - len(r.res.Outputs); undecided > 0 {
+				return fmt.Errorf("%d processes undecided — wire corruption leaked into the crash budget", undecided)
+			}
+			if wantInjected && r.net.InjectedWire == 0 {
+				return fmt.Errorf("hostile plan injected nothing")
+			}
+			return nil
+		}
 	}
-	cells := []cellCase{
-		{name: "flaky wire", plan: netfault.Flaky()},
-		{name: "hostile wire", plan: hostile, wantInjected: true},
-		{name: "hostile wire on link 0->1", plan: hostileOneLink, wantInjected: true},
-		{name: "flaky wire + lossy links", plan: netfault.Flaky(), chaos: &lossy},
-		{name: "hostile wire + restart", plan: hostile, wantInjected: true,
-			restarts: []runtime.RestartPlan{{Proc: 2, KillAfterSends: 15, Downtime: 10 * time.Millisecond}}},
-	}
-	t := &Table{
-		ID:     "E21",
-		Title:  "Adversarial-wire matrix: byte-stream corruption × chaos × restarts over TCP (n=5, f=1, d=2)",
-		Header: []string{"cell", "runs", "terminated", "validity", "ε-agreement", "injected", "corrupt frames", "quarantines", "readmits", "reorder drops"},
-		Notes: []string{
+	restart := []runtime.RestartPlan{{Proc: 2, KillAfterSends: 15, Downtime: 10 * time.Millisecond}}
+	return matrix{
+		id:     "E21",
+		title:  "Adversarial-wire matrix: byte-stream corruption × chaos × restarts over TCP (n=5, f=1, d=2)",
+		labels: []string{"cell"},
+		notes: []string{
 			"Every cell requires ALL processes to decide: a byte-corruption adversary is not a crash fault, so it may consume none of the f budget. Corrupt frames counts decoder rejections (CRC, framing, oversize) — each one stayed inside the link layer and was repaired by retransmission. Quarantines/readmits show the per-peer health machinery cycling under sustained corruption.",
 		},
-	}
-	for _, cc := range cells {
-		runs, term, valid, agree := 0, 0, 0, 0
-		var injected, corrupt, quarantines, readmits, reorderDrops int64
-		for s := 0; s < seeds; s++ {
-			seed := int64(s*91 + 7)
-			plan := cc.plan
-			plan.Seed = seed
-			st, result, cfg, err := runWireCell(plan, cc.chaos, cc.restarts, seed)
-			if err != nil {
-				return nil, fmt.Errorf("E21 %s seed %d: %w", cc.name, seed, err)
-			}
-			runs++
-			if undecided := cfg.Params.N - len(result.Outputs); undecided > 0 {
-				return nil, fmt.Errorf("E21 %s seed %d: %d processes undecided — wire corruption leaked into the crash budget", cc.name, seed, undecided)
-			}
-			term++
-			if core.CheckValidity(result, cfg) == nil {
-				valid++
-			}
-			if rep, aerr := core.CheckAgreement(result); aerr == nil && rep.Holds {
-				agree++
-			}
-			if cc.wantInjected && st.Net.InjectedWire == 0 {
-				return nil, fmt.Errorf("E21 %s seed %d: hostile plan injected nothing", cc.name, seed)
-			}
-			injected += st.Net.InjectedWire
-			corrupt += st.Net.CorruptFrames
-			quarantines += st.Net.PeerQuarantines
-			readmits += st.Net.PeerReadmits
-			reorderDrops += st.Net.ReorderDrops
-		}
-		t.Rows = append(t.Rows, []string{
-			cc.name, fmtI(runs),
-			fmt.Sprintf("%d/%d", term, runs),
-			fmt.Sprintf("%d/%d", valid, runs),
-			fmt.Sprintf("%d/%d", agree, runs),
-			fmt.Sprintf("%d", injected),
-			fmt.Sprintf("%d", corrupt),
-			fmt.Sprintf("%d", quarantines),
-			fmt.Sprintf("%d", readmits),
-			fmt.Sprintf("%d", reorderDrops),
-		})
-	}
-	return t, nil
-}
-
-// runWireCell runs one consensus instance over loopback TCP with the given
-// wire-fault plan, optional chaos profile and restart schedule, returning
-// the cluster stats and a RunResult for the core checkers. No process is
-// marked faulty: the byte-corruption adversary must be absorbed by the link
-// layer, so every process is held to the correct-process obligations.
-func runWireCell(plan netfault.Plan, profile *chaos.Profile, restarts []runtime.RestartPlan, seed int64) (runtime.ClusterStats, *core.RunResult, *core.RunConfig, error) {
-	const n, f = 5, 1
-	params := baseParams(n, f, 2, 0.05).WithDefaults()
-	inputs := randInputs(n, 2, 0, 10, seed)
-	cfg := &core.RunConfig{Params: params, Inputs: inputs, Seed: seed}
-
-	procs := make([]dist.Process, n)
-	for i := 0; i < n; i++ {
-		proc, err := core.NewProcess(params, dist.ProcID(i), inputs[i])
-		if err != nil {
-			return runtime.ClusterStats{}, nil, nil, err
-		}
-		procs[i] = proc
-	}
-	opts := []runtime.Option{
-		runtime.WithSizer(wire.MessageSize),
-		runtime.WithNetFaults(plan),
-	}
-	if profile != nil {
-		opts = append(opts, runtime.WithChaos(*profile, seed))
-	}
-	if len(restarts) > 0 {
-		// Restarts need a write-ahead log to relaunch from.
-		walDir, err := os.MkdirTemp("", "chc-e21-*")
-		if err != nil {
-			return runtime.ClusterStats{}, nil, nil, err
-		}
-		defer func() { _ = os.RemoveAll(walDir) }()
-		factory := func(i int) dist.Process {
-			p, perr := core.NewProcess(params, dist.ProcID(i), inputs[i])
-			if perr != nil {
-				panic(perr) // params and inputs were validated above
-			}
-			return p
-		}
-		opts = append(opts,
-			runtime.WithRecovery(runtime.RecoveryConfig{Dir: walDir, Factory: factory, Inputs: inputs}),
-			runtime.WithRestarts(restarts...),
-		)
-	}
-	c, err := runtime.NewTCPCluster(procs, opts...)
-	if err != nil {
-		return runtime.ClusterStats{}, nil, nil, err
-	}
-	if err := c.Run(120 * time.Second); err != nil {
-		return runtime.ClusterStats{}, nil, nil, err
-	}
-
-	result := &core.RunResult{
-		Params:  params,
-		Outputs: make(map[dist.ProcID]*polytope.Polytope),
-		Crashed: make(map[dist.ProcID]bool),
-		Faulty:  make(map[dist.ProcID]bool),
-		Traces:  make(map[dist.ProcID]core.Trace),
-	}
-	// Read the post-run incarnations: with restarts, the relaunched
-	// processes replace the originals inside the cluster.
-	for i, proc := range c.Processes() {
-		id := dist.ProcID(i)
-		cp, ok := proc.(*core.Process)
-		if !ok {
-			return runtime.ClusterStats{}, nil, nil, fmt.Errorf("node %d: unexpected process type %T", i, proc)
-		}
-		result.Traces[id] = cp.TraceData()
-		out, oerr := cp.Output()
-		if oerr != nil {
-			result.Crashed[id] = true
-			continue
-		}
-		result.Outputs[id] = out
-	}
-	return c.Stats(), result, cfg, nil
+		transport: engine.TransportTCP,
+		params:    baseParams(5, 1, 2, 0.05),
+		seeds:     opt.trials(3, 6),
+		seed:      func(s int) int64 { return int64(s*91 + 7) },
+		verdicts:  []verdict{vTerminated, vValidity, vAgreement},
+		counters: []counter{
+			netCounter("injected", func(n *dist.NetStats) int64 { return n.InjectedWire }),
+			netCounter("corrupt frames", func(n *dist.NetStats) int64 { return n.CorruptFrames }),
+			netCounter("quarantines", func(n *dist.NetStats) int64 { return n.PeerQuarantines }),
+			netCounter("readmits", func(n *dist.NetStats) int64 { return n.PeerReadmits }),
+			netCounter("reorder drops", func(n *dist.NetStats) int64 { return n.ReorderDrops }),
+		},
+		cells: []cell{
+			// No cell declares a faulty process: the link layer must absorb the
+			// adversary, so every process is held to the correct-process obligations.
+			{labels: []string{"flaky wire"}, env: engine.Env{NetFaults: &flaky}, check: wireCheck(false)},
+			{labels: []string{"hostile wire"}, env: engine.Env{NetFaults: &hostile}, check: wireCheck(true)},
+			{labels: []string{"hostile wire on link 0->1"}, env: engine.Env{NetFaults: &hostileOneLink}, check: wireCheck(true)},
+			{labels: []string{"flaky wire + lossy links"}, env: engine.Env{NetFaults: &flaky, Chaos: &lossy}, check: wireCheck(false)},
+			{labels: []string{"hostile wire + restart"}, env: engine.Env{NetFaults: &hostile, Restarts: restart}, check: wireCheck(true)},
+		},
+	}.table()
 }

@@ -11,7 +11,6 @@ import (
 	"chc/internal/engine"
 	"chc/internal/netfault"
 	"chc/internal/runtime"
-	"chc/internal/telemetry"
 	"chc/internal/wal"
 )
 
@@ -225,9 +224,11 @@ func WithDurability(policy DurabilityPolicy) NetworkOption {
 // are seeded and reproducible per link).
 //
 // The returned result carries outputs and traces; Crashed marks processes
-// whose scheduled crash prevented a decision. Stats.Net exposes the
-// link-layer counters (retransmits, duplicate suppressions, injected
-// faults, reconnects) when the reliable-link layer was active.
+// that did not finish (a scheduled crash, a dead disk under FailStop, the
+// timeout), and a process that ended in failure instead is reported as the
+// error, beside the partial result. Stats.Net exposes the link-layer counters
+// (retransmits, duplicate suppressions, injected faults, reconnects) when the
+// reliable-link layer was active.
 func RunNetworked(cfg RunConfig, transport TransportKind, timeout time.Duration, opts ...NetworkOption) (*RunResult, error) {
 	var netOpts networkOptions
 	for _, o := range opts {
@@ -240,73 +241,13 @@ func RunNetworked(cfg RunConfig, transport TransportKind, timeout time.Duration,
 	if err != nil {
 		return nil, err
 	}
-	var restartCrashes []CrashPlan
 	if netOpts.recover {
 		// Crash-recovery kills are not crash-stop faults: the node comes
 		// back and must behave as a correct process, so its crash plan is
 		// detached before validation (which would otherwise require the
 		// process to be declared faulty) and turned into restart plans.
-		restartCrashes = cfg.Crashes
+		netOpts.env.Restarts = engine.RestartPlans(cfg.Crashes, netOpts.recoverWait)
 		cfg.Crashes = nil
 	}
-	cfg.Seed = 0
-	cfg.Scheduler = nil
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.TelemetryAddr != "" {
-		if _, err := telemetry.EnsureServer(cfg.TelemetryAddr); err != nil {
-			return nil, err
-		}
-	}
-	params := cfg.Params
-	engOpts := engine.Options{
-		Transport: engTransport,
-		Crashes:   cfg.Crashes,
-		Timeout:   timeout,
-		Inputs:    cfg.Inputs,
-		Env:       netOpts.env,
-	}
-	if netOpts.recover {
-		engOpts.Restarts = engine.RestartPlans(restartCrashes, netOpts.recoverWait)
-	}
-	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{cfg.Spec()}}, engOpts)
-	if res == nil {
-		return nil, err
-	}
-	if err != nil {
-		return nil, err
-	}
-	result := &RunResult{
-		Params:   params,
-		Outputs:  make(map[ProcID]*Polytope),
-		Crashed:  make(map[ProcID]bool),
-		Faulty:   make(map[ProcID]bool),
-		Traces:   make(map[ProcID]Trace),
-		Stats:    res.Stats,
-		Degraded: res.Degraded,
-	}
-	if telemetry.Enabled() {
-		result.Telemetry = telemetry.Default().Snapshot()
-	}
-	for _, id := range cfg.Faulty {
-		result.Faulty[id] = true
-	}
-	// Inspect the post-run incarnations: with crash recovery a relaunched
-	// process replaces the one first constructed, and its recovered state is
-	// the one to read.
-	for i := 0; i < params.N; i++ {
-		id := ProcID(i)
-		impl := res.Sub(0, id).(*core.Process)
-		result.Traces[id] = impl.TraceData()
-		out, oerr := impl.Output()
-		if oerr != nil {
-			// Undecided: either it crashed per plan or the run timed out
-			// for it; with a successful cluster run, only crashes remain.
-			result.Crashed[id] = true
-			continue
-		}
-		result.Outputs[id] = out
-	}
-	return result, nil
+	return core.RunOn(cfg, engine.Options{Transport: engTransport, Timeout: timeout, Env: netOpts.env})
 }
