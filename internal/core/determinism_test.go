@@ -9,20 +9,13 @@ import (
 	"chc/internal/dist"
 	"chc/internal/geom"
 	"chc/internal/geom/par"
-	"chc/internal/polytope"
 )
 
-// sequentialRef runs fn with the worker pool forced onto one goroutine and
-// all polytope memoization disabled — the reference every parallel run must
-// reproduce bit for bit.
+// sequentialRef runs fn with the worker pool forced onto one goroutine — the
+// reference every parallel run must reproduce bit for bit.
 func sequentialRef(t *testing.T, fn func()) {
 	t.Helper()
-	prevWorkers := par.SetMaxWorkers(1)
-	prevCache := polytope.SetHullCaching(false)
-	defer func() {
-		par.SetMaxWorkers(prevWorkers)
-		polytope.SetHullCaching(prevCache)
-	}()
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
 	fn()
 }
 
@@ -57,7 +50,7 @@ func randInputs(n, d int, seed int64) []geom.Point {
 }
 
 // TestInitialPolytopeParallelMatchesSequential checks the subset-hull
-// fan-out across an (n, f, d) grid: the parallel, memoizing execution must
+// fan-out across an (n, f, d) grid: the parallel execution must
 // be bitwise-identical to the sequential single-worker reference. Under
 // -race this also exercises the worker pool's synchronization on the
 // hottest fan-out in the library.
@@ -131,11 +124,8 @@ func TestRunGOMAXPROCS1Equivalence(t *testing.T) {
 	ref := run()
 
 	prevProcs := gort.GOMAXPROCS(1)
-	prevCache := polytope.SetHullCaching(false) // clear caches, then re-enable
-	polytope.SetHullCaching(true)
 	single := run()
 	gort.GOMAXPROCS(prevProcs)
-	polytope.SetHullCaching(prevCache)
 
 	if len(ref) != len(single) {
 		t.Fatalf("output sets differ: %d vs %d processes", len(ref), len(single))

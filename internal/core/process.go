@@ -74,6 +74,11 @@ type Process struct {
 
 var _ dist.Process = (*Process)(nil)
 
+// checkReceivedExtreme makes advance also check that every vertex of a
+// received d >= 3 state is extreme, which costs a hull computation per
+// state. It is a test hook; FromCanonical's O(|V|) check always runs.
+var checkReceivedExtreme bool
+
 // NewProcess builds a process with the given input. The input is validated
 // against the parameter bounds (faulty processes' incorrect inputs must
 // still respect the declared domain, as the paper's Ω bound assumes).
@@ -166,6 +171,9 @@ func (p *Process) Deliver(ctx dist.Context, msg dist.Message) {
 		payload, ok := msg.Payload.(wire.PolytopePayload)
 		if !ok || msg.Round < 1 {
 			return // malformed; crash model permits ignoring
+		}
+		if p.decided || (p.round >= 1 && msg.Round < p.round) {
+			return // Y_i[t] is fixed: a late round-t state is not kept
 		}
 		perRound := p.pending[msg.Round]
 		if perRound == nil {
@@ -297,11 +305,16 @@ func (p *Process) advance(ctx dist.Context) {
 		for _, id := range senders {
 			if id == p.id {
 				// The own entry of MSG_i[t] is the polytope this process
-				// already holds; only received vertex lists need hulling.
+				// already holds.
 				polys = append(polys, p.state)
 				continue
 			}
-			poly, err := polytope.New(perRound[id], p.params.GeomEps)
+			// A crashed sender computed honestly until it stopped, so a
+			// received state is already canonical: wrap it, do not re-hull.
+			poly, err := polytope.FromCanonical(perRound[id])
+			if err == nil && checkReceivedExtreme && poly.Dim() >= 3 {
+				err = poly.CheckExtreme(p.params.GeomEps)
+			}
 			if err != nil {
 				p.failure = fmt.Errorf("core: process %d round %d: state from %d: %w", p.id, p.round, id, err)
 				return
@@ -334,7 +347,7 @@ func (p *Process) advance(ctx dist.Context) {
 			mRoundSeconds.ObserveDuration(time.Since(p.roundStart))
 		}
 		p.emitRoundState(rec.Round, rec.State)
-		delete(p.pending, p.round) // Y_i[t] is fixed; late round-t messages are ignored
+		delete(p.pending, p.round) // Y_i[t] is fixed; Deliver drops late round-t states
 		p.enterRound(ctx, p.round+1)
 	}
 }

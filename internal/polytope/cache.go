@@ -1,194 +1,18 @@
 package polytope
 
-import (
-	"encoding/binary"
-	"math"
-	"sync"
-	"sync/atomic"
+import "sync/atomic"
 
-	"chc/internal/geom"
-)
+// The process-wide hull and combine memo is gone. These three functions stay
+// only because the benchmark harness still calls them; the stub goes in the
+// benchmark change that drops the geom-cold workload's cold flag (ROADMAP
+// items 3 and 7). Nothing reads hullCaching.
+var hullCaching atomic.Bool
 
-// The hull cache memoizes New across the whole process. Its payoff comes
-// from the structure of Algorithm CC: in every round, all n processes build
-// polytopes from the same broadcast states, so each distinct point set is
-// hulled up to n times. Keys are the exact float bits of the input points
-// plus eps, so a cache hit returns a result bitwise-identical to a fresh
-// computation — determinism (and hence WAL replay byte-identity) is
-// unaffected. Cached polytopes are shared immutable pointers; their verts
-// never alias caller memory.
-const (
-	// hullCacheMaxPoints bounds the key size; larger inputs bypass the cache.
-	hullCacheMaxPoints = 64
-	// hullCacheMaxEntries bounds the cache; on overflow it is cleared
-	// wholesale (simple, and round boundaries naturally shift the key set).
-	hullCacheMaxEntries = 4096
-)
+// SetHullCaching stores on and returns the previous value. It has no effect.
+func SetHullCaching(on bool) bool { return hullCaching.Swap(on) }
 
-var (
-	hullCacheOn     atomic.Bool
-	hullCacheHits   atomic.Int64
-	hullCacheMisses atomic.Int64
+// HullCacheStats reports zero hits and zero misses.
+func HullCacheStats() (hits, misses int64) { return 0, 0 }
 
-	hullCacheMu sync.RWMutex
-	hullCache   = make(map[string]*Polytope)
-)
-
-func init() { hullCacheOn.Store(true) }
-
-// SetHullCaching toggles the process-wide hull memoization (on by default)
-// and returns the previous setting. Disabling clears the cache. Intended
-// for tests and benchmarks that need every hull computed from scratch.
-func SetHullCaching(on bool) bool {
-	prev := hullCacheOn.Swap(on)
-	if !on {
-		hullCacheMu.Lock()
-		clear(hullCache)
-		hullCacheMu.Unlock()
-		combineMu.Lock()
-		clear(combineCache)
-		combineMu.Unlock()
-	}
-	return prev
-}
-
-// HullCacheStats reports cumulative cache hits and misses.
-func HullCacheStats() (hits, misses int64) {
-	return hullCacheHits.Load(), hullCacheMisses.Load()
-}
-
-// pointKey encodes the exact bits of a point as a map key.
-func pointKey(p geom.Point) string {
-	buf := make([]byte, 8*len(p))
-	for i, c := range p {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(c))
-	}
-	return string(buf)
-}
-
-// hullCacheKey builds the cache key for New(pts, eps), or "" when the input
-// is ineligible (caching disabled, empty, oversized, or mixed-dimension).
-func hullCacheKey(pts []geom.Point, eps float64) string {
-	if !hullCacheOn.Load() || len(pts) == 0 || len(pts) > hullCacheMaxPoints {
-		return ""
-	}
-	d := pts[0].Dim()
-	buf := make([]byte, 0, 16+8*len(pts)*d)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(eps))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], uint64(d))
-	buf = append(buf, tmp[:]...)
-	for _, p := range pts {
-		if p.Dim() != d {
-			return "" // let New surface the dimension error
-		}
-		for _, c := range p {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(c))
-			buf = append(buf, tmp[:]...)
-		}
-	}
-	return string(buf)
-}
-
-// The combine cache memoizes LinearCombination the same way: in every
-// averaging round each process combines the same broadcast states with the
-// same weights, so the (expensive, Minkowski-sum) result recurs up to n
-// times per round. Keys again capture the exact operand bits, so hits are
-// bitwise-identical to recomputation. Both caches share the SetHullCaching
-// switch.
-const (
-	// combineCacheMaxPoints bounds the key size by the total operand
-	// vertex count; larger combinations bypass the cache.
-	combineCacheMaxPoints = 256
-	combineCacheMaxEntries = 1024
-)
-
-var (
-	combineHits   atomic.Int64
-	combineMisses atomic.Int64
-
-	combineMu    sync.RWMutex
-	combineCache = make(map[string]*Polytope)
-)
-
-// CombineCacheStats reports cumulative combine-cache hits and misses.
-func CombineCacheStats() (hits, misses int64) {
-	return combineHits.Load(), combineMisses.Load()
-}
-
-// combineCacheKey builds the cache key for LinearCombination(polys,
-// weights, eps), or "" when ineligible.
-func combineCacheKey(polys []*Polytope, weights []float64, eps float64) string {
-	if !hullCacheOn.Load() {
-		return ""
-	}
-	total := 0
-	for _, p := range polys {
-		total += len(p.verts)
-	}
-	if total == 0 || total > combineCacheMaxPoints {
-		return ""
-	}
-	var tmp [8]byte
-	buf := make([]byte, 0, 16+16*len(polys)+8*total*polys[0].Dim())
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(eps))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], uint64(len(polys)))
-	buf = append(buf, tmp[:]...)
-	for i, p := range polys {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(weights[i]))
-		buf = append(buf, tmp[:]...)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(p.verts)))
-		buf = append(buf, tmp[:]...)
-		for _, v := range p.verts {
-			for _, c := range v {
-				binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(c))
-				buf = append(buf, tmp[:]...)
-			}
-		}
-	}
-	return string(buf)
-}
-
-func combineCacheGet(key string) *Polytope {
-	combineMu.RLock()
-	p := combineCache[key]
-	combineMu.RUnlock()
-	if p != nil {
-		combineHits.Add(1)
-	} else {
-		combineMisses.Add(1)
-	}
-	return p
-}
-
-func combineCachePut(key string, p *Polytope) {
-	combineMu.Lock()
-	if len(combineCache) >= combineCacheMaxEntries {
-		clear(combineCache)
-	}
-	combineCache[key] = p
-	combineMu.Unlock()
-}
-
-func hullCacheGet(key string) *Polytope {
-	hullCacheMu.RLock()
-	p := hullCache[key]
-	hullCacheMu.RUnlock()
-	if p != nil {
-		hullCacheHits.Add(1)
-	} else {
-		hullCacheMisses.Add(1)
-	}
-	return p
-}
-
-func hullCachePut(key string, p *Polytope) {
-	hullCacheMu.Lock()
-	if len(hullCache) >= hullCacheMaxEntries {
-		clear(hullCache)
-	}
-	hullCache[key] = p
-	hullCacheMu.Unlock()
-}
+// CombineCacheStats reports zero hits and zero misses.
+func CombineCacheStats() (hits, misses int64) { return 0, 0 }

@@ -21,7 +21,8 @@ const weightSumTol = 1e-9
 //
 // which equals the Minkowski sum of the scaled polytopes c_i * h_i. The
 // result is convex and non-empty whenever the operands are (the property
-// Lemma 5 relies on).
+// Lemma 5 relies on). When every positively weighted operand is the same
+// polytope (pointer- or bitwise-equal), that operand itself is returned.
 func LinearCombination(polys []*Polytope, weights []float64, eps float64) (*Polytope, error) {
 	if len(polys) == 0 {
 		return nil, errors.New("polytope: linear combination of zero polytopes")
@@ -47,50 +48,66 @@ func LinearCombination(polys []*Polytope, weights []float64, eps float64) (*Poly
 		return nil, fmt.Errorf("polytope: weights sum to %v, want 1", sum)
 	}
 
-	// Zero-weight operands contribute only the origin; drop them.
+	// Zero-weight operands contribute only the origin; drop them. Equal
+	// operands merge into one with the summed weight, since aK + bK = (a+b)K
+	// for convex K: a consensus round averages at most f+1 distinct states
+	// in round 1 and, absent divergence, one from round 2 on.
 	kept := make([]*Polytope, 0, len(polys))
 	ws := make([]float64, 0, len(weights))
+operands:
 	for i, w := range weights {
-		if w > 0 {
-			kept = append(kept, polys[i])
-			ws = append(ws, w)
+		if w <= 0 {
+			continue
 		}
+		for g, q := range kept {
+			if sameVertices(q, polys[i]) {
+				ws[g] += w
+				continue operands
+			}
+		}
+		kept = append(kept, polys[i])
+		ws = append(ws, w)
 	}
 	if len(kept) == 0 {
 		return nil, errors.New("polytope: all weights are zero")
 	}
+	mCombineGroups.Observe(float64(len(kept)))
+	if len(kept) == 1 {
+		return kept[0], nil // the weights sum to one
+	}
+	return combine(kept, ws, eps)
+}
 
-	// Every process in a consensus round combines the same broadcast states
-	// with the same weights, so the result is memoized process-wide (see
-	// cache.go; hits are bitwise-identical to recomputation).
-	key := combineCacheKey(kept, ws, eps)
-	if key != "" {
-		if p := combineCacheGet(key); p != nil {
-			return p, nil
+// sameVertices reports whether a and b are the same polytope pointer or hold
+// bitwise-identical vertex lists.
+func sameVertices(a, b *Polytope) bool {
+	if a == b {
+		return true
+	}
+	if len(a.verts) != len(b.verts) {
+		return false
+	}
+	for i, u := range a.verts {
+		for j, c := range u {
+			if math.Float64bits(c) != math.Float64bits(b.verts[i][j]) {
+				return false
+			}
 		}
 	}
-	result, err := func() (*Polytope, error) {
-		switch d {
-		case 1:
-			return combine1D(kept, ws)
-		case 2:
-			return combine2D(kept, ws, eps)
-		default:
-			return combineND(kept, ws, eps)
-		}
-	}()
-	if err != nil || key == "" {
-		return result, err
+	return true
+}
+
+// combine is the weighted Minkowski sum kernel over non-empty operands of
+// one dimension with positive weights.
+func combine(polys []*Polytope, weights []float64, eps float64) (*Polytope, error) {
+	switch polys[0].Dim() {
+	case 1:
+		return combine1D(polys, weights)
+	case 2:
+		return combine2D(polys, weights, eps)
+	default:
+		return combineND(polys, weights, eps)
 	}
-	// Clone before publishing: the kernels may return views of operand or
-	// intermediate memory, and a cached polytope must own its vertices.
-	owned := make([]geom.Point, len(result.verts))
-	for i, v := range result.verts {
-		owned[i] = v.Clone()
-	}
-	shared := fromHullVerts(owned)
-	combineCachePut(key, shared)
-	return shared, nil
 }
 
 // Average returns the equal-weight linear combination used on line 14 of

@@ -218,3 +218,66 @@ func TestAverageContraction(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLinearCombinationGroupsEqualOperands: L merges pointer- and
+// bitwise-equal operands into one with the summed weight, returns a lone
+// remaining operand itself, and otherwise matches the kernel run over the
+// unmerged operands.
+func TestLinearCombinationGroupsEqualOperands(t *testing.T) {
+	for _, d := range []int{1, 2, 3} {
+		a, err := New(randCloud(10, d, int64(40+d), 0), eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(randCloud(10, d, int64(50+d), 0.7), eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if got, err := Average([]*Polytope{a, a, a}, eps); err != nil || got != a {
+			t.Errorf("d=%d: pointer-equal operands: got %p (%v), want the operand %p", d, got, err, a)
+		}
+
+		twin, err := FromCanonical(a.Vertices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Average([]*Polytope{a, twin, twin}, eps); err != nil || (got != a && got != twin) {
+			t.Errorf("d=%d: bitwise-equal operands were not merged: %v", d, err)
+		}
+
+		ops := []*Polytope{a, a, b, twin, b}
+		ws := []float64{0.1, 0.2, 0.3, 0.15, 0.25}
+		got, err := LinearCombination(ops, ws, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := combine(ops, ws, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Hausdorff(got, ref, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scale := math.Max(1, ref.Diameter()); h > 1e-12*scale {
+			t.Errorf("d=%d: grouped L is %g from the ungrouped kernel (scale %g)", d, h, scale)
+		}
+
+		// One ulp off in one coordinate is a different operand.
+		verts := a.Vertices()
+		verts[0][0] = math.Nextafter(verts[0][0], math.Inf(-1))
+		ulp, err := FromCanonical(verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Average([]*Polytope{a, ulp}, eps); err != nil || got == a || got == ulp {
+			t.Errorf("d=%d: operands one ulp apart were merged (%v)", d, err)
+		}
+
+		// Zero weights drop out before grouping.
+		if got, err := LinearCombination([]*Polytope{b, a, b}, []float64{0, 1, 0}, eps); err != nil || got != a {
+			t.Errorf("d=%d: zero-weight operands were not dropped before grouping (%v)", d, err)
+		}
+	}
+}

@@ -11,16 +11,10 @@ import (
 )
 
 // runSequential executes fn with the worker pool forced onto the calling
-// goroutine and all memoization disabled — the reference execution every
-// parallel/cached run must match bitwise.
+// goroutine — the reference execution every parallel run must match bitwise.
 func runSequential(t *testing.T, fn func()) {
 	t.Helper()
-	prevWorkers := par.SetMaxWorkers(1)
-	prevCache := SetHullCaching(false)
-	defer func() {
-		par.SetMaxWorkers(prevWorkers)
-		SetHullCaching(prevCache)
-	}()
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
 	fn()
 }
 
@@ -57,8 +51,8 @@ func randCloud(n, d int, seed int64, shift float64) []geom.Point {
 // TestParallelMatchesSequentialBitwise is the determinism grid of the
 // parallel engine: for seeds x dimensions, Intersect, Average and the
 // pairwise Hausdorff maximum must be bitwise-identical between the
-// sequential reference (one worker, caches off) and the parallel, memoizing
-// execution. Run under -race this also exercises the pool's synchronization.
+// sequential reference (one worker) and the parallel execution. Run under
+// -race this also exercises the pool's synchronization.
 func TestParallelMatchesSequentialBitwise(t *testing.T) {
 	type result struct {
 		interVerts []geom.Point
@@ -153,100 +147,6 @@ func TestIntersectSeededIsolation(t *testing.T) {
 	}
 	if !vertsBitsEqual(ref.Vertices(), again.Vertices()) {
 		t.Error("IntersectSeeded result depends on global rand state")
-	}
-}
-
-// TestHullCacheHitBitwiseIdentical: a cache hit must hand back exactly the
-// bits a fresh computation produces.
-func TestHullCacheHitBitwiseIdentical(t *testing.T) {
-	prev := SetHullCaching(true)
-	defer SetHullCaching(prev)
-
-	pts := randCloud(20, 3, 77, 0)
-	var fresh []geom.Point
-	runSequential(t, func() {
-		p, err := New(pts, geom.DefaultEps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh = p.Vertices()
-	})
-
-	SetHullCaching(false) // clear
-	SetHullCaching(true)
-	h0, m0 := HullCacheStats()
-	p1, err := New(pts, geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := New(pts, geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, m1 := HullCacheStats()
-	if h1-h0 < 1 || m1-m0 < 1 {
-		t.Fatalf("expected >=1 hit and >=1 miss, got hits+%d misses+%d", h1-h0, m1-m0)
-	}
-	if p1 != p2 {
-		t.Error("cache hit should return the shared polytope pointer")
-	}
-	if !vertsBitsEqual(fresh, p1.Vertices()) {
-		t.Error("cached hull differs from fresh computation")
-	}
-}
-
-// TestHullCacheDoesNotAliasInput: mutating the input points after New must
-// not change a cached polytope.
-func TestHullCacheDoesNotAliasInput(t *testing.T) {
-	prev := SetHullCaching(true)
-	defer SetHullCaching(prev)
-	pts := randCloud(12, 3, 101, 0)
-	p, err := New(pts, geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := p.Vertices()
-	for i := range pts {
-		for j := range pts[i] {
-			pts[i][j] = -1000
-		}
-	}
-	if !vertsBitsEqual(before, p.Vertices()) {
-		t.Fatal("cached polytope aliases caller memory")
-	}
-}
-
-// TestCombineCacheHit: averaging the same operands twice must hit the
-// combine cache and return identical bits.
-func TestCombineCacheHit(t *testing.T) {
-	prev := SetHullCaching(true)
-	defer SetHullCaching(prev)
-	SetHullCaching(false) // clear both caches
-	SetHullCaching(true)
-
-	polys := make([]*Polytope, 3)
-	for k := range polys {
-		p, err := New(randCloud(8, 3, int64(300+k), 0), geom.DefaultEps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		polys[k] = p
-	}
-	a1, err := Average(polys, geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0, _ := CombineCacheStats()
-	a2, err := Average(polys, geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, _ := CombineCacheStats()
-	if h1 <= h0 {
-		t.Fatalf("second Average did not hit the combine cache (hits %d -> %d)", h0, h1)
-	}
-	if !vertsBitsEqual(a1.Vertices(), a2.Vertices()) {
-		t.Fatal("combine cache hit differs from first computation")
 	}
 }
 

@@ -2,22 +2,11 @@ package polytope
 
 import "chc/internal/telemetry"
 
-// The geometry caches already keep their own atomic tallies (HullCacheStats,
-// CombineCacheStats — the compatibility accessors); the registry mirrors them
-// with pull-style collectors so the hot cache paths gain no new writes at
-// all: the counters are read only when a snapshot or /metrics scrape asks.
-func init() {
-	reg := telemetry.Default()
-	reg.CounterFunc("chc_hull_cache_hits_total",
-		"Convex-hull memoization hits across the process.",
-		func() float64 { h, _ := HullCacheStats(); return float64(h) })
-	reg.CounterFunc("chc_hull_cache_misses_total",
-		"Convex-hull memoization misses across the process.",
-		func() float64 { _, m := HullCacheStats(); return float64(m) })
-	reg.CounterFunc("chc_combine_cache_hits_total",
-		"Minkowski-combination memoization hits across the process.",
-		func() float64 { h, _ := CombineCacheStats(); return float64(h) })
-	reg.CounterFunc("chc_combine_cache_misses_total",
-		"Minkowski-combination memoization misses across the process.",
-		func() float64 { _, m := CombineCacheStats(); return float64(m) })
-}
+// mCombineGroups records, for every call of L, how many distinct operands
+// were left after equal operands were merged. By Containment a consensus
+// round-1 call sees at most f+1 of them and, absent divergence, every later
+// call sees exactly one. The disabled path is the histogram's one atomic
+// load.
+var mCombineGroups = telemetry.Default().Histogram("chc_polytope_combine_groups",
+	"Distinct operands of one linear combination L after equal operands are merged.",
+	[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32})

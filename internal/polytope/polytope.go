@@ -13,6 +13,7 @@
 package polytope
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -66,33 +67,93 @@ type Polytope struct {
 
 // New builds the convex hull of pts and returns it as a Polytope. The input
 // may contain duplicates and interior points; only hull vertices are kept.
-// Small inputs are served from a process-wide memoized hull cache (see
-// SetHullCaching): in a consensus round every process hulls the same
-// received states, so identical point sets recur n-fold.
 func New(pts []geom.Point, eps float64) (*Polytope, error) {
-	if key := hullCacheKey(pts, eps); key != "" {
-		if p := hullCacheGet(key); p != nil {
-			return p, nil
-		}
-		verts, err := hull.ConvexHull(pts, eps)
-		if err != nil {
-			return nil, fmt.Errorf("polytope: %w", err)
-		}
-		// Clone before publishing: ConvexHull may return views of the input
-		// points, and a cached polytope must not alias caller memory.
-		owned := make([]geom.Point, len(verts))
-		for i, v := range verts {
-			owned[i] = v.Clone()
-		}
-		p := &Polytope{verts: owned}
-		hullCachePut(key, p)
-		return p, nil
-	}
 	verts, err := hull.ConvexHull(pts, eps)
 	if err != nil {
 		return nil, fmt.Errorf("polytope: %w", err)
 	}
 	return &Polytope{verts: verts}, nil
+}
+
+// FromCanonical wraps a vertex list that is already canonical — the vertex
+// set of a polytope some process built, as a state broadcast carries it —
+// without re-hulling it. The list is not copied. An O(|V|) check rejects an
+// empty list, mixed dimensions and non-finite coordinates, and in 2-D
+// anything but a strictly convex counter-clockwise polygon (two vertices
+// must differ). In d >= 3 it does not check that every vertex is extreme;
+// CheckExtreme does, at the cost of a hull computation.
+func FromCanonical(verts []geom.Point) (*Polytope, error) {
+	if len(verts) == 0 {
+		return nil, ErrEmpty
+	}
+	d := verts[0].Dim()
+	for i, v := range verts {
+		if v.Dim() != d {
+			return nil, fmt.Errorf("polytope: vertex %d has dimension %d, want %d", i, v.Dim(), d)
+		}
+		if !v.IsFinite() {
+			return nil, fmt.Errorf("polytope: vertex %d is not finite: %v", i, v)
+		}
+	}
+	if d == 2 {
+		if err := checkConvexCCW(verts); err != nil {
+			return nil, err
+		}
+	}
+	return &Polytope{verts: verts}, nil
+}
+
+// checkConvexCCW accepts a point, two distinct points, or a polygon whose
+// every vertex turns strictly counter-clockwise and which winds once: the
+// signs of its edges' x-extents change exactly twice around the cycle.
+func checkConvexCCW(v []geom.Point) error {
+	m := len(v)
+	switch {
+	case m == 1:
+		return nil
+	case m == 2:
+		if v[0][0] == v[1][0] && v[0][1] == v[1][1] {
+			return errors.New("polytope: duplicated vertex")
+		}
+		return nil
+	}
+	var changes int
+	var first, last float64
+	for i := range v {
+		a, b, c := v[i], v[(i+1)%m], v[(i+2)%m]
+		if cr := (b[0]-a[0])*(c[1]-a[1]) - (b[1]-a[1])*(c[0]-a[0]); !(cr > 0) {
+			return fmt.Errorf("polytope: vertices %d, %d, %d are not a strict counter-clockwise turn", i, (i+1)%m, (i+2)%m)
+		}
+		if dx := b[0] - a[0]; dx != 0 {
+			s := math.Copysign(1, dx)
+			if last == 0 {
+				first = s
+			} else if s != last {
+				changes++
+			}
+			last = s
+		}
+	}
+	if first != last {
+		changes++
+	}
+	if changes != 2 {
+		return errors.New("polytope: polygon winds around more than once")
+	}
+	return nil
+}
+
+// CheckExtreme returns an error unless every vertex of p is a vertex of
+// conv(p) at eps — the check FromCanonical leaves out in d >= 3.
+func (p *Polytope) CheckExtreme(eps float64) error {
+	ext, err := hull.ExtremeFilter(p.verts, eps)
+	if err != nil {
+		return fmt.Errorf("polytope: %w", err)
+	}
+	if len(ext) != len(p.verts) {
+		return fmt.Errorf("polytope: %d of %d vertices are not extreme", len(p.verts)-len(ext), len(p.verts))
+	}
+	return nil
 }
 
 // FromPoint returns the degenerate polytope {p}.
@@ -264,6 +325,15 @@ func (p *Polytope) Support(dir geom.Point) (geom.Point, float64, error) {
 	p.support[key] = supportEntry{idx: i, val: val}
 	p.mu.Unlock()
 	return p.verts[i].Clone(), val, nil
+}
+
+// pointKey encodes the exact bits of a point as a map key.
+func pointKey(p geom.Point) string {
+	buf := make([]byte, 8*len(p))
+	for i, c := range p {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(c))
+	}
+	return string(buf)
 }
 
 // supportScan is the uncached support computation: the index and value of

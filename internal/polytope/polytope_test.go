@@ -300,3 +300,73 @@ func TestIntersectMixedDims(t *testing.T) {
 		t.Error("empty operand list should error")
 	}
 }
+
+// TestFromCanonicalRejects: the O(|V|) check refuses every list an honest
+// process cannot have built.
+func TestFromCanonicalRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		verts []geom.Point
+	}{
+		{"empty", nil},
+		{"mixed dimension", []geom.Point{pt(0, 0), pt(1, 0, 0), pt(0, 1)}},
+		{"NaN", []geom.Point{pt(0, 0), pt(1, 0), pt(math.NaN(), 1)}},
+		{"Inf", []geom.Point{pt(0, 0, 0), pt(math.Inf(1), 0, 0)}},
+		{"clockwise", []geom.Point{pt(0, 0), pt(0, 1), pt(1, 1), pt(1, 0)}},
+		{"collinear triple", []geom.Point{pt(0, 0), pt(1, 0), pt(2, 0), pt(1, 1)}},
+		{"duplicated vertex", []geom.Point{pt(0, 0), pt(1, 0), pt(1, 0), pt(0, 1)}},
+		{"duplicated segment end", []geom.Point{pt(1, 1), pt(1, 1)}},
+		{"pentagram", []geom.Point{pt(1, 0), pt(-0.809, 0.588), pt(0.309, -0.951), pt(0.309, 0.951), pt(-0.809, -0.588)}},
+	} {
+		if _, err := FromCanonical(tc.verts); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestFromCanonicalAcceptsCanonical: whatever the operations on polytopes
+// return wraps back unchanged — the round trip a broadcast state makes.
+func TestFromCanonicalAcceptsCanonical(t *testing.T) {
+	for _, d := range []int{1, 2, 3} {
+		for seed := int64(1); seed <= 20; seed++ {
+			a, err := New(randCloud(12, d, seed, 0), eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := New(randCloud(9, d, seed+100, 0.5), eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg, err := LinearCombination([]*Polytope{a, b}, []float64{0.3, 0.7}, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs := []*Polytope{a, b, avg, FromPoint(a.verts[0])}
+			if inter, err := Intersect([]*Polytope{a, b}, eps); err == nil {
+				outs = append(outs, inter)
+			}
+			if lim, _, err := LimitVertices(avg, 4, eps); err == nil {
+				outs = append(outs, lim)
+			}
+			for k, p := range outs {
+				q, err := FromCanonical(p.Vertices())
+				if err != nil {
+					t.Fatalf("d=%d seed=%d operand %d: %v", d, seed, k, err)
+				}
+				if d >= 3 {
+					if err := q.CheckExtreme(eps); err != nil {
+						t.Fatalf("d=%d seed=%d operand %d: %v", d, seed, k, err)
+					}
+				}
+			}
+		}
+	}
+	tet := []geom.Point{pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)}
+	p, err := FromCanonical(append(tet, pt(0.2, 0.2, 0.2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.CheckExtreme(eps) == nil {
+		t.Error("CheckExtreme accepted an interior vertex")
+	}
+}

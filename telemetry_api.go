@@ -9,7 +9,7 @@ import (
 // Telemetry: the library's observability surface. The process owns one
 // metrics registry (counters, gauges, fixed-bucket histograms, all with
 // atomic hot paths) that every layer — engine, reliable links, WAL, chaos
-// injection, crash recovery, geometry caches — reports into, plus a
+// injection, crash recovery, geometry — reports into, plus a
 // pluggable structured-event trace sink. Both are disabled by default and
 // near-free while disabled (one atomic load per site). Enable them with
 // EnableTelemetry / SetTraceSink, or mount the HTTP exposition server with
