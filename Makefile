@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check loc race soak soak-smoke disk-torture wire-torture fuzz-smoke serve-smoke bench bench-json bench-check bench-telemetry bench-transport bench-wan experiments
+.PHONY: build test check loc race soak soak-smoke disk-torture wire-torture fuzz-smoke serve-smoke bench experiments
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,15 @@ test: build
 # simulator's per-message path runs through (stable vector, WAN scheduler)
 # and the geometry kernels, whose determinism tests DESIGN.md §7 promises
 # under -race and whose pooled scratch (LP workspaces, the extreme-point
-# filter's frame) is shared across the worker pool's goroutines.
+# filter's frame) is shared across the worker pool's goroutines. It first
+# fails on any tracked Go file gofmt would rewrite, and on any non-test Go
+# file outside the benchmark harness that imports "testing" (benchmarks and
+# their helpers live in _test.go files).
 check: build
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
+	@files=$$(git grep -l '"testing"' -- '*.go' ':!*_test.go' ':!benchmark/'); \
+	if [ -n "$$files" ]; then echo "non-test files import \"testing\":"; echo "$$files"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/... ./internal/hull/... ./internal/lp/... ./internal/polytope/...
@@ -84,66 +91,10 @@ serve-smoke: build
 	$(GO) test -race -timeout 10m -run 'Resident|Session' ./internal/engine/ ./internal/multiplex/
 	$(GO) test -race -timeout 10m ./internal/service/ ./cmd/chcd/
 
+# bench runs one iteration of every Benchmark* in the module, so the
+# benchmarks keep compiling and running; numbers come from benchmark/.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-# bench-json runs the curated benchmark suite and writes
-# BENCH_<git-sha>.json (ns/op, allocs/op, B/op per case) so the perf
-# trajectory of the repo is recorded commit by commit.
-bench-json: build
-	$(GO) run ./cmd/chcbench -benchjson BENCH_$$(git rev-parse --short HEAD).json
-
-# The newest committed benchmark baseline; bump when a fresh BENCH_<sha>.json
-# lands.
-BENCH_BASELINE ?= BENCH_8af5106.json
-
-# bench-check is the regression gate: re-measure the suite and fail when any
-# case is more than 25% slower (ns/op) — or, for cases reporting msgs/sec,
-# more than 25% below — the committed baseline. The baseline defaults to the
-# newest committed BENCH_<sha>.json so the transport throughput cases (absent
-# from the original seed file) are gated too.
-bench-check: build
-	$(GO) run ./cmd/chcbench -benchjson /tmp/chc-bench-check.json -baseline $(BENCH_BASELINE)
-# Allowed ns/op regression of the telemetry-disabled consensus case. 2% is
-# the overhead budget of DESIGN.md §9 (every instrument's disabled path is a
-# single atomic load); CI overrides this with a coarser bound because shared
-# runners are noisy.
-TELEMETRY_MAX_REGRESS ?= 0.02
-
-# bench-telemetry is the observability overhead gate: the telemetry-disabled
-# consensus case must stay within TELEMETRY_MAX_REGRESS of the committed
-# baseline, and the telemetry-enabled twin is measured alongside so the
-# BENCH_*.json trajectory records the enabled overhead commit by commit.
-bench-telemetry: build
-	$(GO) run ./cmd/chcbench -benchjson /tmp/chc-bench-telemetry.json \
-		-bench ConsensusN10F2D3,ConsensusN10F2D3Telemetry \
-		-baseline $(BENCH_BASELINE) -max-regress $(TELEMETRY_MAX_REGRESS)
-
-# Allowed msgs/sec regression of the saturated-link transport cases. Loopback
-# TCP throughput is noisier than in-process microbenchmarks, so the bound is
-# coarse.
-TRANSPORT_MAX_REGRESS ?= 0.25
-
-# bench-transport is the wire throughput gate: the two saturated-link cases
-# (coalesced default, compressed batches) must hold their msgs/sec against
-# the committed baseline.
-bench-transport: build
-	$(GO) run ./cmd/chcbench -benchjson /tmp/chc-bench-transport.json \
-		-bench TransportSaturatedLink,TransportSaturatedLinkCompressed \
-		-baseline $(BENCH_BASELINE) -max-regress $(TRANSPORT_MAX_REGRESS)
-
-# Allowed instances/sec regression of the WAN/soak service cases. These go
-# through a live multi-goroutine daemon, so the bound matches the transport
-# gate's coarseness.
-WAN_MAX_REGRESS ?= 0.25
-
-# bench-wan is the WAN throughput gate: the shaped submit→decide case and the
-# steady-state soak-burst case must hold their instances/sec against the
-# committed baseline (skipped silently against baselines that predate them).
-bench-wan: build
-	$(GO) run ./cmd/chcbench -benchjson /tmp/chc-bench-wan.json \
-		-bench WANRegionalDecide,SoakSteadyState \
-		-baseline $(BENCH_BASELINE) -max-regress $(WAN_MAX_REGRESS)
 
 experiments:
 	$(GO) run ./cmd/chcbench -quick

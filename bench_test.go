@@ -1,8 +1,10 @@
-// Benchmarks: one per experiment of DESIGN.md's index (E1..E11, run in
-// quick mode so a full -bench pass stays laptop-scale) plus micro-benchmarks
-// of the substrates every round of Algorithm CC exercises — hulls, polygon
-// intersection, Minkowski combination, Hausdorff distance, the LP solver,
-// the stable vector primitive, the wire codec, and whole consensus runs.
+// Benchmarks: one per experiment E1–E15 of DESIGN.md's index (run in quick
+// mode so a full -bench pass stays laptop-scale; the fault matrices E16–E23
+// run under `make experiments`) plus whole consensus runs, batch throughput,
+// the telemetry overhead pair, and micro-benchmarks of the public geometry
+// substrates — hulls, intersection, Minkowski averaging, Hausdorff distance,
+// constrained minimisation. Kernel benchmarks live in the packages they
+// measure: internal/{core,hull,lp,polytope,rbc,runtime,stablevector}.
 package chc_test
 
 import (
@@ -82,25 +84,29 @@ func benchConsensus(b *testing.B, n, f, d int, epsilon float64) {
 	}
 }
 
-func BenchmarkConsensusN5D1(b *testing.B)  { benchConsensus(b, 4, 1, 1, 0.1) }
+func BenchmarkConsensusN4D1(b *testing.B)  { benchConsensus(b, 4, 1, 1, 0.1) }
 func BenchmarkConsensusN5D2(b *testing.B)  { benchConsensus(b, 5, 1, 2, 0.1) }
 func BenchmarkConsensusN9D2(b *testing.B)  { benchConsensus(b, 9, 2, 2, 0.1) }
 func BenchmarkConsensusN13D2(b *testing.B) { benchConsensus(b, 13, 1, 2, 0.1) }
 func BenchmarkConsensusN6D3(b *testing.B)  { benchConsensus(b, 6, 1, 3, 2.0) }
 
-// BenchmarkConsensusN10F2D3 mirrors the benchsuite acceptance case: n=10,
-// f=2, d=3 under the correct-inputs model (n >= (d+2)f+1 = 11 rules out the
-// incorrect-inputs variant at this size), with two crashing processes.
-func BenchmarkConsensusN10F2D3(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	inputs := make([]chc.Point, 10)
-	for i := range inputs {
-		p := make([]float64, 3)
-		for j := range p {
-			p[j] = rng.Float64() * 10
-		}
-		inputs[i] = chc.NewPoint(p...)
-	}
+// BenchmarkConsensusN10F2D3 is the end-to-end d=3 case: n=10, f=2 under the
+// correct-inputs model (n >= (d+2)f+1 = 11 rules out the incorrect-inputs
+// variant at this size), with two processes crashing mid-broadcast. Inputs
+// are regenerated every iteration, so each op is one fresh instance.
+func BenchmarkConsensusN10F2D3(b *testing.B) { benchConsensusN10F2D3(b) }
+
+// BenchmarkConsensusN10F2D3Telemetry is the identical workload with the
+// metrics registry enabled. Against its disabled twin above it measures the
+// observability overhead (DESIGN.md §9):
+//
+//	go test -bench 'ConsensusN10F2D3' -count 10 .
+func BenchmarkConsensusN10F2D3Telemetry(b *testing.B) {
+	defer chc.EnableTelemetry(chc.EnableTelemetry(true))
+	benchConsensusN10F2D3(b)
+}
+
+func benchConsensusN10F2D3(b *testing.B) {
 	cfg := chc.RunConfig{
 		Params: chc.Params{
 			N: 10, F: 2, D: 3,
@@ -108,27 +114,28 @@ func BenchmarkConsensusN10F2D3(b *testing.B) {
 			InputLower: 0, InputUpper: 10,
 			Model: chc.CorrectInputs,
 		},
-		Inputs:  inputs,
 		Faulty:  []chc.ProcID{0, 1},
 		Crashes: []chc.CrashPlan{{Proc: 0, AfterSends: 9}, {Proc: 1, AfterSends: 40}},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		cfg.Inputs = randPoints(10, 3, int64(i+1))
 		cfg.Seed = int64(i + 1)
 		if _, err := chc.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
 func BenchmarkConsensusTightEps(b *testing.B) {
 	benchConsensus(b, 5, 1, 2, 0.001)
 }
 
-// BenchmarkBatch8Instances mirrors the benchsuite batch-throughput case: one
-// op is an eight-instance heterogeneous batch (Algorithm CC and the vector
-// baseline alternating) multiplexed over the deterministic simulator via the
-// unified engine. Reports instances/sec alongside the usual ns/op.
+// BenchmarkBatch8Instances measures batch throughput: one op is an
+// eight-instance heterogeneous batch (Algorithm CC and the vector baseline
+// alternating) multiplexed over the deterministic simulator via the unified
+// engine. Reports instances/sec alongside the usual ns/op.
 func BenchmarkBatch8Instances(b *testing.B) {
 	const n, d, k = 5, 2, 8
 	params := chc.Params{

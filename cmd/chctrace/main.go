@@ -92,6 +92,11 @@ func run(args []string, w io.Writer) error {
 		step = analysis.TEnd / 16
 	}
 	for t := 0; t <= analysis.TEnd; t += step {
+		if t+step > analysis.TEnd {
+			// The decision round is always the last line, whether or not
+			// step divides it.
+			t = analysis.TEnd
+		}
 		d, err := disagreementAt(result, t)
 		if err != nil {
 			continue

@@ -71,15 +71,15 @@ type fileState struct {
 
 // Stats counts injected faults (atomic; read with Stats()).
 type Stats struct {
-	Writes      int64 // write calls on matching files
-	Syncs       int64 // sync calls on matching files
-	WriteErrs   int64 // injected EIO
-	NoSpace     int64 // injected ENOSPC
-	TornWrites  int64 // injected short writes
-	SyncErrs    int64 // injected fsync failures
-	SyncDelays  int64 // injected fsync latency spikes
-	PowerCut    bool  // the power cut has fired
-	DelayTotal  time.Duration
+	Writes     int64 // write calls on matching files
+	Syncs      int64 // sync calls on matching files
+	WriteErrs  int64 // injected EIO
+	NoSpace    int64 // injected ENOSPC
+	TornWrites int64 // injected short writes
+	SyncErrs   int64 // injected fsync failures
+	SyncDelays int64 // injected fsync latency spikes
+	PowerCut   bool  // the power cut has fired
+	DelayTotal time.Duration
 }
 
 // New wraps base (nil = the host filesystem) with the plan.
@@ -192,8 +192,8 @@ type faultFile struct {
 
 var _ wal.File = (*faultFile)(nil)
 
-func (ff *faultFile) Read(p []byte) (int, error)                 { return ff.f.Read(p) }
-func (ff *faultFile) Seek(off int64, whence int) (int64, error)  { return ff.f.Seek(off, whence) }
+func (ff *faultFile) Read(p []byte) (int, error)                { return ff.f.Read(p) }
+func (ff *faultFile) Seek(off int64, whence int) (int64, error) { return ff.f.Seek(off, whence) }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
 	fs := ff.fs

@@ -159,7 +159,7 @@ func TestHelpersWithMatchBaseBitwise(t *testing.T) {
 		// Membership test: centre of the box is inside the hull of the box
 		// corners in 2-D; reuse the random dir as a query scaled inward.
 		verts := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-		q := []float64{0.25 + rng.Float64() / 2, 0.25 + rng.Float64()/2}
+		q := []float64{0.25 + rng.Float64()/2, 0.25 + rng.Float64()/2}
 		w1, err1 := ConvexWeights(verts, q, wsEps)
 		w2, err2 := ConvexWeightsWith(ws, verts, q, wsEps)
 		if (err1 == nil) != (err2 == nil) {

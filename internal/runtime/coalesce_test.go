@@ -28,12 +28,12 @@ func (c *memConn) Write(p []byte) (int, error) {
 	defer c.mu.Unlock()
 	return c.buf.Write(p)
 }
-func (c *memConn) Close() error                       { return nil }
-func (c *memConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
-func (c *memConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
-func (c *memConn) SetDeadline(time.Time) error        { return nil }
-func (c *memConn) SetReadDeadline(time.Time) error    { return nil }
-func (c *memConn) SetWriteDeadline(time.Time) error   { return nil }
+func (c *memConn) Close() error                     { return nil }
+func (c *memConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
+func (c *memConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
+func (c *memConn) SetDeadline(time.Time) error      { return nil }
+func (c *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *memConn) SetWriteDeadline(time.Time) error { return nil }
 func (c *memConn) bytes() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -175,10 +175,10 @@ func TestCoalescedLinkExactlyOnceFIFOBounds(t *testing.T) {
 		}
 		return nil
 	}
-	pair, err := newLinkBenchPair(LinkBenchConfig{
-		Wire:  WireConfig{FlushDeadline: 100 * time.Microsecond, Compress: true},
-		Rlink: rlink.Config{MaxInflight: 8, MaxReorder: 16},
-	}, deliver)
+	pair, err := newLinkBenchPair(
+		WireConfig{FlushDeadline: 100 * time.Microsecond, Compress: true},
+		rlink.Config{MaxInflight: 8, MaxReorder: 16},
+		deliver)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -35,6 +36,44 @@ func TestDisabledInstrumentsDropUpdates(t *testing.T) {
 	}
 	if h.Count() != 2 || h.Min() != 0.5 || h.Max() != 7 || h.Sum() != 7.5 {
 		t.Errorf("histogram count=%d min=%v max=%v sum=%v", h.Count(), h.Min(), h.Max(), h.Sum())
+	}
+}
+
+// TestDisabledPathAllocatesNothing pins the disabled path DESIGN.md §9
+// promises is a single atomic load: on a disabled registry every update —
+// on unlabeled instruments and on cached children of labeled families —
+// allocates nothing and leaves every value and the snapshot unchanged.
+func TestDisabledPathAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c_total", "a counter")
+	g := r.Gauge("g", "a gauge")
+	h := r.Histogram("h_seconds", "a histogram", nil)
+	cv := r.CounterVec("cv_total", "a counter family", "kind").With("a")
+	gv := r.GaugeVec("gv", "a gauge family", "kind").With("a")
+	hv := r.HistogramVec("hv_seconds", "a histogram family", nil, "kind").With("a")
+	before := r.Snapshot().Metrics
+
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(3)
+		g.Set(2)
+		g.Add(1.5)
+		h.Observe(0.25)
+		cv.Inc()
+		cv.Add(3)
+		gv.Set(2)
+		gv.Add(1.5)
+		hv.Observe(0.25)
+	})
+	if allocs != 0 {
+		t.Errorf("disabled updates allocated %v times per run, want 0", allocs)
+	}
+	if c.Value() != 0 || cv.Value() != 0 || g.Value() != 0 || gv.Value() != 0 || h.Count() != 0 || hv.Count() != 0 {
+		t.Errorf("disabled instruments recorded: c=%d cv=%d g=%v gv=%v h=%d hv=%d",
+			c.Value(), cv.Value(), g.Value(), gv.Value(), h.Count(), hv.Count())
+	}
+	if after := r.Snapshot().Metrics; !reflect.DeepEqual(before, after) {
+		t.Errorf("snapshot changed under a disabled registry:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

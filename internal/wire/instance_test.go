@@ -17,7 +17,7 @@ import (
 func TestInstanceRoundTrip(t *testing.T) {
 	kinds := []string{
 		"cc.state",
-		"i3|val",     // looks exactly like an old instance prefix
+		"i3|val", // looks exactly like an old instance prefix
 		"i0|cc.state",
 		"i|",
 		"|",
