@@ -12,9 +12,9 @@ test: build
 # the concurrency-heavy packages (networked runtime, reliable links, chaos
 # injection, simulator, wire codec, telemetry registry), the packages the
 # simulator's per-message path runs through (stable vector, WAN scheduler)
-# and the geometry kernels, whose determinism tests DESIGN.md §7 promises
-# under -race and whose pooled scratch (LP workspaces, the extreme-point
-# filter's frame) is shared across the worker pool's goroutines. It first
+# and the geometry kernels (hull, lp, polytope), whose pooled scratch (LP
+# workspaces, the extreme-point filter's frame) is shared by concurrently
+# running processes. It first
 # fails on any tracked Go file gofmt would rewrite, and on any non-test Go
 # file outside the benchmark harness that imports "testing" (benchmarks and
 # their helpers live in _test.go files).

@@ -8,16 +8,7 @@ import (
 
 	"chc/internal/dist"
 	"chc/internal/geom"
-	"chc/internal/geom/par"
 )
-
-// sequentialRef runs fn with the worker pool forced onto one goroutine — the
-// reference every parallel run must reproduce bit for bit.
-func sequentialRef(t *testing.T, fn func()) {
-	t.Helper()
-	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
-	fn()
-}
 
 func pointsBitsEqual(a, b []geom.Point) bool {
 	if len(a) != len(b) {
@@ -49,94 +40,56 @@ func randInputs(n, d int, seed int64) []geom.Point {
 	return pts
 }
 
-// TestInitialPolytopeParallelMatchesSequential checks the subset-hull
-// fan-out across an (n, f, d) grid: the parallel execution must
-// be bitwise-identical to the sequential single-worker reference. Under
-// -race this also exercises the worker pool's synchronization on the
-// hottest fan-out in the library.
-func TestInitialPolytopeParallelMatchesSequential(t *testing.T) {
-	grid := []struct {
-		n, f, d int
-	}{
-		{4, 1, 1},
-		{5, 1, 2},
-		{9, 2, 2},  // n >= (d+2)f+1 = 9
-		{6, 1, 3},  // n >= 5f+1 = 6
-		{11, 2, 3}, // n >= 5f+1 = 11: C(11,2) = 55 subset hulls, the hot fan-out
-	}
-	for _, g := range grid {
-		seeds := int64(3)
-		if g.n >= 11 {
-			seeds = 1 // the 55-subset case is expensive; one seed suffices
-		}
-		for seed := int64(1); seed <= seeds; seed++ {
-			p := Params{N: g.n, F: g.f, D: g.d, Epsilon: 0.1, InputUpper: 4}
-			inputs := randInputs(g.n, g.d, seed*100+int64(g.n))
-
-			var ref []geom.Point
-			sequentialRef(t, func() {
-				h, err := InitialPolytope(p, inputs)
-				if err != nil {
-					t.Fatalf("n=%d f=%d d=%d seed=%d: sequential: %v", g.n, g.f, g.d, seed, err)
-				}
-				ref = h.Vertices()
-			})
-
-			h, err := InitialPolytope(p, inputs)
-			if err != nil {
-				t.Fatalf("n=%d f=%d d=%d seed=%d: parallel: %v", g.n, g.f, g.d, seed, err)
-			}
-			if got := h.Vertices(); !pointsBitsEqual(ref, got) {
-				t.Errorf("n=%d f=%d d=%d seed=%d: parallel InitialPolytope diverges from sequential",
-					g.n, g.f, g.d, seed)
-			}
-		}
-	}
-}
-
 // TestRunGOMAXPROCS1Equivalence guards the WAL-replay byte-identity
 // contract: a full consensus run must produce bitwise-identical outputs
-// whether the geometry engine has one processor or many, because replayed
-// traces are re-executed under whatever GOMAXPROCS the recovering host has.
+// with one processor or many, because replayed traces are re-executed under
+// whatever GOMAXPROCS the recovering host has. The d = 3 row pins the N-D
+// geometry (intersectND, supportSample, bruteForceFacets).
 func TestRunGOMAXPROCS1Equivalence(t *testing.T) {
-	cfg := RunConfig{
-		Params: Params{N: 5, F: 1, D: 2, Epsilon: 0.1, InputUpper: 10},
-		Inputs: randInputs(5, 2, 42),
-		Faulty: []dist.ProcID{4},
-		Crashes: []dist.CrashPlan{
-			{Proc: 4, AfterSends: 6},
-		},
-		Seed: 7,
-	}
-
-	run := func() map[dist.ProcID][]geom.Point {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+	for _, tc := range []struct {
+		n, d, afterSends int
+	}{
+		{5, 2, 6},
+		{6, 3, 3},
+	} {
+		faulty := dist.ProcID(tc.n - 1)
+		cfg := RunConfig{
+			Params:  Params{N: tc.n, F: 1, D: tc.d, Epsilon: 0.1, InputUpper: 10},
+			Inputs:  randInputs(tc.n, tc.d, 42),
+			Faulty:  []dist.ProcID{faulty},
+			Crashes: []dist.CrashPlan{{Proc: faulty, AfterSends: tc.afterSends}},
+			Seed:    7,
 		}
-		out := make(map[dist.ProcID][]geom.Point, len(res.Outputs))
-		for id, p := range res.Outputs {
-			out[id] = p.Vertices()
+
+		run := func() map[dist.ProcID][]geom.Point {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("n=%d d=%d: Run: %v", tc.n, tc.d, err)
+			}
+			out := make(map[dist.ProcID][]geom.Point, len(res.Outputs))
+			for id, p := range res.Outputs {
+				out[id] = p.Vertices()
+			}
+			return out
 		}
-		return out
-	}
 
-	ref := run()
+		ref := run()
 
-	prevProcs := gort.GOMAXPROCS(1)
-	single := run()
-	gort.GOMAXPROCS(prevProcs)
+		prevProcs := gort.GOMAXPROCS(1)
+		single := run()
+		gort.GOMAXPROCS(prevProcs)
 
-	if len(ref) != len(single) {
-		t.Fatalf("output sets differ: %d vs %d processes", len(ref), len(single))
-	}
-	for id, verts := range ref {
-		got, ok := single[id]
-		if !ok {
-			t.Fatalf("process %d decided in multi-proc run but not under GOMAXPROCS=1", id)
+		if len(ref) != len(single) {
+			t.Fatalf("n=%d d=%d: output sets differ: %d vs %d processes", tc.n, tc.d, len(ref), len(single))
 		}
-		if !pointsBitsEqual(verts, got) {
-			t.Errorf("process %d: output under GOMAXPROCS=1 diverges bitwise", id)
+		for id, verts := range ref {
+			got, ok := single[id]
+			if !ok {
+				t.Fatalf("n=%d d=%d: process %d decided in multi-proc run but not under GOMAXPROCS=1", tc.n, tc.d, id)
+			}
+			if !pointsBitsEqual(verts, got) {
+				t.Errorf("n=%d d=%d: process %d: output under GOMAXPROCS=1 diverges bitwise", tc.n, tc.d, id)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"chc/internal/dist"
 	"chc/internal/geom"
-	"chc/internal/geom/par"
 	"chc/internal/polytope"
 	"chc/internal/stablevector"
 	"chc/internal/telemetry"
@@ -386,26 +385,22 @@ func InitialPolytope(params Params, xi []geom.Point) (*polytope.Polytope, error)
 	if params.Model == CorrectInputs || params.F == 0 {
 		return polytope.New(xi, params.GeomEps)
 	}
-	// The C(|X|, f) subset hulls are independent, so they run on the shared
-	// worker pool; the intersection consumes them in subset order, keeping
-	// the result identical to the sequential loop.
+	// The C(|X|, f) subset hulls, in lexicographic subset order. Each subset
+	// gets a fresh slice because polytope.New may keep it.
 	subsets := subsetsExcludingF(len(xi), params.F)
 	polys := make([]*polytope.Polytope, len(subsets))
-	if err := par.ForEach(len(subsets), func(s int) error {
+	for s, excluded := range subsets {
 		sub := make([]geom.Point, 0, len(xi)-params.F)
 		for k, x := range xi {
-			if !subsets[s][k] {
+			if !excluded[k] {
 				sub = append(sub, x)
 			}
 		}
 		poly, err := polytope.New(sub, params.GeomEps)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		polys[s] = poly
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	inter, err := polytope.Intersect(polys, params.GeomEps)
 	if err != nil {

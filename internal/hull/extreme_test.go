@@ -352,8 +352,9 @@ func TestExtremeFilterUnstableVerdicts(t *testing.T) {
 }
 
 // TestExtremeFilterConcurrent shares extremePool's scratch across goroutines
-// (the subset hulls of round 0 run on the worker pool): every goroutine must
-// get the answer the sequential call gets. Meaningful under -race.
+// (co-hosted processes hull their round-0 subsets at the same time): every
+// goroutine must get the answer the sequential call gets. Meaningful under
+// -race.
 func TestExtremeFilterConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inputs := make([][]geom.Point, 8)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"chc/internal/geom"
-	"chc/internal/geom/par"
 )
 
 // Facets computes a halfspace representation of the convex hull of verts.
@@ -110,9 +109,9 @@ func fullDimFacets(verts []geom.Point, eps float64) ([]Facet, error) {
 	return bruteForceFacets(verts, eps)
 }
 
-// facetScratch is the per-worker reusable state of facet candidate
-// computation: edge buffers, the normal accumulator, the cofactor minor, and
-// an LU scratch for its determinants.
+// facetScratch is the reusable state of one facet enumeration: edge
+// buffers, the normal accumulator, the cofactor minor, and an LU scratch for
+// its determinants. It is pooled, so concurrent callers each take their own.
 type facetScratch struct {
 	edges []geom.Point
 	n     geom.Point
@@ -134,19 +133,12 @@ func (s *facetScratch) prepare(d int) {
 	s.minor = geom.NewMatrix(d-1, d-1)
 }
 
-// maxMaterializedCombos bounds the memory spent listing d-subsets up front
-// for the parallel path; larger enumerations fall back to the streaming
-// sequential loop.
-const maxMaterializedCombos = 1 << 20
-
 // bruteForceFacets enumerates facets of a full-dimensional hull in d >= 3 by
-// testing the hyperplane through every d-subset of vertices. This is O(C(k,d)
-// * k) — perfectly fine for the tens-of-vertices hulls this library handles,
-// and robust against the coplanarity degeneracies that break incremental
-// algorithms. Each subset's candidate facet is a pure function of the vertex
-// set, so candidates are computed on the shared worker pool; deduplication
-// runs sequentially in combination order, making the output identical to the
-// sequential enumeration.
+// testing the hyperplane through every d-subset of vertices, visited in
+// lexicographic order and deduplicated as they come. This is O(C(k,d) * k) —
+// perfectly fine for the tens-of-vertices hulls this library handles, and
+// robust against the coplanarity degeneracies that break incremental
+// algorithms.
 func bruteForceFacets(verts []geom.Point, eps float64) ([]Facet, error) {
 	d := verts[0].Dim()
 	k := len(verts)
@@ -163,44 +155,16 @@ func bruteForceFacets(verts []geom.Point, eps float64) ([]Facet, error) {
 	}
 	tol := eps * scale * 10
 
-	count := 1 // C(k, d), computed exactly by incremental products
-	for i := 0; i < d && count <= maxMaterializedCombos; i++ {
-		count = count * (k - i) / (i + 1)
-	}
-
+	s := facetPool.Get().(*facetScratch)
+	defer facetPool.Put(s)
 	var facets []Facet
 	idx := make([]int, d)
 	for i := range idx {
 		idx[i] = i
 	}
-	if count > maxMaterializedCombos {
-		// Streaming fallback: one scratch, combinations visited in place.
-		s := facetPool.Get().(*facetScratch)
-		defer facetPool.Put(s)
-		for ok := true; ok; ok = nextCombination(idx, k) {
-			if f := facetCandidate(verts, idx, s, tol, eps); f.Normal != nil {
-				addFacetDedup(&facets, f, tol)
-			}
-		}
-	} else {
-		combos := make([]int, count*d)
-		for c := 0; c < count; c++ {
-			copy(combos[c*d:(c+1)*d], idx)
-			nextCombination(idx, k)
-		}
-		cands := make([]Facet, count)
-		if err := par.ForEach(count, func(c int) error {
-			s := facetPool.Get().(*facetScratch)
-			defer facetPool.Put(s)
-			cands[c] = facetCandidate(verts, combos[c*d:(c+1)*d], s, tol, eps)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for _, f := range cands {
-			if f.Normal != nil {
-				addFacetDedup(&facets, f, tol)
-			}
+	for ok := true; ok; ok = nextCombination(idx, k) {
+		if f := facetCandidate(verts, idx, s, tol, eps); f.Normal != nil {
+			addFacetDedup(&facets, f, tol)
 		}
 	}
 	if len(facets) < d+1 {

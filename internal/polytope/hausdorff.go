@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"chc/internal/geom"
-	"chc/internal/geom/par"
 	"chc/internal/hull"
 )
 
@@ -32,46 +31,19 @@ func Hausdorff(a, b *Polytope, eps float64) (float64, error) {
 	return maxFinite(d1, d2), nil
 }
 
-// hausdorffParMinVerts gates the parallel fan-out: below this vertex count
-// a single Wolfe projection is so cheap that dispatching helpers costs more
-// than it saves, on any machine.
-const hausdorffParMinVerts = 16
-
-// DirectedHausdorff returns max_{p in a} min_{q in b} d_E(p, q). For larger
-// vertex sets the per-vertex projections are independent and run on the
-// shared worker pool; the maximum is reduced sequentially in vertex order,
-// so the result is identical to the sequential loop.
+// DirectedHausdorff returns max_{p in a} min_{q in b} d_E(p, q). A NaN
+// distance is kept rather than dropped, so callers see it.
 func DirectedHausdorff(a, b *Polytope, eps float64) (float64, error) {
 	if len(a.verts) == 0 || len(b.verts) == 0 {
 		return 0, ErrEmpty
 	}
-	if len(a.verts) < hausdorffParMinVerts {
-		var worst float64
-		for _, v := range a.verts {
-			d, err := b.Distance(v, eps)
-			if err != nil {
-				return 0, err
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-		return worst, nil
-	}
-	dists := make([]float64, len(a.verts))
-	if err := par.ForEach(len(a.verts), func(i int) error {
-		d, err := b.Distance(a.verts[i], eps)
-		if err != nil {
-			return err
-		}
-		dists[i] = d
-		return nil
-	}); err != nil {
-		return 0, err
-	}
 	var worst float64
-	for _, d := range dists {
-		if d > worst {
+	for _, v := range a.verts {
+		d, err := b.Distance(v, eps)
+		if err != nil {
+			return 0, err
+		}
+		if d > worst || math.IsNaN(d) {
 			worst = d
 		}
 	}
@@ -268,35 +240,21 @@ func allNonNegative(xs []float64, tol float64) bool {
 }
 
 // MaxPairwiseHausdorff returns the largest Hausdorff distance among all
-// pairs in the slice — the quantity bounded by ε-agreement. Pairs are
-// evaluated on the shared worker pool and reduced sequentially in pair
-// order.
+// pairs in the slice — the quantity bounded by ε-agreement.
 func MaxPairwiseHausdorff(polys []*Polytope, eps float64) (float64, error) {
-	type pair struct{ i, j int }
-	var pairs []pair
+	var worst float64
 	for i := range polys {
 		for j := i + 1; j < len(polys); j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	dists := make([]float64, len(pairs))
-	if err := par.ForEach(len(pairs), func(k int) error {
-		d, err := Hausdorff(polys[pairs[k].i], polys[pairs[k].j], eps)
-		if err != nil {
-			return err
-		}
-		if math.IsNaN(d) {
-			return errors.New("polytope: NaN hausdorff distance")
-		}
-		dists[k] = d
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	var worst float64
-	for _, d := range dists {
-		if d > worst {
-			worst = d
+			d, err := Hausdorff(polys[i], polys[j], eps)
+			if err != nil {
+				return 0, err
+			}
+			if math.IsNaN(d) {
+				return 0, errors.New("polytope: NaN hausdorff distance")
+			}
+			if d > worst {
+				worst = d
+			}
 		}
 	}
 	return worst, nil

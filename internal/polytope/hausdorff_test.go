@@ -118,6 +118,31 @@ func TestMaxPairwiseHausdorff(t *testing.T) {
 	}
 }
 
+// TestHausdorffNaNOperand: a NaN distance reaches the caller instead of
+// being dropped by the running maximum — Hausdorff returns NaN in both
+// argument orders and MaxPairwiseHausdorff an error.
+func TestHausdorffNaNOperand(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nan  *Polytope
+		box  *Polytope
+	}{
+		{"2-D", FromPoint(pt(math.NaN(), 0.5)), unitSquare(t)},
+		{"3-D", FromPoint(pt(math.NaN(), 0.5, 0.5)), mustNew(t,
+			pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0),
+			pt(0, 0, 1), pt(1, 0, 1), pt(0, 1, 1), pt(1, 1, 1))},
+	} {
+		for _, ab := range [][2]*Polytope{{tc.nan, tc.box}, {tc.box, tc.nan}} {
+			if d, err := Hausdorff(ab[0], ab[1], eps); err != nil || !math.IsNaN(d) {
+				t.Errorf("%s: Hausdorff = %v, %v, want NaN", tc.name, d, err)
+			}
+		}
+		if d, err := MaxPairwiseHausdorff([]*Polytope{tc.nan, tc.box}, eps); err == nil {
+			t.Errorf("%s: MaxPairwiseHausdorff = %v, want an error", tc.name, d)
+		}
+	}
+}
+
 // Property: Hausdorff distance is a metric on convex polytopes — symmetric,
 // zero iff equal (approximately), and triangle inequality.
 func TestHausdorffMetricProperties(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"chc/internal/geom"
-	"chc/internal/geom/par"
 	"chc/internal/hull"
 	"chc/internal/lp"
 )
@@ -102,7 +101,8 @@ func intersect2D(polys []*Polytope, eps float64) (*Polytope, error) {
 	return fromHullVerts(cur), nil
 }
 
-// lpPool hands out per-worker LP workspaces for the parallel fan-outs below.
+// lpPool hands supportSample one LP workspace per call, so concurrent
+// callers each take their own.
 var lpPool = sync.Pool{New: func() any { return lp.NewWorkspace() }}
 
 // intersectND intersects polytopes in d >= 3 via halfspace representations:
@@ -112,28 +112,16 @@ var lpPool = sync.Pool{New: func() any { return lp.NewWorkspace() }}
 // intersections fall back to support-direction enumeration, which returns an
 // inner approximation that is exact for the point/segment cases that arise
 // at the resilience boundary.
-//
-// Each operand's facet enumeration is independent, so they run on the shared
-// worker pool; the facet list is then assembled sequentially in operand
-// order, keeping the constraint system (and everything downstream) identical
-// to the sequential construction.
 func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, error) {
-	perOp := make([][]hull.Facet, len(polys))
-	if err := par.ForEach(len(polys), func(i int) error {
-		f, err := polys[i].Facets(eps)
-		if err != nil {
-			return err
-		}
-		perOp[i] = f
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	var a [][]float64
 	var b []float64
 	scale := 1.0
-	for i, p := range polys {
-		for _, f := range perOp[i] {
+	for _, p := range polys {
+		facets, err := p.Facets(eps)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range facets {
 			a = append(a, f.Normal)
 			b = append(b, f.Offset)
 		}
@@ -199,9 +187,7 @@ func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, erro
 // along the +-axis directions and a deterministic, seed-derived set of
 // random directions. For full-dimensional polytopes this is an inner
 // approximation; for the degenerate (point / segment / low-dimensional)
-// intersections it is exact up to LP tolerance. The per-direction LPs are
-// independent and run on the shared worker pool; results are gathered in
-// direction order.
+// intersections it is exact up to LP tolerance.
 func supportSample(a [][]float64, b []float64, center []float64, eps float64, dirSeed int64) (*Polytope, error) {
 	d := len(center)
 	rng := rand.New(rand.NewSource(dirSeed)) // deterministic direction set
@@ -220,22 +206,18 @@ func supportSample(a [][]float64, b []float64, center []float64, eps float64, di
 			dirs = append(dirs, v.Scale(1/n))
 		}
 	}
+	ws := lpPool.Get().(*lp.Workspace)
+	defer lpPool.Put(ws)
 	pts := make([]geom.Point, len(dirs))
-	err := par.ForEach(len(dirs), func(i int) error {
-		ws := lpPool.Get().(*lp.Workspace)
-		defer lpPool.Put(ws)
-		x, _, err := lp.MaximizeOverHalfspacesWith(ws, dirs[i], a, b, eps)
+	for i, dir := range dirs {
+		x, _, err := lp.MaximizeOverHalfspacesWith(ws, dir, a, b, eps)
+		if errors.Is(err, lp.ErrInfeasible) {
+			return nil, ErrEmpty
+		}
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("polytope: support sampling: %w", err)
 		}
 		pts[i] = geom.Point(x)
-		return nil
-	})
-	if errors.Is(err, lp.ErrInfeasible) {
-		return nil, ErrEmpty
-	}
-	if err != nil {
-		return nil, fmt.Errorf("polytope: support sampling: %w", err)
 	}
 	if len(pts) == 0 {
 		return FromPoint(geom.Point(center).Clone()), nil

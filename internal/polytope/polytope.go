@@ -13,7 +13,6 @@
 package polytope
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -29,28 +28,14 @@ import (
 // (e.g. an empty intersection) or that received an empty polytope.
 var ErrEmpty = errors.New("polytope: empty polytope")
 
-// supportCacheMinVerts gates the keyed support cache: below this vertex
-// count the linear scan is cheaper than the map lookup.
-const supportCacheMinVerts = 16
-
-// supportCacheMaxEntries bounds the per-polytope support cache.
-const supportCacheMaxEntries = 512
-
-// supportEntry records a support query result: the maximising vertex index
-// and the support value.
-type supportEntry struct {
-	idx int
-	val float64
-}
-
 // Polytope is a bounded convex polytope in V-representation. The zero value
 // is not usable; construct with New or FromPoint. Polytopes are immutable
 // after construction and safe for concurrent use; derived quantities (the
-// facet representation, the Chebyshev centre, support values) are computed
-// lazily and memoized under an internal RWMutex. Because every derived
-// computation is a deterministic function of the immutable vertex set, a
-// memoized result is bitwise-identical to a fresh recomputation — caching
-// never perturbs replayed traces.
+// facet representation and the Chebyshev centre) are computed lazily and
+// memoized under an internal RWMutex. Because every derived computation is a
+// deterministic function of the immutable vertex set, a memoized result is
+// bitwise-identical to a fresh recomputation — caching never perturbs
+// replayed traces.
 type Polytope struct {
 	verts []geom.Point // canonical vertex set (hull vertices only)
 
@@ -62,7 +47,6 @@ type Polytope struct {
 	chebR     float64
 	chebErr   error
 	chebSet   bool
-	support   map[string]supportEntry
 }
 
 // New builds the convex hull of pts and returns it as a Polytope. The input
@@ -296,49 +280,12 @@ func (p *Polytope) ContainsPolytope(q *Polytope, eps float64) (bool, error) {
 	return true, nil
 }
 
-// Support returns max over the polytope of dir·x and a maximising vertex.
-// For polytopes with many vertices, results are memoized per direction
-// (keyed on the exact float bits of dir, so a hit is bitwise-identical to a
-// fresh scan).
+// Support returns max over the polytope of dir·x and the first maximising
+// vertex.
 func (p *Polytope) Support(dir geom.Point) (geom.Point, float64, error) {
 	if len(p.verts) == 0 {
 		return nil, 0, ErrEmpty
 	}
-	if len(p.verts) < supportCacheMinVerts {
-		i, val := p.supportScan(dir)
-		return p.verts[i].Clone(), val, nil
-	}
-	key := pointKey(dir)
-	p.mu.RLock()
-	e, ok := p.support[key]
-	p.mu.RUnlock()
-	if ok {
-		return p.verts[e.idx].Clone(), e.val, nil
-	}
-	i, val := p.supportScan(dir)
-	p.mu.Lock()
-	if p.support == nil {
-		p.support = make(map[string]supportEntry)
-	} else if len(p.support) >= supportCacheMaxEntries {
-		clear(p.support)
-	}
-	p.support[key] = supportEntry{idx: i, val: val}
-	p.mu.Unlock()
-	return p.verts[i].Clone(), val, nil
-}
-
-// pointKey encodes the exact bits of a point as a map key.
-func pointKey(p geom.Point) string {
-	buf := make([]byte, 8*len(p))
-	for i, c := range p {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(c))
-	}
-	return string(buf)
-}
-
-// supportScan is the uncached support computation: the index and value of
-// the first maximising vertex.
-func (p *Polytope) supportScan(dir geom.Point) (int, float64) {
 	best := 0
 	bestVal := dir.Dot(p.verts[0])
 	for i, v := range p.verts[1:] {
@@ -346,7 +293,7 @@ func (p *Polytope) supportScan(dir geom.Point) (int, float64) {
 			best, bestVal = i+1, val
 		}
 	}
-	return best, bestVal
+	return p.verts[best].Clone(), bestVal, nil
 }
 
 // Centroid returns the arithmetic mean of the vertices (a point inside the

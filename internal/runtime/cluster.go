@@ -115,12 +115,10 @@ func (inc *incarnation) close() {
 // restores the exactly-once FIFO contract the protocol is proven against.
 //
 // Processes step concurrently, so their geometry work (subset hulls,
-// intersections, averaging) overlaps; the engine's internal fan-outs all
-// draw from one GOMAXPROCS-sized worker pool (internal/geom/par), which
-// caps total geometry parallelism across all processes instead of letting
-// n state machines oversubscribe the host, and keeps results
-// bitwise-deterministic so WAL replay on a recovering host reproduces the
-// exact payloads of the original run.
+// intersections, averaging) overlaps: the n processes are the parallelism,
+// and each one's geometry runs sequentially on its own goroutine. Results
+// are therefore bitwise-deterministic whatever GOMAXPROCS is, so WAL replay
+// on a recovering host reproduces the exact payloads of the original run.
 type Cluster struct {
 	// stateMu guards what the restart supervisor changes while the cluster
 	// runs — which incarnation each node points at and whether it is down, the
