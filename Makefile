@@ -2,6 +2,18 @@ GO ?= go
 
 .PHONY: build test check loc race soak soak-smoke disk-torture wire-torture fuzz-smoke serve-smoke bench experiments
 
+# The -run regexes the disk-torture, wire-torture and serve-smoke gates pick
+# tests by, and (GATE_RUNS, regex@package,...) the packages each one targets,
+# which check holds them against.
+DISK_RUN     := Durab|FailStop|Degrad|WALReplay|LostTail|OutputCommit|StatsMonotone
+LOSTTAIL_RUN := LostTail
+LINK_RUN     := Bound|Inflight|Reorder
+WIRE_RUN     := NetFault|Wire|Quarantine|Handshake|Coalesce
+SERVE_RUN    := Resident|Session
+GATE_RUNS    := '$(DISK_RUN)@./internal/runtime/' '$(LOSTTAIL_RUN)@./internal/rlink/,./internal/engine/' \
+	'$(LINK_RUN)@./internal/rlink/' '$(WIRE_RUN)@./internal/runtime/' \
+	'$(SERVE_RUN)@./internal/engine/,./internal/multiplex/'
+
 build:
 	$(GO) build ./...
 
@@ -17,13 +29,27 @@ test: build
 # running processes. It first
 # fails on any tracked Go file gofmt would rewrite, and on any non-test Go
 # file outside the benchmark harness that imports "testing" (benchmarks and
-# their helpers live in _test.go files).
+# their helpers live in _test.go files). It also fails when a -run regex of
+# the disk-torture, wire-torture or serve-smoke gate, or one of its
+# alternatives, selects no test in the packages it targets (go test -list),
+# so a renamed test cannot silently drop out of a gate.
 check: build
 	@files=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 	@files=$$(git grep -l '"testing"' -- '*.go' ':!*_test.go' ':!benchmark/'); \
 	if [ -n "$$files" ]; then echo "non-test files import \"testing\":"; echo "$$files"; exit 1; fi
 	$(GO) vet ./...
+	@for gate in $(GATE_RUNS); do \
+		re=$${gate%%@*}; pkgs=$$(echo $${gate#*@} | tr , ' '); all=; \
+		for pkg in $$pkgs; do \
+			tests=$$($(GO) test -list . $$pkg | grep -E '^(Test|Example|Fuzz)') || exit 1; \
+			echo "$$tests" | grep -qE "$$re" || { echo "-run '$$re' selects no test in $$pkg"; exit 1; }; \
+			all="$$all $$tests"; \
+		done; \
+		for alt in $$(echo "$$re" | tr '|' ' '); do \
+			echo "$$all" | grep -qE "$$alt" || { echo "-run '$$re': '$$alt' selects no test in $$pkgs"; exit 1; }; \
+		done; \
+	done
 	$(GO) test ./...
 	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/... ./internal/hull/... ./internal/lp/... ./internal/polytope/...
 
@@ -61,8 +87,8 @@ soak-smoke: build
 # in engine), all under the race detector.
 disk-torture: build
 	$(GO) test -race -timeout 10m ./internal/diskfault/ ./internal/wal/
-	$(GO) test -race -timeout 10m -run 'Durab|FailStop|Degrad|DiskFault|WALReplay|LostTail|OutputCommit|StatsMonotone' ./internal/runtime/
-	$(GO) test -race -timeout 10m -run 'LostTail' ./internal/rlink/ ./internal/engine/
+	$(GO) test -race -timeout 10m -run '$(DISK_RUN)' ./internal/runtime/
+	$(GO) test -race -timeout 10m -run '$(LOSTTAIL_RUN)' ./internal/rlink/ ./internal/engine/
 
 # wire-torture is the adversarial-wire gate: the deterministic byte-stream
 # fault injector, the hardened frame codec (CRC, caps, resync), the bounded
@@ -71,8 +97,8 @@ disk-torture: build
 # detector.
 wire-torture: build
 	$(GO) test -race -timeout 10m ./internal/netfault/ ./internal/wire/
-	$(GO) test -race -timeout 10m -run 'Bound|Inflight|Reorder' ./internal/rlink/
-	$(GO) test -race -timeout 10m -run 'NetFault|Wire|Quarantine|Handshake|Coalesce' ./internal/runtime/
+	$(GO) test -race -timeout 10m -run '$(LINK_RUN)' ./internal/rlink/
+	$(GO) test -race -timeout 10m -run '$(WIRE_RUN)' ./internal/runtime/
 
 # fuzz-smoke runs each codec fuzzer briefly — long enough to shake out
 # shallow decoder regressions on every commit; deep fuzzing stays offline.
@@ -88,7 +114,7 @@ fuzz-smoke: build
 # control, retention eviction, HTTP API, auth) and the chcd smoke test
 # (submit over HTTP, SIGTERM, graceful drain), all under the race detector.
 serve-smoke: build
-	$(GO) test -race -timeout 10m -run 'Resident|Session' ./internal/engine/ ./internal/multiplex/
+	$(GO) test -race -timeout 10m -run '$(SERVE_RUN)' ./internal/engine/ ./internal/multiplex/
 	$(GO) test -race -timeout 10m ./internal/service/ ./cmd/chcd/
 
 # bench runs one iteration of every Benchmark* in the module, so the

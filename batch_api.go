@@ -5,6 +5,7 @@ import (
 	"chc/internal/diskfault"
 	"chc/internal/engine"
 	"chc/internal/multiplex"
+	"chc/internal/runtime"
 	"chc/internal/wal"
 )
 
@@ -24,7 +25,7 @@ type (
 	// (cfg.WALDir = dir); a keyed literal names it once,
 	// BatchConfig{N: 5, Env: Env{WALDir: dir}}. Which transport accepts
 	// which field is validated in one place when the cluster starts.
-	Env = engine.Env
+	Env = runtime.Env
 
 	// BatchResult aggregates per-instance outputs (instance index ->
 	// process -> decision), decided rounds, and run statistics.

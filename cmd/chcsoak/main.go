@@ -688,7 +688,7 @@ func scrapeRegions(hc *http.Client, url, token string) (*chc.Telemetry, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	samples, err := telemetry.ParseText(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
 		return nil, err
 	}
@@ -704,34 +704,20 @@ func scrapeRegions(hc *http.Client, url, token string) (*chc.Telemetry, error) {
 		}
 		return h
 	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, name) || strings.HasPrefix(line, "#") {
-			continue
-		}
-		metric, value, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		v, verr := strconv.ParseFloat(strings.TrimSpace(value), 64)
-		if verr != nil {
-			continue
-		}
-		labels := parseLabels(metric)
-		region := labels["region"]
-		switch {
-		case strings.HasPrefix(metric, name+"_bucket"):
-			le := math.Inf(1)
-			if labels["le"] != "+Inf" {
-				if b, berr := strconv.ParseFloat(labels["le"], 64); berr == nil {
-					le = b
-				}
+	for _, s := range samples {
+		region := s.Labels["region"]
+		switch s.Name {
+		case name + "_bucket":
+			le, err := strconv.ParseFloat(s.Labels["le"], 64) // "+Inf" included
+			if err != nil {
+				return nil, fmt.Errorf("%s: bucket bound %q: %w", name, s.Labels["le"], err)
 			}
 			h := get(region)
-			h.Buckets = append(h.Buckets, telemetry.Bucket{UpperBound: le, CumulativeCount: uint64(v)})
-		case strings.HasPrefix(metric, name+"_sum"):
-			get(region).Sum = v
-		case strings.HasPrefix(metric, name+"_count"):
-			get(region).Count = uint64(v)
+			h.Buckets = append(h.Buckets, telemetry.Bucket{UpperBound: le, CumulativeCount: uint64(s.Value)})
+		case name + "_sum":
+			get(region).Sum = s.Value
+		case name + "_count":
+			get(region).Count = uint64(s.Value)
 		}
 	}
 	snap := &chc.Telemetry{}
@@ -745,22 +731,4 @@ func scrapeRegions(hc *http.Client, url, token string) (*chc.Telemetry, error) {
 	}
 	snap.Metrics = append(snap.Metrics, fam)
 	return snap, nil
-}
-
-// parseLabels extracts the label map of one exposition line's metric part.
-func parseLabels(metric string) map[string]string {
-	out := map[string]string{}
-	open := strings.IndexByte(metric, '{')
-	end := strings.LastIndexByte(metric, '}')
-	if open < 0 || end < open {
-		return out
-	}
-	for _, pair := range strings.Split(metric[open+1:end], ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok {
-			continue
-		}
-		out[strings.TrimSpace(k)] = strings.Trim(strings.TrimSpace(v), `"`)
-	}
-	return out
 }

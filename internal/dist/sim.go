@@ -86,6 +86,30 @@ type CrashPlan struct {
 	AfterSends int
 }
 
+// CrashBudgets checks crash plans against n processes — each names a known
+// process, at most once, with a non-negative budget — and returns every
+// process's send budget (-1: never crashes). The simulator and the networked
+// runtime both call it, so a plan is accepted or refused the same way on
+// every executor.
+func CrashBudgets(n int, plans []CrashPlan) ([]int, error) {
+	budget := make([]int, n)
+	for i := range budget {
+		budget[i] = -1
+	}
+	for _, c := range plans {
+		switch {
+		case c.Proc < 0 || int(c.Proc) >= n:
+			return nil, fmt.Errorf("dist: crash plan for unknown process %d", c.Proc)
+		case budget[c.Proc] >= 0:
+			return nil, fmt.Errorf("dist: duplicate crash plan for process %d", c.Proc)
+		case c.AfterSends < 0:
+			return nil, fmt.Errorf("dist: negative AfterSends for process %d", c.Proc)
+		}
+		budget[c.Proc] = c.AfterSends
+	}
+	return budget, nil
+}
+
 // Config configures a simulation run.
 type Config struct {
 	N             int
@@ -217,23 +241,9 @@ func NewSim(cfg Config, procs []Process) (*Sim, error) {
 	if len(procs) != cfg.N {
 		return nil, fmt.Errorf("dist: %d processes for N = %d", len(procs), cfg.N)
 	}
-	budget := make([]int, cfg.N)
-	for i := range budget {
-		budget[i] = -1
-	}
-	seen := make(map[ProcID]bool, len(cfg.Crashes))
-	for _, c := range cfg.Crashes {
-		if c.Proc < 0 || int(c.Proc) >= cfg.N {
-			return nil, fmt.Errorf("dist: crash plan for unknown process %d", c.Proc)
-		}
-		if seen[c.Proc] {
-			return nil, fmt.Errorf("dist: duplicate crash plan for process %d", c.Proc)
-		}
-		if c.AfterSends < 0 {
-			return nil, fmt.Errorf("dist: negative AfterSends for process %d", c.Proc)
-		}
-		seen[c.Proc] = true
-		budget[c.Proc] = c.AfterSends
+	budget, err := CrashBudgets(cfg.N, cfg.Crashes)
+	if err != nil {
+		return nil, err
 	}
 	sched := cfg.Scheduler
 	if sched == nil {

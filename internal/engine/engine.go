@@ -60,37 +60,6 @@ type Spec struct {
 	Instances []InstanceSpec
 }
 
-// Transport selects the executor.
-type Transport int
-
-// Available executors. The zero value is the deterministic simulator, so
-// configurations that predate the unified engine keep their meaning.
-const (
-	// TransportSim is the single-threaded discrete-event simulator:
-	// scheduler-driven delivery order, reproducible per seed.
-	TransportSim Transport = iota
-	// TransportChannel runs one goroutine per process over in-memory
-	// mailboxes (real concurrency, no sockets).
-	TransportChannel
-	// TransportTCP runs one goroutine per process over loopback TCP with
-	// the wire codec and the reliable-link layer always active.
-	TransportTCP
-)
-
-// String names the transport.
-func (t Transport) String() string {
-	switch t {
-	case TransportSim:
-		return "sim"
-	case TransportChannel:
-		return "channel"
-	case TransportTCP:
-		return "tcp"
-	default:
-		return fmt.Sprintf("transport(%d)", int(t))
-	}
-}
-
 // Options configures a run. Sim-only fields are rejected on networked
 // transports and vice versa (Env.Validate), so a configuration cannot
 // silently lose meaning when the transport changes.
@@ -107,9 +76,6 @@ type Options struct {
 	// in a deployment that multiplexes agreement tasks over one node.
 	Crashes []dist.CrashPlan
 
-	// Sizer estimates per-message bytes for Stats (default wire.MessageSize).
-	Sizer func(dist.Message) int
-
 	// Timeout bounds networked runs (default 5 minutes).
 	Timeout time.Duration
 
@@ -119,7 +85,7 @@ type Options struct {
 	// Env is the cluster environment: link faults, wire tuning, the WAN
 	// model, write-ahead logging and restarts. On the simulator only WAN is
 	// accepted, and it is exclusive with Scheduler.
-	Env
+	runtime.Env
 }
 
 // Result is the outcome of a run. Participants are reached through Sub (or
@@ -196,17 +162,17 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		nodes[i] = nd
 		procs[i] = nd
 	}
-	if opts.Sizer == nil {
-		opts.Sizer = wire.MessageSize
-	}
 	if err := opts.Env.Validate(opts.Transport); err != nil {
+		return nil, err
+	}
+	if _, err := dist.CrashBudgets(spec.N, opts.Crashes); err != nil {
 		return nil, err
 	}
 	if opts.Scheduler != nil {
 		if opts.Transport != TransportSim {
 			return nil, errors.New("engine: schedulers only drive the simulator; networked delivery order is real concurrency")
 		}
-		if opts.hasWAN() {
+		if opts.HasWAN() {
 			return nil, errors.New("engine: WAN and Scheduler both drive simulator delivery order; set one")
 		}
 	}
@@ -274,7 +240,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 
 // runSim drives the nodes with the deterministic simulator.
 func runSim(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Result, error) {
-	if opts.hasWAN() {
+	if opts.HasWAN() {
 		sched, err := wan.NewSimScheduler(*opts.WAN, spec.N, opts.WANSeed)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
@@ -287,7 +253,7 @@ func runSim(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Resu
 		Scheduler:     opts.Scheduler,
 		Crashes:       opts.Crashes,
 		MaxDeliveries: opts.MaxDeliveries,
-		Sizer:         opts.Sizer,
+		Sizer:         wire.MessageSize,
 	}, procs)
 	if err != nil {
 		return nil, err
@@ -311,7 +277,7 @@ func runSim(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Resu
 // runCluster drives the nodes with the goroutine runtime over channels or
 // TCP, layering on the requested fault stack.
 func runCluster(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Result, error) {
-	cluster, err := newCluster(opts.Transport, procs, opts.options(opts.Sizer, opts.Crashes, runtime.RecoveryConfig{
+	cluster, err := newCluster(opts.Transport, procs, runtime.Config{Env: opts.Env, Crashes: opts.Crashes, Recovery: runtime.RecoveryConfig{
 		// The factory rebuilds the whole multiplexing node: replay then
 		// drives the journaled deliveries — each stamped with its
 		// instance — through it, reconstructing every hosted instance.
@@ -326,7 +292,7 @@ func runCluster(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*
 			return nd
 		},
 		Inputs: opts.Inputs,
-	}))
+	}})
 	if err != nil {
 		return nil, err
 	}

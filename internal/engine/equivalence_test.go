@@ -449,7 +449,7 @@ func TestNetworkedRecoveryVectorByzantine(t *testing.T) {
 		}},
 		engine.Options{
 			Transport: engine.TransportChannel,
-			Env: engine.Env{
+			Env: runtime.Env{
 				Chaos: &light, ChaosSeed: 3,
 				WALDir:   t.TempDir(),
 				Restarts: []runtime.RestartPlan{{Proc: 1, KillAfterSends: 10, Downtime: 5 * time.Millisecond}},

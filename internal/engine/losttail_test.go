@@ -133,7 +133,7 @@ func TestLostTailResidentExits(t *testing.T) {
 	}}
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportChannel,
-		Env: engine.Env{
+		Env: runtime.Env{
 			WALDir:   dir,
 			WALFS:    fs,
 			Restarts: []runtime.RestartPlan{{Proc: 2, KillAfterSends: 200, Downtime: 3 * time.Millisecond}},
@@ -249,7 +249,7 @@ func TestLostTailControlLostBeforeCommit(t *testing.T) {
 	}}
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportChannel,
-		Env: engine.Env{
+		Env: runtime.Env{
 			WALDir: dir,
 			WALFS:  fs,
 			// Never killed by budget: the plan only lets the supervisor relaunch

@@ -8,7 +8,6 @@ import (
 
 	"chc/internal/dist"
 	"chc/internal/runtime"
-	"chc/internal/wire"
 )
 
 // ErrEngineClosed is returned by Open once the resident engine has begun
@@ -27,9 +26,6 @@ type ResidentOptions struct {
 	// time passing without work), so TransportSim is rejected.
 	Transport Transport
 
-	// Sizer estimates per-message bytes for Stats (default wire.MessageSize).
-	Sizer func(dist.Message) int
-
 	// Crashes schedules crash-stop faults against the resident cluster:
 	// each process stops sending after its budget, without the relaunch a
 	// RestartPlan would provide. Service tests use this to create instances
@@ -41,7 +37,7 @@ type ResidentOptions struct {
 	// just its protocol state but which instances it was hosting; with WAN,
 	// each instance's open-to-decide latency is attributed to the deciding
 	// process's region (chc_wan_region_decide_seconds).
-	Env
+	runtime.Env
 
 	// RetireEvery is the WAL retention horizon: after every RetireEvery
 	// retired instances, the engine checkpoints and compacts every node's
@@ -156,15 +152,12 @@ func StartResident(n int, opts ResidentOptions) (*Resident, error) {
 	if opts.RetireEvery > 0 && opts.WALDir == "" {
 		return nil, errors.New("engine: the WAL retention horizon (RetireEvery) requires WALDir")
 	}
-	if opts.Sizer == nil {
-		opts.Sizer = wire.MessageSize
-	}
 	r := &Resident{n: n, transport: opts.Transport, changed: make(chan struct{}), retireEvery: opts.RetireEvery}
 	procs := make([]dist.Process, n)
 	for i := range procs {
 		procs[i] = newResidentNode(r, dist.ProcID(i))
 	}
-	cluster, err := newCluster(opts.Transport, procs, opts.options(opts.Sizer, opts.Crashes, runtime.RecoveryConfig{
+	cluster, err := newCluster(opts.Transport, procs, runtime.Config{Env: opts.Env, Crashes: opts.Crashes, Recovery: runtime.RecoveryConfig{
 		// A fresh lifecycle node over the same registry: replaying the
 		// journaled controls and deliveries rebuilds every instance the
 		// node hosted, in the original order.
@@ -180,7 +173,7 @@ func StartResident(n int, opts ResidentOptions) (*Resident, error) {
 		// relaunched incarnation becomes reachable and is reconciled in
 		// one critical section — no enqueue can slip between the two.
 		RelaunchGate: &r.mu,
-	}))
+	}})
 	if err != nil {
 		return nil, err
 	}

@@ -281,7 +281,7 @@ func TestResidentRestartFromWALMidStream(t *testing.T) {
 	prof := chaos.Profile{Drop: 0.05, Dup: 0.02, DelayMax: 2 * time.Millisecond}
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportTCP,
-		Env: engine.Env{
+		Env: runtime.Env{
 			WALDir:    dir,
 			Chaos:     &prof,
 			ChaosSeed: 7,
@@ -362,7 +362,7 @@ func TestResidentConcurrentOpensAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	r, err := engine.StartResident(n, engine.ResidentOptions{
 		Transport: engine.TransportTCP,
-		Env: engine.Env{
+		Env: runtime.Env{
 			WALDir: dir,
 			Restarts: []runtime.RestartPlan{
 				{Proc: 1, KillAfterSends: 60, Downtime: 40 * time.Millisecond},

@@ -1,6 +1,6 @@
 // Package envflag binds the cluster-environment command-line flags of
 // chcrun, chcd and chcsoak once: one name, default, grammar and help string
-// per flag, parsed into one engine.Env.
+// per flag, parsed into one runtime.Env.
 package envflag
 
 import (
@@ -38,7 +38,7 @@ const (
 // Bound is what the parsed flags describe.
 type Bound struct {
 	// Env is validated for the transport; its WALDir exists.
-	Env engine.Env
+	Env runtime.Env
 	// WALRetire is -wal-retire (a service setting, not environment), 0
 	// without -wal-dir.
 	WALRetire int
@@ -111,7 +111,7 @@ func Bind(fs *flag.FlagSet, groups Group) func(engine.Transport) (Bound, error) 
 			}
 			wireCfg.FlushDeadline = dl
 		}
-		b := Bound{Disk: diskPlan, Env: engine.Env{
+		b := Bound{Disk: diskPlan, Env: runtime.Env{
 			Chaos:      &chaosProfile,
 			ChaosSeed:  chaosSeed,
 			NetFaults:  &netPlan,

@@ -115,7 +115,7 @@ func runBatchCell(n, f, d int, eps float64, profile *chaos.Profile, restarts []r
 			},
 		},
 		Transport: engine.TransportTCP,
-		Env:       engine.Env{Chaos: profile, ChaosSeed: seed, Restarts: restarts},
+		Env:       runtime.Env{Chaos: profile, ChaosSeed: seed, Restarts: restarts},
 		Timeout:   120 * time.Second,
 	}
 	if len(restarts) > 0 {

@@ -15,6 +15,7 @@ import (
 	"chc/internal/engine"
 	"chc/internal/geom"
 	"chc/internal/polytope"
+	"chc/internal/runtime"
 )
 
 // quickTable runs experiment id in quick mode once per test binary: the
@@ -171,7 +172,7 @@ func TestMatrixTallyGoesRed(t *testing.T) {
 		counters:  []counter{netCounter("retransmits", func(n *dist.NetStats) int64 { return n.Retransmits })},
 		cells: []cell{
 			{labels: []string{"good"}},
-			{labels: []string{"bad"}, env: engine.Env{Chaos: &chaos.Profile{Drop: 0.5}}},
+			{labels: []string{"bad"}, env: runtime.Env{Chaos: &chaos.Profile{Drop: 0.5}}},
 		},
 		run: func(cfg core.RunConfig, opts engine.Options) (*core.RunResult, error) {
 			res := &core.RunResult{

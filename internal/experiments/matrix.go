@@ -44,14 +44,14 @@ type matrix struct {
 	run func(core.RunConfig, engine.Options) (*core.RunResult, error)
 }
 
-// cell is one row: the adversary as an engine.Env literal plus the fault
+// cell is one row: the adversary as a runtime.Env literal plus the fault
 // plans that are not environment.
 type cell struct {
 	labels []string
 	// env is stamped per run: every seed in it becomes the run's seed, and
 	// WALDir a temp directory the runner owns when anything in the cell needs
 	// a journal.
-	env engine.Env
+	env runtime.Env
 	// disk injects storage faults under the journals (Env carries a
 	// filesystem, not a plan, so the runner builds WALFS per seed).
 	disk diskfault.Plan
@@ -67,7 +67,7 @@ type cellRun struct {
 	cfg   *core.RunConfig
 	res   *core.RunResult
 	net   *dist.NetStats
-	env   engine.Env    // as run: seeds stamped, WALDir set
+	env   runtime.Env   // as run: seeds stamped, WALDir set
 	audit telemetryCell // traced matrices only
 }
 

@@ -287,8 +287,8 @@ func E16ChaosMatrix(opt Options) (*Table, error) {
 		{"heavy (+partition)", &heavy},
 	} {
 		m.cells = append(m.cells,
-			cell{labels: []string{pc.name, "none"}, env: engine.Env{Chaos: pc.profile}},
-			cell{labels: []string{pc.name, "f mid-bcast"}, env: engine.Env{Chaos: pc.profile},
+			cell{labels: []string{pc.name, "none"}, env: runtime.Env{Chaos: pc.profile}},
+			cell{labels: []string{pc.name, "f mid-bcast"}, env: runtime.Env{Chaos: pc.profile},
 				crashes: []dist.CrashPlan{{Proc: 4, AfterSends: 15}}},
 		)
 	}
@@ -323,17 +323,17 @@ func E17CrashRecovery(opt Options) (*Table, error) {
 			netCounter("wal appends", func(n *dist.NetStats) int64 { return n.WALAppends }),
 		},
 		cells: []cell{
-			{labels: []string{"kill p1 early"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+			{labels: []string{"kill p1 early"}, env: runtime.Env{Restarts: []runtime.RestartPlan{
 				{Proc: 1, KillAfterSends: 4, Downtime: 5 * ms}}}},
-			{labels: []string{"kill p2 mid-round"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+			{labels: []string{"kill p2 mid-round"}, env: runtime.Env{Restarts: []runtime.RestartPlan{
 				{Proc: 2, KillAfterSends: 15, Downtime: 10 * ms}}}},
-			{labels: []string{"two staggered"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+			{labels: []string{"two staggered"}, env: runtime.Env{Restarts: []runtime.RestartPlan{
 				{Proc: 1, KillAfterSends: 8, Downtime: 5 * ms},
 				{Proc: 3, KillAfterSends: 20, Downtime: 10 * ms}}}},
-			{labels: []string{"p2 twice"}, env: engine.Env{Restarts: []runtime.RestartPlan{
+			{labels: []string{"p2 twice"}, env: runtime.Env{Restarts: []runtime.RestartPlan{
 				{Proc: 2, KillAfterSends: 6, Downtime: 5 * ms},
 				{Proc: 2, KillAfterSends: 5, Downtime: 5 * ms}}}},
-			{labels: []string{"restart + lossy links"}, env: engine.Env{Chaos: &lossy, Restarts: []runtime.RestartPlan{
+			{labels: []string{"restart + lossy links"}, env: runtime.Env{Chaos: &lossy, Restarts: []runtime.RestartPlan{
 				{Proc: 4, KillAfterSends: 10, Downtime: 10 * ms}}}},
 		},
 	}.table()

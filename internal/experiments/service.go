@@ -91,7 +91,7 @@ func runServiceCell(name string, n, f int, eps float64, stream int, cc serviceCe
 	cfg := service.Config{
 		N:         n,
 		Transport: engine.TransportTCP,
-		Env:       engine.Env{Chaos: cc.chaos, ChaosSeed: 7},
+		Env:       runtime.Env{Chaos: cc.chaos, ChaosSeed: 7},
 		MaxActive: cc.maxActive,
 		MaxQueue:  cc.maxQueue,
 		Retention: -1, // results must stay queryable for the post-drain audit

@@ -74,16 +74,16 @@ func E20StorageFaults(opt Options) (*Table, error) {
 			// to the f budget by the check, a degraded one must behave as correct.
 			{labels: []string{"sick disk at p1, fail-stop"}, disk: sickAtP1, check: storageCheck(1)},
 			{labels: []string{"flaky disks, degrade"}, disk: diskfault.Flaky(),
-				env: engine.Env{Durability: runtime.Degrade}, check: storageCheck(0)},
+				env: runtime.Env{Durability: runtime.Degrade}, check: storageCheck(0)},
 			{labels: []string{"sick disks, degrade"}, disk: diskfault.Sick(),
-				env: engine.Env{Durability: runtime.Degrade}, check: storageCheck(0)},
+				env: runtime.Env{Durability: runtime.Degrade}, check: storageCheck(0)},
 			{labels: []string{"flaky disks + lossy links, degrade"}, disk: diskfault.Flaky(),
-				env: engine.Env{Durability: runtime.Degrade, Chaos: &lossy}, check: storageCheck(0)},
+				env: runtime.Env{Durability: runtime.Degrade, Chaos: &lossy}, check: storageCheck(0)},
 			{labels: []string{"restart from snapshot + tail"},
-				env: engine.Env{Checkpoint: compact, Restarts: []runtime.RestartPlan{
+				env: runtime.Env{Checkpoint: compact, Restarts: []runtime.RestartPlan{
 					{Proc: 2, KillAfterSends: 15, Downtime: 10 * time.Millisecond}}}, check: storageCheck(0)},
 			{labels: []string{"flaky disks + compaction, degrade"}, disk: diskfault.Flaky(),
-				env: engine.Env{Durability: runtime.Degrade, Checkpoint: compact}, check: storageCheck(0)},
+				env: runtime.Env{Durability: runtime.Degrade, Checkpoint: compact}, check: storageCheck(0)},
 		},
 	}.table()
 }

@@ -9,6 +9,7 @@ import (
 	"chc/internal/engine"
 	"chc/internal/geom"
 	"chc/internal/polytope"
+	"chc/internal/runtime"
 	"chc/internal/telemetry"
 )
 
@@ -73,9 +74,9 @@ func E19TelemetryAudit(opt Options) (*Table, error) {
 		},
 		cells: []cell{
 			{labels: []string{"off", "none"}},
-			{labels: []string{"off", "restart p0"}, env: engine.Env{Restarts: restartP0}, check: replayed},
-			{labels: []string{"light", "none"}, env: engine.Env{Chaos: &light}},
-			{labels: []string{"light", "restart p0"}, env: engine.Env{Chaos: &light, Restarts: restartP0}, check: replayed},
+			{labels: []string{"off", "restart p0"}, env: runtime.Env{Restarts: restartP0}, check: replayed},
+			{labels: []string{"light", "none"}, env: runtime.Env{Chaos: &light}},
+			{labels: []string{"light", "restart p0"}, env: runtime.Env{Chaos: &light, Restarts: restartP0}, check: replayed},
 		},
 	}.table()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"chc/internal/chaos"
 	"chc/internal/dist"
 	"chc/internal/engine"
+	"chc/internal/runtime"
 	"chc/internal/telemetry"
 	"chc/internal/wan"
 )
@@ -44,13 +45,13 @@ func E23WANMatrix(opt Options) (*Table, error) {
 	light := chaos.Light()
 	type stress struct {
 		name string
-		env  engine.Env
+		env  runtime.Env
 	}
 	stressCases := []stress{
-		{"none", engine.Env{}},
-		{"chaos", engine.Env{Chaos: &light}},
-		{"restart p0", engine.Env{Restarts: restartP0}},
-		{"chaos + restart p0", engine.Env{Chaos: &light, Restarts: restartP0}},
+		{"none", runtime.Env{}},
+		{"chaos", runtime.Env{Chaos: &light}},
+		{"restart p0", runtime.Env{Restarts: restartP0}},
+		{"chaos + restart p0", runtime.Env{Chaos: &light, Restarts: restartP0}},
 	}
 	if opt.Quick {
 		topoCases = topoCases[:3]

@@ -66,11 +66,11 @@ func E21WireFaults(opt Options) (*Table, error) {
 		cells: []cell{
 			// No cell declares a faulty process: the link layer must absorb the
 			// adversary, so every process is held to the correct-process obligations.
-			{labels: []string{"flaky wire"}, env: engine.Env{NetFaults: &flaky}, check: wireCheck(false)},
-			{labels: []string{"hostile wire"}, env: engine.Env{NetFaults: &hostile}, check: wireCheck(true)},
-			{labels: []string{"hostile wire on link 0->1"}, env: engine.Env{NetFaults: &hostileOneLink}, check: wireCheck(true)},
-			{labels: []string{"flaky wire + lossy links"}, env: engine.Env{NetFaults: &flaky, Chaos: &lossy}, check: wireCheck(false)},
-			{labels: []string{"hostile wire + restart"}, env: engine.Env{NetFaults: &hostile, Restarts: restart}, check: wireCheck(true)},
+			{labels: []string{"flaky wire"}, env: runtime.Env{NetFaults: &flaky}, check: wireCheck(false)},
+			{labels: []string{"hostile wire"}, env: runtime.Env{NetFaults: &hostile}, check: wireCheck(true)},
+			{labels: []string{"hostile wire on link 0->1"}, env: runtime.Env{NetFaults: &hostileOneLink}, check: wireCheck(true)},
+			{labels: []string{"flaky wire + lossy links"}, env: runtime.Env{NetFaults: &flaky, Chaos: &lossy}, check: wireCheck(false)},
+			{labels: []string{"hostile wire + restart"}, env: runtime.Env{NetFaults: &hostile, Restarts: restart}, check: wireCheck(true)},
 		},
 	}.table()
 }

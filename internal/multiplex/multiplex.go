@@ -100,7 +100,7 @@ type BatchConfig struct {
 	// Env is the cluster environment (link faults, wire tuning, WAN model,
 	// write-ahead logging). Every journaled delivery carries its instance,
 	// so a restarted node replays the whole batch it hosts.
-	engine.Env
+	runtime.Env
 
 	// Recover converts Crashes from crash-stop faults into crash-recovery
 	// faults: each planned crash kills the node mid-protocol, keeps it down

@@ -35,7 +35,7 @@ type SessionConfig struct {
 	// lifecycle is journaled in-band, so restarted nodes recover mid-stream;
 	// with WAN, decide latencies are attributed to the deciding process's
 	// region.
-	engine.Env
+	runtime.Env
 
 	// RetireCheckpoint is the WAL retention horizon: checkpoint + compact
 	// every journal after this many retired instances, bounding replay work

@@ -11,7 +11,6 @@ import (
 	"chc/internal/geom"
 	"chc/internal/polytope"
 	"chc/internal/runtime"
-	"chc/internal/wire"
 )
 
 // matrixProfiles are the chaos profiles of the acceptance matrix: pure
@@ -52,11 +51,10 @@ func runChaosConsensus(t *testing.T, profile chaos.Profile, crashes []dist.Crash
 		impls[i] = proc
 		procs[i] = proc
 	}
-	opts := []runtime.Option{runtime.WithSizer(wire.MessageSize), runtime.WithChaos(profile, seed)}
-	if len(crashes) > 0 {
-		opts = append(opts, runtime.WithCrashes(crashes...))
-	}
-	c, err := runtime.NewChannelCluster(procs, opts...)
+	c, err := runtime.NewChannelCluster(procs, runtime.Config{
+		Env:     runtime.Env{Chaos: &profile, ChaosSeed: seed},
+		Crashes: crashes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

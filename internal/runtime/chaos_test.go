@@ -7,7 +7,6 @@ import (
 	"chc/internal/chaos"
 	"chc/internal/dist"
 	"chc/internal/rlink"
-	"chc/internal/wire"
 )
 
 // TestChannelClusterChaosGather checks the simplest protocol (one broadcast
@@ -22,7 +21,7 @@ func TestChannelClusterChaosGather(t *testing.T) {
 		procs[i] = impl[i]
 	}
 	profile := chaos.Profile{Drop: 0.3, Dup: 0.15}
-	c, err := NewChannelCluster(procs, WithChaos(profile, 11), WithSizer(wire.MessageSize))
+	c, err := NewChannelCluster(procs, Config{Env: Env{Chaos: &profile, ChaosSeed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestReliableLinksWithoutChaos(t *testing.T) {
 		impl[i] = newGatherProc(n, nil)
 		procs[i] = impl[i]
 	}
-	c, err := NewChannelCluster(procs, WithReliableLinks(rlink.Config{}))
+	c, err := NewChannelCluster(procs, Config{links: &rlink.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,28 @@ func (inc *incarnation) close() {
 	}
 }
 
+// Config is everything a cluster is built from.
+type Config struct {
+	// Env is the environment the cluster runs in; the constructors check it
+	// with Env.Validate.
+	Env
+	// Crashes injects crash-stop faults: each process stops after its
+	// AfterSends budget, mid-broadcast if the budget lands there. Checked
+	// with dist.CrashBudgets, as on the simulator.
+	Crashes []dist.CrashPlan
+	// Recovery is the caller's half of crash recovery, read only when
+	// Env.WALDir is set.
+	Recovery RecoveryConfig
+
+	// links, set only by in-package tests, forces the reliable-link layer
+	// onto a channel cluster that would not otherwise run it, with this
+	// link configuration.
+	links *rlink.Config
+}
+
 // Cluster runs n protocol state machines concurrently, one goroutine per
-// process, over an in-process or TCP transport. With WithChaos or
-// WithReliableLinks the message path is layered as
+// process, over an in-process or TCP transport. With chaos, WAN shaping or
+// a WAL the message path is layered as
 //
 //	process -> rlink endpoint -> [chaos injector] -> frame transport
 //
@@ -129,23 +148,11 @@ type Cluster struct {
 	stopping bool
 
 	nodes []*node
+	cfg   Config
 
-	chaosProfile *chaos.Profile
-	chaosSeed    int64
-	reliable     bool
-	rlinkCfg     rlink.Config
-
-	wanPlan  *wan.Plan     // WAN link model (nil when disabled)
-	wanSeed  int64         // seed of the WAN delay/jitter stream
-	wanModel *wan.Model    // plan resolved against n (nil when disabled)
-	wanInj   *wan.Injector // shared conn shaper (TCP clusters; channel clusters shape per node)
-
-	netPlan *netfault.Plan     // wire-fault plan (TCP clusters only)
-	nfault  *netfault.Injector // shared byte-stream fault injector
-	wireCfg WireConfig         // TCP write-path tuning (coalescing, compression)
-
-	recovery *RecoveryConfig
-	restarts []RestartPlan
+	wanModel *wan.Model         // Env.WAN resolved against n (nil when disabled)
+	wanInj   *wan.Injector      // shared conn shaper (TCP clusters; channel clusters shape per node)
+	nfault   *netfault.Injector // shared byte-stream fault injector (TCP clusters)
 
 	// residentMu guards the resident-mode lifecycle (Start/Shutdown).
 	residentMu   sync.Mutex
@@ -158,113 +165,30 @@ type Cluster struct {
 
 	sends atomic.Int64
 	bytes atomic.Int64
-	sizer func(dist.Message) int
 }
 
 // ClusterStats aggregates protocol-level message counts with the link-layer
 // counters of the reliability and chaos machinery.
 type ClusterStats struct {
 	Sends int64 // protocol messages handed to the network
-	Bytes int64 // estimated payload bytes (needs WithSizer)
+	Bytes int64 // payload bytes, as wire.MessageSize counts them
 	Net   dist.NetStats
 }
 
-// Option configures a Cluster.
-type Option interface {
-	apply(*Cluster)
-}
-
-type optionFunc func(*Cluster)
-
-func (f optionFunc) apply(c *Cluster) { f(c) }
-
-// WithCrashes injects crash faults: each process stops after its AfterSends
-// budget, mid-broadcast if the budget lands there.
-func WithCrashes(plans ...dist.CrashPlan) Option {
-	return optionFunc(func(c *Cluster) {
-		for _, p := range plans {
-			if p.Proc >= 0 && int(p.Proc) < len(c.nodes) {
-				c.nodes[p.Proc].budget.Store(int64(p.AfterSends))
-			}
-		}
-	})
-}
-
-// WithSizer installs a payload size estimator for byte accounting.
-func WithSizer(fn func(dist.Message) int) Option {
-	return optionFunc(func(c *Cluster) { c.sizer = fn })
-}
-
-// WithChaos injects seeded network faults (drops, duplication, delays,
-// transient partitions) below the reliable-link layer, which is enabled
-// automatically. Composable with WithCrashes: chaos attacks the links,
-// crash plans attack the processes.
-func WithChaos(profile chaos.Profile, seed int64) Option {
-	return optionFunc(func(c *Cluster) {
-		c.chaosProfile = &profile
-		c.chaosSeed = seed
-		c.reliable = true // an unreliable link needs the reliability layer
-	})
-}
-
-// WithWAN shapes every link through a wide-area model: per-edge propagation
-// delay (jitter, heavy tails), bandwidth-derived queueing delay, and one-way
-// partition windows, per the plan's geo-topology. The model is pure delay —
-// it never drops or corrupts, so it consumes no crash budget and cannot trip
-// the wire-level quarantine machinery. Channel clusters shape at the frame
-// layer (the reliable-link stack is enabled automatically); TCP clusters
-// shape the connections' write paths. Composable with WithChaos (chaos
-// decides a frame's fate first; survivors ride the shaped link) and
-// WithNetFaults.
-func WithWAN(plan wan.Plan, seed int64) Option {
-	return optionFunc(func(c *Cluster) {
-		c.wanPlan = &plan
-		c.wanSeed = seed
-		c.reliable = true // shaping lives at the frame layer, under rlink
-	})
-}
-
-// WithReliableLinks forces the sequence/ack/retransmit layer even on
-// transports that are already reliable (useful for exercising the layer
-// itself). TCP clusters always run it; see NewTCPCluster.
-func WithReliableLinks(cfg rlink.Config) Option {
-	return optionFunc(func(c *Cluster) {
-		c.reliable = true
-		c.rlinkCfg = cfg
-	})
-}
-
-// WithNetFaults injects seeded byte-stream faults (bit flips, garbage runs,
-// mutated length prefixes, truncated writes, mid-frame resets, stalls) into
-// the TCP mesh, below even the frame codec. Only NewTCPCluster honors it —
-// channel clusters have no byte streams to corrupt and reject the option.
-// Composable with WithChaos (frame-level faults) and WithCrashes.
-func WithNetFaults(plan netfault.Plan) Option {
-	return optionFunc(func(c *Cluster) { c.netPlan = &plan })
-}
-
-// WithWire tunes the TCP transport's write path: the flush-deadline batching
-// window of its frame coalescing and optional per-batch compression. Channel
-// clusters have no wire and ignore the option.
-func WithWire(cfg WireConfig) Option {
-	return optionFunc(func(c *Cluster) { c.wireCfg = cfg })
-}
-
 // NewChannelCluster builds a cluster connected by in-process mailboxes.
-// Without chaos the mailboxes are already reliable FIFO channels and
-// messages take the direct path; WithChaos (or WithReliableLinks) inserts
-// the rlink/chaos stack between the processes and the mailboxes.
-func NewChannelCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
-	c, err := newCluster(procs, opts...)
+// Without chaos, WAN shaping or a WAL the mailboxes are already reliable FIFO
+// channels and messages take the direct path; any of the three inserts the
+// rlink stack between the processes and the mailboxes (chaos attacks frames,
+// shaping delays them, and the journal's output commit holds the acks).
+func NewChannelCluster(procs []dist.Process, cfg Config) (*Cluster, error) {
+	c, err := newCluster(procs, cfg, TransportChannel)
 	if err != nil {
 		return nil, err
 	}
-	if c.netPlan != nil {
-		return nil, errors.New("runtime: WithNetFaults requires a TCP cluster (channel clusters have no byte streams)")
-	}
+	reliable := cfg.links != nil || cfg.hasChaos() || c.wanModel != nil || c.journaled()
 	for i, proc := range procs {
 		var s rlink.Sender
-		if c.reliable {
+		if reliable {
 			s = c.maybeInjectChaos(i, c.maybeInjectWAN(i, &chanFrameSender{cluster: c}))
 		}
 		if err := c.install(i, proc, s); err != nil {
@@ -275,32 +199,49 @@ func NewChannelCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-func newCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
+// newCluster checks cfg for transport t and n = len(procs) processes and
+// builds the nodes, each armed with its crash budget.
+func newCluster(procs []dist.Process, cfg Config, t Transport) (*Cluster, error) {
 	if len(procs) == 0 {
 		return nil, errors.New("runtime: no processes")
 	}
-	c := &Cluster{nodes: make([]*node, len(procs))}
+	if err := cfg.Validate(t); err != nil {
+		return nil, err
+	}
+	budgets, err := dist.CrashBudgets(len(procs), cfg.Crashes)
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.checkRecovery(len(procs), budgets); err != nil {
+		return nil, err
+	}
+	c := &Cluster{nodes: make([]*node, len(procs)), cfg: cfg}
 	for i := range c.nodes {
 		c.nodes[i] = &node{id: dist.ProcID(i)}
-		c.nodes[i].budget.Store(-1)
+		c.nodes[i].budget.Store(int64(budgets[i]))
 	}
-	for _, o := range opts {
-		o.apply(c)
-	}
-	if c.wanPlan != nil && c.wanPlan.Enabled() {
-		m, err := wan.NewModel(*c.wanPlan, len(procs), c.wanSeed)
+	if cfg.HasWAN() {
+		m, err := wan.NewModel(*cfg.WAN, len(procs), cfg.WANSeed)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: %w", err)
 		}
 		c.wanModel = m
 	}
-	if err := c.validateRecovery(); err != nil {
-		return nil, err
-	}
-	if c.recovery != nil {
+	if c.journaled() {
 		reserveSyncProcs(len(procs))
 	}
 	return c, nil
+}
+
+// journaled reports whether the nodes write ahead (Env.WALDir is set).
+func (c *Cluster) journaled() bool { return c.cfg.WALDir != "" }
+
+// linkConfig is the reliable-link configuration every endpoint runs with.
+func (c *Cluster) linkConfig() rlink.Config {
+	if c.cfg.links != nil {
+		return *c.cfg.links
+	}
+	return rlink.Config{}
 }
 
 // maybeInjectWAN wraps a frame sender with the node's WAN shaper (channel
@@ -315,16 +256,16 @@ func (c *Cluster) maybeInjectWAN(i int, s rlink.Sender) rlink.Sender {
 	return c.nodes[i].shaper
 }
 
-// WANModel exposes the resolved WAN model (nil when WithWAN is absent); the
+// WANModel exposes the resolved WAN model (nil without Env.WAN); the
 // resident engine uses it for per-region decide-latency attribution.
 func (c *Cluster) WANModel() *wan.Model { return c.wanModel }
 
 // maybeInjectChaos wraps a frame sender with the configured chaos injector.
 func (c *Cluster) maybeInjectChaos(i int, s rlink.Sender) rlink.Sender {
-	if c.chaosProfile == nil || !c.chaosProfile.Enabled() {
+	if !c.cfg.hasChaos() {
 		return s
 	}
-	c.nodes[i].inj = chaos.New(dist.ProcID(i), len(c.nodes), *c.chaosProfile, c.chaosSeed, s)
+	c.nodes[i].inj = chaos.New(dist.ProcID(i), len(c.nodes), *c.cfg.Chaos, c.cfg.ChaosSeed, s)
 	return c.nodes[i].inj
 }
 
@@ -335,14 +276,14 @@ func (c *Cluster) install(i int, proc dist.Process, s rlink.Sender) error {
 	n := c.nodes[i]
 	n.sender = s
 	var w *wal.WAL
-	if c.recovery != nil {
+	if c.journaled() {
 		var err error
-		w, err = wal.CreateWith(WALPath(c.recovery.Dir, n.id), c.walOptions())
+		w, err = wal.CreateWith(WALPath(c.cfg.WALDir, n.id), c.walOptions())
 		if err != nil {
 			return fmt.Errorf("runtime: create WAL for node %d: %w", i, err)
 		}
-		if c.recovery.Inputs != nil {
-			if err := w.AppendInput(n.id, c.recovery.Inputs[i]); err == nil {
+		if inputs := c.cfg.Recovery.Inputs; inputs != nil {
+			if err := w.AppendInput(n.id, inputs[i]); err == nil {
 				err = w.Sync()
 			}
 			if err != nil {
@@ -381,7 +322,7 @@ func (c *Cluster) newIncarnation(n *node, proc dist.Process, w *wal.WAL, pending
 		deliver = inc.box.deliver
 	}
 	if resume == nil {
-		inc.ep = rlink.New(n.id, len(c.nodes), n.sender, deliver, c.rlinkCfg)
+		inc.ep = rlink.New(n.id, len(c.nodes), n.sender, deliver, c.linkConfig())
 	} else {
 		for _, m := range pendingSelf {
 			// The cut-off self-sends are deliveries like any other: journaled and
@@ -395,7 +336,7 @@ func (c *Cluster) newIncarnation(n *node, proc dist.Process, w *wal.WAL, pending
 			}
 		}
 		var err error
-		if inc.ep, err = rlink.NewResumed(n.id, len(c.nodes), n.sender, deliver, c.rlinkCfg, *resume); err != nil {
+		if inc.ep, err = rlink.NewResumed(n.id, len(c.nodes), n.sender, deliver, c.linkConfig(), *resume); err != nil {
 			inc.close()
 			return nil, err
 		}
@@ -423,18 +364,16 @@ func (c *Cluster) live() []*incarnation {
 	return incs
 }
 
-// walOptions builds the log options from the recovery configuration: the
-// (possibly fault-injecting) filesystem, the checkpoint policy, and mirror
-// mode when the degrade policy may need to re-arm or the caller plans
-// on-demand checkpoints (retention compaction needs the state mirror).
+// walOptions builds the log options from the environment: the (possibly
+// fault-injecting) filesystem, the checkpoint policy, and mirror mode when
+// the degrade policy may need to re-arm or the caller plans on-demand
+// checkpoints (retention compaction needs the state mirror).
 func (c *Cluster) walOptions() wal.Options {
-	o := wal.Options{}
-	if c.recovery != nil {
-		o.FS = c.recovery.FS
-		o.Checkpoint = c.recovery.Checkpoint
-		o.Mirror = c.recovery.Durability == Degrade || c.recovery.Mirror
+	return wal.Options{
+		FS:         c.cfg.WALFS,
+		Checkpoint: c.cfg.Checkpoint,
+		Mirror:     c.cfg.Durability == Degrade || c.cfg.Recovery.Mirror,
 	}
-	return o
 }
 
 // CheckpointWALs snapshots and compacts every live write-ahead log: each
@@ -595,7 +534,7 @@ func (c *Cluster) Processes() []dist.Process {
 // report Done, then shuts the transports down. Completion is signalled by
 // the process goroutines themselves (no polling): each incarnation settles
 // exactly once — on deciding or on crashing — and the last one to settle
-// wakes the monitor. With WithRestarts, a crashed node's settle hands the
+// wakes the monitor. With Env.Restarts, a crashed node's settle hands the
 // slot to the restart supervisor, which relaunches the node from its WAL;
 // the relaunched incarnation settles a slot of its own. It returns
 // ErrTimeout if the protocol fails to converge in time; Stats() still
@@ -609,7 +548,7 @@ func (c *Cluster) Run(timeout time.Duration) error {
 		return errors.New("runtime: cluster is resident (started with Start); use Shutdown")
 	}
 	// One settle slot per initial incarnation plus one per planned restart.
-	rs := c.newRunState(int64(len(c.nodes) + len(c.restarts)))
+	rs := c.newRunState(int64(len(c.nodes) + len(c.cfg.Restarts)))
 
 	var runErr error
 	timer := time.NewTimer(timeout)
@@ -732,7 +671,7 @@ func (c *Cluster) newRunState(slots int64) *runState {
 		queues:     make([][]RestartPlan, n),
 	}
 	rs.unsettled.Store(slots)
-	for _, rp := range c.restarts {
+	for _, rp := range c.cfg.Restarts {
 		rs.queues[rp.Proc] = append(rs.queues[rp.Proc], rp)
 	}
 	for i, inc := range c.live() {
@@ -863,9 +802,7 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 	msg := dist.Message{From: id, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
 	nc.cluster.sends.Add(1)
 	mSends.Inc()
-	if nc.cluster.sizer != nil {
-		nc.cluster.bytes.Add(int64(nc.cluster.sizer(msg)))
-	}
+	nc.cluster.bytes.Add(int64(wire.MessageSize(msg)))
 	if to == id {
 		// No node has a network link to itself on any transport; in recovery
 		// mode the self-delivery is journaled like any other — a delivery, not

@@ -59,7 +59,7 @@ func TestChannelClusterGather(t *testing.T) {
 		impl[i] = newGatherProc(n, nil)
 		procs[i] = impl[i]
 	}
-	c, err := NewChannelCluster(procs)
+	c, err := NewChannelCluster(procs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestChannelClusterCrash(t *testing.T) {
 		impl[i] = newGatherProc(n-1, nil)
 		procs[i] = impl[i]
 	}
-	c, err := NewChannelCluster(procs, WithCrashes(dist.CrashPlan{Proc: 0, AfterSends: 0}))
+	c, err := NewChannelCluster(procs, Config{Crashes: []dist.CrashPlan{{Proc: 0, AfterSends: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestChannelClusterCrash(t *testing.T) {
 func TestClusterTimeout(t *testing.T) {
 	// A single process that never finishes must time out quickly.
 	procs := []dist.Process{newGatherProc(2, nil)} // quorum 2 with n=1: impossible
-	c, err := NewChannelCluster(procs)
+	c, err := NewChannelCluster(procs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,26 +111,37 @@ func TestClusterTimeout(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewChannelCluster(nil); err == nil {
+	if _, err := NewChannelCluster(nil, Config{}); err == nil {
 		t.Error("empty cluster should error")
 	}
 }
 
-func TestWithSizer(t *testing.T) {
+// TestBytesCountedWithWireSize: every cluster counts the bytes of its sends
+// as the wire codec sizes them, the same way the engine sizes a simulator run.
+func TestBytesCountedWithWireSize(t *testing.T) {
 	const n = 3
 	procs := make([]dist.Process, n)
 	for i := range procs {
 		procs[i] = newGatherProc(n, nil)
 	}
-	c, err := NewChannelCluster(procs, WithSizer(wire.MessageSize))
+	c, err := NewChannelCluster(procs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Bytes <= 0 {
-		t.Errorf("bytes = %d, want > 0", st.Bytes)
+	var want int64
+	for from := dist.ProcID(0); from < n; from++ {
+		for to := dist.ProcID(0); to < n; to++ {
+			if from != to {
+				want += int64(wire.MessageSize(dist.Message{From: from, To: to, Kind: "val",
+					Payload: wire.PointPayload{Value: geom.NewPoint(float64(from))}}))
+			}
+		}
+	}
+	if st := c.Stats(); st.Bytes != want || want <= 0 {
+		t.Errorf("bytes = %d, want %d", st.Bytes, want)
 	}
 	if c.String() == "" {
 		t.Error("String should be non-empty")
@@ -225,13 +236,13 @@ func subset(a, b map[dist.ProcID]bool) bool {
 
 func TestStableVectorOverChannels(t *testing.T) {
 	runStableVectorCluster(t, func(p []dist.Process) (*Cluster, error) {
-		return NewChannelCluster(p)
+		return NewChannelCluster(p, Config{})
 	}, 5, 1)
 }
 
 func TestStableVectorOverTCP(t *testing.T) {
 	runStableVectorCluster(t, func(p []dist.Process) (*Cluster, error) {
-		return NewTCPCluster(p, WithSizer(wire.MessageSize))
+		return NewTCPCluster(p, Config{})
 	}, 4, 1)
 }
 
@@ -243,7 +254,7 @@ func TestTCPClusterGather(t *testing.T) {
 		impl[i] = newGatherProc(n, nil)
 		procs[i] = impl[i]
 	}
-	c, err := NewTCPCluster(procs)
+	c, err := NewTCPCluster(procs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

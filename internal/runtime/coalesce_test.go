@@ -131,11 +131,10 @@ func TestCoalescedWireComposesWithNetFaults(t *testing.T) {
 	plan.AfterBytes = 0
 	plan.WindowBytes = 64
 	plan.FlipProb = 0.05
-	c, err := NewTCPCluster(procs,
-		WithNetFaults(plan),
-		WithWire(WireConfig{FlushDeadline: 200 * time.Microsecond, Compress: true}),
-		WithSizer(wire.MessageSize),
-	)
+	c, err := NewTCPCluster(procs, Config{Env: Env{
+		NetFaults: &plan,
+		Wire:      &WireConfig{FlushDeadline: 200 * time.Microsecond, Compress: true},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,21 +111,15 @@ type durableBox struct {
 func newDurableBox(c *Cluster, i int, w *wal.WAL, mbox *mailbox, crashed *atomic.Bool) *durableBox {
 	b := &durableBox{
 		c: c, i: i, w: w, mbox: mbox, crashed: crashed,
-		policy:   FailStop,
+		policy:   c.cfg.Durability,
 		rearmMin: time.Millisecond, rearmMax: 250 * time.Millisecond,
-		ackDelay: c.rlinkCfg.AckHoldDelay(),
+		ackDelay: c.linkConfig().AckHoldDelay(),
 		closedCh: make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 	}
 	b.commitDone = sync.NewCond(&b.commitMu)
-	if c.recovery != nil {
-		b.policy = c.recovery.Durability
-		if c.recovery.RearmMin > 0 {
-			b.rearmMin = c.recovery.RearmMin
-		}
-		if c.recovery.RearmMax > 0 {
-			b.rearmMax = c.recovery.RearmMax
-		}
+	if rc := c.cfg.Recovery; rc.rearmMin > 0 {
+		b.rearmMin, b.rearmMax = rc.rearmMin, rc.rearmMax
 	}
 	c.bg.Add(1)
 	go b.commitLoop()

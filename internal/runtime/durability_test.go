@@ -103,9 +103,9 @@ func TestDurableBoxDegradeAndRearm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Cluster{recovery: &RecoveryConfig{
-		Dir: dir, Durability: Degrade,
-		RearmMin: time.Millisecond, RearmMax: 4 * time.Millisecond,
+	c := &Cluster{cfg: Config{
+		Env:      Env{WALDir: dir, Durability: Degrade},
+		Recovery: RecoveryConfig{rearmMin: time.Millisecond, rearmMax: 4 * time.Millisecond},
 	}}
 	mbox := newMailbox()
 	box := newDurableBox(c, 0, w, mbox, &atomic.Bool{})
@@ -214,9 +214,9 @@ func TestDurableBoxCheckpointFailureNoDoubleJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Cluster{recovery: &RecoveryConfig{
-		Dir: dir, Durability: Degrade,
-		RearmMin: time.Millisecond, RearmMax: 4 * time.Millisecond,
+	c := &Cluster{cfg: Config{
+		Env:      Env{WALDir: dir, Durability: Degrade},
+		Recovery: RecoveryConfig{rearmMin: time.Millisecond, rearmMax: 4 * time.Millisecond},
 	}}
 	mbox := newMailbox()
 	box := newDurableBox(c, 0, w, mbox, &atomic.Bool{})
@@ -276,7 +276,7 @@ func TestRecoveryClusterReservesSyncProcs(t *testing.T) {
 		}
 		return ps
 	}
-	plain, err := NewChannelCluster(procs())
+	plain, err := NewChannelCluster(procs(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +284,10 @@ func TestRecoveryClusterReservesSyncProcs(t *testing.T) {
 	if got := goruntime.GOMAXPROCS(0); got != 1 {
 		t.Fatalf("GOMAXPROCS after a cluster without a journal = %d, want 1", got)
 	}
-	c, err := NewChannelCluster(procs(), WithRecovery(RecoveryConfig{
-		Dir:     t.TempDir(),
-		Factory: func(int) dist.Process { return newGatherProc(n, nil) },
-	}))
+	c, err := NewChannelCluster(procs(), Config{
+		Env:      Env{WALDir: t.TempDir()},
+		Recovery: RecoveryConfig{Factory: func(int) dist.Process { return newGatherProc(n, nil) }},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +311,13 @@ func TestDegradedDeathRefusesRelaunch(t *testing.T) {
 	}
 	// Re-arm backoff far beyond the test: the only restoration attempt is
 	// close()'s last-chance one, which the still-failing disk rejects.
-	c, err := NewChannelCluster(procs, WithRecovery(RecoveryConfig{
-		Dir:     dir,
-		Factory: func(i int) dist.Process { return newGatherProc(n, nil) },
-		FS:      ffs, Durability: Degrade,
-		RearmMin: time.Minute, RearmMax: time.Minute,
-	}))
+	c, err := NewChannelCluster(procs, Config{
+		Env: Env{WALDir: dir, WALFS: ffs, Durability: Degrade},
+		Recovery: RecoveryConfig{
+			Factory:  func(i int) dist.Process { return newGatherProc(n, nil) },
+			rearmMin: time.Minute, rearmMax: time.Minute,
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,13 +439,11 @@ func TestLostTailDecisionWaitsForCommit(t *testing.T) {
 	const n = 3
 	ffs := &flakyFS{FS: diskfault.NewMemFS(), match: "node-001"}
 	procs := []dist.Process{newGatherProc(n-1, nil), &listenerProc{want: n - 1}, newGatherProc(n-1, nil)}
-	c, err := NewChannelCluster(procs,
-		WithReliableLinks(rlink.Config{RetransmitInitial: time.Minute, RetransmitMax: time.Minute}),
-		WithRecovery(RecoveryConfig{
-			Dir:     "/journals",
-			Factory: func(i int) dist.Process { return newGatherProc(n, nil) },
-			FS:      ffs,
-		}))
+	c, err := NewChannelCluster(procs, Config{
+		Env:      Env{WALDir: "/journals", WALFS: ffs},
+		Recovery: RecoveryConfig{Factory: func(i int) dist.Process { return newGatherProc(n, nil) }},
+		links:    &rlink.Config{RetransmitInitial: time.Minute, RetransmitMax: time.Minute},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +484,7 @@ func TestLostTailBarrierCoversVisibleDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	mbox := newMailbox()
-	c := &Cluster{rlinkCfg: rlink.Config{RetransmitInitial: time.Hour}} // committer asleep
+	c := &Cluster{cfg: Config{links: &rlink.Config{RetransmitInitial: time.Hour}}} // committer asleep
 	box := newDurableBox(c, 0, w, mbox, &atomic.Bool{})
 	base := w.Stats().Syncs
 
@@ -530,7 +529,7 @@ func newTestClusterShell(t *testing.T, n int) *Cluster {
 	for i := range procs {
 		procs[i] = newGatherProc(n, nil)
 	}
-	c, err := newCluster(procs)
+	c, err := newCluster(procs, Config{}, TransportChannel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,11 +547,10 @@ func TestClusterFailStopBecomesCrashFault(t *testing.T) {
 	for i := range procs {
 		procs[i] = newGatherProc(n-1, nil)
 	}
-	c, err := NewChannelCluster(procs, WithRecovery(RecoveryConfig{
-		Dir:     dir,
-		Factory: func(i int) dist.Process { return newGatherProc(n-1, nil) },
-		FS:      ffs,
-	}))
+	c, err := NewChannelCluster(procs, Config{
+		Env:      Env{WALDir: dir, WALFS: ffs},
+		Recovery: RecoveryConfig{Factory: func(i int) dist.Process { return newGatherProc(n-1, nil) }},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,12 +587,13 @@ func TestClusterDegradedNodeDecides(t *testing.T) {
 	for i := range procs {
 		procs[i] = newGatherProc(n, nil)
 	}
-	c, err := NewChannelCluster(procs, WithRecovery(RecoveryConfig{
-		Dir:     dir,
-		Factory: func(i int) dist.Process { return newGatherProc(n, nil) },
-		FS:      ffs, Durability: Degrade,
-		RearmMin: time.Millisecond, RearmMax: 4 * time.Millisecond,
-	}))
+	c, err := NewChannelCluster(procs, Config{
+		Env: Env{WALDir: dir, WALFS: ffs, Durability: Degrade},
+		Recovery: RecoveryConfig{
+			Factory:  func(i int) dist.Process { return newGatherProc(n, nil) },
+			rearmMin: time.Millisecond, rearmMax: 4 * time.Millisecond,
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,11 +656,10 @@ func TestOutputCommitTelemetry(t *testing.T) {
 	for i := range procs {
 		procs[i] = echoOnDeliverProc{newGatherProc(n, nil)}
 	}
-	c, err := NewChannelCluster(procs, WithRecovery(RecoveryConfig{
-		Dir:     "/journals",
-		Factory: func(i int) dist.Process { return echoOnDeliverProc{newGatherProc(n, nil)} },
-		FS:      diskfault.NewMemFS(),
-	}))
+	c, err := NewChannelCluster(procs, Config{
+		Env:      Env{WALDir: "/journals", WALFS: diskfault.NewMemFS()},
+		Recovery: RecoveryConfig{Factory: func(i int) dist.Process { return echoOnDeliverProc{newGatherProc(n, nil)} }},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,14 @@ func (c *Cluster) ReplayNodeForTest(i int) (dist.Process, *wal.Replayed, error) 
 }
 
 // RecoveryDirForTest exposes the configured WAL directory.
-func (c *Cluster) RecoveryDirForTest() string { return c.recovery.Dir }
+func (c *Cluster) RecoveryDirForTest() string { return c.cfg.WALDir }
 
 // NewRecordedChannelCluster is NewChannelCluster's reliable-link path with
 // every node's frame sender passed through wrap first, so a test can observe
-// (and judge) each frame at the moment it leaves its node. The options must
-// enable the reliable-link layer (WithRecovery does).
-func NewRecordedChannelCluster(procs []dist.Process, wrap func(i int, s rlink.Sender) rlink.Sender, opts ...Option) (*Cluster, error) {
-	c, err := newCluster(procs, opts...)
+// (and judge) each frame at the moment it leaves its node; the reliable-link
+// layer always runs.
+func NewRecordedChannelCluster(procs []dist.Process, wrap func(i int, s rlink.Sender) rlink.Sender, cfg Config) (*Cluster, error) {
+	c, err := newCluster(procs, cfg, TransportChannel)
 	if err != nil {
 		return nil, err
 	}

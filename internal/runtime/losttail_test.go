@@ -235,8 +235,10 @@ func runLostTail(t *testing.T, plans []runtime.RestartPlan) {
 		func(i int, s rlink.Sender) rlink.Sender {
 			return recordingSender{r: rec, from: dist.ProcID(i), inner: s}
 		},
-		runtime.WithRecovery(runtime.RecoveryConfig{Dir: dir, Factory: build, Inputs: fx.inputs, FS: mem}),
-		runtime.WithRestarts(plans...))
+		runtime.Config{
+			Env:      runtime.Env{WALDir: dir, WALFS: mem, Restarts: plans},
+			Recovery: runtime.RecoveryConfig{Factory: build, Inputs: fx.inputs},
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

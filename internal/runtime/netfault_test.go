@@ -30,7 +30,7 @@ func TestTCPClusterFlakyWire(t *testing.T) {
 	plan := netfault.Flaky()
 	plan.Seed = 21
 	plan.AfterBytes = 0 // no mercy for the handshakes either
-	c, err := NewTCPCluster(procs, WithNetFaults(plan), WithSizer(wire.MessageSize))
+	c, err := NewTCPCluster(procs, Config{Env: Env{NetFaults: &plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTCPClusterHostileWireTorture(t *testing.T) {
 	plan.AfterBytes = 0
 	plan.WindowBytes = 32
 	plan.FlipProb = 0.25
-	c, err := NewTCPCluster(procs, WithNetFaults(plan), WithSizer(wire.MessageSize))
+	c, err := NewTCPCluster(procs, Config{Env: Env{NetFaults: &plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTCPClusterHostileWireTorture(t *testing.T) {
 func TestCorruptHandshakeDoesNotResume(t *testing.T) {
 	const n = 2
 	procs, impl := newGatherProcs(n)
-	c, err := NewTCPCluster(procs)
+	c, err := NewTCPCluster(procs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,8 @@ func TestPeerHealthQuarantineStateMachine(t *testing.T) {
 // TestChannelClusterRejectsNetFaults: byte-stream faults need byte streams.
 func TestChannelClusterRejectsNetFaults(t *testing.T) {
 	procs, _ := newGatherProcs(2)
-	if _, err := NewChannelCluster(procs, WithNetFaults(netfault.Flaky())); err == nil {
-		t.Fatal("channel cluster accepted WithNetFaults")
+	flaky := netfault.Flaky()
+	if _, err := NewChannelCluster(procs, Config{Env: Env{NetFaults: &flaky}}); err == nil {
+		t.Fatal("channel cluster accepted NetFaults")
 	}
 }

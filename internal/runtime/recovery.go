@@ -27,12 +27,12 @@ var ErrRecovery = errors.New("runtime: crash recovery failed")
 // it is not reported as a recovery failure.
 var errRunStopped = errors.New("runtime: run stopped before relaunch")
 
-// RecoveryConfig enables the crash-recovery runtime: every process journals
-// its protocol history to a write-ahead log, and restart plans relaunch
-// killed nodes from those logs.
+// RecoveryConfig is the caller's half of crash recovery: with Env.WALDir
+// set, every process journals its protocol history to a write-ahead log, and
+// the restart plans of Env.Restarts relaunch killed nodes from those logs.
+// The journal settings themselves (WALDir, WALFS, Checkpoint, Durability) are
+// the environment's.
 type RecoveryConfig struct {
-	// Dir is the directory holding one WAL per process (see WALPath).
-	Dir string
 	// Factory builds a fresh, deterministic state machine for process i —
 	// identical to the one the cluster was constructed with. Replay drives
 	// the journaled delivery sequence through it to reconstruct pre-crash
@@ -41,22 +41,11 @@ type RecoveryConfig struct {
 	// Inputs, when non-nil, are journaled per process for audit; replay
 	// itself relies on Factory embedding the input deterministically.
 	Inputs []geom.Point
-	// FS is the filesystem the logs write through (nil = host). Wrapping it
-	// with a diskfault.FS injects storage faults under the journals.
-	FS wal.FS
-	// Checkpoint enables periodic snapshot + segment rotation of every log.
-	Checkpoint wal.CheckpointPolicy
 	// Mirror keeps each log's replayable state mirrored in memory even when
 	// no automatic checkpoint policy runs, so on-demand compaction
 	// (Cluster.CheckpointWALs — the resident engine's WAL retention horizon)
 	// can snapshot at any moment. Implied by the Degrade policy.
 	Mirror bool
-	// Durability decides what a node does when its log stops accepting
-	// writes: FailStop (default) or Degrade.
-	Durability DurabilityPolicy
-	// RearmMin/RearmMax bound the exponential backoff between degraded-mode
-	// re-arm attempts (defaults 1ms/250ms).
-	RearmMin, RearmMax time.Duration
 	// OnRelaunch, when non-nil, is called after a killed node's replayed
 	// incarnation has been swapped into the cluster but before its delivery
 	// loop starts. The resident engine uses it to reconcile the node's
@@ -74,18 +63,11 @@ type RecoveryConfig struct {
 	// incarnation ahead of the controls OnRelaunch re-enqueues, which the
 	// resident engine's id-ordered lifecycle watermark requires.
 	RelaunchGate sync.Locker
-}
 
-// WithRecovery enables WAL journaling and crash-recovery. It forces the
-// reliable-link layer: the durability contract (journal before output — no
-// ack, send or decision leaves a node ahead of the fsync covering what it
-// depends on) is enforced between the link delivery path and the node's
-// exits.
-func WithRecovery(cfg RecoveryConfig) Option {
-	return optionFunc(func(c *Cluster) {
-		c.recovery = &cfg
-		c.reliable = true
-	})
+	// rearmMin/rearmMax, set together and only by in-package tests, bound
+	// the exponential backoff between degraded-mode re-arm attempts
+	// (defaults 1ms/250ms).
+	rearmMin, rearmMax time.Duration
 }
 
 // RestartPlan schedules a crash-and-recover fault: the node is killed after
@@ -98,35 +80,21 @@ type RestartPlan struct {
 	Downtime       time.Duration
 }
 
-// WithRestarts schedules crash-restart faults. Requires WithRecovery.
-// Composable with WithChaos: chaos attacks the links while restarts attack
-// the nodes.
-func WithRestarts(plans ...RestartPlan) Option {
-	return optionFunc(func(c *Cluster) { c.restarts = append(c.restarts, plans...) })
-}
-
-// validateRecovery checks the recovery/restart configuration once all
-// options are applied, and arms the kill budget of each node's first
+// checkRecovery checks the recovery half of cfg against n processes, and
+// arms each planned node's crash budget with the kill budget of its first
 // restart plan.
-func (c *Cluster) validateRecovery() error {
-	if c.recovery != nil {
-		if c.recovery.Dir == "" || c.recovery.Factory == nil {
-			return errors.New("runtime: recovery needs a WAL directory and a process factory")
+func (cfg Config) checkRecovery(n int, budgets []int) error {
+	if cfg.WALDir != "" {
+		if cfg.Recovery.Factory == nil {
+			return errors.New("runtime: recovery needs a process factory")
 		}
-		if c.recovery.Inputs != nil && len(c.recovery.Inputs) != len(c.nodes) {
-			return fmt.Errorf("runtime: %d recovery inputs for %d processes",
-				len(c.recovery.Inputs), len(c.nodes))
+		if cfg.Recovery.Inputs != nil && len(cfg.Recovery.Inputs) != n {
+			return fmt.Errorf("runtime: %d recovery inputs for %d processes", len(cfg.Recovery.Inputs), n)
 		}
-	}
-	if len(c.restarts) == 0 {
-		return nil
-	}
-	if c.recovery == nil {
-		return errors.New("runtime: WithRestarts requires WithRecovery")
 	}
 	armed := make(map[dist.ProcID]bool)
-	for _, rp := range c.restarts {
-		if rp.Proc < 0 || int(rp.Proc) >= len(c.nodes) {
+	for _, rp := range cfg.Restarts {
+		if rp.Proc < 0 || int(rp.Proc) >= n {
 			return fmt.Errorf("runtime: restart plan for unknown process %d", rp.Proc)
 		}
 		if rp.KillAfterSends < 0 {
@@ -134,7 +102,7 @@ func (c *Cluster) validateRecovery() error {
 		}
 		if !armed[rp.Proc] {
 			armed[rp.Proc] = true
-			c.nodes[rp.Proc].budget.Store(int64(rp.KillAfterSends))
+			budgets[rp.Proc] = rp.KillAfterSends
 		}
 	}
 	return nil
@@ -462,11 +430,11 @@ func (c *Cluster) replayNode(i int) (proc dist.Process, cc *captureContext, rep 
 			err = fmt.Errorf("panic during replay: %v", p)
 		}
 	}()
-	rep, err = wal.ReplayWith(c.recovery.FS, WALPath(c.recovery.Dir, dist.ProcID(i)))
+	rep, err = wal.ReplayWith(c.cfg.WALFS, WALPath(c.cfg.WALDir, dist.ProcID(i)))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	proc = c.recovery.Factory(i)
+	proc = c.cfg.Recovery.Factory(i)
 	cc = &captureContext{id: dist.ProcID(i), n: len(c.nodes), sends: make([][]dist.Message, len(c.nodes))}
 	proc.Init(cc)
 	for _, m := range rep.Delivered {
@@ -523,7 +491,7 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 		recvNext[j] = rep.DeliveredFrom(dist.ProcID(j))
 	}
 
-	w, err := wal.OpenWith(WALPath(c.recovery.Dir, id), c.walOptions())
+	w, err := wal.OpenWith(WALPath(c.cfg.WALDir, id), c.walOptions())
 	if err != nil {
 		return err
 	}
@@ -545,7 +513,7 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 	// and the hook would reach the new incarnation ahead of earlier missed
 	// controls and the node's id-ordered watermark would drop those as
 	// duplicates.
-	gate := c.recovery.RelaunchGate
+	gate := c.cfg.Recovery.RelaunchGate
 	if gate != nil {
 		gate.Lock()
 	}
@@ -563,13 +531,13 @@ func (c *Cluster) relaunch(rs *runState, i int) error {
 	if n.tcp != nil {
 		n.tcp.ep.Store(inc.ep)
 	}
-	if c.recovery.OnRelaunch != nil {
+	if c.cfg.Recovery.OnRelaunch != nil {
 		// Before the delivery loop starts: the hook's control enqueues are
 		// journaled and queued on the fresh mailbox, so the incarnation
 		// processes them ahead of any live traffic. Frames for instances the
 		// node has not (re-)opened yet buffer inside the resident node until
 		// the re-enqueued opens are applied.
-		c.recovery.OnRelaunch(id)
+		c.cfg.Recovery.OnRelaunch(id)
 	}
 	if gate != nil {
 		// Released before Announce: handshake frames can block on TCP dials

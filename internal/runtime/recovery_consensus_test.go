@@ -38,8 +38,10 @@ func newCCFixture(t *testing.T, n, f int) *ccFixture {
 	return &ccFixture{params: params, inputs: inputs}
 }
 
-func (fx *ccFixture) factory(t *testing.T) func(i int) dist.Process {
-	return func(i int) dist.Process {
+// recovery is the caller's half of the fixture's crash recovery: a factory
+// that rebuilds process i from scratch, and the inputs to journal.
+func (fx *ccFixture) recovery(t *testing.T) runtime.RecoveryConfig {
+	factory := func(i int) dist.Process {
 		p, err := core.NewProcess(fx.params, dist.ProcID(i), fx.inputs[i])
 		if err != nil {
 			t.Errorf("factory(%d): %v", i, err)
@@ -47,6 +49,7 @@ func (fx *ccFixture) factory(t *testing.T) func(i int) dist.Process {
 		}
 		return p
 	}
+	return runtime.RecoveryConfig{Factory: factory, Inputs: fx.inputs}
 }
 
 func (fx *ccFixture) procs(t *testing.T) []dist.Process {
@@ -101,11 +104,10 @@ func testWALReplayByteIdentical(t *testing.T, ckptEveryBytes int64) {
 	fx := newCCFixture(t, 5, 1)
 	procs := fx.procs(t)
 	dir := t.TempDir()
-	c, err := runtime.NewChannelCluster(procs,
-		runtime.WithRecovery(runtime.RecoveryConfig{
-			Dir: dir, Factory: fx.factory(t), Inputs: fx.inputs,
-			Checkpoint: wal.CheckpointPolicy{EveryBytes: ckptEveryBytes},
-		}))
+	c, err := runtime.NewChannelCluster(procs, runtime.Config{
+		Env:      runtime.Env{WALDir: dir, Checkpoint: wal.CheckpointPolicy{EveryBytes: ckptEveryBytes}},
+		Recovery: fx.recovery(t),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +159,13 @@ func testWALReplayByteIdentical(t *testing.T, ckptEveryBytes int64) {
 // runRecoveryConsensus runs one CC instance with the given restart schedule
 // and asserts that every process — including the restarted ones — decides,
 // and that all decisions agree.
-func runRecoveryConsensus(t *testing.T, fx *ccFixture, mk func([]dist.Process, ...runtime.Option) (*runtime.Cluster, error), plans []runtime.RestartPlan) *runtime.Cluster {
+func runRecoveryConsensus(t *testing.T, fx *ccFixture, mk func([]dist.Process, runtime.Config) (*runtime.Cluster, error), plans []runtime.RestartPlan) *runtime.Cluster {
 	t.Helper()
 	procs := fx.procs(t)
-	c, err := mk(procs,
-		runtime.WithRecovery(runtime.RecoveryConfig{Dir: t.TempDir(), Factory: fx.factory(t), Inputs: fx.inputs}),
-		runtime.WithRestarts(plans...))
+	c, err := mk(procs, runtime.Config{
+		Env:      runtime.Env{WALDir: t.TempDir(), Restarts: plans},
+		Recovery: fx.recovery(t),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +268,15 @@ func TestTCPClusterRestartRecovery(t *testing.T) {
 func TestRestartWithChaos(t *testing.T) {
 	fx := newCCFixture(t, 5, 1)
 	procs := fx.procs(t)
-	c, err := runtime.NewChannelCluster(procs,
-		runtime.WithChaos(chaos.Light(), 7),
-		runtime.WithRecovery(runtime.RecoveryConfig{Dir: t.TempDir(), Factory: fx.factory(t), Inputs: fx.inputs}),
-		runtime.WithRestarts(runtime.RestartPlan{Proc: 2, KillAfterSends: 8, Downtime: 10 * time.Millisecond}))
+	light := chaos.Light()
+	c, err := runtime.NewChannelCluster(procs, runtime.Config{
+		Env: runtime.Env{
+			Chaos: &light, ChaosSeed: 7,
+			WALDir:   t.TempDir(),
+			Restarts: []runtime.RestartPlan{{Proc: 2, KillAfterSends: 8, Downtime: 10 * time.Millisecond}},
+		},
+		Recovery: fx.recovery(t),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +297,7 @@ func TestReplayIsRepeatable(t *testing.T) {
 	fx := newCCFixture(t, 5, 1)
 	procs := fx.procs(t)
 	dir := t.TempDir()
-	c, err := runtime.NewChannelCluster(procs,
-		runtime.WithRecovery(runtime.RecoveryConfig{Dir: dir, Factory: fx.factory(t), Inputs: fx.inputs}))
+	c, err := runtime.NewChannelCluster(procs, runtime.Config{Env: runtime.Env{WALDir: dir}, Recovery: fx.recovery(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +344,10 @@ func TestStatsMonotoneAcrossRelaunch(t *testing.T) {
 			plans = append(plans, runtime.RestartPlan{Proc: dist.ProcID(proc), KillAfterSends: 3 + 2*proc + k})
 		}
 	}
-	c, err := runtime.NewChannelCluster(fx.procs(t),
-		runtime.WithRecovery(runtime.RecoveryConfig{Dir: t.TempDir(), Factory: fx.factory(t), Inputs: fx.inputs}),
-		runtime.WithRestarts(plans...))
+	c, err := runtime.NewChannelCluster(fx.procs(t), runtime.Config{
+		Env:      runtime.Env{WALDir: t.TempDir(), Restarts: plans},
+		Recovery: fx.recovery(t),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

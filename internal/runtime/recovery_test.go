@@ -118,12 +118,13 @@ func TestRecoveryPanicIsDistinctError(t *testing.T) {
 	// recovery machinery must catch it), never in the live delivery loop.
 	// Its quorum is unreachable so it cannot decide before the crash fires.
 	procs[0] = echoOnDeliverProc{newGatherProc(n+1, nil)}
-	c, err := NewChannelCluster(procs,
-		WithRecovery(RecoveryConfig{
-			Dir:     t.TempDir(),
-			Factory: func(int) dist.Process { return panicOnReplayProc{} },
-		}),
-		WithRestarts(RestartPlan{Proc: 0, KillAfterSends: n, Downtime: time.Millisecond}))
+	c, err := NewChannelCluster(procs, Config{
+		Env: Env{
+			WALDir:   t.TempDir(),
+			Restarts: []RestartPlan{{Proc: 0, KillAfterSends: n, Downtime: time.Millisecond}},
+		},
+		Recovery: RecoveryConfig{Factory: func(int) dist.Process { return panicOnReplayProc{} }},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestTimeoutReportsPartialStats(t *testing.T) {
 	for i := range procs {
 		procs[i] = newGatherProc(n+1, nil) // unreachable quorum: never done
 	}
-	c, err := NewChannelCluster(procs)
+	c, err := NewChannelCluster(procs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,26 +160,27 @@ func TestTimeoutReportsPartialStats(t *testing.T) {
 
 func TestRecoveryValidation(t *testing.T) {
 	procs := []dist.Process{newGatherProc(1, nil), newGatherProc(1, nil)}
-	if _, err := NewChannelCluster(procs,
-		WithRestarts(RestartPlan{Proc: 0, KillAfterSends: 1})); err == nil {
-		t.Error("restarts without recovery should error")
+	restarts := func(plans ...RestartPlan) Config {
+		return Config{
+			Env:      Env{WALDir: t.TempDir(), Restarts: plans},
+			Recovery: RecoveryConfig{Factory: func(int) dist.Process { return nil }},
+		}
 	}
-	cfg := RecoveryConfig{Dir: t.TempDir(), Factory: func(int) dist.Process { return nil }}
-	if _, err := NewChannelCluster(procs, WithRecovery(cfg),
-		WithRestarts(RestartPlan{Proc: 9, KillAfterSends: 1})); err == nil {
+	if _, err := NewChannelCluster(procs, Config{Env: Env{Restarts: []RestartPlan{{Proc: 0, KillAfterSends: 1}}}}); err == nil {
+		t.Error("restarts without a WAL should error")
+	}
+	if _, err := NewChannelCluster(procs, restarts(RestartPlan{Proc: 9, KillAfterSends: 1})); err == nil {
 		t.Error("restart plan for unknown process should error")
 	}
-	if _, err := NewChannelCluster(procs, WithRecovery(cfg),
-		WithRestarts(RestartPlan{Proc: 0, KillAfterSends: -1})); err == nil {
+	if _, err := NewChannelCluster(procs, restarts(RestartPlan{Proc: 0, KillAfterSends: -1})); err == nil {
 		t.Error("negative kill budget should error")
 	}
-	if _, err := NewChannelCluster(procs,
-		WithRecovery(RecoveryConfig{Dir: t.TempDir()})); err == nil {
+	if _, err := NewChannelCluster(procs, Config{Env: Env{WALDir: t.TempDir()}}); err == nil {
 		t.Error("recovery without factory should error")
 	}
-	bad := RecoveryConfig{Dir: t.TempDir(), Factory: func(int) dist.Process { return nil },
-		Inputs: []geom.Point{geom.NewPoint(1)}}
-	if _, err := NewChannelCluster(procs, WithRecovery(bad)); err == nil {
+	bad := restarts()
+	bad.Recovery.Inputs = []geom.Point{geom.NewPoint(1)}
+	if _, err := NewChannelCluster(procs, bad); err == nil {
 		t.Error("input-count mismatch should error")
 	}
 }

@@ -89,9 +89,9 @@ const (
 // bytes on a healthy connection, but a broken and redialed connection can
 // lose frames in flight, so sequence numbers, acks and retransmission are
 // what actually uphold the exactly-once FIFO contract (and they absorb any
-// chaos faults injected with WithChaos).
-func NewTCPCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
-	c, err := listenTCP(procs, opts...)
+// chaos faults Env.Chaos injects).
+func NewTCPCluster(procs []dist.Process, cfg Config) (*Cluster, error) {
+	c, err := listenTCP(procs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -103,22 +103,26 @@ func NewTCPCluster(procs []dist.Process, opts ...Option) (*Cluster, error) {
 
 // listenTCP builds a TCP cluster up to the point where every node listens
 // and accepts but none has dialed.
-func listenTCP(procs []dist.Process, opts ...Option) (*Cluster, error) {
-	c, err := newCluster(procs, opts...)
+func listenTCP(procs []dist.Process, cfg Config) (*Cluster, error) {
+	c, err := newCluster(procs, cfg, TransportTCP)
 	if err != nil {
 		return nil, err
 	}
 	// One shared fault injector serves the whole mesh, so per-link byte
 	// offsets survive reconnects and the corruption schedule is a pure
 	// function of the plan seed.
-	if c.netPlan != nil {
-		c.nfault = netfault.New(*c.netPlan)
+	if cfg.hasNetFaults() {
+		c.nfault = netfault.New(*cfg.NetFaults)
 	}
 	// Likewise one shared WAN conn shaper: link delay/bandwidth clocks are
 	// keyed by link label, so a redialed connection resumes shaping where
 	// the old one left off.
 	if c.wanModel != nil {
 		c.wanInj = wan.NewInjector(c.wanModel)
+	}
+	var wireCfg WireConfig
+	if cfg.Wire != nil {
+		wireCfg = *cfg.Wire
 	}
 	addrs := make([]string, len(procs)) // shared by every transport; filled as the listeners come up
 	for i, n := range c.nodes {
@@ -128,7 +132,7 @@ func listenTCP(procs []dist.Process, opts ...Option) (*Cluster, error) {
 			return nil, fmt.Errorf("runtime: listen for node %d: %w", i, err)
 		}
 		addrs[i] = ln.Addr().String()
-		n.tcp = newTCPTransport(n.id, ln, addrs, c.wireCfg, c.nfault, c.wanInj, "")
+		n.tcp = newTCPTransport(n.id, ln, addrs, wireCfg, c.nfault, c.wanInj, "")
 	}
 	// Install the rlink/chaos stack before any reader goroutine exists.
 	for i, proc := range procs {

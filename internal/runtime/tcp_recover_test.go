@@ -77,7 +77,7 @@ func TestTCPClusterRecoversFromKilledConnections(t *testing.T) {
 		impl[i] = newRoundProc(n, rounds)
 		procs[i] = impl[i]
 	}
-	c, err := NewTCPCluster(procs)
+	c, err := NewTCPCluster(procs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTCPClusterChaos(t *testing.T) {
 		impl[i] = newGatherProc(n, nil)
 		procs[i] = impl[i]
 	}
-	c, err := NewTCPCluster(procs, WithChaos(chaos.Profile{Drop: 0.25, Dup: 0.1}, 3))
+	c, err := NewTCPCluster(procs, Config{Env: Env{Chaos: &chaos.Profile{Drop: 0.25, Dup: 0.1}, ChaosSeed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +148,10 @@ func TestTCPClusterChaos(t *testing.T) {
 func TestTCPClusterDialFailureReleasesEverything(t *testing.T) {
 	const n = 3
 	procs, _ := newGatherProcs(n)
-	c, err := listenTCP(procs, WithRecovery(RecoveryConfig{
-		Dir:     t.TempDir(),
-		Factory: func(int) dist.Process { return newGatherProc(n, nil) },
-	}))
+	c, err := listenTCP(procs, Config{
+		Env:      Env{WALDir: t.TempDir()},
+		Recovery: RecoveryConfig{Factory: func(int) dist.Process { return newGatherProc(n, nil) }},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,15 @@ import (
 
 	"chc/internal/chaos"
 	"chc/internal/wan"
-	"chc/internal/wire"
 )
 
-func wanPlan(t *testing.T, spec string) wan.Plan {
+func wanPlan(t *testing.T, spec string) *wan.Plan {
 	t.Helper()
 	p, err := wan.ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return &p
 }
 
 // TestChannelClusterWANShaping runs a gather under a scaled 3-region model:
@@ -24,9 +23,7 @@ func wanPlan(t *testing.T, spec string) wan.Plan {
 func TestChannelClusterWANShaping(t *testing.T) {
 	const n = 6
 	procs, impl := newGatherProcs(n)
-	c, err := NewChannelCluster(procs,
-		WithWAN(wanPlan(t, "3-regions,delay=0.02,tail=0.1"), 7),
-		WithSizer(wire.MessageSize))
+	c, err := NewChannelCluster(procs, Config{Env: Env{WAN: wanPlan(t, "3-regions,delay=0.02,tail=0.1"), WANSeed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +53,10 @@ func TestChannelClusterWANShaping(t *testing.T) {
 func TestChannelClusterWANWithChaos(t *testing.T) {
 	const n = 5
 	procs, impl := newGatherProcs(n)
-	c, err := NewChannelCluster(procs,
-		WithWAN(wanPlan(t, "clos,delay=0.5"), 3),
-		WithChaos(chaos.Profile{Drop: 0.2, Dup: 0.1}, 11))
+	c, err := NewChannelCluster(procs, Config{Env: Env{
+		WAN: wanPlan(t, "clos,delay=0.5"), WANSeed: 3,
+		Chaos: &chaos.Profile{Drop: 0.2, Dup: 0.1}, ChaosSeed: 11,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestChannelClusterWANWithChaos(t *testing.T) {
 func TestTCPClusterWANShaping(t *testing.T) {
 	const n = 4
 	procs, impl := newGatherProcs(n)
-	c, err := NewTCPCluster(procs, WithWAN(wanPlan(t, "us-eu-ap,delay=0.01"), 5))
+	c, err := NewTCPCluster(procs, Config{Env: Env{WAN: wanPlan(t, "us-eu-ap,delay=0.01"), WANSeed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +111,7 @@ func TestTCPClusterWANShaping(t *testing.T) {
 func TestTCPClusterWANAsymmetricCut(t *testing.T) {
 	const n = 4
 	procs, impl := newGatherProcs(n)
-	c, err := NewTCPCluster(procs,
-		WithWAN(wanPlan(t, "3-regions,regions=2,delay=0.01,cut=r0->r1@0ms-300ms"), 5))
+	c, err := NewTCPCluster(procs, Config{Env: Env{WAN: wanPlan(t, "3-regions,regions=2,delay=0.01,cut=r0->r1@0ms-300ms"), WANSeed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,24 @@ import (
 	"chc/internal/wan"
 )
 
-// TestEnvDeclaredOnce walks the five configuration structs of the stack and
-// fails if one of them declares a field of its own that engine.Env already
+// TestEnvDeclaredOnce walks the configuration structs of the stack and
+// fails if one of them declares a field of its own that runtime.Env already
 // holds: the environment is embedded, never copied, so a layer cannot fall
-// out of step with the one below it.
+// out of step with the one below it. The runtime's RecoveryConfig does not
+// embed it — it is the caller's half of recovery beside the Env — but must
+// not restate any of it either.
 func TestEnvDeclaredOnce(t *testing.T) {
-	envType := reflect.TypeOf(engine.Env{})
-	for _, cfg := range []any{
-		engine.Options{}, engine.ResidentOptions{},
-		multiplex.BatchConfig{}, multiplex.SessionConfig{},
-		Config{},
+	envType := reflect.TypeOf(runtime.Env{})
+	for _, cfg := range []struct {
+		v     any
+		embed bool
+	}{
+		{engine.Options{}, true}, {engine.ResidentOptions{}, true},
+		{multiplex.BatchConfig{}, true}, {multiplex.SessionConfig{}, true},
+		{Config{}, true}, {runtime.Config{}, true},
+		{runtime.RecoveryConfig{}, false},
 	} {
-		typ := reflect.TypeOf(cfg)
+		typ := reflect.TypeOf(cfg.v)
 		embedded := false
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
@@ -35,11 +41,11 @@ func TestEnvDeclaredOnce(t *testing.T) {
 				continue
 			}
 			if _, dup := envType.FieldByName(f.Name); dup {
-				t.Errorf("%v declares %s itself; it belongs to engine.Env only", typ, f.Name)
+				t.Errorf("%v declares %s itself; it belongs to runtime.Env only", typ, f.Name)
 			}
 		}
-		if !embedded {
-			t.Errorf("%v does not embed engine.Env", typ)
+		if embedded != cfg.embed {
+			t.Errorf("%v embeds runtime.Env: %v, want %v", typ, embedded, cfg.embed)
 		}
 	}
 }
@@ -54,7 +60,7 @@ func TestEnvForwardedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := engine.Env{
+	env := runtime.Env{
 		Chaos: &light, ChaosSeed: 3,
 		NetFaults: &netfault.Plan{StallProb: 0.01, StallMax: 200 * time.Microsecond, Seed: 5},
 		Wire:      &runtime.WireConfig{Compress: true},

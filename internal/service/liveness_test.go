@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"chc/internal/dist"
-	"chc/internal/engine"
+	"chc/internal/runtime"
 	"chc/internal/telemetry"
 )
 
@@ -81,7 +81,7 @@ func TestServiceDeadlineLeavesFastInstancesAlone(t *testing.T) {
 // TestServiceWALRetire drives more retirements than the retention horizon and
 // checks the engine checkpointed (and so compacted) the journals on the way.
 func TestServiceWALRetire(t *testing.T) {
-	s, err := New(Config{N: 4, Env: engine.Env{WALDir: t.TempDir()}, WALRetire: 2})
+	s, err := New(Config{N: 4, Env: runtime.Env{WALDir: t.TempDir()}, WALRetire: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/multiplex"
+	"chc/internal/runtime"
 )
 
 // Admission errors. The HTTP layer maps ErrOverloaded to 429 and
@@ -49,7 +50,7 @@ type Config struct {
 
 	// Env is the cluster environment, forwarded whole to the resident
 	// session.
-	engine.Env
+	runtime.Env
 
 	// WALRetire is the WAL retention horizon: after every WALRetire retired
 	// instances the engine checkpoints and compacts each node's journal, so

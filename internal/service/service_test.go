@@ -17,6 +17,7 @@ import (
 	"chc/internal/engine"
 	"chc/internal/geom"
 	"chc/internal/multiplex"
+	"chc/internal/runtime"
 )
 
 // testInstance builds one valid CC instance for n processes.
@@ -101,7 +102,7 @@ func slowService(t *testing.T, n, maxActive, maxQueue int, minDelay time.Duratio
 		N:         n,
 		MaxActive: maxActive,
 		MaxQueue:  maxQueue,
-		Env: engine.Env{
+		Env: runtime.Env{
 			Chaos:     &chaos.Profile{DelayMin: minDelay, DelayMax: minDelay + 50*time.Millisecond},
 			ChaosSeed: 11,
 		},

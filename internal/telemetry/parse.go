@@ -18,8 +18,9 @@ type TextSample struct {
 
 // ParseText is a strict parser for the subset of the Prometheus text format
 // that WriteText emits. It exists so the exposition tests and the fuzz
-// target can verify round-trips without external dependencies, and so the
-// examples can read values back off a live /metrics endpoint.
+// target can verify round-trips without external dependencies, and so
+// chcsoak can read a remote daemon's histograms back off its /metrics
+// endpoint.
 func ParseText(r io.Reader) ([]TextSample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

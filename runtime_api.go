@@ -72,7 +72,7 @@ type NetworkOption func(*networkOptions)
 // networkOptions is the environment the options assemble (validated by the
 // engine), plus the crash-recovery conversion RunNetworked applies itself.
 type networkOptions struct {
-	env         engine.Env
+	env         runtime.Env
 	recover     bool
 	recoverWait time.Duration
 }
