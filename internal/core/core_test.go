@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -106,41 +105,6 @@ func TestInitialPolytopeTooFewInputs(t *testing.T) {
 	p := baseParams(5, 1, 2)
 	if _, err := InitialPolytope(p, []geom.Point{pt(0, 0)}); err == nil {
 		t.Error("too few inputs should error")
-	}
-}
-
-func TestSubsetsExcludingF(t *testing.T) {
-	got := subsetsExcludingF(4, 2)
-	if len(got) != 6 { // C(4,2)
-		t.Fatalf("got %d subsets, want 6", len(got))
-	}
-	seen := make(map[string]bool)
-	for _, mask := range got {
-		if len(mask) != 4 {
-			t.Fatalf("mask has length %d, want 4", len(mask))
-		}
-		excluded := 0
-		for _, b := range mask {
-			if b {
-				excluded++
-			}
-		}
-		if excluded != 2 {
-			t.Fatalf("mask %v excludes %d indices, want 2", mask, excluded)
-		}
-		seen[fmt.Sprint(mask)] = true
-	}
-	if len(seen) != 6 {
-		t.Fatalf("masks are not distinct: %d unique of 6", len(seen))
-	}
-	got = subsetsExcludingF(3, 0)
-	if len(got) != 1 {
-		t.Fatalf("f=0 should yield one exclusion mask")
-	}
-	for _, b := range got[0] {
-		if b {
-			t.Fatalf("f=0 mask should exclude nothing, got %v", got[0])
-		}
 	}
 }
 

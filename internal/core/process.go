@@ -241,7 +241,7 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 	for k, e := range entries {
 		xi[k] = e.Value
 	}
-	h0, err := InitialPolytope(p.params, xi)
+	h0, err := initialPolytope(p.params, xi)
 	if err != nil {
 		p.failure = fmt.Errorf("core: process %d round 0: %w", p.id, err)
 		return
@@ -374,83 +374,26 @@ func (p *Process) emitRoundState(round int, verts []geom.Point) {
 // trace events (the engine calls it when building multi-instance nodes).
 func (p *Process) SetTraceInstance(k int) { p.traceInstance = k }
 
+// initialPolytope is the round-0 construction a process runs. It is a
+// variable only so that a test can make round 0 fail.
+var initialPolytope = InitialPolytope
+
 // InitialPolytope computes h_i[0] from the multiset X_i (line 5). Under the
-// incorrect-inputs model it intersects the hulls of all (|X|-f)-subsets;
-// under the correct-inputs model it is simply H(X_i).
+// incorrect-inputs model it is the intersection of the hulls of all
+// (|X|-f)-subsets, built as one depth region (polytope.DepthRegion); under
+// the correct-inputs model it is simply H(X_i).
 func InitialPolytope(params Params, xi []geom.Point) (*polytope.Polytope, error) {
 	params = params.withDefaults()
 	if len(xi) < params.N-params.F {
 		return nil, fmt.Errorf("core: |X_i| = %d < n-f = %d", len(xi), params.N-params.F)
 	}
-	if params.Model == CorrectInputs || params.F == 0 {
-		return polytope.New(xi, params.GeomEps)
+	f := params.F
+	if params.Model == CorrectInputs {
+		f = 0
 	}
-	// The C(|X|, f) subset hulls, in lexicographic subset order. Each subset
-	// gets a fresh slice because polytope.New may keep it.
-	subsets := subsetsExcludingF(len(xi), params.F)
-	polys := make([]*polytope.Polytope, len(subsets))
-	for s, excluded := range subsets {
-		sub := make([]geom.Point, 0, len(xi)-params.F)
-		for k, x := range xi {
-			if !excluded[k] {
-				sub = append(sub, x)
-			}
-		}
-		poly, err := polytope.New(sub, params.GeomEps)
-		if err != nil {
-			return nil, err
-		}
-		polys[s] = poly
-	}
-	inter, err := polytope.Intersect(polys, params.GeomEps)
+	inter, err := polytope.DepthRegion(xi, f, params.GeomEps)
 	if err != nil {
 		return nil, fmt.Errorf("round-0 intersection (Tverberg guarantees non-empty when n >= (d+2)f+1): %w", err)
 	}
 	return inter, nil
-}
-
-// subsetsExcludingF enumerates all ways to exclude exactly f of k indices,
-// returned as length-k membership masks of the excluded set, all backed by
-// one flat allocation.
-func subsetsExcludingF(k, f int) [][]bool {
-	if f <= 0 {
-		return [][]bool{make([]bool, k)}
-	}
-	count := 1 // C(k, f), exact via incremental products
-	for i := 0; i < f; i++ {
-		count = count * (k - i) / (i + 1)
-	}
-	flat := make([]bool, count*k)
-	out := make([][]bool, count)
-	idx := make([]int, f)
-	for i := range idx {
-		idx[i] = i
-	}
-	for c := 0; c < count; c++ {
-		m := flat[c*k : (c+1)*k : (c+1)*k]
-		for _, i := range idx {
-			m[i] = true
-		}
-		out[c] = m
-		nextCombination(idx, k)
-	}
-	return out
-}
-
-// nextCombination advances idx to the next f-subset of {0..k-1} in
-// lexicographic order, reporting false after the last one.
-func nextCombination(idx []int, k int) bool {
-	f := len(idx)
-	i := f - 1
-	for i >= 0 && idx[i] == k-f+i {
-		i--
-	}
-	if i < 0 {
-		return false
-	}
-	idx[i]++
-	for j := i + 1; j < f; j++ {
-		idx[j] = idx[j-1] + 1
-	}
-	return true
 }

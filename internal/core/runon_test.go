@@ -14,20 +14,19 @@ import (
 // TestRunOnFailureIsNotACrash: a process that ends in failure is Done for the
 // engine, and on every transport it must surface as the run's error beside
 // the partial result — not be filed under Crashed with a nil error, which is
-// what the networked collection loops did. p4 crashes before sending, so all
-// four survivors share the view of inputs 0..3, one of the n=5, f=1, d=2
-// four-input views whose subset-hull intersection is a single Radon point and
-// comes back numerically empty (ROADMAP item 1; when that is fixed this test
-// needs another way to make round 0 fail).
+// what the networked collection loops did. p4 crashes before sending, and
+// round 0 is swapped for one that always fails, so every survivor ends in
+// failure rather than a decision.
 func TestRunOnFailureIsNotACrash(t *testing.T) {
+	defer func(orig func(Params, []geom.Point) (*polytope.Polytope, error)) { initialPolytope = orig }(initialPolytope)
+	initialPolytope = func(Params, []geom.Point) (*polytope.Polytope, error) {
+		return nil, polytope.ErrEmpty
+	}
 	cfg := RunConfig{
 		Params: Params{N: 5, F: 1, D: 2, Epsilon: 0.5, InputLower: 0, InputUpper: 10},
 		Inputs: []geom.Point{
-			geom.NewPoint(1.2983827295092145, 1.2901973285201658),
-			geom.NewPoint(1.8311411133342546, 5.352478036579357),
-			geom.NewPoint(9.742720997428759, 2.770024972298372),
-			geom.NewPoint(1.7459162211869348, 6.684171551866954),
-			geom.NewPoint(5, 5),
+			geom.NewPoint(1, 1), geom.NewPoint(9, 1), geom.NewPoint(9, 9),
+			geom.NewPoint(1, 9), geom.NewPoint(5, 5),
 		},
 		Faulty:  []dist.ProcID{4},
 		Crashes: []dist.CrashPlan{{Proc: 4, AfterSends: 0}},

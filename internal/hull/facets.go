@@ -133,22 +133,44 @@ func (s *facetScratch) prepare(d int) {
 	s.minor = geom.NewMatrix(d-1, d-1)
 }
 
-// bruteForceFacets enumerates facets of a full-dimensional hull in d >= 3 by
-// testing the hyperplane through every d-subset of vertices, visited in
-// lexicographic order and deduplicated as they come. This is O(C(k,d) * k) —
+// bruteForceFacets enumerates facets of a full-dimensional hull in d >= 3:
+// the depth-0 case of DepthFacets, where a facet is a hyperplane through d
+// vertices with no vertex strictly outside. This is O(C(k,d) * k) —
 // perfectly fine for the tens-of-vertices hulls this library handles, and
 // robust against the coplanarity degeneracies that break incremental
 // algorithms.
 func bruteForceFacets(verts []geom.Point, eps float64) ([]Facet, error) {
 	d := verts[0].Dim()
-	k := len(verts)
-	if k < d+1 {
-		return nil, fmt.Errorf("hull: %d vertices cannot span a full-dimensional polytope in %d-D", k, d)
+	if len(verts) < d+1 {
+		return nil, fmt.Errorf("hull: %d vertices cannot span a full-dimensional polytope in %d-D", len(verts), d)
 	}
-	// The tolerance used to decide "all points on one side" scales with the
-	// data magnitude so large coordinates do not break the predicate.
+	facets := DepthFacets(verts, 0, eps)
+	if len(facets) < d+1 {
+		return nil, fmt.Errorf("hull: facet enumeration found only %d facets in %d-D (degenerate input?)", len(facets), d)
+	}
+	return facets, nil
+}
+
+// DepthFacets returns the closed halfspaces bounded by a hyperplane through
+// d affinely independent points of pts (d >= 2) that have at most f points
+// strictly outside, deduplicated. When pts spans R^d their intersection is
+// the Tukey depth region of depth f+1, ∩ H(C) over the (|pts|−f)-subsets C
+// of pts (line 5 of Algorithm CC); with f = 0 they are the facets of H(pts). When both sides
+// of a hyperplane qualify, both orientations are returned. The d-subsets are
+// visited in lexicographic order, so the result is a deterministic function
+// of pts. "Strictly outside" means beyond a tolerance of 10·eps times the
+// data magnitude, so large coordinates do not break the predicate.
+func DepthFacets(pts []geom.Point, f int, eps float64) []Facet {
+	if len(pts) == 0 {
+		return nil
+	}
+	d := pts[0].Dim()
+	k := len(pts)
+	if d < 2 || k < d {
+		return nil
+	}
 	scale := 1.0
-	for _, v := range verts {
+	for _, v := range pts {
 		if m := v.NormInf(); m > scale {
 			scale = m
 		}
@@ -163,14 +185,9 @@ func bruteForceFacets(verts []geom.Point, eps float64) ([]Facet, error) {
 		idx[i] = i
 	}
 	for ok := true; ok; ok = nextCombination(idx, k) {
-		if f := facetCandidate(verts, idx, s, tol, eps); f.Normal != nil {
-			addFacetDedup(&facets, f, tol)
-		}
+		s.addDepthFacets(&facets, pts, idx, f, tol, eps)
 	}
-	if len(facets) < d+1 {
-		return nil, fmt.Errorf("hull: facet enumeration found only %d facets in %d-D (degenerate input?)", len(facets), d)
-	}
-	return facets, nil
+	return facets
 }
 
 // nextCombination advances idx to the next d-subset of {0..k-1} in
@@ -191,17 +208,16 @@ func nextCombination(idx []int, k int) bool {
 	return true
 }
 
-// facetCandidate computes the supported facet through verts[idx...], or a
-// zero Facet (nil Normal) when the subset is degenerate or not supporting.
-// All scratch comes from s; the returned Normal (if any) is freshly
-// allocated. The arithmetic mirrors the historical sequential code exactly,
-// so results are bitwise-identical.
-func facetCandidate(verts []geom.Point, idx []int, s *facetScratch, tol, eps float64) Facet {
-	d := verts[0].Dim()
+// addDepthFacets adds to facets each orientation of the hyperplane through
+// pts[idx...] that has at most f points beyond tol on its outer side, and
+// nothing when the subset does not span a hyperplane. All scratch comes
+// from s; each added Normal is freshly allocated.
+func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []int, f int, tol, eps float64) {
+	d := pts[0].Dim()
 	s.prepare(d)
-	base := verts[idx[0]]
+	base := pts[idx[0]]
 	for i := 1; i < d; i++ {
-		vi := verts[idx[i]]
+		vi := pts[idx[i]]
 		e := s.edges[i-1]
 		for c := range e {
 			e[c] = vi[c] - base[c]
@@ -209,38 +225,40 @@ func facetCandidate(verts []geom.Point, idx []int, s *facetScratch, tol, eps flo
 	}
 	n := s.n
 	if !generalizedCrossInto(n, s.edges, s.minor, &s.ds, eps) {
-		return Facet{}
+		return
 	}
 	l := n.Norm()
 	if l <= eps {
-		return Facet{}
+		return
 	}
 	inv := 1 / l
 	for c := range n {
 		n[c] *= inv
 	}
 	b := n.Dot(base)
-	// Orientation and support check in one pass.
+	// Points beyond the hyperplane on each side, in one pass.
 	pos, neg := 0, 0
-	for _, v := range verts {
+	for _, v := range pts {
 		switch e := n.Dot(v) - b; {
 		case e > tol:
 			pos++
 		case e < -tol:
 			neg++
 		}
-		if pos > 0 && neg > 0 {
-			return Facet{}
+		if pos > f && neg > f {
+			return
 		}
 	}
-	out := n.Clone()
-	if pos > 0 { // flip so all points satisfy n·x <= b
+	if pos <= f {
+		addFacetDedup(facets, Facet{Normal: n.Clone(), Offset: b}, tol)
+	}
+	if neg <= f { // the opposite orientation: -n·x <= -b
+		out := n.Clone()
 		for c := range out {
 			out[c] = -out[c]
 		}
-		b = -b
+		addFacetDedup(facets, Facet{Normal: out, Offset: -b}, tol)
 	}
-	return Facet{Normal: out, Offset: b}
 }
 
 // addFacetDedup appends f unless an equivalent facet is already present.

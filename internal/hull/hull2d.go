@@ -13,6 +13,15 @@ func cross(a, b, c geom.Point) float64 {
 	return (b[0]-a[0])*(c[1]-a[1]) - (b[1]-a[1])*(c[0]-a[0])
 }
 
+// leftOf reports whether b lies more than eps to the left of the line from a
+// to c, so that a, b, c turn counter-clockwise by more than the tolerance.
+// The test is a distance, not the area cross(a, b, c): an area threshold
+// flattens every corner of a polygon a few 1e-5 across, and the vertex it
+// drops can lie a fifth of the polygon's width from the chord that remains.
+func leftOf(a, b, c geom.Point, eps float64) bool {
+	return cross(a, b, c) > eps*geom.Dist(a, c)
+}
+
 // MonotoneChain computes the convex hull of 2-D points using Andrew's
 // monotone chain, returning vertices in counter-clockwise order. Collinear
 // boundary points are dropped (only true vertices are kept). The input is
@@ -38,7 +47,7 @@ func MonotoneChain(pts []geom.Point, eps float64) []geom.Point {
 	hullPts := make([]geom.Point, 0, 2*n)
 	// Lower hull.
 	for _, p := range sorted {
-		for len(hullPts) >= 2 && cross(hullPts[len(hullPts)-2], hullPts[len(hullPts)-1], p) <= eps {
+		for len(hullPts) >= 2 && !leftOf(hullPts[len(hullPts)-2], hullPts[len(hullPts)-1], p, eps) {
 			hullPts = hullPts[:len(hullPts)-1]
 		}
 		hullPts = append(hullPts, p)
@@ -47,7 +56,7 @@ func MonotoneChain(pts []geom.Point, eps float64) []geom.Point {
 	lower := len(hullPts) + 1
 	for i := n - 2; i >= 0; i-- {
 		p := sorted[i]
-		for len(hullPts) >= lower && cross(hullPts[len(hullPts)-2], hullPts[len(hullPts)-1], p) <= eps {
+		for len(hullPts) >= lower && !leftOf(hullPts[len(hullPts)-2], hullPts[len(hullPts)-1], p, eps) {
 			hullPts = hullPts[:len(hullPts)-1]
 		}
 		hullPts = append(hullPts, p)
@@ -107,12 +116,21 @@ func ClipPolygonHalfplane(poly []geom.Point, normal geom.Point, offset, eps floa
 			dn := normal.Dot(next) - offset
 			denom := dc - dn
 			if math.Abs(denom) > eps*eps {
-				t := dc / denom
-				out = append(out, cur.AddScaled(t, next.Sub(cur)))
+				out = append(out, cur.AddScaled(crossing(dc, denom), next.Sub(cur)))
 			}
 		}
 	}
 	return geom.Dedup(out, eps)
+}
+
+// crossing returns where, as a fraction t of the edge from cur to next, the
+// edge meets the cut line, given cur's signed distance dc and denom = dc−dn.
+// A vertex counts as inside up to eps beyond the line, so one endpoint can be
+// just outside and the other inside that band: both distances are then
+// positive and dc/denom lies past the edge. t is clamped to [0, 1] so the new
+// vertex never leaves the edge it clips.
+func crossing(dc, denom float64) float64 {
+	return math.Min(1, math.Max(0, dc/denom))
 }
 
 // clipSegment clips the segment ab against normal·x <= offset.
@@ -126,8 +144,7 @@ func clipSegment(a, b, normal geom.Point, offset, eps float64) []geom.Point {
 	case !aIn && !bIn:
 		return nil
 	}
-	t := da / (da - db)
-	mid := a.AddScaled(t, b.Sub(a))
+	mid := a.AddScaled(crossing(da, da-db), b.Sub(a))
 	if aIn {
 		return geom.Dedup([]geom.Point{a.Clone(), mid}, eps)
 	}
@@ -150,8 +167,13 @@ func IntersectConvexPolygons(a, b []geom.Point, eps float64) []geom.Point {
 		}
 		return nil
 	}
+	// Cut at each edge's own line. A vertex within eps beyond it still
+	// counts as inside, but a crossing computed against a shifted line lands
+	// eps/(2 sin θ) along an edge meeting it at angle θ, which at a sharp
+	// corner is beyond the next edge's tolerance: then the Radon point of
+	// four inputs was clipped away.
 	for _, f := range PolygonFacets(b) {
-		cur = ClipPolygonHalfplane(cur, f.Normal, f.Offset+eps/2, eps)
+		cur = ClipPolygonHalfplane(cur, f.Normal, f.Offset, eps)
 		if len(cur) == 0 {
 			return nil
 		}
@@ -290,15 +312,18 @@ func MinkowskiSum2D(a, b []geom.Point, eps float64) []geom.Point {
 	i, j := 0, 0
 	for i < na || j < nb {
 		out = append(out, ra[i%na].Add(rb[j%nb]))
-		crossV := crossEdges(ra, i, rb, j)
+		// Edges count as parallel when the sine of their angle is within
+		// eps; an area threshold would call every pair of edges of
+		// polygons a few 1e-5 across parallel and skip vertices.
+		crossV, tol := crossEdges(ra, i, rb, j, eps)
 		switch {
 		case i >= na:
 			j++
 		case j >= nb:
 			i++
-		case crossV > eps:
+		case crossV > tol:
 			i++
-		case crossV < -eps:
+		case crossV < -tol:
 			j++
 		default:
 			i++
@@ -308,11 +333,12 @@ func MinkowskiSum2D(a, b []geom.Point, eps float64) []geom.Point {
 	return MonotoneChain(out, eps) // canonicalise orientation and dedup
 }
 
-// crossEdges returns cross(edge_i of a, edge_j of b).
-func crossEdges(a []geom.Point, i int, b []geom.Point, j int) float64 {
+// crossEdges returns cross(edge_i of a, edge_j of b) and eps times the
+// product of the edge lengths, the tolerance it is compared against.
+func crossEdges(a []geom.Point, i int, b []geom.Point, j int, eps float64) (float64, float64) {
 	ea := a[(i+1)%len(a)].Sub(a[i%len(a)])
 	eb := b[(j+1)%len(b)].Sub(b[j%len(b)])
-	return ea[0]*eb[1] - ea[1]*eb[0]
+	return ea[0]*eb[1] - ea[1]*eb[0], eps * ea.Norm() * eb.Norm()
 }
 
 // rotateToBottom rotates the CCW polygon so that its lexicographically

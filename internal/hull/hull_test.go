@@ -148,6 +148,56 @@ func TestClipPolygonHalfplane(t *testing.T) {
 	}
 }
 
+// TestClipPolygonHalfplaneStaysOnEdge: a vertex counts as inside up to eps
+// beyond the cut line, while the crossing is computed against the line
+// itself. When one endpoint of an edge is just outside and the other inside
+// that band, the crossing fraction exceeds 1; unclamped, it put a vertex a
+// third of the polygon's height beyond the edge it clipped.
+func TestClipPolygonHalfplaneStaysOnEdge(t *testing.T) {
+	poly := []geom.Point{pt(0, 0), pt(1+2*eps, 0), pt(1+eps/2, 1), pt(0, 1)}
+	for _, clipped := range [][]geom.Point{
+		ClipPolygonHalfplane(poly, pt(1, 0), 1, eps),                           // x <= 1
+		ClipPolygonHalfplane(poly[1:3], pt(1, 0), 1, eps),                      // the edge alone
+		ClipPolygonHalfplane([]geom.Point{poly[2], poly[1]}, pt(1, 0), 1, eps), // reversed
+	} {
+		if len(clipped) == 0 {
+			t.Fatal("clip removed the inside part")
+		}
+		for _, v := range clipped {
+			if v[1] < -eps || v[1] > 1+eps {
+				t.Errorf("clipped vertex %v lies beyond the clipped edge", v)
+			}
+		}
+	}
+}
+
+// TestDepthFacets: with f = 0 the depth halfspaces of a square are its four
+// edges. With f = 1 the two diagonals, each with one corner strictly on
+// either side, qualify in both orientations. Their intersection is the
+// centre, the one point every closed halfplane of depth 2 holds.
+func TestDepthFacets(t *testing.T) {
+	square := []geom.Point{pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)}
+	if got := DepthFacets(square, 0, eps); len(got) != 4 {
+		t.Errorf("f=0: %d halfplanes, want the 4 edges: %v", len(got), got)
+	}
+	got := DepthFacets(square, 1, eps)
+	if len(got) != 8 {
+		t.Fatalf("f=1: %d halfplanes, want 4 edges + 2 diagonals x 2 orientations: %v", len(got), got)
+	}
+	if !ContainsHRep(got, pt(1, 1), eps) {
+		t.Error("centre violates a depth halfplane")
+	}
+	for _, q := range []geom.Point{pt(1+1e-3, 1), pt(1, 1-1e-3)} {
+		if ContainsHRep(got, q, eps) {
+			t.Errorf("%v off the centre satisfies every depth halfplane", q)
+		}
+	}
+	// Repeated points span no line and are skipped.
+	if got := DepthFacets([]geom.Point{pt(1, 1), pt(1, 1)}, 1, eps); len(got) != 0 {
+		t.Errorf("coincident pair gave halfplanes %v", got)
+	}
+}
+
 func TestIntersectConvexPolygons(t *testing.T) {
 	a := []geom.Point{pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)}
 	b := []geom.Point{pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3)}
@@ -226,6 +276,28 @@ func TestMinkowskiSum2D(t *testing.T) {
 	oct := MinkowskiSum2D(sq, rot, eps)
 	if len(oct) != 8 {
 		t.Errorf("octagon has %d vertices: %v", len(oct), oct)
+	}
+}
+
+// TestHull2DSmallPolygons: the 2-D kernel's tolerances are distances, so a
+// polygon a few 1e-5 across keeps its shape. The area cross(a, b, c) ≤ eps
+// used to flatten its corners in MonotoneChain, and to call every pair of
+// its edges parallel in MinkowskiSum2D — which then skipped vertices — so L
+// lost a vertex of a shrinking state by a fifth of the state's width.
+func TestHull2DSmallPolygons(t *testing.T) {
+	for _, s := range []float64{1e-3, 1e-5} {
+		sq := ScalePolygon([]geom.Point{pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)}, s)
+		rot := ScalePolygon([]geom.Point{pt(0.5, 0), pt(1, 0.5), pt(0.5, 1), pt(0, 0.5)}, s)
+		if got := MonotoneChain(rot, eps); len(got) != 4 {
+			t.Errorf("scale %g: hull of a square has %d vertices: %v", s, len(got), got)
+		}
+		oct := MinkowskiSum2D(sq, rot, eps)
+		if len(oct) != 8 {
+			t.Errorf("scale %g: square + rotated square has %d vertices, want 8: %v", s, len(oct), oct)
+		}
+		if a := PolygonArea(oct); math.Abs(a-3.5*s*s) > 1e-9*s*s {
+			t.Errorf("scale %g: octagon area %g, want %g", s, a, 3.5*s*s)
+		}
 	}
 }
 

@@ -281,3 +281,30 @@ func TestLinearCombinationGroupsEqualOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestLinearCombinationKeepsSmallStates: E17's seed-70 run, where four
+// processes start from the Radon point p of their four-input view and a
+// restarted one from the five-input region, which has p as a vertex. L
+// keeps p in (1−w)·{p} + w·P at any weight: every operand contains it. When
+// the 2-D kernel judged corners and parallel edges by area, a state a few
+// 1e-5 across lost its vertex p by a fifth of its width, and the decisions
+// missed I_Z = {p} by 9e-6 (Lemma 6).
+func TestLinearCombinationKeepsSmallStates(t *testing.T) {
+	p := pt(7.209109438724143, 1.30874758890387)
+	region, err := FromCanonical([]geom.Point{
+		pt(4.9573210957591884, 1.4341307465808177), pt(6.001170488476458, 1.036268670532049),
+		pt(7.229201773632204, 1.0744717524668288), pt(7.209109438724143, 1.3087475889038707),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{1e-2, 1e-4, 3e-5, 1e-6, 1e-8} {
+		lc, err := LinearCombination([]*Polytope{FromPoint(p), region}, []float64{1 - w, w}, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := lc.Distance(p, eps); err != nil || d > 1e-9 {
+			t.Errorf("w=%g: %d vertices, p is %g outside (%v)", w, lc.NumVertices(), d, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"chc/internal/geom"
@@ -20,26 +21,16 @@ const degenerateRadiusFactor = 1e-7
 // 2d axis directions) used by the degenerate-intersection fallback.
 const supportSampleDirs = 64
 
-// DefaultDirSeed seeds the random support directions of the degenerate
-// d >= 3 intersection fallback. Intersect has always used this seed; keep it
-// so recorded traces and WAL replays stay byte-identical across versions.
-const DefaultDirSeed = 42
+// dirSeed seeds the random support directions of the degenerate d >= 3
+// intersection fallback. It has always been 42; keep it so recorded traces
+// and WAL replays stay byte-identical across versions.
+const dirSeed = 42
 
 // Intersect returns the intersection of the given polytopes. It returns
 // ErrEmpty when the intersection is empty. Intersections that touch only in
-// a face are returned as the (lower-dimensional) face.
-//
-// This is the operation on line 5 of Algorithm CC, where each operand is the
-// convex hull of an (|X_i| - f)-subset of the received inputs.
+// a face are returned as the (lower-dimensional) face. Two calls with the
+// same operands produce bitwise-identical results.
 func Intersect(polys []*Polytope, eps float64) (*Polytope, error) {
-	return IntersectSeeded(polys, eps, DefaultDirSeed)
-}
-
-// IntersectSeeded is Intersect with a caller-supplied seed for the random
-// support directions of the degenerate fallback (only reachable for d >= 3).
-// Two calls with the same operands and seed produce bitwise-identical
-// results; Intersect is the dirSeed = DefaultDirSeed special case.
-func IntersectSeeded(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, error) {
 	if len(polys) == 0 {
 		return nil, errors.New("polytope: intersect of zero polytopes")
 	}
@@ -61,8 +52,99 @@ func IntersectSeeded(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, 
 	case 2:
 		return intersect2D(polys, eps)
 	default:
-		return intersectND(polys, eps, dirSeed)
+		return intersectND(polys, eps)
 	}
+}
+
+// DepthRegion returns ∩ H(C) over the (|pts|−f)-subsets C of the multiset
+// pts: h_i[0] on line 5 of Algorithm CC, the points of Tukey depth at least
+// f+1. It is built from one halfspace representation and one intersection
+// rather than from C(|pts|, f) hulls. In 1-D it is the interval between the
+// (f+1)-th and (|pts|−f)-th order statistics. In d >= 2 the halfspaces are
+// hull.DepthFacets, the hyperplanes through d inputs with at most f inputs
+// strictly outside. In 2-D they clip the hull of pts; in d >= 3 they go to
+// the Chebyshev-centre and polar-dual intersection. Inputs whose affine hull
+// is lower-dimensional are solved in that subspace and lifted back, as
+// hull.Facets does. It returns ErrEmpty when the region is empty, which
+// Lemma 2 rules out when |pts| >= (d+1)f+1.
+func DepthRegion(pts []geom.Point, f int, eps float64) (*Polytope, error) {
+	if len(pts) == 0 {
+		return nil, ErrEmpty
+	}
+	if f == 0 {
+		return New(pts, eps)
+	}
+	if f < 0 || f >= len(pts) {
+		return nil, fmt.Errorf("polytope: depth region of %d points excluding f = %d", len(pts), f)
+	}
+	d := pts[0].Dim()
+	for i, p := range pts {
+		if p.Dim() != d {
+			return nil, fmt.Errorf("polytope: point %d has dimension %d, want %d", i, p.Dim(), d)
+		}
+		if !p.IsFinite() {
+			return nil, fmt.Errorf("polytope: point %d is not finite: %v", i, p)
+		}
+	}
+	ab, err := geom.NewAffineBasis(pts, eps)
+	if err != nil {
+		return nil, err
+	}
+	switch k := ab.Dim(); {
+	case k == 0:
+		return FromPoint(ab.Origin), nil
+	case k < d:
+		proj := make([]geom.Point, len(pts))
+		for i, p := range pts {
+			proj[i] = ab.Project(p)
+		}
+		sub, err := DepthRegion(proj, f, eps)
+		if err != nil {
+			return nil, err
+		}
+		verts := make([]geom.Point, len(sub.verts))
+		for i, v := range sub.verts {
+			verts[i] = ab.Lift(v)
+		}
+		return New(verts, eps)
+	}
+	switch d {
+	case 1:
+		vals := make([]float64, len(pts))
+		for i, p := range pts {
+			vals[i] = p[0]
+		}
+		sort.Float64s(vals)
+		return interval(vals[f], vals[len(vals)-1-f], eps)
+	case 2:
+		cur := hull.MonotoneChain(pts, eps)
+		for _, h := range hull.DepthFacets(pts, f, eps) {
+			cur = hull.ClipPolygonHalfplane(cur, h.Normal, h.Offset, eps)
+			if len(cur) == 0 {
+				return nil, ErrEmpty
+			}
+		}
+		return fromHullVerts(hull.MonotoneChain(cur, eps)), nil
+	}
+	facets := hull.DepthFacets(pts, f, eps)
+	a := make([][]float64, len(facets))
+	b := make([]float64, len(facets))
+	for i, h := range facets {
+		a[i], b[i] = h.Normal, h.Offset
+	}
+	return intersectHalfspaces(a, b, dataScale(pts), eps)
+}
+
+// dataScale is the magnitude the degenerate-radius test of
+// intersectHalfspaces is relative to: the largest coordinate, at least 1.
+func dataScale(pts []geom.Point) float64 {
+	scale := 1.0
+	for _, v := range pts {
+		if m := v.NormInf(); m > scale {
+			scale = m
+		}
+	}
+	return scale
 }
 
 func intersect1D(polys []*Polytope, eps float64) (*Polytope, error) {
@@ -79,6 +161,12 @@ func intersect1D(polys []*Polytope, eps float64) (*Polytope, error) {
 			hi = phi[0]
 		}
 	}
+	return interval(lo, hi, eps)
+}
+
+// interval returns the segment [lo, hi], the midpoint when the ends cross
+// within eps, and ErrEmpty when they cross by more.
+func interval(lo, hi, eps float64) (*Polytope, error) {
 	switch {
 	case lo > hi+eps:
 		return nil, ErrEmpty
@@ -106,13 +194,8 @@ func intersect2D(polys []*Polytope, eps float64) (*Polytope, error) {
 var lpPool = sync.Pool{New: func() any { return lp.NewWorkspace() }}
 
 // intersectND intersects polytopes in d >= 3 via halfspace representations:
-// collect all facets, find a Chebyshev centre, and enumerate the vertices of
-// the intersection by polar duality (facets of the dual hull around the
-// centre correspond to vertices of the intersection). Degenerate
-// intersections fall back to support-direction enumeration, which returns an
-// inner approximation that is exact for the point/segment cases that arise
-// at the resilience boundary.
-func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, error) {
+// it collects all facets and hands them to intersectHalfspaces.
+func intersectND(polys []*Polytope, eps float64) (*Polytope, error) {
 	var a [][]float64
 	var b []float64
 	scale := 1.0
@@ -125,12 +208,21 @@ func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, erro
 			a = append(a, f.Normal)
 			b = append(b, f.Offset)
 		}
-		for _, v := range p.verts {
-			if m := v.NormInf(); m > scale {
-				scale = m
-			}
+		if m := dataScale(p.verts); m > scale {
+			scale = m
 		}
 	}
+	return intersectHalfspaces(a, b, scale, eps)
+}
+
+// intersectHalfspaces returns the bounded polytope {x : Ax <= b} in d >= 3:
+// find a Chebyshev centre, and enumerate the vertices by polar duality
+// (facets of the dual hull around the centre correspond to vertices of the
+// intersection). Degenerate intersections, with a radius of at most
+// degenerateRadiusFactor·scale, fall back to support-direction enumeration,
+// which returns an inner approximation that is exact for the point/segment
+// cases that arise at the resilience boundary.
+func intersectHalfspaces(a [][]float64, b []float64, scale, eps float64) (*Polytope, error) {
 	center, radius, err := lp.ChebyshevCenter(a, b, eps)
 	switch {
 	case errors.Is(err, lp.ErrInfeasible):
@@ -139,7 +231,7 @@ func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, erro
 		return nil, fmt.Errorf("polytope: chebyshev centre: %w", err)
 	}
 	if radius <= degenerateRadiusFactor*scale {
-		return supportSample(a, b, center, eps, dirSeed)
+		return supportSample(a, b, center, eps)
 	}
 
 	// Polar duality around the centre: halfspace a·x <= b becomes the dual
@@ -152,7 +244,7 @@ func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, erro
 		if margin <= eps {
 			// Numerically tight at the centre despite a positive radius;
 			// treat as degenerate to stay safe.
-			return supportSample(a, b, center, eps, dirSeed)
+			return supportSample(a, b, center, eps)
 		}
 		duals = append(duals, geom.Point(a[i]).Scale(1/margin))
 	}
@@ -164,7 +256,7 @@ func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, erro
 		// The dual hull is lower-dimensional, meaning the primal is
 		// unbounded in some direction — impossible for intersections of
 		// bounded polytopes, so this is numerical degeneracy.
-		return supportSample(a, b, center, eps, dirSeed)
+		return supportSample(a, b, center, eps)
 	}
 	dualFacets, err := hull.Facets(dualVerts, eps)
 	if err != nil {
@@ -178,17 +270,17 @@ func intersectND(polys []*Polytope, eps float64, dirSeed int64) (*Polytope, erro
 		verts = append(verts, f.Normal.Scale(1/f.Offset).Add(center))
 	}
 	if len(verts) == 0 {
-		return supportSample(a, b, center, eps, dirSeed)
+		return supportSample(a, b, center, eps)
 	}
 	return New(verts, eps)
 }
 
 // supportSample enumerates extreme points of {x : Ax <= b} by maximising
-// along the +-axis directions and a deterministic, seed-derived set of
-// random directions. For full-dimensional polytopes this is an inner
+// along the +-axis directions and a deterministic set of random directions
+// drawn from dirSeed. For full-dimensional polytopes this is an inner
 // approximation; for the degenerate (point / segment / low-dimensional)
 // intersections it is exact up to LP tolerance.
-func supportSample(a [][]float64, b []float64, center []float64, eps float64, dirSeed int64) (*Polytope, error) {
+func supportSample(a [][]float64, b []float64, center []float64, eps float64) (*Polytope, error) {
 	d := len(center)
 	rng := rand.New(rand.NewSource(dirSeed)) // deterministic direction set
 	dirs := make([]geom.Point, 0, 2*d+supportSampleDirs)

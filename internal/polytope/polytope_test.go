@@ -178,6 +178,38 @@ func TestIntersectEmpty(t *testing.T) {
 	}
 }
 
+// TestIntersectSharpCorners: the four triangles of a four-point view at the
+// resilience bound n=5, f=1, d=2 meet in one point, input 0, which lies
+// inside the triangle of the others (Lemma 2). Clipping at edge lines
+// shifted by eps/2 put crossings near that corner up to eps/(2 sin θ) off
+// it, beyond the last edge's tolerance, and the intersection came back
+// empty.
+func TestIntersectSharpCorners(t *testing.T) {
+	x := []geom.Point{
+		pt(1.075413400656394, 6.1126427910569685), pt(5.662843779242558, 2.576876957894831),
+		pt(0.7008600139107375, 1.386171878936287), pt(0.9961766492636273, 9.608191646270773),
+	}
+	var tris []*Polytope
+	for skip := range x {
+		var sub []geom.Point
+		for k, p := range x {
+			if k != skip {
+				sub = append(sub, p)
+			}
+		}
+		tris = append(tris, mustNew(t, sub...))
+	}
+	got, err := Intersect(tris, eps)
+	if err != nil {
+		t.Fatalf("Intersect: %v", err)
+	}
+	for _, v := range got.Vertices() {
+		if d := geom.Dist(v, x[0]); d > 1e-8 {
+			t.Errorf("vertex %v is %g from input 0", v, d)
+		}
+	}
+}
+
 func TestIntersect1D(t *testing.T) {
 	a := mustNew(t, pt(0), pt(3))
 	b := mustNew(t, pt(2), pt(5))
