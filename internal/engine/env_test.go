@@ -46,7 +46,7 @@ func TestEnvValidate(t *testing.T) {
 		{name: "seeds alone", env: runtime.Env{ChaosSeed: 3, WANSeed: 4}},
 		{name: "Chaos", env: runtime.Env{Chaos: &light}, sim: networked},
 		{name: "NetFaults", env: runtime.Env{NetFaults: &flaky}, sim: tcpOnly, ch: tcpOnly},
-		{name: "Wire", env: runtime.Env{Wire: &runtime.WireConfig{Compress: true}}, sim: tcpOnly, ch: tcpOnly},
+		{name: "Wire", env: runtime.Env{Wire: &runtime.WireConfig{FlushDeadline: 200 * time.Microsecond}}, sim: tcpOnly, ch: tcpOnly},
 		{name: "WAN", env: runtime.Env{WAN: &regions, WANSeed: 1}},
 		{name: "WALDir", env: runtime.Env{WALDir: "/wal"}, sim: networked},
 		{name: "WALFS without WALDir", env: runtime.Env{WALFS: wal.OSFS()}, sim: needsWAL, ch: needsWAL, tcp: needsWAL},
@@ -58,7 +58,7 @@ func TestEnvValidate(t *testing.T) {
 		{name: "Durability", env: withWAL(runtime.Env{Durability: runtime.Degrade}), sim: networked},
 		{name: "Restarts", env: withWAL(runtime.Env{Restarts: restarts}), sim: networked},
 		{name: "everything", env: runtime.Env{
-			Chaos: &light, NetFaults: &flaky, Wire: &runtime.WireConfig{Compress: true}, WAN: &regions,
+			Chaos: &light, NetFaults: &flaky, Wire: &runtime.WireConfig{FlushDeadline: 200 * time.Microsecond}, WAN: &regions,
 			WALDir: "/wal", WALFS: wal.OSFS(), Checkpoint: wal.CheckpointPolicy{EveryBytes: 1},
 			Durability: runtime.Degrade, Restarts: restarts,
 		}, sim: tcpOnly, ch: tcpOnly},

@@ -30,8 +30,7 @@ const (
 	// Retire adds -wal-retire, the resident daemons' retention horizon.
 	Retire
 	// Faults adds chcrun's storage, wire and durability flags: -disk-faults,
-	// -disk-seed, -net-faults, -net-seed, -wire-coalesce, -wire-compress,
-	// -durability.
+	// -disk-seed, -net-faults, -net-seed, -wire-coalesce, -durability.
 	Faults
 )
 
@@ -62,7 +61,6 @@ func Bind(fs *flag.FlagSet, groups Group) func(engine.Transport) (Bound, error) 
 		walCheckpoint                int64
 		walRetire                    int
 		wireCoalesce, durability     = "on", "failstop"
-		wireCompress                 bool
 	)
 	if groups&Chaos != 0 {
 		fs.StringVar(&chaosSpec, "chaos", "off", "network fault profile: off|light|heavy or drop=P,dup=P,delay=LO-HI,part=LO-HI:ID+ID (inproc/tcp only)")
@@ -80,7 +78,6 @@ func Bind(fs *flag.FlagSet, groups Group) func(engine.Transport) (Bound, error) 
 		fs.StringVar(&netSpec, "net-faults", "off", "byte-stream corruption against the TCP links: off|flaky|hostile or flip=P,garbage=P,lenmut=P,trunc=P,reset=P,stall=P:LO-HI,window=N,link=SUBSTR,after=K (requires -transport tcp)")
 		fs.Int64Var(&netSeed, "net-seed", 1, "seed for the deterministic wire fault schedule")
 		fs.StringVar(&wireCoalesce, "wire-coalesce", "on", "TCP frame coalescing: on (flush immediately per writer wakeup) | a flush-deadline duration like 200us that lets batches accumulate (requires -transport tcp when not \"on\")")
-		fs.BoolVar(&wireCompress, "wire-compress", false, "negotiate flate compression of coalesced frame batches on the TCP links (requires -transport tcp)")
 		fs.StringVar(&durability, "durability", "failstop", "policy when a WAL stops accepting writes: failstop (node becomes a crash fault) | degrade (node quarantines non-durably and re-arms with backoff)")
 	}
 
@@ -103,7 +100,7 @@ func Bind(fs *flag.FlagSet, groups Group) func(engine.Transport) (Bound, error) 
 			return Bound{}, fmt.Errorf("-net-faults: %w", err)
 		}
 		netPlan.Seed = netSeed
-		wireCfg := runtime.WireConfig{Compress: wireCompress}
+		var wireCfg runtime.WireConfig
 		if wireCoalesce != "on" {
 			dl, derr := time.ParseDuration(wireCoalesce)
 			if derr != nil || dl < 0 {

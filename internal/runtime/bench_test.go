@@ -24,25 +24,13 @@ const (
 	linkBenchWindow = 1024
 )
 
-// BenchmarkSaturatedLink saturates one directed link of a real two-node TCP
-// pair on the default write path (coalescing, flush on wakeup, no
-// compression).
-func BenchmarkSaturatedLink(b *testing.B) { benchSaturatedLink(b, WireConfig{}) }
-
-// BenchmarkSaturatedLinkCompressed negotiates FlagCompress, so batches travel
-// as flate FrameBatch envelopes: it tracks the compression tax (CPU per
-// message) against the coalesced plain path.
-func BenchmarkSaturatedLinkCompressed(b *testing.B) {
-	benchSaturatedLink(b, WireConfig{Compress: true})
-}
-
-// benchSaturatedLink drives one directed link of a real two-node TCP pair —
-// the full production stack: rlink endpoint, coalescing writer, wire codec,
-// loopback TCP, stream decoder — at saturation and reports msgs/sec,
-// bytes/sec and p99 end-to-end delivery latency. One benchmark op is one
-// message delivered exactly-once in FIFO order, so ns/op is the per-message
-// cost.
-func benchSaturatedLink(b *testing.B, wc WireConfig) {
+// BenchmarkSaturatedLink drives one directed link of a real two-node TCP
+// pair — the full production stack: rlink endpoint, coalescing writer on the
+// default write path, wire codec, loopback TCP, stream decoder — at
+// saturation and reports msgs/sec, bytes/sec and p99 end-to-end delivery
+// latency. One benchmark op is one message delivered exactly-once in FIFO
+// order, so ns/op is the per-message cost.
+func BenchmarkSaturatedLink(b *testing.B) {
 	verts := make([]geom.Point, linkBenchPayloadPoints)
 	for i := range verts {
 		verts[i] = geom.Point{float64(i), float64(i) * 0.5, float64(i) * 0.25}
@@ -65,7 +53,7 @@ func benchSaturatedLink(b *testing.B, wc WireConfig) {
 		}
 		return nil
 	}
-	pair, err := newLinkBenchPair(wc, rlink.Config{}, onDeliver)
+	pair, err := newLinkBenchPair(WireConfig{}, rlink.Config{}, onDeliver)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -119,10 +119,9 @@ func TestNetFaultChunkingIndependence(t *testing.T) {
 }
 
 // TestCoalescedWireComposesWithNetFaults runs the full gather protocol with
-// the coalescing writer on a deadline, batch compression negotiated, and a
-// corrupting wire below it all — the three layers must compose: faults land
-// on the batched byte stream, CRC rejection and retransmission absorb them,
-// and every process still hears everyone.
+// the coalescing writer on a deadline and a corrupting wire below it — the
+// layers must compose: faults land on the batched byte stream, CRC rejection
+// and retransmission absorb them, and every process still hears everyone.
 func TestCoalescedWireComposesWithNetFaults(t *testing.T) {
 	const n = 4
 	procs, impl := newGatherProcs(n)
@@ -133,7 +132,7 @@ func TestCoalescedWireComposesWithNetFaults(t *testing.T) {
 	plan.FlipProb = 0.05
 	c, err := NewTCPCluster(procs, Config{Env: Env{
 		NetFaults: &plan,
-		Wire:      &WireConfig{FlushDeadline: 200 * time.Microsecond, Compress: true},
+		Wire:      &WireConfig{FlushDeadline: 200 * time.Microsecond},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +147,7 @@ func TestCoalescedWireComposesWithNetFaults(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Net.InjectedWire == 0 {
-		t.Error("plan injected nothing; compression+coalescing+netfault composition untested")
+		t.Error("plan injected nothing; coalescing+netfault composition untested")
 	}
 	if st.Sends != n*(n-1) {
 		t.Errorf("protocol sends = %d, want %d", st.Sends, n*(n-1))
@@ -156,10 +155,10 @@ func TestCoalescedWireComposesWithNetFaults(t *testing.T) {
 }
 
 // TestCoalescedLinkExactlyOnceFIFOBounds drives one directed production link
-// — rlink over the coalescing, compressing writer — with a deliberately tiny
-// transmission window and reorder bound, and checks the reliability contract
-// survives batching: every message arrives exactly once, in order, and the
-// window bound actually engaged (sends past it were withheld, not lost).
+// — rlink over the coalescing writer — with a deliberately tiny transmission
+// window and reorder bound, and checks the reliability contract survives
+// batching: every message arrives exactly once, in order, and the window
+// bound actually engaged (sends past it were withheld, not lost).
 func TestCoalescedLinkExactlyOnceFIFOBounds(t *testing.T) {
 	const total = 1000
 	var mu sync.Mutex
@@ -175,7 +174,7 @@ func TestCoalescedLinkExactlyOnceFIFOBounds(t *testing.T) {
 		return nil
 	}
 	pair, err := newLinkBenchPair(
-		WireConfig{FlushDeadline: 100 * time.Microsecond, Compress: true},
+		WireConfig{FlushDeadline: 100 * time.Microsecond},
 		rlink.Config{MaxInflight: 8, MaxReorder: 16},
 		deliver)
 	if err != nil {

@@ -65,8 +65,8 @@ type Env struct {
 	// transports exchange structured messages, not bytes.
 	NetFaults *netfault.Plan
 
-	// Wire tunes the TCP write path: frame coalescing (the default), the
-	// flush-deadline batching window, per-batch compression. TCP only.
+	// Wire tunes the TCP write path: frame coalescing (the default) and the
+	// flush-deadline batching window. TCP only.
 	Wire *WireConfig
 
 	// WAN shapes every link through a wide-area model (geo-topology delay

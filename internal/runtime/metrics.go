@@ -40,10 +40,8 @@ var (
 		"Frames per coalesced wire batch, by directed link.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, "link")
 	mWireBatchBytes = telemetry.Default().HistogramVec("chc_wire_batch_bytes",
-		"Bytes per coalesced wire batch before compression, by directed link.",
+		"Bytes per coalesced wire batch, by directed link.",
 		[]float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}, "link")
-	mWireCompressedBytes = telemetry.Default().CounterVec("chc_wire_compressed_bytes_total",
-		"Bytes written inside flate-compressed batch envelopes, by directed link.", "link")
 )
 
 // The exits of a node: everything that leaves it waits on the output-commit
@@ -67,5 +65,4 @@ func init() {
 	telemetry.SetLabelCardinality("chc_wire_corrupt_frames_total", 128)
 	telemetry.SetLabelCardinality("chc_wire_batch_frames", 128)
 	telemetry.SetLabelCardinality("chc_wire_batch_bytes", 128)
-	telemetry.SetLabelCardinality("chc_wire_compressed_bytes_total", 128)
 }

@@ -30,7 +30,7 @@ var errSendQueueFull = errors.New("runtime: tcp send queue full, frame dropped")
 
 // WireConfig tunes the TCP transport's write path, which always coalesces
 // frames per link. The zero value is the default: flush immediately on
-// wakeup, compression off.
+// wakeup.
 type WireConfig struct {
 	// FlushDeadline is how long the peer writer lingers after a wakeup for
 	// more frames to accumulate before flushing the batch. Zero flushes
@@ -40,20 +40,11 @@ type WireConfig struct {
 	// batch. Setting a deadline trades that first-frame latency for larger
 	// batches under sustained load.
 	FlushDeadline time.Duration
-	// Compress announces FlagCompress in the connection handshake and wraps
-	// batches of at least compressMinBytes in flate FrameBatch envelopes
-	// when that actually shrinks them. Off by default.
-	Compress bool
 }
 
-// Coalescing bounds.
-const (
-	// maxPendBytes caps a peer's pending batch; past it SendFrame drops
-	// (retransmission recovers) so a stalled link cannot buffer unboundedly.
-	maxPendBytes = 8 << 20
-	// compressMinBytes is the smallest batch worth offering to flate.
-	compressMinBytes = 512
-)
+// maxPendBytes caps a peer's pending batch; past it SendFrame drops
+// (retransmission recovers) so a stalled link cannot buffer unboundedly.
+const maxPendBytes = 8 << 20
 
 // Redial backoff bounds for broken links.
 const (
@@ -205,7 +196,7 @@ type tcpTransport struct {
 	// the cluster's WAN model (delay only, chunking-independent).
 	wan *wan.Injector
 
-	// cfg is the write-path tuning (coalescing, flush deadline, compression).
+	// cfg is the write-path tuning (the flush deadline).
 	cfg WireConfig
 	// stop, closed by Close, wakes the per-peer writer goroutines.
 	stop chan struct{}
@@ -247,7 +238,6 @@ type tcpPeer struct {
 	// hot path).
 	batchFrames *telemetry.Histogram
 	batchBytes  *telemetry.Histogram
-	compBytes   *telemetry.Counter
 }
 
 // peerHealth is the inbound-stream health of one peer: a strike budget fed
@@ -365,7 +355,6 @@ func newTCPTransport(self dist.ProcID, ln net.Listener, addrs []string, cfg Wire
 			wake:        make(chan struct{}, 1),
 			batchFrames: mWireBatchFrames.With(link),
 			batchBytes:  mWireBatchBytes.With(link),
-			compBytes:   mWireCompressedBytes.With(link),
 		}
 		t.health[j] = &peerHealth{}
 	}
@@ -398,9 +387,6 @@ func (t *tcpTransport) dial(to dist.ProcID) error {
 	hs := wire.Frame{Type: wire.FrameHandshake, From: t.self}
 	if ep := t.ep.Load(); ep != nil {
 		hs = ep.HelloFrame(to)
-	}
-	if t.cfg.Compress {
-		hs.Flags |= wire.FlagCompress
 	}
 	// The handshake is written synchronously on the still-unpublished conn,
 	// so it precedes every batched frame the writer goroutine will emit.
@@ -493,9 +479,7 @@ func (t *tcpTransport) writeLoop(p *tcpPeer) {
 // connection as one vectored write. When the link is down the batch is
 // dropped — the reliable-link layer's retransmission queue re-offers every
 // un-acked frame once the redial lands, so dropping here costs latency, not
-// delivery. With compression negotiated, batches big enough to plausibly
-// profit are wrapped in a flate FrameBatch envelope when that actually
-// shrinks them.
+// delivery.
 func (t *tcpTransport) flushPeer(p *tcpPeer) {
 	p.mu.Lock()
 	if len(p.pend) == 0 {
@@ -515,22 +499,9 @@ func (t *tcpTransport) flushPeer(p *tcpPeer) {
 	}
 	p.batchFrames.Observe(float64(nframes))
 	p.batchBytes.Observe(float64(len(raw)))
-	out := raw
-	var comp []byte
-	if t.cfg.Compress && len(raw) >= compressMinBytes {
-		comp = wire.GetBuf()
-		if b, err := wire.AppendBatchFrame(comp, raw); err == nil && len(b) < len(raw) {
-			comp = b
-			out = comp
-			p.compBytes.Add(int64(len(comp)))
-		}
-	}
-	bufs := net.Buffers{out}
+	bufs := net.Buffers{raw}
 	_, err := bufs.WriteTo(conn)
 	wire.PutBuf(raw)
-	if comp != nil {
-		wire.PutBuf(comp)
-	}
 	if err == nil {
 		return
 	}
@@ -672,10 +643,6 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 	}
 	link := fmt.Sprintf("%d->%d", hs.From, t.self)
 	dec := wire.NewStreamDecoder(r, connGarbageBudget)
-	// Compression is receiver-gated by the peer's announcement: a FrameBatch
-	// envelope on a connection that never announced FlagCompress is treated
-	// as corruption.
-	dec.SetCompressed(hs.Flags&wire.FlagCompress != 0)
 	dec.OnFault = func(class string, _ int64) {
 		t.corruptFrames.Add(1)
 		mWireCorruptFrames.With(link, class).Inc()

@@ -63,7 +63,7 @@ func TestEnvForwardedEndToEnd(t *testing.T) {
 	env := runtime.Env{
 		Chaos: &light, ChaosSeed: 3,
 		NetFaults: &netfault.Plan{StallProb: 0.01, StallMax: 200 * time.Microsecond, Seed: 5},
-		Wire:      &runtime.WireConfig{Compress: true},
+		Wire:      &runtime.WireConfig{FlushDeadline: 200 * time.Microsecond},
 		WAN:       &plan, WANSeed: 7,
 		WALDir:     "wal",
 		WALFS:      diskfault.NewMemFS(),

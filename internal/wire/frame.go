@@ -27,23 +27,8 @@ const (
 	// frame on every connection, so the accepting side can associate the
 	// byte stream with a peer, replace stale connections after a reconnect,
 	// and resume the link without duplicate or lost delivery after the
-	// peer restarts from its write-ahead log. It also carries the sender's
-	// feature flags (see FlagCompress) that negotiate optional codec
-	// behaviour for the connection.
+	// peer restarts from its write-ahead log.
 	FrameHandshake byte = 3
-	// FrameBatch is a compressed envelope: its body is a flate-compressed
-	// concatenation of complete encoded frames. It is only valid on
-	// connections whose opening handshake announced FlagCompress; see
-	// AppendBatchFrame and StreamDecoder.SetCompressed.
-	FrameBatch byte = 4
-)
-
-// Handshake feature flags (Frame.Flags, FrameHandshake only).
-const (
-	// FlagCompress announces that the sender may wrap coalesced frame
-	// batches in flate-compressed FrameBatch envelopes on this connection.
-	// A receiver that did not see the flag treats FrameBatch as corruption.
-	FlagCompress byte = 1 << 0
 )
 
 // Frame header layout. Every frame opens with a fixed 10-byte header:
@@ -89,9 +74,7 @@ type Frame struct {
 	// sequence number it expects from the peer (everything below it has
 	// been durably delivered and acknowledged).
 	Ack uint64
-	// Flags carries handshake feature bits (FlagCompress); zero elsewhere.
-	Flags byte
-	Msg   dist.Message // payload; meaningful for FrameData only
+	Msg dist.Message // payload; meaningful for FrameData only
 }
 
 // AppendFrame serialises a frame by appending it to dst and returning the
@@ -99,7 +82,7 @@ type Frame struct {
 //
 //	u8 magic | u8 version | u32 bodyLen | u32 crc32c(body)
 //	u8 type | i32 from | u64 seq
-//	  | [u64 epoch | u64 ack | u8 flags, FrameHandshake only]
+//	  | [u64 epoch | u64 ack | u8 reserved (0), FrameHandshake only]
 //	  | [encoded message, FrameData only]
 //
 // The frame is encoded in place — header reserved up front, body appended
@@ -118,7 +101,7 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	case FrameHandshake:
 		dst = binary.BigEndian.AppendUint64(dst, f.Epoch)
 		dst = binary.BigEndian.AppendUint64(dst, f.Ack)
-		dst = append(dst, f.Flags)
+		dst = append(dst, 0)
 	case FrameData:
 		var err error
 		dst, err = AppendMessage(dst, f.Msg)
@@ -172,25 +155,17 @@ func decodeBody(body []byte) (Frame, error) {
 		}
 		f.Msg = msg
 	case FrameHandshake:
-		// 17 bytes since the feature-flag byte was added; 16-byte bodies
-		// (pre-flags encodings) are still accepted with Flags = 0.
+		// The 17th byte is reserved: written as 0, ignored on read, and
+		// optional (16-byte bodies are accepted too).
 		if len(rest) != 16 && len(rest) != 17 {
 			return f, fmt.Errorf("%w: handshake body is %d bytes, want 16 or 17", ErrCorrupt, len(rest))
 		}
 		f.Epoch = binary.BigEndian.Uint64(rest)
 		f.Ack = binary.BigEndian.Uint64(rest[8:])
-		if len(rest) == 17 {
-			f.Flags = rest[16]
-		}
 	case FrameAck:
 		if len(rest) != 0 {
 			return f, fmt.Errorf("%w: %d trailing bytes after control frame", ErrCorrupt, len(rest))
 		}
-	case FrameBatch:
-		// Batches are containers, not frames: they are unwrapped by the
-		// stream decoder (after compression was negotiated) and must never
-		// appear in a single-frame context — including nested in a batch.
-		return f, fmt.Errorf("%w: compressed batch frame in single-frame context", ErrCorrupt)
 	default:
 		return f, fmt.Errorf("%w: %d", ErrUnknownType, f.Type)
 	}

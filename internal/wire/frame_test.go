@@ -129,6 +129,36 @@ func TestFrameCorruption(t *testing.T) {
 	}
 }
 
+// TestHandshakeReservedByte: the handshake body's 17th byte is reserved. A
+// body without it, or with it set (a peer that once announced batch
+// compression sent 1), decodes to the same epoch, ack and seq.
+func TestHandshakeReservedByte(t *testing.T) {
+	want := Frame{Type: FrameHandshake, From: 2, Seq: 5, Epoch: 1, Ack: 3}
+	hs, err := AppendFrame(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := hs[FrameHeaderLen:]
+	if body[len(body)-1] != 0 {
+		t.Fatalf("reserved byte encoded as %d, want 0", body[len(body)-1])
+	}
+	set := append([]byte(nil), body...)
+	set[len(set)-1] = 1
+	for name, frame := range map[string][]byte{
+		"16-byte body":   reframe(body[:len(body)-1]),
+		"reserved set 1": reframe(set),
+	} {
+		got, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Type != want.Type || got.From != want.From || got.Seq != want.Seq ||
+			got.Epoch != want.Epoch || got.Ack != want.Ack {
+			t.Errorf("%s: got %+v want %+v", name, got, want)
+		}
+	}
+}
+
 // reversion returns a copy of frame with the version byte replaced and the
 // rest untouched.
 func reversion(frame []byte, v byte) []byte {

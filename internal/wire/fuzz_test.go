@@ -86,10 +86,9 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // FuzzStreamDecoder throws arbitrary byte streams at the resynchronizing
-// decoder, in both single-frame and compressed-batch mode: it must never
-// panic, every frame it yields must survive a strict encode/decode round
-// trip, and the garbage budget must bound the total work — Next may not
-// iterate forever on a finite hostile stream.
+// decoder: it must never panic, every frame it yields must survive a strict
+// encode/decode round trip, and the garbage budget must bound the total work
+// — Next may not iterate forever on a finite hostile stream.
 func FuzzStreamDecoder(f *testing.F) {
 	var clean []byte
 	for _, fr := range streamFrames() {
@@ -99,22 +98,26 @@ func FuzzStreamDecoder(f *testing.F) {
 		}
 		clean = append(clean, b...)
 	}
-	batch, err := AppendBatchFrame(nil, clean)
-	if err != nil {
-		f.Fatal(err)
-	}
-	corruptBatch := append([]byte(nil), batch...)
-	corruptBatch[len(corruptBatch)/2] ^= 0x20
-	f.Add(clean, true)
-	f.Add(clean, false)
-	f.Add(batch, true)
-	f.Add(batch, false) // un-negotiated batch: must fault, not deliver
-	f.Add(append(append([]byte{0xC7, 0x01, 0xFF}, batch...), clean...), true)
-	f.Add(append(corruptBatch, clean...), true)
-	f.Add(bytes.Repeat([]byte{0xC7}, 64), true)
-	f.Fuzz(func(t *testing.T, data []byte, compressed bool) {
+	// A CRC-valid frame of the retired batch type 4 drives the
+	// reject-and-resync path for a well-framed unknown type.
+	retired := reframe(append([]byte{4, 0, 0, 0, 0}, clean...))
+	corruptRetired := append([]byte(nil), retired...)
+	corruptRetired[len(corruptRetired)/2] ^= 0x20
+	first := FrameSize(streamFrames()[0])
+	// A handshake whose reserved byte is set, as a peer that once announced
+	// batch compression sent it.
+	hello := append([]byte(nil), clean[FrameHeaderLen:first]...)
+	hello[len(hello)-1] = 1
+	legacyHello := append(reframe(hello), clean[first:]...)
+	f.Add(clean)
+	f.Add(retired)
+	f.Add(append(append(append([]byte(nil), clean[:first]...), retired...), clean[first:]...))
+	f.Add(append(append([]byte{0xC7, 0x01, 0xFF}, retired...), clean...))
+	f.Add(append(corruptRetired, clean...))
+	f.Add(legacyHello)
+	f.Add(bytes.Repeat([]byte{0xC7}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewStreamDecoder(bytes.NewReader(data), 4<<10)
-		d.SetCompressed(compressed)
 		var faulted int64
 		d.OnFault = func(class string, n int64) {
 			if class == "" || n <= 0 {
@@ -135,9 +138,6 @@ func FuzzStreamDecoder(f *testing.F) {
 			}
 			if _, err := DecodeFrame(re); err != nil {
 				t.Fatalf("stream-decoded frame failed strict decode: %v", err)
-			}
-			if fr.Type == FrameBatch {
-				t.Fatal("stream decoder leaked a raw batch envelope")
 			}
 		}
 		t.Fatalf("decoder did not terminate on %d input bytes (faulted=%d)", len(data), faulted)

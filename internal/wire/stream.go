@@ -37,11 +37,6 @@ type StreamDecoder struct {
 	budget int64 // remaining discardable bytes; < 0 = exhausted
 	eof    bool  // underlying reader returned EOF
 
-	compressed bool    // handshake negotiated FlagCompress; FrameBatch allowed
-	queue      []Frame // decoded frames from the current batch, pending delivery
-	qpos       int
-	scratch    []byte // batch inflation buffer, reused across batches
-
 	// OnFault, when non-nil, is invoked once per classified decode fault
 	// with the fault class and the number of stream bytes charged to the
 	// garbage budget for it. It runs on the reader goroutine.
@@ -56,14 +51,6 @@ func NewStreamDecoder(r io.Reader, budget int64) *StreamDecoder {
 		budget = 256 << 10
 	}
 	return &StreamDecoder{r: r, budget: budget}
-}
-
-// SetCompressed declares whether the connection's opening handshake
-// negotiated FlagCompress. Until it is set true, FrameBatch envelopes are
-// rejected as corruption — an unannounced batch is indistinguishable from a
-// forged frame type.
-func (d *StreamDecoder) SetCompressed(on bool) {
-	d.compressed = on
 }
 
 // Budget returns the remaining garbage budget.
@@ -127,20 +114,12 @@ func (d *StreamDecoder) discard(n int) {
 // Next returns the next valid frame. On corruption it resynchronizes: the
 // offending byte (or, for a frame that framed correctly but failed body
 // decode, the whole frame) is discarded and charged to the garbage budget,
-// and scanning resumes at the next byte. Compressed FrameBatch envelopes
-// (when negotiated — see SetCompressed) are unwrapped transparently: the
-// inner frames are queued and delivered one per call, in order. Terminal
-// returns: io.EOF at a clean boundary, io.ErrUnexpectedEOF for a stream cut
-// mid-frame, ErrGarbageBudget once the connection has produced more corrupt
-// bytes than allowed, and any underlying transport error.
+// and scanning resumes at the next byte. Terminal returns: io.EOF at a clean
+// boundary, io.ErrUnexpectedEOF for a stream cut mid-frame, ErrGarbageBudget
+// once the connection has produced more corrupt bytes than allowed, and any
+// underlying transport error.
 func (d *StreamDecoder) Next() (Frame, error) {
 	for {
-		if d.qpos < len(d.queue) {
-			f := d.queue[d.qpos]
-			d.queue[d.qpos] = Frame{} // drop payload references promptly
-			d.qpos++
-			return f, nil
-		}
 		if d.budget < 0 {
 			return Frame{}, ErrGarbageBudget
 		}
@@ -165,25 +144,6 @@ func (d *StreamDecoder) Next() (Frame, error) {
 			d.fault(ClassBadCRC, 1)
 			d.discard(1)
 			continue
-		}
-		if n > 0 && body[0] == FrameBatch {
-			if !d.compressed {
-				d.fault(Classify(ErrBatchNotNegotiated), int64(FrameHeaderLen+n))
-				d.discard(FrameHeaderLen + n)
-				continue
-			}
-			d.queue, d.qpos = d.queue[:0], 0
-			d.queue, d.scratch, err = decodeBatchBody(body[1:], d.queue, d.scratch)
-			if err != nil {
-				// The envelope CRC passed, so the boundary is trustworthy:
-				// charge and skip the whole batch frame.
-				d.queue, d.qpos = d.queue[:0], 0
-				d.fault(Classify(err), int64(FrameHeaderLen+n))
-				d.discard(FrameHeaderLen + n)
-				continue
-			}
-			d.discard(FrameHeaderLen + n)
-			continue // deliver from the queue (empty batch: read on)
 		}
 		f, err := decodeBody(body)
 		if err != nil {

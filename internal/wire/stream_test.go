@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"chc/internal/dist"
@@ -153,5 +154,173 @@ func TestStreamDecoderRandomCorruption(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Error("random corruption destroyed every frame (decoder failed to resync)")
+	}
+}
+
+// TestStreamDecoderRetiredBatchType: frame type 4 once carried compressed
+// batches and is now unknown. A CRC-valid type-4 frame must be charged whole
+// through OnFault, and the data frame behind it must still be delivered.
+func TestStreamDecoderRetiredBatchType(t *testing.T) {
+	var clean []byte
+	for _, f := range streamFrames()[:2] {
+		var err error
+		if clean, err = AppendFrame(clean, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retired := reframe(append([]byte{4, 0, 0, 0, 0}, clean...))
+	want := streamFrames()[2]
+	tail, err := AppendFrame(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewStreamDecoder(bytes.NewReader(append(retired, tail...)), 0)
+	var faults int
+	d.OnFault = func(class string, n int64) {
+		faults++
+		if class != ClassUnknownType {
+			t.Errorf("fault class %q, want %q", class, ClassUnknownType)
+		}
+		if n != int64(len(retired)) {
+			t.Errorf("charged %d bytes, want the whole %d-byte frame", n, len(retired))
+		}
+	}
+	got, err := d.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Type != FrameData || got.Seq != want.Seq || got.Msg.Kind != want.Msg.Kind {
+		t.Errorf("frame after the retired type: %+v, want %+v", got, want)
+	}
+	if faults != 1 {
+		t.Errorf("faults = %d, want 1", faults)
+	}
+}
+
+// bigDataFrame builds a FrameData whose encoded payload is at least 4 KiB —
+// the size the encode regression showed at (the old EncodeFrame guessed 32
+// bytes and regrew the slice for every large payload).
+func bigDataFrame() Frame {
+	verts := make([]geom.Point, 200) // 200 * (2 + 3*8) = 5200 body bytes
+	for i := range verts {
+		verts[i] = geom.NewPoint(float64(i), float64(2*i), float64(3*i))
+	}
+	return Frame{
+		Type: FrameData, From: 1, Seq: 42,
+		Msg: dist.Message{From: 1, To: 2, Kind: "state", Round: 3, Payload: PolytopePayload{Verts: verts}},
+	}
+}
+
+// TestAppendFrameZeroAllocs pins the encode guarantee: appending a >= 4
+// KiB-payload frame into a reused buffer performs zero allocations in steady
+// state.
+func TestAppendFrameZeroAllocs(t *testing.T) {
+	f := bigDataFrame()
+	buf, err := AppendFrame(nil, f) // warm the buffer to capacity
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(buf) < 4<<10 {
+		t.Fatalf("frame is %d bytes; the regression test wants >= 4 KiB", len(buf))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		buf, err = AppendFrame(buf[:0], f)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendFrame into a reused buffer: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestWriteFrameSteadyStateAllocs pins the pooled write path: WriteFrame's
+// per-frame garbage must not scale with payload size (the pool supplies the
+// encode buffer; only the Put's slice-header boxing may allocate).
+func TestWriteFrameSteadyStateAllocs(t *testing.T) {
+	f := bigDataFrame()
+	if err := WriteFrame(io.Discard, f); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(io.Discard, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("WriteFrame steady state: %.1f allocs/op, want <= 2", allocs)
+	}
+}
+
+// TestStreamDecoderFillNoChunkAllocs pins the zero-copy read path: decoding a
+// long clean stream must not allocate per-read chunks (the old fill()
+// allocated 32 KiB per Read call). Per-frame message decoding still
+// allocates (the Frame owns its payload); the regression bound is that
+// total bytes allocated per frame stay far below the old chunk size.
+func TestStreamDecoderFillNoChunkAllocs(t *testing.T) {
+	frames := streamFrames()
+	var buf bytes.Buffer
+	const rounds = 64
+	for i := 0; i < rounds; i++ {
+		for _, f := range frames {
+			if err := WriteFrame(&buf, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d := NewStreamDecoder(bytes.NewReader(buf.Bytes()), 0)
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	n := 0
+	for {
+		_, err := d.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	runtime.ReadMemStats(&ms1)
+	if n != rounds*len(frames) {
+		t.Fatalf("decoded %d frames, want %d", n, rounds*len(frames))
+	}
+	perFrame := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n)
+	if perFrame > 4096 {
+		t.Errorf("stream decode allocated %.0f bytes/frame; the pre-ring decoder paid ~32 KiB/Read", perFrame)
+	}
+}
+
+// TestStreamDecoderFramesDoNotAliasRing: a decoded frame must own its
+// payload — mutating the decoder's internal buffer after Next returns must
+// not change the frame (ring slices are recycled on the following read).
+func TestStreamDecoderFramesDoNotAliasRing(t *testing.T) {
+	f := bigDataFrame()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	d := NewStreamDecoder(bytes.NewReader(buf.Bytes()), 0)
+	got, err := d.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.buf {
+		d.buf[i] = 0xFF
+	}
+	verts := got.Msg.Payload.(PolytopePayload).Verts
+	want := f.Msg.Payload.(PolytopePayload).Verts
+	for i := range want {
+		for j := range want[i] {
+			if verts[i][j] != want[i][j] {
+				t.Fatalf("vertex %d[%d] = %v after ring scribble, want %v (frame aliases the ring)", i, j, verts[i][j], want[i][j])
+			}
+		}
+	}
+	if got.Msg.Kind != "state" {
+		t.Fatalf("kind %q after ring scribble (string aliases the ring)", got.Msg.Kind)
 	}
 }

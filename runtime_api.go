@@ -78,9 +78,8 @@ type networkOptions struct {
 }
 
 // WireConfig tunes the TCP transport's write path: the flush-deadline
-// batching window of its per-link frame coalescing, and optional per-batch
-// flate compression negotiated in the connection handshake. The zero value is the default
-// production configuration. Usable both with WithWire and as
+// batching window of its per-link frame coalescing. The zero value is the
+// default production configuration. Usable both with WithWire and as
 // BatchConfig.Wire.
 type WireConfig = runtime.WireConfig
 
