@@ -267,7 +267,7 @@ func (p *Process) broadcastChoice(ctx dist.Context, round int, choice []dist.Pro
 	if telemetry.TraceOn() {
 		// The compiled protocol's round state is the broadcast sender choice,
 		// not a geometric object; consumers deduplicate by (proc, round,
-		// instance) as for cc.round/vc.round.
+		// instance) as for cc.round.
 		telemetry.Emit("byz.round", map[string]any{
 			"proc": int(p.id), "round": round, "choice": choice, "instance": p.traceInstance,
 		})

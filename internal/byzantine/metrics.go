@@ -3,7 +3,7 @@ package byzantine
 import "chc/internal/telemetry"
 
 // Cells of the shared chc_consensus_* families for the Byzantine-compiled
-// variant (the "protocol" label distinguishes the three protocol packages).
+// variant (the "protocol" label tells it from core's "cc" and "vector").
 var (
 	mRoundsStarted = telemetry.Default().CounterVec("chc_consensus_rounds_started_total",
 		"Averaging rounds entered: own state recorded into MSG_i[t] and broadcast.",

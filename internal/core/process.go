@@ -56,6 +56,9 @@ type Process struct {
 
 	syntheticH0 *polytope.Polytope // non-nil: skip round 0 (analysis mode)
 
+	round0 func(Params, []geom.Point) (*polytope.Polytope, error) // line 5
+	m      *cells
+
 	// r0Start/roundStart carry the telemetry clock across the async phase
 	// boundaries; both stay zero while telemetry and tracing are off, so the
 	// disabled path never reads the wall clock.
@@ -78,10 +81,34 @@ var _ dist.Process = (*Process)(nil)
 // state. It is a test hook; FromCanonical's O(|V|) check always runs.
 var checkReceivedExtreme bool
 
-// NewProcess builds a process with the given input. The input is validated
-// against the parameter bounds (faulty processes' incorrect inputs must
-// still respect the declared domain, as the paper's Ω bound assumes).
+// Variant is Algorithm CC run from its own round-0 state: the stable
+// vector, rounds 1..t_end of L, their messages, trace records and events are
+// CC's, and only line 5 — how h_i[0] is built from X_i — and the "protocol"
+// label of the chc_consensus_* cells differ. Vector consensus is the variant
+// whose h_i[0] is one point: L applied to points is their weighted average.
+type Variant struct {
+	round0 func(Params, []geom.Point) (*polytope.Polytope, error)
+	m      *cells
+}
+
+// NewVariant returns the variant whose line 5 is round0 and whose cells
+// carry the given protocol label.
+func NewVariant(protocol string, round0 func(Params, []geom.Point) (*polytope.Polytope, error)) Variant {
+	return Variant{round0: round0, m: cellsFor(protocol)}
+}
+
+// cc is Algorithm CC itself.
+var cc = NewVariant("cc", InitialPolytope)
+
+// NewProcess builds an Algorithm CC process with the given input.
 func NewProcess(params Params, id dist.ProcID, input geom.Point) (*Process, error) {
+	return cc.NewProcess(params, id, input)
+}
+
+// NewProcess builds a participant of v with the given input. The input is
+// validated against the parameter bounds (faulty processes' incorrect inputs
+// must still respect the declared domain, as the paper's Ω bound assumes).
+func (v Variant) NewProcess(params Params, id dist.ProcID, input geom.Point) (*Process, error) {
 	params = params.withDefaults()
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -100,6 +127,8 @@ func NewProcess(params Params, id dist.ProcID, input geom.Point) (*Process, erro
 		tEnd:    params.TEnd(),
 		sv:      sv,
 		pending: make(map[int]map[dist.ProcID][]geom.Point),
+		round0:  v.round0,
+		m:       v.m,
 		trace:   Trace{ID: id},
 	}, nil
 }
@@ -241,7 +270,7 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 	for k, e := range entries {
 		xi[k] = e.Value
 	}
-	h0, err := initialPolytope(p.params, xi)
+	h0, err := p.round0(p.params, xi)
 	if err != nil {
 		p.failure = fmt.Errorf("core: process %d round 0: %w", p.id, err)
 		return
@@ -250,7 +279,7 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 	p.trace.H0 = h0.Vertices()
 	p.state = h0
 	if !p.r0Start.IsZero() {
-		mRound0Seconds.ObserveDuration(time.Since(p.r0Start))
+		p.m.round0Seconds.ObserveDuration(time.Since(p.r0Start))
 	}
 	p.emitRoundState(0, p.trace.H0)
 	p.enterRound(ctx, 1)
@@ -262,8 +291,8 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 func (p *Process) enterRound(ctx dist.Context, t int) {
 	if t > p.tEnd {
 		p.decided = true
-		mDecided.Inc()
-		mDecidedRound.Observe(float64(p.tEnd))
+		p.m.decided.Inc()
+		p.m.decidedRound.Observe(float64(p.tEnd))
 		if telemetry.TraceOn() {
 			telemetry.Emit("cc.decided", map[string]any{
 				"proc": int(p.id), "round": p.tEnd, "instance": p.traceInstance,
@@ -271,7 +300,7 @@ func (p *Process) enterRound(ctx dist.Context, t int) {
 		}
 		return
 	}
-	mRoundsStarted.Inc()
+	p.m.roundsStarted.Inc()
 	if telemetry.Enabled() || telemetry.TraceOn() {
 		p.roundStart = time.Now()
 	}
@@ -343,7 +372,7 @@ func (p *Process) advance(ctx dist.Context) {
 		}
 		p.trace.Rounds = append(p.trace.Rounds, rec)
 		if !p.roundStart.IsZero() {
-			mRoundSeconds.ObserveDuration(time.Since(p.roundStart))
+			p.m.roundSeconds.ObserveDuration(time.Since(p.roundStart))
 		}
 		p.emitRoundState(rec.Round, rec.State)
 		delete(p.pending, p.round) // Y_i[t] is fixed; Deliver drops late round-t states
@@ -373,10 +402,6 @@ func (p *Process) emitRoundState(round int, verts []geom.Point) {
 // SetTraceInstance stamps the engine instance index onto this process's
 // trace events (the engine calls it when building multi-instance nodes).
 func (p *Process) SetTraceInstance(k int) { p.traceInstance = k }
-
-// initialPolytope is the round-0 construction a process runs. It is a
-// variable only so that a test can make round 0 fail.
-var initialPolytope = InitialPolytope
 
 // InitialPolytope computes h_i[0] from the multiset X_i (line 5). Under the
 // incorrect-inputs model it is the intersection of the hulls of all

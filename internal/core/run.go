@@ -147,10 +147,12 @@ func CorrectInputHull(cfg *RunConfig) (*polytope.Polytope, error) {
 // Algorithm CC participant per process. The config must already be
 // validated; constructor closures are deterministic, so crash recovery can
 // re-invoke them to rebuild a node for WAL replay.
-func (cfg *RunConfig) Spec() engine.InstanceSpec {
+func (cfg *RunConfig) Spec() engine.InstanceSpec { return cc.spec(cfg) }
+
+func (v Variant) spec(cfg *RunConfig) engine.InstanceSpec {
 	params := cfg.Params.withDefaults()
 	return engine.InstanceSpec{New: func(id dist.ProcID) (dist.Process, error) {
-		proc, err := NewProcess(params, id, cfg.Inputs[id])
+		proc, err := v.NewProcess(params, id, cfg.Inputs[id])
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +183,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // ends in failure rather than a decision (e.g. an empty round-0 intersection),
 // the partial result is returned beside the error: a failed process is not a
 // crashed one, on any transport. Configuration errors return a nil result.
-func RunOn(cfg RunConfig, opts engine.Options) (*RunResult, error) {
+func RunOn(cfg RunConfig, opts engine.Options) (*RunResult, error) { return cc.RunOn(cfg, opts) }
+
+// RunOn is the package-level RunOn with a participant of v at every process.
+func (v Variant) RunOn(cfg RunConfig, opts engine.Options) (*RunResult, error) {
 	cfg.Params = cfg.Params.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -193,7 +198,7 @@ func RunOn(cfg RunConfig, opts engine.Options) (*RunResult, error) {
 	}
 	params := cfg.Params
 	opts.Crashes, opts.Inputs = cfg.Crashes, cfg.Inputs
-	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{cfg.Spec()}}, opts)
+	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{v.spec(&cfg)}}, opts)
 	if res == nil {
 		return nil, err
 	}

@@ -15,13 +15,12 @@ import (
 // engine, and on every transport it must surface as the run's error beside
 // the partial result — not be filed under Crashed with a nil error, which is
 // what the networked collection loops did. p4 crashes before sending, and
-// round 0 is swapped for one that always fails, so every survivor ends in
-// failure rather than a decision.
+// the variant's round 0 always fails, so every survivor ends in failure
+// rather than a decision.
 func TestRunOnFailureIsNotACrash(t *testing.T) {
-	defer func(orig func(Params, []geom.Point) (*polytope.Polytope, error)) { initialPolytope = orig }(initialPolytope)
-	initialPolytope = func(Params, []geom.Point) (*polytope.Polytope, error) {
+	failing := NewVariant("cc", func(Params, []geom.Point) (*polytope.Polytope, error) {
 		return nil, polytope.ErrEmpty
-	}
+	})
 	cfg := RunConfig{
 		Params: Params{N: 5, F: 1, D: 2, Epsilon: 0.5, InputLower: 0, InputUpper: 10},
 		Inputs: []geom.Point{
@@ -32,7 +31,7 @@ func TestRunOnFailureIsNotACrash(t *testing.T) {
 		Crashes: []dist.CrashPlan{{Proc: 4, AfterSends: 0}},
 	}
 	for _, transport := range []engine.Transport{engine.TransportSim, engine.TransportChannel} {
-		res, err := RunOn(cfg, engine.Options{Transport: transport, Timeout: 30 * time.Second})
+		res, err := failing.RunOn(cfg, engine.Options{Transport: transport, Timeout: 30 * time.Second})
 		if !errors.Is(err, polytope.ErrEmpty) {
 			t.Fatalf("%v: err = %v, want the round-0 ErrEmpty failure", transport, err)
 		}

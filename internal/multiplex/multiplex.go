@@ -36,8 +36,8 @@ type ProtocolKind int
 const (
 	// ProtocolCC is Algorithm CC: convex hull consensus under crash faults.
 	ProtocolCC ProtocolKind = iota
-	// ProtocolVector is the approximate vector consensus baseline: same
-	// round structure, point-valued decisions.
+	// ProtocolVector is the approximate vector consensus baseline:
+	// Algorithm CC from a singleton round-0 state, point-valued decisions.
 	ProtocolVector
 	// ProtocolByzantine is the crash→Byzantine transformation (n >= 3f+1);
 	// the instance's Faults configure adversarial participants.
@@ -150,6 +150,11 @@ func specForInstance(n int, inst Instance) (engine.InstanceSpec, error) {
 	}
 	if len(inst.Inputs) != n {
 		return engine.InstanceSpec{}, fmt.Errorf("has %d inputs for n=%d", len(inst.Inputs), n)
+	}
+	for i, x := range inst.Inputs {
+		if err := params.CheckInput(x); err != nil {
+			return engine.InstanceSpec{}, fmt.Errorf("input %d: %w", i, err)
+		}
 	}
 	if len(inst.Faults) > 0 && inst.Protocol != ProtocolByzantine {
 		return engine.InstanceSpec{}, fmt.Errorf("Faults require ProtocolByzantine, got %v", inst.Protocol)

@@ -78,16 +78,32 @@ func TestServiceSubmitDecide(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsMalformedSynchronously: wrong arity, an input outside
+// [InputLower, InputUpper] (t_end of eq. 19 is not sized for it) and an input
+// of the wrong dimension are refused by Submit itself, for every crash-model
+// protocol, before they take a record or an admission slot.
 func TestServiceRejectsMalformedSynchronously(t *testing.T) {
 	s, err := New(Config{N: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
-	bad := testInstance(4, 1)
-	bad.Inputs = bad.Inputs[:2] // wrong arity
-	if _, _, err := s.Submit(bad); err == nil {
-		t.Fatal("Submit accepted an instance with missing inputs")
+	for _, protocol := range []multiplex.ProtocolKind{multiplex.ProtocolCC, multiplex.ProtocolVector} {
+		for _, tc := range []struct {
+			name  string
+			spoil func(*multiplex.Instance)
+		}{
+			{"missing inputs", func(inst *multiplex.Instance) { inst.Inputs = inst.Inputs[:2] }},
+			{"input out of range", func(inst *multiplex.Instance) { inst.Inputs[1] = geom.Point{40} }},
+			{"input of wrong dimension", func(inst *multiplex.Instance) { inst.Inputs[3] = geom.Point{1, 2} }},
+		} {
+			bad := testInstance(4, 1)
+			bad.Protocol = protocol
+			tc.spoil(&bad)
+			if _, _, err := s.Submit(bad); err == nil {
+				t.Errorf("%v: Submit accepted an instance with %s", protocol, tc.name)
+			}
+		}
 	}
 	if total, _, _, _ := s.Counts(); total != 0 {
 		t.Fatalf("malformed submission occupied a record (total=%d)", total)

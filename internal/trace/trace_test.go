@@ -9,18 +9,18 @@ import (
 	"chc/internal/dist"
 	"chc/internal/geom"
 	"chc/internal/polytope"
+	"chc/internal/vectorconsensus"
 )
 
 func pt(coords ...float64) geom.Point { return geom.NewPoint(coords...) }
 
-func run(t *testing.T, seed int64, faulty []dist.ProcID, crashes []dist.CrashPlan) *core.RunResult {
-	t.Helper()
+func config(seed int64, faulty []dist.ProcID, crashes []dist.CrashPlan) core.RunConfig {
 	rng := rand.New(rand.NewSource(seed))
 	inputs := make([]geom.Point, 5)
 	for i := range inputs {
 		inputs[i] = pt(rng.Float64()*10, rng.Float64()*10)
 	}
-	cfg := core.RunConfig{
+	return core.RunConfig{
 		Params: core.Params{
 			N: 5, F: 1, D: 2,
 			Epsilon:    0.2,
@@ -31,7 +31,11 @@ func run(t *testing.T, seed int64, faulty []dist.ProcID, crashes []dist.CrashPla
 		Crashes: crashes,
 		Seed:    seed,
 	}
-	result, err := core.Run(cfg)
+}
+
+func run(t *testing.T, seed int64, faulty []dist.ProcID, crashes []dist.CrashPlan) *core.RunResult {
+	t.Helper()
+	result, err := core.Run(config(seed, faulty, crashes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,18 +82,39 @@ func TestLemma3Holds(t *testing.T) {
 	}
 }
 
+// TestTheorem1MatrixFormMatchesOperational runs one execution as Algorithm CC
+// and as vector consensus. A vector run is CC from h_i[0] = {SafePoint(R_i)},
+// so by Theorem 1 each of its states, the decision at t_end included, is the
+// point Σ_j P_ij[t]·SafePoint(R_j): the Section 1 argument as a check.
 func TestTheorem1MatrixFormMatchesOperational(t *testing.T) {
-	result := run(t, 3, []dist.ProcID{2}, []dist.CrashPlan{{Proc: 2, AfterSends: 15}})
-	a, err := Build(result)
+	cc := run(t, 3, []dist.ProcID{2}, []dist.CrashPlan{{Proc: 2, AfterSends: 15}})
+	vc, err := vectorconsensus.Run(config(3, []dist.ProcID{2}, []dist.CrashPlan{{Proc: 2, AfterSends: 15}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := []int{1, 2}
-	if a.TEnd >= 3 {
-		rounds = append(rounds, 3)
+	every := make([]int, vc.Params.TEnd())
+	for k := range every {
+		every[k] = k + 1
 	}
-	if err := a.VerifyTheorem1(result, rounds, 1e-6); err != nil {
-		t.Error(err)
+	for _, tc := range []struct {
+		name   string
+		result *core.RunResult
+		rounds []int
+		tol    float64
+	}{
+		{"cc", cc, []int{1, 2, 3}, 1e-6},
+		{"vector", vc.RunResult, every, 1e-9},
+	} {
+		a, err := Build(tc.result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.TEnd < len(tc.rounds) {
+			tc.rounds = tc.rounds[:a.TEnd]
+		}
+		if err := a.VerifyTheorem1(tc.result, tc.rounds, tc.tol); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -4,221 +4,60 @@
 // generalises, adapted to the crash model of the paper.
 //
 // Each process decides a single point in the convex hull of the correct
-// inputs, with pairwise decisions within ε. The algorithm mirrors Algorithm
-// CC with point-valued state: round 0 computes the same safe intersection
-// polytope and takes its centroid (a "safe point" that any f incorrect
-// inputs cannot displace outside the correct hull); rounds >= 1 average the
-// n - f received points. It serves as the comparison baseline in the
-// experiment suite: same resilience and round structure, but the output
-// carries a single point of information instead of the full optimal region.
+// inputs, with pairwise decisions within ε. It is Algorithm CC started from
+// a singleton: h_i[0] = {SafePoint(X_i)}, the centroid of CC's own h_i[0],
+// which any f incorrect inputs cannot displace outside the correct hull. The
+// function L applied to points is their weighted average, so every later
+// state is a point too, and by Theorem 1 a decision is
+// Σ_j P_ij[t_end]·SafePoint(R_j). Messages, trace records, events and the
+// round loop are CC's; only the output carries one point of information
+// instead of the full optimal region. It serves as the comparison baseline
+// in the experiment suite.
 package vectorconsensus
 
 import (
 	"fmt"
-	"sort"
 
 	"chc/internal/core"
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/geom"
-	"chc/internal/stablevector"
-	"chc/internal/telemetry"
-	"chc/internal/wire"
+	"chc/internal/polytope"
 )
 
 // The baseline is a full engine protocol: it decides a point.
 var _ engine.Protocol[geom.Point] = (*Process)(nil)
 
-// KindState is the message kind carrying a round-t point state.
-const KindState = "vc.state"
+// variant is vector consensus as Algorithm CC: round 0 ends in one point.
+var variant = core.NewVariant("vector", func(params core.Params, xi []geom.Point) (*polytope.Polytope, error) {
+	safe, err := SafePoint(params, xi)
+	if err != nil {
+		return nil, err
+	}
+	return polytope.FromPoint(safe), nil
+})
 
-// Process is one participant in the vector consensus protocol.
-type Process struct {
-	params core.Params
-	id     dist.ProcID
-	tEnd   int
-
-	sv      *stablevector.SV
-	round   int
-	state   geom.Point
-	pending map[int]map[dist.ProcID]geom.Point
-
-	decided bool
-	failure error
-	rounds  int
-
-	// traceInstance is the engine instance index stamped onto trace events,
-	// so multi-instance runs can attribute rounds to their agreement task.
-	traceInstance int
-}
-
-var _ dist.Process = (*Process)(nil)
+// Process is one participant in the vector consensus protocol: an
+// Algorithm CC process whose states are single points.
+type Process struct{ *core.Process }
 
 // NewProcess builds a vector consensus participant.
 func NewProcess(params core.Params, id dist.ProcID, input geom.Point) (*Process, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	sv, err := stablevector.New(id, params.N, params.F, input)
+	p, err := variant.NewProcess(params, id, input)
 	if err != nil {
 		return nil, err
 	}
-	return &Process{
-		params:  params,
-		id:      id,
-		tEnd:    params.TEnd(),
-		sv:      sv,
-		pending: make(map[int]map[dist.ProcID]geom.Point),
-	}, nil
+	return &Process{p}, nil
 }
 
-// Init starts round 0.
-func (p *Process) Init(ctx dist.Context) {
-	p.sv.Start(ctx)
-	p.tryFinishRound0(ctx)
-}
-
-// Deliver handles one message.
-func (p *Process) Deliver(ctx dist.Context, msg dist.Message) {
-	if p.failure != nil {
-		return
-	}
-	switch msg.Kind {
-	case stablevector.KindReport:
-		p.sv.Handle(ctx, msg)
-		p.tryFinishRound0(ctx)
-	case KindState:
-		payload, ok := msg.Payload.(wire.PointPayload)
-		if !ok || msg.Round < 1 {
-			return
-		}
-		perRound := p.pending[msg.Round]
-		if perRound == nil {
-			perRound = make(map[dist.ProcID]geom.Point)
-			p.pending[msg.Round] = perRound
-		}
-		if _, dup := perRound[msg.From]; dup {
-			return
-		}
-		perRound[msg.From] = payload.Value
-		p.advance(ctx)
-	}
-}
-
-// Done reports whether the process has decided or failed.
-func (p *Process) Done() bool { return p.decided || p.failure != nil }
-
-// Output returns the decision point.
+// Output returns the decision point, the one vertex of h_i[t_end].
 func (p *Process) Output() (geom.Point, error) {
-	if p.failure != nil {
-		return nil, p.failure
-	}
-	if !p.decided {
-		return nil, fmt.Errorf("vectorconsensus: process %d has not decided", p.id)
-	}
-	return p.state.Clone(), nil
-}
-
-// Rounds returns the number of averaging rounds executed.
-func (p *Process) Rounds() int { return p.rounds }
-
-// DecidedRound returns the terminal averaging round t_end once the process
-// has decided, and 0 before that.
-func (p *Process) DecidedRound() int {
-	if !p.decided {
-		return 0
-	}
-	return p.tEnd
-}
-
-func (p *Process) tryFinishRound0(ctx dist.Context) {
-	if p.round != 0 || p.failure != nil {
-		return
-	}
-	entries, ok := p.sv.Result()
-	if !ok {
-		return
-	}
-	xi := make([]geom.Point, len(entries))
-	for k, e := range entries {
-		xi[k] = e.Value
-	}
-	safe, err := SafePoint(p.params, xi)
+	h, err := p.Process.Output()
 	if err != nil {
-		p.failure = fmt.Errorf("vectorconsensus: process %d round 0: %w", p.id, err)
-		return
+		return nil, err
 	}
-	p.state = safe
-	p.emitRoundState(0)
-	p.enterRound(ctx, 1)
-	p.advance(ctx)
+	return h.Vertices()[0], nil
 }
-
-func (p *Process) enterRound(ctx dist.Context, t int) {
-	if t > p.tEnd {
-		p.decided = true
-		mDecided.Inc()
-		mDecidedRound.Observe(float64(p.tEnd))
-		if telemetry.TraceOn() {
-			telemetry.Emit("vc.decided", map[string]any{
-				"proc": int(p.id), "round": p.tEnd, "instance": p.traceInstance,
-			})
-		}
-		return
-	}
-	mRoundsStarted.Inc()
-	p.round = t
-	perRound := p.pending[t]
-	if perRound == nil {
-		perRound = make(map[dist.ProcID]geom.Point)
-		p.pending[t] = perRound
-	}
-	perRound[p.id] = p.state
-	ctx.Broadcast(KindState, t, wire.PointPayload{Value: p.state})
-}
-
-func (p *Process) advance(ctx dist.Context) {
-	for !p.decided && p.failure == nil && p.round >= 1 {
-		perRound := p.pending[p.round]
-		if len(perRound) < p.params.N-p.params.F {
-			return
-		}
-		senders := make([]dist.ProcID, 0, len(perRound))
-		for id := range perRound {
-			senders = append(senders, id)
-		}
-		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-		avg := geom.Zero(p.params.D)
-		for _, id := range senders {
-			avg = avg.AddScaled(1/float64(len(senders)), perRound[id])
-		}
-		p.state = avg
-		p.rounds++
-		p.emitRoundState(p.round)
-		delete(p.pending, p.round)
-		p.enterRound(ctx, p.round+1)
-	}
-}
-
-// emitRoundState publishes one per-round point state to the trace sink,
-// mirroring core's cc.round events: round 0 carries the safe point, round
-// t >= 1 the averaged state. WAL replay re-emits events for completed
-// rounds; consumers deduplicate by (proc, round, instance).
-func (p *Process) emitRoundState(round int) {
-	if !telemetry.TraceOn() {
-		return
-	}
-	telemetry.Emit("vc.round", map[string]any{
-		"proc":     int(p.id),
-		"round":    round,
-		"state":    p.state.Clone(),
-		"instance": p.traceInstance,
-	})
-}
-
-// SetTraceInstance stamps the engine instance index onto this process's
-// trace events (the engine calls it when building multi-instance nodes).
-func (p *Process) SetTraceInstance(k int) { p.traceInstance = k }
 
 // SafePoint computes the round-0 point state: the vertex centroid of the
 // intersection polytope of line 5 — guaranteed to lie in the convex hull of
@@ -231,24 +70,15 @@ func SafePoint(params core.Params, xi []geom.Point) (geom.Point, error) {
 	return h0.Centroid()
 }
 
-// RunResult aggregates a simulated execution of the baseline.
+// RunResult is a simulated execution of the baseline: Algorithm CC's record
+// of it (faults, traces, message statistics) with each decision read as the
+// point it is.
 type RunResult struct {
-	Params  core.Params
+	*core.RunResult
+	// Outputs maps every process that decided to its decision point. It
+	// shadows the embedded result's singleton polytopes.
 	Outputs map[dist.ProcID]geom.Point
-	Faulty  map[dist.ProcID]bool
 	Rounds  int // max averaging rounds over decided processes
-	Stats   *dist.Stats
-}
-
-// FaultFree returns the IDs outside the fault set.
-func (r *RunResult) FaultFree() []dist.ProcID {
-	var out []dist.ProcID
-	for i := 0; i < r.Params.N; i++ {
-		if !r.Faulty[dist.ProcID(i)] {
-			out = append(out, dist.ProcID(i))
-		}
-	}
-	return out
 }
 
 // MaxPairwiseDistance returns the largest distance between two fault-free
@@ -283,49 +113,18 @@ func Spec(cfg core.RunConfig) engine.InstanceSpec {
 
 // Run executes one vector consensus instance under the deterministic
 // simulator (via the unified engine), reusing the execution description of
-// package core.
+// package core. Like core.Run it returns the partial result beside a failure.
 func Run(cfg core.RunConfig) (*RunResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	params := cfg.Params
-	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{Spec(cfg)}}, engine.Options{
-		Seed:          cfg.Seed,
-		Scheduler:     cfg.Scheduler,
-		Crashes:       cfg.Crashes,
-		MaxDeliveries: cfg.MaxDeliveries,
-	})
+	res, err := variant.RunOn(cfg, engine.Options{Seed: cfg.Seed, Scheduler: cfg.Scheduler, MaxDeliveries: cfg.MaxDeliveries})
 	if res == nil {
 		return nil, err
 	}
-	result := &RunResult{
-		Params:  params,
-		Outputs: make(map[dist.ProcID]geom.Point),
-		Faulty:  make(map[dist.ProcID]bool),
-		Stats:   res.Stats,
+	result := &RunResult{RunResult: res, Outputs: make(map[dist.ProcID]geom.Point, len(res.Outputs))}
+	for id, h := range res.Outputs {
+		result.Outputs[id] = h.Vertices()[0]
+		result.Rounds = max(result.Rounds, len(res.Traces[id].Rounds))
 	}
-	for _, id := range cfg.Faulty {
-		result.Faulty[id] = true
-	}
-	for i := 0; i < params.N; i++ {
-		proc := res.Sub(0, dist.ProcID(i)).(*Process)
-		if proc.decided {
-			out, oerr := proc.Output()
-			if oerr != nil {
-				return nil, oerr
-			}
-			result.Outputs[dist.ProcID(i)] = out
-			if proc.Rounds() > result.Rounds {
-				result.Rounds = proc.Rounds()
-			}
-		} else if proc.failure != nil && err == nil {
-			err = proc.failure
-		}
-	}
-	if err != nil {
-		return result, fmt.Errorf("vectorconsensus: run: %w", err)
-	}
-	return result, nil
+	return result, err
 }
 
 // CheckValidity verifies that every decision lies in the convex hull of the

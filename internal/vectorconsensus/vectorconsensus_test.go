@@ -8,6 +8,8 @@ import (
 	"chc/internal/core"
 	"chc/internal/dist"
 	"chc/internal/geom"
+	"chc/internal/stablevector"
+	"chc/internal/telemetry"
 )
 
 func pt(coords ...float64) geom.Point { return geom.NewPoint(coords...) }
@@ -139,5 +141,81 @@ func TestAdversarialSchedule(t *testing.T) {
 	}
 	if err := CheckValidity(result, &cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunIsAlgorithmCC: a vector run sends exactly Algorithm CC's messages —
+// the stable vector's reports, then n(n-1)·t_end cc.state broadcasts — and
+// every process records h_i[0] and each h_i[t] as the one point it holds.
+func TestRunIsAlgorithmCC(t *testing.T) {
+	cfg := core.RunConfig{Params: params(5, 1, 2), Inputs: inputs2D(5, 5), Seed: 5}
+	result, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, tEnd := cfg.Params.N, cfg.Params.TEnd()
+	kinds := result.Stats.KindCounts
+	if kinds["cc.state"] != n*(n-1)*tEnd || kinds["cc.state"]+kinds[stablevector.KindReport] != result.Stats.Sends {
+		t.Errorf("message kinds %v, want %d cc.state plus the stable vector's reports", kinds, n*(n-1)*tEnd)
+	}
+	if result.Rounds != tEnd {
+		t.Errorf("rounds = %d, want t_end = %d", result.Rounds, tEnd)
+	}
+	for id, tr := range result.Traces {
+		if len(tr.H0) != 1 || len(tr.Rounds) != tEnd {
+			t.Fatalf("process %d: |h[0]| = %d, %d round records", id, len(tr.H0), len(tr.Rounds))
+		}
+		xi := make([]geom.Point, len(tr.R0Entries))
+		for k, e := range tr.R0Entries {
+			xi[k] = e.Value
+		}
+		if safe, err := SafePoint(cfg.Params, xi); err != nil || !geom.Equal(safe, tr.H0[0], 0) {
+			t.Errorf("process %d: h[0] = %v, want SafePoint(R_i) = %v (%v)", id, tr.H0, safe, err)
+		}
+		last := tr.Rounds[tEnd-1].State
+		if len(last) != 1 || !geom.Equal(last[0], result.Outputs[id], 0) {
+			t.Errorf("process %d: h[t_end] = %v, decision %v", id, last, result.Outputs[id])
+		}
+	}
+}
+
+// TestMetricsCarryVectorLabel: a vector run counts into the shared
+// chc_consensus_* families under protocol="vector" and leaves "cc" alone.
+func TestMetricsCarryVectorLabel(t *testing.T) {
+	prev := telemetry.Enable(true)
+	defer telemetry.Enable(prev)
+	value := func(snap *telemetry.Snapshot, family, protocol string) float64 {
+		for _, s := range snap.Find(family).Samples {
+			if s.Labels["protocol"] != protocol {
+				continue
+			}
+			if s.Histogram != nil {
+				return float64(s.Histogram.Count)
+			}
+			return s.Value
+		}
+		return 0
+	}
+	cfg := core.RunConfig{Params: params(5, 1, 2), Inputs: inputs2D(5, 6), Seed: 6}
+	before := telemetry.Default().Snapshot()
+	result, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, tEnd := float64(cfg.Params.N), float64(cfg.Params.TEnd())
+	for _, c := range []struct {
+		family  string
+		vec, cc float64
+	}{
+		{"chc_consensus_rounds_started_total", n * tEnd, 0},
+		{"chc_consensus_decided_total", n, 0},
+		{"chc_consensus_decided_round", n, 0},
+	} {
+		if got := value(result.Telemetry, c.family, "vector") - value(before, c.family, "vector"); got != c.vec {
+			t.Errorf("%s{protocol=\"vector\"} grew by %v, want %v", c.family, got, c.vec)
+		}
+		if got := value(result.Telemetry, c.family, "cc") - value(before, c.family, "cc"); got != c.cc {
+			t.Errorf("%s{protocol=\"cc\"} grew by %v during a vector run", c.family, got)
+		}
 	}
 }

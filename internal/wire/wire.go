@@ -95,8 +95,8 @@ func Classify(err error) string {
 	}
 }
 
-// PointPayload carries a single d-dimensional point (e.g. a round-0 input
-// or a vector-consensus state).
+// PointPayload carries a single d-dimensional point: a round-0 input of the
+// NaiveCollectRound0 ablation or of the Byzantine transformation.
 type PointPayload struct {
 	Value geom.Point
 }
