@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check loc race soak soak-smoke disk-torture wire-torture fuzz-smoke serve-smoke bench experiments
+.PHONY: build test check loc race soak soak-smoke disk-torture wire-torture fuzz-smoke serve-smoke bench bench-pairs experiments
 
 # The -run regexes the disk-torture, wire-torture and serve-smoke gates pick
 # tests by, and (GATE_RUNS, regex@package,...) the packages each one targets,
@@ -121,6 +121,17 @@ serve-smoke: build
 # benchmarks keep compiling and running; numbers come from benchmark/.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# bench-pairs runs PAIRS alternating BASE/change pairs of each workload in
+# WORKLOADS (default: every workload of BENCHMARK.json), BASE being a git
+# revision and the change this checkout, and prints per end-to-end metric
+# both medians, the base's IQR and the change's win count
+# (scripts/bench-pairs.sh; needs jq).
+BASE      ?= HEAD
+PAIRS     ?= 10
+WORKLOADS ?=
+bench-pairs:
+	bash scripts/bench-pairs.sh '$(BASE)' '$(WORKLOADS)' '$(PAIRS)'
 
 experiments:
 	$(GO) run ./cmd/chcbench -quick

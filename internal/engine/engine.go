@@ -8,7 +8,8 @@
 //
 // Multiplexing is structural, not string-based: every dist.Message carries a
 // numeric Instance field (serialised in the wire envelope), each process
-// hosts one participant per instance behind a demultiplexing Node, and the
+// hosts one participant per instance behind one demultiplexing host (the
+// same host serves Run's batches and the Resident engine), and the
 // write-ahead log — which journals full wire-encoded messages — therefore
 // records per-instance history for free, so a restarted node replays every
 // instance it hosts. Kind strings are carried byte-for-byte; no namespacing
@@ -88,9 +89,9 @@ type Options struct {
 	runtime.Env
 }
 
-// Result is the outcome of a run. Participants are reached through Sub (or
-// the typed Output helper); after a networked run with restarts these are
-// the relaunched incarnations, so inspection sees recovered state.
+// Result is the outcome of a run. Participants are reached through Sub;
+// after a networked run with restarts these are the relaunched
+// incarnations, so inspection sees recovered state.
 type Result struct {
 	N         int
 	Instances int
@@ -110,7 +111,7 @@ type Result struct {
 	// re-arm succeeded before shutdown.
 	Degraded []dist.ProcID
 
-	nodes []*Node
+	nodes []*residentNode
 }
 
 // Sub returns the participant of instance k hosted by process id (the final
@@ -128,19 +129,6 @@ func (r *Result) DecidedRound(k int, id dist.ProcID) int {
 	return 0
 }
 
-// Output extracts the typed decision of instance k's participant on process
-// id. It fails if the participant has not decided, failed, or does not
-// implement Protocol[O] (e.g. a Byzantine adversary).
-func Output[O any](r *Result, k int, id dist.ProcID) (O, error) {
-	sub := r.Sub(k, id)
-	p, ok := sub.(Protocol[O])
-	if !ok {
-		var zero O
-		return zero, fmt.Errorf("engine: instance %d process %d: %T does not decide a %T", k, id, sub, zero)
-	}
-	return p.Output()
-}
-
 // Run executes the spec over the selected transport. When the execution
 // itself fails (deadlock, livelock, timeout, recovery failure) the partial
 // Result is returned alongside the error; configuration errors return a nil
@@ -152,10 +140,10 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	if len(spec.Instances) == 0 {
 		return nil, errors.New("engine: no instances")
 	}
-	nodes := make([]*Node, spec.N)
+	nodes := make([]*residentNode, spec.N)
 	procs := make([]dist.Process, spec.N)
 	for i := range procs {
-		nd, err := buildNode(spec, dist.ProcID(i))
+		nd, err := newBatchNode(spec, dist.ProcID(i))
 		if err != nil {
 			return nil, err
 		}
@@ -175,6 +163,9 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		if opts.HasWAN() {
 			return nil, errors.New("engine: WAN and Scheduler both drive simulator delivery order; set one")
 		}
+	}
+	if opts.MaxDeliveries != 0 && opts.Transport != TransportSim {
+		return nil, errors.New("engine: MaxDeliveries bounds the simulator only; networked runs are bounded by Timeout")
 	}
 
 	// The run is tracked only past this point, so configuration errors never
@@ -239,7 +230,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 }
 
 // runSim drives the nodes with the deterministic simulator.
-func runSim(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Result, error) {
+func runSim(spec Spec, opts Options, nodes []*residentNode, procs []dist.Process) (*Result, error) {
 	if opts.HasWAN() {
 		sched, err := wan.NewSimScheduler(*opts.WAN, spec.N, opts.WANSeed)
 		if err != nil {
@@ -276,16 +267,16 @@ func runSim(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Resu
 
 // runCluster drives the nodes with the goroutine runtime over channels or
 // TCP, layering on the requested fault stack.
-func runCluster(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*Result, error) {
+func runCluster(spec Spec, opts Options, nodes []*residentNode, procs []dist.Process) (*Result, error) {
 	cluster, err := newCluster(opts.Transport, procs, runtime.Config{Env: opts.Env, Crashes: opts.Crashes, Recovery: runtime.RecoveryConfig{
-		// The factory rebuilds the whole multiplexing node: replay then
+		// The factory rebuilds the whole batch node: replay then
 		// drives the journaled deliveries — each stamped with its
 		// instance — through it, reconstructing every hosted instance.
 		// Specs were validated by the eager construction above, so a
 		// failure here is replay-level corruption, which the recovery
 		// machinery reports by catching this panic.
 		Factory: func(i int) dist.Process {
-			nd, err := buildNode(spec, dist.ProcID(i))
+			nd, err := newBatchNode(spec, dist.ProcID(i))
 			if err != nil {
 				panic(err)
 			}
@@ -305,11 +296,7 @@ func runCluster(spec Spec, opts Options, nodes []*Node, procs []dist.Process) (*
 	// replaces the one built above, and its recovered participants are the
 	// ones to inspect.
 	for i, p := range cluster.Processes() {
-		nd, ok := p.(*Node)
-		if !ok {
-			return nil, fmt.Errorf("engine: node %d: unexpected process type %T", i, p)
-		}
-		nodes[i] = nd
+		nodes[i] = p.(*residentNode)
 	}
 	st := cluster.Stats()
 	net := st.Net

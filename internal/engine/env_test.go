@@ -92,8 +92,9 @@ func TestEnvValidate(t *testing.T) {
 
 // TestEnvRulesReachEveryEntryPoint checks that both engine entry points
 // apply the table above, and keep the rules about what Env does not hold:
-// the Scheduler/WAN exclusion, schedulers on networked transports, a
-// resident simulator, and the retention horizon without a journal.
+// the Scheduler/WAN exclusion, schedulers or a delivery bound on networked
+// transports, a resident simulator, and the retention horizon without a
+// journal.
 func TestEnvRulesReachEveryEntryPoint(t *testing.T) {
 	params := core.Params{N: 5, F: 1, D: 2, Epsilon: 0.5, InputLower: 0, InputUpper: 12}
 	cfg := core.RunConfig{Params: params, Inputs: gridInputs(5, 2, 3)}
@@ -102,11 +103,12 @@ func TestEnvRulesReachEveryEntryPoint(t *testing.T) {
 	bad := runtime.Env{Durability: runtime.Degrade}
 
 	for name, opts := range map[string]engine.Options{
-		"env rule":             {Transport: engine.TransportChannel, Env: bad},
-		"WAN and Scheduler":    {Scheduler: dist.NewRoundRobinScheduler(), Env: runtime.Env{WAN: &regions}},
-		"networked Scheduler":  {Transport: engine.TransportChannel, Scheduler: dist.NewRoundRobinScheduler()},
-		"unknown transport":    {Transport: engine.Transport(99)},
-		"sim byte-stream plan": {Env: runtime.Env{NetFaults: &netfault.Plan{FlipProb: 0.1}}},
+		"env rule":                {Transport: engine.TransportChannel, Env: bad},
+		"WAN and Scheduler":       {Scheduler: dist.NewRoundRobinScheduler(), Env: runtime.Env{WAN: &regions}},
+		"networked Scheduler":     {Transport: engine.TransportChannel, Scheduler: dist.NewRoundRobinScheduler()},
+		"networked MaxDeliveries": {Transport: engine.TransportTCP, MaxDeliveries: 100},
+		"unknown transport":       {Transport: engine.Transport(99)},
+		"sim byte-stream plan":    {Env: runtime.Env{NetFaults: &netfault.Plan{FlipProb: 0.1}}},
 	} {
 		if res, err := engine.Run(spec, opts); err == nil || res != nil {
 			t.Errorf("Run(%s): res=%v err=%v, want a configuration error", name, res, err)

@@ -122,7 +122,7 @@ func TestCoreSimEquivalence(t *testing.T) {
 }
 
 // TestCoreSimEquivalenceWithCrash repeats the bitwise comparison on an
-// execution with a scheduled crash-stop fault: the engine's Node wrapper
+// execution with a scheduled crash-stop fault: the engine's per-process host
 // must not shift where the send budget lands.
 func TestCoreSimEquivalenceWithCrash(t *testing.T) {
 	const n, f, d = 5, 1, 2
@@ -467,7 +467,7 @@ func TestNetworkedRecoveryVectorByzantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		pt, err := engine.Output[geom.Point](res, 0, dist.ProcID(i))
+		pt, err := res.Sub(0, dist.ProcID(i)).(*vectorconsensus.Process).Output()
 		if err != nil {
 			t.Fatalf("vector instance, process %d: %v", i, err)
 		}
@@ -494,7 +494,7 @@ func TestNetworkedRecoveryVectorByzantine(t *testing.T) {
 		if id == adversary {
 			continue
 		}
-		out, err := engine.Output[*polytope.Polytope](res, 1, id)
+		out, err := res.Sub(1, id).(*byzantine.Process).Output()
 		if err != nil {
 			t.Fatalf("byzantine instance, process %d: %v", i, err)
 		}

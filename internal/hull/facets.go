@@ -271,21 +271,10 @@ func addFacetDedup(facets *[]Facet, f Facet, tol float64) {
 	*facets = append(*facets, f)
 }
 
-// generalizedCross returns a vector orthogonal to the d-1 given vectors in
-// R^d via cofactor expansion, or nil when they are linearly dependent.
-func generalizedCross(edges []geom.Point, eps float64) geom.Point {
-	d := len(edges) + 1
-	n := geom.Zero(d)
-	var ds geom.DetScratch
-	if !generalizedCrossInto(n, edges, geom.NewMatrix(d-1, d-1), &ds, eps) {
-		return nil
-	}
-	return n
-}
-
-// generalizedCrossInto is generalizedCross writing the normal into n and
-// drawing all scratch (the cofactor minor and its LU buffer) from the
-// caller. It reports false when the edges are linearly dependent.
+// generalizedCrossInto writes into n a vector orthogonal to the d-1 given
+// vectors in R^d, via cofactor expansion, drawing all scratch (the cofactor
+// minor and its LU buffer) from the caller. It reports false when the edges
+// are linearly dependent.
 func generalizedCrossInto(n geom.Point, edges []geom.Point, minor *geom.Matrix, ds *geom.DetScratch, eps float64) bool {
 	d := len(edges) + 1
 	for j := 0; j < d; j++ {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"chc/internal/geom"
@@ -214,10 +213,4 @@ func Contains(pts []geom.Point, q geom.Point, eps float64) (bool, error) {
 	default:
 		return false, err
 	}
-}
-
-// sortPointsLex orders points lexicographically (deterministic output order
-// for hashing/serialisation).
-func sortPointsLex(pts []geom.Point, eps float64) {
-	sort.Slice(pts, func(i, j int) bool { return geom.Lex(pts[i], pts[j], eps) < 0 })
 }
