@@ -23,10 +23,11 @@ test: build
 # check is the tier-1 gate plus static analysis and the race detector over
 # the concurrency-heavy packages (networked runtime, reliable links, chaos
 # injection, simulator, wire codec, telemetry registry), the packages the
-# simulator's per-message path runs through (stable vector, WAN scheduler)
-# and the geometry kernels (hull, lp, polytope), whose pooled scratch (LP
+# simulator's per-message path runs through (stable vector, WAN scheduler),
+# the geometry kernels (hull, lp, polytope), whose pooled scratch (LP
 # workspaces, the extreme-point filter's frame) is shared by concurrently
-# running processes. It first
+# running processes, and the CC processes (core, vector consensus), whose
+# state vertex lists are shared, not copied, with every receiver. It first
 # fails on any tracked Go file gofmt would rewrite, and on any non-test Go
 # file outside the benchmark harness that imports "testing" (benchmarks and
 # their helpers live in _test.go files). It also fails when a -run regex of
@@ -51,7 +52,8 @@ check: build
 		done; \
 	done
 	$(GO) test ./...
-	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/... ./internal/hull/... ./internal/lp/... ./internal/polytope/...
+	$(GO) test -race ./internal/runtime/... ./internal/rlink/... ./internal/chaos/... ./internal/dist/... ./internal/wire/... ./internal/wal/... ./internal/engine/... ./internal/multiplex/... ./internal/telemetry/... ./internal/stablevector/... ./internal/wan/... ./internal/hull/... ./internal/lp/... ./internal/polytope/... \
+		./internal/core/... ./internal/vectorconsensus/...
 
 # loc is the size the simplicity aim is judged by: lines of tracked non-test
 # Go source outside the benchmark harness and its build cache.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	gort "runtime"
 	"testing"
@@ -9,23 +8,6 @@ import (
 	"chc/internal/dist"
 	"chc/internal/geom"
 )
-
-func pointsBitsEqual(a, b []geom.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 func randInputs(n, d int, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
@@ -87,7 +69,7 @@ func TestRunGOMAXPROCS1Equivalence(t *testing.T) {
 			if !ok {
 				t.Fatalf("n=%d d=%d: process %d decided in multi-proc run but not under GOMAXPROCS=1", tc.n, tc.d, id)
 			}
-			if !pointsBitsEqual(verts, got) {
+			if !geom.SameBitsList(verts, got) {
 				t.Errorf("n=%d d=%d: process %d: output under GOMAXPROCS=1 diverges bitwise", tc.n, tc.d, id)
 			}
 		}

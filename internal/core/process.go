@@ -31,7 +31,10 @@ type RoundRecord struct {
 	ApproxErr float64
 }
 
-// Trace is the per-process execution record used by analysis and tests.
+// Trace is the per-process execution record used by analysis and tests. Its
+// vertex lists (H0 and every RoundRecord.State) are the states' own lists,
+// shared with the process's polytopes and with what it broadcast
+// (polytope.SharedVertices): consumers must not modify them.
 type Trace struct {
 	ID        dist.ProcID
 	R0Entries []wire.Entry  // the stable vector result R_i
@@ -52,7 +55,13 @@ type Process struct {
 	naiveInputs map[dist.ProcID]geom.Point // NaiveCollectRound0 buffer
 	round       int                        // 0 while collecting; else current round
 	state       *polytope.Polytope
-	pending     map[int]map[dist.ProcID][]geom.Point // buffered round-t states
+
+	// pending[t] is MSG_i[t] while round t is open or ahead of this
+	// process; nil before its first state and once the round closed. A
+	// closed round's slots go to spare for a later round to reuse.
+	pending []*roundSlots
+	spare   []*roundSlots
+	polys   []*polytope.Polytope // advance's scratch: Y_i[t] in process order
 
 	syntheticH0 *polytope.Polytope // non-nil: skip round 0 (analysis mode)
 
@@ -121,15 +130,14 @@ func (v Variant) NewProcess(params Params, id dist.ProcID, input geom.Point) (*P
 		return nil, err
 	}
 	return &Process{
-		params:  params,
-		id:      id,
-		input:   input.Clone(),
-		tEnd:    params.TEnd(),
-		sv:      sv,
-		pending: make(map[int]map[dist.ProcID][]geom.Point),
-		round0:  v.round0,
-		m:       v.m,
-		trace:   Trace{ID: id},
+		params: params,
+		id:     id,
+		input:  input.Clone(),
+		tEnd:   params.TEnd(),
+		sv:     sv,
+		round0: v.round0,
+		m:      v.m,
+		trace:  Trace{ID: id},
 	}, nil
 }
 
@@ -149,7 +157,7 @@ func (p *Process) setSyntheticH0(verts []geom.Point) error {
 func (p *Process) Init(ctx dist.Context) {
 	if p.syntheticH0 != nil {
 		p.state = p.syntheticH0
-		p.trace.H0 = p.syntheticH0.Vertices()
+		p.trace.H0 = p.syntheticH0.SharedVertices()
 		p.emitRoundState(0, p.trace.H0)
 		p.enterRound(ctx, 1)
 		p.advance(ctx)
@@ -197,21 +205,15 @@ func (p *Process) Deliver(ctx dist.Context, msg dist.Message) {
 		p.tryFinishRound0(ctx)
 	case KindState:
 		payload, ok := msg.Payload.(wire.PolytopePayload)
-		if !ok || msg.Round < 1 {
+		if !ok || msg.Round < 1 || msg.From < 0 || int(msg.From) >= p.params.N {
 			return // malformed; crash model permits ignoring
 		}
-		if p.decided || (p.round >= 1 && msg.Round < p.round) {
-			return // Y_i[t] is fixed: a late round-t state is not kept
+		if p.decided || (p.round >= 1 && msg.Round < p.round) || msg.Round > p.tEnd {
+			return // Y_i[t] is fixed, or round t never runs: not kept
 		}
-		perRound := p.pending[msg.Round]
-		if perRound == nil {
-			perRound = make(map[dist.ProcID][]geom.Point)
-			p.pending[msg.Round] = perRound
-		}
-		if _, dup := perRound[msg.From]; dup {
+		if !p.slots(msg.Round).put(msg.From, payload.Verts) {
 			return // exactly-once channels make this unreachable; defensive
 		}
-		perRound[msg.From] = payload.Verts
 		p.advance(ctx)
 	}
 }
@@ -276,7 +278,7 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 		return
 	}
 	p.trace.R0Entries = entries
-	p.trace.H0 = h0.Vertices()
+	p.trace.H0 = h0.SharedVertices()
 	p.state = h0
 	if !p.r0Start.IsZero() {
 		p.m.round0Seconds.ObserveDuration(time.Since(p.r0Start))
@@ -291,6 +293,7 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 func (p *Process) enterRound(ctx dist.Context, t int) {
 	if t > p.tEnd {
 		p.decided = true
+		p.pending, p.spare, p.polys = nil, nil, nil // Deliver keeps nothing from now on
 		p.m.decided.Inc()
 		p.m.decidedRound.Observe(float64(p.tEnd))
 		if telemetry.TraceOn() {
@@ -305,50 +308,84 @@ func (p *Process) enterRound(ctx dist.Context, t int) {
 		p.roundStart = time.Now()
 	}
 	p.round = t
-	perRound := p.pending[t]
-	if perRound == nil {
-		perRound = make(map[dist.ProcID][]geom.Point)
-		p.pending[t] = perRound
-	}
-	verts := p.state.Vertices()
-	perRound[p.id] = verts
+	// The own state is broadcast and held as its own immutable vertex list.
+	verts := p.state.SharedVertices()
+	p.slots(t).put(p.id, verts)
 	ctx.Broadcast(KindState, t, wire.PolytopePayload{Verts: verts})
+}
+
+// roundSlots holds the states of one round by sender: states[j] is j's
+// vertex list when has[j], and count is how many senders have one.
+type roundSlots struct {
+	states [][]geom.Point
+	has    []bool
+	count  int
+}
+
+// put stores j's state unless j already has one, and reports whether it did.
+func (r *roundSlots) put(j dist.ProcID, verts []geom.Point) bool {
+	if r.has[j] {
+		return false
+	}
+	r.states[j], r.has[j] = verts, true
+	r.count++
+	return true
+}
+
+// slots returns the slots of round t, taking them from spare (or making
+// them) on its first state.
+func (p *Process) slots(t int) *roundSlots {
+	for len(p.pending) <= t {
+		p.pending = append(p.pending, nil)
+	}
+	r := p.pending[t]
+	if r == nil {
+		if k := len(p.spare); k > 0 {
+			r, p.spare = p.spare[k-1], p.spare[:k-1]
+		} else {
+			n := p.params.N
+			r = &roundSlots{states: make([][]geom.Point, n), has: make([]bool, n)}
+		}
+		p.pending[t] = r
+	}
+	return r
+}
+
+// closeRound empties round t's slots into spare: Y_i[t] is fixed, and
+// Deliver drops late round-t states.
+func (p *Process) closeRound(t int) {
+	r := p.pending[t]
+	clear(r.states)
+	clear(r.has)
+	r.count = 0
+	p.pending[t] = nil
+	p.spare = append(p.spare, r)
 }
 
 // advance performs lines 12-15 repeatedly: whenever the current round has
 // n - f states available, average them and move on.
 func (p *Process) advance(ctx dist.Context) {
 	for !p.decided && p.failure == nil && p.round >= 1 {
-		perRound := p.pending[p.round]
-		if len(perRound) < p.params.N-p.params.F {
+		r := p.pending[p.round] // enterRound put the own state in it
+		if r.count < p.params.N-p.params.F {
 			return
 		}
-		senders := make([]dist.ProcID, 0, len(perRound))
-		for id := range perRound {
-			senders = append(senders, id)
-		}
-		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-
-		polys := make([]*polytope.Polytope, 0, len(senders))
-		for _, id := range senders {
-			if id == p.id {
-				// The own entry of MSG_i[t] is the polytope this process
-				// already holds.
-				polys = append(polys, p.state)
+		senders := make([]dist.ProcID, 0, r.count)
+		polys := p.polys[:0]
+		for j, ok := range r.has {
+			if !ok {
 				continue
 			}
-			// A crashed sender computed honestly until it stopped, so a
-			// received state is already canonical: wrap it, do not re-hull.
-			poly, err := polytope.FromCanonical(perRound[id])
-			if err == nil && checkReceivedExtreme && poly.Dim() >= 3 {
-				err = poly.CheckExtreme(p.params.GeomEps)
-			}
+			id := dist.ProcID(j)
+			senders = append(senders, id)
+			poly, err := p.received(id, r.states[j], polys)
 			if err != nil {
 				p.failure = fmt.Errorf("core: process %d round %d: state from %d: %w", p.id, p.round, id, err)
 				return
 			}
 			polys = append(polys, poly)
 		}
+		p.polys = polys
 		avg, err := polytope.Average(polys, p.params.GeomEps)
 		if err != nil {
 			p.failure = fmt.Errorf("core: process %d round %d: %w", p.id, p.round, err)
@@ -367,7 +404,7 @@ func (p *Process) advance(ctx dist.Context) {
 		rec := RoundRecord{
 			Round:     p.round,
 			Senders:   senders,
-			State:     avg.Vertices(),
+			State:     avg.SharedVertices(),
 			ApproxErr: approxErr,
 		}
 		p.trace.Rounds = append(p.trace.Rounds, rec)
@@ -375,16 +412,40 @@ func (p *Process) advance(ctx dist.Context) {
 			p.m.roundSeconds.ObserveDuration(time.Since(p.roundStart))
 		}
 		p.emitRoundState(rec.Round, rec.State)
-		delete(p.pending, p.round) // Y_i[t] is fixed; Deliver drops late round-t states
+		p.closeRound(p.round)
 		p.enterRound(ctx, p.round+1)
 	}
+}
+
+// received returns sender j's round-t state as a polytope. The own entry of
+// MSG_i[t] is the polytope this process already holds, and a list bitwise
+// equal to a polytope already held this round (held) is that polytope. A
+// crashed sender computed honestly until it stopped, so any other list is
+// already canonical: it is wrapped, not re-hulled.
+func (p *Process) received(j dist.ProcID, verts []geom.Point, held []*polytope.Polytope) (*polytope.Polytope, error) {
+	if j == p.id {
+		return p.state, nil
+	}
+	if geom.SameBitsList(verts, p.state.SharedVertices()) {
+		return p.state, nil
+	}
+	for _, q := range held {
+		if q != p.state && geom.SameBitsList(verts, q.SharedVertices()) {
+			return q, nil
+		}
+	}
+	poly, err := polytope.FromCanonical(verts)
+	if err == nil && checkReceivedExtreme && poly.Dim() >= 3 {
+		err = poly.CheckExtreme(p.params.GeomEps)
+	}
+	return poly, err
 }
 
 // emitRoundState publishes one per-round state snapshot to the trace sink.
 // Round 0 carries h_i[0]; round t >= 1 carries h_i[t]. Experiment E19
 // measures the per-round Hausdorff contraction from exactly these events, so
-// the vertices are attached verbatim (they are immutable copies already held
-// by the trace record). WAL replay re-executes deliveries and therefore
+// the vertices are attached verbatim (the state's own immutable list, which
+// the trace record shares). WAL replay re-executes deliveries and therefore
 // re-emits identical events for already-completed rounds; consumers must
 // deduplicate by (proc, round).
 func (p *Process) emitRoundState(round int, verts []geom.Point) {

@@ -11,6 +11,7 @@ import (
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/geom"
+	"chc/internal/polytope"
 	"chc/internal/telemetry"
 	"chc/internal/wire"
 )
@@ -200,5 +201,81 @@ func TestCombineGroupsPerRound(t *testing.T) {
 		if ones := le1[1] - le0[1]; ones+uint64(res.Params.N) < calls {
 			t.Errorf("%s: only %d of %d calls saw one operand", tc.name, ones, calls)
 		}
+	}
+}
+
+// TestBenignRoundAllocs: one steady benign round of a 16-process CC
+// process — n - f - 1 received states bitwise equal to its own, then
+// advance — reuses the held polytope for every received state, the round's
+// slots and the polytope scratch, and allocates only the round record's
+// sender list, L's operand lists and the broadcast's boxed payload.
+func TestBenignRoundAllocs(t *testing.T) {
+	const n, f = 16, 2
+	p, err := NewProcess(Params{N: n, F: f, D: 2, Epsilon: 0.01, InputUpper: 10}, 0, geom.Zero(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.setSyntheticH0([]geom.Point{pt(1, 1), pt(4, 1), pt(2, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	p.Init(nopCtx{})
+	msgs := make([]dist.Message, n-f-1)
+	for i := range msgs {
+		verts := make([]geom.Point, 0, p.state.NumVertices())
+		for _, v := range p.state.SharedVertices() {
+			verts = append(verts, v.Clone())
+		}
+		msgs[i] = dist.Message{From: dist.ProcID(i + 1), Kind: KindState, Payload: wire.PolytopePayload{Verts: verts}}
+	}
+	round := func() {
+		t0 := p.round
+		for _, m := range msgs {
+			m.Round = t0
+			p.Deliver(nopCtx{}, m)
+		}
+		if p.round != t0+1 || p.failure != nil {
+			t.Fatalf("round %d did not close: now round %d, failure %v", t0, p.round, p.failure)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs > 5 {
+		t.Errorf("a benign round allocates %v objects, want at most 5", allocs)
+	}
+	if p.tEnd <= 51 {
+		t.Fatalf("t_end = %d leaves no room for the measured rounds", p.tEnd)
+	}
+}
+
+// TestReceivedStatesReused: a received list bitwise equal to one already
+// held this round is that polytope, a different list is a polytope of its
+// own, and the round's state is L of exactly the states received.
+func TestReceivedStatesReused(t *testing.T) {
+	own := []geom.Point{pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)}
+	b := []geom.Point{pt(1, 1), pt(5, 1), pt(3, 6)}
+	bCopy := []geom.Point{pt(1, 1), pt(5, 1), pt(3, 6)}
+	c := []geom.Point{pt(2, 0), pt(6, 2), pt(2, 3)}
+	p := roundOneProcess(t, 2, own) // n = 5, f = 1: the own state and three more close round 1
+	for i, verts := range [][]geom.Point{b, bCopy, c} {
+		deliverState(p, dist.ProcID(i+1), 1, verts)
+	}
+	if p.round != 2 || p.failure != nil {
+		t.Fatalf("round 1 did not close: round %d, failure %v", p.round, p.failure)
+	}
+	if y := p.polys; y[2] != y[1] || y[3] == y[1] || y[3] == y[0] || y[1] == y[0] {
+		t.Errorf("Y_i[1] shares polytopes wrongly: %p %p %p %p", y[0], y[1], y[2], y[3])
+	}
+	var ys []*polytope.Polytope
+	for _, verts := range [][]geom.Point{own, b, b, c} {
+		q, err := polytope.New(verts, geom.DefaultEps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys = append(ys, q)
+	}
+	want, err := polytope.Average(ys, geom.DefaultEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !geom.SameBitsList(p.state.SharedVertices(), want.SharedVertices()) {
+		t.Errorf("h[1] = %v, want L(Y_i[1]) = %v", p.state, want)
 	}
 }

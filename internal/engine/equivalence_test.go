@@ -6,7 +6,6 @@
 package engine_test
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -38,31 +37,8 @@ func gridInputs(n, d int, seed int64) []geom.Point {
 	return inputs
 }
 
-// pointsBitwiseEqual compares two points coordinate by coordinate at the
-// bit level — equality up to rounding is not enough for a refactor claim.
-func pointsBitwiseEqual(a, b geom.Point) bool {
-	if a.Dim() != b.Dim() {
-		return false
-	}
-	for c := 0; c < a.Dim(); c++ {
-		if math.Float64bits(a[c]) != math.Float64bits(b[c]) {
-			return false
-		}
-	}
-	return true
-}
-
 func polysBitwiseEqual(a, b *polytope.Polytope) bool {
-	va, vb := a.Vertices(), b.Vertices()
-	if len(va) != len(vb) {
-		return false
-	}
-	for i := range va {
-		if !pointsBitwiseEqual(va[i], vb[i]) {
-			return false
-		}
-	}
-	return true
+	return geom.SameBitsList(a.SharedVertices(), b.SharedVertices())
 }
 
 var equivalenceGrid = []struct{ n, f, d int }{
@@ -211,7 +187,7 @@ func TestVectorSimEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("engine process %d did not decide", i)
 				}
-				if !pointsBitwiseEqual(want, got) {
+				if !geom.SameBits(want, got) {
 					t.Errorf("n=%d f=%d d=%d seed=%d process %d: engine point differs from legacy loop",
 						g.n, g.f, g.d, seed, i)
 				}
@@ -417,7 +393,7 @@ func TestBatchTransportBitwiseEquality(t *testing.T) {
 			if !polysBitwiseEqual(ref.Outputs[0][id], alt.Outputs[0][id]) {
 				t.Errorf("process %d: CC batch output differs across transports", i)
 			}
-			if !pointsBitwiseEqual(ref.Points[1][id], alt.Points[1][id]) {
+			if !geom.SameBits(ref.Points[1][id], alt.Points[1][id]) {
 				t.Errorf("process %d: vector batch output differs across transports", i)
 			}
 		}

@@ -125,6 +125,34 @@ func Equal(p, q Point, eps float64) bool {
 	return true
 }
 
+// SameBits reports whether p and q have the same dimension and bitwise
+// identical coordinates (so 0 and -0 differ, and a NaN equals itself).
+func SameBits(p, q Point) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	for i := range p {
+		if math.Float64bits(p[i]) != math.Float64bits(q[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SameBitsList reports whether a and b hold the same number of points and
+// SameBits holds for each pair in order.
+func SameBitsList(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !SameBits(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Lex compares p and q lexicographically with tolerance eps, returning
 // -1, 0, or +1. Coordinates within eps of each other are treated as equal.
 func Lex(p, q Point, eps float64) int {

@@ -44,7 +44,7 @@ func keptFlags(uniq, verts []geom.Point) ([]bool, error) {
 	keep := make([]bool, len(uniq))
 	next := 0
 	for i, p := range uniq {
-		if next < len(verts) && bitsEqual(verts[next], p) {
+		if next < len(verts) && geom.SameBits(verts[next], p) {
 			keep[i] = true
 			next++
 		}
@@ -93,18 +93,6 @@ func diffAgainstOracle(pts []geom.Point) (oracleDiff, error) {
 		}
 	}
 	return d, nil
-}
-
-func bitsEqual(a, b geom.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func randomCloud(rng *rand.Rand, m, d int, scale float64) []geom.Point {
@@ -383,7 +371,7 @@ func TestExtremeFilterConcurrent(t *testing.T) {
 						return
 					}
 					for k := range got {
-						if !bitsEqual(got[k], want[i][k]) {
+						if !geom.SameBits(got[k], want[i][k]) {
 							t.Errorf("input %d vertex %d differs", i, k)
 							return
 						}

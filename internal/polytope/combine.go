@@ -81,20 +81,7 @@ operands:
 // sameVertices reports whether a and b are the same polytope pointer or hold
 // bitwise-identical vertex lists.
 func sameVertices(a, b *Polytope) bool {
-	if a == b {
-		return true
-	}
-	if len(a.verts) != len(b.verts) {
-		return false
-	}
-	for i, u := range a.verts {
-		for j, c := range u {
-			if math.Float64bits(c) != math.Float64bits(b.verts[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
+	return a == b || geom.SameBitsList(a.verts, b.verts)
 }
 
 // combine is the weighted Minkowski sum kernel over non-empty operands of

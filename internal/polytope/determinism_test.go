@@ -8,23 +8,6 @@ import (
 	"chc/internal/geom"
 )
 
-func vertsBitsEqual(a, b []geom.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func randCloud(n, d int, seed int64, shift float64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]geom.Point, n)
@@ -76,7 +59,7 @@ func TestIntersectIgnoresGlobalRand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vertsBitsEqual(ref.Vertices(), again.Vertices()) {
+	if !geom.SameBitsList(ref.Vertices(), again.Vertices()) {
 		t.Error("Intersect result depends on global rand state")
 	}
 }
@@ -96,7 +79,7 @@ func TestChebyshevCenterMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(r1) != math.Float64bits(r2) || !vertsBitsEqual([]geom.Point{c1}, []geom.Point{c2}) {
+	if math.Float64bits(r1) != math.Float64bits(r2) || !geom.SameBits(c1, c2) {
 		t.Fatal("memoized Chebyshev centre differs across calls")
 	}
 	c1[0] = 1e9

@@ -61,11 +61,12 @@ func New(pts []geom.Point, eps float64) (*Polytope, error) {
 
 // FromCanonical wraps a vertex list that is already canonical — the vertex
 // set of a polytope some process built, as a state broadcast carries it —
-// without re-hulling it. The list is not copied. An O(|V|) check rejects an
-// empty list, mixed dimensions and non-finite coordinates, and in 2-D
-// anything but a strictly convex counter-clockwise polygon (two vertices
-// must differ). In d >= 3 it does not check that every vertex is extreme;
-// CheckExtreme does, at the cost of a hull computation.
+// without re-hulling it. The list is not copied: like SharedVertices, it is
+// shared with whoever else holds it and must not be modified. An O(|V|)
+// check rejects an empty list, mixed dimensions and non-finite coordinates,
+// and in 2-D anything but a strictly convex counter-clockwise polygon (two
+// vertices must differ). In d >= 3 it does not check that every vertex is
+// extreme; CheckExtreme does, at the cost of a hull computation.
 func FromCanonical(verts []geom.Point) (*Polytope, error) {
 	if len(verts) == 0 {
 		return nil, ErrEmpty
@@ -159,6 +160,12 @@ func (p *Polytope) Vertices() []geom.Point {
 	}
 	return out
 }
+
+// SharedVertices returns the polytope's own vertex list, in the order
+// Vertices gives, without copying it. The list is shared with p and with
+// every other holder of it (a state broadcast, a trace record, a polytope
+// FromCanonical wrapped around it), so callers must treat it as read-only.
+func (p *Polytope) SharedVertices() []geom.Point { return p.verts }
 
 // NumVertices returns the number of vertices.
 func (p *Polytope) NumVertices() int { return len(p.verts) }

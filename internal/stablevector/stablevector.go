@@ -19,14 +19,17 @@
 // same final set. Processes keep echoing even after their own set has
 // stabilised — this keeps the primitive deadlock-free when some processes
 // move on to later rounds early.
+//
+// Under crash faults every process contributes exactly one value, so a
+// reported set is fixed by which processes are in it: sets are identified
+// by their membership bitset over the n processes. A report that names a
+// process outside [0, n) or twice, or carries a value for an already-known
+// process that differs bitwise, cannot come from a crash-faulty process; it
+// is malformed and ignored — no reporter credit, no merge, no echo.
 package stablevector
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 
 	"chc/internal/dist"
 	"chc/internal/geom"
@@ -46,16 +49,36 @@ type SV struct {
 	n  int
 	f  int
 
-	known     map[dist.ProcID]geom.Point // W_i: merged (process, value) pairs
-	reporters map[string]map[dist.ProcID]bool
-	sets      map[string][]wire.Entry
+	// W_i: vals[p] is p's value once known (known has p), nKnown = |W_i|.
+	vals   []geom.Point
+	known  bitset
+	nKnown int
+
+	reports map[string]*report // every set of >= n-f reported so far, by membership
+	scratch bitset             // membership of the report being handled
 
 	result []wire.Entry
 	done   bool
 }
 
+// report is one reported set: its membership key, its size and the
+// processes that reported exactly it.
+type report struct {
+	key       string
+	size      int
+	reporters bitset
+	count     int
+}
+
+// bitset is a set of process ids in [0, n), one bit each.
+type bitset []byte
+
+func newBitset(n int) bitset    { return make(bitset, (n+7)/8) }
+func (b bitset) has(p int) bool { return b[p>>3]&(1<<(p&7)) != 0 }
+func (b bitset) set(p int)      { b[p>>3] |= 1 << (p & 7) }
+
 // New creates a stable vector instance for process id with input x.
-// It requires n >= 2f + 1 (quorum intersection).
+// It requires n >= 2f + 1 (quorum intersection) and 0 <= id < n.
 func New(id dist.ProcID, n, f int, x geom.Point) (*SV, error) {
 	if n < 2*f+1 {
 		return nil, fmt.Errorf("stablevector: n = %d < 2f+1 = %d", n, 2*f+1)
@@ -63,23 +86,27 @@ func New(id dist.ProcID, n, f int, x geom.Point) (*SV, error) {
 	if f < 0 {
 		return nil, fmt.Errorf("stablevector: negative f = %d", f)
 	}
-	s := &SV{
-		id:        id,
-		n:         n,
-		f:         f,
-		known:     map[dist.ProcID]geom.Point{id: x.Clone()},
-		reporters: make(map[string]map[dist.ProcID]bool),
-		sets:      make(map[string][]wire.Entry),
+	if id < 0 || int(id) >= n {
+		return nil, fmt.Errorf("stablevector: process %d outside [0, %d)", id, n)
 	}
+	s := &SV{
+		id:      id,
+		n:       n,
+		f:       f,
+		vals:    make([]geom.Point, n),
+		known:   newBitset(n),
+		reports: make(map[string]*report),
+		scratch: newBitset(n),
+	}
+	s.learn(int(id), x)
 	return s, nil
 }
 
 // Start broadcasts the initial report {(id, x)}. Call exactly once.
 func (s *SV) Start(ctx dist.Context) {
-	snap := s.snapshot()
-	own := s.recordReport(s.id, snap)
-	ctx.Broadcast(KindReport, 0, wire.EntriesPayload{Entries: snap})
-	s.checkStable(own)
+	own := s.record(s.id, s.known, s.nKnown)
+	ctx.Broadcast(KindReport, 0, wire.EntriesPayload{Entries: s.snapshot()})
+	s.checkStable(own, nil)
 }
 
 // Handle processes one KindReport message. It returns true when this
@@ -89,26 +116,26 @@ func (s *SV) Start(ctx dist.Context) {
 // of the protocol.
 func (s *SV) Handle(ctx dist.Context, msg dist.Message) bool {
 	payload, ok := msg.Payload.(wire.EntriesPayload)
-	if !ok {
-		return false // ignore malformed payloads (defensive; crash model)
+	if !ok || !s.inRange(msg.From) || !s.membership(payload.Entries) {
+		return false // malformed: a crash-faulty sender cannot produce it
 	}
-	touched := append(make([]string, 0, 2), s.recordReport(msg.From, payload.Entries))
-	changed := false
+	sender := s.record(msg.From, s.scratch, len(payload.Entries))
+	grew := false
 	for _, e := range payload.Entries {
-		if _, seen := s.known[e.Proc]; !seen {
-			s.known[e.Proc] = e.Value.Clone()
-			changed = true
+		if !s.known.has(int(e.Proc)) {
+			s.learn(int(e.Proc), e.Value)
+			grew = true
 		}
 	}
-	if changed {
-		snap := s.snapshot()
-		touched = append(touched, s.recordReport(s.id, snap))
-		ctx.Broadcast(KindReport, 0, wire.EntriesPayload{Entries: snap})
+	var own *report
+	if grew {
+		own = s.record(s.id, s.known, s.nKnown)
+		ctx.Broadcast(KindReport, 0, wire.EntriesPayload{Entries: s.snapshot()})
 	}
 	if s.done {
 		return false
 	}
-	s.checkStable(touched...)
+	s.checkStable(sender, own)
 	return s.done
 }
 
@@ -125,81 +152,90 @@ func (s *SV) Result() ([]wire.Entry, bool) {
 // Done reports whether the primitive has returned.
 func (s *SV) Done() bool { return s.done }
 
-// snapshot returns W as a canonically ordered entry list.
-func (s *SV) snapshot() []wire.Entry {
-	out := make([]wire.Entry, 0, len(s.known))
-	for id, v := range s.known {
-		out = append(out, wire.Entry{Proc: id, Value: v})
+// learn adds (p, x) to W_i.
+func (s *SV) learn(p int, x geom.Point) {
+	s.vals[p] = x.Clone()
+	s.known.set(p)
+	s.nKnown++
+}
+
+// inRange reports whether p names one of the n processes.
+func (s *SV) inRange(p dist.ProcID) bool { return p >= 0 && int(p) < s.n }
+
+// membership fills scratch with the processes entries names and reports
+// whether the report is well formed: every process in [0, n) and named
+// once, every already-known value repeated bitwise.
+func (s *SV) membership(entries []wire.Entry) bool {
+	clear(s.scratch)
+	for _, e := range entries {
+		if !s.inRange(e.Proc) {
+			return false
+		}
+		p := int(e.Proc)
+		if s.scratch.has(p) || (s.known.has(p) && !geom.SameBits(s.vals[p], e.Value)) {
+			return false
+		}
+		s.scratch.set(p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Proc < out[j].Proc })
+	return true
+}
+
+// snapshot returns W_i as an entry list in process order.
+func (s *SV) snapshot() []wire.Entry { return s.entries(s.known) }
+
+// entries returns the known values of members, in process order.
+func (s *SV) entries(members bitset) []wire.Entry {
+	out := make([]wire.Entry, 0, s.n)
+	for p := 0; p < s.n; p++ {
+		if members.has(p) {
+			out = append(out, wire.Entry{Proc: dist.ProcID(p), Value: s.vals[p]})
+		}
+	}
 	return out
 }
 
-// recordReport notes that process j reported exactly the set `entries` and
-// returns the set's key.
-func (s *SV) recordReport(j dist.ProcID, entries []wire.Entry) string {
-	key := canonicalKey(entries)
-	if _, ok := s.sets[key]; !ok {
-		cp := make([]wire.Entry, len(entries))
-		copy(cp, entries)
-		sort.Slice(cp, func(a, b int) bool { return cp[a].Proc < cp[b].Proc })
-		s.sets[key] = cp
+// record notes that process j reported exactly the set with membership
+// members and size elements, and returns that set's record. A set of fewer
+// than n - f elements can never be stable, so it is not recorded (nil).
+func (s *SV) record(j dist.ProcID, members bitset, size int) *report {
+	if size < s.n-s.f {
+		return nil
 	}
-	m := s.reporters[key]
-	if m == nil {
-		m = make(map[dist.ProcID]bool)
-		s.reporters[key] = m
+	r := s.reports[string(members)]
+	if r == nil {
+		key := string(members)
+		r = &report{key: key, size: size, reporters: newBitset(s.n)}
+		s.reports[key] = r
 	}
-	m[j] = true
-	return key
+	if !r.reporters.has(int(j)) {
+		r.reporters.set(int(j))
+		r.count++
+	}
+	return r
 }
 
 // checkStable looks for a stable set among the sets whose reporters this
-// delivery added to. Those are the only candidates: the check runs after
-// every delivery until one succeeds, so no set was stable before this one,
-// and a set becomes stable only by gaining a reporter. When both the
-// sender's set and the own new snapshot become stable in the same delivery,
-// the largest (then lexicographically smallest key) is chosen — a
-// deterministic rule; containment holds for any choice.
-func (s *SV) checkStable(touched ...string) {
+// delivery added to: the sender's set and, when W_i grew, the own new
+// snapshot (nil when absent or too small). Those are the only candidates: the check runs
+// after every delivery until one succeeds, so no set was stable before this
+// one, and a set becomes stable only by gaining a reporter. When both become
+// stable in the same delivery the larger is chosen; they cannot tie unless
+// they are the same set, since the snapshot contains the sender's set.
+// R_i is built once, in process order, from the chosen set.
+func (s *SV) checkStable(sender, own *report) {
 	quorum := s.n - s.f
-	bestKey := ""
-	bestLen := -1
-	for _, key := range touched {
-		set := s.sets[key]
-		if len(s.reporters[key]) < quorum || len(set) < quorum {
+	var best *report
+	for _, r := range [2]*report{sender, own} {
+		if r == nil || r.count < quorum {
 			continue
 		}
-		if len(set) > bestLen || (len(set) == bestLen && key < bestKey) {
-			bestKey, bestLen = key, len(set)
+		if best == nil || r.size > best.size {
+			best = r
 		}
 	}
-	if bestLen < 0 {
+	if best == nil {
 		return
 	}
-	s.result = s.sets[bestKey]
+	s.result = s.entries(bitset(best.key))
 	s.done = true
-}
-
-// canonicalKey builds a deterministic identity for an entry set, ordered by
-// process ID with exact float bit patterns.
-func canonicalKey(entries []wire.Entry) string {
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return entries[idx[a]].Proc < entries[idx[b]].Proc })
-	var b strings.Builder
-	var buf [8]byte
-	for _, i := range idx {
-		e := entries[i]
-		binary.BigEndian.PutUint32(buf[:4], uint32(int32(e.Proc)))
-		b.Write(buf[:4])
-		for _, v := range e.Value {
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
-			b.Write(buf[:])
-		}
-		b.WriteByte('|')
-	}
-	return b.String()
 }

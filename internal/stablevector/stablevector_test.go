@@ -1,6 +1,7 @@
 package stablevector
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -290,29 +291,69 @@ func TestPropertiesUnderRandomFaults(t *testing.T) {
 	}
 }
 
+// membershipKey returns the membership key of an entry list over n processes.
+func membershipKey(n int, entries []wire.Entry) string {
+	b := newBitset(n)
+	for _, e := range entries {
+		b.set(int(e.Proc))
+	}
+	return string(b)
+}
+
+// scanHost drives an SV and, after every step taken while the primitive was
+// still undecided, compares its verdict with a full scan. The scan keeps its
+// own record of every report the process has seen — the sender's on
+// delivery, its own on broadcast — apart from the SV's bookkeeping.
+type scanHost struct {
+	t         *testing.T
+	sv        *SV
+	reporters map[string]map[dist.ProcID]bool // by membership key
+	sizes     map[string]int
+}
+
+func newScanHost(t *testing.T, sv *SV) *scanHost {
+	return &scanHost{t: t, sv: sv, reporters: map[string]map[dist.ProcID]bool{}, sizes: map[string]int{}}
+}
+
+func (h *scanHost) note(from dist.ProcID, entries []wire.Entry) {
+	key := membershipKey(h.sv.n, entries)
+	if h.reporters[key] == nil {
+		h.reporters[key] = map[dist.ProcID]bool{}
+	}
+	h.reporters[key][from] = true
+	h.sizes[key] = len(entries)
+}
+
 // fullScan is the reference for checkStable: it looks at every set ever
-// reported, not only those the last delivery touched, and applies the same
-// largest-then-smallest-key rule. It returns the key of the stable set.
-func fullScan(s *SV) (string, bool) {
-	quorum := s.n - s.f
+// reported, not only those the last delivery touched, and picks the largest
+// stable one, the smallest membership key among equals. It returns the
+// membership key of the stable set.
+func (h *scanHost) fullScan() (string, bool) {
+	quorum := h.sv.n - h.sv.f
 	bestKey, bestLen := "", -1
-	for key, reps := range s.reporters {
-		set := s.sets[key]
-		if len(reps) < quorum || len(set) < quorum {
+	for key, reps := range h.reporters {
+		size := h.sizes[key]
+		if len(reps) < quorum || size < quorum {
 			continue
 		}
-		if len(set) > bestLen || (len(set) == bestLen && key < bestKey) {
-			bestKey, bestLen = key, len(set)
+		if size > bestLen || (size == bestLen && key < bestKey) {
+			bestKey, bestLen = key, size
 		}
 	}
 	return bestKey, bestLen >= 0
 }
 
-// scanHost drives an SV and, after every step taken while the primitive was
-// still undecided, compares its verdict with the full scan's.
-type scanHost struct {
-	t  *testing.T
-	sv *SV
+// scanCtx notes the host's own reports as they are broadcast.
+type scanCtx struct {
+	dist.Context
+	h *scanHost
+}
+
+func (c scanCtx) Broadcast(kind string, round int, payload any) {
+	if p, ok := payload.(wire.EntriesPayload); ok {
+		c.h.note(c.h.sv.id, p.Entries)
+	}
+	c.Context.Broadcast(kind, round, payload)
 }
 
 func (h *scanHost) step(do func()) {
@@ -321,19 +362,22 @@ func (h *scanHost) step(do func()) {
 	if wasDone {
 		return
 	}
-	key, stable := fullScan(h.sv)
+	key, stable := h.fullScan()
 	if stable != h.sv.Done() {
 		h.t.Fatalf("process %d: incremental check done=%v, full scan stable=%v", h.sv.id, h.sv.Done(), stable)
 	}
-	if stable && canonicalKey(h.sv.result) != key {
+	if stable && membershipKey(h.sv.n, h.sv.result) != key {
 		h.t.Fatalf("process %d: incremental check and full scan chose different sets", h.sv.id)
 	}
 }
 
-func (h *scanHost) Init(ctx dist.Context) { h.step(func() { h.sv.Start(ctx) }) }
+func (h *scanHost) Init(ctx dist.Context) { h.step(func() { h.sv.Start(scanCtx{ctx, h}) }) }
 
 func (h *scanHost) Deliver(ctx dist.Context, msg dist.Message) {
-	h.step(func() { h.sv.Handle(ctx, msg) })
+	if p, ok := msg.Payload.(wire.EntriesPayload); ok {
+		h.note(msg.From, p.Entries)
+	}
+	h.step(func() { h.sv.Handle(scanCtx{ctx, h}, msg) })
 }
 
 func (h *scanHost) Done() bool { return h.sv.Done() }
@@ -366,7 +410,7 @@ func TestIncrementalCheckMatchesFullScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					procs[i] = &scanHost{t: t, sv: sv}
+					procs[i] = newScanHost(t, sv)
 				}
 				sim, err := dist.NewSim(dist.Config{N: n, Seed: seed, Scheduler: mk(), Crashes: crashes}, procs)
 				if err != nil {
@@ -377,5 +421,103 @@ func TestIncrementalCheckMatchesFullScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countCtx counts the broadcasts made through it.
+type countCtx struct {
+	nopCtx
+	broadcasts int
+}
+
+func (c *countCtx) Broadcast(string, int, any) { c.broadcasts++ }
+
+func reportMsg(from dist.ProcID, entries ...wire.Entry) dist.Message {
+	return dist.Message{From: from, Kind: KindReport, Payload: wire.EntriesPayload{Entries: entries}}
+}
+
+// TestMalformedReportsIgnored: a report that carries a value for a known
+// process differing bitwise from the known one, or that names a process
+// outside [0, n) or twice, earns its sender no reporter credit, merges
+// nothing, triggers no echo and cannot make a set stable — even when n - f
+// processes send it. The well-formed report of the same shape does.
+func TestMalformedReportsIgnored(t *testing.T) {
+	const n, f = 4, 1
+	x := geom.NewPoint(0, 2)
+	y := geom.NewPoint(3, 4)
+	e := func(p dist.ProcID, v geom.Point) wire.Entry { return wire.Entry{Proc: p, Value: v} }
+	for _, tc := range []struct {
+		name    string
+		entries []wire.Entry
+	}{
+		{"conflicting value", []wire.Entry{e(0, geom.NewPoint(0, 2.5)), e(1, y), e(2, y)}},
+		{"negative zero", []wire.Entry{e(0, geom.NewPoint(math.Copysign(0, -1), 2)), e(1, y), e(2, y)}},
+		{"process beyond n", []wire.Entry{e(0, x), e(1, y), e(n, y)}},
+		{"negative process", []wire.Entry{e(-1, y), e(0, x), e(1, y)}},
+		{"process named twice", []wire.Entry{e(0, x), e(1, y), e(1, y)}},
+	} {
+		sv, err := New(0, n, f, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &countCtx{}
+		sv.Start(ctx)
+		before := len(sv.reports)
+		for from := dist.ProcID(1); from < n; from++ {
+			if sv.Handle(ctx, reportMsg(from, tc.entries...)) || sv.Done() {
+				t.Errorf("%s: malformed reports made a set stable", tc.name)
+			}
+		}
+		if ctx.broadcasts != 1 {
+			t.Errorf("%s: %d broadcasts, want the initial one only", tc.name, ctx.broadcasts)
+		}
+		if len(sv.reports) != before || sv.nKnown != 1 {
+			t.Errorf("%s: %d sets and %d known values after malformed reports, want %d and 1",
+				tc.name, len(sv.reports), sv.nKnown, before)
+		}
+	}
+
+	// Control: the well-formed set {0, 1, 2} from n - f = 3 reporters (the
+	// own snapshot after the first merge, then two senders) is stable.
+	sv, err := New(0, n, f, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countCtx{}
+	sv.Start(ctx)
+	good := []wire.Entry{e(0, x), e(1, y), e(2, y)}
+	sv.Handle(ctx, reportMsg(1, good...))
+	if ctx.broadcasts != 2 || sv.Done() {
+		t.Fatalf("control: %d broadcasts, done=%v after one report; want 2, false", ctx.broadcasts, sv.Done())
+	}
+	if !sv.Handle(ctx, reportMsg(2, good...)) {
+		t.Fatal("control: the well-formed set did not become stable")
+	}
+	if res, _ := sv.Result(); membershipKey(n, res) != membershipKey(n, good) {
+		t.Errorf("control: R = %v, want %v", res, good)
+	}
+}
+
+// TestRepeatedReportAllocs: a report of an already-recorded set from an
+// already-counted reporter costs no allocation, and earns no second credit.
+func TestRepeatedReportAllocs(t *testing.T) {
+	const n, f = 16, 2
+	sv, err := New(0, n, f, geom.NewPoint(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countCtx{}
+	sv.Start(ctx)
+	entries := make([]wire.Entry, n-f)
+	for i := range entries {
+		entries[i] = wire.Entry{Proc: dist.ProcID(i), Value: geom.NewPoint(float64(i), 0)}
+	}
+	msg := reportMsg(1, entries...)
+	sv.Handle(ctx, msg)
+	if allocs := testing.AllocsPerRun(200, func() { sv.Handle(ctx, msg) }); allocs != 0 {
+		t.Errorf("repeated report: %v allocs/op, want 0", allocs)
+	}
+	if r := sv.reports[membershipKey(n, entries)]; r == nil || r.count != 2 || sv.Done() {
+		t.Errorf("repeated report: set %+v, done=%v; want two reporters (the sender and the own echo)", r, sv.Done())
 	}
 }

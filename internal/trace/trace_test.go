@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -203,5 +204,87 @@ func TestMatrixConvergenceMirrorsOperational(t *testing.T) {
 	}
 	if dFinal > a.Lemma3Bound(a.TEnd) {
 		t.Errorf("matrix delta %v above Lemma 3 bound %v", dFinal, a.Lemma3Bound(a.TEnd))
+	}
+}
+
+// TestSharedVertexListsUnchanged: the vertex lists of a trace are the
+// states' own lists, shared with every process's output polytope and with
+// the states it broadcast, not copies. So running the consumers of a trace
+// over them — Build and the Theorem 1 check, the JSON export and its
+// re-import, polytope.New on each recorded state — must leave every one of
+// them, each Output() among them, bitwise as it was.
+func TestSharedVertexListsUnchanged(t *testing.T) {
+	results := []*core.RunResult{run(t, 4, []dist.ProcID{1}, []dist.CrashPlan{{Proc: 1, AfterSends: 9}})}
+	rng := rand.New(rand.NewSource(6))
+	in3 := make([]geom.Point, 6)
+	for i := range in3 {
+		in3[i] = pt(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
+	}
+	r3, err := core.Run(core.RunConfig{
+		Params: core.Params{N: 6, F: 1, D: 3, Epsilon: 2, InputUpper: 10},
+		Inputs: in3, Faulty: []dist.ProcID{5}, Crashes: []dist.CrashPlan{{Proc: 5, AfterSends: 3}}, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results = append(results, r3)
+
+	for _, result := range results {
+		// Every shared list, and a deep copy of it taken before the consumers run.
+		var shared, copies [][]geom.Point
+		keep := func(verts []geom.Point) {
+			cp := make([]geom.Point, len(verts))
+			for i, v := range verts {
+				cp[i] = v.Clone()
+			}
+			shared, copies = append(shared, verts), append(copies, cp)
+		}
+		for id, out := range result.Outputs {
+			keep(out.SharedVertices())
+			tr := result.Traces[id]
+			keep(tr.H0)
+			for _, rec := range tr.Rounds {
+				keep(rec.State)
+			}
+		}
+
+		a, err := Build(result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		every := make([]int, a.TEnd)
+		for k := range every {
+			every[k] = k + 1
+		}
+		if err := a.VerifyTheorem1(result, every, 1e-6); err != nil {
+			t.Error(err)
+		}
+		var buf bytes.Buffer
+		if err := core.WriteTraceJSON(&buf, result); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.ReadTraceJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range result.Traces {
+			for _, rec := range tr.Rounds {
+				if _, err := polytope.New(rec.State, geom.DefaultEps); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		for i := range shared {
+			if !geom.SameBitsList(shared[i], copies[i]) {
+				t.Fatalf("d=%d: shared vertex list %d changed under the trace consumers", result.Params.D, i)
+			}
+		}
+		// The check has teeth: an output is the very list of its last round.
+		for id, out := range result.Outputs {
+			rounds := result.Traces[id].Rounds
+			if last := rounds[len(rounds)-1].State; &last[0] != &out.SharedVertices()[0] {
+				t.Fatalf("d=%d: process %d's last round record holds a copy of its output", result.Params.D, id)
+			}
+		}
 	}
 }

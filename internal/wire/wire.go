@@ -183,6 +183,8 @@ func AppendMessage(dst []byte, m dist.Message) ([]byte, error) {
 	return dst, nil
 }
 
+// appendPayload encodes payload after its tag. payloadSize counts the same
+// layout without writing it; TestMessageSize holds the two together.
 func appendPayload(b []byte, payload any) ([]byte, error) {
 	switch p := payload.(type) {
 	case nil:
@@ -295,22 +297,63 @@ func DecodeMessage(frame []byte) (dist.Message, error) {
 	return m, nil
 }
 
-// MessageSize returns the encoded size of m in bytes (0 if unencodable). It
-// is the Sizer of every executor and so runs once per send: the message is
-// encoded into a pooled scratch buffer, taken by pointer because PutBuf
-// boxes a slice header per call, so nothing is allocated.
+// MessageSize returns the encoded size of m in bytes: len(AppendMessage(nil,
+// m)), or 0 when m cannot be encoded (a kind over 255 bytes, an unsupported
+// or nested-RBC payload, a body over MaxFrameLen). It is the Sizer of every
+// executor and so runs once per send; it counts the bytes from the payload's
+// shape without encoding it, and allocates nothing.
 func MessageSize(m dist.Message) int {
-	bp := bufPool.Get().(*[]byte)
-	n := 0
-	if b, err := AppendMessage((*bp)[:0], m); err == nil {
-		n = len(b)
-		if cap(b) <= maxPooledBuf {
-			*bp = b[:0] // keep what the encode grew
-		}
+	if len(m.Kind) > 255 {
+		return 0
 	}
-	bufPool.Put(bp)
-	return n
+	p, ok := payloadSize(m.Payload)
+	if !ok {
+		return 0
+	}
+	body := 4*4 + 1 + len(m.Kind) + p // from, to, round, instance, kind
+	if body > MaxFrameLen {
+		return 0
+	}
+	return 4 + body
 }
+
+// payloadSize is the number of bytes appendPayload writes for payload, and
+// false where it fails.
+func payloadSize(payload any) (int, bool) {
+	switch p := payload.(type) {
+	case nil:
+		return 1, true
+	case PointPayload:
+		return 1 + pointSize(p.Value), true
+	case EntriesPayload:
+		n := 1 + 4
+		for _, e := range p.Entries {
+			n += 4 + pointSize(e.Value)
+		}
+		return n, true
+	case PolytopePayload:
+		n := 1 + 4
+		for _, v := range p.Verts {
+			n += pointSize(v)
+		}
+		return n, true
+	case IntPayload:
+		return 1 + 8, true
+	case SendersPayload:
+		return 1 + 4 + 4 + 4*len(p.Senders), true
+	case RBCPayload:
+		if _, nested := p.Inner.(RBCPayload); nested {
+			return 0, false
+		}
+		n, ok := payloadSize(p.Inner)
+		return 1 + 4 + 4 + n, ok
+	default:
+		return 0, false
+	}
+}
+
+// pointSize is the number of bytes appendPoint writes for p.
+func pointSize(p geom.Point) int { return 2 + 8*len(p) }
 
 // WriteMessage writes one frame to w.
 func WriteMessage(w io.Writer, m dist.Message) error {

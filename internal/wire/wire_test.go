@@ -170,34 +170,94 @@ func TestReadTooLarge(t *testing.T) {
 	}
 }
 
-// TestMessageSize: the size is the length of the encoding for every payload
-// type, 0 for what cannot be encoded, and costs no allocation — it is the
-// default Sizer, so it runs on every send of every executor.
+// randPayload draws a payload of any type the codec knows, an RBC envelope
+// (whose inner payload may itself be an RBC envelope, which the codec
+// rejects), or one it does not know.
+func randPayload(rng *rand.Rand) any {
+	randPoint := func() geom.Point {
+		p := make(geom.Point, rng.Intn(5))
+		for i := range p {
+			p[i] = rng.NormFloat64() * 1e3
+		}
+		return p
+	}
+	switch rng.Intn(9) {
+	case 0:
+		return nil
+	case 1:
+		return PointPayload{Value: randPoint()}
+	case 2:
+		es := make([]Entry, rng.Intn(6))
+		for i := range es {
+			es[i] = Entry{Proc: dist.ProcID(rng.Intn(100)), Value: randPoint()}
+		}
+		return EntriesPayload{Entries: es}
+	case 3:
+		vs := make([]geom.Point, rng.Intn(6))
+		for i := range vs {
+			vs[i] = randPoint()
+		}
+		return PolytopePayload{Verts: vs}
+	case 4:
+		return IntPayload{Value: rng.Int63() - rng.Int63()}
+	case 5:
+		ss := make([]dist.ProcID, rng.Intn(6))
+		for i := range ss {
+			ss[i] = dist.ProcID(rng.Intn(64))
+		}
+		return SendersPayload{Round: int32(rng.Intn(100)), Senders: ss}
+	case 6, 7:
+		return RBCPayload{Origin: dist.ProcID(rng.Intn(64)), Seq: int32(rng.Intn(100)), Inner: randPayload(rng)}
+	default:
+		return []any{struct{}{}, &PointPayload{}, 7}[rng.Intn(3)]
+	}
+}
+
+// TestMessageSize: the size is len(AppendMessage(nil, m)) for every message
+// the codec encodes and 0 for every one it refuses — unknown and nested-RBC
+// payloads, a kind over 255 bytes, a body over MaxFrameLen — and costs no
+// allocation: it is the default Sizer, so it runs on every send of every
+// executor.
 func TestMessageSize(t *testing.T) {
-	pt := geom.NewPoint(1, 2, 3)
-	msgs := []dist.Message{
-		{From: 1, To: 2, Kind: "nil", Round: 3, Instance: 4},
-		{Kind: "point", Payload: PointPayload{Value: pt}},
-		{Kind: "entries", Payload: EntriesPayload{Entries: []Entry{{Proc: 0, Value: pt}, {Proc: 5, Value: pt}}}},
-		{Kind: "polytope", Payload: PolytopePayload{Verts: []geom.Point{pt, pt, pt}}},
-		{Kind: "int", Payload: IntPayload{Value: -7}},
-		{Kind: "senders", Payload: SendersPayload{Round: 2, Senders: []dist.ProcID{0, 3, 4}}},
-		{Kind: "rbc", Payload: RBCPayload{Origin: 1, Seq: 9, Inner: PointPayload{Value: pt}}},
+	check := func(m dist.Message) bool {
+		want := 0
+		if b, err := AppendMessage(nil, m); err == nil {
+			want = len(b)
+		}
+		if got := MessageSize(m); got != want {
+			t.Errorf("%T kind of %d bytes: MessageSize = %d, want %d", m.Payload, len(m.Kind), got, want)
+			return false
+		}
+		if allocs := testing.AllocsPerRun(20, func() { MessageSize(m) }); allocs != 0 {
+			t.Errorf("%T: MessageSize allocates %v objects/op, want 0", m.Payload, allocs)
+			return false
+		}
+		return true
 	}
-	for _, m := range msgs {
-		b, err := AppendMessage(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := MessageSize(m); got != len(b) {
-			t.Errorf("%s: MessageSize = %d, want %d", m.Kind, got, len(b))
-		}
-		if allocs := testing.AllocsPerRun(100, func() { MessageSize(m) }); allocs != 0 {
-			t.Errorf("%s: MessageSize allocates %v objects/op, want 0", m.Kind, allocs)
-		}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		return check(dist.Message{
+			From:     dist.ProcID(rng.Intn(64)),
+			To:       dist.ProcID(rng.Intn(64)),
+			Round:    rng.Intn(1000),
+			Instance: rng.Intn(8),
+			Kind:     strings.Repeat("k", []int{0, 1, 5, 8, 255, 256}[rng.Intn(6)]),
+			Payload:  randPayload(rng),
+		})
 	}
-	if got := MessageSize(dist.Message{Kind: "k", Payload: struct{}{}}); got != 0 {
-		t.Errorf("unencodable MessageSize = %d, want 0", got)
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Error(err)
+	}
+	// A body of exactly MaxFrameLen bytes encodes; one byte more does not:
+	// one point of dimension dim is a 24-byte body plus the kind and 8·dim.
+	dim := (MaxFrameLen - 24) / 8
+	big := PolytopePayload{Verts: []geom.Point{make(geom.Point, dim)}}
+	for _, kind := range []string{"", "k"} {
+		m := dist.Message{Kind: kind, Payload: big}
+		check(m)
+		if got, want := MessageSize(m) != 0, kind == ""; got != want {
+			t.Errorf("body of MaxFrameLen+%d bytes: encodable = %v, want %v", len(kind), got, want)
+		}
 	}
 }
 
