@@ -250,25 +250,25 @@ func meshGate(w io.Writer, n, rounds int, plan chc.WANPlan, seed int64) error {
 		h := fnv.New64a()
 		rng := rand.New(rand.NewSource(seed))
 		var buf [8]byte
-		// The scheduler contract lists only non-empty queues, so present a
-		// filtered view each pick and map the choice back.
-		view := make([]dist.ChannelState, 0, len(channels))
+		// A scheduler is shown only non-empty queues, so pass the filtered
+		// list each pick and map the choice back.
+		live := make(dist.ChannelList, 0, len(channels))
 		idxs := make([]int, 0, len(channels))
 		for delivered := 0; delivered < want; delivered++ {
-			view, idxs = view[:0], idxs[:0]
+			live, idxs = live[:0], idxs[:0]
 			for i := range channels {
 				if channels[i].Pending > 0 {
-					view = append(view, channels[i])
+					live = append(live, channels[i])
 					idxs = append(idxs, i)
 				}
 			}
-			pick := sched.Pick(view, rng)
-			if pick < 0 || pick >= len(view) {
+			pick := sched.Pick(live, rng)
+			if pick < 0 || pick >= len(live) {
 				return 0, 0, 0, fmt.Errorf("-mesh: scheduler picked invalid channel %d", pick)
 			}
 			ch := &channels[idxs[pick]]
 			ch.Pending--
-			// Hash the delivered edge, not the view index, so the fingerprint
+			// Hash the delivered edge, not the list index, so the fingerprint
 			// is a property of the schedule itself.
 			binaryPutEdge(&buf, ch.From, ch.To, delivered)
 			h.Write(buf[:])

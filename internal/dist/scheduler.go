@@ -11,17 +11,36 @@ type ChannelState struct {
 	Round   int    // round of the oldest queued message
 }
 
+// Channels is what a scheduler is shown: every non-empty channel, in
+// ascending (From, To) order. Len is O(1). At(i), for 0 <= i < Len(), fills
+// the i-th entry from that channel's queue head; ascending calls within one
+// Pick continue from where the previous one stopped, so a full scan costs
+// amortised O(1) per entry.
+type Channels interface {
+	Len() int
+	At(i int) ChannelState
+}
+
+// ChannelList is a Channels over a caller's own slice, for drivers and tests
+// that keep their channel list themselves.
+type ChannelList []ChannelState
+
+// Len implements Channels.
+func (l ChannelList) Len() int { return len(l) }
+
+// At implements Channels.
+func (l ChannelList) At(i int) ChannelState { return l[i] }
+
 // Scheduler chooses which channel delivers next. It models the asynchronous
 // adversary: any choice is admissible because channels stay FIFO and every
 // message is eventually deliverable (Pick is called until queues drain). A
 // scheduler value drives one simulation at a time: implementations may keep
 // state between picks.
 type Scheduler interface {
-	// Pick returns an index into channels: every non-empty channel, in
-	// ascending (From, To) order. The slice is the simulator's own working
-	// view, patched in place between deliveries — it is valid only for the
-	// duration of the call and must be neither mutated nor retained.
-	Pick(channels []ChannelState, rng *rand.Rand) int
+	// Pick returns an index in [0, channels.Len()); channels is never empty.
+	// The view reads the simulator's live channel table: it is valid only
+	// for the duration of the call and must not be retained.
+	Pick(channels Channels, rng *rand.Rand) int
 }
 
 // RandomScheduler delivers from a uniformly random non-empty channel — the
@@ -32,8 +51,8 @@ type RandomScheduler struct{}
 func NewRandomScheduler() *RandomScheduler { return &RandomScheduler{} }
 
 // Pick implements Scheduler.
-func (*RandomScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
-	return rng.Intn(len(channels))
+func (*RandomScheduler) Pick(channels Channels, rng *rand.Rand) int {
+	return rng.Intn(channels.Len())
 }
 
 // RoundRobinScheduler cycles deterministically over channels in key order,
@@ -46,8 +65,8 @@ type RoundRobinScheduler struct {
 func NewRoundRobinScheduler() *RoundRobinScheduler { return &RoundRobinScheduler{} }
 
 // Pick implements Scheduler.
-func (s *RoundRobinScheduler) Pick(channels []ChannelState, _ *rand.Rand) int {
-	idx := s.next % len(channels)
+func (s *RoundRobinScheduler) Pick(channels Channels, _ *rand.Rand) int {
+	idx := s.next % channels.Len()
 	s.next++
 	return idx
 }
@@ -73,16 +92,16 @@ func NewDelayScheduler(slow ...ProcID) *DelayScheduler {
 }
 
 // Pick implements Scheduler.
-func (s *DelayScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
+func (s *DelayScheduler) Pick(channels Channels, rng *rand.Rand) int {
 	fast := s.fast[:0]
-	for i, c := range channels {
-		if !s.slow[c.From] && !s.slow[c.To] {
+	for i := range channels.Len() {
+		if c := channels.At(i); !s.slow[c.From] && !s.slow[c.To] {
 			fast = append(fast, i)
 		}
 	}
 	s.fast = fast
 	if len(fast) == 0 {
-		return rng.Intn(len(channels))
+		return rng.Intn(channels.Len())
 	}
 	return fast[rng.Intn(len(fast))]
 }
@@ -107,16 +126,16 @@ func NewSplitScheduler(groupA ...ProcID) *SplitScheduler {
 }
 
 // Pick implements Scheduler.
-func (s *SplitScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
+func (s *SplitScheduler) Pick(channels Channels, rng *rand.Rand) int {
 	intra := s.intra[:0]
-	for i, c := range channels {
-		if s.groupA[c.From] == s.groupA[c.To] {
+	for i := range channels.Len() {
+		if c := channels.At(i); s.groupA[c.From] == s.groupA[c.To] {
 			intra = append(intra, i)
 		}
 	}
 	s.intra = intra
 	if len(intra) == 0 {
-		return rng.Intn(len(channels))
+		return rng.Intn(channels.Len())
 	}
 	return intra[rng.Intn(len(intra))]
 }
@@ -144,10 +163,10 @@ func NewSplitRound0Scheduler(kind string, groupA ...ProcID) *SplitRound0Schedule
 }
 
 // Pick implements Scheduler.
-func (s *SplitRound0Scheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
+func (s *SplitRound0Scheduler) Pick(channels Channels, rng *rand.Rand) int {
 	intra, other := s.intra[:0], s.other[:0]
-	for i, c := range channels {
-		switch {
+	for i := range channels.Len() {
+		switch c := channels.At(i); {
 		case c.Kind != s.kind:
 			other = append(other, i)
 		case s.groupA[c.From] == s.groupA[c.To]:
@@ -161,7 +180,7 @@ func (s *SplitRound0Scheduler) Pick(channels []ChannelState, rng *rand.Rand) int
 	if len(other) > 0 {
 		return other[rng.Intn(len(other))]
 	}
-	return rng.Intn(len(channels))
+	return rng.Intn(channels.Len())
 }
 
 // RecordingScheduler wraps another scheduler and records every pick, so an
@@ -182,9 +201,9 @@ func NewRecordingScheduler(inner Scheduler) *RecordingScheduler {
 }
 
 // Pick implements Scheduler.
-func (s *RecordingScheduler) Pick(channels []ChannelState, rng *rand.Rand) int {
+func (s *RecordingScheduler) Pick(channels Channels, rng *rand.Rand) int {
 	idx := s.Inner.Pick(channels, rng)
-	if idx < 0 || idx >= len(channels) {
+	if idx < 0 || idx >= channels.Len() {
 		idx = 0
 	}
 	s.Picks = append(s.Picks, idx)
@@ -206,11 +225,11 @@ func NewReplayScheduler(picks []int) *ReplayScheduler {
 }
 
 // Pick implements Scheduler.
-func (s *ReplayScheduler) Pick(channels []ChannelState, _ *rand.Rand) int {
+func (s *ReplayScheduler) Pick(channels Channels, _ *rand.Rand) int {
 	if s.pos < len(s.picks) {
 		idx := s.picks[s.pos]
 		s.pos++
-		if idx >= 0 && idx < len(channels) {
+		if idx >= 0 && idx < channels.Len() {
 			return idx
 		}
 	}
@@ -226,4 +245,5 @@ var (
 	_ Scheduler = (*SplitRound0Scheduler)(nil)
 	_ Scheduler = (*RecordingScheduler)(nil)
 	_ Scheduler = (*ReplayScheduler)(nil)
+	_ Channels  = ChannelList(nil)
 )

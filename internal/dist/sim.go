@@ -14,9 +14,8 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
-	"sort"
 )
 
 // ProcID identifies a process; IDs are 0..n-1.
@@ -183,23 +182,135 @@ const defaultMaxDeliveries = 5_000_000
 // Sim is a deterministic single-threaded simulation of one protocol run.
 //
 // The n*n directed channels live in a dense table indexed from*N+to, so
-// ascending table index is ascending (from, to). view holds one entry per
-// non-empty channel in that order and is what the scheduler sees; it
-// persists across deliveries and is patched in place — a pop refreshes one
-// entry, and only a channel flipping between empty and non-empty shifts the
-// tail — so the steady-state delivery path allocates nothing.
+// ascending table index is ascending (from, to). A bitset over that table
+// marks the non-empty channels and is what the scheduler sees, through the
+// Channels view: a send that fills an empty channel sets one bit and a pop
+// that drains one clears it, so nothing shifts and the steady-state delivery
+// path allocates nothing.
 type Sim struct {
 	cfg   Config
 	procs []Process
 	ctxs  []simContext // one per process, handed to every Init/Deliver
 	rng   *rand.Rand
 
-	chans []fifo
-	view  []ChannelState
+	chans channelTable
 
 	crashed    []bool
 	sendBudget []int // remaining sends before crash; -1 = never crashes
+	kinds      []kindCount
 	stats      Stats
+}
+
+// kindCount counts the sends of one message kind. A run has a handful of
+// kinds, sent under the same string constants, so a linear scan of these
+// finds its entry faster than a map write would.
+type kindCount struct {
+	kind string
+	n    int
+}
+
+// channelTable holds every channel's FIFO, dense from*N+to, and the set of
+// the non-empty ones as one bit per table slot plus a live count. It is the
+// Channels view the scheduler is shown: the i-th entry is the i-th set bit,
+// which is the i-th non-empty channel in ascending (From, To) order.
+type channelTable struct {
+	fifos []fifo
+	live  []uint64 // bit c%64 of word c/64 set iff fifos[c] is non-empty
+	count int      // set bits in live
+
+	// Cursor: the rank of the last entry resolved and its slot (pos), the
+	// word that slot sits in, and that word's set bits above it, so the next
+	// entry continues from there. mark and unmark reset it (rank -1).
+	rank, pos, word int
+	rest            uint64
+}
+
+var _ Channels = (*channelTable)(nil)
+
+func newChannelTable(slots int) channelTable {
+	return channelTable{fifos: make([]fifo, slots), live: make([]uint64, (slots+63)/64), rank: -1}
+}
+
+// Len implements Channels.
+func (t *channelTable) Len() int { return t.count }
+
+// At implements Channels, filling the entry from the channel's head.
+func (t *channelTable) At(i int) ChannelState {
+	q := &t.fifos[t.slot(i)]
+	head := &q.buf[q.head]
+	return ChannelState{From: head.From, To: head.To, Pending: q.len(), Kind: head.Kind, Round: head.Round}
+}
+
+// slot returns the table index of the i-th non-empty channel (0 <= i <
+// count). Asking again for the last entry, or for the one after it, resumes
+// from the cursor; any other i selects afresh.
+func (t *channelTable) slot(i int) int {
+	switch {
+	case i == t.rank:
+		return t.pos
+	case i == t.rank+1 && t.rank >= 0:
+		for t.rest == 0 {
+			t.word++
+			t.rest = t.live[t.word]
+		}
+	default:
+		k, word := i, 0
+		for c := bits.OnesCount64(t.live[0]); k >= c; c = bits.OnesCount64(t.live[word]) {
+			k -= c
+			word++
+		}
+		w := t.live[word]
+		t.word, t.rest = word, w&^(1<<selectBit(w, k)-1)
+	}
+	b := bits.TrailingZeros64(t.rest)
+	t.rest &= t.rest - 1
+	t.rank, t.pos = i, t.word<<6|b
+	return t.pos
+}
+
+// selectBit returns the position of the k-th set bit of w (k <
+// popcount(w)) without a data-dependent branch: the byte popcounts, summed
+// into running totals by one multiply, locate the byte that holds it, and
+// selectInByte the bit within that byte. The scheduler's picks are random,
+// so a search that branched on them would mispredict.
+func selectBit(w uint64, k int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	s := w - w>>1&0x5555555555555555
+	s = s&0x3333333333333333 + s>>2&0x3333333333333333
+	s = (s + s>>4) & 0x0f0f0f0f0f0f0f0f
+	s *= ones // byte j: set bits in bytes 0..j
+	// Byte j keeps its high bit iff its running total is at most k, so
+	// the count of such bytes is the index of the byte holding the bit.
+	place := bits.OnesCount64(((uint64(k)*ones|highs)-s)&highs) * 8
+	before := int(s << 8 >> place & 0xff) // set bits below that byte
+	return place + int(selectInByte[w>>place&0xff][k-before])
+}
+
+// selectInByte[b][k] is the position of the k-th set bit of the byte b.
+var selectInByte = func() (t [256][8]uint8) {
+	for b := range t {
+		k := 0
+		for i := 0; i < 8; i++ {
+			if b&(1<<i) != 0 {
+				t[b][k] = uint8(i)
+				k++
+			}
+		}
+	}
+	return t
+}()
+
+// mark records that channel c turned non-empty; unmark that it drained.
+func (t *channelTable) mark(c int) {
+	t.live[c>>6] |= 1 << (c & 63)
+	t.count++
+	t.rank = -1
+}
+
+func (t *channelTable) unmark(c int) {
+	t.live[c>>6] &^= 1 << (c & 63)
+	t.count--
+	t.rank = -1
 }
 
 // fifo is one channel's queue. Popping advances head instead of re-slicing,
@@ -255,10 +366,9 @@ func NewSim(cfg Config, procs []Process) (*Sim, error) {
 		procs:      procs,
 		ctxs:       make([]simContext, cfg.N),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		chans:      make([]fifo, cfg.N*cfg.N),
+		chans:      newChannelTable(cfg.N * cfg.N),
 		crashed:    make([]bool, cfg.N),
 		sendBudget: budget,
-		stats:      Stats{KindCounts: make(map[string]int)},
 	}
 	for i := range s.ctxs {
 		s.ctxs[i] = simContext{sim: s, id: ProcID(i)}
@@ -285,34 +395,41 @@ func (s *Sim) Run() (*Stats, error) {
 	}
 	for s.stats.Deliveries < maxDeliveries {
 		if s.allLiveDone() {
-			return &s.stats, nil
+			return s.result(nil)
 		}
 		if !s.deliverNext() {
-			return &s.stats, s.deadlockError()
+			return s.result(s.deadlockError())
 		}
 	}
-	return &s.stats, ErrLivelock
+	return s.result(ErrLivelock)
+}
+
+// result fills Stats.KindCounts from the per-kind send counts; every exit
+// of Run goes through it, since Stats stay valid on error.
+func (s *Sim) result(err error) (*Stats, error) {
+	s.stats.KindCounts = make(map[string]int, len(s.kinds))
+	for _, k := range s.kinds {
+		s.stats.KindCounts[k.kind] = k.n
+	}
+	return &s.stats, err
 }
 
 // deliverNext lets the scheduler choose among the non-empty channels and
 // delivers the head of its choice (or discards it, if the addressee has
 // crashed). It reports false when nothing is in flight.
 func (s *Sim) deliverNext() bool {
-	if len(s.view) == 0 {
+	if s.chans.count == 0 {
 		return false
 	}
-	idx := s.cfg.Scheduler.Pick(s.view, s.rng)
-	if idx < 0 || idx >= len(s.view) {
+	idx := s.cfg.Scheduler.Pick(&s.chans, s.rng)
+	if idx < 0 || idx >= s.chans.count {
 		idx = 0 // defensive: a misbehaving scheduler falls back to FIFO
 	}
-	v := &s.view[idx]
-	q := &s.chans[s.chanIndex(v.From, v.To)]
+	c := s.chans.slot(idx)
+	q := &s.chans.fifos[c]
 	msg := q.pop()
 	if q.len() == 0 {
-		s.view = slices.Delete(s.view, idx, idx+1)
-	} else {
-		head := &q.buf[q.head]
-		v.Pending, v.Kind, v.Round = q.len(), head.Kind, head.Round
+		s.chans.unmark(c)
 	}
 	if s.crashed[msg.To] {
 		s.stats.DroppedCrash++
@@ -371,24 +488,29 @@ func (s *Sim) send(from, to ProcID, kind string, round, instance int, payload an
 		s.sendBudget[from]--
 	}
 	msg := Message{From: from, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
-	ch := s.chanIndex(from, to)
-	q := &s.chans[ch]
+	c := s.chanIndex(from, to)
+	q := &s.chans.fifos[c]
 	q.push(msg)
-	// The channel's slot in the view, by binary search on the table index.
-	at := sort.Search(len(s.view), func(i int) bool {
-		return s.chanIndex(s.view[i].From, s.view[i].To) >= ch
-	})
-	if q.len() > 1 {
-		s.view[at].Pending++
-	} else {
-		s.view = slices.Insert(s.view, at, ChannelState{From: from, To: to, Pending: 1, Kind: kind, Round: round})
+	if q.len() == 1 {
+		s.chans.mark(c)
 	}
 	s.stats.Sends++
 	mSimSends.Inc()
-	s.stats.KindCounts[kind]++
+	s.countKind(kind)
 	if s.cfg.Sizer != nil {
 		s.stats.Bytes += s.cfg.Sizer(msg)
 	}
+}
+
+// countKind adds one send of kind to its per-kind count.
+func (s *Sim) countKind(kind string) {
+	for i := range s.kinds {
+		if s.kinds[i].kind == kind {
+			s.kinds[i].n++
+			return
+		}
+	}
+	s.kinds = append(s.kinds, kindCount{kind: kind, n: 1})
 }
 
 // simContext adapts the simulator to the Context interface for one process.

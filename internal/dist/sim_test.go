@@ -57,21 +57,66 @@ func runCollect(t *testing.T, cfg Config, quorum int) ([]*collectProc, *Stats, e
 	return impl, stats, err
 }
 
+// TestAllDeliver runs to each of Run's three exits — done, deadlock and
+// livelock — and checks the error, the send count and Stats.KindCounts, which
+// must hold exactly the per-kind sends whichever way Run returns.
 func TestAllDeliver(t *testing.T) {
-	impl, stats, err := runCollect(t, Config{N: 5, Seed: 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range impl {
-		if !p.Done() {
-			t.Errorf("process %d not done", i)
+	collect := func(n int) []Process {
+		ps := make([]Process, n)
+		for i := range ps {
+			ps[i] = newCollectProc(n)
 		}
+		return ps
 	}
-	if stats.Sends != 5*4 {
-		t.Errorf("Sends = %d, want 20", stats.Sends)
+	echo := func(n, f int) []Process {
+		log := newScheduleHash()
+		ps := make([]Process, n)
+		for i := range ps {
+			ps[i] = &roundEcho{n: n, f: f, rounds: 3, heard: make([]int, 4), log: log}
+		}
+		return ps
 	}
-	if stats.KindCounts["id"] != 20 {
-		t.Errorf("KindCounts = %v", stats.KindCounts)
+	cases := []struct {
+		name    string
+		cfg     Config
+		procs   []Process
+		wantErr error
+		want    map[string]int
+	}{
+		{"done", Config{N: 5, Seed: 1}, collect(5), nil, map[string]int{"id": 20}},
+		{"done/kinds", Config{N: 4, Seed: 1, Crashes: []CrashPlan{{Proc: 1, AfterSends: 5}}}, echo(4, 1), nil,
+			map[string]int{"sv.report": 12, "round": 28, "tick": 10}},
+		{"deadlock", Config{N: 5, Seed: 4, Crashes: []CrashPlan{{Proc: 0, AfterSends: 0}}}, collect(5), ErrDeadlock,
+			map[string]int{"id": 16}},
+		{"livelock", Config{N: 2, Seed: 1, MaxDeliveries: 100}, []Process{&pingPong{}, &pingPong{}}, ErrLivelock,
+			map[string]int{"ping": 102}},
+	}
+	for _, c := range cases {
+		sim, err := NewSim(c.cfg, c.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := sim.Run()
+		if !errors.Is(err, c.wantErr) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.wantErr)
+		}
+		if !reflect.DeepEqual(stats.KindCounts, c.want) {
+			t.Errorf("%s: KindCounts = %v, want %v", c.name, stats.KindCounts, c.want)
+		}
+		sends := 0
+		for _, k := range c.want {
+			sends += k
+		}
+		if stats.Sends != sends {
+			t.Errorf("%s: Sends = %d, want %d", c.name, stats.Sends, sends)
+		}
+		if c.wantErr == nil {
+			for i, p := range c.procs {
+				if !sim.Crashed(ProcID(i)) && !p.Done() {
+					t.Errorf("%s: process %d not done", c.name, i)
+				}
+			}
+		}
 	}
 }
 
@@ -561,65 +606,87 @@ var goldenSchedules = map[string]uint64{
 	"random/n7/none":         0x2f569e680e2e43ae,
 	"random/n7/after0":       0x5b2f60bf3cba6268,
 	"random/n7/mid":          0xe4e7d534f0b94f23,
+	"random/n9/none":         0x26f54b04995d46ef,
+	"random/n9/after0":       0x8f67efa0a52c9cdb,
+	"random/n9/mid":          0x65cd4eee498b296a,
 	"random/n16/none":        0x923c6ef6755ed98d,
 	"random/n16/after0":      0xd3c5eff20e7e55f3,
 	"random/n16/mid":         0xdbc80bc53cc54f11,
+	"random/n33/none":        0xfef9edab9ec10a90,
+	"random/n33/after0":      0x874b0f04f548f3e8,
+	"random/n33/mid":         0x50f4648f5075b02c,
 	"roundrobin/n4/none":     0x35fd32edcb498763,
 	"roundrobin/n4/after0":   0x2acb304fa9dc9fc3,
 	"roundrobin/n4/mid":      0x5a635bfcf4036cf5,
 	"roundrobin/n7/none":     0xfab6d42798fbc894,
 	"roundrobin/n7/after0":   0x8359f7885ee1ce22,
 	"roundrobin/n7/mid":      0xc219de7ebb806ce1,
+	"roundrobin/n9/none":     0x5c24f849240aa940,
+	"roundrobin/n9/after0":   0xe4d83f71dcec3430,
+	"roundrobin/n9/mid":      0xc67e9a239b18b3df,
 	"roundrobin/n16/none":    0x5dcdbd0be80a1c36,
 	"roundrobin/n16/after0":  0x2484e67f37620c8d,
 	"roundrobin/n16/mid":     0x539e742eeda4d0d1,
+	"roundrobin/n33/none":    0xcabdb1738bed2395,
+	"roundrobin/n33/after0":  0x21b6d0d50f058571,
+	"roundrobin/n33/mid":     0xf7e3202cfb19c6f4,
 	"delay/n4/none":          0x1a045e63a73ffced,
 	"delay/n4/after0":        0xb93cd64dcc96b217,
 	"delay/n4/mid":           0xa2812da03901a17b,
 	"delay/n7/none":          0xf1e3cde806f57061,
 	"delay/n7/after0":        0xb65a9a8b3551ffc7,
 	"delay/n7/mid":           0x7c041ebfa4c7e4da,
+	"delay/n9/none":          0xfcf956b2710ffd00,
+	"delay/n9/after0":        0xf035d9fa19ebedc4,
+	"delay/n9/mid":           0xe6b17c4ce890d706,
 	"delay/n16/none":         0x76874b4e31c0da67,
 	"delay/n16/after0":       0xe88647d740317a04,
 	"delay/n16/mid":          0x1c9fb9b51194d298,
+	"delay/n33/none":         0x5beeacf31c47c6a0,
+	"delay/n33/after0":       0x8002a07ac873c2b5,
+	"delay/n33/mid":          0x2a251b5932d3a070,
 	"split/n4/none":          0x0f7425ee8702453e,
 	"split/n4/after0":        0x5a96989fd6240075,
 	"split/n4/mid":           0xd2eae9d1217a3b98,
 	"split/n7/none":          0x9a727c7e515475f8,
 	"split/n7/after0":        0x0a3047cfe9a7707d,
 	"split/n7/mid":           0xca8dca9491184c6d,
+	"split/n9/none":          0x2f319512f251540a,
+	"split/n9/after0":        0xfcdd17028c2241e3,
+	"split/n9/mid":           0xaa8e201a4620a50c,
 	"split/n16/none":         0xa656af743d0f16b1,
 	"split/n16/after0":       0x09b4aabe7d895342,
 	"split/n16/mid":          0x238f74c964d81969,
+	"split/n33/none":         0x7a6df77e1f9b9409,
+	"split/n33/after0":       0x52b9ec7344f6e1e8,
+	"split/n33/mid":          0xd8a9dfbaca845742,
 	"splitround0/n4/none":    0xb364406008f66974,
 	"splitround0/n4/after0":  0x1459103b13648e76,
 	"splitround0/n4/mid":     0xa124e032839e68a9,
 	"splitround0/n7/none":    0x1edd455ca3e55698,
 	"splitround0/n7/after0":  0xea62de86e940a606,
 	"splitround0/n7/mid":     0xf993f79d29c3d5f4,
+	"splitround0/n9/none":    0x2997e66f970db06f,
+	"splitround0/n9/after0":  0xa4b8dc4ad43565f2,
+	"splitround0/n9/mid":     0x5f4b43e620c6e5d6,
 	"splitround0/n16/none":   0xe0d7ddc6b99f0b11,
 	"splitround0/n16/after0": 0x20826226e819015f,
 	"splitround0/n16/mid":    0xb3965a8f828db4f9,
+	"splitround0/n33/none":   0xcb9eb0e3df9599c2,
+	"splitround0/n33/after0": 0x604ec8d29694dc7f,
+	"splitround0/n33/mid":    0xd97890e0f6c77a1c,
 }
 
 // TestGoldenSchedules pins the delivery schedule of every built-in
-// scheduler bit for bit. The hashes were generated at the commit before the
-// simulator's channel index became incremental; a refactor of the event
-// loop that reorders even one delivery — or shows a scheduler a different
-// channel view — changes them.
+// scheduler bit for bit. The n=4, 7 and 16 rows were generated at the
+// commit before the simulator's channel index became incremental; the n=9
+// and n=33 rows, whose n² channels end part-way into a 64-bit word of the
+// non-empty-channel bitset, at commit f6a4867, before that bitset replaced
+// the sorted channel slice. A refactor of the event loop that reorders even
+// one delivery — or shows a scheduler different channels — changes them.
 func TestGoldenSchedules(t *testing.T) {
-	scheds := []struct {
-		name string
-		mk   func(n int) Scheduler
-	}{
-		{"random", func(int) Scheduler { return NewRandomScheduler() }},
-		{"roundrobin", func(int) Scheduler { return NewRoundRobinScheduler() }},
-		{"delay", func(n int) Scheduler { return NewDelayScheduler(ProcID(n - 1)) }},
-		{"split", func(n int) Scheduler { return NewSplitScheduler(firstHalf(n)...) }},
-		{"splitround0", func(n int) Scheduler { return NewSplitRound0Scheduler("sv.report", firstHalf(n)...) }},
-	}
-	for _, sc := range scheds {
-		for _, n := range []int{4, 7, 16} {
+	for _, sc := range builtinSchedulers {
+		for _, n := range []int{4, 7, 9, 16, 33} {
 			for _, cr := range goldenCrashes {
 				name := fmt.Sprintf("%s/n%d/%s", sc.name, n, cr.name)
 				got := goldenRun(t, n, cr.plan(n), func() Scheduler { return sc.mk(n) })
@@ -631,33 +698,178 @@ func TestGoldenSchedules(t *testing.T) {
 	}
 }
 
-// TestDeliveryDoesNotAllocate: once the queues and the channel view have
-// reached their working size, picking a channel, popping it, patching the
-// view and enqueueing the reply allocate nothing — on a 16-process mesh in
-// which every delivery is answered (pingPong), so channels keep flipping
-// between empty and non-empty.
-func TestDeliveryDoesNotAllocate(t *testing.T) {
-	const n = 16
+// builtinSchedulers are the five built-in schedulers of the golden grid and
+// the allocation table, as functions of n.
+var builtinSchedulers = []struct {
+	name string
+	mk   func(n int) Scheduler
+}{
+	{"random", func(int) Scheduler { return NewRandomScheduler() }},
+	{"roundrobin", func(int) Scheduler { return NewRoundRobinScheduler() }},
+	{"delay", func(n int) Scheduler { return NewDelayScheduler(ProcID(n - 1)) }},
+	{"split", func(n int) Scheduler { return NewSplitScheduler(firstHalf(n)...) }},
+	{"splitround0", func(n int) Scheduler { return NewSplitRound0Scheduler("sv.report", firstHalf(n)...) }},
+}
+
+// pingPongMesh builds an n-process pingPong simulation under sched, runs
+// every Init and then warmup deliveries, so every backing array has grown
+// to its working size. Every delivery is answered, so the mesh never drains
+// and channels keep flipping between empty and non-empty.
+func pingPongMesh(tb testing.TB, n int, sched Scheduler, warmup int) *Sim {
+	tb.Helper()
 	procs := make([]Process, n)
 	for i := range procs {
 		procs[i] = &pingPong{}
 	}
-	sim, err := NewSim(Config{N: n, Seed: 1, Scheduler: NewRandomScheduler()}, procs)
+	sim, err := NewSim(Config{N: n, Seed: 1, Scheduler: sched}, procs)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i, p := range procs {
 		p.Init(&sim.ctxs[i])
 	}
-	for i := 0; i < 20_000; i++ { // warm-up: let every backing array grow
+	for i := 0; i < warmup; i++ {
 		sim.deliverNext()
 	}
-	allocs := testing.AllocsPerRun(5_000, func() {
-		if !sim.deliverNext() {
-			t.Fatal("mesh drained")
+	return sim
+}
+
+// TestDeliveryDoesNotAllocate: once the queues, the channel set and the
+// scheduler's scratch have reached their working size, picking a channel,
+// popping it and enqueueing the reply allocate nothing, under every
+// built-in scheduler, on a 16-process pingPong mesh.
+func TestDeliveryDoesNotAllocate(t *testing.T) {
+	const n = 16
+	for _, sc := range builtinSchedulers {
+		sim := pingPongMesh(t, n, sc.mk(n), 20_000)
+		allocs := testing.AllocsPerRun(5_000, func() {
+			if !sim.deliverNext() {
+				t.Fatal("mesh drained")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state delivery allocates %v objects/op, want 0", sc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state delivery allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkSimDelivery times one steady-state delivery of the pingPong mesh
+// under the random scheduler: the pick, the pop, the reply's send and the
+// channel-set updates on both.
+func BenchmarkSimDelivery(b *testing.B) {
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			sim := pingPongMesh(b, n, NewRandomScheduler(), 20_000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !sim.deliverNext() {
+					b.Fatal("mesh drained")
+				}
+			}
+		})
+	}
+}
+
+// scanChannels is the brute-force reference for the simulator's Channels
+// view: every FIFO of the table, in table order, that holds a message.
+func scanChannels(s *Sim) []ChannelState {
+	var list []ChannelState
+	for c := range s.chans.fifos {
+		if q := &s.chans.fifos[c]; q.len() > 0 {
+			head := q.buf[q.head]
+			list = append(list, ChannelState{
+				From: ProcID(c / s.cfg.N), To: ProcID(c % s.cfg.N),
+				Pending: q.len(), Kind: head.Kind, Round: head.Round,
+			})
+		}
+	}
+	return list
+}
+
+// TestChannelsMatchFIFOScan drives random sends, deliveries and crashes at
+// n ∈ {1, 2, 9, 16, 33} and, after every step, checks the simulator's
+// Channels view against a list rebuilt by scanning every FIFO: Len, an
+// ascending scan, random access, and random access followed by an ascending
+// scan, in a random order — so the view's cursor is exercised both across
+// a change of the set and across a jump. Each delivery must pop the channel
+// the scheduler picked.
+func TestChannelsMatchFIFOScan(t *testing.T) {
+	kinds := []string{"sv.report", "round", "tick"}
+	for _, n := range []int{1, 2, 9, 16, 33} {
+		for trial := int64(0); trial < 4; trial++ {
+			rng := rand.New(rand.NewSource(int64(n)*100 + trial))
+			procs := make([]Process, n)
+			for i := range procs {
+				procs[i] = sink{}
+			}
+			rec := NewRecordingScheduler(nil)
+			sim, err := NewSim(Config{N: n, Seed: trial, Scheduler: rec}, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pSend := 0.35 + 0.1*float64(trial) // from draining to filling
+			for step := 0; step < 1500; step++ {
+				switch r := rng.Float64(); {
+				case r < 0.002:
+					sim.crashed[rng.Intn(n)] = true
+				case r < pSend:
+					sim.send(ProcID(rng.Intn(n)), ProcID(rng.Intn(n)), kinds[rng.Intn(len(kinds))], rng.Intn(4), 0, nil)
+				default:
+					before := scanChannels(sim)
+					if !sim.deliverNext() {
+						if len(before) != 0 {
+							t.Fatalf("n=%d step %d: nothing delivered from %d channels", n, step, len(before))
+						}
+						break
+					}
+					want := before[rec.Picks[len(rec.Picks)-1]]
+					want.Pending--
+					var got ChannelState
+					for _, c := range scanChannels(sim) {
+						if c.From == want.From && c.To == want.To {
+							got = c
+						}
+					}
+					if got.Pending != want.Pending {
+						t.Fatalf("n=%d step %d: picked %d->%d, left %d pending there, want %d",
+							n, step, want.From, want.To, got.Pending, want.Pending)
+					}
+				}
+				checkChannels(t, fmt.Sprintf("n=%d trial %d step %d", n, trial, step), &sim.chans, scanChannels(sim), rng)
+			}
+		}
+	}
+}
+
+func checkChannels(t *testing.T, where string, view Channels, want []ChannelState, rng *rand.Rand) {
+	t.Helper()
+	if view.Len() != len(want) {
+		t.Fatalf("%s: Len() = %d, want %d", where, view.Len(), len(want))
+	}
+	if len(want) == 0 {
+		return
+	}
+	at := func(mode string, i int) {
+		if got := view.At(i); got != want[i] {
+			t.Fatalf("%s: %s At(%d) = %+v, want %+v", where, mode, i, got, want[i])
+		}
+	}
+	for _, mode := range rng.Perm(3) {
+		switch mode {
+		case 0:
+			for i := range want {
+				at("ascending", i)
+			}
+		case 1:
+			for range 8 {
+				at("random", rng.Intn(len(want)))
+			}
+		case 2:
+			at("jump", rng.Intn(len(want)))
+			for i := rng.Intn(len(want)); i < len(want); i++ {
+				at("scan after jump", i)
+			}
+		}
 	}
 }

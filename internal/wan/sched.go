@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"chc/internal/dist"
+	"chc/internal/telemetry"
 )
 
 // SimScheduler drives the deterministic simulator through the WAN model in
@@ -29,12 +30,12 @@ type SimScheduler struct {
 
 // simLink tracks one directed channel's WAN state.
 type simLink struct {
-	seq     int64           // transmissions ever scheduled on this link
-	arr     []time.Duration // arrival times of queued messages (FIFO)
-	head    int             // index of the queue head within arr
-	free    time.Duration   // bandwidth serialization clock
-	last    time.Duration   // FIFO clamp: no arrival precedes an earlier one
-	deliver int64           // deliveries (for the per-path metric family)
+	seq       int64              // transmissions ever scheduled on this link
+	arr       []time.Duration    // arrival times of queued messages (FIFO)
+	head      int                // index of the queue head within arr
+	free      time.Duration      // bandwidth serialization clock
+	last      time.Duration      // FIFO clamp: no arrival precedes an earlier one
+	delivered *telemetry.Counter // this link's path series, resolved on first delivery
 }
 
 var _ dist.Scheduler = (*SimScheduler)(nil)
@@ -53,11 +54,13 @@ func NewSimSchedulerModel(m *Model) *SimScheduler {
 	return &SimScheduler{m: m, links: make([]*simLink, m.N()*m.N())}
 }
 
-// Pick implements dist.Scheduler. channels lists the non-empty queues in
-// the simulator's deterministic order; Pending is the queue length.
-func (s *SimScheduler) Pick(channels []dist.ChannelState, _ *rand.Rand) int {
+// Pick implements dist.Scheduler: it scans channels once, in ascending
+// (From, To) order, admitting every newly queued message (Pending counts the
+// queue) before comparing head arrivals.
+func (s *SimScheduler) Pick(channels dist.Channels, _ *rand.Rand) int {
 	best, bestArr := -1, time.Duration(0)
-	for idx, ch := range channels {
+	for idx := range channels.Len() {
+		ch := channels.At(idx)
 		l := s.link(ch.From, ch.To)
 		// Admit messages that entered the queue since the last look: assign
 		// departure (behind the serialization clock and any cut window),
@@ -89,18 +92,20 @@ func (s *SimScheduler) Pick(channels []dist.ChannelState, _ *rand.Rand) int {
 	if best < 0 {
 		return 0
 	}
-	ch := channels[best]
+	ch := channels.At(best)
 	l := s.link(ch.From, ch.To)
 	l.head++
 	if l.head == len(l.arr) {
 		l.arr, l.head = l.arr[:0], 0
 	}
-	l.deliver++
 	s.delivered++
 	if bestArr > s.now {
 		s.now = bestArr
 	}
-	mSimDeliveries.With(s.m.PathLabel(ch.From, ch.To)).Inc()
+	if l.delivered == nil {
+		l.delivered = mSimDeliveries.With(s.m.PathLabel(ch.From, ch.To))
+	}
+	l.delivered.Inc()
 	return best
 }
 

@@ -2,6 +2,7 @@ package wan
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -194,7 +195,7 @@ func drainMesh(s dist.Scheduler, pending map[[2]dist.ProcID]int) []string {
 		if len(chans) == 0 {
 			return trace
 		}
-		idx := s.Pick(chans, nil)
+		idx := s.Pick(dist.ChannelList(chans), nil)
 		pending[keys[idx]]--
 		trace = append(trace, fmt.Sprintf("%d->%d", keys[idx][0], keys[idx][1]))
 	}
@@ -244,14 +245,14 @@ func TestSimSchedulerCutAsymmetry(t *testing.T) {
 		{From: 1, To: 0, Pending: 1},
 	}
 	// 1->0 flows at the base inter-region delay; 0->1 is held past 50ms.
-	if got := s.Pick(chans, nil); got != 1 {
+	if got := s.Pick(dist.ChannelList(chans), nil); got != 1 {
 		t.Fatalf("first pick = channel %d, want the uncut 1->0", got)
 	}
 	if s.Elapsed() >= 50*time.Millisecond {
 		t.Errorf("uncut delivery at %v, want before the 50ms window end", s.Elapsed())
 	}
 	chans[1].Pending = 0
-	if got := s.Pick(chans[:1], nil); got != 0 {
+	if got := s.Pick(dist.ChannelList(chans[:1]), nil); got != 0 {
 		t.Fatalf("second pick = %d, want 0", got)
 	}
 	if s.Elapsed() < 50*time.Millisecond {
@@ -288,7 +289,7 @@ func TestSimSchedulerThousandProcesses(t *testing.T) {
 					live = append(live, ch)
 				}
 			}
-			idx := s.Pick(live, nil)
+			idx := s.Pick(dist.ChannelList(live), nil)
 			for k := range chans {
 				if chans[k].From == live[idx].From && chans[k].To == live[idx].To {
 					chans[k].Pending--
@@ -542,15 +543,24 @@ var goldenSimSchedules = map[string]uint64{
 	"n7/none":    0x34aab75993f77fcd,
 	"n7/after0":  0xe0cf2a9d3570109f,
 	"n7/mid":     0xc807c0ed59b09b57,
+	"n9/none":    0xd9202ec3b54dd040,
+	"n9/after0":  0xd82d3b30b805200f,
+	"n9/mid":     0xf1426c8117605b9a,
 	"n16/none":   0xf3ce181d603997bb,
 	"n16/after0": 0x54f83d8997ddb666,
 	"n16/mid":    0x135b84c9c55413dc,
+	"n33/none":   0x64cde1222a00fd96,
+	"n33/after0": 0xbaf7a64a3d783480,
+	"n33/mid":    0xb2e4a2d958f8e913,
 }
 
 // TestSimSchedulerGoldenSchedules pins SimScheduler's virtual-time schedule
-// on the simulator bit for bit: the hashes were generated at the commit
-// before the simulator's channel index became incremental and before this
-// scheduler's links were indexed densely.
+// on the simulator bit for bit: the n=4, 7 and 16 rows were generated at
+// the commit before the simulator's channel index became incremental and
+// before this scheduler's links were indexed densely; the n=9 and n=33 rows,
+// whose n² channels end part-way into a 64-bit word of the simulator's
+// non-empty-channel bitset, at commit f6a4867, before that bitset replaced
+// the sorted channel slice.
 func TestSimSchedulerGoldenSchedules(t *testing.T) {
 	plan, err := ParsePlan("3-regions")
 	if err != nil {
@@ -564,7 +574,7 @@ func TestSimSchedulerGoldenSchedules(t *testing.T) {
 		{"after0", func(int) []dist.CrashPlan { return []dist.CrashPlan{{Proc: 0, AfterSends: 0}} }},
 		{"mid", func(n int) []dist.CrashPlan { return []dist.CrashPlan{{Proc: 1, AfterSends: n - 1 + n/2}} }},
 	}
-	for _, n := range []int{4, 7, 16} {
+	for _, n := range []int{4, 7, 9, 16, 33} {
 		f := 1
 		if n >= 7 {
 			f = 2
@@ -597,5 +607,51 @@ func TestSimSchedulerGoldenSchedules(t *testing.T) {
 				t.Errorf("%q: %#016x, // want %#016x", name, got, want)
 			}
 		}
+	}
+}
+
+// pingPong answers every delivery, so an n-process mesh of them never
+// drains and its channels keep flipping between empty and non-empty.
+type pingPong struct{}
+
+func (pingPong) Init(ctx dist.Context)                    { ctx.Broadcast("ping", 0, nil) }
+func (pingPong) Deliver(ctx dist.Context, m dist.Message) { ctx.Send(m.From, "ping", 0, nil) }
+func (pingPong) Done() bool                               { return false }
+
+// TestSimSchedulerDeliveryDoesNotAllocate: on the simulator, a steady-state
+// delivery under SimScheduler allocates nothing. The simulator's event loop
+// is not reachable from here, so two runs of the same seeded 16-process
+// pingPong mesh are cut by the delivery limit after warm and warm+extra
+// deliveries: their setup and warm-up allocate alike, and the difference is
+// what the extra deliveries allocate. Per delivery it is rounded down, as
+// testing.AllocsPerRun rounds, so a queue that now and then grows to a new
+// peak does not count.
+func TestSimSchedulerDeliveryDoesNotAllocate(t *testing.T) {
+	const n, warm, extra = 16, 20_000, 20_000
+	plan, err := ParsePlan("3-regions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(deliveries int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			sched, err := NewSimScheduler(plan, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs := make([]dist.Process, n)
+			for i := range procs {
+				procs[i] = pingPong{}
+			}
+			sim, err := dist.NewSim(dist.Config{N: n, Seed: 1, Scheduler: sched, MaxDeliveries: deliveries}, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(); !errors.Is(err, dist.ErrLivelock) {
+				t.Fatalf("err = %v, want the delivery limit", err)
+			}
+		})
+	}
+	if perDelivery := int(run(warm+extra)-run(warm)) / extra; perDelivery != 0 {
+		t.Errorf("steady-state delivery allocates %d objects/op, want 0", perDelivery)
 	}
 }
