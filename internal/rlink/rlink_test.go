@@ -11,13 +11,22 @@ import (
 )
 
 // lossyNet connects endpoints in-process and deterministically drops every
-// dropNth frame (data and acks alike), counting across all links.
+// dropNth frame (data and acks alike), counting across all links. With
+// loseDeliveredAck set it also loses the ack of a delivered frame by
+// construction: from the first ack on it drops every ack until it has carried
+// a retransmission of a frame that ack covered, so the receiver sees a
+// duplicate whatever the timing.
 type lossyNet struct {
 	mu      sync.Mutex
 	eps     map[dist.ProcID]*Endpoint
 	dropNth int
 	offered int
 	dropped int
+
+	loseDeliveredAck bool
+	withheld         *[2]dist.ProcID // data link (from, to) of the first ack, once seen
+	covered          uint64          // that ack's sequence number
+	dupCarried       bool            // a frame at or below covered went through again
 }
 
 type lossySender struct{ net *lossyNet }
@@ -26,6 +35,18 @@ func (s *lossySender) SendFrame(to dist.ProcID, f wire.Frame) error {
 	s.net.mu.Lock()
 	s.net.offered++
 	drop := s.net.dropNth > 0 && s.net.offered%s.net.dropNth == 0
+	if s.net.loseDeliveredAck && !s.net.dupCarried {
+		switch {
+		case f.Type == wire.FrameAck:
+			if s.net.withheld == nil {
+				s.net.withheld, s.net.covered = &[2]dist.ProcID{to, f.From}, f.Seq
+			}
+			drop = true
+		case f.Type == wire.FrameData && !drop && s.net.withheld != nil &&
+			*s.net.withheld == [2]dist.ProcID{f.From, to} && f.Seq <= s.net.covered:
+			s.net.dupCarried = true
+		}
+	}
 	if drop {
 		s.net.dropped++
 	}
@@ -67,9 +88,10 @@ func fastConfig() Config {
 }
 
 // TestLossyLinkExactlyOnceFIFO pushes a message stream through a link that
-// drops every third frame and requires exactly-once, in-order delivery.
+// drops every third frame and the ack of a delivered frame, and requires
+// exactly-once, in-order delivery.
 func TestLossyLinkExactlyOnceFIFO(t *testing.T) {
-	net := &lossyNet{eps: map[dist.ProcID]*Endpoint{}, dropNth: 3}
+	net := &lossyNet{eps: map[dist.ProcID]*Endpoint{}, dropNth: 3, loseDeliveredAck: true}
 	var got collector
 	a := New(0, 2, &lossySender{net}, func(dist.Message) error { return nil }, fastConfig())
 	b := New(1, 2, &lossySender{net}, got.deliver, fastConfig())

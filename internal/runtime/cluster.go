@@ -818,11 +818,11 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 		return
 	}
 	// Output commit: the message may depend on any delivery this process has
-	// consumed, so the journal must cover them all before it leaves. A failed
-	// barrier has already fail-stopped the incarnation (or the node is
-	// shutting down); the message stays unsent, and a relaunch regenerates it
-	// from the journaled prefix.
-	if box := nc.inc.box; box != nil && box.barrier(waitSend) != nil {
+	// consumed, so the journal must cover them all before it leaves — and
+	// need cover no more. A failed barrier has already fail-stopped the
+	// incarnation (or the node is shutting down); the message stays unsent,
+	// and a relaunch regenerates it from the journaled prefix.
+	if box := nc.inc.box; box != nil && box.consumedBarrier(waitSend) != nil {
 		return
 	}
 	// An error is a transport failure after shutdown; the message is lost,
@@ -833,12 +833,13 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 
 // CommitOutput is the output-commit barrier for what leaves the node other
 // than through Send — the resident engine calls it before handing a
-// participant's decision to its sink. It returns nil at once without a WAL.
+// participant's decision to its sink. Like a send, it waits for the
+// deliveries the process has consumed. It returns nil at once without a WAL.
 func (nc *nodeContext) CommitOutput() error {
 	if nc.inc.box == nil {
 		return nil
 	}
-	return nc.inc.box.barrier(waitDecide)
+	return nc.inc.box.consumedBarrier(waitDecide)
 }
 
 func (nc *nodeContext) Broadcast(kind string, round int, payload any) {

@@ -61,12 +61,16 @@ var errBoxClosed = errors.New("runtime: node is shutting down")
 // (processing) order, or a relaunched incarnation could attach different
 // payloads to already-transmitted (link, seq) pairs: equivocation across the
 // restart boundary — but it is not fsynced there. The fsync happens in
-// commit, at most one at a time per node, and everything that leaves the
-// node waits for the commit that covers every delivery accepted so far:
-// link acks (released here through the endpoint's durable watermark), sends,
-// decisions and admitted instance ids (through barrier). A crash therefore
-// loses only a journal tail that nothing outside the node has observed —
-// never acked, never acted on externally — and peers still hold its frames.
+// commit, at most one at a time per node, and nothing leaves the node before
+// a commit covers what it rests on: a link ack, the deliveries below the
+// receive cursor it claims (released here through the endpoint's durable
+// watermark); a send or a resident decision, the deliveries its process has
+// consumed (consumedBarrier); an admitted instance id or a batch decision,
+// the record appended for it (barrier). A delivery the process has not
+// consumed yet is not waited for: a crash that loses it looks, from outside,
+// like the message arriving late, and the peer still holds its frame. A
+// crash therefore loses only a journal tail that nothing outside the node
+// has observed — never acked, never acted on externally.
 type durableBox struct {
 	c                  *Cluster
 	i                  int
@@ -87,16 +91,16 @@ type durableBox struct {
 	pending  [][]byte // record bodies accrued while degraded, journal order
 	closed   bool
 	closedCh chan struct{}
-	// appended counts the records accepted into the journal (or, degraded,
-	// into pending); written under mu, read by barriers without it. A record
-	// is counted before its message becomes visible in the mailbox, so a
-	// barrier run by whoever consumed the message always includes it.
+	// appended numbers the records accepted into the journal (or, degraded,
+	// into pending): the k-th record is number k. Written under mu, read by
+	// barriers without it. A delivery's number travels with its message into
+	// the mailbox, whose Pop publishes the number of the last one consumed.
 	appended atomic.Uint64
 
 	// One commit (fsync) is in flight per node: committing, under commitMu,
 	// marks it, and commitDone wakes the callers waiting behind it — each
 	// re-checks whether that commit already covered its target before running
-	// one of its own. committed is the appended-count covered so far.
+	// one of its own. committed is the highest record number covered so far.
 	commitMu   sync.Mutex
 	commitDone *sync.Cond
 	committing bool
@@ -190,14 +194,12 @@ func (b *durableBox) deliver(m dist.Message) error {
 	return nil
 }
 
-// accept counts m's record and only then makes m visible to the process
-// (under b.mu). The order is the barrier's safety: the process can pop m and
-// reach an exit at once, and the lock-free read of appended there must
-// already include m, or a quiet node (committed == appended) would let the
-// output leave ahead of the fsync covering a delivery it depends on.
+// accept numbers m's record and queues m under that number (under b.mu, so
+// numbers reach the mailbox in journal order). The record number travels
+// with the message: the process's Pop publishes it as consumed, and the
+// exit the process reaches next waits for a commit that covers it.
 func (b *durableBox) accept(m dist.Message) {
-	b.noteAppended()
-	b.mbox.Push(m)
+	b.mbox.pushRecord(m, b.noteAppended())
 }
 
 // journalDecided journals a decision through the box so a degraded node's
@@ -216,18 +218,35 @@ func (b *durableBox) journalDecided(round int) {
 	b.noteAppended()
 }
 
-// noteAppended counts one accepted record (under b.mu) and makes sure the
-// committer will cover it if no send does first.
-func (b *durableBox) noteAppended() {
-	b.appended.Add(1)
+// noteAppended numbers one accepted record (under b.mu), makes sure the
+// committer will cover it if no exit does first, and returns its number.
+func (b *durableBox) noteAppended() uint64 {
+	rec := b.appended.Add(1)
 	b.wakeCommitter()
+	return rec
 }
 
-// barrier blocks until every record accepted so far is covered by a commit.
-// It gates an exit of the node: a non-nil error means the incarnation
-// fail-stopped (or is shutting down) and the output must not happen.
+// barrier gates an exit that rests on a record its caller has just appended
+// itself — the open control of an admitted instance id, a batch decision's
+// decided record — and which the process may not have consumed yet: it
+// blocks until a commit covers every record accepted so far. A non-nil
+// error means the incarnation fail-stopped (or is shutting down) and the
+// output must not happen.
 func (b *durableBox) barrier(wait *telemetry.Histogram) error {
-	target := b.appended.Load()
+	return b.barrierAt(b.appended.Load(), wait)
+}
+
+// consumedBarrier gates a send or a resident decision: it blocks until a
+// commit covers every delivery the process has consumed, and fails like
+// barrier. Records the link journals meanwhile — while the process is in the
+// middle of a broadcast — are not waited for, since nothing the process
+// emits can rest on them, so one fsync covers a whole broadcast.
+func (b *durableBox) consumedBarrier(wait *telemetry.Histogram) error {
+	return b.barrierAt(b.mbox.consumed.Load(), wait)
+}
+
+// barrierAt blocks until a commit covers record number target.
+func (b *durableBox) barrierAt(target uint64, wait *telemetry.Histogram) error {
 	if b.committed.Load() >= target {
 		return nil
 	}

@@ -33,6 +33,7 @@ type flakyFS struct {
 	budget      atomic.Int64 // >0: remaining failures before auto-heal
 	match       string       // fsync path substring; empty matches all
 	createMatch string       // Create path substring; empty disables
+	syncs       atomic.Int64 // Sync calls, failed ones included
 }
 
 func (f *flakyFS) failing(path string) bool {
@@ -82,6 +83,7 @@ type flakyFile struct {
 }
 
 func (ff *flakyFile) Sync() error {
+	ff.fs.syncs.Add(1)
 	if ff.fs.failing(ff.path) {
 		return errInjectedSync
 	}
@@ -515,6 +517,81 @@ func TestLostTailBarrierCoversVisibleDelivery(t *testing.T) {
 	}
 	if syncs, committed := w.Stats().Syncs-base, box.committed.Load(); syncs != 1 || committed != 1 {
 		t.Fatalf("after the barrier: %d fsyncs, committed = %d, want 1 and 1", syncs, committed)
+	}
+	box.close()
+	c.bg.Wait()
+	w.Abandon()
+}
+
+// TestOutputCommitOneSyncPerBroadcast pins the target of the send exit: it
+// waits for the deliveries its process has consumed, not for those the link
+// journals while the process is in the middle of a broadcast. The send hook
+// journals one delivery per frame, as a busy link would, so an exit that
+// waited for every appended record would run an fsync per peer; this one
+// runs exactly one, in the first send. Every frame is judged as it leaves
+// against the journal's crash image: each delivery consumed before the
+// broadcast — the last of them consumed after the previous commit — must be
+// durable by then.
+func TestOutputCommitOneSyncPerBroadcast(t *testing.T) {
+	const n, dir = 5, "/journals"
+	mem := diskfault.NewMemFS()
+	fs := &flakyFS{FS: mem} // a healthy disk that counts Syncs
+	w, err := wal.CreateWith(WALPath(dir, 0), wal.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClusterShell(t, n)
+	c.cfg.links = &rlink.Config{RetransmitInitial: time.Hour} // committer asleep
+	inc := &incarnation{mbox: newMailbox(), wal: w}
+	inc.box = newDurableBox(c, 0, w, inc.mbox, &inc.crashed)
+	c.nodes[0].inc = inc
+	box := inc.box
+
+	consumed := 0
+	deliver := func() {
+		t.Helper()
+		if err := box.deliver(dist.Message{From: 1, To: 0, Kind: "t"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pop := func() {
+		t.Helper()
+		if _, err := inc.mbox.Pop(); err != nil {
+			t.Fatal(err)
+		}
+		consumed++
+	}
+	frames := 0
+	inc.send = func(m dist.Message) error {
+		frames++
+		rep, err := wal.ReplayWith(mem.CrashImage(), WALPath(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(rep.Delivered); got < consumed {
+			t.Errorf("send to %d left with %d of the %d consumed deliveries durable", m.To, got, consumed)
+		}
+		deliver() // a peer's frame, journaled mid-broadcast and not consumed
+		return nil
+	}
+
+	deliver()
+	deliver()
+	pop()
+	pop()
+	if err := box.barrier(waitSend); err != nil {
+		t.Fatal(err)
+	}
+	deliver()
+	pop() // consumed one past the last commit: the broadcast must commit it
+	base := fs.syncs.Load()
+	ctx := &nodeContext{cluster: c, node: c.nodes[0], inc: inc, n: n}
+	ctx.Broadcast("b", 0, nil)
+	if frames != n-1 {
+		t.Fatalf("%d frames left, want %d", frames, n-1)
+	}
+	if syncs := fs.syncs.Load() - base; syncs != 1 {
+		t.Errorf("a broadcast to %d peers ran %d fsyncs, want 1", n-1, syncs)
 	}
 	box.close()
 	c.bg.Wait()

@@ -9,6 +9,7 @@ package runtime
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"chc/internal/dist"
 )
@@ -21,10 +22,18 @@ var ErrClosed = errors.New("runtime: mailbox closed")
 // send path non-blocking, which rules out the circular-wait deadlocks a
 // bounded inbox could introduce between mutually flooding processes.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []dist.Message
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []mailEntry
+	closed   bool
+	consumed atomic.Uint64 // record number of the last message Pop handed out
+}
+
+// mailEntry is a queued message and its journal record number (0 when the
+// node keeps no journal).
+type mailEntry struct {
+	msg dist.Message
+	rec uint64
 }
 
 func newMailbox() *mailbox {
@@ -36,19 +45,25 @@ func newMailbox() *mailbox {
 // Push enqueues a message. Pushing to a closed mailbox is a no-op (the
 // receiver has shut down; the message is dropped like a message to a
 // crashed process).
-func (m *mailbox) Push(msg dist.Message) {
+func (m *mailbox) Push(msg dist.Message) { m.pushRecord(msg, 0) }
+
+// pushRecord enqueues a journaled message under its record number. Numbers
+// must be pushed in increasing order (the journaling path pushes under the
+// lock it numbers under), so the consumed watermark only grows.
+func (m *mailbox) pushRecord(msg dist.Message, rec uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
-	m.queue = append(m.queue, msg)
+	m.queue = append(m.queue, mailEntry{msg, rec})
 	mMailboxDepth.Add(1)
 	m.cond.Signal()
 }
 
 // Pop blocks until a message is available or the mailbox is closed and
-// drained.
+// drained. A journaled message's record number is published as consumed
+// before Pop returns it, so an exit its consumer reaches next covers it.
 func (m *mailbox) Pop() (dist.Message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -58,10 +73,11 @@ func (m *mailbox) Pop() (dist.Message, error) {
 	if len(m.queue) == 0 {
 		return dist.Message{}, ErrClosed
 	}
-	msg := m.queue[0]
+	e := m.queue[0]
 	m.queue = m.queue[1:]
+	m.consumed.Store(e.rec)
 	mMailboxDepth.Add(-1)
-	return msg, nil
+	return e.msg, nil
 }
 
 // Close wakes all blocked Pops; queued messages can still be drained.

@@ -366,28 +366,6 @@ func (w *WAL) LiveSize() int64 {
 	return w.liveBytes
 }
 
-// DiskUsage sums the on-disk footprint of the log: live file, segments and
-// checkpoints. Experiments use it to assert compaction keeps steady-state
-// size bounded.
-func DiskUsage(fs FS, path string) int64 {
-	fs = fsOrOS(fs)
-	var total int64
-	if n, err := fs.Size(path); err == nil {
-		total += n
-	}
-	for _, k := range listSegments(fs, path) {
-		if n, err := fs.Size(segmentPath(path, k)); err == nil {
-			total += n
-		}
-	}
-	for _, suffix := range []string{ckptSuffix, ckptPrevSuffix} {
-		if n, err := fs.Size(path + suffix); err == nil {
-			total += n
-		}
-	}
-	return total
-}
-
 // SegmentCount returns the number of rotated segments on disk.
 func SegmentCount(fs FS, path string) int {
 	return len(listSegments(fsOrOS(fs), path))

@@ -216,22 +216,6 @@ func scanRecords(r *bufio.Reader, st *replayState) (damaged bool) {
 	}
 }
 
-// replayReader decodes a single-file log from a reader (the pre-checkpoint
-// layout), factored out for tests and fuzzing.
-func replayReader(r *bufio.Reader) (*Replayed, error) {
-	st := &replayState{rep: &Replayed{}}
-	scanRecords(r, st)
-	mReplayRecords.Add(int64(st.rep.Records))
-	if st.rep.TornTail {
-		mReplayTorn.Inc()
-	}
-	if st.epochs == 0 {
-		return st.rep, fmt.Errorf("%w: no epoch record (empty or foreign log)", ErrCorrupt)
-	}
-	st.rep.Epoch = uint64(st.epochs - 1)
-	return st.rep, nil
-}
-
 // apply folds one record body into the replay state.
 func (rep *Replayed) apply(body []byte) error {
 	switch body[0] {

@@ -178,12 +178,9 @@ func CreateWith(path string, o Options) (*WAL, error) {
 	return w, nil
 }
 
-// Open opens an existing log for appending a new incarnation. The caller is
-// expected to Replay first and then AppendEpoch to fence the restart.
-func Open(path string) (*WAL, error) { return OpenWith(path, Options{}) }
-
-// OpenWith is Open through explicit options. In mirror/checkpoint mode the
-// full durable history (snapshot + segments + live tail) is replayed into
+// OpenWith opens an existing log for appending a new incarnation. The caller
+// is expected to Replay first and then AppendEpoch to fence the restart. In
+// mirror/checkpoint mode the full durable history (snapshot + segments + live tail) is replayed into
 // the in-memory mirror so later snapshots cover pre-restart records too.
 func OpenWith(path string, o Options) (*WAL, error) {
 	fs := fsOrOS(o.FS)
