@@ -62,6 +62,9 @@ type Process struct {
 	pending []*roundSlots
 	spare   []*roundSlots
 	polys   []*polytope.Polytope // advance's scratch: Y_i[t] in process order
+	// seen[j] is the vertex list last resolved from sender j and the
+	// polytope it resolved to (see received).
+	seen []resolved
 
 	syntheticH0 *polytope.Polytope // non-nil: skip round 0 (analysis mode)
 
@@ -135,6 +138,7 @@ func (v Variant) NewProcess(params Params, id dist.ProcID, input geom.Point) (*P
 		input:  input.Clone(),
 		tEnd:   params.TEnd(),
 		sv:     sv,
+		seen:   make([]resolved, params.N),
 		round0: v.round0,
 		m:      v.m,
 		trace:  Trace{ID: id},
@@ -293,7 +297,7 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 func (p *Process) enterRound(ctx dist.Context, t int) {
 	if t > p.tEnd {
 		p.decided = true
-		p.pending, p.spare, p.polys = nil, nil, nil // Deliver keeps nothing from now on
+		p.pending, p.spare, p.polys, p.seen = nil, nil, nil, nil // Deliver keeps nothing from now on
 		p.m.decided.Inc()
 		p.m.decidedRound.Observe(float64(p.tEnd))
 		if telemetry.TraceOn() {
@@ -417,15 +421,38 @@ func (p *Process) advance(ctx dist.Context) {
 	}
 }
 
+// resolved is a received vertex list and the polytope it resolved to.
+type resolved struct {
+	verts []geom.Point
+	poly  *polytope.Polytope
+}
+
 // received returns sender j's round-t state as a polytope. The own entry of
-// MSG_i[t] is the polytope this process already holds, and a list bitwise
-// equal to a polytope already held this round (held) is that polytope. A
-// crashed sender computed honestly until it stopped, so any other list is
-// already canonical: it is wrapped, not re-hulled.
+// MSG_i[t] is the polytope this process already holds. A list j sent
+// before — the same backing array and length, which a sender whose state
+// did not change broadcasts again — is the polytope it resolved to then:
+// vertex lists handed to a process are immutable, and seen keeps it
+// reachable, so its memory cannot hold another list. A list bitwise equal
+// to a polytope already held this round (held) is that polytope. A crashed
+// sender computed honestly until it stopped, so any other list is already
+// canonical: it is wrapped, not re-hulled.
 func (p *Process) received(j dist.ProcID, verts []geom.Point, held []*polytope.Polytope) (*polytope.Polytope, error) {
 	if j == p.id {
 		return p.state, nil
 	}
+	last := &p.seen[j]
+	if geom.SameList(verts, last.verts) {
+		return last.poly, nil
+	}
+	poly, err := p.resolve(verts, held)
+	if err == nil {
+		*last = resolved{verts, poly}
+	}
+	return poly, err
+}
+
+// resolve is received for a list j has not sent before.
+func (p *Process) resolve(verts []geom.Point, held []*polytope.Polytope) (*polytope.Polytope, error) {
 	if geom.SameBitsList(verts, p.state.SharedVertices()) {
 		return p.state, nil
 	}

@@ -55,6 +55,14 @@ type InstanceSender interface {
 	SendInstance(instance int, to ProcID, kind string, round int, payload any)
 }
 
+// InstanceBroadcaster is InstanceSender's broadcast: BroadcastInstance is
+// Broadcast with the engine's instance index stamped on every copy. Every
+// executor implements it, so a broadcast reaches the executor as one call
+// and it can treat the n-1 copies as one event.
+type InstanceBroadcaster interface {
+	BroadcastInstance(instance int, kind string, round int, payload any)
+}
+
 // OutputCommitter is implemented by the Contexts of a runtime that can
 // journal deliveries (internal/runtime): CommitOutput blocks until the
 // journal covers every delivery the node has consumed, and fails when the
@@ -116,7 +124,10 @@ type Config struct {
 	Scheduler     Scheduler   // nil = RandomScheduler
 	Crashes       []CrashPlan // at most one entry per process
 	MaxDeliveries int         // 0 = default limit (livelock guard)
-	Sizer         func(Message) int
+	// Sizer returns a message's size in bytes for Stats.Bytes. It must not
+	// depend on To: a broadcast is sized once for all of its copies.
+	// wire.MessageSize qualifies.
+	Sizer func(Message) int
 }
 
 // Stats aggregates observable costs of a run.
@@ -187,6 +198,11 @@ const defaultMaxDeliveries = 5_000_000
 // Channels view: a send that fills an empty channel sets one bit and a pop
 // that drains one clears it, so nothing shifts and the steady-state delivery
 // path allocates nothing.
+//
+// A send or a broadcast is one post in a slab: what its copies share (kind,
+// round, instance, payload) is stored once, and each channel queues the
+// post's 4-byte index. A broadcast is one post with a copy on each of its
+// channels, and the post's slot is recycled when its last copy leaves.
 type Sim struct {
 	cfg   Config
 	procs []Process
@@ -209,14 +225,19 @@ type kindCount struct {
 	n    int
 }
 
-// channelTable holds every channel's FIFO, dense from*N+to, and the set of
-// the non-empty ones as one bit per table slot plus a live count. It is the
-// Channels view the scheduler is shown: the i-th entry is the i-th set bit,
-// which is the i-th non-empty channel in ascending (From, To) order.
+// channelTable holds every channel's FIFO, dense from*N+to, the posts
+// their entries index, and the set of the non-empty channels as one bit per
+// table slot plus a live count. It is the Channels view the scheduler is
+// shown: the i-th entry is the i-th set bit, which is the i-th non-empty
+// channel in ascending (From, To) order.
 type channelTable struct {
+	n     int // processes: channel c runs from c/n to c%n
 	fifos []fifo
 	live  []uint64 // bit c%64 of word c/64 set iff fifos[c] is non-empty
 	count int      // set bits in live
+
+	posts []post  // slab of the posts in flight
+	free  []int32 // recycled slots of posts
 
 	// Cursor: the rank of the last entry resolved and its slot (pos), the
 	// word that slot sits in, and that word's set bits above it, so the next
@@ -225,20 +246,76 @@ type channelTable struct {
 	rest            uint64
 }
 
+// post is one send or broadcast in flight: what its copies share, and how
+// many of them are still queued.
+type post struct {
+	from     ProcID
+	kind     string
+	round    int
+	instance int
+	payload  any
+	copies   int
+}
+
 var _ Channels = (*channelTable)(nil)
 
-func newChannelTable(slots int) channelTable {
-	return channelTable{fifos: make([]fifo, slots), live: make([]uint64, (slots+63)/64), rank: -1}
+func newChannelTable(n int) channelTable {
+	slots := n * n
+	return channelTable{n: n, fifos: make([]fifo, slots), live: make([]uint64, (slots+63)/64), rank: -1}
 }
 
 // Len implements Channels.
 func (t *channelTable) Len() int { return t.count }
 
-// At implements Channels, filling the entry from the channel's head.
+// At implements Channels, filling the entry from the post at the channel's
+// head.
 func (t *channelTable) At(i int) ChannelState {
-	q := &t.fifos[t.slot(i)]
-	head := &q.buf[q.head]
-	return ChannelState{From: head.From, To: head.To, Pending: q.len(), Kind: head.Kind, Round: head.Round}
+	c := t.slot(i)
+	q := &t.fifos[c]
+	head := &t.posts[q.buf[q.head]]
+	return ChannelState{From: head.from, To: t.to(c, head.from), Pending: q.len(), Kind: head.kind, Round: head.round}
+}
+
+// to is the receiving end of channel c, whose sender is from.
+func (t *channelTable) to(c int, from ProcID) ProcID { return ProcID(c - int(from)*t.n) }
+
+// newPost takes a free slot of the slab, or grows it, and returns the
+// slot's index and post for the caller to fill.
+func (t *channelTable) newPost() (int32, *post) {
+	if k := len(t.free); k > 0 {
+		i := t.free[k-1]
+		t.free = t.free[:k-1]
+		return i, &t.posts[i]
+	}
+	t.posts = append(t.posts, post{})
+	i := len(t.posts) - 1
+	return int32(i), &t.posts[i]
+}
+
+// enqueue queues a copy of post i on channel c.
+func (t *channelTable) enqueue(c int, i int32) {
+	q := &t.fifos[c]
+	q.push(i)
+	if q.len() == 1 {
+		t.mark(c)
+	}
+}
+
+// dequeue pops the copy at channel c's head and rebuilds its message. The
+// post's last copy frees its slot and drops its payload reference.
+func (t *channelTable) dequeue(c int) Message {
+	q := &t.fifos[c]
+	i := q.pop()
+	if q.len() == 0 {
+		t.unmark(c)
+	}
+	p := &t.posts[i]
+	msg := Message{From: p.from, To: t.to(c, p.from), Kind: p.kind, Round: p.round, Instance: p.instance, Payload: p.payload}
+	if p.copies--; p.copies == 0 {
+		p.payload = nil
+		t.free = append(t.free, i)
+	}
+	return msg
 }
 
 // slot returns the table index of the i-th non-empty channel (0 <= i <
@@ -313,34 +390,33 @@ func (t *channelTable) unmark(c int) {
 	t.rank = -1
 }
 
-// fifo is one channel's queue. Popping advances head instead of re-slicing,
-// so the backing array is reused once the queue drains (or compacts).
+// fifo is one channel's queue of post indices. Popping advances head
+// instead of re-slicing, so the backing array is reused once the queue
+// drains (or compacts).
 type fifo struct {
-	buf  []Message
+	buf  []int32
 	head int
 }
 
 func (q *fifo) len() int { return len(q.buf) - q.head }
 
-func (q *fifo) push(m Message) {
+func (q *fifo) push(i int32) {
 	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
 		// Full with a mostly consumed prefix: slide the live tail down
 		// rather than let append grow the array.
 		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
 		q.buf, q.head = q.buf[:n], 0
 	}
-	q.buf = append(q.buf, m)
+	q.buf = append(q.buf, i)
 }
 
-func (q *fifo) pop() Message {
-	m := q.buf[q.head]
-	q.buf[q.head] = Message{} // drop the payload reference
+func (q *fifo) pop() int32 {
+	i := q.buf[q.head]
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
 	}
-	return m
+	return i
 }
 
 // NewSim validates the configuration and builds a simulator. The processes
@@ -366,7 +442,7 @@ func NewSim(cfg Config, procs []Process) (*Sim, error) {
 		procs:      procs,
 		ctxs:       make([]simContext, cfg.N),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		chans:      newChannelTable(cfg.N * cfg.N),
+		chans:      newChannelTable(cfg.N),
 		crashed:    make([]bool, cfg.N),
 		sendBudget: budget,
 	}
@@ -425,12 +501,7 @@ func (s *Sim) deliverNext() bool {
 	if idx < 0 || idx >= s.chans.count {
 		idx = 0 // defensive: a misbehaving scheduler falls back to FIFO
 	}
-	c := s.chans.slot(idx)
-	q := &s.chans.fifos[c]
-	msg := q.pop()
-	if q.len() == 0 {
-		s.chans.unmark(c)
-	}
+	msg := s.chans.dequeue(s.chans.slot(idx))
 	if s.crashed[msg.To] {
 		s.stats.DroppedCrash++
 		mSimDroppedCrash.Inc()
@@ -487,30 +558,63 @@ func (s *Sim) send(from, to ProcID, kind string, round, instance int, payload an
 	if s.sendBudget[from] > 0 {
 		s.sendBudget[from]--
 	}
-	msg := Message{From: from, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
-	c := s.chanIndex(from, to)
-	q := &s.chans.fifos[c]
-	q.push(msg)
-	if q.len() == 1 {
-		s.chans.mark(c)
-	}
-	s.stats.Sends++
-	mSimSends.Inc()
-	s.countKind(kind)
-	if s.cfg.Sizer != nil {
-		s.stats.Bytes += s.cfg.Sizer(msg)
-	}
+	i, p := s.chans.newPost()
+	p.from, p.kind, p.round, p.instance, p.payload, p.copies = from, kind, round, instance, payload, 1
+	s.chans.enqueue(s.chanIndex(from, to), i)
+	s.account(p, to)
 }
 
-// countKind adds one send of kind to its per-kind count.
-func (s *Sim) countKind(kind string) {
+// broadcast sends one post to every other process, in ascending ID order,
+// enforcing the sender's crash budget exactly as n-1 sends would: a budget
+// shorter than the broadcast delivers to the lowest ids it covers and
+// leaves the sender crashed.
+func (s *Sim) broadcast(from ProcID, kind string, round, instance int, payload any) {
+	if s.crashed[from] {
+		return
+	}
+	k := s.cfg.N - 1
+	if b := s.sendBudget[from]; b >= 0 {
+		if b < k {
+			k = b
+			s.crashed[from] = true
+		}
+		s.sendBudget[from] -= k
+	}
+	if k == 0 {
+		return
+	}
+	i, p := s.chans.newPost()
+	p.from, p.kind, p.round, p.instance, p.payload, p.copies = from, kind, round, instance, payload, k
+	for to := ProcID(0); k > 0; to++ {
+		if to != from {
+			s.chans.enqueue(s.chanIndex(from, to), i)
+			k--
+		}
+	}
+	first := ProcID(0)
+	if from == 0 {
+		first = 1
+	}
+	s.account(p, first)
+}
+
+// account adds every copy of post p to Stats, the kind count and the send
+// counter. first is one of p's receivers, for the Sizer to see a whole
+// message: every copy has the size of that one.
+func (s *Sim) account(p *post, first ProcID) {
+	s.stats.Sends += p.copies
+	mSimSends.Add(int64(p.copies))
+	if s.cfg.Sizer != nil {
+		msg := Message{From: p.from, To: first, Kind: p.kind, Round: p.round, Instance: p.instance, Payload: p.payload}
+		s.stats.Bytes += p.copies * s.cfg.Sizer(msg)
+	}
 	for i := range s.kinds {
-		if s.kinds[i].kind == kind {
-			s.kinds[i].n++
+		if s.kinds[i].kind == p.kind {
+			s.kinds[i].n += p.copies
 			return
 		}
 	}
-	s.kinds = append(s.kinds, kindCount{kind: kind, n: 1})
+	s.kinds = append(s.kinds, kindCount{kind: p.kind, n: p.copies})
 }
 
 // simContext adapts the simulator to the Context interface for one process.
@@ -520,8 +624,9 @@ type simContext struct {
 }
 
 var (
-	_ Context        = (*simContext)(nil)
-	_ InstanceSender = (*simContext)(nil)
+	_ Context             = (*simContext)(nil)
+	_ InstanceSender      = (*simContext)(nil)
+	_ InstanceBroadcaster = (*simContext)(nil)
 )
 
 func (c *simContext) ID() ProcID { return c.id }
@@ -536,10 +641,9 @@ func (c *simContext) SendInstance(instance int, to ProcID, kind string, round in
 }
 
 func (c *simContext) Broadcast(kind string, round int, payload any) {
-	for to := ProcID(0); int(to) < c.sim.cfg.N; to++ {
-		if to == c.id {
-			continue
-		}
-		c.sim.send(c.id, to, kind, round, 0, payload)
-	}
+	c.sim.broadcast(c.id, kind, round, 0, payload)
+}
+
+func (c *simContext) BroadcastInstance(instance int, kind string, round int, payload any) {
+	c.sim.broadcast(c.id, kind, round, instance, payload)
 }

@@ -711,15 +711,38 @@ var builtinSchedulers = []struct {
 	{"splitround0", func(n int) Scheduler { return NewSplitRound0Scheduler("sv.report", firstHalf(n)...) }},
 }
 
-// pingPongMesh builds an n-process pingPong simulation under sched, runs
-// every Init and then warmup deliveries, so every backing array has grown
-// to its working size. Every delivery is answered, so the mesh never drains
-// and channels keep flipping between empty and non-empty.
-func pingPongMesh(tb testing.TB, n int, sched Scheduler, warmup int) *Sim {
+// roundMesh broadcasts once in Init and again after every n-1 deliveries,
+// so each process sends what it receives and a mesh of them never drains.
+type roundMesh struct{ heard int }
+
+func (p *roundMesh) Init(ctx Context) { ctx.Broadcast("round", 0, nil) }
+func (p *roundMesh) Deliver(ctx Context, msg Message) {
+	if p.heard++; p.heard%(ctx.N()-1) == 0 {
+		ctx.Broadcast("round", msg.Round+1, nil)
+	}
+}
+func (p *roundMesh) Done() bool { return false }
+
+// meshes are the two never-draining protocols the allocation test and the
+// delivery benchmark drive: pingPong answers every delivery with one send,
+// roundMesh every n-1 deliveries with one broadcast.
+var meshes = []struct {
+	name string
+	mk   func() Process
+}{
+	{"pingpong", func() Process { return &pingPong{} }},
+	{"broadcast", func() Process { return &roundMesh{} }},
+}
+
+// mesh builds an n-process simulation of the processes mk makes under
+// sched, runs every Init and then warmup deliveries, so every backing array
+// (queues, post slab, free list) has grown to its working size. The mesh
+// never drains, and channels keep flipping between empty and non-empty.
+func mesh(tb testing.TB, n int, sched Scheduler, warmup int, mk func() Process) *Sim {
 	tb.Helper()
 	procs := make([]Process, n)
 	for i := range procs {
-		procs[i] = &pingPong{}
+		procs[i] = mk()
 	}
 	sim, err := NewSim(Config{N: n, Seed: 1, Scheduler: sched}, procs)
 	if err != nil {
@@ -734,40 +757,130 @@ func pingPongMesh(tb testing.TB, n int, sched Scheduler, warmup int) *Sim {
 	return sim
 }
 
-// TestDeliveryDoesNotAllocate: once the queues, the channel set and the
-// scheduler's scratch have reached their working size, picking a channel,
-// popping it and enqueueing the reply allocate nothing, under every
-// built-in scheduler, on a 16-process pingPong mesh.
+// TestDeliveryDoesNotAllocate: once the queues, the post slab, the channel
+// set and the scheduler's scratch have reached their working size, picking
+// a channel, popping it and enqueueing the reply allocate nothing, under
+// every built-in scheduler, on a 16-process pingPong mesh and on a
+// 16-process broadcast mesh.
 func TestDeliveryDoesNotAllocate(t *testing.T) {
 	const n = 16
-	for _, sc := range builtinSchedulers {
-		sim := pingPongMesh(t, n, sc.mk(n), 20_000)
-		allocs := testing.AllocsPerRun(5_000, func() {
-			if !sim.deliverNext() {
-				t.Fatal("mesh drained")
+	for _, m := range meshes {
+		for _, sc := range builtinSchedulers {
+			sim := mesh(t, n, sc.mk(n), 20_000, m.mk)
+			allocs := testing.AllocsPerRun(5_000, func() {
+				if !sim.deliverNext() {
+					t.Fatal("mesh drained")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: steady-state delivery allocates %v objects/op, want 0", m.name, sc.name, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: steady-state delivery allocates %v objects/op, want 0", sc.name, allocs)
 		}
 	}
 }
 
-// BenchmarkSimDelivery times one steady-state delivery of the pingPong mesh
-// under the random scheduler: the pick, the pop, the reply's send and the
-// channel-set updates on both.
+// BenchmarkSimDelivery times one steady-state delivery of each mesh under
+// the random scheduler: the pick, the pop, the reply's send or broadcast
+// and the channel-set updates on all of them. Rows n16 and n64 are the
+// pingpong mesh, broadcast/n16 and broadcast/n64 the broadcast mesh.
 func BenchmarkSimDelivery(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			sim := pingPongMesh(b, n, NewRandomScheduler(), 20_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !sim.deliverNext() {
-					b.Fatal("mesh drained")
+	for _, m := range meshes {
+		for _, n := range []int{16, 64} {
+			name := fmt.Sprintf("n%d", n)
+			if m.name != "pingpong" {
+				name = m.name + "/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				sim := mesh(b, n, NewRandomScheduler(), 20_000, m.mk)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !sim.deliverNext() {
+						b.Fatal("mesh drained")
+					}
+				}
+			})
+		}
+	}
+}
+
+// queued lists every message waiting in the simulator, channel by channel
+// in table order, each channel's in FIFO order.
+func queued(s *Sim) [][]Message {
+	out := make([][]Message, len(s.chans.fifos))
+	for c := range s.chans.fifos {
+		q := &s.chans.fifos[c]
+		for _, i := range q.buf[q.head:] {
+			p := s.chans.posts[i]
+			out[c] = append(out[c], Message{From: p.from, To: ProcID(c % s.cfg.N), Kind: p.kind, Round: p.round, Instance: p.instance, Payload: p.payload})
+		}
+	}
+	return out
+}
+
+// TestBroadcastMatchesSends: for every crash budget from 0 to n, two
+// broadcasts through the post path — a plain one and one stamped with an
+// instance — leave the same queued messages, Stats (Sends, Bytes,
+// KindCounts), crash flag and remaining budget as the n-1 single sends
+// each stands for, and delivering everything frees every post.
+func TestBroadcastMatchesSends(t *testing.T) {
+	sizer := func(m Message) int { return 3*len(m.Kind) + m.Round + 7*m.Instance }
+	for _, n := range []int{2, 5, 16} {
+		for budget := 0; budget <= n; budget++ {
+			for _, from := range []ProcID{0, ProcID(n / 2), ProcID(n - 1)} {
+				where := fmt.Sprintf("n=%d budget=%d from=%d", n, budget, from)
+				sims := make([]*Sim, 2)
+				for k := range sims {
+					procs := make([]Process, n)
+					for i := range procs {
+						procs[i] = sink{}
+					}
+					sim, err := NewSim(Config{N: n, Seed: 1, Scheduler: NewRoundRobinScheduler(), Sizer: sizer,
+						Crashes: []CrashPlan{{Proc: from, AfterSends: budget}}}, procs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sims[k] = sim
+				}
+				post, sends := sims[0], sims[1]
+				post.ctxs[from].Broadcast("a", 1, "x")
+				post.ctxs[from].BroadcastInstance(3, "bb", 2, "y")
+				for _, b := range []struct {
+					kind            string
+					round, instance int
+					payload         any
+				}{{"a", 1, 0, "x"}, {"bb", 2, 3, "y"}} {
+					for to := ProcID(0); int(to) < n; to++ {
+						if to != from {
+							sends.send(from, to, b.kind, b.round, b.instance, b.payload)
+						}
+					}
+				}
+				if got, want := queued(post), queued(sends); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: queued %v, want %v", where, got, want)
+				}
+				gotStats, _ := post.result(nil)
+				wantStats, _ := sends.result(nil)
+				if gotStats.Sends != wantStats.Sends || gotStats.Bytes != wantStats.Bytes ||
+					!reflect.DeepEqual(gotStats.KindCounts, wantStats.KindCounts) {
+					t.Errorf("%s: stats %+v, want %+v", where, *gotStats, *wantStats)
+				}
+				if post.crashed[from] != sends.crashed[from] || post.sendBudget[from] != sends.sendBudget[from] {
+					t.Errorf("%s: crashed %v with budget %d left, want %v with %d", where,
+						post.crashed[from], post.sendBudget[from], sends.crashed[from], sends.sendBudget[from])
+				}
+				for post.deliverNext() {
+				}
+				if len(post.chans.free) != len(post.chans.posts) || len(post.chans.posts) > 2 {
+					t.Errorf("%s: %d of %d post slots free after draining", where, len(post.chans.free), len(post.chans.posts))
+				}
+				for _, p := range post.chans.posts {
+					if p.payload != nil {
+						t.Errorf("%s: a freed post keeps its payload %v", where, p.payload)
+					}
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -777,10 +890,10 @@ func scanChannels(s *Sim) []ChannelState {
 	var list []ChannelState
 	for c := range s.chans.fifos {
 		if q := &s.chans.fifos[c]; q.len() > 0 {
-			head := q.buf[q.head]
+			head := s.chans.posts[q.buf[q.head]]
 			list = append(list, ChannelState{
 				From: ProcID(c / s.cfg.N), To: ProcID(c % s.cfg.N),
-				Pending: q.len(), Kind: head.Kind, Round: head.Round,
+				Pending: q.len(), Kind: head.kind, Round: head.round,
 			})
 		}
 	}

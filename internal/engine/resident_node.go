@@ -308,11 +308,11 @@ func (nd *residentNode) OpenCount() int {
 
 // instanceContext adapts the executor's context for one hosted participant:
 // plain Sends and Broadcasts are stamped with the participant's instance
-// index through the executor's InstanceSender hook. Kinds pass through
-// untouched. A node keeps one per hosted instance for the instance's whole
-// life and re-points it at the executor's context on every entry — a node is
-// driven by one goroutine at a time, and a relaunched incarnation hands in
-// a new context.
+// index through the executor's InstanceSender and InstanceBroadcaster
+// hooks. Kinds pass through untouched. A node keeps one per hosted instance
+// for the instance's whole life and re-points it at the executor's context
+// on every entry — a node is driven by one goroutine at a time, and a
+// relaunched incarnation hands in a new context.
 type instanceContext struct {
 	inner    dist.Context
 	instance int
@@ -343,15 +343,16 @@ func (ic *instanceContext) Send(to dist.ProcID, kind string, round int, payload 
 	panic(fmt.Sprintf("engine: context %T cannot stamp instance %d on outgoing messages", ic.inner, ic.instance))
 }
 
-// Broadcast mirrors the executors' own broadcast: one send per other
-// process in ascending ID order, so a crash budget cuts the same prefix.
+// Broadcast hands the broadcast to the executor whole, stamped with the
+// participant's instance, under the same rules as Send.
 func (ic *instanceContext) Broadcast(kind string, round int, payload any) {
-	n := ic.inner.N()
-	self := ic.inner.ID()
-	for to := dist.ProcID(0); int(to) < n; to++ {
-		if to == self {
-			continue
-		}
-		ic.Send(to, kind, round, payload)
+	if ib, ok := ic.inner.(dist.InstanceBroadcaster); ok {
+		ib.BroadcastInstance(ic.instance, kind, round, payload)
+		return
 	}
+	if ic.instance == 0 {
+		ic.inner.Broadcast(kind, round, payload)
+		return
+	}
+	panic(fmt.Sprintf("engine: context %T cannot stamp instance %d on outgoing messages", ic.inner, ic.instance))
 }

@@ -140,10 +140,14 @@ func SameBits(p, q Point) bool {
 }
 
 // SameBitsList reports whether a and b hold the same number of points and
-// SameBits holds for each pair in order.
+// SameBits holds for each pair in order. Two views of one list are equal
+// without a compare.
 func SameBitsList(a, b []Point) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if SameList(a, b) {
+		return true
 	}
 	for i := range a {
 		if !SameBits(a[i], b[i]) {
@@ -151,6 +155,12 @@ func SameBitsList(a, b []Point) bool {
 		}
 	}
 	return true
+}
+
+// SameList reports whether a and b are one list: the same length over the
+// same backing array. For lists nobody modifies, that makes them equal.
+func SameList(a, b []Point) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // Lex compares p and q lexicographically with tolerance eps, returning

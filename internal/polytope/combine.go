@@ -47,11 +47,16 @@ func LinearCombination(polys []*Polytope, weights []float64, eps float64) (*Poly
 	if math.Abs(sum-1) > weightSumTol*float64(len(weights)+1) {
 		return nil, fmt.Errorf("polytope: weights sum to %v, want 1", sum)
 	}
-
 	// Zero-weight operands contribute only the origin; drop them. Equal
 	// operands merge into one with the summed weight, since aK + bK = (a+b)K
 	// for convex K: a consensus round averages at most f+1 distinct states
-	// in round 1 and, absent divergence, one from round 2 on.
+	// in round 1 and, absent divergence, one from round 2 on — which is that
+	// operand, the weights summing to one.
+	if q := oneGroup(polys, weights); q != nil {
+		mCombineGroups.Observe(1)
+		return q, nil
+	}
+
 	kept := make([]*Polytope, 0, len(polys))
 	ws := make([]float64, 0, len(weights))
 operands:
@@ -71,11 +76,26 @@ operands:
 	if len(kept) == 0 {
 		return nil, errors.New("polytope: all weights are zero")
 	}
-	mCombineGroups.Observe(float64(len(kept)))
-	if len(kept) == 1 {
-		return kept[0], nil // the weights sum to one
-	}
+	mCombineGroups.Observe(float64(len(kept))) // two or more: oneGroup took one
 	return combine(kept, ws, eps)
+}
+
+// oneGroup returns the first operand with a positive weight (with weights
+// nil, the first operand) when every other such operand merges into it, and
+// nil otherwise. It is the merge below when that leaves one group, without
+// the group lists.
+func oneGroup(polys []*Polytope, weights []float64) *Polytope {
+	var first *Polytope
+	for i, q := range polys {
+		switch {
+		case weights != nil && weights[i] <= 0:
+		case first == nil:
+			first = q
+		case !sameVertices(first, q):
+			return nil
+		}
+	}
+	return first
 }
 
 // sameVertices reports whether a and b are the same polytope pointer or hold
@@ -98,10 +118,17 @@ func combine(polys []*Polytope, weights []float64, eps float64) (*Polytope, erro
 }
 
 // Average returns the equal-weight linear combination used on line 14 of
-// Algorithm CC: L(Y; [1/|Y|, ..., 1/|Y|]).
+// Algorithm CC: L(Y; [1/|Y|, ..., 1/|Y|]). Operands that all merge into
+// one are that one, returned without building the weights.
 func Average(polys []*Polytope, eps float64) (*Polytope, error) {
 	if len(polys) == 0 {
 		return nil, errors.New("polytope: average of zero polytopes")
+	}
+	if q := oneGroup(polys, nil); q != nil && len(q.verts) > 0 {
+		// One non-empty operand, repeated: its dimension is every
+		// operand's, and the equal weights are valid.
+		mCombineGroups.Observe(1)
+		return q, nil
 	}
 	w := make([]float64, len(polys))
 	for i := range w {

@@ -777,9 +777,10 @@ type nodeContext struct {
 }
 
 var (
-	_ dist.Context         = (*nodeContext)(nil)
-	_ dist.InstanceSender  = (*nodeContext)(nil)
-	_ dist.OutputCommitter = (*nodeContext)(nil)
+	_ dist.Context             = (*nodeContext)(nil)
+	_ dist.InstanceSender      = (*nodeContext)(nil)
+	_ dist.InstanceBroadcaster = (*nodeContext)(nil)
+	_ dist.OutputCommitter     = (*nodeContext)(nil)
 )
 
 func (nc *nodeContext) ID() dist.ProcID { return nc.node.id }
@@ -798,12 +799,35 @@ func (nc *nodeContext) SendInstance(instance int, to dist.ProcID, kind string, r
 	if !nc.node.consumeSendBudget(&nc.inc.crashed) {
 		return
 	}
-	id := nc.node.id
-	msg := dist.Message{From: id, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
+	msg := dist.Message{From: nc.node.id, To: to, Kind: kind, Round: round, Instance: instance, Payload: payload}
+	nc.output(msg, wire.MessageSize(msg))
+}
+
+// BroadcastInstance sends to every other process in ascending ID order,
+// each copy taking its own crash-budget step and output-commit barrier as a
+// Send would. The copies differ only in To, so the broadcast is sized once.
+func (nc *nodeContext) BroadcastInstance(instance int, kind string, round int, payload any) {
+	msg := dist.Message{From: nc.node.id, Kind: kind, Round: round, Instance: instance, Payload: payload}
+	size := wire.MessageSize(msg)
+	for to := dist.ProcID(0); int(to) < nc.n; to++ {
+		if to == msg.From {
+			continue
+		}
+		if !nc.node.consumeSendBudget(&nc.inc.crashed) {
+			return
+		}
+		msg.To = to
+		nc.output(msg, size)
+	}
+}
+
+// output counts a message that passed the sender's crash budget, size bytes
+// long, and hands it to the network.
+func (nc *nodeContext) output(msg dist.Message, size int) {
 	nc.cluster.sends.Add(1)
 	mSends.Inc()
-	nc.cluster.bytes.Add(int64(wire.MessageSize(msg)))
-	if to == id {
+	nc.cluster.bytes.Add(int64(size))
+	if msg.To == msg.From {
 		// No node has a network link to itself on any transport; in recovery
 		// mode the self-delivery is journaled like any other — a delivery, not
 		// an output, so it does not wait on the barrier. A journaling failure
@@ -843,12 +867,7 @@ func (nc *nodeContext) CommitOutput() error {
 }
 
 func (nc *nodeContext) Broadcast(kind string, round int, payload any) {
-	for to := dist.ProcID(0); int(to) < nc.n; to++ {
-		if to == nc.node.id {
-			continue
-		}
-		nc.Send(to, kind, round, payload)
-	}
+	nc.BroadcastInstance(0, kind, round, payload)
 }
 
 // chanFrameSender carries frames between in-process nodes (the unreliable

@@ -21,10 +21,15 @@ var ErrClosed = errors.New("runtime: mailbox closed")
 // unbounded queue mirrors the paper's reliable-channel model and makes the
 // send path non-blocking, which rules out the circular-wait deadlocks a
 // bounded inbox could introduce between mutually flooding processes.
+//
+// Pop advances head instead of re-slicing and zeroes the slot it leaves, so
+// a popped message's payload is not kept reachable and the backing array is
+// reused once the queue drains (or compacts), as dist's channel queues do.
 type mailbox struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []mailEntry
+	head     int // queue[head:] is waiting
 	closed   bool
 	consumed atomic.Uint64 // record number of the last message Pop handed out
 }
@@ -56,6 +61,13 @@ func (m *mailbox) pushRecord(msg dist.Message, rec uint64) {
 	if m.closed {
 		return
 	}
+	if len(m.queue) == cap(m.queue) && m.head > len(m.queue)/2 {
+		// Full with a mostly consumed prefix: slide the waiting tail down
+		// rather than let append grow the array.
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
 	m.queue = append(m.queue, mailEntry{msg, rec})
 	mMailboxDepth.Add(1)
 	m.cond.Signal()
@@ -67,14 +79,18 @@ func (m *mailbox) pushRecord(msg dist.Message, rec uint64) {
 func (m *mailbox) Pop() (dist.Message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
+	for m.head == len(m.queue) && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.queue) == 0 {
+	if m.head == len(m.queue) {
 		return dist.Message{}, ErrClosed
 	}
-	e := m.queue[0]
-	m.queue = m.queue[1:]
+	e := m.queue[m.head]
+	m.queue[m.head] = mailEntry{}
+	m.head++
+	if m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
+	}
 	m.consumed.Store(e.rec)
 	mMailboxDepth.Add(-1)
 	return e.msg, nil

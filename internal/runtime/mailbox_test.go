@@ -105,3 +105,56 @@ func TestMailboxConcurrentPopClose(t *testing.T) {
 		}
 	}
 }
+
+// TestMailboxSteadyStateDoesNotAllocate: once the queue has reached its
+// working size, pushes and pops reuse its backing array — with the queue
+// drained between bursts and with a backlog that never drains — each pop
+// publishes its record as consumed, and no popped slot keeps its message.
+func TestMailboxSteadyStateDoesNotAllocate(t *testing.T) {
+	m := newMailbox()
+	msg := dist.Message{Kind: "x", Payload: &struct{}{}}
+	rec := uint64(0)
+	push := func() {
+		rec++
+		m.pushRecord(msg, rec)
+	}
+	pop := func() {
+		if _, err := m.Pop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		for range 8 {
+			push()
+		}
+		for range 8 {
+			pop()
+		}
+		for range 3 {
+			push()
+		}
+		for range 20 {
+			push()
+			pop()
+		}
+		for range 3 {
+			pop()
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a push/pop cycle allocates %v objects, want 0", allocs)
+	}
+	for range 3 {
+		push()
+	}
+	pop()
+	if got := m.consumed.Load(); got != rec-2 {
+		t.Errorf("consumed = %d after popping record %d", got, rec-2)
+	}
+	for i, e := range m.queue[:m.head] {
+		if e != (mailEntry{}) {
+			t.Errorf("popped slot %d still holds %+v", i, e)
+		}
+	}
+}

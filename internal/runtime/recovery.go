@@ -378,9 +378,10 @@ type captureContext struct {
 }
 
 var (
-	_ dist.Context         = (*captureContext)(nil)
-	_ dist.InstanceSender  = (*captureContext)(nil)
-	_ dist.OutputCommitter = (*captureContext)(nil)
+	_ dist.Context             = (*captureContext)(nil)
+	_ dist.InstanceSender      = (*captureContext)(nil)
+	_ dist.InstanceBroadcaster = (*captureContext)(nil)
+	_ dist.OutputCommitter     = (*captureContext)(nil)
 )
 
 func (cc *captureContext) ID() dist.ProcID { return cc.id }
@@ -411,11 +412,14 @@ func (cc *captureContext) SendInstance(instance int, to dist.ProcID, kind string
 func (cc *captureContext) CommitOutput() error { return nil }
 
 func (cc *captureContext) Broadcast(kind string, round int, payload any) {
+	cc.BroadcastInstance(0, kind, round, payload)
+}
+
+func (cc *captureContext) BroadcastInstance(instance int, kind string, round int, payload any) {
 	for to := dist.ProcID(0); int(to) < cc.n; to++ {
-		if to == cc.id {
-			continue
+		if to != cc.id {
+			cc.SendInstance(instance, to, kind, round, payload)
 		}
-		cc.Send(to, kind, round, payload)
 	}
 }
 
