@@ -3,9 +3,7 @@ package chc
 import (
 	"chc/internal/byzantine"
 	"chc/internal/diskfault"
-	"chc/internal/engine"
 	"chc/internal/multiplex"
-	"chc/internal/runtime"
 	"chc/internal/wal"
 )
 
@@ -19,14 +17,6 @@ type (
 	// BatchConfig describes a batch execution.
 	BatchConfig = multiplex.BatchConfig
 
-	// Env is the cluster environment BatchConfig and ServiceConfig embed:
-	// chaos, wire faults and tuning, the WAN model, write-ahead logging,
-	// checkpointing, durability and restarts. Its fields are promoted
-	// (cfg.WALDir = dir); a keyed literal names it once,
-	// BatchConfig{N: 5, Env: Env{WALDir: dir}}. Which transport accepts
-	// which field is validated in one place when the cluster starts.
-	Env = runtime.Env
-
 	// BatchResult aggregates per-instance outputs (instance index ->
 	// process -> decision), decided rounds, and run statistics.
 	BatchResult = multiplex.BatchResult
@@ -34,19 +24,16 @@ type (
 	// BatchProtocol selects the state machine a batch instance runs.
 	BatchProtocol = multiplex.ProtocolKind
 
-	// BatchTransport selects the executor a batch runs over.
-	BatchTransport = engine.Transport
-
 	// BatchFault assigns a Byzantine behaviour to one process of a
 	// BatchCompiledByzantine instance.
 	BatchFault = byzantine.Fault
 
 	// WALFileSystem is the filesystem the write-ahead logs write through
-	// (BatchConfig.WALFS); nil means the host filesystem. See DiskFaultFS.
+	// (Env.WALFS); nil means the host filesystem. See DiskFaultFS.
 	WALFileSystem = wal.FS
 
 	// WALCheckpointPolicy configures WAL snapshot + segment rotation
-	// (BatchConfig.Checkpoint); the zero value disables checkpointing.
+	// (Env.Checkpoint); the zero value disables checkpointing.
 	WALCheckpointPolicy = wal.CheckpointPolicy
 )
 
@@ -60,22 +47,8 @@ const (
 	BatchByzantine = multiplex.ProtocolByzantine
 )
 
-// Transports a batch can run over.
-const (
-	// BatchSim is the deterministic simulator (the default): delivery order
-	// is a reproducible function of BatchConfig.Seed.
-	BatchSim = engine.TransportSim
-	// BatchInProcess runs one goroutine per process over in-memory
-	// mailboxes.
-	BatchInProcess = engine.TransportChannel
-	// BatchTCP runs one goroutine per process over loopback TCP with the
-	// wire codec and the reliable-link layer always active.
-	BatchTCP = engine.TransportTCP
-)
-
 // DiskFaultFS wraps the host filesystem in seeded, deterministic storage
-// fault injection for BatchConfig.WALFS — the batch counterpart of
-// WithDiskFaults. Requires BatchConfig.WALDir.
+// fault injection for Env.WALFS. Requires Env.WALDir.
 func DiskFaultFS(plan DiskFaultPlan) WALFileSystem {
 	return diskfault.New(wal.OSFS(), plan)
 }

@@ -28,12 +28,14 @@
 //	result, err := chc.Run(cfg)               // deterministic simulation
 //	// result.Outputs[i] is the decided polytope at process i.
 //
-// Executions can also be run over real goroutines and TCP sockets with
-// RunNetworked. The companion packages expose the building blocks: convex
-// polytopes with intersection, weighted Minkowski combination (the paper's
-// function L) and Hausdorff distance; the stable-vector communication
-// primitive; a vector-consensus baseline; convex hull function optimisation
-// (Section 7); and transition-matrix trace analysis (Section 5).
+// The same RunConfig runs over real goroutines and TCP sockets by setting
+// Transport to InProcess or TCP; its embedded Env adds chaos, wire faults,
+// the WAN model, write-ahead logging and crash recovery. The companion
+// packages expose the building blocks: convex polytopes with intersection,
+// weighted Minkowski combination (the paper's function L) and Hausdorff
+// distance; the stable-vector communication primitive; a vector-consensus
+// baseline; convex hull function optimisation (Section 7); and
+// transition-matrix trace analysis (Section 5).
 package chc
 
 import (
@@ -70,7 +72,9 @@ type (
 	// or the naive ablation).
 	Round0Mode = core.Round0Mode
 
-	// RunConfig describes one execution (inputs, faults, schedule).
+	// RunConfig describes one execution: inputs, crash-stop faults, the
+	// simulator's schedule, and where it executes — Transport, Timeout and
+	// the embedded Env (RunConfig{Transport: TCP, Env: Env{WALDir: dir}}).
 	RunConfig = core.RunConfig
 
 	// RunResult holds outputs, traces and statistics of an execution.
@@ -120,9 +124,20 @@ func CommonRound0(result *RunResult) ([]Point, error) { return core.CommonRound0
 // NewPoint returns a copy of coords as a Point.
 func NewPoint(coords ...float64) Point { return geom.NewPoint(coords...) }
 
-// Run executes one convex hull consensus instance under the deterministic
-// simulator and returns per-process outputs, execution traces and message
-// statistics.
+// Run executes one convex hull consensus instance on cfg.Transport — the
+// deterministic simulator by default — and returns per-process outputs,
+// execution traces and message statistics. On InProcess and TCP delivery
+// order comes from real goroutine and network scheduling, so executions are
+// not reproducible (chaos and fault plans, by contrast, are seeded per link).
+// Fields that mean nothing on the chosen transport are refused, not ignored:
+// Scheduler and MaxDeliveries on a networked transport, Chaos and WALDir on
+// the simulator, Restarts without WALDir.
+//
+// Crashed marks processes that did not finish (a scheduled crash, a dead disk
+// under FailStop, the timeout); a process that ended in failure instead is
+// reported as the error, beside the partial result. On networked runs
+// Stats.Net exposes the link-layer counters (retransmits, duplicate
+// suppressions, injected faults, reconnects).
 func Run(cfg RunConfig) (*RunResult, error) { return core.Run(cfg) }
 
 // CheckAgreement verifies ε-agreement over the fault-free outputs and

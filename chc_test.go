@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,16 +191,18 @@ func TestPublicSchedulers(t *testing.T) {
 	}
 }
 
-func TestRunNetworkedInProcess(t *testing.T) {
+func TestPublicRunInProcess(t *testing.T) {
 	cfg := chc.RunConfig{
 		Params: chc.Params{
 			N: 5, F: 1, D: 2,
 			Epsilon:    0.5, // fewer rounds: the concurrent run is heavier
 			InputLower: 0, InputUpper: 10,
 		},
-		Inputs: inputs2D(5, 6),
+		Inputs:    inputs2D(5, 6),
+		Transport: chc.InProcess,
+		Timeout:   60 * time.Second,
 	}
-	result, err := chc.RunNetworked(cfg, chc.InProcess, 60*time.Second)
+	result, err := chc.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,16 +215,18 @@ func TestRunNetworkedInProcess(t *testing.T) {
 	}
 }
 
-func TestRunNetworkedTCP(t *testing.T) {
+func TestPublicRunTCP(t *testing.T) {
 	cfg := chc.RunConfig{
 		Params: chc.Params{
 			N: 4, F: 0, D: 1,
 			Epsilon:    0.5,
 			InputLower: 0, InputUpper: 10,
 		},
-		Inputs: []chc.Point{chc.NewPoint(1), chc.NewPoint(4), chc.NewPoint(7), chc.NewPoint(9)},
+		Inputs:    []chc.Point{chc.NewPoint(1), chc.NewPoint(4), chc.NewPoint(7), chc.NewPoint(9)},
+		Transport: chc.TCP,
+		Timeout:   60 * time.Second,
 	}
-	result, err := chc.RunNetworked(cfg, chc.TCP, 60*time.Second)
+	result, err := chc.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,17 +242,20 @@ func TestRunNetworkedTCP(t *testing.T) {
 	}
 }
 
-func TestRunNetworkedChaos(t *testing.T) {
+func TestPublicRunChaos(t *testing.T) {
+	chaos := chc.LightChaos()
 	cfg := chc.RunConfig{
 		Params: chc.Params{
 			N: 5, F: 1, D: 2,
 			Epsilon:    0.5,
 			InputLower: 0, InputUpper: 10,
 		},
-		Inputs: inputs2D(5, 6),
+		Inputs:    inputs2D(5, 6),
+		Transport: chc.InProcess,
+		Timeout:   60 * time.Second,
+		Env:       chc.Env{Chaos: &chaos, ChaosSeed: 4},
 	}
-	result, err := chc.RunNetworked(cfg, chc.InProcess, 60*time.Second,
-		chc.WithNetworkChaos(chc.LightChaos(), 4))
+	result, err := chc.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,23 +343,26 @@ func TestPublicByzantine(t *testing.T) {
 	}
 }
 
-// TestRunNetworkedCrashRecovery exercises the public crash-recovery path:
-// with WithWAL + WithCrashRecovery, a planned crash becomes a
-// kill-and-restart fault, and the killed process recovers from its
-// write-ahead log and decides like every other correct process.
-func TestRunNetworkedCrashRecovery(t *testing.T) {
+// TestPublicRunCrashRecovery exercises the public crash-recovery path: with
+// Env.WALDir and a restart plan, process 2 is killed after 7 sends, and it
+// recovers from its write-ahead log and decides like every other correct
+// process.
+func TestPublicRunCrashRecovery(t *testing.T) {
 	cfg := chc.RunConfig{
 		Params: chc.Params{
 			N: 5, F: 1, D: 2,
 			Epsilon:    0.5,
 			InputLower: 0, InputUpper: 10,
 		},
-		Inputs:  inputs2D(5, 6),
-		Crashes: []chc.CrashPlan{{Proc: 2, AfterSends: 7}},
+		Inputs:    inputs2D(5, 6),
+		Transport: chc.InProcess,
+		Timeout:   120 * time.Second,
+		Env: chc.Env{
+			WALDir:   t.TempDir(),
+			Restarts: []chc.RestartPlan{{Proc: 2, KillAfterSends: 7, Downtime: 10 * time.Millisecond}},
+		},
 	}
-	result, err := chc.RunNetworked(cfg, chc.InProcess, 120*time.Second,
-		chc.WithWAL(t.TempDir()),
-		chc.WithCrashRecovery(10*time.Millisecond))
+	result, err := chc.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,26 +386,38 @@ func TestRunNetworkedCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestRunNetworkedRecoveryValidation pins the option contract: crash
-// recovery without a WAL directory is a configuration error.
-func TestRunNetworkedRecoveryValidation(t *testing.T) {
-	cfg := chc.RunConfig{
-		Params: chc.Params{
-			N: 5, F: 1, D: 2,
-			Epsilon:    0.5,
-			InputLower: 0, InputUpper: 10,
-		},
-		Inputs: inputs2D(5, 6),
-	}
-	if _, err := chc.RunNetworked(cfg, chc.InProcess, time.Second,
-		chc.WithCrashRecovery(time.Millisecond)); err == nil {
-		t.Fatal("WithCrashRecovery without WithWAL should error")
-	}
-}
-
-func TestRunNetworkedBadTransport(t *testing.T) {
-	cfg := chc.RunConfig{Params: params(), Inputs: inputs2D(5, 7)}
-	if _, err := chc.RunNetworked(cfg, chc.TransportKind(99), time.Second); err == nil {
-		t.Error("unknown transport should error")
+// TestPublicRunRefusals pins the configuration contract of Run: a field that
+// means nothing on the chosen transport is refused with an error and a nil
+// result, never silently ignored.
+func TestPublicRunRefusals(t *testing.T) {
+	chaos := chc.LightChaos()
+	for _, tc := range []struct {
+		name string
+		set  func(*chc.RunConfig)
+		want string // the refused field, named by the error
+	}{
+		{"Scheduler on TCP", func(c *chc.RunConfig) {
+			c.Transport, c.Scheduler = chc.TCP, chc.NewRoundRobinScheduler()
+		}, "schedulers"},
+		{"MaxDeliveries on TCP", func(c *chc.RunConfig) { c.Transport, c.MaxDeliveries = chc.TCP, 1000 }, "MaxDeliveries"},
+		{"Chaos on the simulator", func(c *chc.RunConfig) { c.Transport, c.Chaos = chc.Simulator, &chaos }, "Chaos"},
+		{"WALDir on the simulator", func(c *chc.RunConfig) { c.Transport, c.WALDir = chc.Simulator, t.TempDir() }, "WALDir"},
+		{"Restarts without WALDir", func(c *chc.RunConfig) {
+			c.Transport = chc.InProcess
+			c.Restarts = []chc.RestartPlan{{Proc: 2, KillAfterSends: 7, Downtime: time.Millisecond}}
+		}, "Restarts requires WALDir"},
+		{"unknown transport", func(c *chc.RunConfig) { c.Transport = chc.Transport(99) }, "unknown transport"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chc.RunConfig{Params: params(), Inputs: inputs2D(5, 7), Timeout: time.Second}
+			tc.set(&cfg)
+			result, err := chc.Run(cfg)
+			if err == nil || result != nil {
+				t.Fatalf("Run = (%v, %v), want a nil result and an error", result, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }

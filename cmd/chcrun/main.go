@@ -67,20 +67,20 @@ func run(args []string, w io.Writer) (err error) {
 		return err
 	}
 
-	var bt chc.BatchTransport
+	var tr chc.Transport
 	switch *transport {
 	case "sim":
-		bt = chc.BatchSim
+		tr = chc.Simulator
 	case "inproc":
-		bt = chc.BatchInProcess
+		tr = chc.InProcess
 	case "tcp":
-		bt = chc.BatchTCP
+		tr = chc.TCP
 	default:
 		return fmt.Errorf("unknown transport %q", *transport)
 	}
 	// One environment for every mode; which transport accepts which part of
 	// it is the engine's rule, not restated per flag here.
-	bound, err := bindEnv(bt)
+	bound, err := bindEnv(tr)
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func run(args []string, w io.Writer) (err error) {
 		inputs[i] = chc.NewPoint(p...)
 	}
 
-	cfg := chc.RunConfig{Params: params, Inputs: inputs, Seed: *seed}
+	cfg := chc.RunConfig{Params: params, Inputs: inputs, Seed: *seed, Transport: tr, Timeout: 5 * time.Minute}
 	if *faulty != "" {
 		ids, err := parseIDs(*faulty)
 		if err != nil {
@@ -163,30 +163,40 @@ func run(args []string, w io.Writer) (err error) {
 		}
 		cfg.Crashes = plans
 	}
+	if *recoverWAL {
+		env.Restarts = restartPlans(cfg.Crashes, *downtime)
+		cfg.Crashes = nil
+	}
+	var scheduler chc.Scheduler
 	switch *sched {
 	case "random":
 	case "rr":
-		cfg.Scheduler = chc.NewRoundRobinScheduler()
+		scheduler = chc.NewRoundRobinScheduler()
 	case "delay":
-		cfg.Scheduler = chc.NewDelayScheduler(cfg.Faulty...)
+		scheduler = chc.NewDelayScheduler(cfg.Faulty...)
 	case "split":
 		half := make([]chc.ProcID, 0, *n/2)
 		for i := 0; i < *n/2; i++ {
 			half = append(half, chc.ProcID(i))
 		}
-		cfg.Scheduler = chc.NewSplitScheduler(half...)
+		scheduler = chc.NewSplitScheduler(half...)
 	default:
 		return fmt.Errorf("unknown scheduler %q", *sched)
 	}
-	if wanPlan.Enabled() && bt == chc.BatchSim {
-		if *sched != "random" {
-			return fmt.Errorf("-wan drives the simulator's delivery order itself; drop -sched %s", *sched)
+	// A scheduler drives the simulator only; networked delivery order is
+	// real concurrency.
+	if tr == chc.Simulator {
+		cfg.Scheduler = scheduler
+		if wanPlan.Enabled() {
+			if *sched != "random" {
+				return fmt.Errorf("-wan drives the simulator's delivery order itself; drop -sched %s", *sched)
+			}
+			ws, werr := chc.NewWANScheduler(wanPlan, *n, env.WANSeed)
+			if werr != nil {
+				return fmt.Errorf("-wan: %w", werr)
+			}
+			cfg.Scheduler = ws
 		}
-		ws, werr := chc.NewWANScheduler(wanPlan, *n, env.WANSeed)
-		if werr != nil {
-			return fmt.Errorf("-wan: %w", werr)
-		}
-		cfg.Scheduler = ws
 	}
 
 	if *batch > 0 || *protocol != "cc" {
@@ -201,11 +211,10 @@ func run(args []string, w io.Writer) (err error) {
 			k = 1
 		}
 		bm := batchMode{
-			params: params, protocol: *protocol, k: k, transportName: *transport, transport: bt,
-			seed: *seed, rng: rng, faulty: cfg.Faulty, crashes: cfg.Crashes,
-			env: env, recoverWAL: *recoverWAL, downtime: *downtime,
+			params: params, protocol: *protocol, k: k, transportName: *transport, transport: tr,
+			seed: *seed, rng: rng, faulty: cfg.Faulty, crashes: cfg.Crashes, env: env,
 		}
-		if bt == chc.BatchSim && !wanPlan.Enabled() {
+		if !wanPlan.Enabled() {
 			// With -wan the engine builds the virtual-time scheduler itself;
 			// the one built above was the single-instance path's.
 			bm.scheduler = cfg.Scheduler
@@ -217,30 +226,13 @@ func run(args []string, w io.Writer) (err error) {
 		return runByzantine(w, params, inputs, cfg.Faulty, *byz, *seed)
 	}
 
-	// Disabled plans are absent to the engine, so every option is passed.
-	netOpts := []chc.NetworkOption{
-		chc.WithNetworkChaos(*env.Chaos, env.ChaosSeed),
-		chc.WithWAL(env.WALDir),
-		chc.WithDiskFaults(bound.Disk),
-		chc.WithNetFaults(*env.NetFaults),
-		chc.WithWire(*env.Wire),
-		chc.WithWALCheckpoint(env.Checkpoint.EveryBytes),
-		chc.WithDurability(env.Durability),
-		chc.WithWAN(wanPlan, env.WANSeed),
+	// On the simulator the environment is the WAN model alone, which this
+	// path runs as the scheduler built above so it can report virtual time.
+	if tr != chc.Simulator {
+		cfg.Env = env
 	}
-	if *recoverWAL {
-		netOpts = append(netOpts, chc.WithCrashRecovery(*downtime))
-	}
-	var result *chc.RunResult
 	start := time.Now()
-	switch bt {
-	case chc.BatchSim:
-		result, err = chc.Run(cfg)
-	case chc.BatchInProcess:
-		result, err = chc.RunNetworked(cfg, chc.InProcess, 5*time.Minute, netOpts...)
-	case chc.BatchTCP:
-		result, err = chc.RunNetworked(cfg, chc.TCP, 5*time.Minute, netOpts...)
-	}
+	result, err := chc.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -289,7 +281,7 @@ func run(args []string, w io.Writer) (err error) {
 		fmt.Fprintf(w, "messages    : %d sends, %d bytes\n", result.Stats.Sends, result.Stats.Bytes)
 		reportNetwork(w, result.Stats.Net, env)
 	}
-	if wanPlan.Enabled() && bt == chc.BatchSim {
+	if wanPlan.Enabled() && tr == chc.Simulator {
 		if ws, ok := cfg.Scheduler.(interface {
 			Delivered() int64
 			Held() int64
@@ -326,15 +318,24 @@ type batchMode struct {
 	protocol      string
 	k             int
 	transportName string
-	transport     chc.BatchTransport
+	transport     chc.Transport
 	seed          int64
 	rng           *rand.Rand
 	faulty        []chc.ProcID
 	crashes       []chc.CrashPlan
 	scheduler     chc.Scheduler
 	env           chc.Env
-	recoverWAL    bool
-	downtime      time.Duration
+}
+
+// restartPlans turns -crash plans into -recover's kill-and-restart faults:
+// each planned process is killed at the same send budget and, instead of
+// staying down, relaunched from its write-ahead log after downtime.
+func restartPlans(crashes []chc.CrashPlan, downtime time.Duration) []chc.RestartPlan {
+	plans := make([]chc.RestartPlan, len(crashes))
+	for i, cp := range crashes {
+		plans[i] = chc.RestartPlan{Proc: cp.Proc, KillAfterSends: cp.AfterSends, Downtime: downtime}
+	}
+	return plans
 }
 
 // reportNetwork prints the link-layer summary of a networked run: one line
@@ -408,16 +409,14 @@ func runBatchMode(w io.Writer, m batchMode) error {
 	}
 
 	cfg := chc.BatchConfig{
-		N:               m.params.N,
-		Instances:       instances,
-		Crashes:         m.crashes,
-		Seed:            m.seed,
-		Scheduler:       m.scheduler,
-		Transport:       m.transport,
-		Timeout:         5 * time.Minute,
-		Env:             m.env,
-		Recover:         m.recoverWAL,
-		RecoverDowntime: m.downtime,
+		N:         m.params.N,
+		Instances: instances,
+		Crashes:   m.crashes,
+		Seed:      m.seed,
+		Scheduler: m.scheduler,
+		Transport: m.transport,
+		Timeout:   5 * time.Minute,
+		Env:       m.env,
 	}
 	if proto != chc.BatchByzantine {
 		cfg.Faulty = m.faulty

@@ -88,9 +88,9 @@ func run(args []string, w io.Writer) error {
 	}
 	switch *transport {
 	case "inproc":
-		cfg.Transport = chc.BatchInProcess
+		cfg.Transport = chc.InProcess
 	case "tcp":
-		cfg.Transport = chc.BatchTCP
+		cfg.Transport = chc.TCP
 	default:
 		return fmt.Errorf("-transport: unknown transport %q (inproc|tcp)", *transport)
 	}

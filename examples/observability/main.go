@@ -58,7 +58,7 @@ func run() error {
 			{Params: params, Inputs: inputs(0.5)},
 			{Params: params, Inputs: inputs(1)},
 		},
-		Transport: chc.BatchTCP,
+		Transport: chc.TCP,
 		Timeout:   2 * time.Minute,
 		Seed:      11,
 		Env:       chc.Env{Chaos: &chaos, ChaosSeed: 11},

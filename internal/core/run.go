@@ -2,15 +2,18 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"chc/internal/dist"
 	"chc/internal/engine"
 	"chc/internal/geom"
 	"chc/internal/polytope"
+	"chc/internal/runtime"
 	"chc/internal/telemetry"
 )
 
-// RunConfig describes one complete consensus execution to simulate.
+// RunConfig describes one complete consensus execution: the instance, its
+// crash-stop faults, and where it executes.
 type RunConfig struct {
 	Params Params
 
@@ -26,12 +29,24 @@ type RunConfig struct {
 	// listed in Faulty.
 	Crashes []dist.CrashPlan
 
-	// Seed drives the scheduler; Scheduler defaults to random delivery.
-	Seed      int64
-	Scheduler dist.Scheduler
-
-	// MaxDeliveries overrides the simulator's livelock guard (0 = default).
+	// Seed drives the scheduler; Scheduler defaults to random delivery;
+	// MaxDeliveries overrides the livelock guard (0 = default). All three
+	// drive the simulator: a Scheduler or MaxDeliveries on a networked
+	// transport is refused.
+	Seed          int64
+	Scheduler     dist.Scheduler
 	MaxDeliveries int
+
+	// Transport selects the executor (default: deterministic simulator).
+	Transport engine.Transport
+
+	// Timeout bounds networked runs (default: the engine's 5 minutes).
+	Timeout time.Duration
+
+	// Env is the cluster environment (link faults, wire tuning, WAN model,
+	// write-ahead logging, restarts). Which transport accepts which field is
+	// Env.Validate's rule, applied when the run starts.
+	runtime.Env
 
 	// SyntheticH0, when non-nil, bypasses round 0 entirely: process i
 	// starts round 1 with the polytope spanned by SyntheticH0[i] instead of
@@ -40,13 +55,6 @@ type RunConfig struct {
 	// experiments can measure the contraction from controlled worst-case
 	// starting states. Validity/optimality checks do not apply to such runs.
 	SyntheticH0 [][]geom.Point
-
-	// TelemetryAddr, when non-empty, enables the process-wide telemetry
-	// registry and mounts (or reuses) the HTTP exposition server on this
-	// address before the run starts: /metrics (Prometheus text), /runs
-	// (JSON), /debug/pprof. Port 0 picks a free port; the server outlives
-	// the run so late scrapes still see its counters.
-	TelemetryAddr string
 }
 
 // Validate checks the execution description.
@@ -165,40 +173,36 @@ func (v Variant) spec(cfg *RunConfig) engine.InstanceSpec {
 	}}
 }
 
-// Run executes one consensus instance under the deterministic simulator and
-// returns outputs, traces and statistics.
-func Run(cfg RunConfig) (*RunResult, error) {
-	return RunOn(cfg, engine.Options{Seed: cfg.Seed, Scheduler: cfg.Scheduler, MaxDeliveries: cfg.MaxDeliveries})
-}
-
-// RunOn executes one Algorithm CC instance over the unified engine in the
-// environment opts describes — any transport, any fault stack — and is the
-// one place a live run becomes a RunResult. cfg owns the instance and its
-// crash-stop faults: cfg.Crashes and cfg.Inputs overwrite opts.Crashes and
-// opts.Inputs, so the schedule that is validated against Faulty is the one
-// that runs. cfg.Seed, Scheduler and MaxDeliveries drive the simulator only
-// and are Run's to fold into opts.
+// Run executes one Algorithm CC instance over the unified engine on
+// cfg.Transport, in cfg.Env — any transport, any fault stack — and is the one
+// place a run becomes a RunResult. Fields that mean nothing on the chosen
+// transport (a Scheduler on TCP, a WALDir on the simulator) are refused, not
+// ignored. Crashes are crash-stop faults of processes in Faulty; a process
+// killed and relaunched by Env.Restarts is a correct process.
 //
 // When the execution fails (deadlock, timeout, recovery failure) or a process
 // ends in failure rather than a decision (e.g. an empty round-0 intersection),
 // the partial result is returned beside the error: a failed process is not a
 // crashed one, on any transport. Configuration errors return a nil result.
-func RunOn(cfg RunConfig, opts engine.Options) (*RunResult, error) { return cc.RunOn(cfg, opts) }
+func Run(cfg RunConfig) (*RunResult, error) { return cc.Run(cfg) }
 
-// RunOn is the package-level RunOn with a participant of v at every process.
-func (v Variant) RunOn(cfg RunConfig, opts engine.Options) (*RunResult, error) {
+// Run is the package-level Run with a participant of v at every process.
+func (v Variant) Run(cfg RunConfig) (*RunResult, error) {
 	cfg.Params = cfg.Params.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TelemetryAddr != "" {
-		if _, err := telemetry.EnsureServer(cfg.TelemetryAddr); err != nil {
-			return nil, err
-		}
-	}
 	params := cfg.Params
-	opts.Crashes, opts.Inputs = cfg.Crashes, cfg.Inputs
-	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{v.spec(&cfg)}}, opts)
+	res, err := engine.Run(engine.Spec{N: params.N, Instances: []engine.InstanceSpec{v.spec(&cfg)}}, engine.Options{
+		Transport:     cfg.Transport,
+		Seed:          cfg.Seed,
+		Scheduler:     cfg.Scheduler,
+		MaxDeliveries: cfg.MaxDeliveries,
+		Crashes:       cfg.Crashes,
+		Timeout:       cfg.Timeout,
+		Inputs:        cfg.Inputs,
+		Env:           cfg.Env,
+	})
 	if res == nil {
 		return nil, err
 	}

@@ -31,7 +31,8 @@ func TestRunOnFailureIsNotACrash(t *testing.T) {
 		Crashes: []dist.CrashPlan{{Proc: 4, AfterSends: 0}},
 	}
 	for _, transport := range []engine.Transport{engine.TransportSim, engine.TransportChannel} {
-		res, err := failing.RunOn(cfg, engine.Options{Transport: transport, Timeout: 30 * time.Second})
+		cfg.Transport, cfg.Timeout = transport, 30*time.Second
+		res, err := failing.Run(cfg)
 		if !errors.Is(err, polytope.ErrEmpty) {
 			t.Fatalf("%v: err = %v, want the round-0 ErrEmpty failure", transport, err)
 		}

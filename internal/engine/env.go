@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"chc/internal/dist"
 	"chc/internal/runtime"
 )
@@ -24,15 +22,4 @@ func newCluster(t Transport, procs []dist.Process, cfg runtime.Config) (*runtime
 		return runtime.NewTCPCluster(procs, cfg)
 	}
 	return runtime.NewChannelCluster(procs, cfg)
-}
-
-// RestartPlans converts crash plans into crash-recovery faults: each planned
-// crash kills the node at the same send budget, and instead of staying down
-// it is relaunched from its write-ahead log after downtime.
-func RestartPlans(crashes []dist.CrashPlan, downtime time.Duration) []runtime.RestartPlan {
-	plans := make([]runtime.RestartPlan, len(crashes))
-	for i, cp := range crashes {
-		plans[i] = runtime.RestartPlan{Proc: cp.Proc, KillAfterSends: cp.AfterSends, Downtime: downtime}
-	}
-	return plans
 }

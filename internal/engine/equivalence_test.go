@@ -352,12 +352,12 @@ func TestInstanceKindIsolation(t *testing.T) {
 	}
 }
 
-// TestBatchTransportBitwiseEquality is the acceptance-criteria cross-
+// TestBatchBitwiseEqualAcrossTransports is the acceptance-criteria cross-
 // transport check: with F = 0 every process waits for all n messages each
 // round, so outputs are schedule-independent — and a heterogeneous batch
 // must therefore produce identical bits over the simulator, the channel
 // runtime, and TCP with chaos.
-func TestBatchTransportBitwiseEquality(t *testing.T) {
+func TestBatchBitwiseEqualAcrossTransports(t *testing.T) {
 	const n, d = 4, 2
 	params := core.Params{N: n, F: 0, D: d, Epsilon: 0.05, InputLower: 0, InputUpper: 12}
 	base := multiplex.BatchConfig{

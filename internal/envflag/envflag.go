@@ -41,9 +41,6 @@ type Bound struct {
 	// WALRetire is -wal-retire (a service setting, not environment), 0
 	// without -wal-dir.
 	WALRetire int
-	// Disk is -disk-faults as parsed, for callers that hand a plan rather
-	// than Env.WALFS on.
-	Disk diskfault.Plan
 }
 
 // Bind registers the environment flags of the selected groups on fs and
@@ -108,7 +105,7 @@ func Bind(fs *flag.FlagSet, groups Group) func(engine.Transport) (Bound, error) 
 			}
 			wireCfg.FlushDeadline = dl
 		}
-		b := Bound{Disk: diskPlan, Env: runtime.Env{
+		b := Bound{Env: runtime.Env{
 			Chaos:      &chaosProfile,
 			ChaosSeed:  chaosSeed,
 			NetFaults:  &netPlan,

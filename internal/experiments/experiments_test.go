@@ -174,7 +174,7 @@ func TestMatrixTallyGoesRed(t *testing.T) {
 			{labels: []string{"good"}},
 			{labels: []string{"bad"}, env: runtime.Env{Chaos: &chaos.Profile{Drop: 0.5}}},
 		},
-		run: func(cfg core.RunConfig, opts engine.Options) (*core.RunResult, error) {
+		run: func(cfg core.RunConfig) (*core.RunResult, error) {
 			res := &core.RunResult{
 				Params:  cfg.Params.WithDefaults(),
 				Outputs: map[dist.ProcID]*polytope.Polytope{},
@@ -185,7 +185,7 @@ func TestMatrixTallyGoesRed(t *testing.T) {
 			for i := range cfg.Inputs {
 				res.Outputs[dist.ProcID(i)] = polytope.FromPoint(cfg.Inputs[0])
 			}
-			if opts.Chaos != nil {
+			if cfg.Chaos != nil {
 				res.Outputs[1] = polytope.FromPoint(geom.NewPoint(cfg.Inputs[0][0]+20, cfg.Inputs[0][1]))
 				delete(res.Outputs, 2)
 			}

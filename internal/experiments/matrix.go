@@ -18,7 +18,7 @@ import (
 )
 
 // matrix is a fault matrix as data: every cell × seed is one Algorithm CC
-// instance run through core.RunOn in the cell's environment, judged by the
+// instance run through core.Run in the cell's environment, judged by the
 // verdict columns and summed into the counter columns. The rendered header is
 // labels, "runs", the verdicts, the counters. Adding a fault family is a new
 // cell table; nothing here assembles a cluster.
@@ -40,8 +40,8 @@ type matrix struct {
 	verdicts []verdict
 	counters []counter
 
-	// run is core.RunOn; the runner's own test substitutes a fake.
-	run func(core.RunConfig, engine.Options) (*core.RunResult, error)
+	// run is core.Run; the runner's own test substitutes a fake.
+	run func(core.RunConfig) (*core.RunResult, error)
 }
 
 // cell is one row: the adversary as a runtime.Env literal plus the fault
@@ -64,10 +64,9 @@ type cell struct {
 
 // cellRun is one finished run as the columns and checks see it.
 type cellRun struct {
-	cfg   *core.RunConfig
+	cfg   *core.RunConfig // as run: Env seeds stamped, WALDir set
 	res   *core.RunResult
 	net   *dist.NetStats
-	env   runtime.Env   // as run: seeds stamped, WALDir set
 	audit telemetryCell // traced matrices only
 }
 
@@ -197,18 +196,21 @@ func (m matrix) runOne(c cell, seed int64, passed []int, totals []int64) error {
 	}
 
 	cfg := core.RunConfig{
-		Params:  m.params,
-		Inputs:  randInputs(m.params.N, m.params.D, 0, 10, seed),
-		Crashes: c.crashes,
+		Params:    m.params,
+		Inputs:    randInputs(m.params.N, m.params.D, 0, 10, seed),
+		Crashes:   c.crashes,
+		Transport: m.transport,
+		Timeout:   120 * time.Second,
+		Env:       env,
 	}
 	for _, cp := range c.crashes {
 		cfg.Faulty = append(cfg.Faulty, cp.Proc)
 	}
 	run := m.run
 	if run == nil {
-		run = core.RunOn
+		run = core.Run
 	}
-	res, err := run(cfg, engine.Options{Transport: m.transport, Timeout: 120 * time.Second, Env: env})
+	res, err := run(cfg)
 	if err != nil {
 		return err
 	}
@@ -218,7 +220,7 @@ func (m matrix) runOne(c cell, seed int64, passed []int, totals []int64) error {
 	for id := range res.Crashed {
 		res.Faulty[id] = true
 	}
-	r := &cellRun{cfg: &cfg, res: res, net: res.Stats.Net, env: env}
+	r := &cellRun{cfg: &cfg, res: res, net: res.Stats.Net}
 	if m.traced {
 		if r.audit, err = auditTelemetryEvents(sink, res.Params, omega(res.Params), res.Params.TEnd()); err != nil {
 			return err

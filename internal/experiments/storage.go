@@ -37,7 +37,7 @@ func E20StorageFaults(opt Options) (*Table, error) {
 			if undecided := r.res.Params.N - len(r.res.Outputs); int64(undecided) > r.net.FailStops {
 				return fmt.Errorf("%d undecided but only %d fail-stopped", undecided, r.net.FailStops)
 			}
-			if !r.env.Checkpoint.Enabled() {
+			if !r.cfg.Checkpoint.Enabled() {
 				return nil
 			}
 			if r.net.WALCheckpoints == 0 {
@@ -92,13 +92,13 @@ func E20StorageFaults(opt Options) (*Table, error) {
 // disk: compaction must have deleted every segment the previous snapshot
 // already covers.
 func maxSegments(r *cellRun) int64 {
-	fs := r.env.WALFS
+	fs := r.cfg.WALFS
 	if fs == nil {
 		fs = wal.OSFS()
 	}
 	segs := 0
 	for i := 0; i < r.res.Params.N; i++ {
-		segs = max(segs, wal.SegmentCount(fs, runtime.WALPath(r.env.WALDir, dist.ProcID(i))))
+		segs = max(segs, wal.SegmentCount(fs, runtime.WALPath(r.cfg.WALDir, dist.ProcID(i))))
 	}
 	return int64(segs)
 }

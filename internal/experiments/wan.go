@@ -66,7 +66,7 @@ func E23WANMatrix(opt Options) (*Table, error) {
 		if r.net.WANDelayedFrames+r.net.WANShapedWrites == 0 {
 			return fmt.Errorf("WAN model left no shaping trace")
 		}
-		if r.env.Chaos == nil && r.net.InjectedDrops != 0 {
+		if r.cfg.Chaos == nil && r.net.InjectedDrops != 0 {
 			return fmt.Errorf("%d injected drops in a chaos-free cell — WAN shaping must be delay-only", r.net.InjectedDrops)
 		}
 		return nil

@@ -1,22 +1,19 @@
-// Package pool provides sync.Pool-backed scratch arenas for the numerical
-// kernels of the geometry engine: simplex tableaus, LU factorizations,
-// constraint matrices, and the many small index/mask slices the hull and
-// polytope packages burn through on every call.
+// Package pool provides scratch arenas for the numerical kernels of the
+// geometry engine: simplex tableaus, LU factorizations, constraint matrices,
+// and the many small index/mask slices the solvers burn through on every
+// call. The owner keeps its arena (lp's Workspace embeds one) and reuses it
+// across calls.
 //
 // An Arena is a bump allocator over grow-only chunks. Taking a slice from
 // an arena is an append-free slice of a reused backing array (zeroed on
 // hand-out), so a solver that previously performed dozens of small
 // allocations per call performs none in steady state. Arenas are not
-// goroutine-safe; each borrower owns the arena until it returns it with
-// Put. Reset (called by Put) recycles all outstanding allocations at once —
-// callers must not retain arena memory across Put, and must copy anything
+// goroutine-safe. Reset recycles all outstanding allocations at once —
+// callers must not retain arena memory across Reset, and must copy anything
 // that escapes.
 package pool
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // chunkMin is the smallest backing chunk allocated; requests larger than
 // any free chunk get a dedicated chunk sized for them.
@@ -129,15 +126,4 @@ func (a *Arena) Reset() {
 	a.ints.reset()
 	a.bools.reset()
 	a.rowHdrs.reset()
-}
-
-var arenas = sync.Pool{New: func() any { return new(Arena) }}
-
-// Get borrows an arena from the shared pool.
-func Get() *Arena { return arenas.Get().(*Arena) }
-
-// Put resets the arena and returns it to the shared pool.
-func Put(a *Arena) {
-	a.Reset()
-	arenas.Put(a)
 }

@@ -97,18 +97,3 @@ func TestArenaSteadyStateNoAllocations(t *testing.T) {
 		t.Fatalf("steady-state workload allocates %v times per run, want 0", allocs)
 	}
 }
-
-func TestGetPut(t *testing.T) {
-	a := Get()
-	s := a.Floats(8)
-	s[0] = 42
-	Put(a)
-	b := Get()
-	v := b.Floats(8)
-	for i, x := range v {
-		if x != 0 {
-			t.Fatalf("pooled arena handed out dirty memory at %d: %v", i, x)
-		}
-	}
-	Put(b)
-}

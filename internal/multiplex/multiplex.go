@@ -98,21 +98,9 @@ type BatchConfig struct {
 	Timeout time.Duration
 
 	// Env is the cluster environment (link faults, wire tuning, WAN model,
-	// write-ahead logging). Every journaled delivery carries its instance,
-	// so a restarted node replays the whole batch it hosts.
+	// write-ahead logging, restarts). Every journaled delivery carries its
+	// instance, so a restarted node replays the whole batch it hosts.
 	runtime.Env
-
-	// Recover converts Crashes from crash-stop faults into crash-recovery
-	// faults: each planned crash kills the node mid-protocol, keeps it down
-	// for RecoverDowntime, then relaunches it from its write-ahead log.
-	// Requires WALDir and a networked transport.
-	Recover         bool
-	RecoverDowntime time.Duration
-
-	// TelemetryAddr, when non-empty, enables the process-wide telemetry
-	// registry and mounts (or reuses) the HTTP exposition server on this
-	// address before the batch starts. Port 0 picks a free port.
-	TelemetryAddr string
 }
 
 // BatchResult aggregates per-instance outcomes. Outputs carries the
@@ -212,30 +200,14 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Recover && cfg.WALDir == "" {
-		return nil, errors.New("multiplex: Recover requires WALDir")
-	}
-	if cfg.TelemetryAddr != "" {
-		if _, err := telemetry.EnsureServer(cfg.TelemetryAddr); err != nil {
-			return nil, err
-		}
-	}
-	opts := engine.Options{
+	res, runErr := engine.Run(spec, engine.Options{
 		Transport: cfg.Transport,
 		Seed:      cfg.Seed,
 		Scheduler: cfg.Scheduler,
 		Crashes:   cfg.Crashes,
 		Timeout:   cfg.Timeout,
 		Env:       cfg.Env,
-	}
-	if cfg.Recover {
-		// Crash-recovery kills are not crash-stop faults: the node comes back
-		// and must complete every hosted instance, so the crash plans become
-		// restart plans instead.
-		opts.Crashes = nil
-		opts.Restarts = engine.RestartPlans(cfg.Crashes, cfg.RecoverDowntime)
-	}
-	res, runErr := engine.Run(spec, opts)
+	})
 	if res == nil {
 		return nil, runErr
 	}

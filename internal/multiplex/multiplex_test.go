@@ -3,6 +3,7 @@ package multiplex
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"chc/internal/byzantine"
 	"chc/internal/core"
@@ -10,6 +11,7 @@ import (
 	"chc/internal/engine"
 	"chc/internal/geom"
 	"chc/internal/polytope"
+	"chc/internal/runtime"
 )
 
 func params(n, f, d int, eps float64) core.Params {
@@ -179,9 +181,10 @@ func TestBatchValidation(t *testing.T) {
 		t.Error("duplicate Byzantine fault should error")
 	}
 	bad = good
-	bad.Recover = true
+	bad.Transport = engine.TransportChannel
+	bad.Restarts = []runtime.RestartPlan{{Proc: 2, KillAfterSends: 7, Downtime: time.Millisecond}}
 	if _, err := RunBatch(bad); err == nil {
-		t.Error("Recover without WALDir should error")
+		t.Error("Restarts without WALDir should error")
 	}
 }
 

@@ -104,10 +104,9 @@ func (e Env) hasWire() bool      { return e.Wire != nil && *e.Wire != WireConfig
 
 // Validate is the single home of the transport and cross-field rules of an
 // environment. NewChannelCluster and NewTCPCluster call it, and so do the
-// engine entry points, which also cover the simulator; only a caller with no
-// entry point to hand the Env to (envflag, for chcrun's single-instance
-// simulator path) calls it itself. Configuration is outside input, so every
-// rule rejects with an error naming the field.
+// engine entry points, which also cover the simulator; envflag calls it too,
+// to refuse a misplaced flag before it creates -wal-dir. Configuration is
+// outside input, so every rule rejects with an error naming the field.
 func (e Env) Validate(t Transport) error {
 	if t != TransportSim && t != TransportChannel && t != TransportTCP {
 		return fmt.Errorf("runtime: unknown transport %d", int(t))

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"chc/internal/chaos"
+	"chc/internal/core"
 	"chc/internal/diskfault"
 	"chc/internal/engine"
 	"chc/internal/multiplex"
@@ -27,6 +28,7 @@ func TestEnvDeclaredOnce(t *testing.T) {
 		v     any
 		embed bool
 	}{
+		{core.RunConfig{}, true},
 		{engine.Options{}, true}, {engine.ResidentOptions{}, true},
 		{multiplex.BatchConfig{}, true}, {multiplex.SessionConfig{}, true},
 		{Config{}, true}, {runtime.Config{}, true},

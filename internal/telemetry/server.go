@@ -96,13 +96,9 @@ func RequireBearer(token string, next http.Handler) http.Handler {
 	})
 }
 
-// Serve binds addr (host:port; port 0 picks a free port), enables the
-// registry, and serves the exposition endpoints until Close.
-func Serve(reg *Registry, addr string) (*Server, error) {
-	return ServeWith(reg, ServerConfig{Addr: addr})
-}
-
-// ServeWith is Serve with auth and TLS options.
+// ServeWith binds cfg.Addr (host:port; port 0 picks a free port), enables
+// the registry, and serves the exposition endpoints, behind cfg's bearer
+// token and TLS when set, until Close.
 func ServeWith(reg *Registry, cfg ServerConfig) (*Server, error) {
 	if (cfg.CertFile == "") != (cfg.KeyFile == "") {
 		return nil, fmt.Errorf("telemetry: CertFile and KeyFile must be set together")

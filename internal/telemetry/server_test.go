@@ -38,13 +38,13 @@ func get(t *testing.T, url string) (int, string) {
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served_total", "a counter").Add(0)
-	srv, err := Serve(r, "127.0.0.1:0")
+	srv, err := ServeWith(r, ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	if !r.Enabled() {
-		t.Error("Serve must enable the registry")
+		t.Error("ServeWith must enable the registry")
 	}
 	r.Counter("served_total", "a counter").Add(5)
 
@@ -119,7 +119,7 @@ func TestEnsureServerIsIdempotent(t *testing.T) {
 func TestServerCloseStopsServeGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		srv, err := Serve(NewRegistry(), "127.0.0.1:0")
+		srv, err := ServeWith(NewRegistry(), ServerConfig{Addr: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatal(err)
 		}

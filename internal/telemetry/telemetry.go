@@ -10,9 +10,9 @@
 // registry's enabled flag and checks it first, so the disabled hot path is
 // one atomic load and a predictable branch — cheap enough to leave the
 // instrumentation compiled into the protocol's inner loops. Enable it
-// globally with Enable(true), by mounting the HTTP server (Serve /
-// EnsureServer), or per run via chc.RunConfig.TelemetryAddr and the
-// chcrun -metrics-addr flag.
+// globally with Enable(true) or by mounting the HTTP server (ServeWith /
+// EnsureServer, which chc.ServeTelemetry and the chcrun -metrics-addr flag
+// use).
 //
 // Metric naming follows the Prometheus convention
 // chc_<subsystem>_<quantity>[_total|_seconds]: counters end in _total,

@@ -111,11 +111,12 @@ func Spec(cfg core.RunConfig) engine.InstanceSpec {
 	}}
 }
 
-// Run executes one vector consensus instance under the deterministic
-// simulator (via the unified engine), reusing the execution description of
-// package core. Like core.Run it returns the partial result beside a failure.
+// Run executes one vector consensus instance over the unified engine,
+// reusing the execution description of package core (transport and
+// environment included). Like core.Run it returns the partial result beside
+// a failure.
 func Run(cfg core.RunConfig) (*RunResult, error) {
-	res, err := variant.RunOn(cfg, engine.Options{Seed: cfg.Seed, Scheduler: cfg.Scheduler, MaxDeliveries: cfg.MaxDeliveries})
+	res, err := variant.Run(cfg)
 	if res == nil {
 		return nil, err
 	}

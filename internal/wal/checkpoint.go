@@ -358,14 +358,6 @@ func (w *WAL) Rearm(pending [][]byte) error {
 	return nil
 }
 
-// LiveSize returns the current live-file length in framed bytes (for tests
-// and experiments asserting compaction bounds).
-func (w *WAL) LiveSize() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.liveBytes
-}
-
 // SegmentCount returns the number of rotated segments on disk.
 func SegmentCount(fs FS, path string) int {
 	return len(listSegments(fsOrOS(fs), path))

@@ -53,7 +53,7 @@ var (
 // while fewer than cfg.MaxActive are in flight, queue up to cfg.MaxQueue,
 // and are rejected with ErrServiceOverloaded beyond that.
 //
-//	srv, err := chc.Serve(chc.ServiceConfig{N: 5, Transport: chc.BatchTCP})
+//	srv, err := chc.Serve(chc.ServiceConfig{N: 5, Transport: chc.TCP})
 //	id, _, err := srv.Submit(chc.BatchInstance{Params: params, Inputs: inputs})
 //	status, _, err := srv.Watch(id, time.Minute)   // status.Result.Outputs
 //	err = srv.Drain(0)                             // graceful shutdown

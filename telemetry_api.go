@@ -13,8 +13,7 @@ import (
 // pluggable structured-event trace sink. Both are disabled by default and
 // near-free while disabled (one atomic load per site). Enable them with
 // EnableTelemetry / SetTraceSink, or mount the HTTP exposition server with
-// ServeTelemetry, RunConfig.TelemetryAddr, BatchConfig.TelemetryAddr or
-// `chcrun -metrics-addr`.
+// ServeTelemetry or `chcrun -metrics-addr`.
 type (
 	// Telemetry is a point-in-time copy of the metrics registry, attached to
 	// RunResult/BatchResult after runs while telemetry is enabled.

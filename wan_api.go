@@ -14,7 +14,8 @@ type (
 	// WANPlan describes the model: a topology preset ("3-regions",
 	// "us-eu-ap", "star", "clos"), region count, delay scaling, jitter and
 	// tail parameters, bandwidth, one-way cut windows, and per-link
-	// overrides. See ParseWANPlan for the textual form; the zero value
+	// overrides. A run takes it as Env.WAN, seeded by Env.WANSeed, on every
+	// transport. See ParseWANPlan for the textual form; the zero value
 	// disables shaping.
 	WANPlan = wan.Plan
 
@@ -40,14 +41,4 @@ func ParseWANPlan(spec string) (WANPlan, error) { return wan.ParsePlan(spec) }
 // (plan, n, seed) — the same seed replays the same schedule bit for bit.
 func NewWANScheduler(plan WANPlan, n int, seed int64) (Scheduler, error) {
 	return wan.NewSimScheduler(plan, n, seed)
-}
-
-// WithWAN shapes every link of a RunNetworked execution through the WAN
-// model: frames (and, on TCP, the raw writes) are released late per the
-// seeded delay/bandwidth schedule, and one-way cut windows hold traffic
-// without dropping it. Delay-only, so it composes with WithNetworkChaos and
-// WithNetFaults — shaped links never consume crash budgets, never corrupt
-// bytes, and never trip peer quarantine.
-func WithWAN(plan WANPlan, seed int64) NetworkOption {
-	return func(o *networkOptions) { o.env.WAN, o.env.WANSeed = &plan, seed }
 }

@@ -61,9 +61,14 @@ func TestWithWANNetworked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := chc.RunConfig{Params: params(), Inputs: inputs2D(5, 3)}
-	result, err := chc.RunNetworked(cfg, chc.InProcess, 60*time.Second,
-		chc.WithWAN(plan, 9))
+	cfg := chc.RunConfig{
+		Params:    params(),
+		Inputs:    inputs2D(5, 3),
+		Transport: chc.InProcess,
+		Timeout:   60 * time.Second,
+		Env:       chc.Env{WAN: &plan, WANSeed: 9},
+	}
+	result, err := chc.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
