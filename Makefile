@@ -9,10 +9,10 @@ DISK_RUN     := Durab|FailStop|Degrad|WALReplay|LostTail|OutputCommit|StatsMonot
 LOSTTAIL_RUN := LostTail
 LINK_RUN     := Bound|Inflight|Reorder
 WIRE_RUN     := NetFault|Wire|Quarantine|Handshake|Coalesce
-SERVE_RUN    := Resident|Session
+SERVE_RUN    := Resident
 GATE_RUNS    := '$(DISK_RUN)@./internal/runtime/' '$(LOSTTAIL_RUN)@./internal/rlink/,./internal/engine/' \
 	'$(LINK_RUN)@./internal/rlink/' '$(WIRE_RUN)@./internal/runtime/' \
-	'$(SERVE_RUN)@./internal/engine/,./internal/multiplex/'
+	'$(SERVE_RUN)@./internal/engine/'
 
 build:
 	$(GO) build ./...
@@ -112,11 +112,12 @@ fuzz-smoke: build
 
 # serve-smoke is the resident-service gate: the resident engine (dynamic
 # instance lifecycle over a live cluster, including the WAL-relaunch-mid-
-# stream scenario), the session/ticket layer, the service daemon (admission
-# control, retention eviction, HTTP API, auth) and the chcd smoke test
-# (submit over HTTP, SIGTERM, graceful drain), all under the race detector.
+# stream scenario), the service daemon (heterogeneous instance streams,
+# admission control, retention eviction, HTTP API, auth) and the chcd smoke
+# test (submit over HTTP, SIGTERM, graceful drain), all under the race
+# detector.
 serve-smoke: build
-	$(GO) test -race -timeout 10m -run '$(SERVE_RUN)' ./internal/engine/ ./internal/multiplex/
+	$(GO) test -race -timeout 10m -run '$(SERVE_RUN)' ./internal/engine/
 	$(GO) test -race -timeout 10m ./internal/service/ ./cmd/chcd/
 
 # bench runs one iteration of every Benchmark* in the module, so the

@@ -301,6 +301,32 @@ func TestPublicBatch(t *testing.T) {
 	}
 }
 
+// TestPublicServeSimulator: a service cannot run on the simulator, so an
+// explicit Simulator transport, like the zero value, serves in-process.
+func TestPublicServeSimulator(t *testing.T) {
+	srv, err := chc.Serve(chc.ServiceConfig{N: 4, Transport: chc.Simulator})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := params()
+	p.N = 4
+	p.D = 1
+	id, _, err := srv.Submit(chc.BatchInstance{Params: p, Inputs: []chc.Point{
+		chc.NewPoint(1), chc.NewPoint(3), chc.NewPoint(6), chc.NewPoint(9),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, terminal, err := srv.Watch(id, time.Minute)
+	if err != nil || !terminal || st.State != chc.ServiceDecided {
+		t.Fatalf("state %v (terminal %v), err %v / %v", st.State, terminal, err, st.Err)
+	}
+	if len(st.Result.Outputs) != 4 {
+		t.Fatalf("%d outputs, want 4", len(st.Result.Outputs))
+	}
+}
+
 func TestPublicTraceJSON(t *testing.T) {
 	cfg := chc.RunConfig{Params: params(), Inputs: inputs2D(5, 32), Seed: 32}
 	result, err := chc.Run(cfg)

@@ -185,6 +185,9 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	// A scheduler drives the simulator only; networked delivery order is
 	// real concurrency.
+	if tr != chc.Simulator && *sched != "random" {
+		return fmt.Errorf("-sched orders the simulator's deliveries; -transport %s has its own order, drop -sched %s", *transport, *sched)
+	}
 	if tr == chc.Simulator {
 		cfg.Scheduler = scheduler
 		if wanPlan.Enabled() {

@@ -360,6 +360,8 @@ func TestRunBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-model", "weird"},
 		{"-sched", "weird"},
+		{"-transport", "tcp", "-sched", "rr"},
+		{"-transport", "inproc", "-sched", "delay"},
 		{"-transport", "weird"},
 		{"-chaos", "weird"},
 		{"-chaos", "heavy"}, // chaos on the simulator transport is an error

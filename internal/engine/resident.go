@@ -46,32 +46,6 @@ type ResidentOptions struct {
 	RetireEvery int
 }
 
-// InstanceState is the lifecycle state of one resident instance.
-type InstanceState int
-
-// Lifecycle states. Running instances become Decided when every process
-// reported a decision, or Failed when construction failed or the engine
-// aborted them; both transitions retire the instance's participants.
-const (
-	InstanceRunning InstanceState = iota
-	InstanceDecided
-	InstanceFailed
-)
-
-// String names the state.
-func (s InstanceState) String() string {
-	switch s {
-	case InstanceRunning:
-		return "running"
-	case InstanceDecided:
-		return "decided"
-	case InstanceFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
 // InstanceSink receives the lifecycle callbacks of one instance. Callbacks
 // fire from engine goroutines and must not block for long; they must not
 // call back into the Resident engine.
@@ -79,15 +53,14 @@ type InstanceSink struct {
 	// OnProcDecided fires once per process, as soon as that process's
 	// participant terminates, with the participant itself — the callback
 	// extracts the typed decision. It runs on the goroutine that drives the
-	// participant, so reading the participant's state is race-free.
+	// participant, so reading the participant's state is race-free. The
+	// instance has decided once it has fired n times; calls of different
+	// processes may overlap, so a collector counts them itself.
 	OnProcDecided func(id dist.ProcID, sub dist.Process)
-	// OnDecided fires once, when every process has reported. It may fire
-	// concurrently with the final OnProcDecided's caller returning; result
-	// collectors should count OnProcDecided calls rather than rely on
-	// ordering between the two callbacks.
-	OnDecided func()
 	// OnFailed fires once if the instance fails (participant construction
-	// error or engine-side abort). Mutually exclusive with OnDecided.
+	// error or engine-side abort), and never once all n processes decided.
+	// An OnProcDecided already under way may still arrive after it, so a
+	// collector lets the first terminal event win.
 	OnFailed func(err error)
 }
 
@@ -97,15 +70,14 @@ type InstanceSink struct {
 // ever hosted — but everything heavyweight (participant state machines,
 // the per-process decided set, the sink) is released at retirement.
 type residentInstance struct {
-	spec    InstanceSpec
-	sink    InstanceSink
-	state   InstanceState
+	spec InstanceSpec
+	sink InstanceSink
+	// retired is set once the instance decided or failed; its close
+	// controls are then enqueued on every node.
 	retired bool
-	err     error
 
-	opened       time.Time // admission time, for decide-latency attribution
-	decided      map[dist.ProcID]bool
-	decidedCount int
+	opened  time.Time // admission time, for decide-latency attribution
+	decided map[dist.ProcID]bool
 }
 
 // Resident is a long-lived multi-tenant engine: one warm cluster over which
@@ -121,9 +93,8 @@ type residentInstance struct {
 // closes in their original order and regenerates exactly the original
 // sends, which the resumed reliable links require.
 type Resident struct {
-	n         int
-	transport Transport
-	cluster   *runtime.Cluster
+	n       int
+	cluster *runtime.Cluster
 
 	mu          sync.Mutex
 	instances   []*residentInstance
@@ -152,7 +123,7 @@ func StartResident(n int, opts ResidentOptions) (*Resident, error) {
 	if opts.RetireEvery > 0 && opts.WALDir == "" {
 		return nil, errors.New("engine: the WAL retention horizon (RetireEvery) requires WALDir")
 	}
-	r := &Resident{n: n, transport: opts.Transport, changed: make(chan struct{}), retireEvery: opts.RetireEvery}
+	r := &Resident{n: n, changed: make(chan struct{}), retireEvery: opts.RetireEvery}
 	procs := make([]dist.Process, n)
 	for i := range procs {
 		procs[i] = newResidentNode(r, dist.ProcID(i))
@@ -184,12 +155,6 @@ func StartResident(n int, opts ResidentOptions) (*Resident, error) {
 	mResidentEngines.Add(1)
 	return r, nil
 }
-
-// N returns the process count of the resident cluster.
-func (r *Resident) N() int { return r.n }
-
-// Transport returns the executor the cluster runs on.
-func (r *Resident) Transport() Transport { return r.transport }
 
 // Open admits one instance: the spec is registered and every node is told —
 // via its journaled control path — to build and initialise its participant.
@@ -234,30 +199,11 @@ func controlMsg(id dist.ProcID, kind string, k int) dist.Message {
 	return dist.Message{From: id, To: id, Kind: kind, Instance: k}
 }
 
-// State reports the lifecycle state of instance k and how many processes
-// have decided it.
-func (r *Resident) State(k int) (state InstanceState, decided int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if k < 0 || k >= len(r.instances) {
-		return 0, 0, fmt.Errorf("engine: unknown instance %d", k)
-	}
-	ins := r.instances[k]
-	return ins.state, ins.decidedCount, nil
-}
-
 // Running returns the number of admitted-but-unfinished instances.
 func (r *Resident) Running() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.running
-}
-
-// Instances returns the total number of instances ever admitted.
-func (r *Resident) Instances() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.instances)
 }
 
 // Stats reports the cluster's aggregate transport counters.
@@ -291,11 +237,11 @@ func (r *Resident) Abort(k int, reason error) error {
 		return fmt.Errorf("engine: unknown instance %d", k)
 	}
 	ins := r.instances[k]
-	if ins.state != InstanceRunning {
+	if ins.retired {
 		r.mu.Unlock()
 		return nil
 	}
-	cb := r.failLocked(k, ins, reason)
+	cb := r.failLocked(k, ins)
 	r.mu.Unlock()
 	if cb != nil {
 		cb(reason)
@@ -329,7 +275,7 @@ func (r *Resident) Drain(timeout time.Duration) error {
 
 // Close shuts the engine down: admission closes immediately, any instance
 // still running is failed — its OnFailed fires with ErrEngineClosed, so
-// waiters holding tickets unblock instead of hanging on a torn-down cluster
+// waiters on its sink unblock instead of hanging on a torn-down cluster
 // — and the cluster is shut down (call Drain first for a graceful stop).
 // Idempotent.
 func (r *Resident) Close() error {
@@ -341,8 +287,8 @@ func (r *Resident) Close() error {
 	closeErr := fmt.Errorf("%w: instance aborted by Close before deciding", ErrEngineClosed)
 	if first {
 		for k, ins := range r.instances {
-			if ins.state == InstanceRunning {
-				if cb := r.failLocked(k, ins, closeErr); cb != nil {
+			if !ins.retired {
+				if cb := r.failLocked(k, ins); cb != nil {
 					cbs = append(cbs, cb)
 				}
 			}
@@ -405,12 +351,10 @@ func (r *Resident) retireLocked(k int, ins *residentInstance) {
 	}
 }
 
-// failLocked moves a running instance to Failed and retires it, returning
-// the OnFailed callback for the caller to fire after unlocking.
-func (r *Resident) failLocked(k int, ins *residentInstance, err error) func(error) {
+// failLocked fails a running instance and retires it, returning the
+// OnFailed callback for the caller to fire after unlocking.
+func (r *Resident) failLocked(k int, ins *residentInstance) func(error) {
 	cb := ins.sink.OnFailed
-	ins.state = InstanceFailed
-	ins.err = err
 	r.running--
 	r.retireLocked(k, ins)
 	r.signal()
@@ -418,8 +362,8 @@ func (r *Resident) failLocked(k int, ins *residentInstance, err error) func(erro
 }
 
 // noteDecided records that process id's participant of instance k
-// terminated. The nth process completes the instance: it becomes Decided
-// and is retired everywhere. Called from the goroutine driving the
+// terminated. The nth process completes the instance: it is retired
+// everywhere. Called from the goroutine driving the
 // participant (live delivery or WAL replay); replays of already-counted
 // processes are deduplicated here.
 func (r *Resident) noteDecided(k int, id dist.ProcID, sub dist.Process) {
@@ -429,19 +373,15 @@ func (r *Resident) noteDecided(k int, id dist.ProcID, sub dist.Process) {
 		return
 	}
 	ins := r.instances[k]
-	if ins.state != InstanceRunning || ins.decided[id] {
+	if ins.retired || ins.decided[id] {
 		r.mu.Unlock()
 		return
 	}
 	ins.decided[id] = true
-	ins.decidedCount++
 	opened := ins.opened
 	procCb := ins.sink.OnProcDecided
-	var decidedCb func()
-	if ins.decidedCount == r.n {
-		ins.state = InstanceDecided
+	if len(ins.decided) == r.n {
 		r.running--
-		decidedCb = ins.sink.OnDecided
 		r.retireLocked(k, ins)
 		r.signal()
 	}
@@ -451,9 +391,6 @@ func (r *Resident) noteDecided(k int, id dist.ProcID, sub dist.Process) {
 	}
 	if procCb != nil {
 		procCb(id, sub)
-	}
-	if decidedCb != nil {
-		decidedCb()
 	}
 }
 
@@ -467,11 +404,11 @@ func (r *Resident) noteOpenFailure(k int, id dist.ProcID, err error) {
 		return
 	}
 	ins := r.instances[k]
-	if ins.state != InstanceRunning {
+	if ins.retired {
 		r.mu.Unlock()
 		return
 	}
-	cb := r.failLocked(k, ins, err)
+	cb := r.failLocked(k, ins)
 	r.mu.Unlock()
 	if cb != nil {
 		cb(err)

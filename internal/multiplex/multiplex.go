@@ -125,9 +125,60 @@ type BatchResult struct {
 	Telemetry *telemetry.Snapshot
 }
 
+// InstanceResult carries the typed decisions of one instance: polytopes for
+// CC and Byzantine instances, points for vector instances, entries only for
+// processes that decided (Byzantine adversaries report nothing).
+type InstanceResult struct {
+	Outputs map[dist.ProcID]*polytope.Polytope
+	Points  map[dist.ProcID]geom.Point
+	Rounds  map[dist.ProcID]int
+}
+
+// NewInstanceResult returns an empty result to Collect decisions into.
+func NewInstanceResult() InstanceResult {
+	return InstanceResult{
+		Outputs: make(map[dist.ProcID]*polytope.Polytope),
+		Points:  make(map[dist.ProcID]geom.Point),
+		Rounds:  make(map[dist.ProcID]int),
+	}
+}
+
+// Collect records the typed decision process id's participant of inst
+// reached, and the round it decided at. A participant that has not decided,
+// one of any other type, or one inst's Faults make a Byzantine adversary
+// leaves nothing: an adversary's "decision" carries no correctness
+// obligations, so it is not reported.
+func (r *InstanceResult) Collect(inst Instance, id dist.ProcID, sub dist.Process) {
+	for _, f := range inst.Faults {
+		if f.Proc == id {
+			return
+		}
+	}
+	switch v := sub.(type) {
+	case *core.Process:
+		if out, err := v.Output(); err == nil {
+			r.Outputs[id] = out
+		}
+	case *vectorconsensus.Process:
+		if pt, err := v.Output(); err == nil {
+			r.Points[id] = pt
+		}
+	case *byzantine.Process:
+		if out, err := v.Output(); err == nil {
+			r.Outputs[id] = out
+		}
+	default:
+		return
+	}
+	if dr, ok := sub.(interface{ DecidedRound() int }); ok {
+		if round := dr.DecidedRound(); round > 0 {
+			r.Rounds[id] = round
+		}
+	}
+}
+
 // specForInstance validates one instance against the shared process count
-// and translates it into an engine spec. Shared by batch construction and
-// resident-session submission.
+// and translates it into an engine spec.
 func specForInstance(n int, inst Instance) (engine.InstanceSpec, error) {
 	params := inst.Params.WithDefaults()
 	if params.N != n {
@@ -164,14 +215,16 @@ func specForInstance(n int, inst Instance) (engine.InstanceSpec, error) {
 	}
 }
 
-// ValidateInstance checks one instance against the shared process count
-// without building it, so admission layers can reject malformed submissions
-// synchronously.
-func ValidateInstance(n int, inst Instance) error {
-	if _, err := specForInstance(n, inst); err != nil {
-		return fmt.Errorf("multiplex: instance %w", err)
+// InstanceSpec validates one instance against the shared process count and
+// returns the engine spec that builds its participants, so an admission
+// layer rejects a malformed submission synchronously and opens the spec it
+// validated.
+func InstanceSpec(n int, inst Instance) (engine.InstanceSpec, error) {
+	spec, err := specForInstance(n, inst)
+	if err != nil {
+		return engine.InstanceSpec{}, fmt.Errorf("multiplex: instance %w", err)
 	}
-	return nil
+	return spec, nil
 }
 
 // buildSpec validates the batch and translates it into an engine spec.
@@ -222,22 +275,12 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	if telemetry.Enabled() {
 		result.Telemetry = telemetry.Default().Snapshot()
 	}
-	for k := range cfg.Instances {
-		inst := newInstanceResult()
-		byzFaulty := make(map[dist.ProcID]bool)
-		for _, fault := range cfg.Instances[k].Faults {
-			byzFaulty[fault.Proc] = true
-		}
+	for k, inst := range cfg.Instances {
+		r := NewInstanceResult()
 		for i := 0; i < cfg.N; i++ {
-			id := dist.ProcID(i)
-			if byzFaulty[id] {
-				// A Byzantine adversary: its "decision" is meaningless and
-				// carries no correctness obligations, so it is not reported.
-				continue
-			}
-			inst.collect(id, res.Sub(k, id))
+			r.Collect(inst, dist.ProcID(i), res.Sub(k, dist.ProcID(i)))
 		}
-		result.Outputs[k], result.Points[k], result.Rounds[k] = inst.Outputs, inst.Points, inst.Rounds
+		result.Outputs[k], result.Points[k], result.Rounds[k] = r.Outputs, r.Points, r.Rounds
 	}
 	if runErr != nil {
 		return result, fmt.Errorf("multiplex: %w", runErr)

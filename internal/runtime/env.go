@@ -45,10 +45,10 @@ func (t Transport) String() string {
 // Env is the environment a cluster runs in — the paper's system model made
 // adversarial: what the links do to traffic, and what survives a node. It is
 // declared here once; Config, engine.Options, engine.ResidentOptions,
-// multiplex.BatchConfig, multiplex.SessionConfig and service.Config embed it,
-// so each layer forwards it whole (Env: cfg.Env) and callers reach its fields
-// by promotion; chc.Env names it in the public API and envflag.Bound carries
-// the one parsed from flags. Process crash-stop faults (Crashes) are the
+// multiplex.BatchConfig and service.Config embed it, so each layer forwards
+// it whole (Env: cfg.Env) and callers reach its fields by promotion; chc.Env
+// names it in the public API and envflag.Bound carries the one parsed from
+// flags. Process crash-stop faults (Crashes) are the
 // paper's fault budget, not environment, and stay on the embedding structs.
 //
 // A nil plan pointer and a plan that injects nothing (chaos "off", a zero

@@ -30,7 +30,7 @@ func TestEnvDeclaredOnce(t *testing.T) {
 	}{
 		{core.RunConfig{}, true},
 		{engine.Options{}, true}, {engine.ResidentOptions{}, true},
-		{multiplex.BatchConfig{}, true}, {multiplex.SessionConfig{}, true},
+		{multiplex.BatchConfig{}, true},
 		{Config{}, true}, {runtime.Config{}, true},
 		{runtime.RecoveryConfig{}, false},
 	} {
@@ -53,8 +53,8 @@ func TestEnvDeclaredOnce(t *testing.T) {
 }
 
 // TestEnvForwardedEndToEnd sets every field of the environment on a
-// service.Config and checks each one took effect in the cluster three layers
-// down (service → session → resident engine → runtime): the property the
+// service.Config and checks each one took effect in the cluster two layers
+// down (service → resident engine → runtime): the property the
 // hand-written forwarding blocks used to be silently responsible for.
 func TestEnvForwardedEndToEnd(t *testing.T) {
 	light := chaos.Light()

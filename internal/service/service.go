@@ -4,10 +4,10 @@
 // records, and a graceful drain protocol for shutdown.
 //
 // The layering mirrors a deployed consensus-as-a-service node: package
-// multiplex owns protocol translation (Session/Ticket), package engine owns
-// the resident cluster and instance lifecycle, and this package owns the
-// tenant-facing concerns — admission, queuing, result retention, auth, and
-// operational shutdown.
+// multiplex owns protocol translation (an instance's engine spec and typed
+// result), package engine owns the resident cluster and instance lifecycle,
+// and this package owns the tenant-facing concerns — admission, queuing,
+// result retention, auth, and operational shutdown.
 package service
 
 import (
@@ -41,15 +41,17 @@ type Config struct {
 	// N is the cluster's process count.
 	N int
 
-	// Transport selects the executor (zero value: in-process channels; a
-	// daemon deployment uses engine.TransportTCP).
+	// Transport selects the executor; a daemon deployment uses
+	// engine.TransportTCP. A service is a live cluster, which the simulator
+	// cannot host, so the zero value engine.TransportSim means in-process
+	// channels (engine.TransportChannel).
 	Transport engine.Transport
 
 	// Crashes schedules crash-stop faults against the cluster's processes.
 	Crashes []dist.CrashPlan
 
 	// Env is the cluster environment, forwarded whole to the resident
-	// session.
+	// engine.
 	runtime.Env
 
 	// WALRetire is the WAL retention horizon: after every WALRetire retired
@@ -83,6 +85,9 @@ type Config struct {
 
 // withDefaults fills the zero values.
 func (c Config) withDefaults() Config {
+	if c.Transport == engine.TransportSim {
+		c.Transport = engine.TransportChannel
+	}
 	if c.MaxActive == 0 {
 		c.MaxActive = 64
 	}
@@ -128,14 +133,21 @@ func (s InstanceState) String() string {
 	}
 }
 
-// record tracks one submission through the service lifecycle.
+// record tracks one submission through the service lifecycle. While it
+// runs, its engine sink collects decisions into res; the first terminal
+// event (the nth report, a failure) finishes it, and later ones find it no
+// longer running.
 type record struct {
 	id    int
 	state InstanceState
 	inst  multiplex.Instance
+	spec  engine.InstanceSpec
 
-	res multiplex.InstanceResult
-	err error
+	res     multiplex.InstanceResult
+	reports int // OnProcDecided calls so far
+	err     error
+	// deadline aborts the instance after InstanceDeadline; finish stops it.
+	deadline *time.Timer
 
 	submitted time.Time
 	finished  time.Time
@@ -147,8 +159,8 @@ type record struct {
 
 // Server is the resident consensus service.
 type Server struct {
-	cfg     Config
-	session *multiplex.Session
+	cfg Config
+	eng *engine.Resident
 
 	mu       sync.Mutex
 	records  []*record
@@ -160,10 +172,6 @@ type Server struct {
 	// settled signals the drain loop whenever active+queued shrinks.
 	settled chan struct{}
 
-	// watchers covers the per-ticket goroutines; Close waits for them so
-	// every record is terminal by the time it returns.
-	watchers sync.WaitGroup
-
 	evictStop chan struct{}
 	evictDone chan struct{}
 }
@@ -171,19 +179,18 @@ type Server struct {
 // New starts the service's resident cluster.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	session, err := multiplex.OpenSession(multiplex.SessionConfig{
-		N:                cfg.N,
-		Transport:        cfg.Transport,
-		Crashes:          cfg.Crashes,
-		Env:              cfg.Env,
-		RetireCheckpoint: cfg.WALRetire,
+	eng, err := engine.StartResident(cfg.N, engine.ResidentOptions{
+		Transport:   cfg.Transport,
+		Crashes:     cfg.Crashes,
+		Env:         cfg.Env,
+		RetireEvery: cfg.WALRetire,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:       cfg,
-		session:   session,
+		eng:       eng,
 		settled:   make(chan struct{}, 1),
 		evictStop: make(chan struct{}),
 		evictDone: make(chan struct{}),
@@ -195,8 +202,8 @@ func New(cfg Config) (*Server, error) {
 // N returns the cluster's process count.
 func (s *Server) N() int { return s.cfg.N }
 
-// Session exposes the underlying resident session.
-func (s *Server) Session() *multiplex.Session { return s.session }
+// Session exposes the resident engine the service runs on (its Stats).
+func (s *Server) Session() *engine.Resident { return s.eng }
 
 // Submit admits one instance: it starts immediately when a running slot is
 // free, queues when the cluster is saturated, and is rejected with
@@ -204,7 +211,8 @@ func (s *Server) Session() *multiplex.Session { return s.session }
 func (s *Server) Submit(inst multiplex.Instance) (int, InstanceState, error) {
 	// Validate before taking a queue slot, so a malformed instance can
 	// never occupy admission capacity or surface its error asynchronously.
-	if err := multiplex.ValidateInstance(s.cfg.N, inst); err != nil {
+	spec, err := multiplex.InstanceSpec(s.cfg.N, inst)
+	if err != nil {
 		return 0, 0, err
 	}
 	s.mu.Lock()
@@ -216,12 +224,14 @@ func (s *Server) Submit(inst multiplex.Instance) (int, InstanceState, error) {
 	rec := &record{
 		id:        len(s.records),
 		inst:      inst,
+		spec:      spec,
+		res:       multiplex.NewInstanceResult(),
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	// rec.state is racy the instant the lock drops (the watcher goroutine
-	// may finish a fast instance immediately), so report the admission
-	// state captured under the lock.
+	// rec.state is racy the instant the lock drops (the engine sink may
+	// finish a fast instance immediately), so report the admission state
+	// captured under the lock.
 	var admitted InstanceState
 	switch {
 	case s.active < s.cfg.MaxActive:
@@ -248,43 +258,71 @@ func (s *Server) Submit(inst multiplex.Instance) (int, InstanceState, error) {
 	return rec.id, admitted, nil
 }
 
-// start submits rec's instance to the session and watches its ticket. The
-// record already holds a running slot.
+// start opens rec's instance on the engine and arms its deadline. The
+// record already holds a running slot. It must not run on a node goroutine:
+// on the durable path Open waits for an fsync.
 func (s *Server) start(rec *record) {
-	ticket, err := s.session.Submit(rec.inst)
+	k, err := s.eng.Open(rec.spec, s.sink(rec))
 	if err != nil {
-		s.finish(rec, multiplex.InstanceResult{}, err)
+		s.finish(rec, err)
 		return
 	}
-	s.watchers.Add(1)
-	go func() {
-		defer s.watchers.Done()
-		if d := s.cfg.InstanceDeadline; d > 0 {
-			deadline := time.NewTimer(d)
-			select {
-			case <-ticket.Done():
-				deadline.Stop()
-			case <-deadline.C:
-				// Abort completes the ticket (OnFailed), so the wait below
-				// is bounded; wrapping ErrDeadline marks the outcome.
-				_ = s.session.Engine().Abort(ticket.ID, fmt.Errorf("%w (%v)", ErrDeadline, d))
-				<-ticket.Done()
-			}
-		} else {
-			<-ticket.Done()
-		}
-		res, terr := ticket.Result()
-		s.finish(rec, res, terr)
-	}()
+	d := s.cfg.InstanceDeadline
+	if d <= 0 {
+		return
+	}
+	s.mu.Lock()
+	if rec.state == StateRunning {
+		// Abort fails the instance (OnFailed), which finishes the record;
+		// wrapping ErrDeadline marks the outcome.
+		rec.deadline = time.AfterFunc(d, func() {
+			_ = s.eng.Abort(k, fmt.Errorf("%w (%v)", ErrDeadline, d))
+		})
+	}
+	s.mu.Unlock()
 }
 
-// finish moves rec to its terminal state, frees its running slot, and
-// dispatches the next queued instance.
-func (s *Server) finish(rec *record, res multiplex.InstanceResult, err error) {
+// sink collects rec's decisions as the engine reports them, on the node
+// goroutines that reached them. The nth report finishes the record.
+func (s *Server) sink(rec *record) engine.InstanceSink {
+	return engine.InstanceSink{
+		OnProcDecided: func(id dist.ProcID, sub dist.Process) {
+			s.mu.Lock()
+			var next *record
+			if rec.state == StateRunning {
+				rec.res.Collect(rec.inst, id, sub)
+				if rec.reports++; rec.reports == s.cfg.N {
+					next = s.finishLocked(rec, nil)
+				}
+			}
+			s.mu.Unlock()
+			s.dispatch(next)
+		},
+		OnFailed: func(err error) { s.finish(rec, err) },
+	}
+}
+
+// finish moves rec to its terminal state unless an earlier terminal event
+// did, and dispatches the next queued instance into the freed slot.
+func (s *Server) finish(rec *record, err error) {
 	s.mu.Lock()
-	rec.res = res
+	var next *record
+	if rec.state == StateRunning {
+		next = s.finishLocked(rec, err)
+	}
+	s.mu.Unlock()
+	s.dispatch(next)
+}
+
+// finishLocked moves the running rec to its terminal state, frees its
+// running slot, and returns the queued record that takes the slot, if any.
+// Callers hold s.mu.
+func (s *Server) finishLocked(rec *record, err error) *record {
 	rec.err = err
 	rec.finished = time.Now()
+	if rec.deadline != nil {
+		rec.deadline.Stop()
+	}
 	switch {
 	case errors.Is(err, ErrDeadline):
 		rec.state = StateFailed
@@ -296,6 +334,11 @@ func (s *Server) finish(rec *record, res multiplex.InstanceResult, err error) {
 		rec.state = StateDecided
 		mDecided.With("decided").Inc()
 	}
+	close(rec.done)
+	select {
+	case s.settled <- struct{}{}:
+	default:
+	}
 	s.active--
 	var next *record
 	if len(s.queue) > 0 && !s.closed {
@@ -306,15 +349,15 @@ func (s *Server) finish(rec *record, res multiplex.InstanceResult, err error) {
 		mQueued.Set(float64(len(s.queue)))
 	}
 	mActive.Set(float64(s.active))
-	s.mu.Unlock()
+	return next
+}
 
-	close(rec.done)
-	select {
-	case s.settled <- struct{}{}:
-	default:
-	}
+// dispatch starts next, if any, on a goroutine of its own: finish runs on
+// engine goroutines, which must not call back into the engine. Close waits
+// for the record, so a dispatch in flight still ends terminal.
+func (s *Server) dispatch(next *record) {
 	if next != nil {
-		s.start(next)
+		go s.start(next)
 	}
 }
 
@@ -326,8 +369,9 @@ type Status struct {
 	Submitted time.Time
 	Finished  time.Time
 	Err       error
-	// Result is populated for StateDecided records that have not been
-	// evicted yet.
+	// Result is populated once the record is terminal and until it is
+	// evicted: every decision of a StateDecided record, the decisions
+	// reached before the failure of a StateFailed one.
 	Result multiplex.InstanceResult
 }
 
@@ -339,15 +383,19 @@ func (s *Server) Status(id int) (Status, error) {
 		return Status{}, ErrNotFound
 	}
 	rec := s.records[id]
-	return Status{
+	st := Status{
 		ID:        rec.id,
 		State:     rec.state,
 		Protocol:  rec.inst.Protocol,
 		Submitted: rec.submitted,
 		Finished:  rec.finished,
 		Err:       rec.err,
-		Result:    rec.res,
-	}, nil
+	}
+	// A running record's maps are still being written by its sink.
+	if rec.state == StateDecided || rec.state == StateFailed {
+		st.Result = rec.res
+	}
+	return st, nil
 }
 
 // Watch blocks until instance id reaches a terminal state or the timeout
@@ -442,6 +490,7 @@ func (s *Server) evictBefore(cutoff time.Time) {
 		rec.state = StateEvicted
 		rec.res = multiplex.InstanceResult{}
 		rec.inst = multiplex.Instance{}
+		rec.spec = engine.InstanceSpec{}
 		mEvicted.Inc()
 	}
 }
@@ -477,7 +526,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 	if remaining < time.Second {
 		remaining = time.Second
 	}
-	if err := s.session.Drain(remaining); err != nil {
+	if err := s.eng.Drain(remaining); err != nil {
 		return err
 	}
 	mDrainSeconds.Observe(time.Since(started).Seconds())
@@ -486,10 +535,11 @@ func (s *Server) Drain(timeout time.Duration) error {
 
 // Close tears the service down. Call Drain first for a graceful stop; Close
 // alone abandons in-flight work, but never silently: queued records are
-// failed with ErrClosed here, running ones are failed by the session close
-// (the engine aborts every still-running instance, completing its ticket),
-// and Close waits for the ticket watchers — when it returns, every record
-// is terminal and no watcher goroutine remains.
+// failed with ErrClosed here, running ones are failed by the engine close
+// (it aborts every still-running instance, whose sink then finishes the
+// record, and a dispatch still on its way to Open finds the engine closed),
+// and Close waits for each of them — when it returns, every record is
+// terminal.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -506,15 +556,21 @@ func (s *Server) Close() error {
 		rec.err = ErrClosed
 		rec.finished = now
 		mDecided.With("failed").Inc()
-	}
-	mQueued.Set(0)
-	s.mu.Unlock()
-	for _, rec := range queued {
 		close(rec.done)
 	}
+	mQueued.Set(0)
+	var running []*record
+	for _, rec := range s.records {
+		if rec.state == StateRunning {
+			running = append(running, rec)
+		}
+	}
+	s.mu.Unlock()
 	close(s.evictStop)
 	<-s.evictDone
-	err := s.session.Close()
-	s.watchers.Wait()
+	err := s.eng.Close()
+	for _, rec := range running {
+		<-rec.done
+	}
 	return err
 }

@@ -12,11 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"chc/internal/byzantine"
 	"chc/internal/chaos"
 	"chc/internal/core"
 	"chc/internal/engine"
 	"chc/internal/geom"
 	"chc/internal/multiplex"
+	"chc/internal/polytope"
 	"chc/internal/runtime"
 )
 
@@ -78,6 +80,156 @@ func TestServiceSubmitDecide(t *testing.T) {
 	}
 }
 
+// streamInstances builds a heterogeneous submission set for n processes:
+// CC, vector, and (when n allows) Byzantine instances with proc 0 Silent.
+func streamInstances(n, count int) []multiplex.Instance {
+	d := 2
+	if n < 5 {
+		d = 1
+	}
+	out := make([]multiplex.Instance, 0, count)
+	for k := 0; k < count; k++ {
+		inputs := make([]geom.Point, n)
+		for i := range inputs {
+			p := make(geom.Point, d)
+			for j := range p {
+				p[j] = float64((int64(k+1)*7+int64(i*3+j*5))%11) + 1
+			}
+			inputs[i] = p
+		}
+		inst := multiplex.Instance{
+			Params: core.Params{N: n, F: 1, D: d, Epsilon: 0.05, InputLower: 0, InputUpper: 16},
+			Inputs: inputs,
+		}
+		switch k % 3 {
+		case 1:
+			inst.Protocol = multiplex.ProtocolVector
+		case 2:
+			if n >= 3*1+1 {
+				inst.Protocol = multiplex.ProtocolByzantine
+				inst.Faults = []byzantine.Fault{{Proc: 0, Behavior: byzantine.Silent}}
+			}
+		}
+		out = append(out, inst)
+	}
+	return out
+}
+
+// TestServiceHeterogeneousStream submits CC, vector and Byzantine instances
+// one by one against one warm cluster and checks each protocol's decisions:
+// CC vertices inside the input hull, a point per process for vector, and no
+// decision reported for the Byzantine adversary.
+func TestServiceHeterogeneousStream(t *testing.T) {
+	const n = 5
+	s, err := New(Config{N: n})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+
+	insts := streamInstances(n, 9)
+	for k, inst := range insts {
+		id, _, err := s.Submit(inst)
+		if err != nil {
+			t.Fatalf("Submit %d: %v", k, err)
+		}
+		if id != k {
+			t.Fatalf("Submit %d returned id %d", k, id)
+		}
+	}
+	for k, inst := range insts {
+		st := waitDecided(t, s, k, 60*time.Second)
+		if st.State != StateDecided {
+			t.Fatalf("instance %d state %v, err %v", k, st.State, st.Err)
+		}
+		res := st.Result
+		switch inst.Protocol {
+		case multiplex.ProtocolCC:
+			if len(res.Outputs) != n {
+				t.Fatalf("instance %d: %d polytope decisions, want %d", k, len(res.Outputs), n)
+			}
+			hull, herr := polytope.New(inst.Inputs, 0)
+			if herr != nil {
+				t.Fatalf("hull: %v", herr)
+			}
+			for id, out := range res.Outputs {
+				for _, v := range out.Vertices() {
+					inside, cerr := hull.Contains(v, 1e-7)
+					if cerr != nil {
+						t.Fatalf("contains: %v", cerr)
+					}
+					if !inside {
+						t.Fatalf("instance %d proc %d: vertex %v outside input hull", k, id, v)
+					}
+				}
+			}
+		case multiplex.ProtocolVector:
+			if len(res.Points) != n {
+				t.Fatalf("instance %d: %d point decisions, want %d", k, len(res.Points), n)
+			}
+		case multiplex.ProtocolByzantine:
+			// The adversary (proc 0) reports nothing; the n-1 correct
+			// participants all decide.
+			if len(res.Outputs) != n-1 {
+				t.Fatalf("instance %d: %d decisions, want %d", k, len(res.Outputs), n-1)
+			}
+			if _, ok := res.Outputs[0]; ok {
+				t.Fatalf("instance %d: Byzantine adversary reported a decision", k)
+			}
+		}
+		if len(res.Rounds) == 0 {
+			t.Fatalf("instance %d: no decided rounds recorded", k)
+		}
+	}
+	if err := s.Drain(30 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if running := s.Session().Running(); running != 0 {
+		t.Fatalf("engine Running = %d after drain", running)
+	}
+}
+
+// TestServiceConcurrentSubmit submits a heterogeneous set from one
+// goroutine per instance; every instance must decide.
+func TestServiceConcurrentSubmit(t *testing.T) {
+	const n = 4
+	s, err := New(Config{N: n})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+
+	insts := streamInstances(n, 8)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(insts))
+	for _, inst := range insts {
+		wg.Add(1)
+		go func(inst multiplex.Instance) {
+			defer wg.Done()
+			id, _, err := s.Submit(inst)
+			if err != nil {
+				errs <- err
+				return
+			}
+			st, terminal, err := s.Watch(id, 60*time.Second)
+			switch {
+			case err != nil:
+				errs <- err
+			case !terminal || st.State != StateDecided:
+				errs <- fmt.Errorf("instance %d: state %v, err %v", id, st.State, st.Err)
+			}
+		}(inst)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent submit: %v", err)
+	}
+	if err := s.Drain(30 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
 // TestServiceRejectsMalformedSynchronously: wrong arity, an input outside
 // [InputLower, InputUpper] (t_end of eq. 19 is not sized for it) and an input
 // of the wrong dimension are refused by Submit itself, for every crash-model
@@ -107,6 +259,40 @@ func TestServiceRejectsMalformedSynchronously(t *testing.T) {
 	}
 	if total, _, _, _ := s.Counts(); total != 0 {
 		t.Fatalf("malformed submission occupied a record (total=%d)", total)
+	}
+}
+
+// TestServiceSessionValidation: an instance for another n is refused by
+// Submit with nothing left running in the engine, a drained service refuses
+// further submissions with ErrDraining, and a cluster of no processes is
+// refused by New.
+func TestServiceSessionValidation(t *testing.T) {
+	s, err := New(Config{N: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+
+	if _, _, err := s.Submit(testInstance(7, 1)); err == nil {
+		t.Fatal("Submit accepted an instance with mismatched n")
+	}
+	if total, _, _, _ := s.Counts(); total != 0 {
+		t.Fatalf("mismatched-n submission occupied a record (total=%d)", total)
+	}
+	if running := s.Session().Running(); running != 0 {
+		t.Fatalf("engine Running = %d after rejected submit", running)
+	}
+
+	if err := s.Drain(5 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if _, _, err := s.Submit(testInstance(4, 1)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Submit after drain: err = %v, want ErrDraining", err)
+	}
+
+	if empty, err := New(Config{N: 0}); err == nil {
+		empty.Close()
+		t.Fatal("New accepted N=0")
 	}
 }
 

@@ -17,7 +17,9 @@ type Transport = engine.Transport
 const (
 	// Simulator is the deterministic discrete-event simulator, the zero
 	// value of RunConfig.Transport and BatchConfig.Transport: delivery order
-	// is a reproducible function of the seed or the Scheduler.
+	// is a reproducible function of the seed or the Scheduler. A service is
+	// a live cluster the simulator cannot host, so on
+	// ServiceConfig.Transport it means InProcess.
 	Simulator = engine.TransportSim
 	// InProcess connects processes with in-memory mailboxes, one goroutine
 	// per process (real concurrency, no sockets).
