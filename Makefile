@@ -102,13 +102,16 @@ wire-torture: build
 	$(GO) test -race -timeout 10m -run '$(LINK_RUN)' ./internal/rlink/
 	$(GO) test -race -timeout 10m -run '$(WIRE_RUN)' ./internal/runtime/
 
-# fuzz-smoke runs each codec fuzzer briefly — long enough to shake out
-# shallow decoder regressions on every commit; deep fuzzing stays offline.
+# fuzz-smoke runs each codec fuzzer and the round-0 depth-region fuzzer
+# (d = 3 views held to the exact subset-hull oracle) briefly — long enough to
+# shake out shallow decoder and geometry regressions on every commit; deep
+# fuzzing stays offline.
 FUZZ_TIME ?= 30s
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzStreamDecoder -fuzztime $(FUZZ_TIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDepthRegion -fuzztime $(FUZZ_TIME) ./internal/polytope/
 
 # serve-smoke is the resident-service gate: the resident engine (dynamic
 # instance lifecycle over a live cluster, including the WAL-relaunch-mid-

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,18 @@ import (
 // through three inputs, then one intersection.
 func BenchmarkInitialPolytopeN12F2D3(b *testing.B) {
 	benchInitialPolytope(b, Params{N: 12, F: 2, D: 3}, 12)
+}
+
+// BenchmarkInitialPolytopeN6F1D3 is the kernel at the shape of the geom-cold
+// workload, n=6, f=1, d=3, on both view sizes a process can get: |X| = n−f =
+// 5, Lemma 2's bound, where the region is often a single Radon point, and
+// |X| = n = 6.
+func BenchmarkInitialPolytopeN6F1D3(b *testing.B) {
+	for _, inputs := range []int{5, 6} {
+		b.Run(fmt.Sprintf("X=%d", inputs), func(b *testing.B) {
+			benchInitialPolytope(b, Params{N: 6, F: 1, D: 3}, inputs)
+		})
+	}
 }
 
 // BenchmarkInitialPolytopeN16F2D2 is the same kernel at the shape of the

@@ -26,7 +26,7 @@ func randInputs(n, d int, seed int64) []geom.Point {
 // contract: a full consensus run must produce bitwise-identical outputs
 // with one processor or many, because replayed traces are re-executed under
 // whatever GOMAXPROCS the recovering host has. The d = 3 row pins the N-D
-// geometry (intersectND, supportSample, bruteForceFacets).
+// geometry (the halfspace clipping of round 0, bruteForceFacets).
 func TestRunGOMAXPROCS1Equivalence(t *testing.T) {
 	for _, tc := range []struct {
 		n, d, afterSends int

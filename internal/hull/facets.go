@@ -161,6 +161,20 @@ func bruteForceFacets(verts []geom.Point, eps float64) ([]Facet, error) {
 // of pts. "Strictly outside" means beyond a tolerance of 10·eps times the
 // data magnitude, so large coordinates do not break the predicate.
 func DepthFacets(pts []geom.Point, f int, eps float64) []Facet {
+	return depthFacets(pts, f, eps, true)
+}
+
+// DepthHalfspaces is DepthFacets without the deduplication: a hyperplane is
+// listed once for every d-subset that spans it, so each facet
+// DepthFacets(C, 0, eps) finds for an (|pts|−f)-subset C is one of these
+// halfspaces, bit for bit. Deduplication compares unit normals to a
+// tolerance that grows with the data, and may keep a plane that misses a
+// dropped one by that tolerance times the diameter.
+func DepthHalfspaces(pts []geom.Point, f int, eps float64) []Facet {
+	return depthFacets(pts, f, eps, false)
+}
+
+func depthFacets(pts []geom.Point, f int, eps float64, dedup bool) []Facet {
 	if len(pts) == 0 {
 		return nil
 	}
@@ -185,7 +199,7 @@ func DepthFacets(pts []geom.Point, f int, eps float64) []Facet {
 		idx[i] = i
 	}
 	for ok := true; ok; ok = nextCombination(idx, k) {
-		s.addDepthFacets(&facets, pts, idx, f, tol, eps)
+		s.addDepthFacets(&facets, pts, idx, f, tol, eps, dedup)
 	}
 	return facets
 }
@@ -210,9 +224,10 @@ func nextCombination(idx []int, k int) bool {
 
 // addDepthFacets adds to facets each orientation of the hyperplane through
 // pts[idx...] that has at most f points beyond tol on its outer side, and
-// nothing when the subset does not span a hyperplane. All scratch comes
-// from s; each added Normal is freshly allocated.
-func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []int, f int, tol, eps float64) {
+// nothing when the subset does not span a hyperplane, skipping one close to
+// a facet already present if dedup is set. All scratch comes from s; each
+// added Normal is freshly allocated.
+func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []int, f int, tol, eps float64, dedup bool) {
 	d := pts[0].Dim()
 	s.prepare(d)
 	base := pts[idx[0]]
@@ -250,22 +265,25 @@ func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []i
 		}
 	}
 	if pos <= f {
-		addFacetDedup(facets, Facet{Normal: n.Clone(), Offset: b}, tol)
+		addFacetDedup(facets, Facet{Normal: n.Clone(), Offset: b}, tol, dedup)
 	}
 	if neg <= f { // the opposite orientation: -n·x <= -b
 		out := n.Clone()
 		for c := range out {
 			out[c] = -out[c]
 		}
-		addFacetDedup(facets, Facet{Normal: out, Offset: -b}, tol)
+		addFacetDedup(facets, Facet{Normal: out, Offset: -b}, tol, dedup)
 	}
 }
 
-// addFacetDedup appends f unless an equivalent facet is already present.
-func addFacetDedup(facets *[]Facet, f Facet, tol float64) {
-	for _, g := range *facets {
-		if math.Abs(g.Offset-f.Offset) <= tol && geom.Equal(g.Normal, f.Normal, tol) {
-			return
+// addFacetDedup appends f unless dedup is set and an equivalent facet is
+// already present.
+func addFacetDedup(facets *[]Facet, f Facet, tol float64, dedup bool) {
+	if dedup {
+		for _, g := range *facets {
+			if math.Abs(g.Offset-f.Offset) <= tol && geom.Equal(g.Normal, f.Normal, tol) {
+				return
+			}
 		}
 	}
 	*facets = append(*facets, f)

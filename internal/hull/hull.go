@@ -7,8 +7,10 @@
 // interval arithmetic, dimension 2 an exact monotone-chain / polygon kernel,
 // and higher dimensions an LP-based, output-sensitive extreme-point filter
 // (function H of the paper; see ExtremeFilter) with brute-force oriented
-// facet enumeration. Inputs whose affine hull is lower-dimensional are
-// projected to that subspace, solved there, and lifted back.
+// facet enumeration. The depth halfspaces of round 0 (DepthFacets,
+// DepthHalfspaces) come from the same enumeration and need no LP. Inputs
+// whose affine hull is lower-dimensional are projected to that subspace,
+// solved there, and lifted back.
 package hull
 
 import (

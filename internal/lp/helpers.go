@@ -13,65 +13,6 @@ var ErrInfeasible = errors.New("lp: infeasible")
 // ErrUnbounded is returned by helpers when the underlying LP is unbounded.
 var ErrUnbounded = errors.New("lp: unbounded")
 
-// MinimizeOverHalfspaces minimises dir·x subject to a[i]·x <= b[i] with x
-// free. It returns the minimiser and the optimal value.
-func MinimizeOverHalfspaces(dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
-	return optimizeOverHalfspaces(nil, dir, a, b, eps, true)
-}
-
-// MaximizeOverHalfspaces maximises dir·x subject to a[i]·x <= b[i] with x
-// free. It returns the maximiser and the optimal value.
-func MaximizeOverHalfspaces(dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
-	return optimizeOverHalfspaces(nil, dir, a, b, eps, false)
-}
-
-// MinimizeOverHalfspacesWith is MinimizeOverHalfspaces drawing all scratch
-// from the caller's workspace.
-func MinimizeOverHalfspacesWith(ws *Workspace, dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
-	return optimizeOverHalfspaces(ws, dir, a, b, eps, true)
-}
-
-// MaximizeOverHalfspacesWith is MaximizeOverHalfspaces drawing all scratch
-// from the caller's workspace.
-func MaximizeOverHalfspacesWith(ws *Workspace, dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
-	return optimizeOverHalfspaces(ws, dir, a, b, eps, false)
-}
-
-func optimizeOverHalfspaces(ws *Workspace, dir []float64, a [][]float64, b []float64, eps float64, minimize bool) ([]float64, float64, error) {
-	n := len(dir)
-	if len(a) != len(b) {
-		return nil, 0, fmt.Errorf("%w: %d constraint rows but %d bounds", ErrBadProblem, len(a), len(b))
-	}
-	if ws == nil {
-		ws = getWS()
-		defer putWS(ws)
-	}
-	cons := ws.constraints(len(a))
-	for i := range a {
-		if len(a[i]) != n {
-			return nil, 0, fmt.Errorf("%w: row %d has %d coefficients for %d variables", ErrBadProblem, i, len(a[i]), n)
-		}
-		cons[i] = Constraint{Coeffs: a[i], Op: LE, RHS: b[i]}
-	}
-	free := ws.arena.Bools(n)
-	for i := range free {
-		free[i] = true
-	}
-	p := &Problem{NumVars: n, Objective: dir, Minimize: minimize, Constraints: cons, Free: free}
-	sol, err := p.SolveWith(ws, eps)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch sol.Status {
-	case Optimal:
-		return sol.X, sol.Value, nil
-	case Infeasible:
-		return nil, 0, ErrInfeasible
-	default:
-		return nil, 0, ErrUnbounded
-	}
-}
-
 // ChebyshevCenter returns the centre and radius of the largest inscribed
 // ball of the polyhedron {x : a[i]·x <= b[i]}. A zero radius indicates a
 // degenerate (lower-dimensional) but non-empty polyhedron; ErrInfeasible an

@@ -341,6 +341,11 @@ func (b *durableBox) syncFailed(err error) bool {
 	if b.closed || errors.Is(err, wal.ErrClosed) {
 		return false // shutdown closed the log under the commit
 	}
+	if b.crashed.Load() {
+		// A failed append fail-stopped the node while this fsync ran; like
+		// deliver, do not count that node again.
+		return false
+	}
 	b.noteFault(err)
 	if b.policy != Degrade {
 		b.failStop()

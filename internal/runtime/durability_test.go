@@ -19,6 +19,7 @@ import (
 var (
 	errInjectedSync   = errors.New("injected fsync failure")
 	errInjectedCreate = errors.New("injected create failure")
+	errInjectedWrite  = errors.New("injected write failure")
 )
 
 // flakyFS fails fsyncs on matching paths while the fail flag is set — a
@@ -34,6 +35,7 @@ type flakyFS struct {
 	match       string       // fsync path substring; empty matches all
 	createMatch string       // Create path substring; empty disables
 	syncs       atomic.Int64 // Sync calls, failed ones included
+	failWrites  atomic.Bool  // every file Write fails
 }
 
 func (f *flakyFS) failing(path string) bool {
@@ -80,6 +82,13 @@ type flakyFile struct {
 	wal.File
 	fs   *flakyFS
 	path string
+}
+
+func (ff *flakyFile) Write(p []byte) (int, error) {
+	if ff.fs.failWrites.Load() {
+		return 0, errInjectedWrite
+	}
+	return ff.File.Write(p)
 }
 
 func (ff *flakyFile) Sync() error {
@@ -417,6 +426,38 @@ func TestDurableBoxFailStop(t *testing.T) {
 	if len(rep.Delivered) != 1 || rep.Delivered[0].Round != 0 {
 		t.Fatalf("abandoned journal replays %d deliveries, want exactly the committed one", len(rep.Delivered))
 	}
+}
+
+// TestDurableBoxFailStopsOnce: a failed append fail-stops the node while a
+// commit's fsync is in flight, and that fsync then fails too. The node
+// fail-stopped once, so FailStops reads 1 and the commit releases nothing.
+func TestDurableBoxFailStopsOnce(t *testing.T) {
+	ffs := &flakyFS{FS: diskfault.NewMemFS()}
+	w, err := wal.CreateWith(WALPath("/wal", 0), wal.Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClusterShell(t, 1)
+	inc := &incarnation{mbox: newMailbox(), wal: w}
+	box := newDurableBox(c, 0, w, inc.mbox, &inc.crashed)
+	inc.box = box
+	c.nodes[0].inc = inc
+	// Appends only buffer; the one that fills the buffer writes, and fails.
+	ffs.failWrites.Store(true)
+	failed := false
+	for r := 0; r < 10000 && !failed; r++ {
+		failed = box.deliver(dist.Message{From: 0, To: 0, Kind: "t", Round: r}) != nil
+	}
+	if !failed || !inc.crashed.Load() {
+		t.Fatal("no append failed: the buffer never reached the file")
+	}
+	if box.syncFailed(errInjectedSync) {
+		t.Fatal("a fail-stopped node's failed commit would release its records")
+	}
+	if got := c.Stats().Net; got.FailStops != 1 || got.DurabilityFaults != 1 {
+		t.Fatalf("durability stats: %+v, want one fail-stop and one fault", got)
+	}
+	c.bg.Wait()
 }
 
 // listenerProc never sends: it terminates after hearing want messages.
