@@ -103,9 +103,9 @@ wire-torture: build
 	$(GO) test -race -timeout 10m -run '$(WIRE_RUN)' ./internal/runtime/
 
 # fuzz-smoke runs each codec fuzzer and the round-0 depth-region fuzzer
-# (d = 3 views held to the exact subset-hull oracle) briefly — long enough to
-# shake out shallow decoder and geometry regressions on every commit; deep
-# fuzzing stays offline.
+# (d = 2 and d = 3 views held to the exact subset-hull oracle) briefly —
+# long enough to shake out shallow decoder and geometry regressions on every
+# commit; deep fuzzing stays offline.
 FUZZ_TIME ?= 30s
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZ_TIME) ./internal/wire/

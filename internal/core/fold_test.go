@@ -122,16 +122,18 @@ func foldCases() map[string]RunConfig {
 
 // executionFolds are foldRun's values, pinned at commit 0cba985. The d = 3
 // values were re-pinned when round 0 in d >= 3 moved from a linear program to
-// halfspace clipping; every decision moved by at most 1.1e-14 Hausdorff.
+// halfspace clipping; every decision moved by at most 1.1e-14 Hausdorff. The
+// d = 2 values were re-pinned when round 0 and Intersect in 2-D moved to the
+// same clipping; every decision moved by at most 3.6e-15.
 var executionFolds = map[string]uint64{
-	"scale-n16":           0x41ebb2613317f183,
+	"scale-n16":           0x03307524f7da1633,
 	"geom-cold":           0x01263b61634cad51,
 	"grid/n4-f1-d1/none":  0x218046450de41d2a,
 	"grid/n4-f1-d1/mid":   0x138d914ebaa6fe96,
-	"grid/n5-f1-d2/none":  0x48b75158bd7b6788,
-	"grid/n5-f1-d2/mid":   0x136a9e31dc5037d3,
-	"grid/n9-f2-d2/none":  0x516ae28d977566f2,
-	"grid/n9-f2-d2/mid":   0xff9f0cbc5f990055,
+	"grid/n5-f1-d2/none":  0x2097e475946922d3,
+	"grid/n5-f1-d2/mid":   0x8afbe71eceb6bc04,
+	"grid/n9-f2-d2/none":  0x7b8d9a3087117583,
+	"grid/n9-f2-d2/mid":   0x8c74c14c43539614,
 	"grid/n6-f1-d3/none":  0xf225205b65522c9d,
 	"grid/n6-f1-d3/mid":   0xf6746023d241306c,
 	"grid/n11-f2-d3/none": 0x80a380b1895f1b91,

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -205,4 +206,58 @@ func TestAffineDim(t *testing.T) {
 	if _, err := AffineDim(nil, 1e-9); err == nil {
 		t.Error("empty set should error")
 	}
+}
+
+// Det returns the determinant of the square matrix a.
+func Det(a *Matrix, eps float64) (float64, error) {
+	if a.Rows != a.Cols {
+		return 0, fmt.Errorf("geom: determinant needs a square matrix, got %dx%d", a.Rows, a.Cols)
+	}
+	f := luDecompose(a, eps)
+	if f.rank < a.Rows {
+		return 0, nil
+	}
+	det := f.sign
+	for i := 0; i < a.Rows; i++ {
+		det *= f.m.At(i, i)
+	}
+	return det, nil
+}
+
+// Rank returns the numerical rank of a with tolerance eps, computed by
+// Gaussian elimination with full row pivoting per column.
+func Rank(a *Matrix, eps float64) int {
+	m := a.Clone()
+	rank := 0
+	for col := 0; col < m.Cols && rank < m.Rows; col++ {
+		// Find pivot row at or below `rank`.
+		best, bestAbs := -1, eps
+		for r := rank; r < m.Rows; r++ {
+			if ab := math.Abs(m.At(r, col)); ab > bestAbs {
+				best, bestAbs = r, ab
+			}
+		}
+		if best < 0 {
+			continue
+		}
+		if best != rank {
+			rb, rr := m.Row(best), m.Row(rank)
+			for j := range rb {
+				rb[j], rr[j] = rr[j], rb[j]
+			}
+		}
+		inv := 1 / m.At(rank, col)
+		for r := rank + 1; r < m.Rows; r++ {
+			f := m.At(r, col) * inv
+			if f == 0 {
+				continue
+			}
+			rr, rp := m.Row(r), m.Row(rank)
+			for j := col; j < m.Cols; j++ {
+				rr[j] -= f * rp[j]
+			}
+		}
+		rank++
+	}
+	return rank
 }

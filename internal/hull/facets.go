@@ -319,13 +319,3 @@ func generalizedCrossInto(n geom.Point, edges []geom.Point, minor *geom.Matrix, 
 	}
 	return n.Norm() > eps
 }
-
-// ContainsHRep reports whether p satisfies every facet within tolerance.
-func ContainsHRep(facets []Facet, p geom.Point, eps float64) bool {
-	for _, f := range facets {
-		if f.Eval(p) > eps {
-			return false
-		}
-	}
-	return true
-}

@@ -4,10 +4,10 @@
 // The kernel is engineered for the workloads of the convex hull consensus
 // library: point sets with tens of points, dimensions 1 through ~4, and a
 // premium on robustness over asymptotic speed. Dimension 1 uses exact
-// interval arithmetic, dimension 2 an exact monotone-chain / polygon kernel,
-// and higher dimensions an LP-based, output-sensitive extreme-point filter
-// (function H of the paper; see ExtremeFilter) with brute-force oriented
-// facet enumeration. The depth halfspaces of round 0 (DepthFacets,
+// interval arithmetic, dimension 2 a monotone chain with polygon membership,
+// distance and Minkowski sums, and higher dimensions an LP-based,
+// output-sensitive extreme-point filter (function H of the paper; see
+// ExtremeFilter) with brute-force oriented facet enumeration. The depth halfspaces of round 0 (DepthFacets,
 // DepthHalfspaces) come from the same enumeration and need no LP. Inputs
 // whose affine hull is lower-dimensional are projected to that subspace,
 // solved there, and lifted back.

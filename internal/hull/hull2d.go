@@ -2,6 +2,7 @@ package hull
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"chc/internal/geom"
@@ -62,6 +63,19 @@ func MonotoneChain(pts []geom.Point, eps float64) []geom.Point {
 		hullPts = append(hullPts, p)
 	}
 	hullPts = hullPts[:len(hullPts)-1] // last point repeats the first
+	// The chains test every vertex against its neighbours but the two they
+	// start from, the first and the last point in sort order. Go round the
+	// cycle until no vertex lies within eps of its neighbours' chord.
+	for again := true; again; {
+		again = false
+		for i := 0; i < len(hullPts) && len(hullPts) > 2; i++ {
+			m := len(hullPts)
+			if !leftOf(hullPts[(i+m-1)%m], hullPts[i], hullPts[(i+1)%m], eps) {
+				hullPts = slices.Delete(hullPts, i, i+1)
+				again = true
+			}
+		}
+	}
 	out := make([]geom.Point, len(hullPts))
 	for i, p := range hullPts {
 		out[i] = p.Clone()
@@ -84,103 +98,6 @@ func PolygonArea(poly []geom.Point) float64 {
 		s += poly[i][0]*poly[j][1] - poly[j][0]*poly[i][1]
 	}
 	return s / 2
-}
-
-// ClipPolygonHalfplane clips a convex polygon (CCW vertex order) against the
-// halfplane normal·x <= offset, returning the clipped polygon (possibly
-// empty, a point, or a segment).
-func ClipPolygonHalfplane(poly []geom.Point, normal geom.Point, offset, eps float64) []geom.Point {
-	switch len(poly) {
-	case 0:
-		return nil
-	case 1:
-		if normal.Dot(poly[0]) <= offset+eps {
-			return []geom.Point{poly[0].Clone()}
-		}
-		return nil
-	case 2:
-		return clipSegment(poly[0], poly[1], normal, offset, eps)
-	}
-	var out []geom.Point
-	n := len(poly)
-	for i := 0; i < n; i++ {
-		cur, next := poly[i], poly[(i+1)%n]
-		curIn := normal.Dot(cur) <= offset+eps
-		nextIn := normal.Dot(next) <= offset+eps
-		if curIn {
-			out = append(out, cur)
-		}
-		if curIn != nextIn {
-			// Edge crosses the boundary: add the intersection point.
-			dc := normal.Dot(cur) - offset
-			dn := normal.Dot(next) - offset
-			denom := dc - dn
-			if math.Abs(denom) > eps*eps {
-				out = append(out, cur.AddScaled(crossing(dc, denom), next.Sub(cur)))
-			}
-		}
-	}
-	return geom.Dedup(out, eps)
-}
-
-// crossing returns where, as a fraction t of the edge from cur to next, the
-// edge meets the cut line, given cur's signed distance dc and denom = dc−dn.
-// A vertex counts as inside up to eps beyond the line, so one endpoint can be
-// just outside and the other inside that band: both distances are then
-// positive and dc/denom lies past the edge. t is clamped to [0, 1] so the new
-// vertex never leaves the edge it clips.
-func crossing(dc, denom float64) float64 {
-	return math.Min(1, math.Max(0, dc/denom))
-}
-
-// clipSegment clips the segment ab against normal·x <= offset.
-func clipSegment(a, b, normal geom.Point, offset, eps float64) []geom.Point {
-	da := normal.Dot(a) - offset
-	db := normal.Dot(b) - offset
-	aIn, bIn := da <= eps, db <= eps
-	switch {
-	case aIn && bIn:
-		return []geom.Point{a.Clone(), b.Clone()}
-	case !aIn && !bIn:
-		return nil
-	}
-	mid := a.AddScaled(crossing(da, da-db), b.Sub(a))
-	if aIn {
-		return geom.Dedup([]geom.Point{a.Clone(), mid}, eps)
-	}
-	return geom.Dedup([]geom.Point{mid, b.Clone()}, eps)
-}
-
-// IntersectConvexPolygons intersects two convex polygons (CCW order),
-// returning the intersection polygon in CCW order (possibly empty, a point,
-// or a segment).
-func IntersectConvexPolygons(a, b []geom.Point, eps float64) []geom.Point {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	cur := a
-	// Clip a by each edge halfplane of b.
-	if len(b) == 1 {
-		// b is a point: the intersection is that point if it is in a.
-		if PointInConvexPolygon(b[0], a, eps) {
-			return []geom.Point{b[0].Clone()}
-		}
-		return nil
-	}
-	// Cut at each edge's own line. A vertex within eps beyond it still
-	// counts as inside, but a crossing computed against a shifted line lands
-	// eps/(2 sin θ) along an edge meeting it at angle θ, which at a sharp
-	// corner is beyond the next edge's tolerance: then the Radon point of
-	// four inputs was clipped away.
-	for _, f := range PolygonFacets(b) {
-		cur = ClipPolygonHalfplane(cur, f.Normal, f.Offset, eps)
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	// Re-canonicalise: the clipping may produce collinear or duplicate
-	// vertices.
-	return MonotoneChain(cur, eps)
 }
 
 // PolygonFacets returns the edge halfplanes of a convex polygon in CCW

@@ -64,6 +64,26 @@ func TestMonotoneChainCollinear(t *testing.T) {
 	}
 }
 
+// TestMonotoneChainDropsFlatEnds: the first point in sort order, (0, 0),
+// and the last, (1, 0), each lie 1e-10 beyond the chord of their
+// neighbours. The chains start from these two and never test them, so both
+// stayed as vertices a vertex-extremeness check rejects.
+func TestMonotoneChainDropsFlatEnds(t *testing.T) {
+	pts := []geom.Point{pt(0, 0), pt(0, 1), pt(2e-10, -1), pt(1, -1), pt(1, 0), pt(1-2e-10, 1)}
+	hullPts := MonotoneChain(pts, eps)
+	if len(hullPts) != 4 {
+		t.Fatalf("hull has %d vertices, want 4: %v", len(hullPts), hullPts)
+	}
+	for _, v := range hullPts {
+		if v[1] == 0 {
+			t.Errorf("%v, within eps of its neighbours' chord, is a vertex", v)
+		}
+	}
+	if a := PolygonArea(hullPts); a <= 0 {
+		t.Errorf("area = %v, want positive (CCW)", a)
+	}
+}
+
 func TestConvexHull2DDropsCollinearBoundary(t *testing.T) {
 	pts := []geom.Point{pt(0, 0), pt(2, 0), pt(1, 0), pt(2, 2), pt(0, 2)}
 	verts, err := ConvexHull(pts, eps)
@@ -127,50 +147,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestClipPolygonHalfplane(t *testing.T) {
-	square := []geom.Point{pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)}
-	clipped := ClipPolygonHalfplane(square, pt(1, 0), 1, eps) // x <= 1
-	got := MonotoneChain(clipped, eps)
-	if a := math.Abs(PolygonArea(got)); math.Abs(a-2) > 1e-9 {
-		t.Errorf("clipped area = %v, want 2", a)
-	}
-	// Clip everything away.
-	if got := ClipPolygonHalfplane(square, pt(1, 0), -1, eps); len(got) != 0 {
-		t.Errorf("fully clipped polygon should be empty, got %v", got)
-	}
-	// Point and segment cases.
-	if got := ClipPolygonHalfplane([]geom.Point{pt(0, 0)}, pt(1, 0), 1, eps); len(got) != 1 {
-		t.Errorf("inside point should survive")
-	}
-	seg := []geom.Point{pt(0, 0), pt(2, 0)}
-	if got := ClipPolygonHalfplane(seg, pt(1, 0), 1, eps); len(got) != 2 || math.Abs(got[1][0]-1) > eps {
-		t.Errorf("segment clip = %v", got)
-	}
-}
-
-// TestClipPolygonHalfplaneStaysOnEdge: a vertex counts as inside up to eps
-// beyond the cut line, while the crossing is computed against the line
-// itself. When one endpoint of an edge is just outside and the other inside
-// that band, the crossing fraction exceeds 1; unclamped, it put a vertex a
-// third of the polygon's height beyond the edge it clipped.
-func TestClipPolygonHalfplaneStaysOnEdge(t *testing.T) {
-	poly := []geom.Point{pt(0, 0), pt(1+2*eps, 0), pt(1+eps/2, 1), pt(0, 1)}
-	for _, clipped := range [][]geom.Point{
-		ClipPolygonHalfplane(poly, pt(1, 0), 1, eps),                           // x <= 1
-		ClipPolygonHalfplane(poly[1:3], pt(1, 0), 1, eps),                      // the edge alone
-		ClipPolygonHalfplane([]geom.Point{poly[2], poly[1]}, pt(1, 0), 1, eps), // reversed
-	} {
-		if len(clipped) == 0 {
-			t.Fatal("clip removed the inside part")
-		}
-		for _, v := range clipped {
-			if v[1] < -eps || v[1] > 1+eps {
-				t.Errorf("clipped vertex %v lies beyond the clipped edge", v)
-			}
-		}
-	}
-}
-
 // TestDepthFacets: with f = 0 the depth halfspaces of a square are its four
 // edges. With f = 1 the two diagonals, each with one corner strictly on
 // either side, qualify in both orientations. Their intersection is the
@@ -195,26 +171,6 @@ func TestDepthFacets(t *testing.T) {
 	// Repeated points span no line and are skipped.
 	if got := DepthFacets([]geom.Point{pt(1, 1), pt(1, 1)}, 1, eps); len(got) != 0 {
 		t.Errorf("coincident pair gave halfplanes %v", got)
-	}
-}
-
-func TestIntersectConvexPolygons(t *testing.T) {
-	a := []geom.Point{pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)}
-	b := []geom.Point{pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3)}
-	got := IntersectConvexPolygons(a, b, eps)
-	if area := math.Abs(PolygonArea(got)); math.Abs(area-1) > 1e-6 {
-		t.Errorf("intersection area = %v, want 1 (%v)", area, got)
-	}
-	// Disjoint.
-	c := []geom.Point{pt(10, 10), pt(11, 10), pt(10, 11)}
-	if got := IntersectConvexPolygons(a, c, eps); len(got) != 0 {
-		t.Errorf("disjoint intersection = %v", got)
-	}
-	// Touching at a point.
-	d := []geom.Point{pt(2, 2), pt(3, 2), pt(2, 3)}
-	got = IntersectConvexPolygons(a, d, eps)
-	if len(got) == 0 {
-		t.Errorf("touching intersection should be non-empty")
 	}
 }
 
@@ -549,4 +505,14 @@ func TestMinkowskiAreaMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ContainsHRep reports whether p satisfies every facet within tolerance.
+func ContainsHRep(facets []Facet, p geom.Point, eps float64) bool {
+	for _, f := range facets {
+		if f.Eval(p) > eps {
+			return false
+		}
+	}
+	return true
 }

@@ -125,25 +125,6 @@ func TestTortureMixedScales2D(t *testing.T) {
 	}
 }
 
-func TestTortureIntersectSlivers(t *testing.T) {
-	// Two long thin triangles crossing at a shallow angle: the
-	// intersection is a sliver quadrilateral; clipping must not blow up.
-	a := []geom.Point{pt(0, 0), pt(100, 0.01), pt(100, -0.01)}
-	b := []geom.Point{pt(100, 0), pt(0, 0.01), pt(0, -0.01)}
-	got := IntersectConvexPolygons(MonotoneChain(a, eps), MonotoneChain(b, eps), eps)
-	if len(got) == 0 {
-		t.Fatal("sliver intersection should be non-empty")
-	}
-	for _, p := range got {
-		if !p.IsFinite() {
-			t.Fatalf("non-finite vertex %v", p)
-		}
-		if math.Abs(p[1]) > 0.02 || p[0] < -1 || p[0] > 101 {
-			t.Errorf("intersection vertex %v escapes the slivers", p)
-		}
-	}
-}
-
 func TestTortureMinkowskiNeedle(t *testing.T) {
 	// Needle polygon + square: the sum must contain translates of the
 	// square along the needle.

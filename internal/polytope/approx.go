@@ -2,8 +2,6 @@ package polytope
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"chc/internal/geom"
 )
@@ -80,24 +78,6 @@ func LimitVertices(p *Polytope, maxVerts int, eps float64) (*Polytope, float64, 
 	return cur, errDist, nil
 }
 
-// SampleBoundaryDirections returns k approximately spread unit directions
-// (deterministic for a given seed), used by support-based approximations
-// and by tests probing polytope boundaries.
-func SampleBoundaryDirections(d, k int, seed int64) []geom.Point {
-	rng := rand.New(rand.NewSource(seed))
-	dirs := make([]geom.Point, 0, k)
-	for len(dirs) < k {
-		v := make(geom.Point, d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		if n := v.Norm(); n > 1e-12 {
-			dirs = append(dirs, v.Scale(1/n))
-		}
-	}
-	return dirs
-}
-
 // SupportProfile evaluates the support function h_p(u) = max_{x in p} u·x
 // over the given directions, returning the values in direction order. Two
 // convex polytopes are equal iff their support functions agree on all
@@ -112,15 +92,4 @@ func (p *Polytope) SupportProfile(dirs []geom.Point) ([]float64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// VertexCountsSorted is a small helper for experiments: the sorted vertex
-// counts of a set of polytopes.
-func VertexCountsSorted(polys []*Polytope) []int {
-	out := make([]int, len(polys))
-	for i, p := range polys {
-		out[i] = p.NumVertices()
-	}
-	sort.Ints(out)
-	return out
 }

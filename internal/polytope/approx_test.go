@@ -3,6 +3,7 @@ package polytope
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -226,4 +227,32 @@ func TestLimitVerticesMonotone(t *testing.T) {
 	if prev > 1e-9 {
 		t.Errorf("full budget should be exact, error = %v", prev)
 	}
+}
+
+// SampleBoundaryDirections returns k approximately spread unit directions
+// (deterministic for a given seed) for tests probing polytope boundaries.
+func SampleBoundaryDirections(d, k int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	dirs := make([]geom.Point, 0, k)
+	for len(dirs) < k {
+		v := make(geom.Point, d)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		if n := v.Norm(); n > 1e-12 {
+			dirs = append(dirs, v.Scale(1/n))
+		}
+	}
+	return dirs
+}
+
+// VertexCountsSorted returns the sorted vertex counts of a set of
+// polytopes.
+func VertexCountsSorted(polys []*Polytope) []int {
+	out := make([]int, len(polys))
+	for i, p := range polys {
+		out[i] = p.NumVertices()
+	}
+	sort.Ints(out)
+	return out
 }

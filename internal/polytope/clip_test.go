@@ -65,9 +65,14 @@ func checkDepthRegion(pts []geom.Point, f int, bound float64) error {
 	if ex := exactExcess(pts, f, got.verts); ex > bound*scale {
 		return fmt.Errorf("a vertex lies %g outside a subset hull", ex)
 	}
+	if got.Dim() == 2 {
+		if err := checkConvexCCW(got.verts); err != nil {
+			return err
+		}
+	}
 	if err := got.CheckExtreme(eps); err != nil {
 		// CheckExtreme's LP can call a vertex interior that is not; the
-		// min-norm distance of each vertex to the hull of the others decides.
+		// distance of each vertex from the hull of the others decides.
 		if m := extremeMargin(got.verts); m <= eps {
 			return fmt.Errorf("%v (a vertex lies %g from the hull of the others)", err, m)
 		}
@@ -76,9 +81,18 @@ func checkDepthRegion(pts []geom.Point, f int, bound float64) error {
 }
 
 // extremeMargin is the smallest distance of a vertex from the hull of the
-// other vertices, by Wolfe's min-norm point rather than a linear program.
+// other vertices, without a linear program. For a strictly convex
+// counter-clockwise polygon that is the distance from the chord of the
+// vertex's neighbours. Above the plane Wolfe's min-norm point decides; in
+// the plane it called a vertex 2.7e-8 outside the others' hull 0 from it.
 func extremeMargin(verts []geom.Point) float64 {
 	margin := math.Inf(1)
+	if m := len(verts); verts[0].Dim() == 2 && m >= 2 {
+		for i, v := range verts {
+			margin = min(margin, hull.DistPointSegment(v, verts[(i+m-1)%m], verts[(i+1)%m]))
+		}
+		return margin
+	}
 	for i, v := range verts {
 		others := append(append([]geom.Point(nil), verts[:i]...), verts[i+1:]...)
 		if len(others) == 0 {
@@ -131,6 +145,39 @@ func TestDepthRegionRegressionViews(t *testing.T) {
 	}
 }
 
+// flatViews are near-degenerate views on which round 0 came back empty.
+// "flat 2-D" and "flat 3-D" are three inputs at the origin and two 3.8e-9
+// from it, in the plane and in the z = 0 plane of R³, which DepthRegion
+// solves in 2-D. They span less than the clipper's tolerance 10·eps·scale,
+// and the exact region is the origin. A polygon clip that decided sidedness
+// at eps while the depth planes were chosen at 10·eps·scale lost it. In
+// "near-collinear 2-D" inputs 0, 1 and 2 lie within the tolerance of one
+// line, so the lines through 0 and 1 and through 0 and 2 both bound the
+// region from both sides. They diverge by more than the tolerance across
+// the hull, and slicing the hull by one and then the other left input 0,
+// which lies outside the region.
+var flatViews = map[string][]geom.Point{
+	"flat 2-D": {pt(0, 0), pt(0, 0), pt(0, 0), pt(0, 3.7691172431497011e-09), pt(3.7691172431497011e-09, 0)},
+	"flat 3-D": {pt(0, 0, 0), pt(0, 0, 0), pt(0, 0, 0), pt(0, 3.7691172431497011e-09, 0), pt(3.7691172431497011e-09, 0, 0)},
+	"near-collinear 2-D": {
+		pt(1.398043286095289e-76, 16.188235294117646), pt(0.00024605919333065256, 8.094117647058823),
+		pt(0.0002470128676470588, 8.066773897058823), pt(16.188235294117646, 1.398043286095289e-76),
+		pt(1.398043286095289e-76, 1.398043286095289e-76),
+	},
+}
+
+// TestDepthRegionFlatInput: |X| = 5 >= (d+1)f+1 in d = 2 and 3, so the
+// region is not empty (Lemma 2), and it lies within the kernel's tolerance
+// of every subset hull; 1e-9·scale is out of reach where the input spans
+// less than the tolerance.
+func TestDepthRegionFlatInput(t *testing.T) {
+	for name, pts := range flatViews {
+		if err := checkDepthRegion(pts, 1, 10*eps); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // sweepViews draws count views of uniform [0,10)^d points from seed, |X|
 // alternating n−f and n.
 func sweepViews(seed int64, count, n, f, d int) [][]geom.Point {
@@ -144,10 +191,12 @@ func sweepViews(seed int64, count, n, f, d int) [][]geom.Point {
 }
 
 // TestDepthRegionExactOracleSweep runs checkDepthRegion over seed-7 views at
-// the resilience bound n = (d+2)f+1 in d = 3 and 4, |X| = n−f (Lemma 2's
-// bound, where the region is often a Radon point) and |X| = n.
+// the resilience bound n = (d+2)f+1 in d = 2, 3 and 4, |X| = n−f (Lemma 2's
+// bound, where the region is often a Radon point) and |X| = n, and at
+// scale-n16's shape (16, 2, 2).
 func TestDepthRegionExactOracleSweep(t *testing.T) {
 	for _, c := range []struct{ n, f, d, views int }{
+		{5, 1, 2, 6000}, {9, 2, 2, 1000}, {16, 2, 2, 300},
 		{6, 1, 3, 6000}, {7, 1, 4, 600}, {11, 2, 3, 150},
 	} {
 		for i, pts := range sweepViews(7, c.views, c.n, c.f, c.d) {
@@ -158,17 +207,23 @@ func TestDepthRegionExactOracleSweep(t *testing.T) {
 	}
 }
 
-// FuzzDepthRegion: 5 to 7 points in d = 3 with f = 1, 24 bytes of
-// little-endian float64 coordinates to a point, held to the exact oracle and
-// CheckExtreme, and non-empty from |X| = 5 on (Lemma 2). The inputs keep the
-// general-position margin the geom-cold benchmark draws with: every four
-// points span a tetrahedron with |det| of at least 3e-3·scale³. Nearer to
-// degenerate, deviations below the tolerance decide which planes bound the
-// region and where its vertices fall, which float predicates cannot settle
-// (ROADMAP item 1(b)). A vertex may lie outside by DepthHalfspaces'
+// FuzzDepthRegion: 5 to 7 points with f = 1, held to the exact oracle and
+// CheckExtreme, and non-empty from |X| = (d+1)f+1 on (Lemma 2). The input
+// is little-endian float64 coordinates; its length picks d: 80 to 112 bytes
+// are 16 bytes a point in d = 2, and 120 to 168 bytes 24 bytes a point in
+// d = 3. The d = 3 inputs keep the general-position margin the geom-cold
+// benchmark draws with: every four points span a tetrahedron with |det| of
+// at least 3e-3·scale³. Nearer to degenerate, deviations below the
+// tolerance decide which planes bound the region and where its vertices
+// fall, which float predicates cannot settle (ROADMAP item 1(b)). The d = 2
+// inputs have no such margin. A vertex may lie outside by DepthHalfspaces'
 // tolerance, 10·eps·scale, but no more.
 func FuzzDepthRegion(f *testing.F) {
+	views := [][]geom.Point{flatViews["flat 2-D"]} // the flat 3-D view has no margin
 	for _, pts := range regressionViews {
+		views = append(views, pts)
+	}
+	for _, pts := range views {
 		var data []byte
 		for _, p := range pts {
 			for _, c := range p {
@@ -178,22 +233,27 @@ func FuzzDepthRegion(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		k := len(data) / 24
-		if k < 5 || k > 7 {
+		var d int
+		switch n := len(data); {
+		case n >= 80 && n <= 112:
+			d = 2
+		case n >= 120 && n <= 168:
+			d = 3
+		default:
 			t.Skip()
 		}
-		pts := make([]geom.Point, k)
+		pts := make([]geom.Point, len(data)/(8*d))
 		for i := range pts {
-			p := geom.Zero(3)
+			p := geom.Zero(d)
 			for j := range p {
-				p[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[24*i+8*j:]))
+				p[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(d*i+j):]))
 			}
 			if !p.IsFinite() || p.NormInf() > 1e3 {
 				t.Skip()
 			}
 			pts[i] = p
 		}
-		if minTetDet(pts) < 3e-3*math.Pow(dataScale(pts), 3) {
+		if d == 3 && minTetDet(pts) < 3e-3*math.Pow(dataScale(pts), 3) {
 			t.Skip()
 		}
 		if err := checkDepthRegion(pts, 1, 10*eps); err != nil {

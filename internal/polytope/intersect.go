@@ -32,14 +32,10 @@ func Intersect(polys []*Polytope, eps float64) (*Polytope, error) {
 	if len(polys) == 1 {
 		return fromHullVerts(polys[0].Vertices()), nil
 	}
-	switch d {
-	case 1:
+	if d == 1 {
 		return intersect1D(polys, eps)
-	case 2:
-		return intersect2D(polys, eps)
-	default:
-		return intersectND(polys, eps)
 	}
+	return intersectND(polys, eps)
 }
 
 // DepthRegion returns ∩ H(C) over the (|pts|−f)-subsets C of the multiset
@@ -48,11 +44,10 @@ func Intersect(polys []*Polytope, eps float64) (*Polytope, error) {
 // rather than from C(|pts|, f) hulls. In 1-D it is the interval between the
 // (f+1)-th and (|pts|−f)-th order statistics. In d >= 2 the halfspaces are
 // the hyperplanes through d inputs with at most f inputs strictly outside,
-// and they clip the hull of pts: in 2-D hull.DepthFacets clip a polygon, in
-// d >= 3 hull.DepthHalfspaces go to the double-description method
-// (clipHull), so no linear program is solved. Inputs whose affine hull is
-// lower-dimensional are solved in that subspace and lifted back, as
-// hull.Facets does. It returns ErrEmpty when the region is empty, which
+// hull.DepthHalfspaces, and they clip the hull of pts by the
+// double-description method (clipHull), so no linear program is solved.
+// Inputs whose affine hull is lower-dimensional are solved in that subspace
+// and lifted back, as hull.Facets does. It returns ErrEmpty when the region is empty, which
 // Lemma 2 rules out when |pts| >= (d+1)f+1.
 func DepthRegion(pts []geom.Point, f int, eps float64) (*Polytope, error) {
 	if len(pts) == 0 {
@@ -95,29 +90,19 @@ func DepthRegion(pts []geom.Point, f int, eps float64) (*Polytope, error) {
 		}
 		return New(verts, eps)
 	}
-	switch d {
-	case 1:
+	if d == 1 {
 		vals := make([]float64, len(pts))
 		for i, p := range pts {
 			vals[i] = p[0]
 		}
 		sort.Float64s(vals)
 		return interval(vals[f], vals[len(vals)-1-f], eps)
-	case 2:
-		cur := hull.MonotoneChain(pts, eps)
-		for _, h := range hull.DepthFacets(pts, f, eps) {
-			cur = hull.ClipPolygonHalfplane(cur, h.Normal, h.Offset, eps)
-			if len(cur) == 0 {
-				return nil, ErrEmpty
-			}
-		}
-		return fromHullVerts(hull.MonotoneChain(cur, eps)), nil
 	}
 	return clipHull(pts, hull.DepthHalfspaces(pts, f, eps), dataScale(pts), eps)
 }
 
-// dataScale is the magnitude clipBox's tolerance is relative to: the largest
-// coordinate, at least 1.
+// dataScale is the magnitude the clipper's tolerance is relative to, as
+// DepthHalfspaces' is: the largest coordinate, at least 1.
 func dataScale(pts []geom.Point) float64 {
 	scale := 1.0
 	for _, v := range pts {
@@ -159,18 +144,7 @@ func interval(lo, hi, eps float64) (*Polytope, error) {
 	}
 }
 
-func intersect2D(polys []*Polytope, eps float64) (*Polytope, error) {
-	cur := polys[0].verts
-	for _, p := range polys[1:] {
-		cur = hull.IntersectConvexPolygons(cur, p.verts, eps)
-		if len(cur) == 0 {
-			return nil, ErrEmpty
-		}
-	}
-	return fromHullVerts(cur), nil
-}
-
-// intersectND intersects polytopes in d >= 3: every operand's facets clip
+// intersectND intersects polytopes in d >= 2: every operand's facets clip
 // the intersection of the operands' bounding boxes.
 func intersectND(polys []*Polytope, eps float64) (*Polytope, error) {
 	var hs []hull.Facet
@@ -198,7 +172,7 @@ func intersectND(polys []*Polytope, eps float64) (*Polytope, error) {
 }
 
 // clipBox returns {x ∈ [lo, hi] : h.Normal·x <= h.Offset for every h in
-// hs} in d >= 3, the normals of unit length, by clipping the box's corners
+// hs} in d >= 2, the normals of unit length, by clipping the box's corners
 // (see clipper). lo and hi are overwritten.
 func clipBox(lo, hi geom.Point, hs []hull.Facet, scale, eps float64) (*Polytope, error) {
 	d, tol := len(lo), 10*eps*scale
@@ -230,7 +204,7 @@ func clipBox(lo, hi geom.Point, hs []hull.Facet, scale, eps float64) (*Polytope,
 }
 
 // clipHull returns the points of conv(pts) satisfying every halfspace of
-// hs, pts spanning R^d, d >= 3, by clipping the hull (see clipper). Its
+// hs, pts spanning R^d, d >= 2, by clipping the hull (see clipper). Its
 // facets are the halfspaces of hs with no point of pts beyond tol, and its
 // vertices the points of pts on at least one of them: in general position
 // those on the boundary are the vertices, and a near-duplicate of a vertex,
@@ -263,9 +237,8 @@ func clipHull(pts []geom.Point, hs []hull.Facet, scale, eps float64) (*Polytope,
 
 // clipper runs the double-description method: a vertex list, each vertex
 // with the set of constraints tight at it, is clipped by one halfspace after
-// another (the loop DepthRegion runs in 2-D with ClipPolygonHalfplane). A
-// halfspace keeps the vertices inside it, marks those on it, and cuts one
-// new vertex into every edge from a vertex inside to one outside; a
+// another. A halfspace keeps the vertices inside it, marks those on it, and
+// cuts one new vertex into every edge from a vertex inside to one outside; a
 // halfspace followed by its reverse, as DepthHalfspaces lists a plane with
 // at most f points on either side, slices instead and keeps only the
 // section. "On" means within tol, 10·eps·scale, DepthFacets' tolerance, and
@@ -292,16 +265,27 @@ func newClipper(d, constraints int, tol float64) *clipper {
 }
 
 // intersect clips the list by hs, whose first tight bit is first, and
-// returns what is left. It returns ErrEmpty when nothing is.
+// returns what is left, in 2-D as a counter-clockwise polygon without
+// collinear vertices (FromCanonical's contract). It returns ErrEmpty when
+// nothing is. The one-sided halfspaces clip first and the slices last. A
+// slice flattens the list, and two slices whose planes agree within tol
+// near the region but not across the hull would otherwise meet on long
+// edges far from it, where the second misses the first's section: five
+// 2-D inputs, three of them nearly collinear, came back empty.
 func (c *clipper) intersect(hs []hull.Facet, first int, eps float64) (*Polytope, error) {
-	for i := 0; i < len(hs); i++ {
-		slice := i+1 < len(hs) && reverses(hs[i], hs[i+1])
-		if !c.clip(hs[i], first+i, slice) {
-			return nil, ErrEmpty
+	for _, slicing := range []bool{false, true} {
+		for i := 0; i < len(hs); i++ {
+			slice := i+1 < len(hs) && reverses(hs[i], hs[i+1])
+			if slice == slicing && !c.clip(hs[i], first+i, slice) {
+				return nil, ErrEmpty
+			}
+			if slice {
+				i++
+			}
 		}
-		if slice {
-			i++
-		}
+	}
+	if c.d == 2 {
+		return fromHullVerts(hull.MonotoneChain(c.points(), eps)), nil
 	}
 	return fromHullVerts(geom.Dedup(c.points(), eps)), nil
 }

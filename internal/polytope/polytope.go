@@ -7,10 +7,10 @@
 //
 // Polytopes are stored in V-representation (vertex sets); the H-representation
 // (facets) is derived lazily when an operation needs it. Dimension 1 uses
-// exact interval arithmetic and dimension 2 an exact polygon kernel. In
-// higher dimensions an intersection clips a vertex list by one halfspace
-// after another (the double-description method, no LP), while the other
-// operations combine LP-based predicates with brute-force facet enumeration
+// exact interval arithmetic. In every higher dimension an intersection clips
+// a vertex list by one halfspace after another (the double-description
+// method, no LP). The other operations use polygon algorithms in 2-D and
+// combine LP-based predicates with brute-force facet enumeration above it
 // (see package hull for the trade-offs).
 package polytope
 
