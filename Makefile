@@ -24,13 +24,16 @@ test: build
 # the concurrency-heavy packages (networked runtime, reliable links, chaos
 # injection, simulator, wire codec, telemetry registry), the packages the
 # simulator's per-message path runs through (stable vector, WAN scheduler),
-# the geometry kernels (hull, lp, polytope), whose pooled scratch (LP
-# workspaces, the extreme-point filter's frame) is shared by concurrently
-# running processes, and the CC processes (core, vector consensus), whose
-# state vertex lists are shared, not copied, with every receiver. It first
-# fails on any tracked Go file gofmt would rewrite, and on any non-test Go
-# file outside the benchmark harness that imports "testing" (benchmarks and
-# their helpers live in _test.go files). It also fails when a -run regex of
+# the geometry packages (hull, lp, polytope), whose pooled scratch (the depth
+# halfspaces' cofactor buffers, LP workspaces) and lazily memoized facets
+# are shared by concurrently running processes, and the CC processes (core,
+# vector consensus), whose state vertex lists are shared, not copied, with
+# every receiver. It first fails on any tracked Go file gofmt would rewrite,
+# on any non-test Go file outside the benchmark harness that imports
+# "testing" (benchmarks and their helpers live in _test.go files), and on
+# any non-test Go file outside the benchmark harness and internal/lp itself
+# that imports internal/lp (the library solves no linear program; the LP is
+# a test oracle and a benchmark metric). It also fails when a -run regex of
 # the disk-torture, wire-torture or serve-smoke gate, or one of its
 # alternatives, selects no test in the packages it targets (go test -list),
 # so a renamed test cannot silently drop out of a gate.
@@ -39,6 +42,8 @@ check: build
 	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 	@files=$$(git grep -l '"testing"' -- '*.go' ':!*_test.go' ':!benchmark/'); \
 	if [ -n "$$files" ]; then echo "non-test files import \"testing\":"; echo "$$files"; exit 1; fi
+	@files=$$(git grep -l '"chc/internal/lp"' -- '*.go' ':!*_test.go' ':!benchmark/' ':!internal/lp/'); \
+	if [ -n "$$files" ]; then echo "non-test files outside benchmark/ import chc/internal/lp:"; echo "$$files"; exit 1; fi
 	$(GO) vet ./...
 	@for gate in $(GATE_RUNS); do \
 		re=$${gate%%@*}; pkgs=$$(echo $${gate#*@} | tr , ' '); all=; \

@@ -225,17 +225,11 @@ func TestRun3D(t *testing.T) {
 	}
 }
 
-// TestRun3DLPColumns guards the size of the LP work behind a d = 3 instance.
-// hull's frame filter solves about as many LPs as the LP-per-point loop it
-// replaced but over the frame's columns only, so chc_lp_solves_total cannot
-// show that gain eroding; chc_lp_columns_total does. The instance is pinned
-// and bitwise deterministic.
+// TestRun3DLPColumns guards that a d = 3 instance solves no linear program:
+// hulls, facets and membership come from package hull's kernels, so
+// chc_lp_columns_total must not move. The instance is pinned and bitwise
+// deterministic.
 func TestRun3DLPColumns(t *testing.T) {
-	// What this instance cost under the LP-per-point loop, every hull call
-	// the same: measured at the parent of the frame filter with this counter
-	// patched in (21 330 solves; the frame filter needs 21 648).
-	const lpPerPointColumns = 577404
-
 	reg := telemetry.Default()
 	defer reg.SetEnabled(reg.SetEnabled(true))
 	columns := func() float64 { return reg.Snapshot().Find("chc_lp_columns_total").Total() }
@@ -252,10 +246,8 @@ func TestRun3DLPColumns(t *testing.T) {
 		Faulty: []dist.ProcID{5},
 		Seed:   16,
 	})
-	got := columns() - before
-	t.Logf("%.0f LP columns, %.3f of the LP-per-point loop's", got, got/lpPerPointColumns)
-	if got > lpPerPointColumns/4 {
-		t.Errorf("instance solved %.0f LP columns, want at most a quarter of the LP-per-point loop's %d", got, lpPerPointColumns)
+	if got := columns() - before; got != 0 {
+		t.Errorf("instance solved LPs over %.0f columns, want none", got)
 	}
 }
 

@@ -10,15 +10,14 @@ import (
 
 	"chc/internal/geom"
 	"chc/internal/lp"
-	"chc/internal/telemetry"
 )
 
-// lpPerPointKeep is the extreme-point test ExtremeFilter ran before frame
-// growth, kept as the oracle: one membership LP per point against all the
-// other points. uniq must be distinct at eps.
+// lpPerPointKeep is the reference oracle for the beneath-beyond kernel
+// behind ConvexHull in d >= 3: one membership LP per point against all the
+// other points, the extreme-point test the library ran before the kernel.
+// uniq must be distinct at eps.
 func lpPerPointKeep(uniq []geom.Point, eps float64) ([]bool, error) {
 	keep := make([]bool, len(uniq))
-	ws := lp.NewWorkspace()
 	for i := range uniq {
 		others := make([][]float64, 0, len(uniq)-1)
 		for j, q := range uniq {
@@ -26,7 +25,7 @@ func lpPerPointKeep(uniq []geom.Point, eps float64) ([]bool, error) {
 				others = append(others, q)
 			}
 		}
-		_, err := lp.ConvexWeightsWith(ws, others, uniq[i], eps)
+		_, err := lp.ConvexWeights(others, uniq[i], eps)
 		switch {
 		case err == nil:
 		case errors.Is(err, lp.ErrInfeasible):
@@ -38,8 +37,8 @@ func lpPerPointKeep(uniq []geom.Point, eps float64) ([]bool, error) {
 	return keep, nil
 }
 
-// keptFlags recovers keep[] from a filter's output, which lists the vertices
-// among uniq in input order.
+// keptFlags recovers keep[] from the kernel's output, which lists the
+// vertices among uniq in input order.
 func keptFlags(uniq, verts []geom.Point) ([]bool, error) {
 	keep := make([]bool, len(uniq))
 	next := 0
@@ -50,20 +49,20 @@ func keptFlags(uniq, verts []geom.Point) ([]bool, error) {
 		}
 	}
 	if next != len(verts) {
-		return nil, fmt.Errorf("filter returned %d points that are not inputs in input order", len(verts)-next)
+		return nil, fmt.Errorf("kernel returned %d points that are not inputs in input order", len(verts)-next)
 	}
 	return keep, nil
 }
 
-// oracleDiff is one differential run: the points only the frame filter
-// keeps, the points only the oracle keeps, and both vertex sets.
+// oracleDiff is one differential run: the points only the kernel keeps, the
+// points only the oracle keeps, and both vertex sets.
 type oracleDiff struct {
 	newOnly, oracleOnly []geom.Point
 	verts, oracleVerts  []geom.Point
 }
 
-// diffAgainstOracle runs both filters on pts. An error is the LP's (a pivot
-// limit on an ill-conditioned tableau), from either side.
+// diffAgainstOracle runs the kernel and the oracle on pts. An error is the
+// LP's (a pivot limit on an ill-conditioned tableau) or the kernel's.
 func diffAgainstOracle(pts []geom.Point) (oracleDiff, error) {
 	var d oracleDiff
 	uniq := geom.Dedup(pts, eps)
@@ -74,7 +73,7 @@ func diffAgainstOracle(pts []geom.Point) (oracleDiff, error) {
 	if err != nil {
 		return d, err
 	}
-	if d.verts, err = extremeFilter(uniq, eps); err != nil {
+	if d.verts, err = ConvexHull(uniq, eps); err != nil {
 		return d, err
 	}
 	got, err := keptFlags(uniq, d.verts)
@@ -132,25 +131,22 @@ func combination(t *testing.T, polys [][]geom.Point, weights []float64) []geom.P
 	return cur
 }
 
-// excess returns how far p lies outside conv(verts), measured against the
-// brute-force facets of verts and not by an LP: the solver's verdict is what
-// is in question where this is used.
-func excess(t *testing.T, verts []geom.Point, p geom.Point) float64 {
-	t.Helper()
-	facets, err := Facets(verts, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
+// excess returns how far p lies outside conv(verts), measured against every
+// plane through d of verts with none of them outside (DepthHalfspaces at
+// f = 0), neither by an LP nor by the kernel: their verdicts are what is in
+// question where this is used.
+func excess(verts []geom.Point, p geom.Point) float64 {
 	worst := math.Inf(-1)
-	for _, f := range facets {
+	for _, f := range DepthHalfspaces(verts, 0, eps) {
 		worst = math.Max(worst, f.Eval(p))
 	}
 	return worst
 }
 
-// TestExtremeFilterMatchesLPPerPoint is the contract of the frame filter: on
-// every input family the consensus rounds produce, and on the degenerate
-// ones they might, it keeps exactly the points the LP-per-point loop keeps.
+// TestExtremeFilterMatchesLPPerPoint is the contract of the beneath-beyond
+// kernel behind ConvexHull in d >= 3: on every input family the consensus
+// rounds produce, and on the degenerate ones they might, it keeps exactly
+// the points the LP-per-point loop keeps.
 func TestExtremeFilterMatchesLPPerPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	calls := 0
@@ -162,7 +158,7 @@ func TestExtremeFilterMatchesLPPerPoint(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if n := len(d.newOnly) + len(d.oracleOnly); n > 0 {
-			t.Errorf("%s: %d of %d points classified differently (%d only by the frame filter)", name, n, len(pts), len(d.newOnly))
+			t.Errorf("%s: %d of %d points classified differently (%d only by the kernel)", name, n, len(pts), len(d.newOnly))
 		}
 	}
 
@@ -250,8 +246,8 @@ func TestExtremeFilterMatchesLPPerPoint(t *testing.T) {
 // roundoff, and the LP-per-point loop itself — more columns per tableau, more
 // digits lost — keeps a non-vertex in about one cloud in twenty-five. Random
 // clouds have no point that close to the boundary, so the reference is the
-// loop's answer on the cloud before scaling, and the frame filter must err on
-// no more clouds than the loop does.
+// loop's answer on the cloud before scaling, and the kernel must err on no
+// more clouds than the loop does.
 func TestExtremeFilterScaledUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	wrong := func(keep, truth []bool) int {
@@ -262,7 +258,7 @@ func TestExtremeFilterScaledUp(t *testing.T) {
 		}
 		return 0
 	}
-	clouds, frameWrong, loopWrong := 0, 0, 0
+	clouds, kernelWrong, loopWrong := 0, 0, 0
 	for _, d := range []int{3, 4, 5} {
 		for trial := 0; trial < 60; trial++ {
 			unit := randomCloud(rng, 5+rng.Intn(80), d, 1)
@@ -275,22 +271,22 @@ func TestExtremeFilterScaledUp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			verts, err := extremeFilter(scaled, eps)
+			verts, err := ConvexHull(scaled, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, err := keptFlags(scaled, verts)
+			kernel, err := keptFlags(scaled, verts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			clouds++
-			frameWrong += wrong(frame, truth)
+			kernelWrong += wrong(kernel, truth)
 			loopWrong += wrong(loop, truth)
 		}
 	}
-	t.Logf("%d clouds at 1e6: frame filter off the unscaled answer on %d, LP-per-point loop on %d", clouds, frameWrong, loopWrong)
-	if frameWrong > loopWrong {
-		t.Errorf("frame filter wrong on %d clouds, the LP-per-point loop on %d", frameWrong, loopWrong)
+	t.Logf("%d clouds at 1e6: kernel off the unscaled answer on %d, LP-per-point loop on %d", clouds, kernelWrong, loopWrong)
+	if kernelWrong > loopWrong {
+		t.Errorf("kernel wrong on %d clouds, the LP-per-point loop on %d", kernelWrong, loopWrong)
 	}
 }
 
@@ -300,17 +296,17 @@ func TestExtremeFilterScaledUp(t *testing.T) {
 // make the membership tableau ill-conditioned, and the solver's
 // "infeasible" — the only verdict without a certificate — then depends on
 // the pivot path: the LP-per-point loop disagrees with itself on the same
-// points in reversed column order, and either filter can hit the pivot
-// limit. Identical keep[] is not defined there. What must still hold is that
-// both sides describe the same polytope: a point only one side keeps lies
-// within 1e-6 of the hull of the other side's vertices (coordinates span 20;
-// the solver's weights are non-negative only to its tolerance).
+// points in reversed column order, and can hit the pivot limit. Identical
+// keep[] is not defined there. What must still hold is that both sides
+// describe the same polytope: a point only one side keeps lies within 1e-6
+// of the hull of the other side's vertices (coordinates span 20; the
+// solver's weights are non-negative only to its tolerance).
 func TestExtremeFilterUnstableVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	calls, lpErrs, oneSided, worst := 0, 0, 0, 0.0
 	for exp := 4; exp <= 8; exp++ {
 		for trial := 0; trial < 10; trial++ {
-			a, err := ExtremeFilter(randomCloud(rng, 12, 3, 1), eps)
+			a, err := ConvexHull(randomCloud(rng, 12, 3, 1), eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,23 +322,22 @@ func TestExtremeFilterUnstableVerdicts(t *testing.T) {
 			}
 			oneSided += len(diff.newOnly) + len(diff.oracleOnly)
 			for _, p := range diff.newOnly {
-				worst = math.Max(worst, excess(t, diff.oracleVerts, p))
+				worst = math.Max(worst, excess(diff.oracleVerts, p))
 			}
 			for _, p := range diff.oracleOnly {
-				worst = math.Max(worst, excess(t, diff.verts, p))
+				worst = math.Max(worst, excess(diff.verts, p))
 			}
 		}
 	}
 	t.Logf("%d calls, %d abandoned on an LP error, %d one-sided points, at most %.2g outside the other side's hull", calls, lpErrs, oneSided, worst)
 	if worst > 1e-6 {
-		t.Errorf("a point kept by one filter only lies %g outside the other's hull, want <= 1e-6", worst)
+		t.Errorf("a point kept by one side only lies %g outside the other's hull, want <= 1e-6", worst)
 	}
 }
 
-// TestExtremeFilterConcurrent shares extremePool's scratch across goroutines
-// (co-hosted processes hull their round-0 subsets at the same time): every
-// goroutine must get the answer the sequential call gets. Meaningful under
-// -race.
+// TestExtremeFilterConcurrent runs the kernel from several goroutines at once
+// (co-hosted processes hull their states at the same time): every goroutine
+// must get the answer the sequential call gets. Meaningful under -race.
 func TestExtremeFilterConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inputs := make([][]geom.Point, 8)
@@ -350,7 +345,7 @@ func TestExtremeFilterConcurrent(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = randomCloud(rng, 30+5*i, 3, 1)
 		var err error
-		if want[i], err = ExtremeFilter(inputs[i], eps); err != nil {
+		if want[i], err = ConvexHull(inputs[i], eps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,7 +356,7 @@ func TestExtremeFilterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for i, in := range inputs {
-					got, err := ExtremeFilter(in, eps)
+					got, err := ConvexHull(in, eps)
 					if err != nil {
 						t.Error(err)
 						return
@@ -383,14 +378,13 @@ func TestExtremeFilterConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkExtremeFilterMinkowski3D is one combineND step: the 64 pairwise
-// sums of two 8-vertex polytopes, hulled. lp-columns/op is the size of the
-// LP work, which the solve count alone does not show.
-func BenchmarkExtremeFilterMinkowski3D(b *testing.B) {
+// BenchmarkConvexHullMinkowski3D is one combineND step: the 64 pairwise
+// sums of two 8-vertex polytopes, hulled.
+func BenchmarkConvexHullMinkowski3D(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	polytope8 := func() []geom.Point {
 		for {
-			v, err := ExtremeFilter(randomCloud(rng, 9, 3, 1), eps)
+			v, err := ConvexHull(randomCloud(rng, 9, 3, 1), eps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -400,16 +394,39 @@ func BenchmarkExtremeFilterMinkowski3D(b *testing.B) {
 		}
 	}
 	sums := pairwiseSums(ScalePolygon(polytope8(), 0.5), ScalePolygon(polytope8(), 0.5))
-
-	reg := telemetry.Default()
-	defer reg.SetEnabled(reg.SetEnabled(true))
-	columns := func() float64 { return reg.Snapshot().Find("chc_lp_columns_total").Total() }
-	before := columns()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ConvexHull(sums, eps); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric((columns()-before)/float64(b.N), "lp-columns/op")
+}
+
+// TestHullKeepsNearTwinVertices: eight points, three of them within 7.2e-6
+// of each other, each of which lies at least 3.2e-6 outside the hull of the
+// other seven. The LP filter the kernel replaced called one of them
+// interior and returned seven.
+func TestHullKeepsNearTwinVertices(t *testing.T) {
+	pts := []geom.Point{
+		pt(16.188242444395801, 6.5025470767662817e-05, 8.0940887094625182),
+		pt(17.370575306997655, 10.752339175955843, 3.3091180655209076),
+		pt(16.601666936500202, 14.286722766350834, 1.1575514543819685),
+		pt(16.188235293136973, 6.5025493714402174e-05, 8.0940851343119675),
+		pt(16.188035171006099, 13.26956551169528, 1.4593348912111836),
+		pt(17.036933928227896, 14.661289449768482, 0.76347292217458584),
+		pt(17.674341083277678, 13.514820882596538, 1.3367072057605582),
+		pt(16.188242444392642, 6.502544204618764e-05, 8.0940851343377993),
+	}
+	verts, err := ConvexHull(pts, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(verts) != len(pts) {
+		t.Fatalf("kept %d of %d vertices", len(verts), len(pts))
+	}
+	for i, v := range verts {
+		if !geom.SameBits(v, pts[i]) {
+			t.Errorf("vertex %d is %v, want input %d, %v, bit for bit", i, v, i, pts[i])
+		}
+	}
 }

@@ -1,8 +1,6 @@
 package hull
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
 	"chc/internal/geom"
@@ -10,28 +8,47 @@ import (
 
 // Facets computes a halfspace representation of the convex hull of verts.
 // The input should already be a vertex set (e.g. the output of ConvexHull);
-// interior points are harmless but slow the enumeration down.
+// interior points are harmless but slow the computation down.
 //
 // Full-dimensional hulls yield one facet per geometric facet (with unit
-// outward normals). Lower-dimensional hulls yield the facets of the hull
-// within its affine subspace, lifted to the ambient space, plus a pair of
-// opposing halfspaces per orthogonal direction that pin the subspace.
+// outward normals); in d >= 3 they are beneathBeyond's.
+// Lower-dimensional hulls yield the facets of the hull within its affine
+// subspace, lifted to the ambient space, plus a pair of opposing halfspaces
+// per orthogonal direction that pin the subspace.
 func Facets(verts []geom.Point, eps float64) ([]Facet, error) {
 	if len(verts) == 0 {
 		return nil, ErrEmpty
 	}
 	d := verts[0].Dim()
-	ab, err := geom.NewAffineBasis(verts, eps)
-	if err != nil {
-		return nil, err
-	}
-	k := ab.Dim()
-	if k == d {
-		return fullDimFacets(verts, eps)
+	var ab *geom.AffineBasis
+	if d >= 3 {
+		h, err := hullND(verts, eps)
+		if err != nil {
+			return nil, err
+		}
+		if h.facets != nil {
+			return h.facets, nil
+		}
+		ab = h.frame
+	} else {
+		var err error
+		if ab, err = geom.NewAffineBasis(verts, eps); err != nil {
+			return nil, err
+		}
+		switch {
+		case ab.Dim() == 2:
+			return PolygonFacets(MonotoneChain(verts, eps)), nil
+		case ab.Dim() == 1 && d == 1:
+			lo, hi, err := geom.BoundingBox(verts)
+			if err != nil {
+				return nil, err
+			}
+			return []Facet{{Normal: geom.NewPoint(1), Offset: hi[0]}, {Normal: geom.NewPoint(-1), Offset: -lo[0]}}, nil
+		}
 	}
 	// Degenerate: solve in the k-dimensional subspace and lift back.
 	var sub []Facet
-	if k > 0 {
+	if k := ab.Dim(); k > 0 {
 		proj := make([]geom.Point, len(verts))
 		for i, v := range verts {
 			proj[i] = ab.Project(v)
@@ -89,26 +106,6 @@ func complementBasis(ab *geom.AffineBasis, eps float64) []geom.Point {
 	return comp
 }
 
-// fullDimFacets enumerates facets of a full-dimensional hull.
-func fullDimFacets(verts []geom.Point, eps float64) ([]Facet, error) {
-	d := verts[0].Dim()
-	switch d {
-	case 1:
-		lo, hi, err := geom.BoundingBox(verts)
-		if err != nil {
-			return nil, err
-		}
-		return []Facet{
-			{Normal: geom.NewPoint(1), Offset: hi[0]},
-			{Normal: geom.NewPoint(-1), Offset: -lo[0]},
-		}, nil
-	case 2:
-		poly := MonotoneChain(verts, eps)
-		return PolygonFacets(poly), nil
-	}
-	return bruteForceFacets(verts, eps)
-}
-
 // facetScratch is the reusable state of one facet enumeration: edge
 // buffers, the normal accumulator, the cofactor minor, and an LU scratch for
 // its determinants. It is pooled, so concurrent callers each take their own.
@@ -133,48 +130,19 @@ func (s *facetScratch) prepare(d int) {
 	s.minor = geom.NewMatrix(d-1, d-1)
 }
 
-// bruteForceFacets enumerates facets of a full-dimensional hull in d >= 3:
-// the depth-0 case of DepthFacets, where a facet is a hyperplane through d
-// vertices with no vertex strictly outside. This is O(C(k,d) * k) —
-// perfectly fine for the tens-of-vertices hulls this library handles, and
-// robust against the coplanarity degeneracies that break incremental
-// algorithms.
-func bruteForceFacets(verts []geom.Point, eps float64) ([]Facet, error) {
-	d := verts[0].Dim()
-	if len(verts) < d+1 {
-		return nil, fmt.Errorf("hull: %d vertices cannot span a full-dimensional polytope in %d-D", len(verts), d)
-	}
-	facets := DepthFacets(verts, 0, eps)
-	if len(facets) < d+1 {
-		return nil, fmt.Errorf("hull: facet enumeration found only %d facets in %d-D (degenerate input?)", len(facets), d)
-	}
-	return facets, nil
-}
-
-// DepthFacets returns the closed halfspaces bounded by a hyperplane through
-// d affinely independent points of pts (d >= 2) that have at most f points
-// strictly outside, deduplicated. When pts spans R^d their intersection is
-// the Tukey depth region of depth f+1, ∩ H(C) over the (|pts|−f)-subsets C
-// of pts (line 5 of Algorithm CC); with f = 0 they are the facets of H(pts). When both sides
-// of a hyperplane qualify, both orientations are returned. The d-subsets are
-// visited in lexicographic order, so the result is a deterministic function
-// of pts. "Strictly outside" means beyond a tolerance of 10·eps times the
-// data magnitude, so large coordinates do not break the predicate.
-func DepthFacets(pts []geom.Point, f int, eps float64) []Facet {
-	return depthFacets(pts, f, eps, true)
-}
-
-// DepthHalfspaces is DepthFacets without the deduplication: a hyperplane is
-// listed once for every d-subset that spans it, so each facet
-// DepthFacets(C, 0, eps) finds for an (|pts|−f)-subset C is one of these
-// halfspaces, bit for bit. Deduplication compares unit normals to a
-// tolerance that grows with the data, and may keep a plane that misses a
-// dropped one by that tolerance times the diameter.
+// DepthHalfspaces returns the closed halfspaces bounded by a hyperplane
+// through d affinely independent points of pts (d >= 2) that have at most f
+// points strictly outside. When pts spans R^d their intersection is the
+// Tukey depth region of depth f+1, ∩ H(C) over the (|pts|−f)-subsets C of
+// pts (line 5 of Algorithm CC); with f = 0 they bound H(pts). When both
+// sides of a hyperplane qualify, both orientations are returned, in that
+// order. A hyperplane is listed once for every d-subset that spans it, and
+// the d-subsets are visited in lexicographic order, so the result is a
+// deterministic function of pts and each facet of an (|pts|−f)-subset C's
+// hull through d points of C is one of these halfspaces, bit for bit.
+// "Strictly outside" means beyond a tolerance of 10·eps times the data
+// magnitude, so large coordinates do not break the predicate.
 func DepthHalfspaces(pts []geom.Point, f int, eps float64) []Facet {
-	return depthFacets(pts, f, eps, false)
-}
-
-func depthFacets(pts []geom.Point, f int, eps float64, dedup bool) []Facet {
 	if len(pts) == 0 {
 		return nil
 	}
@@ -183,13 +151,7 @@ func depthFacets(pts []geom.Point, f int, eps float64, dedup bool) []Facet {
 	if d < 2 || k < d {
 		return nil
 	}
-	scale := 1.0
-	for _, v := range pts {
-		if m := v.NormInf(); m > scale {
-			scale = m
-		}
-	}
-	tol := eps * scale * 10
+	tol := eps * DataScale(pts) * 10
 
 	s := facetPool.Get().(*facetScratch)
 	defer facetPool.Put(s)
@@ -199,7 +161,7 @@ func depthFacets(pts []geom.Point, f int, eps float64, dedup bool) []Facet {
 		idx[i] = i
 	}
 	for ok := true; ok; ok = nextCombination(idx, k) {
-		s.addDepthFacets(&facets, pts, idx, f, tol, eps, dedup)
+		s.addDepthFacets(&facets, pts, idx, f, tol, eps)
 	}
 	return facets
 }
@@ -224,10 +186,9 @@ func nextCombination(idx []int, k int) bool {
 
 // addDepthFacets adds to facets each orientation of the hyperplane through
 // pts[idx...] that has at most f points beyond tol on its outer side, and
-// nothing when the subset does not span a hyperplane, skipping one close to
-// a facet already present if dedup is set. All scratch comes from s; each
-// added Normal is freshly allocated.
-func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []int, f int, tol, eps float64, dedup bool) {
+// nothing when the subset does not span a hyperplane. All scratch comes from
+// s; each added Normal is freshly allocated.
+func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []int, f int, tol, eps float64) {
 	d := pts[0].Dim()
 	s.prepare(d)
 	base := pts[idx[0]]
@@ -265,28 +226,15 @@ func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []i
 		}
 	}
 	if pos <= f {
-		addFacetDedup(facets, Facet{Normal: n.Clone(), Offset: b}, tol, dedup)
+		*facets = append(*facets, Facet{Normal: n.Clone(), Offset: b})
 	}
 	if neg <= f { // the opposite orientation: -n·x <= -b
 		out := n.Clone()
 		for c := range out {
 			out[c] = -out[c]
 		}
-		addFacetDedup(facets, Facet{Normal: out, Offset: -b}, tol, dedup)
+		*facets = append(*facets, Facet{Normal: out, Offset: -b})
 	}
-}
-
-// addFacetDedup appends f unless dedup is set and an equivalent facet is
-// already present.
-func addFacetDedup(facets *[]Facet, f Facet, tol float64, dedup bool) {
-	if dedup {
-		for _, g := range *facets {
-			if math.Abs(g.Offset-f.Offset) <= tol && geom.Equal(g.Normal, f.Normal, tol) {
-				return
-			}
-		}
-	}
-	*facets = append(*facets, f)
 }
 
 // generalizedCrossInto writes into n a vector orthogonal to the d-1 given

@@ -38,7 +38,7 @@ func crossPolytope4D() []geom.Point {
 func TestHypercube4DVertices(t *testing.T) {
 	pts := hypercube4D()
 	center := geom.NewPoint(0.5, 0.5, 0.5, 0.5)
-	verts, err := ExtremeFilter(append(pts, center), eps)
+	verts, err := ConvexHull(append(pts, center), eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package hull
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"chc/internal/geom"
+	"chc/internal/lp"
 )
 
 const eps = 1e-9
@@ -101,7 +103,7 @@ func TestExtremeFilter3D(t *testing.T) {
 		pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1),
 		pt(0.25, 0.25, 0.25),
 	}
-	verts, err := ExtremeFilter(pts, eps)
+	verts, err := ConvexHull(pts, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestExtremeFilterCube(t *testing.T) {
 		}
 	}
 	pts = append(pts, pt(0.5, 0.5, 0.5), pt(0.5, 0.5, 0)) // interior + face point
-	verts, err := ExtremeFilter(pts, eps)
+	verts, err := ConvexHull(pts, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +133,29 @@ func TestExtremeFilterCube(t *testing.T) {
 	}
 }
 
+// TestContains: membership is read off the facets, in the plane and, from
+// beneath-beyond, in d = 3.
 func TestContains(t *testing.T) {
-	tri := []geom.Point{pt(0, 0), pt(4, 0), pt(0, 4)}
-	in, err := Contains(tri, pt(1, 1), eps)
-	if err != nil || !in {
-		t.Errorf("interior point: in=%v err=%v", in, err)
-	}
-	in, err = Contains(tri, pt(3, 3), eps)
-	if err != nil || in {
-		t.Errorf("exterior point: in=%v err=%v", in, err)
-	}
-	in, err = Contains(tri, pt(2, 0), eps)
-	if err != nil || !in {
-		t.Errorf("boundary point: in=%v err=%v", in, err)
+	for _, c := range []struct {
+		verts         []geom.Point
+		in, out, edge geom.Point
+	}{
+		{[]geom.Point{pt(0, 0), pt(4, 0), pt(0, 4)}, pt(1, 1), pt(3, 3), pt(2, 0)},
+		{[]geom.Point{pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0), pt(0, 0, 4)}, pt(1, 1, 1), pt(2, 2, 2), pt(2, 0, 0)},
+	} {
+		facets, err := Facets(c.verts, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ContainsHRep(facets, c.in, eps) {
+			t.Errorf("interior point %v reported outside", c.in)
+		}
+		if ContainsHRep(facets, c.out, eps) {
+			t.Errorf("exterior point %v reported inside", c.out)
+		}
+		if !ContainsHRep(facets, c.edge, eps) {
+			t.Errorf("boundary point %v reported outside", c.edge)
+		}
 	}
 }
 
@@ -153,10 +165,10 @@ func TestContains(t *testing.T) {
 // centre, the one point every closed halfplane of depth 2 holds.
 func TestDepthFacets(t *testing.T) {
 	square := []geom.Point{pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)}
-	if got := DepthFacets(square, 0, eps); len(got) != 4 {
+	if got := DepthHalfspaces(square, 0, eps); len(got) != 4 {
 		t.Errorf("f=0: %d halfplanes, want the 4 edges: %v", len(got), got)
 	}
-	got := DepthFacets(square, 1, eps)
+	got := DepthHalfspaces(square, 1, eps)
 	if len(got) != 8 {
 		t.Fatalf("f=1: %d halfplanes, want 4 edges + 2 diagonals x 2 orientations: %v", len(got), got)
 	}
@@ -169,7 +181,7 @@ func TestDepthFacets(t *testing.T) {
 		}
 	}
 	// Repeated points span no line and are skipped.
-	if got := DepthFacets([]geom.Point{pt(1, 1), pt(1, 1)}, 1, eps); len(got) != 0 {
+	if got := DepthHalfspaces([]geom.Point{pt(1, 1), pt(1, 1)}, 1, eps); len(got) != 0 {
 		t.Errorf("coincident pair gave halfplanes %v", got)
 	}
 }
@@ -433,7 +445,8 @@ func TestHullIdempotent(t *testing.T) {
 	}
 }
 
-// Property: 3-D facet representation agrees with the LP containment test.
+// Property: beneath-beyond's 3-D facets agree with the LP containment
+// test, the reference oracle.
 func TestFacetsAgreeWithLP3D(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -450,12 +463,17 @@ func TestFacetsAgreeWithLP3D(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		flat := make([][]float64, len(verts))
+		for i, v := range verts {
+			flat[i] = v
+		}
 		for trial := 0; trial < 10; trial++ {
 			q := pt(rng.Float64()*5-2.5, rng.Float64()*5-2.5, rng.Float64()*5-2.5)
-			inLP, err := Contains(verts, q, eps)
-			if err != nil {
+			_, err := lp.ConvexWeights(flat, q, eps)
+			if err != nil && !errors.Is(err, lp.ErrInfeasible) {
 				return false
 			}
+			inLP := err == nil
 			inH := ContainsHRep(facets, q, 1e-6)
 			// Allow disagreement only within a thin boundary band.
 			if inLP != inH {

@@ -1,36 +1,22 @@
 package hull
 
 import (
-	"fmt"
 	"math"
 
 	"chc/internal/geom"
 )
 
 // Volume returns the d-dimensional volume (length / area / volume / ...) of
-// the convex hull of verts. Lower-dimensional hulls have volume 0.
-//
-// The computation uses the divergence theorem recursively:
-// Vol_d = (1/d) * sum over facets of offset_f * Vol_{d-1}(facet), with the
-// facet volume measured in the facet's own hyperplane and offsets taken with
-// unit normals from the origin.
+// the convex hull of verts. Lower-dimensional hulls have volume 0. In d >= 3
+// it is the sum of the simplices spanned by the centroid of verts and the
+// simplicial facets beneathBeyond builds.
 func Volume(verts []geom.Point, eps float64) (float64, error) {
 	if len(verts) == 0 {
 		return 0, ErrEmpty
 	}
-	d := verts[0].Dim()
-	dim, err := geom.AffineDim(verts, eps)
-	if err != nil {
-		return 0, err
-	}
-	if dim < d {
-		return 0, nil
-	}
-	// Recentre at the centroid: volume is translation-invariant, and the
-	// divergence-theorem sum below multiplies facet offsets by facet areas —
-	// computed about a distant global origin, the terms are large and cancel
-	// catastrophically (a tiny polytope far from the origin would otherwise
-	// lose all significant digits).
+	// Recentre at the centroid: volume is translation-invariant, and a
+	// tiny polytope far from the origin would otherwise lose all
+	// significant digits.
 	c, err := geom.Centroid(verts)
 	if err != nil {
 		return 0, err
@@ -39,63 +25,38 @@ func Volume(verts []geom.Point, eps float64) (float64, error) {
 	for i, v := range verts {
 		centered[i] = v.Sub(c)
 	}
-	return fullDimVolume(centered, eps)
-}
-
-func fullDimVolume(verts []geom.Point, eps float64) (float64, error) {
-	d := verts[0].Dim()
-	switch d {
-	case 1:
-		lo, hi, err := geom.BoundingBox(verts)
+	d := c.Dim()
+	if d >= 3 {
+		h, err := hullND(centered, eps)
+		if err != nil || h.facets == nil {
+			return 0, err
+		}
+		var ds geom.DetScratch
+		m := geom.NewMatrix(d, d)
+		var vol float64
+		for k := 0; k < len(h.simplices); k += d {
+			for r, i := range h.simplices[k : k+d] {
+				copy(m.Row(r), centered[i])
+			}
+			det, _ := ds.Det(m, minPivot) // m is square
+			vol += math.Abs(det)
+		}
+		for k := 2; k <= d; k++ {
+			vol /= float64(k)
+		}
+		return vol, nil
+	}
+	if dim, err := geom.AffineDim(verts, eps); err != nil || dim < d {
+		return 0, err
+	}
+	if d == 1 {
+		lo, hi, err := geom.BoundingBox(centered)
 		if err != nil {
 			return 0, err
 		}
 		return hi[0] - lo[0], nil
-	case 2:
-		return math.Abs(PolygonArea(MonotoneChain(verts, eps))), nil
 	}
-	facets, err := Facets(verts, eps)
-	if err != nil {
-		return 0, err
-	}
-	scale := 1.0
-	for _, v := range verts {
-		if m := v.NormInf(); m > scale {
-			scale = m
-		}
-	}
-	tol := eps * scale * 100
-	var vol float64
-	for _, f := range facets {
-		// Collect the vertices lying on this facet.
-		var on []geom.Point
-		for _, v := range verts {
-			if math.Abs(f.Eval(v)) <= tol {
-				on = append(on, v)
-			}
-		}
-		if len(on) < d {
-			continue // numerical sliver, contributes ~0
-		}
-		// Measure the facet's (d-1)-volume in its own hyperplane.
-		ab, err := geom.NewAffineBasis(on, eps)
-		if err != nil {
-			return 0, err
-		}
-		if ab.Dim() < d-1 {
-			continue // degenerate facet
-		}
-		proj := make([]geom.Point, len(on))
-		for i, v := range on {
-			proj[i] = ab.Project(v)
-		}
-		fv, err := fullDimVolume(proj, eps)
-		if err != nil {
-			return 0, fmt.Errorf("hull: facet volume: %w", err)
-		}
-		vol += f.Offset * fv
-	}
-	return vol / float64(d), nil
+	return math.Abs(PolygonArea(MonotoneChain(centered, eps))), nil
 }
 
 // Diameter returns the maximum pairwise distance between verts.

@@ -18,20 +18,18 @@ var ErrUnbounded = errors.New("lp: unbounded")
 // degenerate (lower-dimensional) but non-empty polyhedron; ErrInfeasible an
 // empty one; ErrUnbounded a polyhedron with unbounded inscribed balls.
 func ChebyshevCenter(a [][]float64, b []float64, eps float64) (center []float64, radius float64, err error) {
-	return ChebyshevCenterWith(nil, a, b, eps)
+	ws := getWS()
+	defer putWS(ws)
+	return chebyshevCenter(ws, a, b, eps)
 }
 
-// ChebyshevCenterWith is ChebyshevCenter drawing all scratch from the
-// caller's workspace. The returned centre is freshly allocated.
-func ChebyshevCenterWith(ws *Workspace, a [][]float64, b []float64, eps float64) (center []float64, radius float64, err error) {
+// chebyshevCenter is ChebyshevCenter drawing all scratch from ws. The
+// returned centre is freshly allocated.
+func chebyshevCenter(ws *workspace, a [][]float64, b []float64, eps float64) (center []float64, radius float64, err error) {
 	if len(a) == 0 {
 		return nil, 0, fmt.Errorf("%w: no constraints", ErrBadProblem)
 	}
 	n := len(a[0])
-	if ws == nil {
-		ws = getWS()
-		defer putWS(ws)
-	}
 	// Variables: x (free, n of them) and r >= 0.
 	// Maximise r subject to a[i]·x + ||a[i]|| r <= b[i].
 	cons := ws.constraints(len(a))
@@ -56,7 +54,7 @@ func ChebyshevCenterWith(ws *Workspace, a [][]float64, b []float64, eps float64)
 		free[i] = true
 	}
 	p := &Problem{NumVars: n + 1, Objective: obj, Minimize: false, Constraints: cons, Free: free}
-	sol, err := p.SolveWith(ws, eps)
+	sol, err := p.solve(ws, eps)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -74,21 +72,19 @@ func ChebyshevCenterWith(ws *Workspace, a [][]float64, b []float64, eps float64)
 // sum_i w[i]*verts[i] = q, i.e. it certifies membership of q in the convex
 // hull of verts. It returns ErrInfeasible when q is outside the hull.
 func ConvexWeights(verts [][]float64, q []float64, eps float64) ([]float64, error) {
-	return ConvexWeightsWith(nil, verts, q, eps)
+	ws := getWS()
+	defer putWS(ws)
+	return convexWeights(ws, verts, q, eps)
 }
 
-// ConvexWeightsWith is ConvexWeights drawing all scratch from the caller's
-// workspace. The returned weights are freshly allocated.
-func ConvexWeightsWith(ws *Workspace, verts [][]float64, q []float64, eps float64) ([]float64, error) {
-	if ws == nil {
-		ws = getWS()
-		defer putWS(ws)
-	}
+// convexWeights is ConvexWeights drawing all scratch from ws. The returned
+// weights are freshly allocated.
+func convexWeights(ws *workspace, verts [][]float64, q []float64, eps float64) ([]float64, error) {
 	p, err := membershipProblem(ws, verts, q)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := p.SolveWith(ws, eps)
+	sol, err := p.solve(ws, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -98,34 +94,10 @@ func ConvexWeightsWith(ws *Workspace, verts [][]float64, q []float64, eps float6
 	return sol.X, nil
 }
 
-// SeparateWith decides the membership of ConvexWeightsWith — same tableau,
-// same tolerance — and reports inside, or else a direction u with
-// u·q > max_v u·v: the phase-1 duals of the coordinate rows, which certify
-// the infeasibility. u is freshly allocated.
-func SeparateWith(ws *Workspace, verts [][]float64, q []float64, eps float64) (u []float64, inside bool, err error) {
-	if ws == nil {
-		ws = getWS()
-		defer putWS(ws)
-	}
-	p, err := membershipProblem(ws, verts, q)
-	if err != nil {
-		return nil, false, err
-	}
-	dual := make([]float64, len(q)+1)
-	sol, err := p.solve(ws, eps, dual)
-	if err != nil {
-		return nil, false, err
-	}
-	if sol.Status == Optimal {
-		return nil, true, nil
-	}
-	return dual[:len(q)], false, nil
-}
-
 // membershipProblem builds, in the workspace, the feasibility LP "q is a
 // convex combination of verts": one equality row per coordinate plus the
 // weights summing to one.
-func membershipProblem(ws *Workspace, verts [][]float64, q []float64) (*Problem, error) {
+func membershipProblem(ws *workspace, verts [][]float64, q []float64) (*Problem, error) {
 	if len(verts) == 0 {
 		return nil, fmt.Errorf("%w: no vertices", ErrBadProblem)
 	}

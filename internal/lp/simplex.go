@@ -7,10 +7,10 @@
 // functions, convex-combination membership tests, and linear cost
 // minimisation over polytopes.
 //
-// Callers on hot paths should allocate a Workspace once and use SolveWith
-// (or the ...With helper variants): all tableau and scratch memory then
-// comes from a reusable arena and the solver performs no steady-state
-// allocations beyond the returned Solution.
+// All tableau and scratch memory comes from a pooled workspace's arena, so
+// the solver performs no steady-state allocations beyond the returned
+// Solution. The library itself solves no LP: the package serves the
+// benchmark harness and the reference oracles of the geometry tests.
 package lp
 
 import (
@@ -88,20 +88,17 @@ var ErrBadProblem = errors.New("lp: malformed problem")
 
 const maxPivots = 200000
 
-// Workspace holds the reusable scratch memory of the solver: the simplex
+// workspace holds the reusable scratch memory of the solver: the simplex
 // tableau, cost rows, column maps, and the constraint scaffolding the
-// ...With helpers build. A Workspace must not be used from more than one
-// goroutine at a time; zero value is ready to use.
-type Workspace struct {
+// helpers build. A workspace must not be used from more than one goroutine
+// at a time; the zero value is ready to use.
+type workspace struct {
 	arena pool.Arena
 	cons  []Constraint
 }
 
-// NewWorkspace returns an empty solver workspace.
-func NewWorkspace() *Workspace { return new(Workspace) }
-
 // constraints hands out a reusable zeroed []Constraint of length n.
-func (w *Workspace) constraints(n int) []Constraint {
+func (w *workspace) constraints(n int) []Constraint {
 	if cap(w.cons) < n {
 		w.cons = make([]Constraint, n)
 	}
@@ -112,11 +109,11 @@ func (w *Workspace) constraints(n int) []Constraint {
 	return c
 }
 
-var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
+var wsPool = sync.Pool{New: func() any { return new(workspace) }}
 
-func getWS() *Workspace { return wsPool.Get().(*Workspace) }
+func getWS() *workspace { return wsPool.Get().(*workspace) }
 
-func putWS(w *Workspace) {
+func putWS(w *workspace) {
 	w.arena.Reset()
 	wsPool.Put(w)
 }
@@ -126,23 +123,14 @@ func putWS(w *Workspace) {
 // errors; errors indicate malformed input or pivot-limit exhaustion.
 // Scratch memory comes from a pooled workspace.
 func (p *Problem) Solve(eps float64) (*Solution, error) {
-	return p.SolveWith(nil, eps)
+	return p.solve(nil, eps)
 }
 
-// SolveWith is Solve using the caller's workspace for all internal scratch
-// (nil borrows one from a shared pool). The workspace's arena is rewound
-// before SolveWith returns, so any memory previously drawn from it is
-// recycled; Solution.X is always freshly allocated and safe to retain.
-func (p *Problem) SolveWith(ws *Workspace, eps float64) (*Solution, error) {
-	return p.solve(ws, eps, nil)
-}
-
-// solve is SolveWith with an optional Farkas certificate: when the problem
-// is infeasible and dual is non-nil (one entry per constraint), dual receives
-// the phase-1 multipliers y of the constraints as the caller wrote them, so
-// that y·RHS > 0 while the y-combination of the rows is <= eps on every
-// structural column.
-func (p *Problem) solve(ws *Workspace, eps float64, dual []float64) (*Solution, error) {
+// solve is Solve using the workspace ws for all internal scratch (nil
+// borrows one from the pool). The workspace's arena is rewound before solve
+// returns, so any memory previously drawn from it is recycled; Solution.X is
+// always freshly allocated and safe to retain.
+func (p *Problem) solve(ws *workspace, eps float64) (*Solution, error) {
 	mSolves.Inc()
 	mColumns.Add(int64(p.NumVars))
 	if p.NumVars <= 0 {
@@ -209,7 +197,7 @@ func (p *Problem) solve(ws *Workspace, eps float64, dual []float64) (*Solution, 
 		}
 	}
 
-	xInternal, val, status, err := solveStandardized(a, obj, rows, p.Constraints, eps, dual)
+	xInternal, val, status, err := solveStandardized(a, obj, rows, p.Constraints, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +220,8 @@ func (p *Problem) solve(ws *Workspace, eps float64, dual []float64) (*Solution, 
 // solveStandardized minimises obj·x subject to rows[i]·x (cons[i].Op)
 // cons[i].RHS, x >= 0, using a two-phase dense tableau. All scratch
 // (including the returned x) is drawn from the arena; the caller copies out
-// what it needs before rewinding. dual is the certificate of Problem.solve.
-func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Constraint, eps float64, dual []float64) ([]float64, float64, Status, error) {
+// what it needs before rewinding.
+func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Constraint, eps float64) ([]float64, float64, Status, error) {
 	m := len(rows)
 	n := len(obj)
 
@@ -293,11 +281,6 @@ func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Co
 
 	// Phase 1: minimise sum of artificials (only if any were added).
 	if nArt > 0 {
-		var basis0 []int
-		if dual != nil {
-			basis0 = a.Ints(m)
-			copy(basis0, basis)
-		}
 		cost := a.Floats(width)
 		for i := 0; i < m; i++ {
 			if basis[i] >= n+nSlack {
@@ -323,19 +306,6 @@ func solveStandardized(a *pool.Arena, obj []float64, rows [][]float64, cons []Co
 		}
 		if cost[width-1] < -eps*float64(m+1) {
 			// Residual artificial infeasibility (cost row holds -objective).
-			// Row i started with a unit column of phase-1 cost c (1 for
-			// an artificial, 0 for a slack) whose reduced cost is now
-			// c - y_i; rows negated for a negative RHS get the sign back.
-			for i := range dual {
-				y := -cost[basis0[i]]
-				if basis0[i] >= n+nSlack {
-					y++
-				}
-				if cons[i].RHS < 0 {
-					y = -y
-				}
-				dual[i] = y
-			}
 			return nil, 0, Infeasible, nil
 		}
 		// Drive any remaining artificials out of the basis.

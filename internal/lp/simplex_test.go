@@ -227,17 +227,17 @@ func MaximizeOverHalfspaces(dir []float64, a [][]float64, b []float64, eps float
 
 // MinimizeOverHalfspacesWith is MinimizeOverHalfspaces drawing all scratch
 // from the caller's workspace.
-func MinimizeOverHalfspacesWith(ws *Workspace, dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
+func MinimizeOverHalfspacesWith(ws *workspace, dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
 	return optimizeOverHalfspaces(ws, dir, a, b, eps, true)
 }
 
 // MaximizeOverHalfspacesWith is MaximizeOverHalfspaces drawing all scratch
 // from the caller's workspace.
-func MaximizeOverHalfspacesWith(ws *Workspace, dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
+func MaximizeOverHalfspacesWith(ws *workspace, dir []float64, a [][]float64, b []float64, eps float64) ([]float64, float64, error) {
 	return optimizeOverHalfspaces(ws, dir, a, b, eps, false)
 }
 
-func optimizeOverHalfspaces(ws *Workspace, dir []float64, a [][]float64, b []float64, eps float64, minimize bool) ([]float64, float64, error) {
+func optimizeOverHalfspaces(ws *workspace, dir []float64, a [][]float64, b []float64, eps float64, minimize bool) ([]float64, float64, error) {
 	n := len(dir)
 	if len(a) != len(b) {
 		return nil, 0, fmt.Errorf("%w: %d constraint rows but %d bounds", ErrBadProblem, len(a), len(b))
@@ -258,7 +258,7 @@ func optimizeOverHalfspaces(ws *Workspace, dir []float64, a [][]float64, b []flo
 		free[i] = true
 	}
 	p := &Problem{NumVars: n, Objective: dir, Minimize: minimize, Constraints: cons, Free: free}
-	sol, err := p.SolveWith(ws, eps)
+	sol, err := p.solve(ws, eps)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -321,70 +321,6 @@ func TestConvexWeights(t *testing.T) {
 	// Outside the hull.
 	if _, err := ConvexWeights(verts, []float64{3, 3}, testEps); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
-	}
-}
-
-// TestSeparateWith: the membership verdict is ConvexWeightsWith's, and an
-// "outside" comes with a direction that strictly separates q from every
-// vertex — also when q has negative coordinates, whose rows the tableau
-// negates and whose duals must get the sign back.
-func TestSeparateWith(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	ws := NewWorkspace()
-	dot := func(u, v []float64) float64 {
-		var s float64
-		for i := range u {
-			s += u[i] * v[i]
-		}
-		return s
-	}
-	insides, outsides, negative := 0, 0, 0
-	for trial := 0; trial < 400; trial++ {
-		d := 2 + trial%4
-		verts := make([][]float64, d+1+rng.Intn(8))
-		for i := range verts {
-			verts[i] = make([]float64, d)
-			for c := range verts[i] {
-				verts[i][c] = rng.Float64()*4 - 2
-			}
-		}
-		q := make([]float64, d)
-		for c := range q {
-			q[c] = rng.Float64()*4 - 2
-		}
-		_, werr := ConvexWeightsWith(ws, verts, q, testEps)
-		u, inside, err := SeparateWith(ws, verts, q, testEps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inside != (werr == nil) {
-			t.Fatalf("trial %d: inside = %v but ConvexWeightsWith err = %v", trial, inside, werr)
-		}
-		if inside {
-			insides++
-			if u != nil {
-				t.Fatalf("trial %d: inside with direction %v", trial, u)
-			}
-			continue
-		}
-		outsides++
-		if len(u) != d {
-			t.Fatalf("trial %d: direction %v has %d coordinates, want %d", trial, u, len(u), d)
-		}
-		for _, c := range q {
-			if c < 0 {
-				negative++
-				break
-			}
-		}
-		for i, v := range verts {
-			if dot(u, v) >= dot(u, q) {
-				t.Fatalf("trial %d: u·v[%d] = %v >= u·q = %v", trial, i, dot(u, v), dot(u, q))
-			}
-		}
-	}
-	if insides == 0 || outsides == 0 || negative == 0 {
-		t.Fatalf("cases not covered: %d inside, %d outside, %d outside with a negative coordinate", insides, outsides, negative)
 	}
 }
 

@@ -54,16 +54,16 @@ func bitsEqual(a, b []float64) bool {
 
 func TestSolveWithMatchesSolveBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ws := NewWorkspace()
+	ws := new(workspace)
 	for trial := 0; trial < 200; trial++ {
 		p := randomBoxProblem(rng, 2+trial%4, trial%8)
 		ref, err := p.Solve(wsEps)
 		if err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}
-		got, err := p.SolveWith(ws, wsEps)
+		got, err := p.solve(ws, wsEps)
 		if err != nil {
-			t.Fatalf("trial %d: SolveWith: %v", trial, err)
+			t.Fatalf("trial %d: solve: %v", trial, err)
 		}
 		if ref.Status != got.Status {
 			t.Fatalf("trial %d: status %v vs %v", trial, ref.Status, got.Status)
@@ -72,7 +72,7 @@ func TestSolveWithMatchesSolveBitwise(t *testing.T) {
 			continue
 		}
 		if !bitsEqual(ref.X, got.X) || math.Float64bits(ref.Value) != math.Float64bits(got.Value) {
-			t.Fatalf("trial %d: SolveWith diverges from Solve:\n  ref %v (%v)\n  got %v (%v)",
+			t.Fatalf("trial %d: a reused workspace diverges from Solve:\n  ref %v (%v)\n  got %v (%v)",
 				trial, ref.X, ref.Value, got.X, got.Value)
 		}
 	}
@@ -82,16 +82,16 @@ func TestSolutionSurvivesWorkspaceReuse(t *testing.T) {
 	// Solution.X must be freshly allocated: solving a second problem with
 	// the same workspace must not clobber the first solution.
 	rng := rand.New(rand.NewSource(11))
-	ws := NewWorkspace()
+	ws := new(workspace)
 	p1 := randomBoxProblem(rng, 3, 4)
-	s1, err := p1.SolveWith(ws, wsEps)
+	s1, err := p1.solve(ws, wsEps)
 	if err != nil || s1.Status != Optimal {
 		t.Fatalf("first solve: %v %v", s1, err)
 	}
 	snapshot := append([]float64(nil), s1.X...)
 	for i := 0; i < 50; i++ {
 		p := randomBoxProblem(rng, 4, 8)
-		if _, err := p.SolveWith(ws, wsEps); err != nil {
+		if _, err := p.solve(ws, wsEps); err != nil {
 			t.Fatalf("reuse solve %d: %v", i, err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestSolutionSurvivesWorkspaceReuse(t *testing.T) {
 
 func TestHelpersWithMatchBaseBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ws := NewWorkspace()
+	ws := new(workspace)
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + trial%3
 		// Random bounded polyhedron: a box plus random cuts.
@@ -148,12 +148,12 @@ func TestHelpersWithMatchBaseBitwise(t *testing.T) {
 		}
 
 		c1, r1, err1 := ChebyshevCenter(a, b, wsEps)
-		c2, r2, err2 := ChebyshevCenterWith(ws, a, b, wsEps)
+		c2, r2, err2 := chebyshevCenter(ws, a, b, wsEps)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: chebyshev err %v vs %v", trial, err1, err2)
 		}
 		if err1 == nil && (!bitsEqual(c1, c2) || math.Float64bits(r1) != math.Float64bits(r2)) {
-			t.Fatalf("trial %d: ChebyshevCenterWith diverges", trial)
+			t.Fatalf("trial %d: chebyshevCenter diverges", trial)
 		}
 
 		// Membership test: centre of the box is inside the hull of the box
@@ -161,12 +161,12 @@ func TestHelpersWithMatchBaseBitwise(t *testing.T) {
 		verts := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
 		q := []float64{0.25 + rng.Float64()/2, 0.25 + rng.Float64()/2}
 		w1, err1 := ConvexWeights(verts, q, wsEps)
-		w2, err2 := ConvexWeightsWith(ws, verts, q, wsEps)
+		w2, err2 := convexWeights(ws, verts, q, wsEps)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: weights err %v vs %v", trial, err1, err2)
 		}
 		if err1 == nil && !bitsEqual(w1, w2) {
-			t.Fatalf("trial %d: ConvexWeightsWith diverges", trial)
+			t.Fatalf("trial %d: convexWeights diverges", trial)
 		}
 	}
 }

@@ -85,3 +85,54 @@ func regularPolygonBench(k int, radius float64) []geom.Point {
 	}
 	return pts
 }
+
+// BenchmarkAverageDivergentD3 is a consensus round in d = 3 whose states
+// differ, the case the benchmark workloads never reach: six simplices
+// shaped like E1's spreadInitialStates (seed 1, in [0,10)³) are averaged
+// once, each process taking the other five, and one op is the next such
+// round of six Average calls over those round-1 states. Every call re-hulls
+// the pairwise vertex sums of its operands (combineND); verts/state is the
+// mean vertex count of what the op returns.
+func BenchmarkAverageDivergentD3(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	states := make([]*Polytope, 6)
+	for i := range states {
+		center := geom.Zero(3)
+		for j := range center {
+			center[j] = rng.Float64() * 10
+		}
+		verts := []geom.Point{center}
+		for j := range center {
+			v := center.Clone()
+			v[j] += 2 * (rng.Float64() - 0.5)
+			verts = append(verts, v)
+		}
+		var err error
+		if states[i], err = New(verts, eps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	round := func(states []*Polytope) []*Polytope {
+		next := make([]*Polytope, len(states))
+		for i := range states {
+			others := append(append([]*Polytope(nil), states[:i]...), states[i+1:]...)
+			var err error
+			if next[i], err = Average(others, eps); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return next
+	}
+	states = round(states)
+	b.ResetTimer()
+	var out []*Polytope
+	for i := 0; i < b.N; i++ {
+		out = round(states)
+	}
+	b.StopTimer()
+	verts := 0
+	for _, p := range out {
+		verts += p.NumVertices()
+	}
+	b.ReportMetric(float64(verts)/float64(len(out)), "verts/state")
+}

@@ -13,8 +13,8 @@ import (
 )
 
 // exactExcess is how far v lies outside the worst (|pts|−f)-subset hull, by
-// the brute-force facets of every subset: the largest Normal·v − Offset over
-// hull.DepthFacets(C, 0, eps) of every C. No linear program is involved.
+// the depth-0 halfspaces of every subset: the largest Normal·v − Offset over
+// hull.DepthHalfspaces(C, 0, eps) of every C. No linear program is involved.
 func exactExcess(pts []geom.Point, f int, verts []geom.Point) float64 {
 	worst := 0.0
 	excl := make([]int, f)
@@ -31,7 +31,7 @@ func exactExcess(pts []geom.Point, f int, verts []geom.Point) float64 {
 					sub = append(sub, x)
 				}
 			}
-			for _, h := range hull.DepthFacets(sub, 0, eps) {
+			for _, h := range hull.DepthHalfspaces(sub, 0, eps) {
 				for _, v := range verts {
 					worst = max(worst, h.Eval(v))
 				}
@@ -51,7 +51,7 @@ func exactExcess(pts []geom.Point, f int, verts []geom.Point) float64 {
 // more than bound·scale outside a subset hull, every vertex extreme, and a
 // region at all when |pts| >= (d+1)f+1 (Lemma 2).
 func checkDepthRegion(pts []geom.Point, f int, bound float64) error {
-	scale := dataScale(pts)
+	scale := hull.DataScale(pts)
 	got, err := DepthRegion(pts, f, eps)
 	if errors.Is(err, ErrEmpty) {
 		if d := pts[0].Dim(); len(pts) >= (d+1)*f+1 {
@@ -65,46 +65,7 @@ func checkDepthRegion(pts []geom.Point, f int, bound float64) error {
 	if ex := exactExcess(pts, f, got.verts); ex > bound*scale {
 		return fmt.Errorf("a vertex lies %g outside a subset hull", ex)
 	}
-	if got.Dim() == 2 {
-		if err := checkConvexCCW(got.verts); err != nil {
-			return err
-		}
-	}
-	if err := got.CheckExtreme(eps); err != nil {
-		// CheckExtreme's LP can call a vertex interior that is not; the
-		// distance of each vertex from the hull of the others decides.
-		if m := extremeMargin(got.verts); m <= eps {
-			return fmt.Errorf("%v (a vertex lies %g from the hull of the others)", err, m)
-		}
-	}
-	return nil
-}
-
-// extremeMargin is the smallest distance of a vertex from the hull of the
-// other vertices, without a linear program. For a strictly convex
-// counter-clockwise polygon that is the distance from the chord of the
-// vertex's neighbours. Above the plane Wolfe's min-norm point decides; in
-// the plane it called a vertex 2.7e-8 outside the others' hull 0 from it.
-func extremeMargin(verts []geom.Point) float64 {
-	margin := math.Inf(1)
-	if m := len(verts); verts[0].Dim() == 2 && m >= 2 {
-		for i, v := range verts {
-			margin = min(margin, hull.DistPointSegment(v, verts[(i+m-1)%m], verts[(i+1)%m]))
-		}
-		return margin
-	}
-	for i, v := range verts {
-		others := append(append([]geom.Point(nil), verts[:i]...), verts[i+1:]...)
-		if len(others) == 0 {
-			continue
-		}
-		_, d, err := minNormPoint(others, v, eps)
-		if err != nil {
-			return 0
-		}
-		margin = min(margin, d)
-	}
-	return margin
+	return got.CheckExtreme(eps)
 }
 
 // regressionViews are views of the d = 3, f = 1 sweep (uniform [0,10)³
@@ -253,7 +214,7 @@ func FuzzDepthRegion(f *testing.F) {
 			}
 			pts[i] = p
 		}
-		if d == 3 && minTetDet(pts) < 3e-3*math.Pow(dataScale(pts), 3) {
+		if d == 3 && minTetDet(pts) < 3e-3*math.Pow(hull.DataScale(pts), 3) {
 			t.Skip()
 		}
 		if err := checkDepthRegion(pts, 1, 10*eps); err != nil {

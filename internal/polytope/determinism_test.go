@@ -1,7 +1,6 @@
 package polytope
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -61,33 +60,5 @@ func TestIntersectIgnoresGlobalRand(t *testing.T) {
 	}
 	if !geom.SameBitsList(ref.Vertices(), again.Vertices()) {
 		t.Error("Intersect result depends on global rand state")
-	}
-}
-
-// TestChebyshevCenterMemoized: repeated queries return identical bits and a
-// fresh copy each time (no aliasing of the cached centre).
-func TestChebyshevCenterMemoized(t *testing.T) {
-	p, err := New(randCloud(12, 3, 55, 0), geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, r1, err := p.ChebyshevCenter(geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, r2, err := p.ChebyshevCenter(geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(r1) != math.Float64bits(r2) || !geom.SameBits(c1, c2) {
-		t.Fatal("memoized Chebyshev centre differs across calls")
-	}
-	c1[0] = 1e9
-	c3, _, err := p.ChebyshevCenter(geom.DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c3[0] == 1e9 {
-		t.Fatal("ChebyshevCenter returned an aliased centre")
 	}
 }

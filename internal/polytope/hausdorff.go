@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"chc/internal/geom"
 	"chc/internal/hull"
@@ -118,22 +119,28 @@ func minNormPoint(verts []geom.Point, q geom.Point, eps float64) (geom.Point, fl
 	}
 	tol := eps * scale * 10
 
+	last, prev := math.Inf(1), x
 	for iter := 0; iter < maxWolfeIters; iter++ {
-		// Optimality: x is the min-norm point iff x·p >= x·x - tol for all p.
+		// Optimality: x is the min-norm point iff x·p >= x·x for all p; the
+		// gap, |x| times a length, is held to tol·|x|. Within eps x is q
+		// itself and its direction is rounding; a major cycle that does not
+		// shorten x is a stall, and the shorter x stands.
 		xx := x.Dot(x)
+		if xx >= last {
+			return prev.Add(q), math.Sqrt(last), nil
+		}
+		if xx <= eps*eps {
+			return x.Add(q), math.Sqrt(xx), nil
+		}
+		last, prev = xx, x
 		enter := -1
-		bestGap := -tol
+		bestGap := -tol * math.Sqrt(xx)
 		for i, p := range pts {
 			if gap := x.Dot(p) - xx; gap < bestGap {
 				bestGap, enter = gap, i
 			}
 		}
 		if enter < 0 {
-			return x.Add(q), x.Norm(), nil
-		}
-		if containsIndex(corral, enter) {
-			// Numerical stall: the violating point is already in the
-			// corral; accept the current solution.
 			return x.Add(q), x.Norm(), nil
 		}
 		corral = append(corral, enter)
@@ -144,12 +151,10 @@ func minNormPoint(verts []geom.Point, q geom.Point, eps float64) (geom.Point, fl
 		for {
 			y, mu, err := affineMinimizer(pts, corral, eps)
 			if err != nil {
-				// Affinely dependent corral: drop the most redundant point.
-				corral = corral[:len(corral)-1]
-				lambda = lambda[:len(lambda)-1]
+				// Affinely dependent corral: x is as near as it gets.
 				return x.Add(q), x.Norm(), nil
 			}
-			if allNonNegative(mu, -1e-12) {
+			if !slices.ContainsFunc(mu, func(w float64) bool { return w < -1e-12 }) {
 				x, lambda = y, mu
 				break
 			}
@@ -219,24 +224,6 @@ func combinationByIndex(pts []geom.Point, idx []int, w []float64) (geom.Point, e
 		sel[i] = pts[id]
 	}
 	return geom.Combination(sel, w)
-}
-
-func containsIndex(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func allNonNegative(xs []float64, tol float64) bool {
-	for _, v := range xs {
-		if v < tol {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxPairwiseHausdorff returns the largest Hausdorff distance among all

@@ -91,6 +91,18 @@ func TestDistance3DWolfe(t *testing.T) {
 	if err != nil || math.Abs(d-want) > 1e-6 {
 		t.Errorf("facet distance = %v, want %v", d, want)
 	}
+	// The last point lies inside the hull of the other five (two decisions
+	// of the benchmark's geom-cold workload): a full corral leaves x at
+	// rounding, where the gap's sign is noise.
+	for _, pts := range [][]geom.Point{
+		{pt(0.2468043881637436, 4.4586063370525935, 3.006144195426085), pt(4.446587599432536, 0.9792379155769413, 4.7453171530435), pt(6.836621781258811, 9.228350141070255, 8.22853457081601), pt(8.490606546907376, 8.726972090423663, 8.356163375982039), pt(2.5159177064145166, 8.614398951340291, 4.049616467180295), pt(4.84483188251542, 6.839311588346533, 5.990147791559705)},
+		{pt(3.1129145921068346, 4.424622479657428, 5.501664268282902), pt(8.232039950846865, 9.242799911090295, 9.603466354316986), pt(2.188581714849213, 0.47044593457382466, 6.529127455292838), pt(7.041765089774232, 2.819570958076723, 6.558501061772004), pt(2.3994645319717387, 3.1721105136319814, 6.975312629242713), pt(2.734040775124561, 2.8038492739024, 5.9228100579103)},
+	} {
+		q := pts[5]
+		if d, err := mustNew(t, pts[:5]...).Distance(q, eps); err != nil || d > 1e-9 {
+			t.Errorf("%v: distance %v (%v), want 0", q, d, err)
+		}
+	}
 }
 
 func TestNearest(t *testing.T) {

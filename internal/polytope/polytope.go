@@ -9,9 +9,10 @@
 // (facets) is derived lazily when an operation needs it. Dimension 1 uses
 // exact interval arithmetic. In every higher dimension an intersection clips
 // a vertex list by one halfspace after another (the double-description
-// method, no LP). The other operations use polygon algorithms in 2-D and
-// combine LP-based predicates with brute-force facet enumeration above it
-// (see package hull for the trade-offs).
+// method of package hull). The other operations use polygon algorithms in
+// 2-D; above it hulls and facets come from package hull's beneath-beyond
+// kernel, membership from the facets, and distances from Wolfe's min-norm
+// point. No linear program is solved.
 package polytope
 
 import (
@@ -23,7 +24,6 @@ import (
 
 	"chc/internal/geom"
 	"chc/internal/hull"
-	"chc/internal/lp"
 )
 
 // ErrEmpty is returned by operations whose result would be the empty set
@@ -32,9 +32,8 @@ var ErrEmpty = errors.New("polytope: empty polytope")
 
 // Polytope is a bounded convex polytope in V-representation. The zero value
 // is not usable; construct with New or FromPoint. Polytopes are immutable
-// after construction and safe for concurrent use; derived quantities (the
-// facet representation and the Chebyshev centre) are computed lazily and
-// memoized under an internal RWMutex. Because every derived computation is a
+// after construction and safe for concurrent use; the facet representation
+// is computed lazily and memoized under an internal RWMutex. Because it is a
 // deterministic function of the immutable vertex set, a memoized result is
 // bitwise-identical to a fresh recomputation — caching never perturbs
 // replayed traces.
@@ -45,10 +44,6 @@ type Polytope struct {
 	facets    []hull.Facet
 	facetsErr error
 	facetsSet bool
-	chebC     geom.Point
-	chebR     float64
-	chebErr   error
-	chebSet   bool
 }
 
 // New builds the convex hull of pts and returns it as a Polytope. The input
@@ -131,9 +126,24 @@ func checkConvexCCW(v []geom.Point) error {
 }
 
 // CheckExtreme returns an error unless every vertex of p is a vertex of
-// conv(p) at eps — the check FromCanonical leaves out in d >= 3.
+// conv(p) at eps — the check FromCanonical leaves out in d >= 3. A polygon
+// must be strictly convex and counter-clockwise with every vertex more than
+// eps from its neighbours' chord. Elsewhere hull.ConvexHull must keep every
+// vertex with its tolerance, 10·eps·scale, set to eps, below the clipper's:
+// a depth region's vertex may stick out of the others' hull by about that.
 func (p *Polytope) CheckExtreme(eps float64) error {
-	ext, err := hull.ExtremeFilter(p.verts, eps)
+	if m := len(p.verts); p.Dim() == 2 {
+		if err := checkConvexCCW(p.verts); err != nil {
+			return err
+		}
+		for i, v := range p.verts {
+			if m > 1 && hull.DistPointSegment(v, p.verts[(i+m-1)%m], p.verts[(i+1)%m]) <= eps {
+				return fmt.Errorf("polytope: vertex %d lies within %g of its neighbours' chord", i, eps)
+			}
+		}
+		return nil
+	}
+	ext, err := hull.ConvexHull(p.verts, eps/(10*hull.DataScale(p.verts)))
 	if err != nil {
 		return fmt.Errorf("polytope: %w", err)
 	}
@@ -209,66 +219,28 @@ func (p *Polytope) Facets(eps float64) ([]hull.Facet, error) {
 	return f, err
 }
 
-// ChebyshevCenter returns the centre and radius of the largest inscribed
-// ball of the polytope, derived from its facet representation and memoized
-// (the eps of the first call wins). The returned centre is a fresh copy.
-func (p *Polytope) ChebyshevCenter(eps float64) (geom.Point, float64, error) {
-	if len(p.verts) == 0 {
-		return nil, 0, ErrEmpty
-	}
-	p.mu.RLock()
-	if p.chebSet {
-		c, r, err := p.chebC, p.chebR, p.chebErr
-		p.mu.RUnlock()
-		if err != nil {
-			return nil, 0, err
-		}
-		return c.Clone(), r, nil
-	}
-	p.mu.RUnlock()
-
-	c, r, err := p.chebyshevCompute(eps)
-	p.mu.Lock()
-	if !p.chebSet {
-		p.chebC, p.chebR, p.chebErr, p.chebSet = c, r, err, true
-	}
-	c, r, err = p.chebC, p.chebR, p.chebErr
-	p.mu.Unlock()
-	if err != nil {
-		return nil, 0, err
-	}
-	return c.Clone(), r, nil
-}
-
-func (p *Polytope) chebyshevCompute(eps float64) (geom.Point, float64, error) {
-	if len(p.verts) == 1 {
-		return p.verts[0].Clone(), 0, nil
-	}
-	facets, err := p.Facets(eps)
-	if err != nil {
-		return nil, 0, err
-	}
-	a := make([][]float64, len(facets))
-	b := make([]float64, len(facets))
-	for i, f := range facets {
-		a[i], b[i] = f.Normal, f.Offset
-	}
-	c, r, err := lp.ChebyshevCenter(a, b, eps)
-	if err != nil {
-		return nil, 0, fmt.Errorf("polytope: chebyshev centre: %w", err)
-	}
-	return geom.Point(c), r, nil
-}
-
-// Contains reports whether q is in the polytope, within tolerance eps.
+// Contains reports whether q is in the polytope, within tolerance eps: a
+// polygon by hull.PointInConvexPolygon, anything else by its facets.
 func (p *Polytope) Contains(q geom.Point, eps float64) (bool, error) {
 	if len(p.verts) == 0 {
 		return false, ErrEmpty
 	}
+	if q.Dim() != p.Dim() {
+		return false, fmt.Errorf("polytope: point has dimension %d, want %d", q.Dim(), p.Dim())
+	}
 	if p.Dim() == 2 && len(p.verts) >= 3 {
 		return hull.PointInConvexPolygon(q, p.verts, eps), nil
 	}
-	return hull.Contains(p.verts, q, eps)
+	facets, err := p.Facets(eps)
+	if err != nil {
+		return false, err
+	}
+	for _, f := range facets {
+		if f.Eval(q) > eps {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // ContainsPolytope reports whether every point of q lies in p, i.e. q ⊆ p.

@@ -402,3 +402,31 @@ func TestFromCanonicalAcceptsCanonical(t *testing.T) {
 		t.Error("CheckExtreme accepted an interior vertex")
 	}
 }
+
+// TestCheckExtremePolygonNearChord: a strictly convex counter-clockwise
+// polygon whose vertex (16.188235294117646, 1.4e-76) lies 2.7e-8 (in exact
+// arithmetic) outside the hull of the other four: more than eps from its
+// neighbours' chord, so extreme. The LP filter CheckExtreme asked before
+// called it interior.
+func TestCheckExtremePolygonNearChord(t *testing.T) {
+	p, err := FromCanonical([]geom.Point{
+		pt(6.6552171391412855, 9.5330181549763626),
+		pt(16.188235294117646, 1.3980432860952889e-76),
+		pt(16.188235332069041, 1.3980432860952889e-76),
+		pt(16.188235294117646, 8.0941176470588232),
+		pt(8.3772139017321834, 11.999628343251553),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckExtreme(eps); err != nil {
+		t.Error(err)
+	}
+	flat, err := FromCanonical([]geom.Point{pt(0, 0), pt(1, 0), pt(1, 1), pt(0.5, 1+eps/2), pt(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.CheckExtreme(eps) == nil {
+		t.Error("CheckExtreme accepted a vertex eps/2 from its neighbours' chord")
+	}
+}

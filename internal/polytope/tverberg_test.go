@@ -23,6 +23,7 @@ import (
 	"testing/quick"
 
 	"chc/internal/geom"
+	"chc/internal/hull"
 )
 
 // errNotEnoughPoints is returned when fewer than (d+1)f + 1 points are
@@ -356,10 +357,8 @@ func TestRadonProperty(t *testing.T) {
 
 // TestWitnessInsideRound0Intersection (Lemma 2, constructively): for
 // uniform [0,10)^d views X with |X| = (d+1)f+1, the bound of eq. (2), a
-// verified Tverberg point of X lies in DepthRegion(X, f) to 1e-9·scale.
-// Membership is read off the region's facets: Wolfe's min-norm distance
-// puts some of these witnesses, which every facet holds, up to 1.6e-5
-// outside in d = 3.
+// verified Tverberg point of X lies in DepthRegion(X, f) to 1e-9·scale, by
+// Wolfe's min-norm distance.
 func TestWitnessInsideRound0Intersection(t *testing.T) {
 	for _, c := range []struct{ d, f, views int }{
 		{2, 1, 1500}, {2, 2, 300}, {3, 1, 1200}, {3, 2, 60},
@@ -368,30 +367,52 @@ func TestWitnessInsideRound0Intersection(t *testing.T) {
 		worst := 0.0
 		for i := 0; i < c.views; i++ {
 			pts := uniformPts(rng, (c.d+1)*c.f+1, c.d)
-			part, err := findTverberg(pts, c.f, eps)
-			if err != nil {
-				t.Fatalf("(d=%d, f=%d) view %d: %v", c.d, c.f, i, err)
-			}
-			if err := verifyPartition(part, 1e-5); err != nil {
-				t.Fatalf("(d=%d, f=%d) view %d: %v", c.d, c.f, i, err)
-			}
-			h0, err := DepthRegion(pts, c.f, eps)
-			if err != nil {
-				t.Fatalf("(d=%d, f=%d) view %d: %v", c.d, c.f, i, err)
-			}
-			facets, err := h0.Facets(eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			excess := 0.0
-			for _, h := range facets {
-				excess = max(excess, h.Eval(part.witness))
-			}
-			if excess > 1e-9*dataScale(pts) {
-				t.Errorf("(d=%d, f=%d) view %d: witness %v lies %g outside h[0]", c.d, c.f, i, part.witness, excess)
+			excess := witnessExcess(t, pts, c.f)
+			if excess > 1e-9*hull.DataScale(pts) {
+				t.Errorf("(d=%d, f=%d) view %d: the witness lies %g outside h[0]", c.d, c.f, i, excess)
 			}
 			worst = max(worst, excess)
 		}
 		t.Logf("(d=%d, f=%d): %d views, worst witness excess %.2g", c.d, c.f, c.views, worst)
+	}
+}
+
+// witnessExcess is the distance of a verified Tverberg point of pts from
+// DepthRegion(pts, f).
+func witnessExcess(t *testing.T, pts []geom.Point, f int) float64 {
+	t.Helper()
+	part, err := findTverberg(pts, f, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyPartition(part, 1e-5); err != nil {
+		t.Fatal(err)
+	}
+	h0, err := DepthRegion(pts, f, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := h0.Distance(part.witness, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestWolfeStopsAtTheWitness: views 226 and 236 of the (d = 3, f = 2)
+// witness sweep (rand.NewSource(32), 9 uniform [0,10)³ points), whose
+// witness every facet of h[0] holds to 1.8e-15. Wolfe's optimality test
+// compared a squared length with a length and stopped early, at 1.6e-5 and
+// 2.6e-7.
+func TestWolfeStopsAtTheWitness(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i <= 236; i++ {
+		pts := uniformPts(rng, 9, 3)
+		if i != 226 && i != 236 {
+			continue
+		}
+		if d := witnessExcess(t, pts, 2); d > 1e-9*hull.DataScale(pts) {
+			t.Errorf("view %d: Distance to the witness %g", i, d)
+		}
 	}
 }

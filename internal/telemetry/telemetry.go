@@ -44,7 +44,7 @@ const (
 	TypeHistogram MetricType = "histogram"
 )
 
-// DefBuckets covers the repo's latency range: microsecond LP solves through
+// DefBuckets covers the repo's latency range: microsecond geometry kernels through
 // multi-second recovery waits. Values are seconds.
 var DefBuckets = []float64{
 	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,

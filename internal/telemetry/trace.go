@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Event is one structured trace record. Span ends carry their duration;
-// point events leave Dur zero. The run → instance → round → phase hierarchy
+// Event is one structured trace record. A timed event carries its duration
+// in Dur; point events leave it zero. The run → instance → round → phase hierarchy
 // lives in Attrs (run, instance, proc, round, ...), so a flat JSON-lines
 // stream can be re-assembled into the tree.
 type Event struct {
@@ -31,7 +31,7 @@ type sinkBox struct{ s Sink }
 var activeSink atomic.Pointer[sinkBox]
 
 // SetSink installs the process-wide trace sink and returns the previous
-// one. A nil sink disables tracing; while disabled, span creation costs one
+// one. A nil sink disables tracing; while disabled, an event costs one
 // atomic load.
 func SetSink(s Sink) Sink {
 	var prev *sinkBox
@@ -57,46 +57,6 @@ func Emit(name string, attrs map[string]any) {
 		return
 	}
 	box.s.Emit(Event{Time: time.Now(), Name: name, Attrs: attrs})
-}
-
-// Span is an in-flight timed region. A nil *Span is valid and inert, so
-// call sites can unconditionally End() the result of StartSpan.
-type Span struct {
-	name  string
-	start time.Time
-	attrs map[string]any
-}
-
-// StartSpan opens a span; returns nil (inert) when tracing is disabled.
-// The attrs map is retained until End and must not be mutated afterwards.
-func StartSpan(name string, attrs map[string]any) *Span {
-	if activeSink.Load() == nil {
-		return nil
-	}
-	return &Span{name: name, start: time.Now(), attrs: attrs}
-}
-
-// End closes the span, merging extra attributes into the ones given at
-// start, and emits it with its measured duration.
-func (s *Span) End(extra map[string]any) {
-	if s == nil {
-		return
-	}
-	box := activeSink.Load()
-	if box == nil {
-		return
-	}
-	attrs := s.attrs
-	if len(extra) > 0 {
-		if attrs == nil {
-			attrs = extra
-		} else {
-			for k, v := range extra {
-				attrs[k] = v
-			}
-		}
-	}
-	box.s.Emit(Event{Time: s.start, Name: s.name, Dur: time.Since(s.start), Attrs: attrs})
 }
 
 // JSONSink writes each event as one JSON object per line.

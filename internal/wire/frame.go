@@ -172,23 +172,6 @@ func decodeBody(body []byte) (Frame, error) {
 	return f, nil
 }
 
-// DecodeFrame parses a frame produced by AppendFrame: header validation,
-// CRC check, then body decode. Failures are classified — see Classify.
-func DecodeFrame(frame []byte) (Frame, error) {
-	n, err := checkHeader(frame)
-	if err != nil {
-		return Frame{}, err
-	}
-	if len(frame)-FrameHeaderLen != n {
-		return Frame{}, fmt.Errorf("%w: frame length %d but %d bytes follow", ErrTruncated, n, len(frame)-FrameHeaderLen)
-	}
-	body := frame[FrameHeaderLen:]
-	if want := binary.BigEndian.Uint32(frame[6:]); crc32.Checksum(body, castagnoli) != want {
-		return Frame{}, fmt.Errorf("%w: body of %d bytes", ErrBadCRC, n)
-	}
-	return decodeBody(body)
-}
-
 // FrameSize returns the encoded size of f in bytes (0 if unencodable).
 func FrameSize(f Frame) int {
 	b, err := AppendFrame(nil, f)

@@ -6,7 +6,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -354,36 +353,6 @@ func payloadSize(payload any) (int, bool) {
 
 // pointSize is the number of bytes appendPoint writes for p.
 func pointSize(p geom.Point) int { return 2 + 8*len(p) }
-
-// WriteMessage writes one frame to w.
-func WriteMessage(w io.Writer, m dist.Message) error {
-	b, err := AppendMessage(nil, m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadMessage reads one frame from r.
-func ReadMessage(r *bufio.Reader) (dist.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return dist.Message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	// Reject before allocating: a corrupted or hostile length prefix (e.g.
-	// 0xFFFFFFFF) must not size a buffer.
-	if n > MaxFrameLen {
-		return dist.Message{}, fmt.Errorf("%w: message body of %d bytes (cap %d)", ErrTooLarge, n, MaxFrameLen)
-	}
-	frame := make([]byte, 4+n)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r, frame[4:]); err != nil {
-		return dist.Message{}, err
-	}
-	return DecodeMessage(frame)
-}
 
 // reader is a bounds-checked cursor over a frame.
 type reader struct {
