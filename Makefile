@@ -22,11 +22,13 @@ test: build
 
 # check is the tier-1 gate plus static analysis and the race detector over
 # the concurrency-heavy packages (networked runtime, reliable links, chaos
-# injection, simulator, wire codec, telemetry registry), the packages the
-# simulator's per-message path runs through (stable vector, WAN scheduler),
-# the geometry packages (hull, lp, polytope), whose pooled scratch (the depth
-# halfspaces' cofactor buffers, LP workspaces) and lazily memoized facets
-# are shared by concurrently running processes, and the CC processes (core,
+# injection, wire codec, telemetry registry), the simulator, whose runs take
+# their generator and channel-table slabs from pools shared by concurrent
+# runs, the packages the simulator's per-message path runs through (stable
+# vector, WAN scheduler), the geometry packages (hull, lp, polytope), whose
+# pooled scratch (the depth halfspaces' enumeration buffers, the clipper, LP
+# workspaces) and lazily memoized facets are shared by concurrently running
+# processes, and the CC processes (core,
 # vector consensus), whose state vertex lists are shared, not copied, with
 # every receiver. It first fails on any tracked Go file gofmt would rewrite,
 # on any non-test Go file outside the benchmark harness that imports

@@ -65,6 +65,10 @@ type Process struct {
 	// seen[j] is the vertex list last resolved from sender j and the
 	// polytope it resolved to (see received).
 	seen []resolved
+	// sent is the last state broadcast, boxed, and sentVerts its vertex
+	// list: a state with the same list goes out in the same box.
+	sent      any
+	sentVerts []geom.Point
 
 	syntheticH0 *polytope.Polytope // non-nil: skip round 0 (analysis mode)
 
@@ -132,16 +136,19 @@ func (v Variant) NewProcess(params Params, id dist.ProcID, input geom.Point) (*P
 	if err != nil {
 		return nil, err
 	}
+	tEnd := params.TEnd()
 	return &Process{
-		params: params,
-		id:     id,
-		input:  input.Clone(),
-		tEnd:   params.TEnd(),
-		sv:     sv,
-		seen:   make([]resolved, params.N),
-		round0: v.round0,
-		m:      v.m,
-		trace:  Trace{ID: id},
+		params:  params,
+		id:      id,
+		input:   input.Clone(),
+		tEnd:    tEnd,
+		sv:      sv,
+		pending: make([]*roundSlots, 0, tEnd+1),
+		polys:   make([]*polytope.Polytope, 0, params.N),
+		seen:    make([]resolved, params.N),
+		round0:  v.round0,
+		m:       v.m,
+		trace:   Trace{ID: id, Rounds: make([]RoundRecord, 0, tEnd)},
 	}, nil
 }
 
@@ -297,7 +304,7 @@ func (p *Process) tryFinishRound0(ctx dist.Context) {
 func (p *Process) enterRound(ctx dist.Context, t int) {
 	if t > p.tEnd {
 		p.decided = true
-		p.pending, p.spare, p.polys, p.seen = nil, nil, nil, nil // Deliver keeps nothing from now on
+		p.pending, p.spare, p.polys, p.seen, p.sent = nil, nil, nil, nil, nil // Deliver keeps nothing from now on
 		p.m.decided.Inc()
 		p.m.decidedRound.Observe(float64(p.tEnd))
 		if telemetry.TraceOn() {
@@ -315,7 +322,10 @@ func (p *Process) enterRound(ctx dist.Context, t int) {
 	// The own state is broadcast and held as its own immutable vertex list.
 	verts := p.state.SharedVertices()
 	p.slots(t).put(p.id, verts)
-	ctx.Broadcast(KindState, t, wire.PolytopePayload{Verts: verts})
+	if !geom.SameList(verts, p.sentVerts) {
+		p.sent, p.sentVerts = wire.PolytopePayload{Verts: verts}, verts
+	}
+	ctx.Broadcast(KindState, t, p.sent)
 }
 
 // roundSlots holds the states of one round by sender: states[j] is j's

@@ -38,8 +38,9 @@ func (l ChannelList) At(i int) ChannelState { return l[i] }
 // state between picks.
 type Scheduler interface {
 	// Pick returns an index in [0, channels.Len()); channels is never empty.
-	// The view reads the simulator's live channel table: it is valid only
-	// for the duration of the call and must not be retained.
+	// The view reads the simulator's live channel table and rng is the
+	// run's pooled generator: both are valid only for the duration of the
+	// call and must not be retained.
 	Pick(channels Channels, rng *rand.Rand) int
 }
 

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // ProcID identifies a process; IDs are 0..n-1.
@@ -203,13 +205,17 @@ const defaultMaxDeliveries = 5_000_000
 // round, instance, payload) is stored once, and each channel queues the
 // post's 4-byte index. A broadcast is one post with a copy on each of its
 // channels, and the post's slot is recycled when its last copy leaves.
+//
+// The scheduler's generator and the channel table (its fifos and post slab)
+// are pooled: NewSim takes them, re-seeding the generator, and Run gives
+// them back when it returns, so a run allocates neither a source nor slabs.
 type Sim struct {
 	cfg   Config
 	procs []Process
 	ctxs  []simContext // one per process, handed to every Init/Deliver
 	rng   *rand.Rand
 
-	chans channelTable
+	chans *channelTable
 
 	crashed    []bool
 	sendBudget []int // remaining sends before crash; -1 = never crashes
@@ -259,9 +265,28 @@ type post struct {
 
 var _ Channels = (*channelTable)(nil)
 
-func newChannelTable(n int) channelTable {
+var tablePool = sync.Pool{New: func() any { return new(channelTable) }}
+
+// newChannelTable takes a table from the pool and empties it for n
+// processes; release gives it back.
+func newChannelTable(n int) *channelTable {
+	t := tablePool.Get().(*channelTable)
 	slots := n * n
-	return channelTable{n: n, fifos: make([]fifo, slots), live: make([]uint64, (slots+63)/64), rank: -1}
+	t.n, t.count, t.rank = n, 0, -1
+	t.fifos = slices.Grow(t.fifos[:0], slots)[:slots]
+	for c := range t.fifos {
+		t.fifos[c].buf, t.fifos[c].head = t.fifos[c].buf[:0], 0
+	}
+	t.live = slices.Grow(t.live[:0], (slots+63)/64)[:(slots+63)/64]
+	clear(t.live)
+	t.posts, t.free = t.posts[:0], t.free[:0]
+	return t
+}
+
+// release drops the payloads still queued and returns t to the pool.
+func (t *channelTable) release() {
+	clear(t.posts)
+	tablePool.Put(t)
 }
 
 // Len implements Channels.
@@ -441,7 +466,7 @@ func NewSim(cfg Config, procs []Process) (*Sim, error) {
 		cfg:        cfg,
 		procs:      procs,
 		ctxs:       make([]simContext, cfg.N),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		rng:        newRand(cfg.Seed),
 		chans:      newChannelTable(cfg.N),
 		crashed:    make([]bool, cfg.N),
 		sendBudget: budget,
@@ -452,11 +477,24 @@ func NewSim(cfg Config, procs []Process) (*Sim, error) {
 	return s, nil
 }
 
+// rngPool holds the schedulers' generators between runs. Seeding a pooled
+// *rand.Rand gives, bit for bit, the stream rand.New(rand.NewSource(seed))
+// gives, without allocating a 5 KB source per run.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+func newRand(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
 // Run executes the protocol to completion: it initialises every process and
 // delivers messages in scheduler order until all live processes are done.
 // Crashed processes are not required to finish. Stats are valid even when an
-// error is returned.
+// error is returned. A Sim runs once: Run returns its generator and channel
+// table to their pools.
 func (s *Sim) Run() (*Stats, error) {
+	defer s.release()
 	maxDeliveries := s.cfg.MaxDeliveries
 	if maxDeliveries == 0 {
 		maxDeliveries = defaultMaxDeliveries
@@ -480,6 +518,13 @@ func (s *Sim) Run() (*Stats, error) {
 	return s.result(ErrLivelock)
 }
 
+// release returns the generator and the channel table to their pools.
+func (s *Sim) release() {
+	rngPool.Put(s.rng)
+	s.chans.release()
+	s.rng, s.chans = nil, nil
+}
+
 // result fills Stats.KindCounts from the per-kind send counts; every exit
 // of Run goes through it, since Stats stay valid on error.
 func (s *Sim) result(err error) (*Stats, error) {
@@ -497,7 +542,7 @@ func (s *Sim) deliverNext() bool {
 	if s.chans.count == 0 {
 		return false
 	}
-	idx := s.cfg.Scheduler.Pick(&s.chans, s.rng)
+	idx := s.cfg.Scheduler.Pick(s.chans, s.rng)
 	if idx < 0 || idx >= s.chans.count {
 		idx = 0 // defensive: a misbehaving scheduler falls back to FIFO
 	}

@@ -698,6 +698,27 @@ func TestGoldenSchedules(t *testing.T) {
 	}
 }
 
+// TestGoldenSchedulesConcurrent runs the golden grid in four parallel
+// subtests: runs going on at once each take their own generator and channel
+// table from the pools and give them back, so none may see another's state.
+func TestGoldenSchedulesConcurrent(t *testing.T) {
+	for w := 0; w < 4; w++ {
+		t.Run(fmt.Sprint(w), func(t *testing.T) {
+			t.Parallel()
+			for _, sc := range builtinSchedulers {
+				for _, n := range []int{4, 9, 16} {
+					for _, cr := range goldenCrashes {
+						name := fmt.Sprintf("%s/n%d/%s", sc.name, n, cr.name)
+						if got := goldenRun(t, n, cr.plan(n), func() Scheduler { return sc.mk(n) }); got != goldenSchedules[name] {
+							t.Errorf("%q: %#016x, want %#016x", name, got, goldenSchedules[name])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // builtinSchedulers are the five built-in schedulers of the golden grid and
 // the allocation table, as functions of n.
 var builtinSchedulers = []struct {
@@ -949,7 +970,7 @@ func TestChannelsMatchFIFOScan(t *testing.T) {
 							n, step, want.From, want.To, got.Pending, want.Pending)
 					}
 				}
-				checkChannels(t, fmt.Sprintf("n=%d trial %d step %d", n, trial, step), &sim.chans, scanChannels(sim), rng)
+				checkChannels(t, fmt.Sprintf("n=%d trial %d step %d", n, trial, step), sim.chans, scanChannels(sim), rng)
 			}
 		}
 	}

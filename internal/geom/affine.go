@@ -20,30 +20,58 @@ func (ab *AffineBasis) Dim() int { return len(ab.Basis) }
 // AmbientDim returns the dimension of the surrounding space.
 func (ab *AffineBasis) AmbientDim() int { return len(ab.Origin) }
 
+var errNoPoints = errors.New("geom: affine basis of empty point set")
+
 // NewAffineBasis computes the affine hull of pts by Gram-Schmidt with
 // tolerance eps. The returned basis has between 0 (single point) and
 // len(pts[0]) directions.
 func NewAffineBasis(pts []Point, eps float64) (*AffineBasis, error) {
 	if len(pts) == 0 {
-		return nil, errors.New("geom: affine basis of empty point set")
+		return nil, errNoPoints
 	}
 	origin := pts[0].Clone()
-	ambient := len(origin)
-	basis := make([]Point, 0, ambient)
-	for _, p := range pts[1:] {
-		if len(basis) == ambient {
-			break
-		}
-		v := p.Sub(origin)
-		// Remove components along the existing basis.
-		for _, b := range basis {
-			v = v.AddScaled(-v.Dot(b), b)
-		}
-		if n := v.Norm(); n > eps {
-			basis = append(basis, v.Scale(1/n))
-		}
+	d := len(origin)
+	flat := make([]float64, (d+1)*d)
+	basis := make([]Point, gramSchmidt(pts, flat, eps))
+	for i := range basis {
+		basis[i] = flat[i*d : (i+1)*d : (i+1)*d]
 	}
 	return &AffineBasis{Origin: origin, Basis: basis}, nil
+}
+
+// gramSchmidt runs NewAffineBasis's orthonormalisation of pts[i] − pts[0]
+// in buf, which holds d+1 rows of d = len(pts[0]): the directions found go
+// to its first rows, the last is the vector being reduced. It returns how
+// many directions it found.
+func gramSchmidt(pts []Point, buf []float64, eps float64) int {
+	origin := pts[0]
+	d := len(origin)
+	v := Point(buf[d*d : (d+1)*d])
+	k := 0
+	for _, p := range pts[1:] {
+		if k == d {
+			break
+		}
+		for i := range v {
+			v[i] = p[i] - origin[i]
+		}
+		// Remove components along the existing basis.
+		for j := 0; j < k; j++ {
+			b := Point(buf[j*d : (j+1)*d])
+			c := -v.Dot(b)
+			for i := range v {
+				v[i] = v[i] + c*b[i]
+			}
+		}
+		if n := v.Norm(); n > eps {
+			c := 1 / n
+			for i, a := range v {
+				buf[k*d+i] = c * a
+			}
+			k++
+		}
+	}
+	return k
 }
 
 // Project maps an ambient point to coordinates in the subspace basis. If the
@@ -83,11 +111,17 @@ func (ab *AffineBasis) DistanceToSubspace(p Point) float64 {
 }
 
 // AffineDim returns the dimension of the affine hull of pts (0 for a single
-// point, up to the ambient dimension).
+// point, up to the ambient dimension): NewAffineBasis's Dim, found without
+// allocating in d <= 4.
 func AffineDim(pts []Point, eps float64) (int, error) {
-	ab, err := NewAffineBasis(pts, eps)
-	if err != nil {
-		return 0, err
+	if len(pts) == 0 {
+		return 0, errNoPoints
 	}
-	return ab.Dim(), nil
+	var small [20]float64
+	d := len(pts[0])
+	buf := small[:]
+	if (d+1)*d > len(small) {
+		buf = make([]float64, (d+1)*d)
+	}
+	return gramSchmidt(pts, buf, eps), nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"chc/internal/geom"
 )
@@ -25,7 +26,8 @@ func ClipBox(lo, hi geom.Point, hs []Facet, scale, eps float64) []geom.Point {
 	}
 	// Constraint 2j is x_j >= lo_j and 2j+1 is x_j <= hi_j; corners of a
 	// flat box merge.
-	c := newClipper(d, 2*d+len(hs), tol)
+	c := getClipper(d, 2*d+len(hs), tol)
+	defer clipperPool.Put(c)
 	for mask := 0; mask < 1<<d; mask++ {
 		clear(c.meet)
 		for j := range c.pt {
@@ -42,27 +44,41 @@ func ClipBox(lo, hi geom.Point, hs []Facet, scale, eps float64) []geom.Point {
 }
 
 // ClipHull returns the vertices of the points of conv(pts) satisfying every
-// halfspace of hs, pts spanning R^d, d >= 2, by clipping the hull (see
-// clipper), or nil when there are none. Its facets are the halfspaces of
-// hs with no point of pts beyond tol, and its vertices the points of pts on
-// at least one of them: in general position those on the boundary are the
-// vertices, and a near-duplicate of a vertex, on the same facets within
-// tol, is kept (and not merged) rather than lost. Starting from the hull
-// rather than a box, every vertex and every plane comes from pts, so a
-// plane through an input point meets it to rounding, not to a coincidence
-// of the data with a box face.
-func ClipHull(pts []geom.Point, hs []Facet, scale, eps float64) []geom.Point {
-	c := newClipper(pts[0].Dim(), len(hs), 10*eps*scale)
-	var facets []int
-	for i, h := range hs {
-		if !slices.ContainsFunc(pts, func(p geom.Point) bool { return h.Eval(p) > c.tol }) {
-			facets = append(facets, i)
+// halfspace DepthHalfspaces(pts, f, eps) returns, pts spanning R^d, d >= 2,
+// by clipping the hull (see clipper), or nil when there are none. The
+// hull's facets are the halfspaces with no point of pts beyond tol, and its
+// vertices the points of pts on at least one of them: in general position
+// those on the boundary are the vertices, and a near-duplicate of a vertex,
+// on the same facets within tol, is kept (and not merged) rather than lost.
+// Both tests read the n·v − b values the enumeration computed, not new
+// ones. Starting from the hull rather than a box, every vertex and every
+// plane comes from pts, so a plane through an input point meets it to
+// rounding, not to a coincidence of the data with a box face. All scratch
+// is pooled; the returned list is the only memory it hands out.
+func ClipHull(pts []geom.Point, f int, eps float64) []geom.Point {
+	scale := DataScale(pts)
+	s := facetPool.Get().(*facetScratch)
+	defer facetPool.Put(s)
+	s.enumerate(pts, f, eps*scale*10, eps)
+	d, k := len(pts[0]), len(pts)
+	hs := s.halfspaces(d)
+	c := getClipper(d, len(hs), 10*eps*scale)
+	defer clipperPool.Put(c)
+	// c.in collects the hull's facets and c.out the points of pts not
+	// within eps of an earlier one (geom.Dedup's choice); clip resets both.
+	for i := range hs {
+		if !slices.ContainsFunc(s.sides[i*k:(i+1)*k], func(e float64) bool { return e > c.tol }) {
+			c.in = append(c.in, i)
 		}
 	}
-	for _, p := range geom.Dedup(pts, eps) {
+	for v, p := range pts {
+		if slices.ContainsFunc(c.out, func(w int) bool { return geom.Equal(p, pts[w], eps) }) {
+			continue
+		}
+		c.out = append(c.out, v)
 		clear(c.meet)
-		for _, i := range facets {
-			if math.Abs(hs[i].Eval(p)) <= c.tol {
+		for _, i := range c.in {
+			if math.Abs(s.sides[i*k+v]) <= c.tol {
 				c.meet[i/64] |= 1 << (i % 64)
 			}
 		}
@@ -83,7 +99,8 @@ func ClipHull(pts []geom.Point, hs []Facet, scale, eps float64) []geom.Point {
 // section. "On" means within tol, 10·eps·scale, DepthHalfspaces'
 // tolerance, and a new vertex that close to another merges into it. So
 // every vertex is a basic feasible point, extreme by construction, and no
-// linear program is solved.
+// linear program is solved. Clippers are pooled (getClipper), so their
+// buffers outlive a call and concurrent callers each take their own.
 type clipper struct {
 	d, words int
 	tol      float64
@@ -96,11 +113,21 @@ type clipper struct {
 	in, out  []int
 	meet     []uint64 // the tight set of the vertex being made
 	pt       []float64
+	pts      []geom.Point // the list as points, for vertices
 }
 
-func newClipper(d, constraints int, tol float64) *clipper {
-	words := (constraints + 63) / 64
-	return &clipper{d: d, words: words, tol: tol, meet: make([]uint64, words), pt: make([]float64, d)}
+var clipperPool = sync.Pool{New: func() any { return new(clipper) }}
+
+// getClipper takes a clipper from the pool with an empty list of vertices
+// in d dimensions, room for the given number of tight bits, and tolerance
+// tol. The caller puts it back.
+func getClipper(d, constraints int, tol float64) *clipper {
+	c := clipperPool.Get().(*clipper)
+	c.d, c.words, c.tol, c.n = d, (constraints+63)/64, tol, 0
+	c.x, c.t, c.in, c.out = c.x[:0], c.t[:0], c.in[:0], c.out[:0]
+	c.meet = slices.Grow(c.meet[:0], c.words)[:c.words]
+	c.pt = slices.Grow(c.pt[:0], d)[:d]
+	return c
 }
 
 // intersect clips the list by hs, whose first tight bit is first, and
@@ -123,10 +150,7 @@ func (c *clipper) intersect(hs []Facet, first int, eps float64) []geom.Point {
 			}
 		}
 	}
-	if c.d == 2 {
-		return MonotoneChain(c.points(), eps)
-	}
-	return geom.Dedup(c.points(), eps)
+	return c.vertices(eps)
 }
 
 // reverses reports whether g is h with its sides swapped, bit for bit.
@@ -268,12 +292,29 @@ func (c *clipper) adjacent(a, b int) bool {
 	return true
 }
 
-// points returns the vertex list as points sharing one backing array.
-func (c *clipper) points() []geom.Point {
-	flat := c.x[:c.n*c.d]
-	pts := make([]geom.Point, c.n)
-	for v := range pts {
-		pts[v] = flat[v*c.d : (v+1)*c.d : (v+1)*c.d]
+// vertices returns the list in fresh memory, one slab of coordinates under
+// its point headers: in 2-D as MonotoneChain orders it, else without the
+// points within eps of an earlier one (geom.Dedup's choice).
+func (c *clipper) vertices(eps float64) []geom.Point {
+	c.pts = c.pts[:0]
+	for v := 0; v < c.n; v++ {
+		c.pts = append(c.pts, c.vertex(v))
 	}
-	return pts
+	list := c.pts[:0]
+	if c.d == 2 {
+		list = MonotoneChain(c.pts, eps)
+	} else {
+		for _, p := range c.pts {
+			if !slices.ContainsFunc(list, func(q geom.Point) bool { return geom.Equal(p, q, eps) }) {
+				list = append(list, p)
+			}
+		}
+	}
+	flat := make([]float64, len(list)*c.d)
+	out := make([]geom.Point, len(list))
+	for i, p := range list {
+		out[i] = flat[i*c.d : (i+1)*c.d : (i+1)*c.d]
+		copy(out[i], p)
+	}
+	return out
 }

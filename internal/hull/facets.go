@@ -1,6 +1,8 @@
 package hull
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"chc/internal/geom"
@@ -107,13 +109,21 @@ func complementBasis(ab *geom.AffineBasis, eps float64) []geom.Point {
 }
 
 // facetScratch is the reusable state of one facet enumeration: edge
-// buffers, the normal accumulator, the cofactor minor, and an LU scratch for
-// its determinants. It is pooled, so concurrent callers each take their own.
+// buffers, the normal accumulator, the cofactor minor and an LU scratch for
+// its determinants in d >= 4, and the enumeration's result (see enumerate).
+// It is pooled, so concurrent callers each take their own.
 type facetScratch struct {
 	edges []geom.Point
 	n     geom.Point
 	minor *geom.Matrix
 	ds    geom.DetScratch
+
+	idx     []int
+	e       []float64 // the current plane's n·v − b at every input
+	normals []float64 // d to a kept halfspace
+	offsets []float64
+	sides   []float64 // len(pts) to a kept halfspace: its n·v − b at every input
+	hs      []Facet   // views of normals and offsets
 }
 
 var facetPool = sync.Pool{New: func() any { return new(facetScratch) }}
@@ -141,29 +151,57 @@ func (s *facetScratch) prepare(d int) {
 // deterministic function of pts and each facet of an (|pts|−f)-subset C's
 // hull through d points of C is one of these halfspaces, bit for bit.
 // "Strictly outside" means beyond a tolerance of 10·eps times the data
-// magnitude, so large coordinates do not break the predicate.
+// magnitude, so large coordinates do not break the predicate. The normals
+// share one backing array.
 func DepthHalfspaces(pts []geom.Point, f int, eps float64) []Facet {
-	if len(pts) == 0 {
+	s := facetPool.Get().(*facetScratch)
+	defer facetPool.Put(s)
+	if s.enumerate(pts, f, eps*DataScale(pts)*10, eps); len(s.offsets) == 0 {
 		return nil
+	}
+	normals := slices.Clone(s.normals)
+	d := len(pts[0])
+	facets := make([]Facet, len(s.offsets))
+	for i, b := range s.offsets {
+		facets[i] = Facet{Normal: normals[i*d : (i+1)*d : (i+1)*d], Offset: b}
+	}
+	return facets
+}
+
+// enumerate runs DepthHalfspaces' enumeration at tolerance tol into s: the
+// kept halfspaces' normals and offsets, and each one's n·v − b at every
+// point of pts, the values its filter compared with tol (for the reverse
+// orientation their negations, which are its own values but for the sign of
+// a zero). It keeps nothing when pts is too small to span a hyperplane or
+// d < 2.
+func (s *facetScratch) enumerate(pts []geom.Point, f int, tol, eps float64) {
+	s.normals, s.offsets, s.sides = s.normals[:0], s.offsets[:0], s.sides[:0]
+	if len(pts) == 0 {
+		return
 	}
 	d := pts[0].Dim()
 	k := len(pts)
 	if d < 2 || k < d {
-		return nil
+		return
 	}
-	tol := eps * DataScale(pts) * 10
+	s.prepare(d)
+	s.e = slices.Grow(s.e[:0], k)[:k]
+	s.idx = slices.Grow(s.idx[:0], d)[:d]
+	for i := range s.idx {
+		s.idx[i] = i
+	}
+	for ok := true; ok; ok = nextCombination(s.idx, k) {
+		s.addDepthFacets(pts, f, tol, eps)
+	}
+}
 
-	s := facetPool.Get().(*facetScratch)
-	defer facetPool.Put(s)
-	var facets []Facet
-	idx := make([]int, d)
-	for i := range idx {
-		idx[i] = i
+// halfspaces returns enumerate's halfspaces as facets viewing s's slabs.
+func (s *facetScratch) halfspaces(d int) []Facet {
+	s.hs = s.hs[:0]
+	for i, b := range s.offsets {
+		s.hs = append(s.hs, Facet{Normal: s.normals[i*d : (i+1)*d : (i+1)*d], Offset: b})
 	}
-	for ok := true; ok; ok = nextCombination(idx, k) {
-		s.addDepthFacets(&facets, pts, idx, f, tol, eps)
-	}
-	return facets
+	return s.hs
 }
 
 // nextCombination advances idx to the next d-subset of {0..k-1} in
@@ -184,16 +222,14 @@ func nextCombination(idx []int, k int) bool {
 	return true
 }
 
-// addDepthFacets adds to facets each orientation of the hyperplane through
-// pts[idx...] that has at most f points beyond tol on its outer side, and
-// nothing when the subset does not span a hyperplane. All scratch comes from
-// s; each added Normal is freshly allocated.
-func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []int, f int, tol, eps float64) {
+// addDepthFacets adds to s each orientation of the hyperplane through
+// pts[s.idx...] that has at most f points beyond tol on its outer side, and
+// nothing when the subset does not span a hyperplane.
+func (s *facetScratch) addDepthFacets(pts []geom.Point, f int, tol, eps float64) {
 	d := pts[0].Dim()
-	s.prepare(d)
-	base := pts[idx[0]]
+	base := pts[s.idx[0]]
 	for i := 1; i < d; i++ {
-		vi := pts[idx[i]]
+		vi := pts[s.idx[i]]
 		e := s.edges[i-1]
 		for c := range e {
 			e[c] = vi[c] - base[c]
@@ -214,8 +250,10 @@ func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []i
 	b := n.Dot(base)
 	// Points beyond the hyperplane on each side, in one pass.
 	pos, neg := 0, 0
-	for _, v := range pts {
-		switch e := n.Dot(v) - b; {
+	for i, v := range pts {
+		e := n.Dot(v) - b
+		s.e[i] = e
+		switch {
 		case e > tol:
 			pos++
 		case e < -tol:
@@ -226,22 +264,84 @@ func (s *facetScratch) addDepthFacets(facets *[]Facet, pts []geom.Point, idx []i
 		}
 	}
 	if pos <= f {
-		*facets = append(*facets, Facet{Normal: n.Clone(), Offset: b})
+		s.normals = append(s.normals, n...)
+		s.offsets = append(s.offsets, b)
+		s.sides = append(s.sides, s.e...)
 	}
 	if neg <= f { // the opposite orientation: -n·x <= -b
-		out := n.Clone()
-		for c := range out {
-			out[c] = -out[c]
+		for _, a := range n {
+			s.normals = append(s.normals, -a)
 		}
-		*facets = append(*facets, Facet{Normal: out, Offset: -b})
+		s.offsets = append(s.offsets, -b)
+		for _, e := range s.e {
+			s.sides = append(s.sides, -e)
+		}
 	}
 }
 
 // generalizedCrossInto writes into n a vector orthogonal to the d-1 given
-// vectors in R^d, via cofactor expansion, drawing all scratch (the cofactor
-// minor and its LU buffer) from the caller. It reports false when the edges
-// are linearly dependent.
+// vectors in R^d, each coordinate the signed cofactor of the edges matrix
+// with that column removed, and reports whether the edges are linearly
+// independent (a normal longer than eps). In d <= 3 the cofactors are 1×1
+// and 2×2 determinants in closed form (det1, det2); in d >= 4 they come from
+// LU (crossLU), drawing the minor and its LU buffer from the caller.
 func generalizedCrossInto(n geom.Point, edges []geom.Point, minor *geom.Matrix, ds *geom.DetScratch, eps float64) bool {
+	switch len(edges) {
+	case 1:
+		e := edges[0]
+		n[0], n[1] = det1(e[1], eps), -det1(e[0], eps)
+	case 2:
+		a, b := edges[0], edges[1]
+		n[0] = det2(a[1], a[2], b[1], b[2], eps)
+		n[1] = -det2(a[0], a[2], b[0], b[2], eps)
+		n[2] = det2(a[0], a[1], b[0], b[1], eps)
+	default:
+		if !crossLU(n, edges, minor, ds, eps) {
+			return false
+		}
+	}
+	return n.Norm() > eps
+}
+
+// det1 is geom.DetScratch.Det of the 1×1 matrix (a), bit for bit: 0 when
+// |a| <= eps, else a.
+func det1(a, eps float64) float64 {
+	if math.Abs(a) <= eps {
+		return 0
+	}
+	return a
+}
+
+// det2 is geom.DetScratch.Det of the 2×2 matrix (a b; c d), bit for bit:
+// the same partial pivot (the row with the larger |first entry|, the first
+// on a tie), the same rank tests against eps, the same elimination
+// d − (c·(1/a))·b, skipped when the multiplier is zero, and the same sign.
+func det2(a, b, c, d, eps float64) float64 {
+	sign := 1.0
+	if math.Abs(c) > math.Abs(a) {
+		a, b, c, d = c, d, a, b
+		sign = -sign
+	}
+	if math.Abs(a) <= eps {
+		return 0
+	}
+	inv := 1 / a
+	if f := c * inv; f != 0 {
+		d -= f * b
+	}
+	if math.Abs(d) <= eps {
+		return 0
+	}
+	det := sign
+	det *= a
+	det *= d
+	return det
+}
+
+// crossLU is generalizedCrossInto's cofactor expansion by LU, for any d:
+// each minor is copied into the caller's matrix and factorised in ds. It
+// reports false when a determinant fails.
+func crossLU(n geom.Point, edges []geom.Point, minor *geom.Matrix, ds *geom.DetScratch, eps float64) bool {
 	d := len(edges) + 1
 	for j := 0; j < d; j++ {
 		// Minor: edges matrix with column j removed.
@@ -265,5 +365,5 @@ func generalizedCrossInto(n geom.Point, edges []geom.Point, minor *geom.Matrix, 
 			n[j] = -det
 		}
 	}
-	return n.Norm() > eps
+	return true
 }

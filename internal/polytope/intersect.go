@@ -65,14 +65,18 @@ func DepthRegion(pts []geom.Point, f int, eps float64) (*Polytope, error) {
 			return nil, fmt.Errorf("polytope: point %d is not finite: %v", i, p)
 		}
 	}
-	ab, err := geom.NewAffineBasis(pts, eps)
+	k, err := geom.AffineDim(pts, eps)
 	if err != nil {
 		return nil, err
 	}
-	switch k := ab.Dim(); {
+	switch {
 	case k == 0:
-		return FromPoint(ab.Origin), nil
+		return FromPoint(pts[0]), nil
 	case k < d:
+		ab, err := geom.NewAffineBasis(pts, eps)
+		if err != nil {
+			return nil, err
+		}
 		proj := make([]geom.Point, len(pts))
 		for i, p := range pts {
 			proj[i] = ab.Project(p)
@@ -95,7 +99,7 @@ func DepthRegion(pts []geom.Point, f int, eps float64) (*Polytope, error) {
 		sort.Float64s(vals)
 		return interval(vals[f], vals[len(vals)-1-f], eps)
 	}
-	return clipHull(pts, hull.DepthHalfspaces(pts, f, eps), hull.DataScale(pts), eps)
+	return clipped(hull.ClipHull(pts, f, eps))
 }
 
 func intersect1D(polys []*Polytope, eps float64) (*Polytope, error) {
@@ -160,11 +164,6 @@ func intersectND(polys []*Polytope, eps float64) (*Polytope, error) {
 // overwritten.
 func clipBox(lo, hi geom.Point, hs []hull.Facet, scale, eps float64) (*Polytope, error) {
 	return clipped(hull.ClipBox(lo, hi, hs, scale, eps))
-}
-
-// clipHull is hull.ClipHull as a polytope, or ErrEmpty.
-func clipHull(pts []geom.Point, hs []hull.Facet, scale, eps float64) (*Polytope, error) {
-	return clipped(hull.ClipHull(pts, hs, scale, eps))
 }
 
 func clipped(verts []geom.Point) (*Polytope, error) {

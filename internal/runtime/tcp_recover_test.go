@@ -14,18 +14,22 @@ import (
 
 // roundProc advances through R lockstep rounds: it broadcasts round r+1
 // once it has heard round r from every peer. The sustained multi-round
-// traffic gives a mid-run link failure something to disrupt.
+// traffic gives a mid-run link failure something to disrupt. Round hold is
+// broadcast only once gate is closed, so a test can cut links while the
+// protocol is parked mid-run.
 type roundProc struct {
 	mu     sync.Mutex
 	n      int
 	rounds int
+	hold   int
+	gate   <-chan struct{}
 	heard  map[int]map[dist.ProcID]bool
 	round  int // highest round this process has completed
 	done   bool
 }
 
-func newRoundProc(n, rounds int) *roundProc {
-	return &roundProc{n: n, rounds: rounds, heard: make(map[int]map[dist.ProcID]bool)}
+func newRoundProc(n, rounds, hold int, gate <-chan struct{}) *roundProc {
+	return &roundProc{n: n, rounds: rounds, hold: hold, gate: gate, heard: make(map[int]map[dist.ProcID]bool)}
 }
 
 func (p *roundProc) Init(ctx dist.Context) {
@@ -49,6 +53,9 @@ func (p *roundProc) Deliver(ctx dist.Context, msg dist.Message) {
 	}
 	p.mu.Unlock()
 	for _, r := range advance {
+		if r == p.hold {
+			<-p.gate
+		}
 		ctx.Broadcast("round", r, nil)
 	}
 }
@@ -68,13 +75,16 @@ func (p *roundProc) currentRound() int {
 // TestTCPClusterRecoversFromKilledConnections kills every connection of one
 // node mid-run and requires the cluster to finish anyway: the hardened
 // transport must redial (observable as Reconnects > 0) and the reliable
-// links must retransmit whatever the cut lost.
+// links must retransmit whatever the cut lost. Every process holds its
+// round-5 broadcast until the links are cut, so the cut always lands before
+// the run ends and node 1's next sends meet a dead link.
 func TestTCPClusterRecoversFromKilledConnections(t *testing.T) {
-	const n, rounds = 3, 60
+	const n, rounds, hold = 3, 60, 5
+	gate := make(chan struct{})
 	procs := make([]dist.Process, n)
 	impl := make([]*roundProc, n)
 	for i := range procs {
-		impl[i] = newRoundProc(n, rounds)
+		impl[i] = newRoundProc(n, rounds, hold, gate)
 		procs[i] = impl[i]
 	}
 	c, err := NewTCPCluster(procs, Config{})
@@ -85,15 +95,27 @@ func TestTCPClusterRecoversFromKilledConnections(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(60 * time.Second) }()
 
-	// Wait for the protocol to get going, then cut node 1 off completely.
+	// Wait for every process to park at the gate, then cut node 1 off
+	// completely and let the protocol go on.
+	parked := func() bool {
+		for _, p := range impl {
+			if p.currentRound() < hold {
+				return false
+			}
+		}
+		return true
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for impl[0].currentRound() < 5 && time.Now().Before(deadline) {
+	for !parked() && time.Now().Before(deadline) {
 		time.Sleep(200 * time.Microsecond)
 	}
-	if impl[0].currentRound() < 5 {
-		t.Fatal("protocol made no progress before the link kill")
+	if !parked() {
+		close(gate)
+		<-runDone
+		t.Fatal("protocol did not reach the gate before the link kill")
 	}
 	c.nodes[1].tcp.breakLinks()
+	close(gate)
 
 	if err := <-runDone; err != nil {
 		t.Fatalf("cluster did not recover from killed connections: %v", err)
